@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .embedding import EmbeddedGraph, triangulate
-from .errors import TooLarge, VertexSetMismatch
+from .errors import MergeConflict, TooLarge, VertexSetMismatch
 from .extractors import OrderedFreeSet, planar_freeset
 from .rational import Point
 from .realize import (
@@ -119,14 +119,16 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
 
     d = free_realize(g, sub, [rotated[v] for v in sub.order])
     if k:
-        d = checked_drawing(g, replace(
+        # a rational rotation is an orientation-preserving isometry; the
+        # exact predicates are invariant, so the verified flag carries over
+        d = replace(
             d,
             pos={v: _rotate_point(p, -k) for v, p in d.pos.items()},
             bends={e: tuple(_rotate_point(p, -k) for p in b)
-                   for e, b in d.bends.items()},
-            verified=False))
+                   for e, b in d.bends.items()})
     for v in chosen:
-        assert d.pos[v] == pos[v]
+        if d.pos[v] != pos[v]:
+            raise MergeConflict(f"fixed vertex {v} left its position")
     return UntangleResult(drawing=replace(d, provenance="untangled"),
                           fixed=tuple(sub.order),
                           free_set_size=len(fs.order))
@@ -157,7 +159,8 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     sub = fs.restricted(fs.order[:g2.n])
     d1 = free_realize(g1, sub, targets)
     points = tuple(sorted(d1.pos[v] for v in range(g1.n)))
-    assert set(targets) <= set(points)
+    if not set(targets) <= set(points):
+        raise MergeConflict("G2's points are not all among G1's")
     return SimultaneousResult(
         drawings=(d1, d2),
         shared_vertices=None,
@@ -167,10 +170,11 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
 
 
 def _rot90(d: PolyDrawing) -> PolyDrawing:
+    # a rational rotation is an orientation-preserving isometry; the exact
+    # predicates are invariant, so the verified flag carries over
     pos = {v: (-y, x) for v, (x, y) in d.pos.items()}
     bends = {e: tuple((-y, x) for x, y in b) for e, b in d.bends.items()}
-    return checked_drawing(d.graph, replace(d, pos=pos, bends=bends,
-                                            verified=False))
+    return replace(d, pos=pos, bends=bends)
 
 
 def _psge_pair(g1, g2, fs1: OrderedFreeSet, fs2: OrderedFreeSet,
@@ -188,7 +192,7 @@ def _psge_pair(g1, g2, fs1: OrderedFreeSet, fs2: OrderedFreeSet,
     d2 = _rot90(free_realize(g2, fs2.restricted(ord2), pre))
     for v in shared:
         if d1.pos[v] != target[v] or d2.pos[v] != target[v]:
-            raise AssertionError(f"shared vertex {v} mismatch")
+            raise MergeConflict(f"shared vertex {v} mismatch")
     return d1, d2, target
 
 
@@ -259,7 +263,7 @@ def psge_many(graphs) -> SimultaneousResult:
         di = _rot90(free_realize(graphs[i], fs.restricted(ordered), pre))
         for v in shared:
             if di.pos[v] != target[v]:
-                raise AssertionError(f"shared vertex {v} mismatch")
+                raise MergeConflict(f"shared vertex {v} mismatch")
         drawings.append(di)
 
     bound = 1

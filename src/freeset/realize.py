@@ -5,15 +5,20 @@ equivalence: subdivide the crossed edges, split the graph along the curve,
 draw each side in a half-plane with the curve vertices on the x-axis
 (Tutte systems on an augmented graph, certified by exact verification),
 then perturb the free vertices off the axis and rescale to hit arbitrary
-targets.  Every returned drawing has passed the exact crossing-free check.
+targets.  Every returned drawing has passed the exact crossing-free check,
+and each public entry point runs that check once on the drawing it returns
+(plus once per retry or epsilon halving); intermediate drawings are only
+checked when a later check fails.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 
 from .curves import (
     CrossItem,
@@ -113,7 +118,6 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
     # windowed by x to keep the scan near-linear
     byx = sorted(range(g.n), key=lambda v: grid[v])
     xs_sorted = [grid[v][0] for v in byx]
-    from bisect import bisect_left, bisect_right
     for p, q, e in segs:
         lo = bisect_left(xs_sorted, min(p[0], q[0]))
         hi = bisect_right(xs_sorted, max(p[0], q[0]))
@@ -149,6 +153,23 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
             still.append(j)
             if min(pj[1], qj[1]) > yhi or max(pj[1], qj[1]) < ylo:
                 continue
+            if e != ej:
+                # pieces of two edges meeting in one endpoint at a vertex
+                # of both: they touch there, and overlap exactly when they
+                # leave it in the same direction
+                if p == pj or p == qj:
+                    sp, other1 = p, q
+                else:
+                    sp, other1 = q, p
+                if sp in (pj, qj) and other1 not in (pj, qj) and \
+                        allowed_touch(sp, e, ej):
+                    other2 = qj if pj == sp else pj
+                    ux, uy = other1[0] - sp[0], other1[1] - sp[1]
+                    vx, vy = other2[0] - sp[0], other2[1] - sp[1]
+                    if ux * vy == uy * vx and ux * vx + uy * vy > 0:
+                        return DrawingViolation(
+                            "crossing", f"edges {e} and {ej} overlap")
+                    continue
             if not segments_intersect(p, q, pj, qj):
                 continue
             shared = {p, q} & {pj, qj}
@@ -164,17 +185,6 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
                     return DrawingViolation(
                         "crossing", f"edge {e} folds back on itself")
                 continue
-            if len(shared) == 1 and allowed_touch(next(iter(shared)), e, ej):
-                sp = next(iter(shared))
-                other1 = q if p == sp else p
-                other2 = qj if pj == sp else pj
-                if on_segment(pj[0], pj[1], qj[0], qj[1],
-                              other1[0], other1[1]) or \
-                        on_segment(p[0], p[1], q[0], q[1],
-                                   other2[0], other2[1]):
-                    return DrawingViolation(
-                        "crossing", f"edges {e} and {ej} overlap")
-                continue
             return DrawingViolation("crossing",
                                     f"edges {e} and {ej} intersect")
         still.append(idx)
@@ -187,6 +197,17 @@ def checked_drawing(g: EmbeddedGraph, d: PolyDrawing) -> PolyDrawing:
     if violation is not None:
         raise DegenerateOutput(str(violation))
     return replace(d, verified=True)
+
+
+# solve attempts: the plain weights, then randomized positive weights
+_ATTEMPTS = 3
+
+
+def _degenerate(stage: str, violation: DrawingViolation,
+                attempt: int | None = None) -> DegenerateOutput:
+    where = "" if attempt is None else f" on attempt {attempt + 1} of {_ATTEMPTS}"
+    return DegenerateOutput(
+        f"{stage} drawing failed verification{where}: {violation}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +284,11 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions,
     """Barycentric drawing with a fixed boundary polygon.
 
     Exact rational solve up to ``max_exact`` interior vertices, float solve
-    with rational snapping beyond; the output must pass the exact
-    crossing-free verification, otherwise one randomized positive-weight
-    retry is attempted before DegenerateOutput.
+    with rational snapping beyond.  Each solve is checked by the exact
+    crossing-free verification; a failed one is retried with randomized
+    positive weights, up to ``_ATTEMPTS`` solves in all, and the last
+    failure raises DegenerateOutput naming the stage, the attempt and the
+    violation.
     """
     cycle = list(boundary_cycle)
     positions = [(F(x), F(y)) for x, y in boundary_positions]
@@ -276,16 +299,16 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions,
     fixed = dict(zip(cycle, positions))
 
     rng = random.Random(0x5EED)
-    for attempt in range(3):
+    for attempt in range(_ATTEMPTS):
         weights = None
         if attempt > 0:
             weights = {e: rng.randint(1, 16) for e in h.edges}
         pos = _barycentric_positions(h, fixed, weights, max_exact)
         d = PolyDrawing(graph=h, pos=pos, provenance="tutte")
-        if verify_drawing(h, d) is None:
+        violation = verify_drawing(h, d)
+        if violation is None:
             return pos
-    raise DegenerateOutput("barycentric drawing failed verification "
-                           "with and without randomized weights")
+    raise _degenerate("tutte", violation, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +330,9 @@ class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
     Holds the apex/helper augmentation and the factored interior system so
-    repeated solves with different axis positions stay cheap.
+    repeated solves with different axis positions stay cheap.  ``solve``
+    only solves; the caller verifies the drawing it assembles and, if that
+    fails, solves again with the next attempt's randomized weights.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int],
@@ -524,8 +549,19 @@ class _HalfPlane:
             self._solvers[0] = system
         return system
 
-    def solve(self, xs: list[Fraction], side: str) -> dict:
-        """Positions for the original half graph, axis at the given x's."""
+    def _weights(self, attempt: int) -> dict | None:
+        """Edge weights of one attempt: None (the base weights) first, then
+        randomized positive weights drawn from a fixed seed."""
+        if attempt == 0:
+            return None
+        rng = random.Random(0xA11CE)
+        for _ in range(attempt):
+            weights = {e: rng.randint(1, 16) for e in self.aug.edges}
+        return weights
+
+    def solve(self, xs: list[Fraction], side: str, attempt: int = 0) -> dict:
+        """Unverified positions for the original half graph, axis at the
+        given x's, solved with the weights of the given attempt."""
         if len(xs) != len(self.y):
             raise SizeMismatch("one x position per axis vertex")
         span = xs[-1] - xs[0]
@@ -533,32 +569,25 @@ class _HalfPlane:
         fixed = {v: (x, F(0)) for v, x in zip(self.y, xs)}
         fixed[self.apex] = ((xs[0] + xs[-1]) / 2, b)
 
-        rng = random.Random(0xA11CE)
-        for attempt in range(3):
-            weights = None
-            if attempt > 0:
-                weights = {e: rng.randint(1, 16) for e in self.aug.edges}
-            interior, index, solver, nbr_fixed = self._system(weights)
-            pos = dict(fixed)
-            if interior and len(interior) <= self.max_exact:
-                rhs_x = [sum(wt * fixed[u][0] for u, wt in nbr_fixed[i])
-                         for i in range(len(interior))]
-                rhs_y = [sum(wt * fixed[u][1] for u, wt in nbr_fixed[i])
-                         for i in range(len(interior))]
-                sx = solver.solve([F(v) for v in rhs_x])
-                sy = solver.solve([F(v) for v in rhs_y])
-                for v in interior:
-                    pos[v] = (sx[index[v]], sy[index[v]])
-            elif interior:
-                pos = _barycentric_positions(self.aug, fixed, weights,
-                                             self.max_exact)
-            out = {v: pos[v] for v in range(self.h.n)}
-            if side == "below":
-                out = {v: (x, -y) for v, (x, y) in out.items()}
-            d = PolyDrawing(graph=self.h, pos=out, provenance="halfplane")
-            if verify_drawing(self.h, d) is None:
-                return out
-        raise DegenerateOutput("half-plane drawing failed verification")
+        weights = self._weights(attempt)
+        interior, index, solver, nbr_fixed = self._system(weights)
+        pos = dict(fixed)
+        if interior and len(interior) <= self.max_exact:
+            rhs_x = [sum(wt * fixed[u][0] for u, wt in nbr_fixed[i])
+                     for i in range(len(interior))]
+            rhs_y = [sum(wt * fixed[u][1] for u, wt in nbr_fixed[i])
+                     for i in range(len(interior))]
+            sx = solver.solve([F(v) for v in rhs_x])
+            sy = solver.solve([F(v) for v in rhs_y])
+            for v in interior:
+                pos[v] = (sx[index[v]], sy[index[v]])
+        elif interior:
+            pos = _barycentric_positions(self.aug, fixed, weights,
+                                         self.max_exact)
+        out = {v: pos[v] for v in range(self.h.n)}
+        if side == "below":
+            out = {v: (x, -y) for v, (x, y) in out.items()}
+        return out
 
 
 def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below",
@@ -574,7 +603,13 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below",
         if not h.has_edge(a, b):
             raise YNotOnOuterFace(f"axis vertices {a},{b} are not adjacent")
     hp = _HalfPlane(h, y_order, max_exact=max_exact)
-    return hp.solve(xs, side)
+    for attempt in range(_ATTEMPTS):
+        pos = hp.solve(xs, side, attempt)
+        violation = verify_drawing(
+            h, PolyDrawing(graph=h, pos=pos, provenance="halfplane"))
+        if violation is None:
+            return pos
+    raise _degenerate("halfplane", violation, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +622,8 @@ class _CollinearSystem:
     mids: dict                    # crossed original edge -> midpoint vertex
     y_order: tuple[int, ...]      # curve vertices of gp in traversal order
     halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
+    below: tuple[int, ...]        # vertices strictly inside the curve
+    above: tuple[int, ...]        # vertices strictly outside the curve
 
 
 def _lift_certificate(g0: EmbeddedGraph, cert: CurveCertificate):
@@ -680,7 +717,9 @@ def _collinear_system(g0: EmbeddedGraph, cert: CurveCertificate,
         h, rel = _half_embedding(gp, an, sp, y_order, which)
         hp = _HalfPlane(h, [rel[y] for y in y_order], max_exact=max_exact)
         halves[which] = (hp, rel)
-    return _CollinearSystem(gp=gp, mids=mids, y_order=y_order, halves=halves)
+    return _CollinearSystem(gp=gp, mids=mids, y_order=y_order, halves=halves,
+                            below=tuple(sorted(sp.X)),
+                            above=tuple(sorted(sp.Z)))
 
 
 def _axis_positions(y_order, s_order, xs) -> list[Fraction]:
@@ -705,11 +744,10 @@ def _axis_positions(y_order, s_order, xs) -> list[Fraction]:
     return out
 
 
-def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
-                      max_exact: int = _MAX_EXACT_DEFAULT) -> PolyDrawing:
-    """Straight-line drawing (bends only on curve-crossed edges) with the
-    free set exactly at (x_i, 0) in order, everything inside the curve
-    strictly below the axis and everything outside strictly above."""
+def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
+                     max_exact: int) -> tuple[_CollinearSystem, list]:
+    """The (cached) collinear system of a free set and the x position of
+    every curve vertex, with the free set at ``xs``."""
     if g != fs.graph:
         raise SizeMismatch("free set does not belong to this graph")
     xs = [F(x) for x in xs]
@@ -717,14 +755,19 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
         raise SizeMismatch(f"need {len(fs.order)} x positions")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-
     sysm = _collinear_system(g, fs.certificate, max_exact)
-    axis_x = _axis_positions(sysm.y_order, fs.order, xs)
+    return sysm, _axis_positions(sysm.y_order, fs.order, xs)
 
+
+def _merge_halves(g: EmbeddedGraph, fs: OrderedFreeSet,
+                  sysm: _CollinearSystem, axis_x: list,
+                  attempt: int) -> PolyDrawing:
+    """Unverified collinear drawing: both halves solved with the weights of
+    one attempt, the crossed edges bent at their midpoints."""
     hp_in, rel_in = sysm.halves["inside"]
     hp_out, rel_out = sysm.halves["outside"]
-    pos_in = hp_in.solve(axis_x, side="below")
-    pos_out = hp_out.solve(axis_x, side="above")
+    pos_in = hp_in.solve(axis_x, "below", attempt)
+    pos_out = hp_out.solve(axis_x, "above", attempt)
 
     merged: dict[int, Point] = {}
     for v, i in rel_in.items():
@@ -737,9 +780,51 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
 
     pos = {v: merged[v] for v in range(g.n)}
     bends = {e: (merged[mid],) for e, mid in sysm.mids.items()}
-    d = PolyDrawing(graph=g, pos=pos, bends=bends,
-                    provenance=f"collinear[{fs.provenance}]")
-    return checked_drawing(g, d)
+    return PolyDrawing(graph=g, pos=pos, bends=bends,
+                       provenance=f"collinear[{fs.provenance}]")
+
+
+def _side_violation(sysm: _CollinearSystem,
+                    d: PolyDrawing) -> DrawingViolation | None:
+    """Inside vertices strictly below the axis, outside strictly above.
+
+    Under this condition the two halves can meet only on the axis, at
+    curve vertices, so the exact check of the merged drawing covers what
+    checking each half drawing (with its axis edges) did."""
+    for v in sysm.below:
+        if d.pos[v][1] >= 0:
+            return DrawingViolation(
+                "wrong-side", f"inside vertex {v} is not below the axis")
+    for v in sysm.above:
+        if d.pos[v][1] <= 0:
+            return DrawingViolation(
+                "wrong-side", f"outside vertex {v} is not above the axis")
+    return None
+
+
+def _verified_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
+                        sysm: _CollinearSystem, axis_x: list,
+                        first_attempt: int = 0) -> PolyDrawing:
+    """Merged drawing of the first attempt that passes the side condition
+    and the exact check; both halves are re-solved on each attempt."""
+    for attempt in range(first_attempt, _ATTEMPTS):
+        d = _merge_halves(g, fs, sysm, axis_x, attempt)
+        violation = _side_violation(sysm, d) or verify_drawing(g, d)
+        if violation is None:
+            return replace(d, verified=True)
+    raise _degenerate("collinear", violation, attempt)
+
+
+def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
+                      max_exact: int = _MAX_EXACT_DEFAULT) -> PolyDrawing:
+    """Straight-line drawing (bends only on curve-crossed edges) with the
+    free set exactly at (x_i, 0) in order, everything inside the curve
+    strictly below the axis and everything outside strictly above.
+
+    The merged drawing is verified once; if it fails, both halves are
+    solved again with randomized weights (``_ATTEMPTS`` solves in all)."""
+    sysm, axis_x = _collinear_setup(g, fs, xs, max_exact)
+    return _verified_collinear(g, fs, sysm, axis_x)
 
 
 # ---------------------------------------------------------------------------
@@ -747,16 +832,37 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
 # ---------------------------------------------------------------------------
 
 def _clearance_estimate(d: PolyDrawing, moving: list[int]) -> Fraction:
-    """Float lower-ballpark for how far the moving vertices may travel."""
-    segs = [(float(a[0]), float(a[1]), float(b[0]), float(b[1]), e)
-            for a, b, e in d.segments()]
+    """Float lower-ballpark for how far the moving vertices may travel.
+
+    The minimum float distance from a moving vertex to a segment not
+    incident to it.  Segments are scanned in a window by x, and one whose
+    float bounding box is farther from the vertex than the best distance so
+    far (with slack for rounding) is skipped: its computed distance could
+    not be smaller, so the estimate is the same as a full scan's.
+    """
+    segs = []
+    for a, b, e in d.segments():
+        ax, ay = float(a[0]), float(a[1])
+        dx, dy = float(b[0]) - ax, float(b[1]) - ay
+        # the projected point ax + t * dx (0 <= t <= 1) computed below
+        # lies between ax and ax + dx in floats too, so this box bounds it
+        ex, ey = ax + dx, ay + dy
+        segs.append((min(ax, ex), max(ax, ex), min(ay, ey), max(ay, ey),
+                     ax, ay, dx, dy, e))
+    segs.sort(key=lambda s: s[0])
+    lows = [s[0] for s in segs]
+    reach = max((s[1] - s[0] for s in segs), default=0.0)
     best = None
+    thr = inf
     for v in moving:
         px, py = float(d.pos[v][0]), float(d.pos[v][1])
-        for ax, ay, bx, by, e in segs:
-            if v in e:
+        slack = 1e-9 * (abs(px) + thr + reach)
+        lo = bisect_left(lows, px - thr - reach - slack)
+        hi = bisect_right(lows, px + thr + slack)
+        for x0, x1, y0, y1, ax, ay, dx, dy, e in segs[lo:hi]:
+            if v in e or px - x1 > thr or x0 - px > thr or \
+                    py - y1 > thr or y0 - py > thr:
                 continue
-            dx, dy = bx - ax, by - ay
             den = dx * dx + dy * dy
             t = 0.0 if den == 0 else max(0.0, min(1.0, ((px - ax) * dx +
                                                         (py - ay) * dy) / den))
@@ -764,6 +870,7 @@ def _clearance_estimate(d: PolyDrawing, moving: list[int]) -> Fraction:
             dist = ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
             if best is None or dist < best:
                 best = dist
+                thr = best * (1 + 1e-6)
     if best is None or best <= 0:
         return F(1)
     est = F(best).limit_denominator(1 << 48) / 4
@@ -772,21 +879,37 @@ def _clearance_estimate(d: PolyDrawing, moving: list[int]) -> Fraction:
     return min(F(1), est)
 
 
+def _checked_base(d: PolyDrawing) -> PolyDrawing:
+    """The collinear base, checked once unless it is already verified."""
+    if d.verified:
+        return d
+    violation = verify_drawing(d.graph, d)
+    if violation is not None:
+        raise _degenerate("collinear", violation)
+    return replace(d, verified=True)
+
+
 def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
     """Move the axis free set to arbitrary target heights.
 
     First each member is lifted to epsilon * y_i / ymax (epsilon found by
     verified halving from a clearance estimate), then every y-coordinate is
     scaled by ymax / epsilon, which is affine and exact.
+
+    ``d`` need not be verified: the returned drawing always is.  An
+    unverified ``d`` is checked once, when the first candidate fails (or,
+    for all-zero targets, before it is returned), so a broken base raises
+    DegenerateOutput instead of halving epsilon in vain; EpsilonExhausted
+    means the base itself is sound.
     """
     s_order = list(s_order)
     ys = [F(y) for y in targets]
     if len(ys) != len(s_order):
         raise SizeMismatch("one target height per free-set member")
-    if all(y == 0 for y in ys):
-        return d
-    ymax = max(abs(y) for y in ys)
     g = d.graph
+    if all(y == 0 for y in ys):
+        return _checked_base(d)
+    ymax = max(abs(y) for y in ys)
 
     eps = _clearance_estimate(d, s_order)
     for _ in range(64):
@@ -805,6 +928,7 @@ def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
             return PolyDrawing(graph=g, pos=pos2, bends=bends2,
                                provenance=d.provenance + "+perturbed",
                                verified=True)
+        d = _checked_base(d)
         eps /= 2
     raise EpsilonExhausted("no verified perturbation after 64 halvings")
 
@@ -835,6 +959,11 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points,
     Point sets with repeated x-coordinates are handled by an exact rational
     rotation (powers of the 3-4-5 angle) before realization and the inverse
     rotation afterwards.
+
+    Only the returned drawing is verified: the collinear base is built
+    unchecked and is checked only if the first perturbed candidate fails.
+    A base that fails its check (or the side condition) is rebuilt with
+    randomized half-plane weights, as ``realize_collinear`` would.
     """
     pts = [(F(x), F(y)) for x, y in points]
     if len(pts) != len(fs.order):
@@ -852,8 +981,17 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points,
     xs = [rotated[i][0] for i in order]
     ys = [rotated[i][1] for i in order]
 
-    d = realize_collinear(g, fs, xs, max_exact=max_exact)
-    d = perturb_scale(d, fs.order, ys)
+    sysm, axis_x = _collinear_setup(g, fs, xs, max_exact)
+    d = None
+    base = _merge_halves(g, fs, sysm, axis_x, 0)
+    if _side_violation(sysm, base) is None:
+        try:
+            d = perturb_scale(base, fs.order, ys)
+        except DegenerateOutput:
+            pass  # the unverified base failed its check: retry below
+    if d is None:
+        base = _verified_collinear(g, fs, sysm, axis_x, first_attempt=1)
+        d = perturb_scale(base, fs.order, ys)
     if k:
         # a rational rotation is an orientation-preserving isometry; the
         # exact predicates are invariant, so the verified flag carries over

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,7 @@ from freeset.applications import (
     untangle,
 )
 from freeset.bench import _random_tree
-from freeset.errors import TooLarge, VertexSetMismatch
+from freeset.errors import MergeConflict, TooLarge, VertexSetMismatch
 from freeset.extractors import planar_freeset
 from freeset.generators import path, random_triangulation
 from freeset.realize import tutte_solve
@@ -144,3 +145,35 @@ class TestPsge:
         res = psge_many([g1, g2])
         assert len(res.drawings) == 2
         assert len(res.shared_vertices) >= 2
+
+
+class TestTypedErrors:
+    """Broken invariants raise MergeConflict, which survives ``python -O``."""
+
+    def test_untangle_fixed_vertex_moved(self, monkeypatch):
+        import freeset.applications as apps
+        real = apps.free_realize
+
+        def shifted(g, fs, points):
+            d = real(g, fs, points)
+            v = fs.order[0]
+            x, y = d.pos[v]
+            return replace(d, pos={**d.pos, v: (x + 1, y)})
+
+        monkeypatch.setattr(apps, "free_realize", shifted)
+        g = path(4)
+        with pytest.raises(MergeConflict, match="left its position"):
+            untangle(g, {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (3, 0)})
+
+    def test_sge_nomap_targets_missing(self, monkeypatch):
+        import freeset.applications as apps
+        real = apps.free_realize
+
+        def shifted(g, fs, points):
+            d = real(g, fs, points)
+            return replace(d, pos={v: (x + 1, y)
+                                   for v, (x, y) in d.pos.items()})
+
+        monkeypatch.setattr(apps, "free_realize", shifted)
+        with pytest.raises(MergeConflict):
+            sge_nomap(random_triangulation(40, 3), path(3))

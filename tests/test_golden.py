@@ -1,0 +1,93 @@
+"""Byte-level regression lock on realized drawings.
+
+Each case realizes a fixed seeded input and hashes the serialized drawing.
+The hashes were recorded before verification was reorganized (one exact
+check per returned drawing); realization must keep producing exactly the
+same coordinates.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from freeset.applications import psge_two, untangle
+from freeset.extractors import planar_freeset
+from freeset.generators import random_triangulation
+from freeset.realize import free_realize
+from freeset.textio import serialize_drawing
+
+
+def _points(style: str, k: int, rng: random.Random) -> list:
+    pts: set = set()
+    while len(pts) < k:
+        if style == "general":
+            pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        elif style == "collinear":
+            t = F(rng.randint(-200, 200), rng.randint(1, 5))
+            pts.add((t, 3 * t - 2))
+        elif style == "repeated-x":
+            pts.add((F(rng.randint(-4, 4)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        else:  # coprime denominators
+            pts.add((F(rng.randint(-10 ** 6, 10 ** 6), 997),
+                     F(rng.randint(-10 ** 6, 10 ** 6), 991)))
+    return sorted(pts)
+
+
+def _digest(*drawings) -> str:
+    h = hashlib.sha256()
+    for d in drawings:
+        h.update(serialize_drawing(d).encode())
+    return h.hexdigest()[:16]
+
+
+REALIZE_CASES = [
+    # (n, graph seed, point seed, style, digest)
+    (20, 1, 11, "general", "26a9930885c65988"),
+    (45, 2, 12, "collinear", "2946881450318d9c"),
+    (45, 3, 13, "repeated-x", "58438cf56c06bb32"),
+    (80, 4, 14, "coprime", "457aad234dc5e15a"),
+    (120, 5, 15, "general", "94c764e1f7a21f80"),
+    (200, 6, 16, "repeated-x", "ec9c0e2b54ecc018"),
+]
+
+
+@pytest.mark.parametrize("n,gseed,pseed,style,digest", REALIZE_CASES)
+def test_free_realize_golden(n, gseed, pseed, style, digest):
+    g = random_triangulation(n, gseed)
+    fs = planar_freeset(g)
+    pts = _points(style, len(fs.order), random.Random(pseed))
+    d = free_realize(g, fs, pts)
+    assert d.verified
+    assert _digest(d) == digest
+
+
+@pytest.mark.parametrize("n,seed,digest", [
+    (40, 21, "64aba757c4ceae5a"),
+    (70, 22, "8045d2e1a82d2ac0"),
+])
+def test_untangle_golden(n, seed, digest):
+    # a small coordinate range forces repeated x, hence the rotation path
+    rng = random.Random(seed)
+    g = random_triangulation(n, seed)
+    cells = rng.sample([(x, y) for x in range(-n // 4, n // 4)
+                        for y in range(-n, n)], n)
+    res = untangle(g, dict(enumerate(cells)))
+    assert res.drawing.verified
+    assert _digest(res.drawing) == digest
+
+
+@pytest.mark.parametrize("n,seed,digest", [
+    (30, 31, "6d98cca02df552af"),
+    (60, 32, "abbbd4250bf1ab65"),
+])
+def test_psge_two_golden(n, seed, digest):
+    res = psge_two(random_triangulation(n, seed),
+                   random_triangulation(n, seed + 1000))
+    assert all(d.verified for d in res.drawings)
+    assert _digest(*res.drawings) == digest

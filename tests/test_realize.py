@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from freeset.canonical import canonical_order
-from freeset.errors import SizeMismatch, YNotOnOuterFace
+from freeset.errors import DegenerateOutput, SizeMismatch, YNotOnOuterFace
 from freeset.extractors import antichain_freeset, planar_freeset
 from freeset.generators import path, random_triangulation
 from freeset.realize import (
+    DrawingViolation,
     PolyDrawing,
     free_realize,
     halfplane_draw,
@@ -222,3 +223,98 @@ class TestStraighten:
                         bends={(0, 1): ((F(1), F(0)),)}, verified=True)
         d2 = straighten_heuristic(d)
         assert d2.bend_count() == 0
+
+
+class TestVerifyOnce:
+    """Each public entry point runs the exact check once on success."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import freeset.realize as realize
+        seen = []
+        real = realize.verify_drawing
+
+        def counting(g, d):
+            seen.append(d.provenance)
+            return real(g, d)
+
+        monkeypatch.setattr(realize, "verify_drawing", counting)
+        return seen
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """A verifier that rejects the first ``budget[0]`` drawings."""
+        import freeset.realize as realize
+        budget = [0]
+        seen = []
+        real = realize.verify_drawing
+
+        def fake(g, d):
+            seen.append(d.provenance)
+            if len(seen) <= budget[0]:
+                return DrawingViolation("crossing", "injected")
+            return real(g, d)
+
+        monkeypatch.setattr(realize, "verify_drawing", fake)
+        return budget, seen
+
+    def test_free_realize_once(self, k4, calls):
+        fs = antichain_pair(k4)
+        d = free_realize(k4, fs, [(0, 3), (1, -2)])
+        assert d.verified and calls == ["collinear[antichain]"]
+
+    def test_free_realize_once_larger(self, calls):
+        g = random_triangulation(60, 5)
+        fs = planar_freeset(g)
+        pts = [(F(i), F((-1) ** i * (i + 1))) for i in range(len(fs.order))]
+        d = free_realize(g, fs, pts)
+        assert d.verified and len(calls) == 1
+
+    def test_zero_targets_check_base_once(self, k4, calls):
+        fs = antichain_pair(k4)
+        d = free_realize(k4, fs, [(0, 0), (1, 0)])
+        assert d.verified and len(calls) == 1
+
+    def test_realize_collinear_once(self, k4, calls):
+        realize_collinear(k4, antichain_pair(k4), [0, 1])
+        assert len(calls) == 1
+
+    def test_halfplane_draw_once(self, calls):
+        halfplane_draw(path(4), [0, 1, 2, 3], [0, 1, 2, 3], side="below")
+        assert calls == ["halfplane"]
+
+    def test_retry_rebuilds_base(self, k4, failing):
+        # candidate and base of attempt 0 rejected; attempt 1 goes through
+        budget, seen = failing
+        budget[0] = 2
+        fs = antichain_pair(k4)
+        d = free_realize(k4, fs, [(0, 3), (1, -2)])
+        assert d.verified
+        assert d.pos[3] == (F(0), F(3)) and d.pos[2] == (F(1), F(-2))
+        assert len(seen) == 4
+
+    def test_retry_exhausted_names_stage(self, k4, failing):
+        budget, _ = failing
+        budget[0] = 10 ** 6
+        fs = antichain_pair(k4)
+        with pytest.raises(DegenerateOutput,
+                           match="collinear .*attempt 3 of 3.*injected"):
+            free_realize(k4, fs, [(0, 3), (1, -2)])
+        with pytest.raises(DegenerateOutput,
+                           match="collinear .*attempt 3 of 3.*injected"):
+            realize_collinear(k4, fs, [0, 1])
+        with pytest.raises(DegenerateOutput,
+                           match="halfplane .*attempt 3 of 3.*injected"):
+            halfplane_draw(path(3), [0, 1, 2], [0, 1, 2])
+        with pytest.raises(DegenerateOutput,
+                           match="tutte .*attempt 3 of 3.*injected"):
+            tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
+
+    def test_unverified_broken_base_is_not_halved(self, k4):
+        # a base with a crossing: perturbation must not search epsilon
+        fs = antichain_pair(k4)
+        d = realize_collinear(k4, fs, [0, 1])
+        broken = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
+                             bends=d.bends)
+        with pytest.raises(DegenerateOutput, match="collinear"):
+            perturb_scale(broken, fs.order, [3, -2])

@@ -15,8 +15,9 @@ from .extractors import OrderedFreeSet, planar_freeset
 from .rational import Point
 from .realize import (
     PolyDrawing,
+    _distinct_x_turns,
+    _rotate_drawing,
     _rotate_point,
-    checked_drawing,
     free_realize,
     tutte_solve,
     verify_drawing,
@@ -78,15 +79,6 @@ def lis_lds(seq) -> tuple[list[int], str]:
     return dec, "decreasing"
 
 
-def _distinct_x_rotation(points: list[Point]) -> int:
-    k = 0
-    pts = points
-    while len({p[0] for p in pts}) != len(pts):
-        k += 1
-        pts = [_rotate_point(p, k) for p in points]
-    return k
-
-
 def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     """Crossing-free redrawing keeping at least ceil(sqrt(k)) vertices of a
     size-k free set bit-exactly at their input positions.
@@ -104,7 +96,7 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
                               fixed=tuple(range(g.n)),
                               free_set_size=g.n)
 
-    k = _distinct_x_rotation([pos[v] for v in range(g.n)])
+    k = _distinct_x_turns([pos[v] for v in range(g.n)])
     rotated = {v: _rotate_point(p, k) for v, p in pos.items()}
 
     fs = planar_freeset(g)
@@ -117,15 +109,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     chosen = [fs.order[i] for i in idx]
     sub = fs.restricted(chosen)
 
-    d = free_realize(g, sub, [rotated[v] for v in sub.order])
-    if k:
-        # a rational rotation is an orientation-preserving isometry; the
-        # exact predicates are invariant, so the verified flag carries over
-        d = replace(
-            d,
-            pos={v: _rotate_point(p, -k) for v, p in d.pos.items()},
-            bends={e: tuple(_rotate_point(p, -k) for p in b)
-                   for e, b in d.bends.items()})
+    d = _rotate_drawing(free_realize(g, sub, [rotated[v] for v in sub.order]),
+                        -k)
     for v in chosen:
         if d.pos[v] != pos[v]:
             raise MergeConflict(f"fixed vertex {v} left its position")
@@ -135,12 +120,15 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
 
 
 def _plain_drawing(g: EmbeddedGraph, scale: int = 1 << 12) -> PolyDrawing:
-    """Any verified straight-line drawing: Tutte on a triangulated copy."""
+    """Any verified straight-line drawing: Tutte on a triangulated copy.
+
+    ``tutte_solve`` verified these positions with a superset of g's edges,
+    so the drawing of g is crossing-free too."""
     t, _ = triangulate(g)
     outer = [u for u, _ in t.faces[t.outer_face].walk]
     pos = tutte_solve(t, outer, [(0, 0), (scale, 0), (0, scale)])
-    return checked_drawing(g, PolyDrawing(graph=g, pos=pos,
-                                          provenance="tutte-base"))
+    return PolyDrawing(graph=g, pos=pos, provenance="tutte-base",
+                       verified=True)
 
 
 def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:

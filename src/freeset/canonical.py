@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .embedding import EmbeddedGraph
-from .errors import NotTriangulation
+from .errors import AntichainTooShort, NotTriangulation
 
 Chain = tuple[int, ...]
 Antichain = tuple[int, ...]
@@ -262,7 +262,8 @@ def chain_or_antichain(cs: CanonicalStructure, xs,
             anti.add(v)
     pos = {v: i for i, v in enumerate(cs.order)}
     ordered = tuple(sorted(anti, key=lambda v: pos[v]))
-    assert ordered[-1] == cs.vn
+    if ordered[-1] != cs.vn:
+        raise AntichainTooShort("maximal antichains must end at the apex")
     return "antichain", ordered
 
 

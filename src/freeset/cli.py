@@ -113,10 +113,7 @@ def freeset_cmd(graph_path, method, target, seed, out):
         else:
             from .embedding import dual_graph
             dual, mapping = dual_graph(g)
-            rep = bruteforce.brute_cycles(dual, "longest")
-            cyc = rep.result
-            rep2 = bruteforce.brute_cycles(dual, "hamiltonian")
-            cycle_faces = rep2.result
+            cycle_faces = bruteforce.brute_cycles(dual, "hamiltonian").result
             if cycle_faces is None:
                 click.echo("no hamiltonian dual cycle; guarantee not met",
                            err=True)
@@ -133,17 +130,16 @@ def freeset_cmd(graph_path, method, target, seed, out):
 @click.option("--freeset", "freeset_path", required=True)
 @click.option("--points", "points_path", required=True,
               help="point file: one '<px>/<qx> <py>/<qy>' per line")
-@click.option("--max-exact", type=int, default=300)
 @click.option("--format", "fmt", type=click.Choice(["text", "svg"]),
               default="text")
 @click.option("--out", type=str, default=None)
-def realize(graph_path, freeset_path, points_path, max_exact, fmt, out):
+def realize(graph_path, freeset_path, points_path, fmt, out):
     """Realize a free set at prescribed points (verified drawing)."""
     def go():
         g = _read_graph(graph_path)
         fs = textio.parse_freeset(Path(freeset_path).read_text(), g)
         pts = textio.parse_points(Path(points_path).read_text())
-        d = free_realize(g, fs, pts, max_exact=max_exact)
+        d = free_realize(g, fs, pts)
         if fmt == "svg":
             _write(out, svg.export_svg(d, certificate=fs.certificate,
                                        highlight=fs.order))

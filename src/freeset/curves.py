@@ -523,15 +523,20 @@ def _label_arcs(an: _Analysis) -> None:
         ]
 
 
+def _analyze(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
+    """Full validation; raises _Bad with the first violated invariant."""
+    _structural_check(g, cert)
+    an = _Analysis(g, cert)
+    _assign_chords(an)
+    _parity_check(g, cert)
+    _label_arcs(an)
+    return an
+
+
 def analyze_curve(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
     """Full validation; raises InvalidCurve with the first violated invariant."""
     try:
-        _structural_check(g, cert)
-        an = _Analysis(g, cert)
-        _assign_chords(an)
-        _parity_check(g, cert)
-        _label_arcs(an)
-        return an
+        return _analyze(g, cert)
     except _Bad as exc:
         raise InvalidCurve(str(exc)) from None
 
@@ -540,11 +545,7 @@ def validate_curve(g: EmbeddedGraph, cert: CurveCertificate,
                    ) -> CurveViolation | None:
     """Check all certificate invariants; None when the curve is valid."""
     try:
-        _structural_check(g, cert)
-        an = _Analysis(g, cert)
-        _assign_chords(an)
-        _parity_check(g, cert)
-        _label_arcs(an)
+        _analyze(g, cert)
     except _Bad as exc:
         return exc.violation
     return None
@@ -562,12 +563,17 @@ def side_partition(g: EmbeddedGraph, cert: CurveCertificate) -> SidePartition:
     two-sided assignment exists.
     """
     try:
-        an = analyze_curve(g, cert)
-    except InvalidCurve as exc:
-        if "parity" in str(exc) or "inconsistent-sides" in str(exc):
+        an = _analyze(g, cert)
+    except _Bad as exc:
+        if exc.violation.kind in ("parity", "inconsistent-sides"):
             raise InconsistentSides(str(exc)) from None
-        raise
+        raise InvalidCurve(str(exc)) from None
+    return _side_partition_of(an)
 
+
+def _side_partition_of(an: _Analysis) -> SidePartition:
+    """The side partition of an analyzed (hence valid) certificate."""
+    g, cert = an.g, an.cert
     y_order = cert.vertex_order()
     y = set(y_order)
     crossed = set(cert.crossed_edges())

@@ -295,7 +295,9 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
     chords = {norm_edge(a, b) for a, b in chords}
     chosen_pos, counts = _independent_greedy_on_chords(n, chords)
     s = {boundary[i] for i in chosen_pos}
-    assert 2 * len(s) >= n + 2
+    if 2 * len(s) < n + 2:
+        raise NotMaximalOuterplane(
+            f"greedy free set of size {len(s)} < n/2+1 for n={n}")
 
     cert = _checked(og, _collar_certificate(og, boundary, s))
     order = tuple(v for v in cert.vertex_order() if v in s)
@@ -743,7 +745,9 @@ def level_freeset(g: EmbeddedGraph, la: LevelAssignment,
             f"level structure does not yield a proper curve: {violation}")
     order = tuple(v for v in cert.vertex_order() if v in set(xs))
     need = -(-len(xs) // mod)  # ceil
-    assert len(order) >= need
+    if len(order) < need:
+        raise BadLevelAssignment(
+            f"free set of size {len(order)} misses ceil(|X|/(s+1))={need}")
     return OrderedFreeSet(
         graph=g,
         order=order,

@@ -24,8 +24,8 @@ from .curves import (
     CrossItem,
     CurveCertificate,
     VertexItem,
+    _side_partition_of,
     analyze_curve,
-    side_partition,
 )
 from .embedding import EmbeddedGraph, Edge, build_embedded, norm_edge, subdivide
 from .errors import (
@@ -33,7 +33,6 @@ from .errors import (
     EpsilonExhausted,
     InvalidCurve,
     MergeConflict,
-    SingularSystem,
     SizeMismatch,
     YNotOnOuterFace,
 )
@@ -214,81 +213,56 @@ def _degenerate(stage: str, violation: DrawingViolation,
 # Barycentric (Tutte) systems
 # ---------------------------------------------------------------------------
 
-_MAX_EXACT_DEFAULT = 300
+class _Barycentric:
+    """Weighted Laplacian of the non-fixed vertices of a graph, factored
+    once; ``positions`` solves it exactly for given fixed positions."""
 
-
-def _barycentric_positions(g: EmbeddedGraph, fixed: dict,
-                           weights: dict | None,
-                           max_exact: int) -> dict:
-    """Place every non-fixed vertex at the (weighted) barycenter of its
-    neighbors, solving the linear system exactly below the size threshold."""
-    interior = [v for v in range(g.n) if v not in fixed]
-    pos = {v: (F(x), F(y)) for v, (x, y) in fixed.items()}
-    if not interior:
-        return pos
-    index = {v: i for i, v in enumerate(interior)}
-
-    def w(u, v):
-        return 1 if weights is None else weights[norm_edge(u, v)]
-
-    k = len(interior)
-    if k <= max_exact:
-        rows = [[0] * k for _ in range(k)]
-        rhs_x = [F(0)] * k
-        rhs_y = [F(0)] * k
-        for v in interior:
-            i = index[v]
+    def __init__(self, g: EmbeddedGraph, fixed, weights: dict):
+        self.interior = [v for v in range(g.n) if v not in fixed]
+        index = {v: i for i, v in enumerate(self.interior)}
+        rows = [[0] * len(self.interior) for _ in self.interior]
+        self.fixed_nbrs = []  # per interior vertex: (fixed neighbor, weight)
+        for i, v in enumerate(self.interior):
+            fx = []
             for u in g.rot[v]:
-                wt = w(u, v)
+                wt = weights[norm_edge(u, v)]
                 rows[i][i] += wt
                 if u in fixed:
-                    rhs_x[i] += wt * pos[u][0]
-                    rhs_y[i] += wt * pos[u][1]
+                    fx.append((u, wt))
                 else:
                     rows[i][index[u]] -= wt
-        solver = FractionFreeSolver(rows)
-        xs = solver.solve(rhs_x)
-        ys = solver.solve(rhs_y)
-        for v in interior:
-            pos[v] = (xs[index[v]], ys[index[v]])
+            self.fixed_nbrs.append(fx)
+        self.solver = FractionFreeSolver(rows)
+
+    def positions(self, fixed: dict) -> dict:
+        """Every non-fixed vertex at the weighted barycenter of its
+        neighbors, with the fixed vertices at ``fixed``."""
+        xs, ys = (self.solver.solve([sum(wt * fixed[u][c] for u, wt in fx)
+                                     for fx in self.fixed_nbrs])
+                  for c in (0, 1))
+        pos = dict(fixed)
+        pos.update(zip(self.interior, zip(xs, ys)))
         return pos
 
-    # float solve with rational snap; correctness rests on verification
-    import numpy as np
-    a = np.zeros((k, k))
-    bx = np.zeros(k)
-    by = np.zeros(k)
-    for v in interior:
-        i = index[v]
-        for u in g.rot[v]:
-            wt = float(w(u, v))
-            a[i, i] += wt
-            if u in fixed:
-                bx[i] += wt * float(pos[u][0])
-                by[i] += wt * float(pos[u][1])
-            else:
-                a[i, index[u]] -= wt
-    try:
-        sx = np.linalg.solve(a, bx)
-        sy = np.linalg.solve(a, by)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from None
-    for v in interior:
-        pos[v] = (F(float(sx[index[v]])).limit_denominator(10 ** 9),
-                  F(float(sy[index[v]])).limit_denominator(10 ** 9))
-    return pos
+
+def _attempt_weights(base: dict, seed: int, attempt: int) -> dict:
+    """Edge weights of one solve attempt: ``base`` first, then randomized
+    positive weights, the attempt-th draw from a fixed seed."""
+    rng = random.Random(seed)
+    weights = base
+    for _ in range(attempt):
+        weights = {e: rng.randint(1, 16) for e in base}
+    return weights
 
 
-def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions,
-                max_exact: int = _MAX_EXACT_DEFAULT) -> dict:
+def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     """Barycentric drawing with a fixed boundary polygon.
 
-    Exact rational solve up to ``max_exact`` interior vertices, float solve
-    with rational snapping beyond.  Each solve is checked by the exact
-    crossing-free verification; a failed one is retried with randomized
-    positive weights, up to ``_ATTEMPTS`` solves in all, and the last
-    failure raises DegenerateOutput naming the stage, the attempt and the
-    violation.
+    Every system is solved exactly over the rationals.  Each solve is
+    checked by the exact crossing-free verification; a failed one is
+    retried with randomized positive weights, up to ``_ATTEMPTS`` solves in
+    all, and the last failure raises DegenerateOutput naming the stage, the
+    attempt and the violation.
     """
     cycle = list(boundary_cycle)
     positions = [(F(x), F(y)) for x, y in boundary_positions]
@@ -298,12 +272,10 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions,
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
 
-    rng = random.Random(0x5EED)
+    base = {e: 1 for e in h.edges}
     for attempt in range(_ATTEMPTS):
-        weights = None
-        if attempt > 0:
-            weights = {e: rng.randint(1, 16) for e in h.edges}
-        pos = _barycentric_positions(h, fixed, weights, max_exact)
+        weights = _attempt_weights(base, 0x5EED, attempt)
+        pos = _Barycentric(h, fixed, weights).positions(fixed)
         d = PolyDrawing(graph=h, pos=pos, provenance="tutte")
         violation = verify_drawing(h, d)
         if violation is None:
@@ -329,17 +301,16 @@ def _insert_edge_at_corners(rot: list[list[int]], g: EmbeddedGraph,
 class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
-    Holds the apex/helper augmentation and the factored interior system so
-    repeated solves with different axis positions stay cheap.  ``solve``
-    only solves; the caller verifies the drawing it assembles and, if that
-    fails, solves again with the next attempt's randomized weights.
+    Holds the apex/helper augmentation and the exact interior system,
+    factored once for the base weights, so repeated solves with different
+    axis positions stay cheap.  ``solve`` only solves; the caller verifies
+    the drawing it assembles and, if that fails, solves again with the next
+    attempt's randomized weights (a fresh factorization each time).
     """
 
-    def __init__(self, h: EmbeddedGraph, y_order: list[int],
-                 max_exact: int = _MAX_EXACT_DEFAULT):
+    def __init__(self, h: EmbeddedGraph, y_order: list[int]):
         self.h = h
         self.y = list(y_order)
-        self.max_exact = max_exact
         outer = h.faces[h.outer_face]
         on_outer = outer.vertex_set()
         for v in self.y:
@@ -422,7 +393,8 @@ class _HalfPlane:
         self.base_weights = {e: 1 for e in aug.edges}
         for i, e in enumerate(helper_edges):
             self.base_weights[e] = 2 + i
-        self._solvers: dict = {}
+        self._base = _Barycentric(aug, set(self.y) | {self.apex},
+                                  self.base_weights)
 
     def _fill_content_faces(self, aug: EmbeddedGraph, yset: set,
                             helpers: list) -> EmbeddedGraph:
@@ -515,50 +487,6 @@ class _HalfPlane:
                 stack.append(u)
         return sorted(v for v in interior if v not in free)
 
-    def _system(self, weights: dict | None):
-        """Factored interior system (cached for the base-weight case)."""
-        if weights is None and 0 in self._solvers:
-            return self._solvers[0]
-        aug = self.aug
-        fixed_set = set(self.y) | {self.apex}
-        interior = [v for v in range(aug.n) if v not in fixed_set]
-        index = {v: i for i, v in enumerate(interior)}
-        table = self.base_weights if weights is None else weights
-
-        def w(u, v):
-            return table[norm_edge(u, v)]
-
-        rows = [[0] * len(interior) for _ in interior]
-        nbr_fixed = []
-        for v in interior:
-            i = index[v]
-            fx = []
-            for u in aug.rot[v]:
-                wt = w(u, v)
-                rows[i][i] += wt
-                if u in fixed_set:
-                    fx.append((u, wt))
-                else:
-                    rows[i][index[u]] -= wt
-            nbr_fixed.append(fx)
-        solver = None
-        if interior and len(interior) <= self.max_exact:
-            solver = FractionFreeSolver(rows)
-        system = (interior, index, solver, nbr_fixed)
-        if weights is None:
-            self._solvers[0] = system
-        return system
-
-    def _weights(self, attempt: int) -> dict | None:
-        """Edge weights of one attempt: None (the base weights) first, then
-        randomized positive weights drawn from a fixed seed."""
-        if attempt == 0:
-            return None
-        rng = random.Random(0xA11CE)
-        for _ in range(attempt):
-            weights = {e: rng.randint(1, 16) for e in self.aug.edges}
-        return weights
-
     def solve(self, xs: list[Fraction], side: str, attempt: int = 0) -> dict:
         """Unverified positions for the original half graph, axis at the
         given x's, solved with the weights of the given attempt."""
@@ -569,29 +497,18 @@ class _HalfPlane:
         fixed = {v: (x, F(0)) for v, x in zip(self.y, xs)}
         fixed[self.apex] = ((xs[0] + xs[-1]) / 2, b)
 
-        weights = self._weights(attempt)
-        interior, index, solver, nbr_fixed = self._system(weights)
-        pos = dict(fixed)
-        if interior and len(interior) <= self.max_exact:
-            rhs_x = [sum(wt * fixed[u][0] for u, wt in nbr_fixed[i])
-                     for i in range(len(interior))]
-            rhs_y = [sum(wt * fixed[u][1] for u, wt in nbr_fixed[i])
-                     for i in range(len(interior))]
-            sx = solver.solve([F(v) for v in rhs_x])
-            sy = solver.solve([F(v) for v in rhs_y])
-            for v in interior:
-                pos[v] = (sx[index[v]], sy[index[v]])
-        elif interior:
-            pos = _barycentric_positions(self.aug, fixed, weights,
-                                         self.max_exact)
+        system = self._base
+        if attempt > 0:
+            weights = _attempt_weights(self.base_weights, 0xA11CE, attempt)
+            system = _Barycentric(self.aug, fixed, weights)
+        pos = system.positions(fixed)
         out = {v: pos[v] for v in range(self.h.n)}
         if side == "below":
             out = {v: (x, -y) for v, (x, y) in out.items()}
         return out
 
 
-def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below",
-                   max_exact: int = _MAX_EXACT_DEFAULT) -> dict:
+def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     """Draw h with the axis vertices at (x_i, 0) and everything else
     strictly on one side.  Consecutive axis vertices must be adjacent in h
     and the axis must lie on h's outer face in order."""
@@ -602,7 +519,7 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below",
     for a, b in zip(y_order, y_order[1:]):
         if not h.has_edge(a, b):
             raise YNotOnOuterFace(f"axis vertices {a},{b} are not adjacent")
-    hp = _HalfPlane(h, y_order, max_exact=max_exact)
+    hp = _HalfPlane(h, y_order)
     for attempt in range(_ATTEMPTS):
         pos = hp.solve(xs, side, attempt)
         violation = verify_drawing(
@@ -703,11 +620,11 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
 
 
 @lru_cache(maxsize=24)
-def _collinear_system(g0: EmbeddedGraph, cert: CurveCertificate,
-                      max_exact: int) -> _CollinearSystem:
+def _collinear_system(g0: EmbeddedGraph,
+                      cert: CurveCertificate) -> _CollinearSystem:
     gp, mids, lifted = _lift_certificate(g0, cert)
     an = analyze_curve(gp, lifted)
-    sp = side_partition(gp, lifted)
+    sp = _side_partition_of(an)
     y_order = lifted.vertex_order()
     if len(y_order) < 2:
         raise InvalidCurve("collinear realization needs at least two "
@@ -715,7 +632,7 @@ def _collinear_system(g0: EmbeddedGraph, cert: CurveCertificate,
     halves = {}
     for which in ("inside", "outside"):
         h, rel = _half_embedding(gp, an, sp, y_order, which)
-        hp = _HalfPlane(h, [rel[y] for y in y_order], max_exact=max_exact)
+        hp = _HalfPlane(h, [rel[y] for y in y_order])
         halves[which] = (hp, rel)
     return _CollinearSystem(gp=gp, mids=mids, y_order=y_order, halves=halves,
                             below=tuple(sorted(sp.X)),
@@ -744,8 +661,8 @@ def _axis_positions(y_order, s_order, xs) -> list[Fraction]:
     return out
 
 
-def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
-                     max_exact: int) -> tuple[_CollinearSystem, list]:
+def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet,
+                     xs) -> tuple[_CollinearSystem, list]:
     """The (cached) collinear system of a free set and the x position of
     every curve vertex, with the free set at ``xs``."""
     if g != fs.graph:
@@ -755,7 +672,7 @@ def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
         raise SizeMismatch(f"need {len(fs.order)} x positions")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-    sysm = _collinear_system(g, fs.certificate, max_exact)
+    sysm = _collinear_system(g, fs.certificate)
     return sysm, _axis_positions(sysm.y_order, fs.order, xs)
 
 
@@ -815,15 +732,15 @@ def _verified_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     raise _degenerate("collinear", violation, attempt)
 
 
-def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet, xs,
-                      max_exact: int = _MAX_EXACT_DEFAULT) -> PolyDrawing:
+def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
+                      xs) -> PolyDrawing:
     """Straight-line drawing (bends only on curve-crossed edges) with the
     free set exactly at (x_i, 0) in order, everything inside the curve
     strictly below the axis and everything outside strictly above.
 
     The merged drawing is verified once; if it fails, both halves are
     solved again with randomized weights (``_ATTEMPTS`` solves in all)."""
-    sysm, axis_x = _collinear_setup(g, fs, xs, max_exact)
+    sysm, axis_x = _collinear_setup(g, fs, xs)
     return _verified_collinear(g, fs, sysm, axis_x)
 
 
@@ -952,13 +869,34 @@ def _rotate_point(p: Point, k: int) -> Point:
     return (x, y)
 
 
-def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points,
-                 max_exact: int = _MAX_EXACT_DEFAULT) -> PolyDrawing:
+def _distinct_x_turns(points: list[Point]) -> int:
+    """Fewest 3-4-5 turns after which the distinct points have distinct
+    x-coordinates."""
+    k = 0
+    while len({_rotate_point(p, k)[0] for p in points}) != len(points):
+        k += 1
+    return k
+
+
+def _rotate_drawing(d: PolyDrawing, k: int) -> PolyDrawing:
+    """``d`` turned by k 3-4-5 angles (clockwise for negative k).
+
+    A rational rotation is an orientation-preserving isometry; the exact
+    predicates are invariant, so the verified flag carries over."""
+    if k == 0:
+        return d
+    return replace(d, pos={v: _rotate_point(p, k) for v, p in d.pos.items()},
+                   bends={e: tuple(_rotate_point(p, k) for p in b)
+                          for e, b in d.bends.items()})
+
+
+def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     """Drawing with the free set exactly at the given points.
 
     Point sets with repeated x-coordinates are handled by an exact rational
     rotation (powers of the 3-4-5 angle) before realization and the inverse
-    rotation afterwards.
+    rotation afterwards.  The half-plane systems are solved exactly over the
+    rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
     unchecked and is checked only if the first perturbed candidate fails.
@@ -971,17 +909,13 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points,
     if len(set(pts)) != len(pts):
         raise SizeMismatch("points must be distinct")
 
-    k = 0
-    rotated = pts
-    while len({p[0] for p in rotated}) != len(rotated):
-        k += 1
-        rotated = [_rotate_point(p, k) for p in pts]
-
+    k = _distinct_x_turns(pts)
+    rotated = [_rotate_point(p, k) for p in pts]
     order = sorted(range(len(rotated)), key=lambda i: rotated[i][0])
     xs = [rotated[i][0] for i in order]
     ys = [rotated[i][1] for i in order]
 
-    sysm, axis_x = _collinear_setup(g, fs, xs, max_exact)
+    sysm, axis_x = _collinear_setup(g, fs, xs)
     d = None
     base = _merge_halves(g, fs, sysm, axis_x, 0)
     if _side_violation(sysm, base) is None:
@@ -992,13 +926,7 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points,
     if d is None:
         base = _verified_collinear(g, fs, sysm, axis_x, first_attempt=1)
         d = perturb_scale(base, fs.order, ys)
-    if k:
-        # a rational rotation is an orientation-preserving isometry; the
-        # exact predicates are invariant, so the verified flag carries over
-        pos = {v: _rotate_point(p, -k) for v, p in d.pos.items()}
-        bends = {e: tuple(_rotate_point(p, -k) for p in b)
-                 for e, b in d.bends.items()}
-        d = replace(d, pos=pos, bends=bends)
+    d = _rotate_drawing(d, -k)
 
     placed = {fs.order[j]: pts[order[j]] for j in range(len(pts))}
     for v, p in placed.items():

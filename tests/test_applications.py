@@ -104,6 +104,21 @@ class TestSgeNomap:
         assert p2 <= p1
         assert len(res.shared_points) == 50
 
+    def test_one_check_per_drawing(self, monkeypatch):
+        import freeset.realize as realize
+        real = realize.verify_drawing
+        calls = []
+
+        def counting(g, d):
+            calls.append(d.provenance)
+            return real(g, d)
+
+        monkeypatch.setattr(realize, "verify_drawing", counting)
+        res = sge_nomap(random_triangulation(30, 3),
+                        random_triangulation(5, 4))
+        assert all(d.verified for d in res.drawings)
+        assert len(calls) == 2
+
     def test_too_large(self, k4):
         g2 = random_triangulation(6, 1)
         with pytest.raises(TooLarge):

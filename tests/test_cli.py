@@ -110,6 +110,19 @@ def test_sge_nomap_bundle(tmp_path):
     assert manifest["shared_vertices"] is None
 
 
+def test_freeset_dualcycle(tmp_path):
+    gpath = tmp_path / "octa.txt"
+    fpath = tmp_path / "octa.fs"
+    assert invoke("gen", "--family", "octahedron",
+                  "--out", str(gpath)).exit_code == 0
+    r = invoke("freeset", "--graph", str(gpath), "--method", "dualcycle",
+               "--out", str(fpath))
+    assert r.exit_code == 0
+    g = parse_graph(gpath.read_text())
+    fs = parse_freeset(fpath.read_text(), g)
+    assert len(fs.order) >= 2
+
+
 def test_oracle_subcommand(tmp_path):
     gpath = tmp_path / "gh.txt"
     invoke("gen", "--family", "goldner-harary", "--out", str(gpath))

@@ -85,6 +85,25 @@ class TestTutte:
             assert pos[v][0] * len(nbrs) == sum(pos[u][0] for u in nbrs)
             assert pos[v][1] * len(nbrs) == sum(pos[u][1] for u in nbrs)
 
+    def test_large_system_solved_exactly(self):
+        # 102 nested triangles, the outer one fixed: 303 interior vertices
+        from freeset import embed_from_faces
+        layers = 102
+        faces = [(0, 2, 1), (3 * layers - 3, 3 * layers - 2, 3 * layers - 1)]
+        for i in range(layers - 1):
+            for j in range(3):
+                a, b = 3 * i + j, 3 * i + (j + 1) % 3
+                faces += [(a, b, b + 3), (a, b + 3, a + 3)]
+        g = embed_from_faces(3 * layers, faces, outer=(0, 2, 1))
+        outer = [u for u, _ in g.faces[g.outer_face].walk]
+        assert sorted(outer) == [0, 1, 2]
+        pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)])
+        assert verify_drawing(g, PolyDrawing(graph=g, pos=pos)) is None
+        for v in range(3, g.n):
+            nbrs = g.rot[v]
+            assert pos[v][0] * len(nbrs) == sum(pos[u][0] for u in nbrs)
+            assert pos[v][1] * len(nbrs) == sum(pos[u][1] for u in nbrs)
+
     def test_nonconvex_boundary_degenerates(self, octa):
         outer = [u for u, _ in octa.faces[octa.outer_face].walk]
         other = [v for v in range(6) if v not in outer]

@@ -345,7 +345,8 @@ def _assign_chords(an: _Analysis) -> None:
     """Choose corners/occurrences so all passage chords are non-crossing.
 
     Backtracking over the (usually singleton) choice sets, bounded by a
-    global step cap.
+    global step cap; iterative, so its depth is not bounded by Python's
+    recursion limit.
     """
     cert = an.cert
     m = len(cert.items)
@@ -389,13 +390,11 @@ def _assign_chords(an: _Analysis) -> None:
         other = an.entry_pos[idx] if side == "exit" else an.exit_pos[idx]
         return other is not None and other == pos
 
-    def solve(i: int) -> bool:
+    def placements(i: int):
+        """Place each chord passage i may take, in search order; yields the
+        next passage and undoes the placement when resumed."""
         nonlocal steps
-        if i == m:
-            return True
         fid = cert.passages[i]
-        if fid is None:
-            return solve(i + 1)
         j = (i + 1) % m
         for a, slot_a in exit_choices[i]:
             if bridge_conflict(i, a, "exit"):
@@ -412,16 +411,28 @@ def _assign_chords(an: _Analysis) -> None:
                 chords_by_face.setdefault(fid, []).append((a, b))
                 an.exit_pos[i], an.entry_pos[j] = a, b
                 an.exit_corner[i], an.entry_corner[j] = slot_a, slot_b
-                if solve(i + 1):
-                    return True
+                yield i + 1
                 chords_by_face[fid].pop()
                 an.exit_pos[i] = an.entry_pos[j] = None
                 an.exit_corner[i] = an.entry_corner[j] = None
-        return False
 
-    if not solve(0):
-        raise _Bad("self-crossing",
-                   "no corner assignment avoids curve self-crossings")
+    # depth-first search with an explicit stack of the placed passages'
+    # generators; a passage without a face takes no chord
+    stack = []
+    i = 0
+    while True:
+        while i < m and cert.passages[i] is None:
+            i += 1
+        if i == m:
+            break
+        stack.append(placements(i))
+        i = next(stack[-1], None)
+        while i is None:
+            stack.pop()
+            if not stack:
+                raise _Bad("self-crossing",
+                           "no corner assignment avoids curve self-crossings")
+            i = next(stack[-1], None)
     an.face_chords = chords_by_face
 
 

@@ -21,35 +21,6 @@ def orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def on_segment(ax, ay, bx, by, px, py) -> bool:
-    """Point strictly inside the closed box of a segment and collinear."""
-    if orient(ax, ay, bx, by, px, py) != 0:
-        return False
-    return (min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by))
-
-
-def segments_intersect(p1, p2, p3, p4) -> bool:
-    """Closed-segment intersection test on integer coordinate pairs."""
-    (ax, ay), (bx, by) = p1, p2
-    (cx, cy), (dx, dy) = p3, p4
-    o1 = orient(ax, ay, bx, by, cx, cy)
-    o2 = orient(ax, ay, bx, by, dx, dy)
-    o3 = orient(cx, cy, dx, dy, ax, ay)
-    o4 = orient(cx, cy, dx, dy, bx, by)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(ax, ay, bx, by, cx, cy):
-        return True
-    if o2 == 0 and on_segment(ax, ay, bx, by, dx, dy):
-        return True
-    if o3 == 0 and on_segment(cx, cy, dx, dy, ax, ay):
-        return True
-    if o4 == 0 and on_segment(cx, cy, dx, dy, bx, by):
-        return True
-    return False
-
-
 def integer_grid(points: list[Point]) -> list[tuple[int, int]]:
     """Scale rational points to integers, one positive factor per axis."""
     lx = 1

@@ -17,7 +17,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import inf
 
 from .curves import (
@@ -37,12 +37,7 @@ from .errors import (
     YNotOnOuterFace,
 )
 from .extractors import OrderedFreeSet
-from .rational import (
-    FractionFreeSolver,
-    Point,
-    integer_grid,
-    segments_intersect,
-)
+from .rational import FractionFreeSolver, Point, integer_grid, orient
 
 F = Fraction
 
@@ -80,115 +75,165 @@ class PolyDrawing:
 
 
 def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
-    """Exact crossing-free check: distinct vertices, no vertex interior to
-    any segment, no two segments meeting outside a shared graph vertex."""
-    from .rational import on_segment
+    """Exact crossing-free check: distinct vertices, no vertex on any piece
+    of an edge other than as an endpoint of a piece of its own edge, no two
+    pieces meeting outside a shared endpoint, and pieces of two different
+    edges sharing an endpoint only at a vertex of both.
 
+    After the pre-checks (every vertex placed, no two vertices at one point,
+    no zero-length piece) one Shamos-Hoey sweep (Shamos & Hoey 1976) runs
+    over the integer grid of the drawing in lexicographic (x, y) order.  The
+    events are the vertices and the endpoints of all pieces; the status is
+    the list of pieces crossing the sweep line, bottom to top, ordered by
+    ``orient`` and searched by bisection.  At each event point the pieces
+    that end or start there and the status pieces through it are compared
+    locally (vertex on an edge, touches at a vertex of both edges, pieces
+    leaving the point in one direction); the only other test is for a
+    proper crossing between pieces that become neighbours in the status.
+    Each event costs one bisection, one test per piece ending there, a sort
+    of the pieces starting there and at most two neighbour tests: O((m + k)
+    log m) orientation tests for m pieces, k being the number of pieces
+    that start or end at event points (k <= 2m).
+
+    The first violation in sweep order is returned: the leftmost event
+    wins, and at one event point a vertex on an edge comes before a
+    crossing.
+    """
     if set(d.pos) != set(range(g.n)):
         return DrawingViolation("missing-vertex", "not every vertex is placed")
 
-    # one integer grid point per distinct rational point
-    rational_pts: list[Point] = [d.pos[v] for v in range(g.n)]
-    index: dict[Point, int] = {}
-    for v in range(g.n):
-        index.setdefault(d.pos[v], v)
-    extra: list[Point] = []
-    for e in sorted(d.bends):
-        for p in d.bends[e]:
-            if p not in index:
-                index[p] = g.n + len(extra)
-                extra.append(p)
-    grid = integer_grid(rational_pts + extra)
+    # the vertices, then the bends edge by edge, on one integer grid
+    edges = sorted(d.graph.edges)
+    grid = integer_grid([d.pos[v] for v in range(g.n)] +
+                        [p for e in edges for p in d.bends.get(e, ())])
 
     if len(set(grid[:g.n])) != g.n:
         return DrawingViolation("coincident-vertices",
                                 "two vertices share a position")
     vertex_at = {grid[v]: v for v in range(g.n)}
 
-    segs = []  # (gp, gq, edge, endpoint grid pair)
-    for a, b, e in d.segments():
-        p, q = grid[index[a]], grid[index[b]]
-        if p == q:
-            return DrawingViolation("degenerate-segment",
-                                    f"edge {e} has a zero-length piece")
-        segs.append((p, q, e))
+    pieces = []  # (left, right, edge), endpoints in sweep order
+    starts: dict[tuple[int, int], list[int]] = {}
+    k = g.n
+    for e in edges:
+        nb = len(d.bends.get(e, ()))
+        chain = [grid[e[0]], *grid[k:k + nb], grid[e[1]]]
+        k += nb
+        for p, q in zip(chain, chain[1:]):
+            if p == q:
+                return DrawingViolation("degenerate-segment",
+                                        f"edge {e} has a zero-length piece")
+            if q < p:
+                p, q = q, p
+            starts.setdefault(p, []).append(len(pieces))
+            pieces.append((p, q, e))
+    events = set(vertex_at)
+    events.update(q for _, q, _ in pieces)
+    events.update(starts)
 
-    # vertices in the interior (or on foreign endpoints) of segments,
-    # windowed by x to keep the scan near-linear
-    byx = sorted(range(g.n), key=lambda v: grid[v])
-    xs_sorted = [grid[v][0] for v in byx]
-    for p, q, e in segs:
-        lo = bisect_left(xs_sorted, min(p[0], q[0]))
-        hi = bisect_right(xs_sorted, max(p[0], q[0]))
-        ylo, yhi = min(p[1], q[1]), max(p[1], q[1])
-        for t in range(lo, hi):
-            v = byx[t]
-            gv = grid[v]
-            if gv[1] < ylo or gv[1] > yhi:
-                continue
-            if on_segment(p[0], p[1], q[0], q[1], gv[0], gv[1]):
-                if v in e and gv in (p, q):
-                    continue
+    status: list[int] = []  # pieces crossing the sweep line, bottom to top
+    for point in sorted(events):
+        px, py = point
+        # status[:lo] passes strictly below the point, status[lo:hi] through it
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            (ax, ay), (bx, by), _ = pieces[status[mid]]
+            if orient(ax, ay, bx, by, px, py) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        ending, inner = [], []
+        hi = lo
+        while hi < len(status):
+            i = status[hi]
+            (ax, ay), q, _ = pieces[i]
+            if q == point:
+                ending.append(i)
+            elif orient(ax, ay, q[0], q[1], px, py) == 0:
+                inner.append(i)
+            else:
+                break
+            hi += 1
+        new = starts.get(point, [])
+        here = ending + new
+        v = vertex_at.get(point)
+
+        if inner:
+            t = pieces[inner[0]]
+            if v is not None:
                 return DrawingViolation(
-                    "vertex-on-edge", f"vertex {v} lies on edge {e}")
-
-    def allowed_touch(point, e1, e2) -> bool:
-        w = vertex_at.get(point)
-        return w is not None and w in e1 and w in e2
-
-    # pairwise test, pruned by an x-interval sweep
-    order = sorted(range(len(segs)), key=lambda i: min(segs[i][0][0],
-                                                       segs[i][1][0]))
-    active: list[int] = []
-    for idx in order:
-        p, q, e = segs[idx]
-        lo = min(p[0], q[0])
-        ylo, yhi = min(p[1], q[1]), max(p[1], q[1])
-        still = []
-        for j in active:
-            pj, qj, ej = segs[j]
-            if max(pj[0], qj[0]) < lo:
-                continue
-            still.append(j)
-            if min(pj[1], qj[1]) > yhi or max(pj[1], qj[1]) < ylo:
-                continue
-            if e != ej:
-                # pieces of two edges meeting in one endpoint at a vertex
-                # of both: they touch there, and overlap exactly when they
-                # leave it in the same direction
-                if p == pj or p == qj:
-                    sp, other1 = p, q
-                else:
-                    sp, other1 = q, p
-                if sp in (pj, qj) and other1 not in (pj, qj) and \
-                        allowed_touch(sp, e, ej):
-                    other2 = qj if pj == sp else pj
-                    ux, uy = other1[0] - sp[0], other1[1] - sp[1]
-                    vx, vy = other2[0] - sp[0], other2[1] - sp[1]
-                    if ux * vy == uy * vx and ux * vx + uy * vy > 0:
-                        return DrawingViolation(
-                            "crossing", f"edges {e} and {ej} overlap")
-                    continue
-            if not segments_intersect(p, q, pj, qj):
-                continue
-            shared = {p, q} & {pj, qj}
-            if e == ej and shared:
-                # the two halves of one bent edge meet at the bend; reject
-                # only a collinear fold-back
-                (other1,) = [x for x in (p, q) if x not in shared] or [p]
-                (other2,) = [x for x in (pj, qj) if x not in shared] or [pj]
-                if on_segment(pj[0], pj[1], qj[0], qj[1],
-                              other1[0], other1[1]) or \
-                        on_segment(p[0], p[1], q[0], q[1],
-                                   other2[0], other2[1]):
+                    "vertex-on-edge", f"vertex {v} lies on edge {t[2]}")
+            others = here + inner[1:]
+            j = next((j for j in others
+                      if pieces[j][0] in t[:2] or pieces[j][1] in t[:2]),
+                     others[0])
+            return _crossing(pieces, inner[0], j, vertex_at)
+        if v is not None:
+            for i in here:
+                if v not in pieces[i][2]:
                     return DrawingViolation(
-                        "crossing", f"edge {e} folds back on itself")
-                continue
-            return DrawingViolation("crossing",
-                                    f"edges {e} and {ej} intersect")
-        still.append(idx)
-        active = still
+                        "vertex-on-edge",
+                        f"vertex {v} lies on edge {pieces[i][2]}")
+        else:
+            for i in here:
+                if pieces[i][2] != pieces[here[0]][2]:
+                    return _crossing(pieces, here[0], i, vertex_at)
+
+        if len(new) > 1:
+            # bottom to top just after the point; equal directions overlap
+            def turn(i: int, j: int) -> int:
+                """-1 when piece j leaves the point above piece i."""
+                (qx, qy), (rx, ry) = pieces[i][1], pieces[j][1]
+                return -orient(px, py, qx, qy, rx, ry)
+
+            new = sorted(new, key=cmp_to_key(turn))
+            for i, j in zip(new, new[1:]):
+                if turn(i, j) == 0:
+                    return _crossing(pieces, i, j, vertex_at)
+
+        status[lo:hi] = new
+        top = lo + len(new)
+        down = status[lo - 1] if lo > 0 else None
+        up = status[top] if top < len(status) else None
+        pairs = [(down, new[0]), (new[-1], up)] if new else [(down, up)]
+        for i, j in pairs:
+            if i is not None and j is not None and \
+                    _cross_properly(pieces[i], pieces[j]):
+                return _crossing(pieces, i, j, vertex_at)
     return None
+
+
+def _cross_properly(s, t) -> bool:
+    """Whether two pieces meet in one point interior to both."""
+    (ax, ay), (bx, by), _ = s
+    (cx, cy), (dx, dy), _ = t
+    o = orient(ax, ay, bx, by, cx, cy)
+    if o == 0 or o + orient(ax, ay, bx, by, dx, dy) != 0:
+        return False
+    o = orient(cx, cy, dx, dy, ax, ay)
+    return o != 0 and o + orient(cx, cy, dx, dy, bx, by) == 0
+
+
+def _crossing(pieces: list, i: int, j: int, vertex_at: dict) -> DrawingViolation:
+    """The violation of two pieces known to meet where they may not.
+
+    Pieces sharing an endpoint meet elsewhere only by running on in one
+    direction: a fold-back for one edge, an overlap for two edges at a
+    vertex of both.  The piece that starts further right is named first.
+    """
+    i, j = sorted((i, j), key=lambda k: (pieces[k][0][0], k), reverse=True)
+    (p, q, e), (pj, qj, f) = pieces[i], pieces[j]
+    for x in (p, q):
+        if x in (pj, qj):
+            if e == f:
+                return DrawingViolation(
+                    "crossing", f"edge {e} folds back on itself")
+            w = vertex_at.get(x)
+            if w in e and w in f:
+                return DrawingViolation(
+                    "crossing", f"edges {e} and {f} overlap")
+    return DrawingViolation("crossing", f"edges {e} and {f} intersect")
 
 
 def checked_drawing(g: EmbeddedGraph, d: PolyDrawing) -> PolyDrawing:

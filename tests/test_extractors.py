@@ -145,6 +145,14 @@ class TestPlanarFreeset:
         assert len(fs.order) >= antichain_bound(n)
         assert validate_curve(g, fs.certificate) is None
 
+    def test_thousand_vertices(self):
+        # deeper than the recursion limit: one chord-search level per
+        # certificate item
+        g = random_triangulation(1000, 1)
+        fs = planar_freeset(g)
+        assert len(fs.order) >= antichain_bound(1000)
+        assert validate_curve(g, fs.certificate) is None
+
     def test_certificate_on_original_graph(self):
         g = path(6)  # triangulation happens internally
         fs = planar_freeset(g)

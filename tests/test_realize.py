@@ -63,6 +63,35 @@ class TestVerify:
         v = verify_drawing(g, d)
         assert v is not None
 
+    def test_orientation_tests_near_linearithmic(self, monkeypatch):
+        import sys
+        from math import ceil, log2
+
+        import freeset.rational as rational
+
+        g = random_triangulation(200, 6)
+        fs = planar_freeset(g)
+        rng = random.Random(200)
+        pts: set = set()
+        while len(pts) < len(fs.order):
+            pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        d = free_realize(g, fs, sorted(pts))
+        calls = []
+        real = rational.orient
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("freeset") and \
+                    getattr(mod, "orient", None) is real:
+                monkeypatch.setattr(mod, "orient", counting)
+        assert verify_drawing(g, d) is None
+        m = len(d.segments())
+        assert 0 < len(calls) <= 8 * m * ceil(log2(m))
+
 
 class TestTutte:
     def test_k4_center_at_barycenter(self, k4):

@@ -24,7 +24,12 @@ from freeset import build_embedded
 from freeset.embedding import norm_edge
 from freeset.extractors import planar_freeset
 from freeset.generators import cycle, path, random_triangulation, star
-from freeset.realize import PolyDrawing, free_realize, verify_drawing
+from freeset.realize import (
+    PolyDrawing,
+    free_realize,
+    realize_collinear,
+    verify_drawing,
+)
 
 
 def _cross(o, a, b):
@@ -117,18 +122,23 @@ def _small_graphs():
             random_triangulation(8, 3)]
 
 
-def _perturbed_realizations(rng: random.Random):
+def _perturbed_realizations(rng: random.Random, sizes=(6, 14), graphs=6,
+                            with_base=False):
     """Verified drawings, each with one vertex or bend moved onto a nearby
-    feature: another vertex, a bend, or the midpoint of a piece."""
+    feature: another vertex, a bend, or the midpoint of a piece.  With
+    ``with_base`` the collinear base drawing of each graph is included:
+    its free set sits on the x-axis, among disjoint pieces of that line."""
     out = []
-    for seed in range(6):
-        g = random_triangulation(rng.randint(6, 14), 500 + seed)
+    for seed in range(graphs):
+        g = random_triangulation(rng.randint(*sizes), 500 + seed)
         fs = planar_freeset(g)
         pts = sorted({(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
                       for _ in range(len(fs.order) * 3)})
         pts = rng.sample(pts, len(fs.order))
         d = free_realize(g, fs, pts)
         out.append(d)
+        if with_base:
+            out.append(realize_collinear(g, fs, range(len(fs.order))))
         feats = [p for p in d.pos.values()]
         feats += [p for b in d.bends.values() for p in b]
         feats += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
@@ -164,6 +174,18 @@ def test_oracle_random_corpus():
         verdicts[ref] += 1
     # the corpus exercises both verdicts in quantity
     assert verdicts[True] >= 60 and verdicts[False] >= 300
+
+
+def test_oracle_larger_realizations():
+    corpus = _perturbed_realizations(random.Random(20261019), sizes=(40, 60),
+                                     graphs=3, with_base=True)
+    verdicts = {True: 0, False: 0}
+    for d in corpus:
+        ref = reference_ok(d.graph, d)
+        assert (verify_drawing(d.graph, d) is None) == ref, (
+            d.pos, d.bends)
+        verdicts[ref] += 1
+    assert verdicts[True] >= 6 and verdicts[False] >= 20
 
 
 def _violation(g, pos, bends=None):
@@ -230,3 +252,64 @@ def test_coincident_vertices():
 def test_zero_length_piece(bend):
     v = _violation(path(2), {0: (0, 0), 1: (2, 0)}, {(0, 1): (bend,)})
     assert v.kind == "degenerate-segment"
+
+
+# name: (graph, positions, bends, crossing-free); sweep degeneracies, each
+# also checked against the reference
+_DEGENERATE = {
+    "vertical path": (path(3), {0: (0, 0), 1: (0, 2), 2: (0, 4)}, {}, True),
+    "vertical through horizontal": (
+        path(4), {0: (1, 0), 1: (1, 4), 2: (0, 2), 3: (2, 2)}, {}, False),
+    "vertical beside vertical": (
+        path(4), {0: (0, 0), 1: (0, 3), 2: (0, 4), 3: (0, 6)},
+        {(1, 2): ((1, F(7, 2)),)}, True),
+    "vertical overlap": (
+        path(4), {0: (0, 0), 1: (0, 3), 2: (1, 1), 3: (1, 6)},
+        {(2, 3): ((0, 1), (0, 5))}, False),
+    "vertex on vertical piece": (
+        path(3), {0: (0, 0), 1: (0, 4), 2: (0, 2)}, {}, False),
+    "vertex on vertical bent piece": (
+        path(3), {0: (0, 0), 1: (3, 4), 2: (0, 2)},
+        {(0, 1): ((0, 4),)}, False),
+    "vertex beside vertical piece": (
+        path(3), {0: (0, 0), 1: (0, 4), 2: (1, 2)}, {}, True),
+    "three edges leave a vertex at one slope": (
+        star(4), {0: (0, 0), 1: (3, 0), 2: (0, 3), 3: (4, 4)},
+        {(0, 1): ((1, 1),), (0, 2): ((2, 2),)}, False),
+    "edges leave a vertex at one slope, opposite ways": (
+        star(3), {0: (0, 0), 1: (1, 1), 2: (-1, -1)}, {}, True),
+    "two pieces of one edge leave a bend at one slope": (
+        path(2), {0: (4, 0), 1: (2, 3)}, {(0, 1): ((0, 0), (2, 0))}, False),
+    "vertical pieces leave a bend at one slope": (
+        path(2), {0: (0, 4), 1: (1, 2)}, {(0, 1): ((0, 0), (0, 2))}, False),
+    "crossing at the x of an unrelated vertex": (
+        path(5), {0: (0, 0), 1: (4, 4), 2: (0, 4), 3: (4, 0), 4: (2, -3)},
+        {}, False),
+    "crossing off the grid at the x of an unrelated vertex": (
+        path(5), {0: (0, 0), 1: (3, 3), 2: (0, 3), 3: (3, 0), 4: (F(3, 2), -3)},
+        {}, False),
+    "bend inside a piece of another edge": (
+        path(4), {0: (0, 0), 1: (4, 0), 2: (1, 3), 3: (3, 3)},
+        {(2, 3): ((2, 0),)}, False),
+    "bend inside a piece of its own edge": (
+        path(2), {0: (0, 0), 1: (2, -3)},
+        {(0, 1): ((4, 0), (4, 4), (2, 0))}, False),
+    "bend on a bend of another edge": (
+        path(4), {0: (0, 0), 1: (4, 0), 2: (4, 4), 3: (0, 4)},
+        {(0, 1): ((2, 2),), (2, 3): ((2, 2),)}, False),
+    "disjoint collinear pieces on one line": (
+        path(4), {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (3, 0)},
+        {(1, 2): ((F(3, 2), 1),)}, True),
+    "collinear pieces meeting at a bend": (
+        path(4), {0: (0, 0), 1: (1, 2), 2: (3, 2), 3: (4, 0)},
+        {(0, 1): ((2, 0),), (2, 3): ((2, 0),)}, False),
+    "collinear pieces overlapping on the axis": (
+        path(4), {0: (0, 0), 1: (2, 0), 2: (1, 1), 3: (3, 0)},
+        {(2, 3): ((1, 0),)}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_sweep_degeneracies(name):
+    g, pos, bends, ok = _DEGENERATE[name]
+    assert (_violation(g, pos, bends) is None) == ok

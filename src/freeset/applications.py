@@ -17,7 +17,6 @@ from .realize import (
     PolyDrawing,
     _distinct_x_turns,
     _rotate_drawing,
-    _rotate_point,
     free_realize,
     tutte_solve,
     verify_drawing,
@@ -96,8 +95,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
                               fixed=tuple(range(g.n)),
                               free_set_size=g.n)
 
-    k = _distinct_x_turns([pos[v] for v in range(g.n)])
-    rotated = {v: _rotate_point(p, k) for v, p in pos.items()}
+    k, turned = _distinct_x_turns([pos[v] for v in range(g.n)])
+    rotated = dict(enumerate(turned))
 
     fs = planar_freeset(g)
     xs = [rotated[v][0] for v in fs.order]

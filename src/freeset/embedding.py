@@ -11,7 +11,9 @@ embedding.  All values are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -25,6 +27,8 @@ from .errors import (
 
 Edge = tuple[int, int]          # normalized: (min, max)
 DirectedEdge = tuple[int, int]  # (tail, head)
+# (face walk vertices, current edges) -> two walk positions to join, or None
+ChordChooser = Callable[[list[int], set[Edge]], "tuple[int, int] | None"]
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -181,19 +185,10 @@ class EmbeddedGraph:
                 f"f={len(self.faces)})")
 
 
-def build_embedded(vertex_count: int,
-                   rotations: Sequence[Sequence[int]],
-                   outer_face_hint: Iterable[int] | None = None,
-                   ) -> EmbeddedGraph:
-    """Validate a rotation system and derive its faces.
-
-    The outer face is the face whose vertex set equals the hint; without a
-    hint the largest face is chosen, ties broken by smallest face id.
-
-    Raises MultiEdgeOrLoop, Disconnected or NonPlanarRotation when the input
-    is not a simple connected genus-0 rotation system.
-    """
-    n = vertex_count
+def _checked_rotation(n: int, rotations: Sequence[Sequence[int]],
+                      ) -> tuple[tuple[tuple[int, ...], ...],
+                                 list[list[DirectedEdge]]]:
+    """Validate a rotation system; return it as tuples with its face walks."""
     if n <= 0:
         raise TooSmall("graph must have at least one vertex")
     if len(rotations) != n:
@@ -230,8 +225,23 @@ def build_embedded(vertex_count: int,
     if n - m + f != 2:
         raise NonPlanarRotation(
             f"V-E+F = {n}-{m}+{f} = {n - m + f}, expected 2")
+    return rot, walks
 
-    if m == 0:
+
+def build_embedded(vertex_count: int,
+                   rotations: Sequence[Sequence[int]],
+                   outer_face_hint: Iterable[int] | None = None,
+                   ) -> EmbeddedGraph:
+    """Validate a rotation system and derive its faces.
+
+    The outer face is the face whose vertex set equals the hint; without a
+    hint the largest face is chosen, ties broken by smallest face id.
+
+    Raises MultiEdgeOrLoop, Disconnected or NonPlanarRotation when the input
+    is not a simple connected genus-0 rotation system.
+    """
+    rot, walks = _checked_rotation(vertex_count, rotations)
+    if not walks:
         faces = (Face(0, (), True),)
         return EmbeddedGraph(rot, faces, 0)
 
@@ -263,15 +273,10 @@ def build_embedded(vertex_count: int,
 def _rebuild(rot: Sequence[Sequence[int]], outer_marker: DirectedEdge,
              ) -> EmbeddedGraph:
     """Build a graph whose outer face is the one containing a marker edge."""
-    walks = _trace_faces(rot)
+    rot, walks = _checked_rotation(len(rot), rot)
     outer = next(i for i, w in enumerate(walks) if outer_marker in w)
-    g = build_embedded(len(rot), rot,
-                       outer_face_hint=(u for u, _ in walks[outer]))
-    # vertex-set hints can be ambiguous; re-pin by the marker edge
-    if outer_marker not in g.faces[g.outer_face].walk:
-        faces = tuple(Face(f.id, f.walk, f.id == outer) for f in g.faces)
-        return EmbeddedGraph(g.rot, faces, outer)
-    return g
+    faces = tuple(Face(i, tuple(w), i == outer) for i, w in enumerate(walks))
+    return EmbeddedGraph(rot, faces, outer)
 
 
 def embed_from_faces(vertex_count: int,
@@ -369,8 +374,73 @@ def dual_graph(g: EmbeddedGraph, weak: bool = False,
 # Triangulation
 # ---------------------------------------------------------------------------
 
-def _chord_positions(walk_vertices: list[int], edges: frozenset[Edge],
-                     pending: set[Edge]) -> tuple[int, int] | None:
+def insert_chords(g: EmbeddedGraph, choose: ChordChooser,
+                  ) -> tuple[list[list[int]], list[Edge]]:
+    """Split the faces of g by chords until ``choose`` declines every face.
+
+    The faces longer than three darts are offered in the order in which a
+    fresh trace would list them after each insertion: first the face whose
+    first dart comes first in (tail vertex, rotation slot) order, with its
+    walk starting at that dart.  ``choose(walk_vertices, edges)`` returns two
+    walk positions to join by a chord inside the face, or None to leave the
+    face as it is for good.  ``edges`` holds the current edge set.
+
+    A chord splits only its own face, so the faces are traced once (those of
+    g) and each insertion costs O(face length).  The order needs no
+    re-trace either: inserting a chord never changes the relative order of
+    the darts already at a vertex, so a face keeps its first dart; only its
+    rotation slot can grow, and a face whose key went stale is re-queued
+    when it surfaces.  A declined face never changes again.
+
+    Returns the grown rotation lists and the chords in insertion order.
+    """
+    rot = [list(r) for r in g.rot]
+    edges = set(g.edges)
+    added: list[Edge] = []
+    heap: list[tuple[int, int, int, list[int]]] = []
+    tick = count()
+
+    def push(verts: list[int]) -> None:
+        t = min(verts)
+        if verts.count(t) == 1:
+            p = verts.index(t)
+        else:
+            k = len(verts)
+            p = min((i for i in range(k) if verts[i] == t),
+                    key=lambda i: rot[t].index(verts[(i + 1) % k]))
+        verts = verts[p:] + verts[:p]
+        heappush(heap, (t, rot[t].index(verts[1]), next(tick), verts))
+
+    for f in g.faces:
+        if f.size > 3:
+            push(list(f.vertices))
+    while heap:
+        t, slot, _, verts = heappop(heap)
+        now = rot[t].index(verts[1])
+        if now != slot:
+            # slots only grow, so every queued key is a lower bound
+            heappush(heap, (t, now, next(tick), verts))
+            continue
+        pos = choose(verts, edges)
+        if pos is None:
+            continue
+        i, j = sorted(pos)
+        a, b = verts[i], verts[j]
+        # at walk position i the face corner lies between verts[i+1] and
+        # verts[i-1], so the chord goes right before verts[i-1]
+        rot[a].insert(rot[a].index(verts[i - 1]), b)
+        rot[b].insert(rot[b].index(verts[j - 1]), a)
+        e = norm_edge(a, b)
+        edges.add(e)
+        added.append(e)
+        for part in (verts[i:j + 1], verts[j:] + verts[:i + 1]):
+            if len(part) > 3:
+                push(part)
+    return rot, added
+
+
+def _chord_positions(walk_vertices: list[int], edges: set[Edge],
+                     ) -> tuple[int, int] | None:
     """Pick two walk positions to join by a new edge inside the face.
 
     Ear positions (distance two along the walk) are preferred; any valid
@@ -381,15 +451,12 @@ def _chord_positions(walk_vertices: list[int], edges: frozenset[Edge],
 
     def valid(i: int, j: int) -> bool:
         a, b = walk_vertices[i], walk_vertices[j]
-        if a == b:
-            return False
-        e = norm_edge(a, b)
-        return e not in edges and e not in pending
+        return a != b and norm_edge(a, b) not in edges
 
     for i in range(k):
         j = (i + 2) % k
         if k > 3 and valid(i, j):
-            return (i, j) if i < j else (j, i)
+            return (i, j)
     for i in range(k):
         for j in range(i + 2, k):
             if (i, j) == (0, k - 1):
@@ -399,47 +466,27 @@ def _chord_positions(walk_vertices: list[int], edges: frozenset[Edge],
     return None
 
 
-def triangulate(g: EmbeddedGraph, skip_vertices: Iterable[int] = (),
-                ) -> tuple[EmbeddedGraph, GraphMapping]:
+def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
     """Add edges until every face (the outer one included) is a triangle.
 
     Output has exactly 3V-6 edges and stays simple.  The mapping is the
     identity on vertices and original edges; added edges are listed in
-    ``new_edges`` in insertion order.  Faces touching a skip vertex are
-    left alone (used to triangulate everything except designated regions).
+    ``new_edges`` in insertion order.  Each face is split by
+    :func:`insert_chords`, preferring ears, so the faces are traced once
+    (for the result) and a chord costs O(face length) plus its search.
     """
     if g.n < 3:
         raise TooSmall("triangulation needs at least 3 vertices")
-    skip = set(skip_vertices)
-    rot = [list(r) for r in g.rot]
-    outer_marker = g.faces[g.outer_face].walk[0]
-    added: list[Edge] = []
-    edges = set(g.edges)
 
-    while True:
-        walks = _trace_faces(rot)
-        target = None
-        for w in walks:
-            if len(w) > 3 and not (skip and skip & {u for u, _ in w}):
-                target = w
-                break
-        if target is None:
-            break
-        verts = [u for u, _ in target]
-        pos = _chord_positions(verts, frozenset(edges), set())
+    def choose(verts: list[int], edges: set[Edge]) -> tuple[int, int]:
+        pos = _chord_positions(verts, edges)
         if pos is None:
-            raise MultiEdgeOrLoop("face cannot be split without a parallel edge")
-        i, j = pos
-        a, b = verts[i], verts[j]
-        # insert each endpoint into the other's rotation inside this face:
-        # at position i the face corner lies between verts[i+1] and
-        # verts[i-1], so the chord goes right before verts[i-1].
-        rot[a].insert(rot[a].index(verts[i - 1]), b)
-        rot[b].insert(rot[b].index(verts[j - 1]), a)
-        edges.add(norm_edge(a, b))
-        added.append(norm_edge(a, b))
+            raise MultiEdgeOrLoop(
+                "face cannot be split without a parallel edge")
+        return pos
 
-    result = _rebuild(rot, outer_marker)
+    rot, added = insert_chords(g, choose)
+    result = _rebuild(rot, g.faces[g.outer_face].walk[0])
     mapping = GraphMapping(
         vertex_forward={v: v for v in range(g.n)},
         vertex_backward={v: v for v in range(g.n)},

@@ -30,7 +30,7 @@ from .curves import (
 from .embedding import (
     EmbeddedGraph,
     GraphMapping,
-    build_embedded,
+    _trace_faces,
     cycle_sides,
     norm_edge,
     subdivide,
@@ -241,8 +241,16 @@ def _independent_greedy_on_chords(n: int, chords: set[tuple[int, int]],
 
 def _fill_polygon_chords(k: int, chords: set[tuple[int, int]],
                          ) -> set[tuple[int, int]]:
-    """Complete a set of non-crossing polygon chords to a triangulation of
-    the k-gon (ear insertion, deterministic)."""
+    """Complete a set of non-crossing chords of the convex k-gon 0..k-1 to
+    a triangulation: each inner face gets the fan of chords from its
+    smallest vertex.
+
+    The faces are traced once.  The rotation lists each vertex's
+    neighbours counter-clockwise, so the outer face walks 0, k-1, ..., 1
+    (with no chords the other face has the same vertices and fan).  The fan
+    is the chord set that ear insertion from the first dart of each face
+    (its smallest vertex) would produce.
+    """
     adj: list[set[int]] = [set() for _ in range(k)]
     for i in range(k):
         adj[i].add((i + 1) % k)
@@ -251,23 +259,12 @@ def _fill_polygon_chords(k: int, chords: set[tuple[int, int]],
         adj[u].add(v)
         adj[v].add(u)
     rot = [sorted(adj[v], key=lambda u: (u - v) % k) for v in range(k)]
-    g = build_embedded(k, rot, outer_face_hint=range(k))
     filled = set(chords)
-    while True:
-        target = None
-        for f in g.faces:
-            if not f.is_outer and f.size > 3:
-                target = f
-                break
-        if target is None:
-            break
-        verts = [u for u, _ in target.walk]
-        a, b = verts[0], verts[2]
-        filled.add(norm_edge(a, b))
-        adj[a].add(b)
-        adj[b].add(a)
-        rot = [sorted(adj[v], key=lambda u: (u - v) % k) for v in range(k)]
-        g = build_embedded(k, rot, outer_face_hint=range(k))
+    for walk in _trace_faces(rot):
+        if walk[0] == (0, k - 1):
+            continue
+        s = walk[0][0]  # a walk starts at its smallest vertex
+        filled.update(norm_edge(s, u) for u, _ in walk[2:-1])
     return filled
 
 

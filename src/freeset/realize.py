@@ -27,10 +27,19 @@ from .curves import (
     _side_partition_of,
     analyze_curve,
 )
-from .embedding import EmbeddedGraph, Edge, build_embedded, norm_edge, subdivide
+from .embedding import (
+    EmbeddedGraph,
+    Edge,
+    _rebuild,
+    build_embedded,
+    insert_chords,
+    norm_edge,
+    subdivide,
+)
 from .errors import (
     DegenerateOutput,
     EpsilonExhausted,
+    FreesetError,
     InvalidCurve,
     MergeConflict,
     SizeMismatch,
@@ -371,9 +380,8 @@ class _HalfPlane:
         # axis-locked interior vertex off the line with helper edges
         rot = [list(r) for r in h.rot] + [[]]
         apex = h.n
-        _insert_apex = self._insert_apex(rot, h, apex)
         self.apex = apex
-        aug, _ = _insert_apex
+        aug = self._insert_apex(rot, h, apex)
         helper_edges: list[Edge] = []
         yset = set(self.y)
 
@@ -443,24 +451,9 @@ class _HalfPlane:
 
     def _fill_content_faces(self, aug: EmbeddedGraph, yset: set,
                             helpers: list) -> EmbeddedGraph:
-        from .embedding import _rebuild, _trace_faces
-
-        rot = [list(r) for r in aug.rot]
-        marker = aug.faces[aug.outer_face].walk[0]
-        edges = set(aug.edges)
         fixed = yset | {self.apex}
-        skipped: set[frozenset] = set()
-        while True:
-            walks = _trace_faces(rot)
-            target = None
-            sig = None
-            for w in walks:
-                if len(w) > 3 and frozenset(w) not in skipped:
-                    target = [u for u, _ in w]
-                    sig = frozenset(w)
-                    break
-            if target is None:
-                break
+
+        def choose(target: list[int], edges: set) -> tuple[int, int] | None:
             k = len(target)
 
             def valid(i: int, j: int, want_fixed: bool) -> bool:
@@ -475,44 +468,29 @@ class _HalfPlane:
                     return False
                 return norm_edge(a, b) not in edges
 
-            pos = None
             for want_fixed in (True, False):
                 for i in range(k):
                     for j in range(k):
                         if valid(i, j, want_fixed):
-                            pos = (i, j)
-                            break
-                    if pos:
-                        break
-                if pos:
-                    break
-            if pos is None:
-                skipped.add(sig)  # face already saturated for our purposes
-                continue
-            i, j = pos
-            a, b = target[i], target[j]
-            rot[a].insert(rot[a].index(target[i - 1]), b)
-            rot[b].insert(rot[b].index(target[j - 1]), a)
-            edges.add(norm_edge(a, b))
-            helpers.append(norm_edge(a, b))
-        return _rebuild(rot, marker)
+                            return (i, j)
+            return None  # face already saturated for our purposes
 
-    def _insert_apex(self, rot, h: EmbeddedGraph, apex: int):
+        rot, added = insert_chords(aug, choose)
+        helpers.extend(added)
+        return _rebuild(rot, aug.faces[aug.outer_face].walk[0])
+
+    def _insert_apex(self, rot, h: EmbeddedGraph, apex: int) -> EmbeddedGraph:
         y0, ym = self.y[0], self.y[-1]
         fid = h.outer_face
         for end in (y0, ym):
             slots = [j for j in range(len(h.rot[end]))
                      if h.corner_face(end, j) == fid]
             rot[end].insert(slots[0], apex)
-        for order in ((y0, ym), (ym, y0)):
-            rot[apex] = list(order)
-            try:
-                marker = h.faces[fid].walk[0]
-                aug = build_embedded(len(rot), rot)
-                return aug, marker
-            except Exception:
-                continue
-        raise DegenerateOutput("apex insertion failed on both orientations")
+        rot[apex] = [y0, ym]
+        try:
+            return build_embedded(len(rot), rot)
+        except FreesetError as exc:
+            raise DegenerateOutput(f"apex insertion failed: {exc}") from exc
 
     def _locked(self, aug: EmbeddedGraph) -> list[int]:
         """Interior vertices forced onto the axis: no interior path to any
@@ -899,28 +877,32 @@ def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
 # Free realization
 # ---------------------------------------------------------------------------
 
-_ROT_C = F(4, 5)
-_ROT_S = F(3, 5)
+@lru_cache(maxsize=64)
+def _turn(k: int) -> tuple[Fraction, Fraction]:
+    """Cosine and sine of k 3-4-5 turns: the k-th power of (4 + 3i)/5
+    (its conjugate for negative k)."""
+    re, im = 1, 0
+    for _ in range(abs(k)):
+        re, im = 4 * re - 3 * im, 3 * re + 4 * im
+    d = 5 ** abs(k)
+    return F(re, d), F(im if k >= 0 else -im, d)
 
 
 def _rotate_point(p: Point, k: int) -> Point:
+    c, s = _turn(k)
     x, y = F(p[0]), F(p[1])
-    if k >= 0:
-        c, s = _ROT_C, _ROT_S
-    else:
-        c, s = _ROT_C, -_ROT_S
-    for _ in range(abs(k)):
-        x, y = c * x - s * y, s * x + c * y
-    return (x, y)
+    return (c * x - s * y, s * x + c * y)
 
 
-def _distinct_x_turns(points: list[Point]) -> int:
+def _distinct_x_turns(points: list[Point]) -> tuple[int, list[Point]]:
     """Fewest 3-4-5 turns after which the distinct points have distinct
-    x-coordinates."""
+    x-coordinates, and the points so turned."""
     k = 0
-    while len({_rotate_point(p, k)[0] for p in points}) != len(points):
+    turned = [(F(x), F(y)) for x, y in points]
+    while len({x for x, _ in turned}) != len(turned):
+        turned = [_rotate_point(p, 1) for p in turned]
         k += 1
-    return k
+    return k, turned
 
 
 def _rotate_drawing(d: PolyDrawing, k: int) -> PolyDrawing:
@@ -954,8 +936,7 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     if len(set(pts)) != len(pts):
         raise SizeMismatch("points must be distinct")
 
-    k = _distinct_x_turns(pts)
-    rotated = [_rotate_point(p, k) for p in pts]
+    k, rotated = _distinct_x_turns(pts)
     order = sorted(range(len(rotated)), key=lambda i: rotated[i][0])
     xs = [rotated[i][0] for i in order]
     ys = [rotated[i][1] for i in order]

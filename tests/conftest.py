@@ -1,15 +1,54 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from freeset import build_embedded
-from freeset.generators import fan, goldner_harary, octahedron
+from freeset import build_embedded, embedding, extractors
+from freeset.generators import (
+    fan,
+    goldner_harary,
+    octahedron,
+    random_triangulation,
+)
 
 
 def k4():
     """K4 with outer face (0,1,2) and center 3."""
     rot = [[1, 3, 2], [2, 3, 0], [0, 3, 1], [2, 0, 1]]
     return build_embedded(4, rot, outer_face_hint=[0, 1, 2])
+
+
+def thinned_triangulation(n: int, seed: int, keep: float = 0.45):
+    """``random_triangulation(n, seed)`` with random edges deleted.
+
+    Edges are tried in a seeded random order and deleted while the graph
+    stays connected, until about ``keep`` of them remain; the thinned graph
+    has bridges and degree-1 vertices, so some faces repeat a vertex.  The
+    largest face becomes the outer face.
+    """
+    g = random_triangulation(n, seed)
+    rng = random.Random(seed)
+    adj = [set(r) for r in g.rot]
+    m = len(g.edges)
+    for u, v in rng.sample(sorted(g.edges), m):
+        if m <= keep * len(g.edges):
+            break
+        adj[u].discard(v)
+        adj[v].discard(u)
+        seen, stack = {u}, [u]
+        while stack and v not in seen:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if v in seen:
+            m -= 1
+        else:
+            adj[u].add(v)
+            adj[v].add(u)
+    rot = [[u for u in r if u in adj[v]] for v, r in enumerate(g.rot)]
+    return build_embedded(n, rot)
 
 
 @pytest.fixture(name="k4")
@@ -30,3 +69,19 @@ def fan6_fixture():
 @pytest.fixture(name="gh")
 def gh_fixture():
     return goldner_harary()
+
+
+@pytest.fixture(name="trace_calls")
+def trace_calls_fixture(monkeypatch):
+    """Count face traces: ``calls[0]`` is the number of ``_trace_faces``
+    calls made through the embedding and extractor modules."""
+    calls = [0]
+    trace = embedding._trace_faces
+
+    def counting(rot):
+        calls[0] += 1
+        return trace(rot)
+
+    for mod in (embedding, extractors):
+        monkeypatch.setattr(mod, "_trace_faces", counting)
+    return calls

@@ -10,7 +10,7 @@ from freeset import (
     subdivide,
     triangulate,
 )
-from freeset.embedding import norm_edge
+from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     Disconnected,
     MultiEdgeOrLoop,
@@ -31,6 +31,8 @@ from freeset.generators import (
     stacked_3tree,
     star,
 )
+
+from conftest import thinned_triangulation
 
 
 def check_consistency(g):
@@ -158,6 +160,68 @@ class TestTriangulate:
         assert mp2.new_edges == ()
         # removing added edges recovers the input's face count
         assert len(t.faces) == len(g.faces) + len(mp.new_edges)
+
+
+def reference_triangulate(g):
+    """The re-trace loop that ``triangulate`` replaced: insert one chord
+    into the first face of more than three darts, then trace every face
+    again.  Returns the rotation, the outer face id and the chords."""
+    rot = [list(r) for r in g.rot]
+    marker = g.faces[g.outer_face].walk[0]
+    edges = set(g.edges)
+    added = []
+    while True:
+        target = next((w for w in _trace_faces(rot) if len(w) > 3), None)
+        if target is None:
+            break
+        verts = [u for u, _ in target]
+        k = len(verts)
+        pairs = [(i, (i + 2) % k) for i in range(k)]
+        pairs += [(i, j) for i in range(k) for j in range(i + 2, k)
+                  if (i, j) != (0, k - 1)]
+        i, j = next((i, j) for i, j in pairs
+                    if verts[i] != verts[j]
+                    and norm_edge(verts[i], verts[j]) not in edges)
+        a, b = verts[i], verts[j]
+        rot[a].insert(rot[a].index(verts[i - 1]), b)
+        rot[b].insert(rot[b].index(verts[j - 1]), a)
+        edges.add(norm_edge(a, b))
+        added.append(norm_edge(a, b))
+    walks = _trace_faces(rot)
+    outer = next(i for i, w in enumerate(walks) if marker in w)
+    return tuple(tuple(r) for r in rot), outer, tuple(added)
+
+
+TRIANGULATE_CORPUS = (
+    [("grid", (r, c)) for r, c in ((2, 2), (3, 5), (6, 6), (9, 12))]
+    + [("outerplanar", (n, s)) for n in (4, 9, 40, 120) for s in (1, 2)]
+    + [("triangulation", (n, s)) for n in (4, 12, 60) for s in (1, 2)]
+    + [("thinned", (n, s)) for n in (8, 20, 50, 120) for s in range(4)]
+)
+FAMILIES = {"grid": grid, "outerplanar": maximal_outerplanar,
+            "triangulation": random_triangulation,
+            "thinned": thinned_triangulation}
+
+
+class TestTriangulateInPlace:
+    @pytest.mark.parametrize("family,args", TRIANGULATE_CORPUS,
+                             ids=[f"{f}{a}" for f, a in TRIANGULATE_CORPUS])
+    def test_matches_retrace_loop(self, family, args):
+        g = FAMILIES[family](*args)
+        t, mp = triangulate(g)
+        assert (t.rot, t.outer_face, mp.new_edges) == reference_triangulate(g)
+
+    def test_corpus_repeats_vertices_on_faces(self):
+        # the in-place split must also hold where a walk revisits a vertex
+        g = thinned_triangulation(50, 0)
+        assert any(len(f.vertex_set()) < f.size for f in g.faces)
+
+    @pytest.mark.parametrize("g", [grid(20, 20), maximal_outerplanar(400, 1)],
+                             ids=["grid-20x20", "outerplanar-400"])
+    def test_traces_once(self, g, trace_calls):
+        t, _ = triangulate(g)
+        assert t.is_triangulation()
+        assert trace_calls[0] <= 3  # the re-trace loop made 437 and 400
 
 
 class TestDerive:

@@ -6,6 +6,7 @@ import pytest
 
 from freeset.canonical import antichain_bound, canonical_order
 from freeset.curves import validate_curve
+from freeset.embedding import build_embedded, norm_edge
 from freeset.errors import (
     AntichainTooShort,
     BadLevelAssignment,
@@ -17,6 +18,7 @@ from freeset.errors import (
 )
 from freeset.extractors import (
     LevelAssignment,
+    _fill_polygon_chords,
     antichain_freeset,
     bfs_levels,
     chain_freeset,
@@ -70,6 +72,51 @@ class TestOuterplanar:
             for (u, v) in g.edges:
                 if (u, v) not in outer_edges:
                     assert not (u in s and v in s)
+
+
+def reference_fill_polygon_chords(k, chords):
+    """The ear-insertion loop that ``_fill_polygon_chords`` replaced: join
+    the first and third vertex of the first inner face of more than three
+    darts, rebuild the embedding, repeat."""
+    adj = [{(v - 1) % k, (v + 1) % k} for v in range(k)]
+    for u, v in chords:
+        adj[u].add(v)
+        adj[v].add(u)
+    filled = set(chords)
+    while True:
+        rot = [sorted(adj[v], key=lambda u: (u - v) % k) for v in range(k)]
+        g = build_embedded(k, rot, outer_face_hint=range(k))
+        target = next((f for f in g.faces if not f.is_outer and f.size > 3),
+                      None)
+        if target is None:
+            return filled
+        a, b = target.walk[0][0], target.walk[2][0]
+        filled.add(norm_edge(a, b))
+        adj[a].add(b)
+        adj[b].add(a)
+
+
+def polygon_chords(k, seed):
+    """A random subset of the chords of a random triangulated k-gon."""
+    rng = random.Random(seed)
+    keep = rng.choice([0.0, 0.3, 0.7, 1.0])
+    g = maximal_outerplanar(k, seed)
+    return {e for e in sorted(g.edges)
+            if (e[1] - e[0]) % k not in (1, k - 1) and rng.random() < keep}
+
+
+class TestFillPolygonChords:
+    @pytest.mark.parametrize("k", [3, 4, 5, 8, 13, 30, 60])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_ear_insertion(self, k, seed):
+        chords = polygon_chords(k, seed)
+        assert _fill_polygon_chords(k, set(chords)) == \
+            reference_fill_polygon_chords(k, chords)
+
+    def test_traces_once(self, trace_calls):
+        filled = _fill_polygon_chords(300, set())
+        assert filled == {(0, v) for v in range(2, 299)}
+        assert trace_calls[0] <= 3  # the ear-insertion loop made 298
 
 
 class TestChainAntichain:

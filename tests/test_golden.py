@@ -1,9 +1,10 @@
-"""Byte-level regression lock on realized drawings.
+"""Byte-level regression lock on extracted free sets and realized drawings.
 
-Each case realizes a fixed seeded input and hashes the serialized drawing.
-The hashes were recorded before verification was reorganized (one exact
-check per returned drawing); realization must keep producing exactly the
-same coordinates.
+Each case extracts or realizes a fixed seeded input and hashes the
+serialized result.  The drawing hashes were recorded before verification
+was reorganized (one exact check per returned drawing), the extraction
+hashes before face splitting moved to in-place chord insertion; both must
+keep producing exactly the same bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import pytest
 
 from freeset.applications import psge_two, untangle
 from freeset.extractors import planar_freeset
-from freeset.generators import random_triangulation
+from freeset.generators import grid, maximal_outerplanar, random_triangulation
 from freeset.realize import free_realize
-from freeset.textio import serialize_drawing
+from freeset.textio import serialize_drawing, serialize_freeset
+
+from conftest import thinned_triangulation
 
 
 def _points(style: str, k: int, rng: random.Random) -> list:
@@ -44,6 +47,38 @@ def _digest(*drawings) -> str:
     for d in drawings:
         h.update(serialize_drawing(d).encode())
     return h.hexdigest()[:16]
+
+
+FAMILIES = {
+    "grid": grid,
+    "outerplanar": maximal_outerplanar,
+    "triangulation": random_triangulation,
+    "thinned": thinned_triangulation,
+}
+
+EXTRACT_CASES = [
+    # (family, arguments, digest of serialize_freeset(planar_freeset(g)))
+    ("grid", (6, 9), "f9c593c15234b441"),
+    ("grid", (15, 15), "d330377cbc613cd4"),
+    ("grid", (20, 20), "1f382976254c32fe"),
+    ("outerplanar", (100, 1), "8b651822c38a1064"),
+    ("outerplanar", (250, 2), "a382dbb84db7ae0b"),
+    ("outerplanar", (400, 3), "e4bf4b1458497a73"),
+    ("triangulation", (50, 4), "cea54329ea0ec135"),
+    ("triangulation", (200, 5), "01687b46037c6249"),
+    ("triangulation", (400, 6), "ddc2db04997c2f8b"),
+    ("thinned", (60, 7), "4dc5689bdeb856b1"),
+    ("thinned", (150, 8), "49b7e658756ad418"),
+    ("thinned", (400, 9), "2daa289ff7f79f4a"),
+]
+
+
+@pytest.mark.parametrize("family,args,digest", EXTRACT_CASES,
+                         ids=[f"{f}{a}" for f, a, _ in EXTRACT_CASES])
+def test_planar_freeset_golden(family, args, digest):
+    fs = planar_freeset(FAMILIES[family](*args))
+    h = hashlib.sha256(serialize_freeset(fs).encode()).hexdigest()[:16]
+    assert h == digest
 
 
 REALIZE_CASES = [

@@ -5,13 +5,29 @@ from fractions import Fraction as F
 
 import pytest
 
+from freeset import realize
 from freeset.canonical import canonical_order
-from freeset.errors import DegenerateOutput, SizeMismatch, YNotOnOuterFace
+from freeset.embedding import _rebuild, _trace_faces, norm_edge
+from freeset.errors import (
+    DegenerateOutput,
+    MultiEdgeOrLoop,
+    SizeMismatch,
+    YNotOnOuterFace,
+)
 from freeset.extractors import antichain_freeset, planar_freeset
-from freeset.generators import path, random_triangulation
+from freeset.generators import (
+    grid,
+    maximal_outerplanar,
+    path,
+    random_triangulation,
+)
 from freeset.realize import (
     DrawingViolation,
     PolyDrawing,
+    _collinear_system,
+    _distinct_x_turns,
+    _HalfPlane,
+    _rotate_point,
     free_realize,
     halfplane_draw,
     perturb_scale,
@@ -20,6 +36,8 @@ from freeset.realize import (
     tutte_solve,
     verify_drawing,
 )
+
+from conftest import thinned_triangulation
 
 
 def antichain_pair(k4):
@@ -163,6 +181,99 @@ class TestHalfplane:
             halfplane_draw(octa, [0, 5], [0, 1], side="below")
 
 
+def reference_fill_content_faces(hp, aug, yset, helpers):
+    """The re-trace loop that ``_HalfPlane._fill_content_faces`` replaced:
+    chord the first face of more than three darts that is not known to be
+    saturated, then trace every face again."""
+    rot = [list(r) for r in aug.rot]
+    marker = aug.faces[aug.outer_face].walk[0]
+    edges = set(aug.edges)
+    fixed = yset | {hp.apex}
+    skipped = set()
+    while True:
+        target = next((w for w in _trace_faces(rot)
+                       if len(w) > 3 and frozenset(w) not in skipped), None)
+        if target is None:
+            return _rebuild(rot, marker)
+        verts = [u for u, _ in target]
+        k = len(verts)
+
+        def valid(i, j, want_fixed):
+            a, b = verts[i], verts[j]
+            return (a != b and (j - i) % k not in (0, 1, k - 1)
+                    and not (a in fixed and b in fixed)
+                    and not (want_fixed and a not in fixed
+                             and b not in fixed)
+                    and norm_edge(a, b) not in edges)
+
+        pos = next(((i, j) for want_fixed in (True, False)
+                    for i in range(k) for j in range(k)
+                    if valid(i, j, want_fixed)), None)
+        if pos is None:
+            skipped.add(frozenset(target))
+            continue
+        i, j = pos
+        a, b = verts[i], verts[j]
+        rot[a].insert(rot[a].index(verts[i - 1]), b)
+        rot[b].insert(rot[b].index(verts[j - 1]), a)
+        edges.add(norm_edge(a, b))
+        helpers.append(norm_edge(a, b))
+
+
+def halfplanes(g):
+    """The two ``_HalfPlane``s of the collinear system of g's free set."""
+    sysm = _collinear_system(g, planar_freeset(g).certificate)
+    return [sysm.halves[w][0] for w in ("inside", "outside")]
+
+
+HALFPLANE_CORPUS = [
+    (grid, (4, 5)), (grid, (7, 7)), (maximal_outerplanar, (30, 1)),
+    (maximal_outerplanar, (80, 2)), (random_triangulation, (40, 3)),
+    (random_triangulation, (120, 4)), (thinned_triangulation, (30, 5)),
+    (thinned_triangulation, (60, 6)), (thinned_triangulation, (120, 7)),
+]
+
+
+class TestFillContentFaces:
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_matches_retrace_loop(self, make, args, monkeypatch):
+        built = halfplanes(make(*args))
+        monkeypatch.setattr(_HalfPlane, "_fill_content_faces",
+                            reference_fill_content_faces)
+        for hp in built:
+            ref = _HalfPlane(hp.h, hp.y)
+            assert hp.helper_edges == ref.helper_edges
+            assert hp.aug.rot == ref.aug.rot
+            assert hp.aug.outer_face == ref.aug.outer_face
+
+    def test_traces_once(self, trace_calls):
+        hp = halfplanes(thinned_triangulation(120, 7))[0]
+        rot = [list(r) for r in hp.h.rot] + [[]]
+        aug = hp._insert_apex(rot, hp.h, hp.apex)
+        helpers = []
+        before = trace_calls[0]
+        hp._fill_content_faces(aug, set(hp.y), helpers)
+        assert len(helpers) > 10
+        assert trace_calls[0] - before <= 3  # the re-trace loop made 117
+
+    @pytest.mark.parametrize("raised,seen", [
+        (MultiEdgeOrLoop, DegenerateOutput),  # typed: one degenerate output
+        (RuntimeError, RuntimeError),         # a bug is not masked
+    ])
+    def test_apex_insertion_failure(self, raised, seen, monkeypatch):
+        hp = halfplanes(random_triangulation(12, 1))[0]
+
+        def broken(vertex_count, rotations):
+            raise raised("broken")
+
+        monkeypatch.setattr(realize, "build_embedded", broken)
+        rot = [list(r) for r in hp.h.rot] + [[]]
+        with pytest.raises(seen):
+            hp._insert_apex(rot, hp.h, hp.apex)
+
+
 class TestRealizeCollinear:
     def test_single_edge(self):
         g = path(2)
@@ -234,6 +345,23 @@ class TestPerturbAndFree:
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 0), (0, 1)])
         assert {d.pos[3], d.pos[2]} == {(F(0), F(0)), (F(0), F(1))}
+
+    @pytest.mark.parametrize("k", [-3, -1, 1, 2, 5])
+    def test_rotation_power_matches_single_turns(self, k):
+        p = (F(7, 3), F(-2, 9))
+        x, y = p
+        c, s = F(4, 5), F(3, 5) if k > 0 else F(-3, 5)
+        for _ in range(abs(k)):
+            x, y = c * x - s * y, s * x + c * y
+        assert _rotate_point(p, k) == (x, y)
+        assert _rotate_point((x, y), -k) == p
+
+    def test_distinct_x_turns_returns_turned_points(self):
+        pts = [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(2))]
+        k, turned = _distinct_x_turns(pts)
+        assert k >= 1
+        assert turned == [_rotate_point(p, k) for p in pts]
+        assert len({x for x, _ in turned}) == len(pts)
 
     def test_free_realize_mismatch(self, k4):
         fs = antichain_pair(k4)

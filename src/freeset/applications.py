@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .canonical import chain_by_layers, patience_layers
 from .embedding import EmbeddedGraph, triangulate
 from .errors import MergeConflict, TooLarge, VertexSetMismatch
 from .extractors import OrderedFreeSet, planar_freeset
@@ -52,27 +53,18 @@ def lis_lds(seq) -> tuple[list[int], str]:
     The longer of the increasing and decreasing subsequences wins, ties go
     to increasing; the result has length at least ceil(sqrt(len))."""
     vals = list(seq)
-    n = len(vals)
-    if len(set(vals)) != n:
+    if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
+    if not vals:
+        return [], "increasing"
 
-    def longest(cmp) -> list[int]:
-        best = [1] * n
-        prev = [-1] * n
-        for i in range(n):
-            for j in range(i):
-                if cmp(vals[j], vals[i]) and best[j] + 1 > best[i]:
-                    best[i] = best[j] + 1
-                    prev[i] = j
-        end = max(range(n), key=lambda i: (best[i], -i))
-        out = []
-        while end != -1:
-            out.append(end)
-            end = prev[end]
-        return out[::-1]
+    def longest(sign: int) -> list[int]:
+        points = [(i, sign * v) for i, v in enumerate(vals)]
+        return chain_by_layers(
+            range(len(vals)), patience_layers(points),
+            lambda i, j: i < j and points[i][1] < points[j][1])
 
-    inc = longest(lambda a, b: a < b)
-    dec = longest(lambda a, b: a > b)
+    inc, dec = longest(1), longest(-1)
     if len(inc) >= len(dec):
         return inc, "increasing"
     return dec, "decreasing"
@@ -167,8 +159,9 @@ def _rot90(d: PolyDrawing) -> PolyDrawing:
 def _psge_pair(g1, g2, fs1: OrderedFreeSet, fs2: OrderedFreeSet,
                shared: list[int]) -> tuple[PolyDrawing, PolyDrawing, dict]:
     """Draw two graphs with the shared set at (rank-in-G1, rank-in-G2)."""
-    ord1 = [v for v in fs1.order if v in set(shared)]
-    ord2 = [v for v in fs2.order if v in set(shared)]
+    in_shared = set(shared)
+    ord1 = [v for v in fs1.order if v in in_shared]
+    ord2 = [v for v in fs2.order if v in in_shared]
     rank1 = {v: i + 1 for i, v in enumerate(ord1)}
     rank2 = {v: i + 1 for i, v in enumerate(ord2)}
     target = {v: (F(rank1[v]), F(rank2[v])) for v in shared}
@@ -227,7 +220,8 @@ def psge_many(graphs) -> SimultaneousResult:
 
     # refine so the shared order is monotone for every graph beyond the two
     # realized directly
-    order2 = [v for v in free_sets[1].order if v in set(common)]
+    in_common = set(common)
+    order2 = [v for v in free_sets[1].order if v in in_common]
     current = order2
     for i in range(2, r):
         pos_i = {v: j for j, v in enumerate(free_sets[i].order)}
@@ -238,9 +232,10 @@ def psge_many(graphs) -> SimultaneousResult:
     d1, d2, target = _psge_pair(graphs[0], graphs[1],
                                 free_sets[0], free_sets[1], shared)
     drawings = [d1, d2]
+    in_shared = set(shared)
     for i in range(2, r):
         fs = free_sets[i]
-        ordered = [v for v in fs.order if v in set(shared)]
+        ordered = [v for v in fs.order if v in in_shared]
         rank2 = {v: j for j, v in enumerate(shared)}
         seq = [rank2[v] for v in ordered]
         if any(a > b for a, b in zip(seq, seq[1:])):

@@ -28,6 +28,7 @@ from .extractors import (
 )
 from .generators import (
     GeneratorSpec,
+    cycle,
     fan,
     generate,
     goldner_harary,
@@ -237,7 +238,7 @@ def check_untangling(count: int = 100, lo: int = 10, hi: int = 60,
 def _catalog():
     """Small embedded graphs for oracle equivalence (6 vertices or fewer)."""
     out = [("path4", path(4)), ("path6", path(6)),
-           ("cycle4", cycle_graph(4)), ("cycle6", cycle_graph(6)),
+           ("cycle4", cycle(4)), ("cycle6", cycle(6)),
            ("star5", star(5)), ("star6", star(6)),
            ("fan5", fan(5)), ("fan6", fan(6)),
            ("mop6", maximal_outerplanar(6, 1)),
@@ -247,11 +248,6 @@ def _catalog():
            ("stacked5", generate(GeneratorSpec("stacked-3tree", n=5, seed=2))),
            ("k4", _k4()), ("octahedron", octahedron())]
     return out
-
-
-def cycle_graph(n):
-    from .generators import cycle
-    return cycle(n)
 
 
 def _k4() -> EmbeddedGraph:

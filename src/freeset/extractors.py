@@ -7,7 +7,9 @@ the size bound actually met.
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .canonical import (
@@ -220,22 +222,36 @@ class OuterplanarResult:
 def _independent_greedy_on_chords(n: int, chords: set[tuple[int, int]],
                                   ) -> tuple[list[int], dict]:
     """Greedy independent set in the chord graph: repeatedly take the
-    minimum-degree vertex (ties by id) and delete it with its neighbors."""
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    minimum-degree vertex (ties by id) and delete it with its neighbors.
+
+    Degrees only fall and each fall pushes a new (degree, id) entry, so a
+    living vertex's current entry pops before its stale ones; entries of
+    deleted vertices are skipped."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in chords:
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(range(n))
+        adj[u].append(v)
+        adj[v].append(u)
+    deg = [len(a) for a in adj]
+    alive = [True] * n
+    heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
     counts = {0: 0, 1: 0, 2: 0}
     chosen = []
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        deg = len(adj[v] & alive)
-        counts[min(deg, 2)] += 1
-        if deg > 2:  # pragma: no cover - impossible in outerplane chord graphs
+    while heap:
+        d, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        counts[min(d, 2)] += 1
+        if d > 2:  # pragma: no cover - impossible in outerplane chord graphs
             raise NotMaximalOuterplane("chord degree exceeded 2 in the greedy")
         chosen.append(v)
-        alive -= {v} | adj[v]
+        for u in [v] + adj[v]:
+            if alive[u]:
+                alive[u] = False
+                for w in adj[u]:
+                    if alive[w]:
+                        deg[w] -= 1
+                        heapq.heappush(heap, (deg[w], w))
     return chosen, counts
 
 
@@ -351,6 +367,33 @@ def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
     )
 
 
+def _crescents(t: EmbeddedGraph, pos: dict, ys: list[int],
+               ) -> tuple[list[set], list[set]]:
+    """Faces and edges between consecutive prefix boundaries.
+
+    The boundary of G_{p+1}, with p the canonical position of y_j, encloses
+    the canonical prefix: the inner faces whose largest vertex position is
+    at most p.  Group j holds the faces first enclosed at y_j and the edges
+    with both faces in group j, so group 0 is the inside of the first
+    boundary and group j > 0 the crescent between the boundaries at y_{j-1}
+    and y_j; the outer face makes group len(ys).
+    """
+    k = len(ys)
+    cut = [pos[y] for y in ys]
+    group = [bisect_left(cut, max(pos[u] for u, _ in f.walk))
+             for f in t.faces]
+    group[t.outer_face] = k
+    faces: list[set] = [set() for _ in range(k + 1)]
+    edges: list[set] = [set() for _ in range(k + 1)]
+    for f in t.faces:
+        faces[group[f.id]].add(f.id)
+    for u, v in t.edges:
+        j = group[t.face_of(u, v)]
+        if j == group[t.face_of(v, u)]:
+            edges[j].add((u, v))
+    return faces, edges
+
+
 def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
                       antichain: tuple[int, ...]) -> OrderedFreeSet:
     """Free set from a maximal frame antichain: the curve threads the
@@ -360,71 +403,43 @@ def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
     if k < 2:
         raise AntichainTooShort("antichain needs at least 2 vertices")
     pos = {v: i for i, v in enumerate(cs.order)}
-    ys = sorted(antichain, key=lambda v: pos[v])
+    ys = sorted(antichain, key=pos.__getitem__)
     if ys[-1] != cs.vn:
         raise AntichainTooShort("maximal antichains must end at the apex")
 
     outer_fid = t.outer_face
     base_edge = norm_edge(cs.v1, cs.v2)
-
-    def inside(cycle: list[int]):
-        sides = cycle_sides(t, cycle)
-        if outer_fid in sides.faces_left:
-            return (sides.right, sides.faces_right,
-                    {e for e, sd in sides.edge_side.items() if sd == "right"})
-        return (sides.left, sides.faces_left,
-                {e for e, sd in sides.edge_side.items() if sd == "left"})
+    faces, edges = _crescents(t, pos, ys)
 
     items: list = []
     passages: list[int | None] = []
 
-    def extend(fragment: OpenCurve, end_vertex: int | None) -> None:
-        frag_items = list(fragment.items)
-        frag_pass = list(fragment.passages)
-        for it, p in zip(frag_items, frag_pass[:-1]):
-            passages.append(p)
-            items.append(it)
-        passages.append(frag_pass[-1])
-        if end_vertex is not None:
-            items.append(VertexItem(end_vertex))
+    def extend(fragment: OpenCurve, end_vertex: int) -> None:
+        items.extend(fragment.items)
+        passages.extend(fragment.passages)
+        items.append(VertexItem(end_vertex))
 
-    # opening crossing of the base edge
+    # opening crossing of the base edge, then a route from its midpoint to
+    # y_1 inside the first boundary
     items.append(CrossItem(base_edge))
-
-    prev_cycle = None
-    prev_inside = None
-    for j, y in enumerate(ys):
-        cyc = list(cs.boundary_after[pos[y] + 1])
-        _, faces_in, edges_in = inside(cyc)
-        if j == 0:
-            # route from the base-edge midpoint to y_1 inside the first cycle
-            frag = route_open_curve(t, base_edge, y, faces_in, edges_in)
-            extend(frag, y)
+    extend(route_open_curve(t, base_edge, ys[0], faces[0], edges[0]), ys[0])
+    for j in range(1, k):
+        prev_y, y = ys[j - 1], ys[j]
+        e = norm_edge(prev_y, y)
+        if e in edges[j]:
+            passages.append(None)
+            items.append(AlongItem(e))
+            passages.append(None)
+            items.append(VertexItem(y))
         else:
-            # crescent between the previous cycle and this one
-            crescent_faces = faces_in - prev_inside[0]
-            crescent_edges = (edges_in - prev_inside[1]) - \
-                {norm_edge(u, v) for u, v in zip(prev_cycle,
-                                                 prev_cycle[1:] + prev_cycle[:1])}
-            prev_y = ys[j - 1]
-            e = norm_edge(prev_y, y)
-            if t.has_edge(prev_y, y) and e in crescent_edges:
-                passages.append(None)
-                items.append(AlongItem(e))
-                passages.append(None)
-                items.append(VertexItem(y))
-            else:
-                frag = route_open_curve(t, prev_y, y, crescent_faces,
-                                        crescent_edges)
-                extend(frag, y)
-        prev_cycle = cyc
-        prev_inside = (faces_in, edges_in)
+            extend(route_open_curve(t, prev_y, y, faces[j], edges[j]), y)
 
     # return from the apex to the base point through the outer face
     passages.append(outer_fid)
     cert = CurveCertificate(tuple(items), tuple(passages))
     cert = _checked(t, _rotate_to_vertex_start(cert))
-    order = tuple(v for v in cert.vertex_order() if v in set(ys))
+    in_ys = set(ys)
+    order = tuple(v for v in cert.vertex_order() if v in in_ys)
     return OrderedFreeSet(
         graph=t,
         order=order,
@@ -536,16 +551,19 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
 
     kind, data = chain_or_antichain(cs, xs)
     result = run(kind, data)
-    picked = [v for v in result.order if v in set(xs)]
+    in_x = set(xs)
+    picked = [v for v in result.order if v in in_x]
     if len(picked) < 2 and not full:
         # the dispatched branch may waste X; try the other one
         other = "antichain" if kind == "chain" else "chain"
-        alt = _forced_branch(cs, xs, other)
-        if alt is not None:
-            alt_result = run(other, alt)
-            alt_picked = [v for v in alt_result.order if v in set(xs)]
+        try:
+            alt = run(other, chain_or_antichain(cs, xs, force=other)[1])
+        except AntichainTooShort:  # the forced antichain is one vertex
+            pass
+        else:
+            alt_picked = [v for v in alt.order if v in in_x]
             if len(alt_picked) > len(picked):
-                result, picked = alt_result, alt_picked
+                result, picked = alt, alt_picked
     if len(picked) < 2 and not full:
         pair = _common_face_pair(g, xs)
         if pair is not None:
@@ -553,7 +571,8 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
 
     cert = _restrict_certificate(g, t, tmap.new_edges, result.certificate)
     cert = _checked(g, cert)
-    order = tuple(v for v in cert.vertex_order() if v in set(picked))
+    in_picked = set(picked)
+    order = tuple(v for v in cert.vertex_order() if v in in_picked)
     bound = antichain_bound(len(xs))
     return OrderedFreeSet(
         graph=g,
@@ -563,42 +582,6 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         bound_met=(f"|S|={len(order)} >= ceil(sqrt(n/2))={bound}" if full
                    else f"|S|={len(order)} within X of size {len(xs)}"),
     )
-
-
-def _forced_branch(cs: CanonicalStructure, xs, which: str):
-    """Best chain or antichain regardless of the dichotomy rule."""
-    from .canonical import _frame_path, _mirsky_layers
-    xs = sorted(set(xs))
-    layer = _mirsky_layers(cs, xs)
-    depth = max(layer.values())
-    if which == "chain":
-        by_layer: dict[int, list[int]] = {}
-        for v in xs:
-            by_layer.setdefault(layer[v], []).append(v)
-        chain: list[int] = []
-        cur = None
-        for d in range(depth, 0, -1):
-            v = min(u for u in by_layer[d] if cur is None or cs.precedes(u, cur))
-            chain.append(v)
-            cur = v
-        chain.reverse()
-        if len(chain) < 1:
-            return None
-        path: list[int] = []
-        stops = [cs.v1] + [v for v in chain if v not in (cs.v1, cs.v2)] + [cs.v2]
-        for i in range(len(stops) - 1):
-            seg = _frame_path(cs, stops[i], stops[i + 1])
-            path.extend(seg if i == 0 else seg[1:])
-        return tuple(path) if len(path) >= 3 else None
-    best = max(range(1, depth + 1),
-               key=lambda d: (sum(1 for v in xs if layer[v] == d), -d))
-    anti = {v for v in xs if layer[v] == best}
-    for v in range(cs.graph.n):
-        if v not in anti and all(not cs.comparable(v, u) for u in anti):
-            anti.add(v)
-    pos = {v: i for i, v in enumerate(cs.order)}
-    ordered = tuple(sorted(anti, key=lambda v: pos[v]))
-    return ordered if len(ordered) >= 2 else None
 
 
 def _common_face_pair(g: EmbeddedGraph, xs) -> OrderedFreeSet | None:
@@ -740,7 +723,8 @@ def level_freeset(g: EmbeddedGraph, la: LevelAssignment,
     if violation is not None:
         raise BadLevelAssignment(
             f"level structure does not yield a proper curve: {violation}")
-    order = tuple(v for v in cert.vertex_order() if v in set(xs))
+    in_x = set(xs)
+    order = tuple(v for v in cert.vertex_order() if v in in_x)
     need = -(-len(xs) // mod)  # ceil
     if len(order) < need:
         raise BadLevelAssignment(

@@ -51,6 +51,19 @@ def thinned_triangulation(n: int, seed: int, keep: float = 0.45):
     return build_embedded(n, rot)
 
 
+def prefix_boundaries(cs):
+    """Step i -> boundary path of G_i (the first i canonical vertices) from
+    v_1 to v_2, replayed forward: v_i replaces the interior of its fan."""
+    boundary = [cs.v1, cs.v2]
+    out = {2: tuple(boundary)}
+    for i, v in enumerate(cs.order[2:], 3):
+        fan = cs.attach[v]
+        a = boundary.index(fan[0])
+        boundary[a + 1:a + len(fan) - 1] = [v]
+        out[i] = tuple(boundary)
+    return out
+
+
 @pytest.fixture(name="k4")
 def k4_fixture():
     return k4()

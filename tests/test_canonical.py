@@ -13,6 +13,8 @@ from freeset.canonical import (
 from freeset.errors import NotTriangulation
 from freeset.generators import random_triangulation
 
+from conftest import prefix_boundaries
+
 
 class TestCanonicalOrder:
     def test_triangle(self):
@@ -33,9 +35,10 @@ class TestCanonicalOrder:
 
     def test_octahedron_structure(self, octa):
         cs = canonical_order(octa)
+        boundaries = prefix_boundaries(cs)
         for i in range(3, octa.n + 1):
             prefix, _ = induce(octa, cs.order[:i],
-                               outer_face_hint=cs.boundary_after[i])
+                               outer_face_hint=boundaries[i])
             assert is_near_triangulation(prefix)
         for v in cs.order[2:]:
             assert len(cs.attach[v]) >= 2
@@ -46,9 +49,10 @@ class TestCanonicalOrder:
         cs = canonical_order(t)
         assert cs.order[0] == cs.v1 and cs.order[1] == cs.v2
         assert cs.order[-1] == cs.vn
+        boundaries = prefix_boundaries(cs)
         for i in range(3, n + 1, max(1, n // 7)):
             prefix, _ = induce(t, cs.order[:i],
-                               outer_face_hint=cs.boundary_after[i])
+                               outer_face_hint=boundaries[i])
             assert is_near_triangulation(prefix)
 
     def test_rejects_non_triangulation(self):

@@ -1,0 +1,367 @@
+"""Near-linear extraction against the quadratic code it replaced.
+
+The references below are the earlier implementations, kept verbatim in
+spirit: the boundary-rescan canonical ordering, descendant bitmasks for
+frame reachability, all-pairs Mirsky layers and the chain/antichain
+dichotomy built on them, the ``min``-scan independent-set greedy, the
+``cycle_sides`` flood for the inside of a prefix boundary and the O(n^2)
+monotone-subsequence DP.  Each is compared with the program on a seeded
+corpus; a few deterministic work counts bound the new code.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from freeset import canonical, extractors
+from freeset.applications import lis_lds
+from freeset.canonical import (
+    CanonicalStructure,
+    antichain_bound,
+    canonical_order,
+    chain_or_antichain,
+)
+from freeset.curves import validate_curve
+from freeset.embedding import cycle_sides, norm_edge, triangulate
+from freeset.errors import AntichainTooShort
+from freeset.extractors import (
+    _crescents,
+    _fill_polygon_chords,
+    _independent_greedy_on_chords,
+    antichain_freeset,
+    planar_freeset,
+)
+from freeset.generators import grid, maximal_outerplanar, random_triangulation
+
+from conftest import prefix_boundaries, thinned_triangulation
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+def reference_canonical_order(t, v1, v2, vn):
+    """Reverse deletion rescanning the whole boundary for the smallest
+    chord-free vertex at every step.  Returns (order, attach,
+    boundary_after)."""
+    n = t.n
+    adj = [set(t.rot[v]) for v in range(n)]
+    alive = [True] * n
+    boundary = [v1, vn, v2]
+    on_boundary = set(boundary)
+    order = [0] * n
+    order[0], order[1], order[n - 1] = v1, v2, vn
+    attach = {}
+    boundary_after = {n: tuple(boundary)}
+    for step in range(n, 2, -1):
+        pick = None
+        for j in range(1, len(boundary) - 1):
+            v = boundary[j]
+            chord = any(u in on_boundary and u != boundary[j - 1]
+                        and u != boundary[j + 1] for u in adj[v])
+            if not chord and (pick is None or v < boundary[pick]):
+                pick = j
+        v = boundary[pick]
+        left, right = boundary[pick - 1], boundary[pick + 1]
+        ring = [u for u in t.rot[v] if alive[u]]
+        k = ring.index(left)
+        fan = ring[k:] + ring[:k]
+        assert fan[-1] == right
+        order[step - 1] = v
+        attach[v] = tuple(fan)
+        alive[v] = False
+        on_boundary.discard(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        boundary[pick:pick + 1] = fan[1:-1]
+        on_boundary.update(fan[1:-1])
+        boundary_after[step - 1] = tuple(boundary)
+    return tuple(order), attach, boundary_after
+
+
+def reference_reach(cs):
+    """Descendant bitmasks of the frame, from a Kahn topological order."""
+    n = cs.graph.n
+    succ = {v: [] for v in range(n)}
+    indeg = [0] * n
+    for a, b in cs.frame_edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    topo = [v for v in range(n) if indeg[v] == 0]
+    for u in topo:
+        for w in succ[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                topo.append(w)
+    assert len(topo) == n
+    reach = {v: 1 << v for v in range(n)}
+    for u in reversed(topo):
+        for w in succ[u]:
+            reach[u] |= reach[w]
+
+    def precedes(a, b):
+        return a != b and bool(reach[a] >> b & 1)
+    return topo, precedes
+
+
+def reference_mirsky_layers(topo, precedes, xs):
+    in_x = set(xs)
+    layer = {}
+    for v in topo:
+        if v in in_x:
+            layer[v] = 1 + max((layer[u] for u in layer if precedes(u, v)),
+                               default=0)
+    return layer
+
+
+def reference_frame_path(cs, precedes, a, b):
+    path = [a]
+    while a != b:
+        a = min(w for a0, w in cs.frame_edges
+                if a0 == a and (w == b or precedes(w, b)))
+        path.append(a)
+    return path
+
+
+def reference_chain_or_antichain(cs, topo, precedes, xs, force=None):
+    """The dichotomy on all-pairs layers and an all-pairs maximalization."""
+    xs = sorted(set(xs))
+    layer = reference_mirsky_layers(topo, precedes, xs)
+    depth = max(layer.values())
+    kind = force or ("chain" if depth * depth >= 2 * len(xs)
+                     else "antichain")
+    if kind == "chain":
+        chain, cur = [], None
+        for d in range(depth, 0, -1):
+            cur = min(u for u in xs if layer[u] == d
+                      and (cur is None or precedes(u, cur)))
+            chain.append(cur)
+        stops = [cs.v1] + [v for v in reversed(chain)
+                           if v not in (cs.v1, cs.v2)] + [cs.v2]
+        path = [cs.v1]
+        for a, b in zip(stops, stops[1:]):
+            path.extend(reference_frame_path(cs, precedes, a, b)[1:])
+        return "chain", tuple(path)
+    best = max(range(1, depth + 1),
+               key=lambda d: (sum(1 for v in xs if layer[v] == d), -d))
+    anti = {v for v in xs if layer[v] == best}
+    for v in range(cs.graph.n):
+        if v not in anti and all(not precedes(v, u) and not precedes(u, v)
+                                 for u in anti):
+            anti.add(v)
+    pos = {v: i for i, v in enumerate(cs.order)}
+    ordered = tuple(sorted(anti, key=lambda v: pos[v]))
+    if ordered[-1] != cs.vn:
+        raise AntichainTooShort("maximal antichains must end at the apex")
+    return "antichain", ordered
+
+
+def reference_greedy(n, chords):
+    adj = {v: set() for v in range(n)}
+    for u, v in chords:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    counts = {0: 0, 1: 0, 2: 0}
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        counts[min(len(adj[v] & alive), 2)] += 1
+        chosen.append(v)
+        alive -= {v} | adj[v]
+    return chosen, counts
+
+
+def reference_inside(t, cycle):
+    """Faces and edges strictly inside a prefix boundary, by flooding."""
+    sides = cycle_sides(t, cycle)
+    label = "left" if t.outer_face in sides.faces_right else "right"
+    faces = sides.faces_left if label == "left" else sides.faces_right
+    return set(faces), {e for e, s in sides.edge_side.items() if s == label}
+
+
+def reference_lis_lds(vals):
+    n = len(vals)
+
+    def longest(cmp):
+        best, prev = [1] * n, [-1] * n
+        for i in range(n):
+            for j in range(i):
+                if cmp(vals[j], vals[i]) and best[j] + 1 > best[i]:
+                    best[i], prev[i] = best[j] + 1, j
+        end = max(range(n), key=lambda i: (best[i], -i))
+        out = []
+        while end != -1:
+            out.append(end)
+            end = prev[end]
+        return out[::-1]
+
+    inc = longest(lambda a, b: a < b)
+    dec = longest(lambda a, b: a > b)
+    return (inc, "increasing") if len(inc) >= len(dec) else (dec, "decreasing")
+
+
+# ---------------------------------------------------------------------------
+# Corpus
+# ---------------------------------------------------------------------------
+
+CORPUS = {
+    "triangulation": [(4, 1), (12, 2), (40, 3), (90, 4), (160, 5)],
+    "grid": [(2, 3), (4, 5), (7, 7), (9, 12)],
+    "outerplanar": [(5, 1), (17, 2), (60, 3), (150, 4)],
+    "thinned": [(20, 1), (60, 2), (120, 3), (180, 4)],
+}
+FAMILIES = {
+    "triangulation": random_triangulation,
+    "grid": grid,
+    "outerplanar": maximal_outerplanar,
+    "thinned": thinned_triangulation,
+}
+CASES = [(f, a) for f, args in CORPUS.items() for a in args]
+IDS = [f"{f}{a}" for f, a in CASES]
+
+
+def structure(family, args):
+    t, _ = triangulate(FAMILIES[family](*args))
+    return t, canonical_order(t)
+
+
+def target_sets(n, seed):
+    """The full vertex set and seeded random subsets of several sizes."""
+    rng = random.Random(seed)
+    sizes = sorted({1, 2, 3, max(1, n // 10), n // 3, n // 2} - {0})
+    return [list(range(n))] + [rng.sample(range(n), k) for k in sizes]
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,args", CASES, ids=IDS)
+def test_canonical_order_matches_boundary_rescan(family, args):
+    t, cs = structure(family, args)
+    order, attach, boundary_after = reference_canonical_order(
+        t, cs.v1, cs.v2, cs.vn)
+    assert cs.order == order
+    assert cs.attach == attach
+    assert prefix_boundaries(cs) == boundary_after
+
+
+@pytest.mark.parametrize("family,args", CASES, ids=IDS)
+def test_precedes_matches_bitmasks(family, args):
+    t, cs = structure(family, args)
+    _, precedes = reference_reach(cs)
+    n = t.n
+    assert [[cs.precedes(a, b) for b in range(n)] for a in range(n)] == \
+        [[precedes(a, b) for b in range(n)] for a in range(n)]
+    for v in range(n):
+        assert cs.frame_successors(v) == \
+            sorted(b for a, b in cs.frame_edges if a == v)
+
+
+@pytest.mark.parametrize("family,args", CASES, ids=IDS)
+def test_dichotomy_matches_all_pairs(family, args):
+    t, cs = structure(family, args)
+    topo, precedes = reference_reach(cs)
+    for xs in target_sets(t.n, t.n):
+        xs = sorted(xs)
+        layer = canonical.patience_layers(
+            [(cs.left_rank[v], cs.right_rank[v]) for v in xs])
+        assert dict(zip(xs, layer)) == \
+            reference_mirsky_layers(topo, precedes, xs)
+        for force in (None, "chain", "antichain"):
+            try:
+                want = reference_chain_or_antichain(cs, topo, precedes, xs,
+                                                    force)
+            except AntichainTooShort:
+                with pytest.raises(AntichainTooShort):
+                    chain_or_antichain(cs, xs, force=force)
+                continue
+            assert chain_or_antichain(cs, xs, force=force) == want
+
+
+@pytest.mark.parametrize("family,args", CASES, ids=IDS)
+def test_crescents_match_cycle_floods(family, args):
+    t, cs = structure(family, args)
+    pos = {v: i for i, v in enumerate(cs.order)}
+    boundaries = prefix_boundaries(cs)
+    for xs in target_sets(t.n, t.n + 1):
+        try:
+            _, ys = chain_or_antichain(cs, xs, force="antichain")
+        except AntichainTooShort:
+            continue
+        faces, edges = _crescents(t, pos, list(ys))
+        prev_faces, prev_edges, prev_cycle = set(), set(), []
+        for j, y in enumerate(ys):
+            cycle = list(boundaries[pos[y] + 1])
+            faces_in, edges_in = reference_inside(t, cycle)
+            cycle_edges = {norm_edge(a, b)
+                           for a, b in zip(prev_cycle,
+                                           prev_cycle[1:] + prev_cycle[:1])}
+            assert faces[j] == faces_in - prev_faces
+            assert edges[j] == edges_in - prev_edges - cycle_edges
+            prev_faces, prev_edges, prev_cycle = faces_in, edges_in, cycle
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 20, 61, 150])
+@pytest.mark.parametrize("seed", range(5))
+def test_greedy_matches_min_scan(k, seed):
+    rng = random.Random(seed)
+    g = maximal_outerplanar(k, seed)
+    chords = {e for e in g.edges
+              if (e[1] - e[0]) % k not in (1, k - 1) and rng.random() < 0.6}
+    for cs in (chords, _fill_polygon_chords(k, set(chords))):
+        assert _independent_greedy_on_chords(k, cs) == \
+            reference_greedy(k, cs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 300])
+@pytest.mark.parametrize("seed", range(6))
+def test_lis_lds_matches_quadratic_dp(n, seed):
+    rng = random.Random(seed)
+    for vals in (rng.sample(range(-5 * n, 5 * n), n), sorted(range(n)),
+                 sorted(range(n), reverse=True)):
+        assert lis_lds(vals) == reference_lis_lds(vals)
+
+
+def test_antichain_makes_no_cycle_floods(monkeypatch):
+    t, cs = structure("outerplanar", (400, 1))
+    kind, ys = chain_or_antichain(cs, range(t.n))
+    assert kind == "antichain"
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return cycle_sides(*args)
+
+    monkeypatch.setattr(extractors, "cycle_sides", counting)
+    fs = antichain_freeset(t, cs, ys)
+    assert len(fs.order) == len(ys)
+    assert calls[0] == 0  # one flood per antichain vertex made 200
+
+
+def test_dichotomy_precedes_calls_are_linear(monkeypatch):
+    n = 2000
+    t, cs = structure("triangulation", (n, 1))
+    calls = [0]
+    precedes = CanonicalStructure.precedes
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return precedes(self, a, b)
+
+    monkeypatch.setattr(CanonicalStructure, "precedes", counting)
+    for force in ("chain", "antichain"):
+        calls[0] = 0
+        chain_or_antichain(cs, range(n), force=force)
+        assert calls[0] <= 4 * n
+
+
+def test_three_thousand_vertices():
+    n = 3000
+    g = random_triangulation(n, 1)
+    fs = planar_freeset(g)
+    assert len(fs.order) >= antichain_bound(n)
+    assert validate_curve(g, fs.certificate) is None

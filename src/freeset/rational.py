@@ -8,11 +8,16 @@ under independent positive scaling of the axes).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
 
 from .errors import SingularSystem
 
 Point = tuple[Fraction, Fraction]
+
+# moduli of the factorization, tried in turn (Mersenne primes).  A pivot
+# vanishes modulo one of them only when it divides a leading minor.
+_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1, 2 ** 127 - 1)
 
 
 def orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
@@ -28,70 +33,165 @@ def integer_grid(points: list[Point]) -> list[tuple[int, int]]:
     for x, y in points:
         lx = lx * x.denominator // gcd(lx, x.denominator)
         ly = ly * y.denominator // gcd(ly, y.denominator)
-    return [(int(x * lx), int(y * ly)) for x, y in points]
+    return [(x.numerator * (lx // x.denominator),
+             y.numerator * (ly // y.denominator)) for x, y in points]
 
 
 class FractionFreeSolver:
-    """One-step fraction-free Gauss-Jordan over the integers.
+    """Exact solver for a sparse symmetric positive definite integer matrix.
 
-    Factors an integer matrix once; each later right-hand side is reduced
-    with integer operations only and divided by the determinant at the end.
-    Exact divisibility is asserted at every step, so a wrong pivot history
-    can never produce silently wrong results.
+    ``rows[i]`` maps each column j to the entry (i, j), or lists the row
+    densely, and ``len(rows)`` is the dimension.  The constructor factors
+    A = L D Lᵀ modulo a prime p, eliminating in greedy minimum-degree order,
+    so the Laplacians of planar graphs fill little (George & Liu 1981);
+    ``off_diagonal`` counts the entries of L below the diagonal.  A positive
+    definite matrix needs no pivoting over Q: a pivot that vanishes mod p
+    only means that p divides a leading minor, and the next prime is tried.
+    A zero pivot under every prime raises SingularSystem.
+
+    ``solve`` lifts the solution p-adically (Dixon 1982): each step solves
+    A c = r (mod p) with the factor and divides the exact residual r - A c
+    by p.  Rational reconstruction over one growing common denominator reads
+    the solution back, and it is returned only when A x = b holds exactly.
+    A residual that p does not divide raises ArithmeticError, so a wrong
+    factor can never give a wrong answer.
     """
 
-    def __init__(self, rows: list[list[int]]):
+    def __init__(self, rows: list):
         n = len(rows)
-        m = [list(map(int, r)) for r in rows]
-        if any(len(r) != n for r in m):
-            raise ValueError("matrix must be square")
-        self.n = n
-        steps = []
-        prev = 1
-        for k in range(n):
-            piv_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if piv_row is None:
-                raise SingularSystem(f"no pivot in column {k}")
-            if piv_row != k:
-                m[k], m[piv_row] = m[piv_row], m[k]
-            pivot = m[k][k]
-            col = [m[i][k] for i in range(n)]
-            for i in range(n):
-                if i == k:
-                    continue
-                fi = col[i]
-                if fi == 0 and pivot == prev:
-                    continue
-                row_i, row_k = m[i], m[k]
-                for j in range(k + 1, n):
-                    num = pivot * row_i[j] - fi * row_k[j]
-                    q, r = divmod(num, prev)
-                    if r:
-                        raise ArithmeticError("fraction-free step not integral")
-                    row_i[j] = q
-                row_i[k] = 0
-            steps.append((piv_row, pivot, prev, col))
-            prev = pivot
-        self.det = prev
+        entries = [{j: int(a) for j, a in
+                    (r.items() if isinstance(r, dict) else enumerate(r)) if a}
+                   for r in rows]
+        for i, r in enumerate(entries):
+            for j, a in r.items():
+                if not 0 <= j < n or entries[j].get(i) != a:
+                    raise ValueError("matrix must be square and symmetric")
+        self.rows = [sorted(r.items()) for r in entries]
+        for p in _PRIMES:
+            steps = _ldl_mod(entries, p)
+            if steps is not None:
+                break
+        else:
+            raise SingularSystem(
+                f"zero pivot modulo every prime in a {n}-row system")
+        self.p = p
         self.steps = steps
+        self.off_diagonal = sum(len(col) for _, _, col in steps)
+        # Hadamard bound on |det A|, in bits
+        self._det_bits = sum((sum(a * a for _, a in r).bit_length() + 1) // 2
+                             for r in self.rows)
+
+    def _solve_mod(self, r: list[int]) -> list[int]:
+        """The solution of A c = r modulo p."""
+        p = self.p
+        y = list(r)
+        for v, inv, col in self.steps:
+            yv = y[v] % p
+            y[v] = yv * inv
+            if yv:
+                for u, lu in col:
+                    y[u] -= lu * yv
+        for v, _, col in reversed(self.steps):
+            y[v] = (y[v] - sum(lu * y[u] for u, lu in col)) % p
+        return y
+
+    def _exact(self, sol: list[tuple[int, int]], b: list[int]) -> bool:
+        """Whether the numerator/denominator pairs ``sol`` solve A x = b."""
+        den = lcm(*(d for _, d in sol))
+        num = [x * (den // d) for x, d in sol]
+        return all(sum(a * num[j] for j, a in row) == den * bi
+                   for row, bi in zip(self.rows, b))
 
     def solve(self, rhs: list[Fraction]) -> list[Fraction]:
-        n = self.n
-        scale = 1
-        for v in rhs:
-            d = Fraction(v).denominator
-            scale = scale * d // gcd(scale, d)
-        b = [int(Fraction(v) * scale) for v in rhs]
-        for k, (piv_row, pivot, prev, col) in enumerate(self.steps):
-            if piv_row != k:
-                b[k], b[piv_row] = b[piv_row], b[k]
-            bk = b[k]
-            for i in range(n):
-                if i == k:
-                    continue
-                num = pivot * b[i] - col[i] * bk
-                q, r = divmod(num, prev)
-                if r:
-                    raise ArithmeticError("fraction-free rhs step not integral")
-                b[i] = q
-        return [Fraction(bi, self.det * scale) for bi in b]
+        n = len(self.rows)
+        if len(rhs) != n:
+            raise ValueError(f"need {n} right-hand side entries")
+        rhs = [Fraction(v) for v in rhs]
+        scale = lcm(*(v.denominator for v in rhs))
+        b = [v.numerator * (scale // v.denominator) for v in rhs]
+        # Cramer's rule bounds every numerator and the common denominator;
+        # residues modulo m > 2 * bound**2 determine them
+        b_bits = (sum(x * x for x in b).bit_length() + 1) // 2
+        bound_bits = self._det_bits + b_bits
+        p = self.p
+        r = b
+        acc = [0] * n
+        m = 1
+        while True:
+            c = self._solve_mod(r)
+            nxt = []
+            for ri, row in zip(r, self.rows):
+                q, rem = divmod(ri - sum(a * c[j] for j, a in row), p)
+                if rem:
+                    raise ArithmeticError("p-adic lifting step is not exact")
+                nxt.append(q)
+            r = nxt
+            acc = [x + m * ci for x, ci in zip(acc, c)]
+            m *= p
+            sol = _reconstruct(acc, m)
+            if sol is not None and self._exact(sol, b):
+                return [Fraction(x, d * scale) for x, d in sol]
+            if m.bit_length() > 2 * bound_bits + 2:
+                raise ArithmeticError("no exact solution within the "
+                                      "Hadamard bound")
+
+
+def _ldl_mod(entries: list[dict[int, int]], p: int) -> list | None:
+    """Steps (pivot, 1/d, [(row, l)]) of A = L D Lᵀ modulo p in greedy
+    minimum-degree order (ties to the smaller index), or None when a pivot
+    vanishes.  The order depends only on the nonzero pattern."""
+    a = [{j: x % p for j, x in r.items()} for r in entries]
+    heap = [(len(r), v) for v, r in enumerate(a)]
+    heapify(heap)
+    done = [False] * len(a)
+    steps = []
+    while heap:
+        size, v = heappop(heap)
+        row = a[v]
+        if done[v] or size != len(row):
+            continue
+        done[v] = True
+        d = row.pop(v, 0)
+        if d == 0:
+            return None
+        inv = pow(d, -1, p)
+        nbrs = list(row.items())
+        col = []
+        for u, au in nbrs:
+            ru = a[u]
+            del ru[v]
+            lu = au * inv % p
+            col.append((u, lu))
+            for w, aw in nbrs:
+                ru[w] = (ru.get(w, 0) - lu * aw) % p
+            heappush(heap, (len(ru), u))
+        steps.append((v, inv, col))
+    return steps
+
+
+def _reconstruct(residues: list[int], m: int) -> list[tuple[int, int]] | None:
+    """Pairs (x, d) with x/d = residue (mod m), |x| and d at most √(m/2),
+    all denominators dividing one that grows as needed; None when some
+    residue has no such pair."""
+    bound = isqrt(m >> 1)
+    den = 1
+    out = []
+    for res in residues:
+        y = res * den % m
+        if y > m - y:
+            y -= m
+        if abs(y) <= bound:
+            out.append((y, den))
+            continue
+        # Wang's half extended Euclid on (m, y)
+        r0, r1, s0, s1 = m, y % m, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 == 0 or s1 * den > bound:
+            return None
+        den *= s1
+        out.append((r1, den))
+    return out

@@ -3,7 +3,8 @@
 The pipeline follows the constructive side of the proper-good/free
 equivalence: subdivide the crossed edges, split the graph along the curve,
 draw each side in a half-plane with the curve vertices on the x-axis
-(Tutte systems on an augmented graph, certified by exact verification),
+(Tutte systems on an augmented graph, solved exactly by a sparse LDLᵀ
+factor modulo a prime and p-adic lifting, certified by exact verification),
 then perturb the free vertices off the axis and rescale to hit arbitrary
 targets.  Every returned drawing has passed the exact crossing-free check,
 and each public entry point runs that check once on the drawing it returns
@@ -268,23 +269,26 @@ def _degenerate(stage: str, violation: DrawingViolation,
 # ---------------------------------------------------------------------------
 
 class _Barycentric:
-    """Weighted Laplacian of the non-fixed vertices of a graph, factored
-    once; ``positions`` solves it exactly for given fixed positions."""
+    """Weighted Laplacian of the non-fixed vertices of a graph, as sparse
+    rows, factored once; ``positions`` solves it exactly for given fixed
+    positions."""
 
     def __init__(self, g: EmbeddedGraph, fixed, weights: dict):
         self.interior = [v for v in range(g.n) if v not in fixed]
         index = {v: i for i, v in enumerate(self.interior)}
-        rows = [[0] * len(self.interior) for _ in self.interior]
+        rows = []
         self.fixed_nbrs = []  # per interior vertex: (fixed neighbor, weight)
         for i, v in enumerate(self.interior):
+            row = {i: 0}
             fx = []
             for u in g.rot[v]:
                 wt = weights[norm_edge(u, v)]
-                rows[i][i] += wt
+                row[i] += wt
                 if u in fixed:
                     fx.append((u, wt))
                 else:
-                    rows[i][index[u]] -= wt
+                    row[index[u]] = row.get(index[u], 0) - wt
+            rows.append(row)
             self.fixed_nbrs.append(fx)
         self.solver = FractionFreeSolver(rows)
 
@@ -322,6 +326,8 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     positions = [(F(x), F(y)) for x, y in boundary_positions]
     if len(cycle) != len(positions):
         raise SizeMismatch("one position per boundary vertex")
+    if len(cycle) < 3:
+        raise SizeMismatch("the boundary cycle needs at least three vertices")
     if len(set(cycle)) != len(cycle):
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
@@ -355,11 +361,12 @@ def _insert_edge_at_corners(rot: list[list[int]], g: EmbeddedGraph,
 class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
-    Holds the apex/helper augmentation and the exact interior system,
-    factored once for the base weights, so repeated solves with different
-    axis positions stay cheap.  ``solve`` only solves; the caller verifies
-    the drawing it assembles and, if that fails, solves again with the next
-    attempt's randomized weights (a fresh factorization each time).
+    Holds the apex/helper augmentation and the interior system, factored
+    once for the base weights (sparse LDLᵀ modulo a prime, in minimum-degree
+    order), so a solve for new axis positions is only p-adic lifting with
+    that factor.  ``solve`` only solves; the caller verifies the drawing it
+    assembles and, if that fails, solves again with the next attempt's
+    randomized weights (a fresh factorization each time).
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
@@ -454,25 +461,32 @@ class _HalfPlane:
         fixed = yset | {self.apex}
 
         def choose(target: list[int], edges: set) -> tuple[int, int] | None:
+            """The first walk positions (i, j), in row-major order, of a
+            chord from a fixed to a non-fixed vertex, else of one between
+            two non-fixed vertices.  A chord between two fixed vertices adds
+            no pull, and on the axis it would seal a flat pocket."""
             k = len(target)
+            is_fixed = [v in fixed for v in target]
+            pinned = [i for i in range(k) if is_fixed[i]]
+            loose = [i for i in range(k) if not is_fixed[i]]
 
-            def valid(i: int, j: int, want_fixed: bool) -> bool:
-                a, b = target[i], target[j]
-                if a == b or (j - i) % k in (0, 1, k - 1):
-                    return False
-                if a in fixed and b in fixed:
-                    # a chord between two fixed vertices adds no pull, and
-                    # on the axis it would seal a flat pocket
-                    return False
-                if want_fixed and a not in fixed and b not in fixed:
-                    return False
-                return norm_edge(a, b) not in edges
+            def first(i: int, candidates: list[int]) -> int | None:
+                a = target[i]
+                for j in candidates:
+                    b = target[j]
+                    if a != b and (j - i) % k not in (0, 1, k - 1) \
+                            and norm_edge(a, b) not in edges:
+                        return j
+                return None
 
-            for want_fixed in (True, False):
-                for i in range(k):
-                    for j in range(k):
-                        if valid(i, j, want_fixed):
-                            return (i, j)
+            for i in range(k):
+                j = first(i, loose if is_fixed[i] else pinned)
+                if j is not None:
+                    return (i, j)
+            for i in loose:
+                j = first(i, loose)
+                if j is not None:
+                    return (i, j)
             return None  # face already saturated for our purposes
 
         rot, added = insert_chords(aug, choose)

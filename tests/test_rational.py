@@ -1,0 +1,246 @@
+"""The exact sparse solver against the dense fraction-free reference.
+
+``DenseReference`` is the one-step fraction-free Gauss-Jordan elimination
+the solver replaced.  Both solve the same half-plane and Tutte systems,
+with seeded rational right-hand sides; the solutions are unique, so they
+must be identical.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+from math import ceil, gcd, log2
+
+import pytest
+
+from freeset import realize
+from freeset.errors import SingularSystem
+from freeset.extractors import planar_freeset
+from freeset.generators import (
+    goldner_harary,
+    grid,
+    octahedron,
+    random_triangulation,
+)
+from freeset.rational import FractionFreeSolver
+from freeset.realize import (
+    _attempt_weights,
+    _Barycentric,
+    _collinear_system,
+    free_realize,
+)
+
+from conftest import thinned_triangulation
+from test_realize import HALFPLANE_CORPUS, halfplanes
+
+
+class DenseReference:
+    """One-step fraction-free Gauss-Jordan over the integers.
+
+    Factors a dense integer matrix once; each right-hand side is reduced with
+    integer operations only and divided by the determinant at the end, and
+    every division is checked to be exact.
+    """
+
+    def __init__(self, rows: list[list[int]]):
+        n = len(rows)
+        m = [list(map(int, r)) for r in rows]
+        self.n = n
+        steps = []
+        prev = 1
+        for k in range(n):
+            piv_row = next((r for r in range(k, n) if m[r][k] != 0), None)
+            if piv_row is None:
+                raise SingularSystem(f"no pivot in column {k}")
+            if piv_row != k:
+                m[k], m[piv_row] = m[piv_row], m[k]
+            pivot = m[k][k]
+            col = [m[i][k] for i in range(n)]
+            for i in range(n):
+                if i == k:
+                    continue
+                fi = col[i]
+                if fi == 0 and pivot == prev:
+                    continue
+                row_i, row_k = m[i], m[k]
+                for j in range(k + 1, n):
+                    q, r = divmod(pivot * row_i[j] - fi * row_k[j], prev)
+                    if r:
+                        raise ArithmeticError("fraction-free step not integral")
+                    row_i[j] = q
+                row_i[k] = 0
+            steps.append((piv_row, pivot, prev, col))
+            prev = pivot
+        self.det = prev
+        self.steps = steps
+
+    def solve(self, rhs: list[F]) -> list[F]:
+        n = self.n
+        scale = 1
+        for v in rhs:
+            d = F(v).denominator
+            scale = scale * d // gcd(scale, d)
+        b = [int(F(v) * scale) for v in rhs]
+        for k, (piv_row, pivot, prev, col) in enumerate(self.steps):
+            if piv_row != k:
+                b[k], b[piv_row] = b[piv_row], b[k]
+            bk = b[k]
+            for i in range(n):
+                if i == k:
+                    continue
+                q, r = divmod(pivot * b[i] - col[i] * bk, prev)
+                if r:
+                    raise ArithmeticError("fraction-free rhs step not integral")
+                b[i] = q
+        return [F(bi, self.det * scale) for bi in b]
+
+
+def dense(rows: list[dict]) -> list[list[int]]:
+    return [[r.get(j, 0) for j in range(len(rows))] for r in rows]
+
+
+def rational_rhs(k: int, rng: random.Random) -> list[F]:
+    return [F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+            for _ in range(k)]
+
+
+def barycentric_rows(g, fixed, weights, monkeypatch) -> list[dict]:
+    """The sparse rows ``_Barycentric`` hands to the solver."""
+    seen = []
+
+    class Recording(FractionFreeSolver):
+        def __init__(self, rows):
+            seen.append(rows)
+            super().__init__(rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(realize, "FractionFreeSolver", Recording)
+        _Barycentric(g, fixed, weights)
+    return seen[0]
+
+
+def halfplane_systems(make, args, monkeypatch):
+    """Rows of each half-plane system of ``make(*args)``: base weights and
+    the randomized-weight draws of later attempts."""
+    for hp in halfplanes(make(*args)):
+        fixed = set(hp.y) | {hp.apex}
+        for attempt in range(realize._ATTEMPTS):
+            weights = _attempt_weights(hp.base_weights, 0xA11CE, attempt)
+            yield barycentric_rows(hp.aug, fixed, weights, monkeypatch)
+
+
+TUTTE_CORPUS = [
+    (octahedron, ()), (goldner_harary, ()), (random_triangulation, (30, 1)),
+    (random_triangulation, (60, 2)), (grid, (6, 6)),
+    (thinned_triangulation, (40, 3)),
+]
+
+
+def tutte_systems(make, args, monkeypatch):
+    """Rows of the ``tutte_solve`` systems of ``make(*args)`` with its outer
+    face fixed, for each attempt's weights."""
+    g = make(*args)
+    fixed = {u for u, _ in g.faces[g.outer_face].walk}
+    for attempt in range(realize._ATTEMPTS):
+        weights = _attempt_weights({e: 1 for e in g.edges}, 0x5EED, attempt)
+        yield barycentric_rows(g, fixed, weights, monkeypatch)
+
+
+def assert_matches_reference(rows, seed: int) -> None:
+    solver = FractionFreeSolver(rows)
+    ref = DenseReference(dense(rows))
+    rng = random.Random(seed)
+    for _ in range(2):
+        rhs = rational_rhs(len(rows), rng)
+        assert solver.solve(rhs) == ref.solve(rhs)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_halfplane_systems(self, make, args, monkeypatch):
+        for i, rows in enumerate(halfplane_systems(make, args, monkeypatch)):
+            assert_matches_reference(rows, i)
+
+    @pytest.mark.parametrize(
+        "make,args", TUTTE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in TUTTE_CORPUS])
+    def test_tutte_systems(self, make, args, monkeypatch):
+        for i, rows in enumerate(tutte_systems(make, args, monkeypatch)):
+            assert_matches_reference(rows, i)
+
+    def test_pivot_vanishing_modulo_first_prime(self):
+        # the first pivot is 2^61 - 1, zero modulo the first prime
+        p = 2 ** 61 - 1
+        rows = [{0: p, 1: 1}, {0: 1, 1: 2, 2: -1}, {1: -1, 2: 3}]
+        solver = FractionFreeSolver(rows)
+        assert solver.p != p
+        rhs = [F(1, 3), F(-7), F(5, 2)]
+        assert solver.solve(rhs) == DenseReference(dense(rows)).solve(rhs)
+
+    def test_integer_and_zero_right_hand_sides(self):
+        rows = [{0: 2, 1: -1}, {0: -1, 1: 2}]
+        solver = FractionFreeSolver(rows)
+        assert solver.solve([1, 1]) == [1, 1]
+        assert solver.solve([0, 0]) == [0, 0]
+
+
+class TestFailures:
+    def test_singular(self):
+        with pytest.raises(SingularSystem):
+            FractionFreeSolver([[1, -1], [-1, 1]])
+
+    def test_not_symmetric(self):
+        with pytest.raises(ValueError):
+            FractionFreeSolver([[2, 1], [0, 2]])
+
+    @pytest.mark.parametrize("entry", ["pivot", "off-diagonal"])
+    def test_corrupted_factor_raises(self, entry, monkeypatch):
+        rows = next(halfplane_systems(grid, (7, 7), monkeypatch))
+        solver = FractionFreeSolver(rows)
+        p = solver.p
+        i, (v, inv, col) = next((i, s) for i, s in enumerate(solver.steps)
+                                if s[2])
+        if entry == "pivot":
+            solver.steps[i] = (v, inv * 2 % p, col)
+        else:
+            u, lu = col[0]
+            col[0] = (u, (lu + 1) % p)
+        with pytest.raises(ArithmeticError):
+            solver.solve(rational_rhs(len(rows), random.Random(1)))
+
+
+class TestScale:
+    @pytest.mark.parametrize("make,args", [(grid, (30, 30)),
+                                           (random_triangulation, (800, 2))])
+    def test_factor_fill(self, make, args):
+        g = make(*args)
+        sysm = _collinear_system(g, planar_freeset(g).certificate)
+        for which in ("inside", "outside"):
+            solver = sysm.halves[which][0]._base.solver
+            k = len(solver.rows)
+            # a dense factor has k(k-1)/2 entries below the diagonal
+            assert solver.off_diagonal <= 4 * k * ceil(log2(max(k, 2)))
+
+    def test_cold_free_realize(self, monkeypatch):
+        g = random_triangulation(800, 2)
+        fs = planar_freeset(g)
+        rng = random.Random(5)
+        pts: set = set()
+        while len(pts) < len(fs.order):
+            pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        calls = []
+        verify = realize.verify_drawing
+
+        def counting(*args):
+            calls.append(1)
+            return verify(*args)
+
+        monkeypatch.setattr(realize, "verify_drawing", counting)
+        _collinear_system.cache_clear()
+        d = free_realize(g, fs, sorted(pts))
+        assert d.verified and len(calls) == 1
+        assert verify(g, d) is None

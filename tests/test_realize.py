@@ -151,6 +151,15 @@ class TestTutte:
             assert pos[v][0] * len(nbrs) == sum(pos[u][0] for u in nbrs)
             assert pos[v][1] * len(nbrs) == sum(pos[u][1] for u in nbrs)
 
+    @pytest.mark.parametrize("cycle,positions", [([], []), ([0], [(0, 0)])])
+    def test_short_boundary_rejected_before_factoring(
+            self, k4, cycle, positions, monkeypatch):
+        factored = []
+        monkeypatch.setattr(realize, "FractionFreeSolver", factored.append)
+        with pytest.raises(SizeMismatch):
+            tutte_solve(k4, cycle, positions)
+        assert factored == []
+
     def test_nonconvex_boundary_degenerates(self, octa):
         outer = [u for u, _ in octa.faces[octa.outer_face].walk]
         other = [v for v in range(6) if v not in outer]

@@ -8,13 +8,13 @@ factor modulo a prime and p-adic lifting, certified by exact verification),
 then perturb the free vertices off the axis and rescale to hit arbitrary
 targets.  Every returned drawing has passed the exact crossing-free check,
 and each public entry point runs that check once on the drawing it returns
-(plus once per retry or epsilon halving); intermediate drawings are only
-checked when a later check fails.
+(plus once per epsilon halving); intermediate drawings are only checked
+when a later check fails.  Each system is solved once: a drawing that fails
+its check raises DegenerateOutput naming the stage and the violation.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -31,9 +31,11 @@ from .curves import (
 from .embedding import (
     EmbeddedGraph,
     Edge,
+    Face,
     _rebuild,
     build_embedded,
     insert_chords,
+    midpoint_of,
     norm_edge,
     subdivide,
 )
@@ -253,15 +255,8 @@ def checked_drawing(g: EmbeddedGraph, d: PolyDrawing) -> PolyDrawing:
     return replace(d, verified=True)
 
 
-# solve attempts: the plain weights, then randomized positive weights
-_ATTEMPTS = 3
-
-
-def _degenerate(stage: str, violation: DrawingViolation,
-                attempt: int | None = None) -> DegenerateOutput:
-    where = "" if attempt is None else f" on attempt {attempt + 1} of {_ATTEMPTS}"
-    return DegenerateOutput(
-        f"{stage} drawing failed verification{where}: {violation}")
+def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
+    return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +298,12 @@ class _Barycentric:
         return pos
 
 
-def _attempt_weights(base: dict, seed: int, attempt: int) -> dict:
-    """Edge weights of one solve attempt: ``base`` first, then randomized
-    positive weights, the attempt-th draw from a fixed seed."""
-    rng = random.Random(seed)
-    weights = base
-    for _ in range(attempt):
-        weights = {e: rng.randint(1, 16) for e in base}
-    return weights
-
-
 def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     """Barycentric drawing with a fixed boundary polygon.
 
-    Every system is solved exactly over the rationals.  Each solve is
-    checked by the exact crossing-free verification; a failed one is
-    retried with randomized positive weights, up to ``_ATTEMPTS`` solves in
-    all, and the last failure raises DegenerateOutput naming the stage, the
-    attempt and the violation.
+    The system, with unit edge weights, is solved once exactly over the
+    rationals and checked once by the exact crossing-free verification; a
+    failed check raises DegenerateOutput naming the stage and the violation.
     """
     cycle = list(boundary_cycle)
     positions = [(F(x), F(y)) for x, y in boundary_positions]
@@ -332,15 +315,12 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
 
-    base = {e: 1 for e in h.edges}
-    for attempt in range(_ATTEMPTS):
-        weights = _attempt_weights(base, 0x5EED, attempt)
-        pos = _Barycentric(h, fixed, weights).positions(fixed)
-        d = PolyDrawing(graph=h, pos=pos, provenance="tutte")
-        violation = verify_drawing(h, d)
-        if violation is None:
-            return pos
-    raise _degenerate("tutte", violation, attempt)
+    pos = _Barycentric(h, fixed, {e: 1 for e in h.edges}).positions(fixed)
+    violation = verify_drawing(h, PolyDrawing(graph=h, pos=pos,
+                                              provenance="tutte"))
+    if violation is not None:
+        raise _degenerate("tutte", violation)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +342,9 @@ class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
     Holds the apex/helper augmentation and the interior system, factored
-    once for the base weights (sparse LDLᵀ modulo a prime, in minimum-degree
-    order), so a solve for new axis positions is only p-adic lifting with
-    that factor.  ``solve`` only solves; the caller verifies the drawing it
-    assembles and, if that fails, solves again with the next attempt's
-    randomized weights (a fresh factorization each time).
+    once (sparse LDLᵀ modulo a prime, in minimum-degree order), so a solve
+    for new axis positions is only p-adic lifting with that factor.
+    ``solve`` only solves; the caller verifies the drawing it assembles.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
@@ -524,9 +502,9 @@ class _HalfPlane:
                 stack.append(u)
         return sorted(v for v in interior if v not in free)
 
-    def solve(self, xs: list[Fraction], side: str, attempt: int = 0) -> dict:
+    def solve(self, xs: list[Fraction], side: str) -> dict:
         """Unverified positions for the original half graph, axis at the
-        given x's, solved with the weights of the given attempt."""
+        given x's."""
         if len(xs) != len(self.y):
             raise SizeMismatch("one x position per axis vertex")
         span = xs[-1] - xs[0]
@@ -534,11 +512,7 @@ class _HalfPlane:
         fixed = {v: (x, F(0)) for v, x in zip(self.y, xs)}
         fixed[self.apex] = ((xs[0] + xs[-1]) / 2, b)
 
-        system = self._base
-        if attempt > 0:
-            weights = _attempt_weights(self.base_weights, 0xA11CE, attempt)
-            system = _Barycentric(self.aug, fixed, weights)
-        pos = system.positions(fixed)
+        pos = self._base.positions(fixed)
         out = {v: pos[v] for v in range(self.h.n)}
         if side == "below":
             out = {v: (x, -y) for v, (x, y) in out.items()}
@@ -552,18 +526,12 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     xs = [F(x) for x in xs]
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-    y_order = list(y_order)
-    for a, b in zip(y_order, y_order[1:]):
-        if not h.has_edge(a, b):
-            raise YNotOnOuterFace(f"axis vertices {a},{b} are not adjacent")
-    hp = _HalfPlane(h, y_order)
-    for attempt in range(_ATTEMPTS):
-        pos = hp.solve(xs, side, attempt)
-        violation = verify_drawing(
-            h, PolyDrawing(graph=h, pos=pos, provenance="halfplane"))
-        if violation is None:
-            return pos
-    raise _degenerate("halfplane", violation, attempt)
+    pos = _HalfPlane(h, list(y_order)).solve(xs, side)
+    violation = verify_drawing(
+        h, PolyDrawing(graph=h, pos=pos, provenance="halfplane"))
+    if violation is not None:
+        raise _degenerate("halfplane", violation)
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +552,6 @@ def _lift_certificate(g0: EmbeddedGraph, cert: CurveCertificate):
     """Subdivide the crossed edges and rewrite crossings as vertex items."""
     crossed = sorted(cert.crossed_edges())
     gp, mp = subdivide(g0, crossed)
-    from .embedding import midpoint_of
     mids = {e: midpoint_of(mp, e) for e in crossed}
 
     fmap = {}
@@ -650,7 +617,6 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
     y0r, y1r = rel[y_order[0]], rel[y_order[1]]
     outer = h.face_of(y1r, y0r) if which == "inside" else h.face_of(y0r, y1r)
     if outer != h.outer_face:
-        from .embedding import Face
         faces = tuple(Face(f.id, f.walk, f.id == outer) for f in h.faces)
         h = EmbeddedGraph(h.rot, faces, outer)
     return h, rel
@@ -698,10 +664,11 @@ def _axis_positions(y_order, s_order, xs) -> list[Fraction]:
     return out
 
 
-def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet,
-                     xs) -> tuple[_CollinearSystem, list]:
-    """The (cached) collinear system of a free set and the x position of
-    every curve vertex, with the free set at ``xs``."""
+def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet,
+                    xs) -> PolyDrawing:
+    """Unverified collinear drawing with the free set at ``xs``: both halves
+    of the (cached) collinear system solved, the crossed edges bent at their
+    midpoints, the side condition checked."""
     if g != fs.graph:
         raise SizeMismatch("free set does not belong to this graph")
     xs = [F(x) for x in xs]
@@ -710,18 +677,12 @@ def _collinear_setup(g: EmbeddedGraph, fs: OrderedFreeSet,
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
     sysm = _collinear_system(g, fs.certificate)
-    return sysm, _axis_positions(sysm.y_order, fs.order, xs)
+    axis_x = _axis_positions(sysm.y_order, fs.order, xs)
 
-
-def _merge_halves(g: EmbeddedGraph, fs: OrderedFreeSet,
-                  sysm: _CollinearSystem, axis_x: list,
-                  attempt: int) -> PolyDrawing:
-    """Unverified collinear drawing: both halves solved with the weights of
-    one attempt, the crossed edges bent at their midpoints."""
     hp_in, rel_in = sysm.halves["inside"]
     hp_out, rel_out = sysm.halves["outside"]
-    pos_in = hp_in.solve(axis_x, "below", attempt)
-    pos_out = hp_out.solve(axis_x, "above", attempt)
+    pos_in = hp_in.solve(axis_x, "below")
+    pos_out = hp_out.solve(axis_x, "above")
 
     merged: dict[int, Point] = {}
     for v, i in rel_in.items():
@@ -732,41 +693,22 @@ def _merge_halves(g: EmbeddedGraph, fs: OrderedFreeSet,
             raise MergeConflict(f"vertex {v} differs between the halves")
         merged[v] = p
 
+    # inside vertices strictly below the axis, outside strictly above: the
+    # halves then meet only on the axis, at curve vertices, so the exact
+    # check of the merged drawing covers what checking each half did
+    for v in sysm.below:
+        if merged[v][1] >= 0:
+            raise _degenerate("collinear", DrawingViolation(
+                "wrong-side", f"inside vertex {v} is not below the axis"))
+    for v in sysm.above:
+        if merged[v][1] <= 0:
+            raise _degenerate("collinear", DrawingViolation(
+                "wrong-side", f"outside vertex {v} is not above the axis"))
+
     pos = {v: merged[v] for v in range(g.n)}
     bends = {e: (merged[mid],) for e, mid in sysm.mids.items()}
     return PolyDrawing(graph=g, pos=pos, bends=bends,
                        provenance=f"collinear[{fs.provenance}]")
-
-
-def _side_violation(sysm: _CollinearSystem,
-                    d: PolyDrawing) -> DrawingViolation | None:
-    """Inside vertices strictly below the axis, outside strictly above.
-
-    Under this condition the two halves can meet only on the axis, at
-    curve vertices, so the exact check of the merged drawing covers what
-    checking each half drawing (with its axis edges) did."""
-    for v in sysm.below:
-        if d.pos[v][1] >= 0:
-            return DrawingViolation(
-                "wrong-side", f"inside vertex {v} is not below the axis")
-    for v in sysm.above:
-        if d.pos[v][1] <= 0:
-            return DrawingViolation(
-                "wrong-side", f"outside vertex {v} is not above the axis")
-    return None
-
-
-def _verified_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
-                        sysm: _CollinearSystem, axis_x: list,
-                        first_attempt: int = 0) -> PolyDrawing:
-    """Merged drawing of the first attempt that passes the side condition
-    and the exact check; both halves are re-solved on each attempt."""
-    for attempt in range(first_attempt, _ATTEMPTS):
-        d = _merge_halves(g, fs, sysm, axis_x, attempt)
-        violation = _side_violation(sysm, d) or verify_drawing(g, d)
-        if violation is None:
-            return replace(d, verified=True)
-    raise _degenerate("collinear", violation, attempt)
 
 
 def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
@@ -775,10 +717,9 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     free set exactly at (x_i, 0) in order, everything inside the curve
     strictly below the axis and everything outside strictly above.
 
-    The merged drawing is verified once; if it fails, both halves are
-    solved again with randomized weights (``_ATTEMPTS`` solves in all)."""
-    sysm, axis_x = _collinear_setup(g, fs, xs)
-    return _verified_collinear(g, fs, sysm, axis_x)
+    The merged drawing is checked once, after the side condition; a failure
+    of either raises DegenerateOutput."""
+    return _checked_base(_collinear_base(g, fs, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -940,9 +881,9 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
-    unchecked and is checked only if the first perturbed candidate fails.
-    A base that fails its check (or the side condition) is rebuilt with
-    randomized half-plane weights, as ``realize_collinear`` would.
+    unchecked (only the side condition is tested) and is checked only if
+    the first perturbed candidate fails.  A base that fails either raises
+    DegenerateOutput.
     """
     pts = [(F(x), F(y)) for x, y in points]
     if len(pts) != len(fs.order):
@@ -955,18 +896,8 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     xs = [rotated[i][0] for i in order]
     ys = [rotated[i][1] for i in order]
 
-    sysm, axis_x = _collinear_setup(g, fs, xs)
-    d = None
-    base = _merge_halves(g, fs, sysm, axis_x, 0)
-    if _side_violation(sysm, base) is None:
-        try:
-            d = perturb_scale(base, fs.order, ys)
-        except DegenerateOutput:
-            pass  # the unverified base failed its check: retry below
-    if d is None:
-        base = _verified_collinear(g, fs, sysm, axis_x, first_attempt=1)
-        d = perturb_scale(base, fs.order, ys)
-    d = _rotate_drawing(d, -k)
+    base = _collinear_base(g, fs, xs)
+    d = _rotate_drawing(perturb_scale(base, fs.order, ys), -k)
 
     placed = {fs.order[j]: pts[order[j]] for j in range(len(pts))}
     for v, p in placed.items():

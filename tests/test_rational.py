@@ -25,7 +25,6 @@ from freeset.generators import (
 )
 from freeset.rational import FractionFreeSolver
 from freeset.realize import (
-    _attempt_weights,
     _Barycentric,
     _collinear_system,
     free_realize,
@@ -120,13 +119,27 @@ def barycentric_rows(g, fixed, weights, monkeypatch) -> list[dict]:
     return seen[0]
 
 
+# weight draws per system: the program's weights, then random positive ones
+DRAWS = 3
+
+
+def drawn_weights(base: dict, seed: int, draw: int) -> dict:
+    """Edge weights of one corpus system: ``base`` for draw 0, else the
+    draw-th set of random positive weights from a fixed seed."""
+    rng = random.Random(seed)
+    weights = base
+    for _ in range(draw):
+        weights = {e: rng.randint(1, 16) for e in base}
+    return weights
+
+
 def halfplane_systems(make, args, monkeypatch):
-    """Rows of each half-plane system of ``make(*args)``: base weights and
-    the randomized-weight draws of later attempts."""
+    """Rows of each half-plane system of ``make(*args)``: the program's
+    weights and two draws of random positive weights."""
     for hp in halfplanes(make(*args)):
         fixed = set(hp.y) | {hp.apex}
-        for attempt in range(realize._ATTEMPTS):
-            weights = _attempt_weights(hp.base_weights, 0xA11CE, attempt)
+        for draw in range(DRAWS):
+            weights = drawn_weights(hp.base_weights, 0xA11CE, draw)
             yield barycentric_rows(hp.aug, fixed, weights, monkeypatch)
 
 
@@ -139,11 +152,11 @@ TUTTE_CORPUS = [
 
 def tutte_systems(make, args, monkeypatch):
     """Rows of the ``tutte_solve`` systems of ``make(*args)`` with its outer
-    face fixed, for each attempt's weights."""
+    face fixed: unit weights and two draws of random positive weights."""
     g = make(*args)
     fixed = {u for u, _ in g.faces[g.outer_face].walk}
-    for attempt in range(realize._ATTEMPTS):
-        weights = _attempt_weights({e: 1 for e in g.edges}, 0x5EED, attempt)
+    for draw in range(DRAWS):
+        weights = drawn_weights({e: 1 for e in g.edges}, 0x5EED, draw)
         yield barycentric_rows(g, fixed, weights, monkeypatch)
 
 

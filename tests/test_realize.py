@@ -18,6 +18,7 @@ from freeset.extractors import antichain_freeset, planar_freeset
 from freeset.generators import (
     grid,
     maximal_outerplanar,
+    octahedron,
     path,
     random_triangulation,
 )
@@ -117,7 +118,6 @@ class TestTutte:
         assert pos[3] == (F(4, 3), F(4, 3))
 
     def test_interior_barycentric_identity(self):
-        from freeset.generators import octahedron
         g = octahedron()
         outer = [u for u, _ in g.faces[g.outer_face].walk]
         pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)])
@@ -164,7 +164,7 @@ class TestTutte:
         outer = [u for u, _ in octa.faces[octa.outer_face].walk]
         other = [v for v in range(6) if v not in outer]
         cycle = outer + [other[0]]
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateOutput, match="tutte"):
             tutte_solve(octa, cycle[:3] + [other[0]],
                         [(0, 0), (4, 0), (2, 1), (2, -5)])
 
@@ -185,9 +185,14 @@ class TestHalfplane:
         for v in range(4):
             assert pos[v] == (F(v), F(0))
 
-    def test_axis_not_on_outer_face(self, octa):
+    # 0 and 5 of the octahedron are not adjacent; 0 and 2 of a path are
+    # both on the outer face but not adjacent either
+    @pytest.mark.parametrize("g,axis", [(octahedron(), [0, 5]),
+                                        (path(4), [0, 2])],
+                             ids=["octahedron", "path"])
+    def test_axis_not_on_outer_face(self, g, axis):
         with pytest.raises(YNotOnOuterFace):
-            halfplane_draw(octa, [0, 5], [0, 1], side="below")
+            halfplane_draw(g, axis, [0, 1], side="below")
 
 
 def reference_fill_content_faces(hp, aug, yset, helpers):
@@ -468,32 +473,59 @@ class TestVerifyOnce:
         halfplane_draw(path(4), [0, 1, 2, 3], [0, 1, 2, 3], side="below")
         assert calls == ["halfplane"]
 
-    def test_retry_rebuilds_base(self, k4, failing):
-        # candidate and base of attempt 0 rejected; attempt 1 goes through
+    def test_base_checked_after_rejected_candidate(self, k4, failing):
         budget, seen = failing
-        budget[0] = 2
         fs = antichain_pair(k4)
+        # candidate rejected, base sound: one halving, then verified
+        budget[0] = 1
         d = free_realize(k4, fs, [(0, 3), (1, -2)])
         assert d.verified
         assert d.pos[3] == (F(0), F(3)) and d.pos[2] == (F(1), F(-2))
-        assert len(seen) == 4
-
-    def test_retry_exhausted_names_stage(self, k4, failing):
-        budget, _ = failing
-        budget[0] = 10 ** 6
-        fs = antichain_pair(k4)
-        with pytest.raises(DegenerateOutput,
-                           match="collinear .*attempt 3 of 3.*injected"):
+        assert len(seen) == 3
+        # candidate and base rejected: the base is broken, nothing re-solved
+        seen.clear()
+        budget[0] = 2
+        with pytest.raises(DegenerateOutput, match="collinear .*injected"):
             free_realize(k4, fs, [(0, 3), (1, -2)])
-        with pytest.raises(DegenerateOutput,
-                           match="collinear .*attempt 3 of 3.*injected"):
-            realize_collinear(k4, fs, [0, 1])
-        with pytest.raises(DegenerateOutput,
-                           match="halfplane .*attempt 3 of 3.*injected"):
-            halfplane_draw(path(3), [0, 1, 2], [0, 1, 2])
-        with pytest.raises(DegenerateOutput,
-                           match="tutte .*attempt 3 of 3.*injected"):
-            tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
+        assert len(seen) == 2
+
+    def test_one_rejection_names_stage(self, k4, failing):
+        # each entry point solves once and checks once: one rejected check
+        # raises, naming the stage (zero targets: the base check is the one)
+        budget, seen = failing
+        fs = antichain_pair(k4)
+        cases = [
+            ("collinear", lambda: free_realize(k4, fs, [(0, 0), (1, 0)])),
+            ("collinear", lambda: realize_collinear(k4, fs, [0, 1])),
+            ("halfplane", lambda: halfplane_draw(path(3), [0, 1, 2],
+                                                 [0, 1, 2])),
+            ("tutte", lambda: tutte_solve(k4, [0, 1, 2],
+                                          [(0, 0), (4, 0), (0, 4)])),
+        ]
+        for stage, call in cases:
+            seen.clear()
+            budget[0] = 1
+            with pytest.raises(DegenerateOutput,
+                               match=f"{stage} drawing failed verification: "
+                                     "crossing: injected"):
+                call()
+            assert len(seen) == 1
+
+    def test_wrong_side_raises_unchecked(self, k4, calls, monkeypatch):
+        # the inside half drawn above the axis: no exact check, no re-solve
+        real = _HalfPlane.solve
+
+        def upside_down(hp, xs, side):
+            return real(hp, xs, "above" if side == "below" else side)
+
+        monkeypatch.setattr(_HalfPlane, "solve", upside_down)
+        fs = antichain_pair(k4)
+        for call in (lambda: free_realize(k4, fs, [(0, 3), (1, -2)]),
+                     lambda: realize_collinear(k4, fs, [0, 1])):
+            with pytest.raises(DegenerateOutput,
+                               match="collinear .*wrong-side: inside vertex 0"):
+                call()
+        assert calls == []
 
     def test_unverified_broken_base_is_not_halved(self, k4):
         # a base with a crossing: perturbation must not search epsilon

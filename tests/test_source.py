@@ -1,5 +1,7 @@
 """Source-level rules for the package: no ``assert`` (it vanishes under
-``python -O``) and no imports beyond the standard library and click."""
+``python -O``), no imports beyond the standard library and click, and no
+catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
+bare ``except:`` or ``except Exception`` would swallow them)."""
 
 from __future__ import annotations
 
@@ -27,6 +29,37 @@ def test_no_assert_and_declared_imports(path):
             continue
         for name in names:
             assert name.split(".")[0] in ALLOWED, f"import {name} at {where}"
+
+
+def catch_all_handlers(tree: ast.AST) -> list[int]:
+    """Lines of the bare ``except:`` clauses and of those that catch
+    ``Exception`` or ``BaseException``, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) \
+            else [node.type]
+        if any(t is None or ast.unparse(t) in ("Exception", "BaseException")
+               for t in caught):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_catch_all_except(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert catch_all_handlers(tree) == [], f"catch-all except in {path.name}"
+
+
+@pytest.mark.parametrize("clause,caught", [
+    ("except:", True), ("except Exception:", True),
+    ("except (KeyError, BaseException) as exc:", True),
+    ("except KeyError:", False), ("except (KeyError, ValueError):", False),
+])
+def test_catch_all_detected(clause, caught):
+    tree = ast.parse(f"try:\n    pass\n{clause}\n    pass\n")
+    assert catch_all_handlers(tree) == ([3] if caught else [])
 
 
 def test_sources_found():

@@ -17,7 +17,6 @@ from .bench import run_all
 from .curves import validate_curve
 from .errors import (
     DegenerateOutput,
-    EpsilonExhausted,
     FreesetError,
     MergeConflict,
     SingularSystem,
@@ -33,8 +32,7 @@ from .extractors import (
 from .generators import FAMILIES, GeneratorSpec, generate
 from .realize import free_realize, verify_drawing
 
-_DEGENERATE = (DegenerateOutput, EpsilonExhausted, MergeConflict,
-               SingularSystem)
+_DEGENERATE = (DegenerateOutput, MergeConflict, SingularSystem)
 
 
 def _run(fn):

@@ -469,11 +469,12 @@ def _chord_positions(walk_vertices: list[int], edges: set[Edge],
 def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
     """Add edges until every face (the outer one included) is a triangle.
 
-    Output has exactly 3V-6 edges and stays simple.  The mapping is the
-    identity on vertices and original edges; added edges are listed in
-    ``new_edges`` in insertion order.  Each face is split by
-    :func:`insert_chords`, preferring ears, so the faces are traced once
-    (for the result) and a chord costs O(face length) plus its search.
+    Output has exactly 3V-6 edges and stays simple; a triangulation is
+    returned as it is.  The mapping is the identity on vertices and original
+    edges; added edges are listed in ``new_edges`` in insertion order.  Each
+    face is split by :func:`insert_chords`, preferring ears, so the faces
+    are traced once (for the result) and a chord costs O(face length) plus
+    its search.
     """
     if g.n < 3:
         raise TooSmall("triangulation needs at least 3 vertices")
@@ -486,7 +487,7 @@ def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
         return pos
 
     rot, added = insert_chords(g, choose)
-    result = _rebuild(rot, g.faces[g.outer_face].walk[0])
+    result = _rebuild(rot, g.faces[g.outer_face].walk[0]) if added else g
     mapping = GraphMapping(
         vertex_forward={v: v for v in range(g.n)},
         vertex_backward={v: v for v in range(g.n)},

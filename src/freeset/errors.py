@@ -115,14 +115,11 @@ class SingularSystem(FreesetError):
 
 
 class DegenerateOutput(FreesetError):
-    """Verification failed after both the plain and the weighted solve."""
+    """An exact check failed on a drawing the program built; the message
+    names the stage and the violation."""
 
 
 class YNotOnOuterFace(FreesetError):
-    pass
-
-
-class EpsilonExhausted(FreesetError):
     pass
 
 

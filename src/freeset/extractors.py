@@ -483,7 +483,9 @@ def _restrict_certificate(g: EmbeddedGraph, t: EmbeddedGraph,
                           added, cert: CurveCertificate) -> CurveCertificate:
     """Pull a certificate on a triangulated supergraph back to the original
     graph: crossings of added edges dissolve into face passages, along items
-    on added edges become passages through the containing face."""
+    on added edges become passages through the containing face.  The pulled
+    back certificate is validated on g; with no added edge t is g, where the
+    extractor has validated it already."""
     added = set(added)
     if not added:
         return cert
@@ -512,7 +514,7 @@ def _restrict_certificate(g: EmbeddedGraph, t: EmbeddedGraph,
     if pending_override is not None and new_items:
         new_pass[-1] = pending_override
 
-    return CurveCertificate(tuple(new_items), tuple(new_pass))
+    return _checked(g, CurveCertificate(tuple(new_items), tuple(new_pass)))
 
 
 def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
@@ -570,7 +572,6 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
             return pair
 
     cert = _restrict_certificate(g, t, tmap.new_edges, result.certificate)
-    cert = _checked(g, cert)
     in_picked = set(picked)
     order = tuple(v for v in cert.vertex_order() if v in in_picked)
     bound = antichain_bound(len(xs))

@@ -7,19 +7,19 @@ draw each side in a half-plane with the curve vertices on the x-axis
 factor modulo a prime and p-adic lifting, certified by exact verification),
 then perturb the free vertices off the axis and rescale to hit arbitrary
 targets.  Every returned drawing has passed the exact crossing-free check,
-and each public entry point runs that check once on the drawing it returns
-(plus once per epsilon halving); intermediate drawings are only checked
-when a later check fails.  Each system is solved once: a drawing that fails
-its check raises DegenerateOutput naming the stage and the violation.
+and each public entry point runs that check once, on the drawing it
+returns; intermediate drawings are not checked.  Each system is solved once
+and the perturbation is sized by an exact clearance, so nothing is retried:
+a drawing that fails its check raises DegenerateOutput naming the stage and
+the violation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import inf
+from math import isqrt, lcm
 
 from .curves import (
     CrossItem,
@@ -41,7 +41,6 @@ from .embedding import (
 )
 from .errors import (
     DegenerateOutput,
-    EpsilonExhausted,
     FreesetError,
     InvalidCurve,
     MergeConflict,
@@ -259,6 +258,17 @@ def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
     return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
 
+def _checked(d: PolyDrawing, stage: str) -> PolyDrawing:
+    """``d`` after one exact check (none if it is verified already); a
+    failure raises DegenerateOutput naming the stage."""
+    if d.verified:
+        return d
+    violation = verify_drawing(d.graph, d)
+    if violation is not None:
+        raise _degenerate(stage, violation)
+    return replace(d, verified=True)
+
+
 # ---------------------------------------------------------------------------
 # Barycentric (Tutte) systems
 # ---------------------------------------------------------------------------
@@ -316,10 +326,7 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     fixed = dict(zip(cycle, positions))
 
     pos = _Barycentric(h, fixed, {e: 1 for e in h.edges}).positions(fixed)
-    violation = verify_drawing(h, PolyDrawing(graph=h, pos=pos,
-                                              provenance="tutte"))
-    if violation is not None:
-        raise _degenerate("tutte", violation)
+    _checked(PolyDrawing(graph=h, pos=pos, provenance="tutte"), "tutte")
     return pos
 
 
@@ -527,10 +534,8 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
     pos = _HalfPlane(h, list(y_order)).solve(xs, side)
-    violation = verify_drawing(
-        h, PolyDrawing(graph=h, pos=pos, provenance="halfplane"))
-    if violation is not None:
-        raise _degenerate("halfplane", violation)
+    _checked(PolyDrawing(graph=h, pos=pos, provenance="halfplane"),
+             "halfplane")
     return pos
 
 
@@ -671,6 +676,8 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet,
     midpoints, the side condition checked."""
     if g != fs.graph:
         raise SizeMismatch("free set does not belong to this graph")
+    if not fs.order:
+        raise SizeMismatch("the free set is empty")
     xs = [F(x) for x in xs]
     if len(xs) != len(fs.order):
         raise SizeMismatch(f"need {len(fs.order)} x positions")
@@ -719,113 +726,106 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 
     The merged drawing is checked once, after the side condition; a failure
     of either raises DegenerateOutput."""
-    return _checked_base(_collinear_base(g, fs, xs))
+    return _checked(_collinear_base(g, fs, xs), "collinear")
 
 
 # ---------------------------------------------------------------------------
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
-def _clearance_estimate(d: PolyDrawing, moving: list[int]) -> Fraction:
-    """Float lower-ballpark for how far the moving vertices may travel.
+def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
+    """Exact D²: the least squared distance between a vertex or bend and a
+    piece it is not an end of, over the pairs in which the point or an end
+    of the piece is a moving vertex; None when there is no such pair.
 
-    The minimum float distance from a moving vertex to a segment not
-    incident to it.  Segments are scanned in a window by x, and one whose
-    float bounding box is farther from the vertex than the best distance so
-    far (with slack for rounding) is skipped: its computed distance could
-    not be smaller, so the estimate is the same as a full scan's.
+    Moving points continuously, a crossing-free drawing first fails where a
+    point reaches such a piece; just before, the two see each other, so they
+    share a face that touches a moving vertex.  Only those faces are scanned,
+    on one integer grid with a single scale for both axes, and a point
+    outside a piece's box grown by the floor of the least D so far is
+    skipped.  D² = 0, a point on a piece of the base, raises DegenerateOutput.
     """
-    segs = []
-    for a, b, e in d.segments():
-        ax, ay = float(a[0]), float(a[1])
-        dx, dy = float(b[0]) - ax, float(b[1]) - ay
-        # the projected point ax + t * dx (0 <= t <= 1) computed below
-        # lies between ax and ax + dx in floats too, so this box bounds it
-        ex, ey = ax + dx, ay + dy
-        segs.append((min(ax, ex), max(ax, ex), min(ay, ey), max(ay, ey),
-                     ax, ay, dx, dy, e))
-    segs.sort(key=lambda s: s[0])
-    lows = [s[0] for s in segs]
-    reach = max((s[1] - s[0] for s in segs), default=0.0)
-    best = None
-    thr = inf
-    for v in moving:
-        px, py = float(d.pos[v][0]), float(d.pos[v][1])
-        slack = 1e-9 * (abs(px) + thr + reach)
-        lo = bisect_left(lows, px - thr - reach - slack)
-        hi = bisect_right(lows, px + thr + slack)
-        for x0, x1, y0, y1, ax, ay, dx, dy, e in segs[lo:hi]:
-            if v in e or px - x1 > thr or x0 - px > thr or \
-                    py - y1 > thr or y0 - py > thr:
-                continue
-            den = dx * dx + dy * dy
-            t = 0.0 if den == 0 else max(0.0, min(1.0, ((px - ax) * dx +
-                                                        (py - ay) * dy) / den))
-            qx, qy = ax + t * dx, ay + t * dy
-            dist = ((px - qx) ** 2 + (py - qy) ** 2) ** 0.5
-            if best is None or dist < best:
-                best = dist
-                thr = best * (1 + 1e-6)
-    if best is None or best <= 0:
-        return F(1)
-    est = F(best).limit_denominator(1 << 48) / 4
-    if est <= 0:
-        est = F(1, 1 << 48)
-    return min(F(1), est)
-
-
-def _checked_base(d: PolyDrawing) -> PolyDrawing:
-    """The collinear base, checked once unless it is already verified."""
-    if d.verified:
-        return d
-    violation = verify_drawing(d.graph, d)
-    if violation is not None:
-        raise _degenerate("collinear", violation)
-    return replace(d, verified=True)
+    g, moving = d.graph, set(moving)
+    pts = [d.pos[v] for v in range(g.n)]
+    chain = {}  # edge -> its point indices, end to end
+    for e in sorted(g.edges):
+        bends = d.bends.get(e, ())
+        chain[e] = [e[0], *range(len(pts), len(pts) + len(bends)), e[1]]
+        pts.extend(bends)
+    scale = lcm(*(c.denominator for p in pts for c in p))
+    grid = [(int(x * scale), int(y * scale)) for x, y in pts]
+    reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
+    best = None  # (num, den, point, edge): D² = num / den on the grid
+    for fid in sorted({f for v in moving for f in g.faces_at(v)}):
+        edges = sorted({norm_edge(u, v) for u, v in g.faces[fid].walk})
+        on = sorted({i for e in edges for i in chain[e]})
+        on_moving = [i for i in on if i in moving]
+        for e in edges:
+            for a, b in zip(chain[e], chain[e][1:]):
+                (ax, ay), (bx, by) = grid[a], grid[b]
+                x0, x1 = min(ax, bx) - reach, max(ax, bx) + reach
+                y0, y1 = min(ay, by) - reach, max(ay, by) + reach
+                dx, dy = bx - ax, by - ay
+                for i in on if a in moving or b in moving else on_moving:
+                    px, py = grid[i]
+                    if i == a or i == b or \
+                            not (x0 <= px <= x1 and y0 <= py <= y1):
+                        continue
+                    wx, wy = px - ax, py - ay
+                    dot = wx * dx + wy * dy
+                    if dot <= 0:
+                        num, den = wx * wx + wy * wy, 1
+                    elif dot >= dx * dx + dy * dy:
+                        num, den = (px - bx) ** 2 + (py - by) ** 2, 1
+                    else:
+                        num, den = (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
+                    if best is None or num * best[1] < best[0] * den:
+                        best = (num, den, i, e)
+                        reach = isqrt(num // den)
+    if best is not None and best[0] == 0:
+        i, e = best[2:]
+        point = f"vertex {i}" if i < g.n else \
+            f"a bend of edge {next(f for f, c in chain.items() if i in c)}"
+        raise _degenerate("collinear", DrawingViolation(
+            "vertex-on-edge", f"{point} lies on edge {e}"))
+    return None if best is None else F(best[0], best[1] * scale * scale)
 
 
 def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
-    """Move the axis free set to arbitrary target heights.
+    """Move the free set, on the axis in ``d``, to the target heights.
 
-    First each member is lifted to epsilon * y_i / ymax (epsilon found by
-    verified halving from a clearance estimate), then every y-coordinate is
-    scaled by ymax / epsilon, which is affine and exact.
-
-    ``d`` need not be verified: the returned drawing always is.  An
-    unverified ``d`` is checked once, when the first candidate fails (or,
-    for all-zero targets, before it is returned), so a broken base raises
-    DegenerateOutput instead of halving epsilon in vain; EpsilonExhausted
-    means the base itself is sound.
-    """
+    Each member is lifted to epsilon * y_i / ymax, epsilon the largest power
+    of two with (2 epsilon)² < D² (1 without a moving pair), the lifted
+    drawing is checked once, and every y is scaled by ymax / epsilon, which
+    is affine and exact.  ``d`` need not be verified; all-zero targets check
+    ``d`` itself."""
     s_order = list(s_order)
     ys = [F(y) for y in targets]
     if len(ys) != len(s_order):
         raise SizeMismatch("one target height per free-set member")
-    g = d.graph
+    for v in s_order:
+        if d.pos[v][1] != 0:
+            raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     if all(y == 0 for y in ys):
-        return _checked_base(d)
+        return _checked(d, "collinear")
     ymax = max(abs(y) for y in ys)
-
-    eps = _clearance_estimate(d, s_order)
-    for _ in range(64):
-        pos = dict(d.pos)
-        for v, y in zip(s_order, ys):
-            pos[v] = (pos[v][0], eps * y / ymax)
-        cand = replace(d, pos=pos, verified=False)
-        if verify_drawing(g, cand) is None:
-            # scaling y by a positive rational is exactness-preserving:
-            # orientation signs and collinear box tests are invariant, so
-            # the verified flag carries over
-            factor = ymax / eps
-            pos2 = {v: (x, y * factor) for v, (x, y) in pos.items()}
-            bends2 = {e: tuple((x, y * factor) for x, y in pts)
-                      for e, pts in d.bends.items()}
-            return PolyDrawing(graph=g, pos=pos2, bends=bends2,
-                               provenance=d.provenance + "+perturbed",
-                               verified=True)
-        d = _checked_base(d)
+    d2 = _clearance_sq(d, s_order)
+    # the first 2^k has D² < (2 * 2^k)² <= 8 D²: at most two halvings
+    eps = F(1) if d2 is None else F(2) ** (
+        (d2.numerator.bit_length() - d2.denominator.bit_length()) // 2)
+    while d2 is not None and 4 * eps * eps >= d2:
         eps /= 2
-    raise EpsilonExhausted("no verified perturbation after 64 halvings")
+    pos = dict(d.pos)
+    pos.update((v, (pos[v][0], eps * y / ymax)) for v, y in zip(s_order, ys))
+    _checked(replace(d, pos=pos, verified=False), "perturb")
+    # scaling y by a positive rational keeps every orientation sign and
+    # collinear box test, so the check carries over
+    factor = ymax / eps
+    return PolyDrawing(
+        graph=d.graph, pos={v: (x, y * factor) for v, (x, y) in pos.items()},
+        bends={e: tuple((x, y * factor) for x, y in pts)
+               for e, pts in d.bends.items()},
+        provenance=d.provenance + "+perturbed", verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -881,9 +881,8 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
-    unchecked (only the side condition is tested) and is checked only if
-    the first perturbed candidate fails.  A base that fails either raises
-    DegenerateOutput.
+    unchecked (only the side condition is tested) and the perturbed drawing
+    is checked once.  A failure of either raises DegenerateOutput.
     """
     pts = [(F(x), F(y)) for x, y in points]
     if len(pts) != len(fs.order):

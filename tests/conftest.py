@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -49,6 +50,26 @@ def thinned_triangulation(n: int, seed: int, keep: float = 0.45):
             adj[v].add(u)
     rot = [[u for u in r if u in adj[v]] for v, r in enumerate(g.rot)]
     return build_embedded(n, rot)
+
+
+def point_set(style: str, k: int, rng: random.Random) -> list:
+    """k distinct rational points in one of the criterion-2 styles: general,
+    collinear, repeated x or coprime denominators, sorted."""
+    pts: set = set()
+    while len(pts) < k:
+        if style == "general":
+            pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        elif style == "collinear":
+            t = F(rng.randint(-200, 200), rng.randint(1, 5))
+            pts.add((t, 3 * t - 2))
+        elif style == "repeated-x":
+            pts.add((F(rng.randint(-4, 4)),
+                     F(rng.randint(-400, 400), rng.randint(1, 9))))
+        else:  # coprime denominators
+            pts.add((F(rng.randint(-10 ** 6, 10 ** 6), 997),
+                     F(rng.randint(-10 ** 6, 10 ** 6), 991)))
+    return sorted(pts)
 
 
 def prefix_boundaries(cs):

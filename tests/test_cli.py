@@ -64,6 +64,26 @@ def test_verify_detects_bad_drawing(tmp_path):
     assert r.exit_code == 1
 
 
+def test_realize_empty_freeset(tmp_path):
+    # an S line that lists nothing is invalid input, not a crash
+    gpath = tmp_path / "g.txt"
+    fpath = tmp_path / "g.fs"
+    ppath = tmp_path / "pts.txt"
+    assert invoke("gen", "--family", "octahedron",
+                  "--out", str(gpath)).exit_code == 0
+    assert invoke("freeset", "--graph", str(gpath),
+                  "--out", str(fpath)).exit_code == 0
+    lines = fpath.read_text().splitlines()
+    fpath.write_text("\n".join("S:" if line.startswith("S:") else line
+                               for line in lines) + "\n")
+    ppath.write_text("")
+    r = CliRunner().invoke(main, ["realize", "--graph", str(gpath),
+                                  "--freeset", str(fpath),
+                                  "--points", str(ppath)])
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output and "empty" in r.output
+
+
 def test_untangle(tmp_path):
     gpath = tmp_path / "g.txt"
     ppath = tmp_path / "pos.txt"

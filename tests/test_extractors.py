@@ -215,6 +215,23 @@ class TestPlanarFreeset:
         assert set(fs.order) <= set(xs)
         assert len(fs.order) >= 2
 
+    @pytest.mark.parametrize("g,validations", [
+        (random_triangulation(200, 1), 1),  # triangulated: no pull-back
+        (grid(10, 10), 2),  # on the triangulation, then on the grid
+    ], ids=["triangulation", "grid"])
+    def test_validated_once_per_graph(self, g, validations, monkeypatch):
+        import freeset.extractors as extractors
+        seen = []
+
+        def counting(graph, cert):
+            seen.append(graph)
+            return validate_curve(graph, cert)
+
+        monkeypatch.setattr(extractors, "validate_curve", counting)
+        fs = planar_freeset(g)
+        assert len(seen) == validations and seen[-1] is g
+        assert validate_curve(g, fs.certificate) is None
+
     def test_order_is_certificate_subsequence(self):
         g = random_triangulation(30, 13)
         fs = planar_freeset(g)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction as F
 
 import pytest
 
@@ -21,25 +20,7 @@ from freeset.generators import grid, maximal_outerplanar, random_triangulation
 from freeset.realize import free_realize
 from freeset.textio import serialize_drawing, serialize_freeset
 
-from conftest import thinned_triangulation
-
-
-def _points(style: str, k: int, rng: random.Random) -> list:
-    pts: set = set()
-    while len(pts) < k:
-        if style == "general":
-            pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
-                     F(rng.randint(-400, 400), rng.randint(1, 9))))
-        elif style == "collinear":
-            t = F(rng.randint(-200, 200), rng.randint(1, 5))
-            pts.add((t, 3 * t - 2))
-        elif style == "repeated-x":
-            pts.add((F(rng.randint(-4, 4)),
-                     F(rng.randint(-400, 400), rng.randint(1, 9))))
-        else:  # coprime denominators
-            pts.add((F(rng.randint(-10 ** 6, 10 ** 6), 997),
-                     F(rng.randint(-10 ** 6, 10 ** 6), 991)))
-    return sorted(pts)
+from conftest import point_set, thinned_triangulation
 
 
 def _digest(*drawings) -> str:
@@ -96,7 +77,7 @@ REALIZE_CASES = [
 def test_free_realize_golden(n, gseed, pseed, style, digest):
     g = random_triangulation(n, gseed)
     fs = planar_freeset(g)
-    pts = _points(style, len(fs.order), random.Random(pseed))
+    pts = point_set(style, len(fs.order), random.Random(pseed))
     d = free_realize(g, fs, pts)
     assert d.verified
     assert _digest(d) == digest

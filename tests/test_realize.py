@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +39,7 @@ from freeset.realize import (
     verify_drawing,
 )
 
-from conftest import thinned_triangulation
+from conftest import point_set, thinned_triangulation
 
 
 def antichain_pair(k4):
@@ -355,6 +356,15 @@ class TestPerturbAndFree:
         assert d2.pos[3] == (F(0), F(22, 7))
         assert d2.pos[2] == (F(1), F(-1, 3))
 
+    def test_free_set_off_axis_rejected(self, k4):
+        # the clearance bound assumes the free set starts on the axis
+        fs = antichain_pair(k4)
+        d = realize_collinear(k4, fs, [0, 1])
+        lifted = replace(d, pos={**d.pos, 3: (F(0), F(1, 2))})
+        for targets in ([3, -2], [0, 0]):
+            with pytest.raises(SizeMismatch, match="vertex 3 is not on"):
+                perturb_scale(lifted, fs.order, targets)
+
     def test_free_realize_duplicate_x(self, k4):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 0), (0, 1)])
@@ -460,6 +470,19 @@ class TestVerifyOnce:
         d = free_realize(g, fs, pts)
         assert d.verified and len(calls) == 1
 
+    @pytest.mark.parametrize("make,n", [(maximal_outerplanar, 150),
+                                        (random_triangulation, 1200)],
+                             ids=["outerplanar150", "triangulation1200"])
+    def test_free_realize_once_nested_and_large(self, make, n, calls):
+        # nested half drawings, and a size at which the float estimate of
+        # epsilon ran out of halvings
+        g = make(n, 1)
+        fs = planar_freeset(g)
+        pts = point_set("general", len(fs.order), random.Random(5))
+        d = free_realize(g, fs, pts)
+        assert d.verified and len(calls) == 1
+        assert {d.pos[v] for v in fs.order} == set(pts)
+
     def test_zero_targets_check_base_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 0), (1, 0)])
@@ -474,20 +497,15 @@ class TestVerifyOnce:
         assert calls == ["halfplane"]
 
     def test_base_checked_after_rejected_candidate(self, k4, failing):
+        # epsilon comes from the exact clearance: a rejected candidate
+        # raises at once, and the base is not checked after it
         budget, seen = failing
-        fs = antichain_pair(k4)
-        # candidate rejected, base sound: one halving, then verified
         budget[0] = 1
-        d = free_realize(k4, fs, [(0, 3), (1, -2)])
-        assert d.verified
-        assert d.pos[3] == (F(0), F(3)) and d.pos[2] == (F(1), F(-2))
-        assert len(seen) == 3
-        # candidate and base rejected: the base is broken, nothing re-solved
-        seen.clear()
-        budget[0] = 2
-        with pytest.raises(DegenerateOutput, match="collinear .*injected"):
-            free_realize(k4, fs, [(0, 3), (1, -2)])
-        assert len(seen) == 2
+        with pytest.raises(DegenerateOutput,
+                           match="perturb drawing failed verification: "
+                                 "crossing: injected"):
+            free_realize(k4, antichain_pair(k4), [(0, 3), (1, -2)])
+        assert len(seen) == 1
 
     def test_one_rejection_names_stage(self, k4, failing):
         # each entry point solves once and checks once: one rejected check
@@ -527,11 +545,16 @@ class TestVerifyOnce:
                 call()
         assert calls == []
 
-    def test_unverified_broken_base_is_not_halved(self, k4):
-        # a base with a crossing: perturbation must not search epsilon
+    def test_unverified_broken_base_is_not_halved(self, k4, calls):
+        # a vertex on a piece of the base: the exact clearance is zero, so
+        # perturbation raises before any check
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
         broken = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
                              bends=d.bends)
-        with pytest.raises(DegenerateOutput, match="collinear"):
+        calls.clear()
+        with pytest.raises(DegenerateOutput,
+                           match="collinear .*vertex-on-edge: vertex 1 "
+                                 r"lies on edge \(0, 3\)"):
             perturb_scale(broken, fs.order, [3, -2])
+        assert calls == []

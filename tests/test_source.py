@@ -1,7 +1,8 @@
 """Source-level rules for the package: no ``assert`` (it vanishes under
-``python -O``), no imports beyond the standard library and click, and no
+``python -O``), no imports beyond the standard library and click, no
 catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
-bare ``except:`` or ``except Exception`` would swallow them)."""
+bare ``except:`` or ``except Exception`` would swallow them), and no float
+arithmetic in the exact modules ``realize`` and ``rational``."""
 
 from __future__ import annotations
 
@@ -60,6 +61,40 @@ def test_no_catch_all_except(path):
 def test_catch_all_detected(clause, caught):
     tree = ast.parse(f"try:\n    pass\n{clause}\n    pass\n")
     assert catch_all_handlers(tree) == ([3] if caught else [])
+
+
+EXACT = ("realize.py", "rational.py")
+
+
+def float_uses(tree: ast.AST) -> list[int]:
+    """Lines of the ``float(...)`` calls, float literals and
+    ``limit_denominator`` references."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float" or \
+                isinstance(node, ast.Constant) and \
+                isinstance(node.value, float) or \
+                isinstance(node, ast.Attribute) and \
+                node.attr == "limit_denominator":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_modules_use_no_floats(name):
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert float_uses(tree) == [], f"float arithmetic in {name}"
+
+
+@pytest.mark.parametrize("line,found", [
+    ("x = float(y)", True), ("x = 1e-9 * y", True), ("x = 0.5", True),
+    ("x = F(y).limit_denominator(8)", True), ("x = y ** 0.5", True),
+    ("x = F(1, 2)", False), ("x = y // 2", False), ("x = 'float'", False),
+])
+def test_float_use_detected(line, found):
+    assert float_uses(ast.parse(line)) == ([1] if found else [])
 
 
 def test_sources_found():

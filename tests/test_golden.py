@@ -1,9 +1,11 @@
 """Byte-level regression lock on extracted free sets and realized drawings.
 
 Each case extracts or realizes a fixed seeded input and hashes the
-serialized result.  The drawing hashes were recorded before verification
-was reorganized (one exact check per returned drawing), the extraction
-hashes before face splitting moved to in-place chord insertion; both must
+serialized result.  The extraction hashes were recorded before face
+splitting moved to in-place chord insertion.  The drawing hashes were
+recorded when the perturbation came to be sized by the exact clearance
+(which changes epsilon, hence the realized bytes); the test ids leave the
+digests out, so a deliberate re-recording keeps the test names.  Both must
 keep producing exactly the same bytes.
 """
 
@@ -64,16 +66,18 @@ def test_planar_freeset_golden(family, args, digest):
 
 REALIZE_CASES = [
     # (n, graph seed, point seed, style, digest)
-    (20, 1, 11, "general", "26a9930885c65988"),
-    (45, 2, 12, "collinear", "2946881450318d9c"),
-    (45, 3, 13, "repeated-x", "58438cf56c06bb32"),
-    (80, 4, 14, "coprime", "457aad234dc5e15a"),
-    (120, 5, 15, "general", "94c764e1f7a21f80"),
-    (200, 6, 16, "repeated-x", "ec9c0e2b54ecc018"),
+    (20, 1, 11, "general", "5fab4ae5df4cb8f2"),
+    (45, 2, 12, "collinear", "cd6563bb3657051f"),
+    (45, 3, 13, "repeated-x", "675a6b4963077605"),
+    (80, 4, 14, "coprime", "354fece8f4d36000"),
+    (120, 5, 15, "general", "2e3dfb360e3027d5"),
+    (200, 6, 16, "repeated-x", "77c93f9d752b896e"),
 ]
 
 
-@pytest.mark.parametrize("n,gseed,pseed,style,digest", REALIZE_CASES)
+@pytest.mark.parametrize("n,gseed,pseed,style,digest", REALIZE_CASES,
+                         ids=[f"n{n}-g{g}-p{p}-{style}"
+                              for n, g, p, style, _ in REALIZE_CASES])
 def test_free_realize_golden(n, gseed, pseed, style, digest):
     g = random_triangulation(n, gseed)
     fs = planar_freeset(g)
@@ -84,9 +88,9 @@ def test_free_realize_golden(n, gseed, pseed, style, digest):
 
 
 @pytest.mark.parametrize("n,seed,digest", [
-    (40, 21, "64aba757c4ceae5a"),
-    (70, 22, "8045d2e1a82d2ac0"),
-])
+    (40, 21, "0cc4816e1a03ee5c"),
+    (70, 22, "307593266de6a81c"),
+], ids=["n40-s21", "n70-s22"])
 def test_untangle_golden(n, seed, digest):
     # a small coordinate range forces repeated x, hence the rotation path
     rng = random.Random(seed)
@@ -99,9 +103,9 @@ def test_untangle_golden(n, seed, digest):
 
 
 @pytest.mark.parametrize("n,seed,digest", [
-    (30, 31, "6d98cca02df552af"),
-    (60, 32, "abbbd4250bf1ab65"),
-])
+    (30, 31, "e2e0484be64cebbb"),
+    (60, 32, "7f83f4c8d03040e7"),
+], ids=["n30-s31", "n60-s32"])
 def test_psge_two_golden(n, seed, digest):
     res = psge_two(random_triangulation(n, seed),
                    random_triangulation(n, seed + 1000))

@@ -18,6 +18,7 @@ from freeset.extractors import planar_freeset
 from freeset.generators import (
     grid,
     maximal_outerplanar,
+    path,
     random_triangulation,
     stacked_3tree,
 )
@@ -61,10 +62,9 @@ def all_pairs_sq(d: PolyDrawing, moving) -> F | None:
     points = {("v", v): p for v, p in d.pos.items()}
     pieces = []
     for e in sorted(d.graph.edges):
-        chain = [("v", e[0])] + [("b", e, j) for j in
-                                 range(len(d.bends.get(e, ())))] + [("v", e[1])]
-        points.update((("b", e, j), p)
-                      for j, p in enumerate(d.bends.get(e, ())))
+        bends = {("b", e, j): p for j, p in enumerate(d.bends.get(e, ()))}
+        points.update(bends)
+        chain = [("v", e[0]), *bends, ("v", e[1])]
         pieces.extend(zip(chain, chain[1:]))
     best = None
     for a, b in pieces:
@@ -113,6 +113,15 @@ def test_vertex_on_piece_is_degenerate(family):
                        match="collinear drawing failed verification: "
                              "vertex-on-edge"):
         _clearance_sq(broken, fs.order)
+
+
+def test_pruning_keeps_the_nearest_pair():
+    # a path has one face, so the face-local D² is the all-pairs one; here
+    # halving the pruning reach would skip the nearest pair
+    pos = {0: (-10, 12), 1: (-6, -20), 2: (-8, 14), 3: (15, -6), 4: (5, 12)}
+    d = PolyDrawing(graph=path(5), pos={v: (F(x), F(y))
+                                        for v, (x, y) in pos.items()})
+    assert _clearance_sq(d, [0, 2]) == all_pairs_sq(d, [0, 2]) == F(648, 145)
 
 
 def test_no_pair_means_no_bound():

@@ -374,28 +374,33 @@ def dual_graph(g: EmbeddedGraph, weak: bool = False,
 # Triangulation
 # ---------------------------------------------------------------------------
 
-def insert_chords(g: EmbeddedGraph, choose: ChordChooser,
+def insert_chords(rot: Sequence[Sequence[int]],
+                  faces: Iterable[Sequence[int]], edges: Iterable[Edge],
+                  choose: ChordChooser,
                   ) -> tuple[list[list[int]], list[Edge]]:
-    """Split the faces of g by chords until ``choose`` declines every face.
+    """Split faces by chords until ``choose`` declines every face.
 
-    The faces longer than three darts are offered in the order in which a
-    fresh trace would list them after each insertion: first the face whose
-    first dart comes first in (tail vertex, rotation slot) order, with its
-    walk starting at that dart.  ``choose(walk_vertices, edges)`` returns two
+    ``rot`` is a rotation system, ``faces`` its face walks as vertex
+    sequences (in any order, each starting anywhere; shorter faces may be
+    left out) and ``edges`` its edge set; none of them is changed.  The
+    faces longer than three darts are offered in the order in which a fresh
+    trace would list them after each insertion: first the face whose first
+    dart comes first in (tail vertex, rotation slot) order, with its walk
+    starting at that dart.  ``choose(walk_vertices, edges)`` returns two
     walk positions to join by a chord inside the face, or None to leave the
-    face as it is for good.  ``edges`` holds the current edge set.
+    face as it is for good; its ``edges`` is the current edge set.
 
-    A chord splits only its own face, so the faces are traced once (those of
-    g) and each insertion costs O(face length).  The order needs no
-    re-trace either: inserting a chord never changes the relative order of
-    the darts already at a vertex, so a face keeps its first dart; only its
-    rotation slot can grow, and a face whose key went stale is re-queued
-    when it surfaces.  A declined face never changes again.
+    A chord splits only its own face, so the faces are never traced and
+    each insertion costs O(face length).  The order needs no trace either:
+    inserting a chord never changes the relative order of the darts already
+    at a vertex, so a face keeps its first dart; only its rotation slot can
+    grow, and a face whose key went stale is re-queued when it surfaces.  A
+    declined face never changes again.
 
     Returns the grown rotation lists and the chords in insertion order.
     """
-    rot = [list(r) for r in g.rot]
-    edges = set(g.edges)
+    rot = [list(r) for r in rot]
+    edges = set(edges)
     added: list[Edge] = []
     heap: list[tuple[int, int, int, list[int]]] = []
     tick = count()
@@ -411,9 +416,9 @@ def insert_chords(g: EmbeddedGraph, choose: ChordChooser,
         verts = verts[p:] + verts[:p]
         heappush(heap, (t, rot[t].index(verts[1]), next(tick), verts))
 
-    for f in g.faces:
-        if f.size > 3:
-            push(list(f.vertices))
+    for walk in faces:
+        if len(walk) > 3:
+            push(list(walk))
     while heap:
         t, slot, _, verts = heappop(heap)
         now = rot[t].index(verts[1])
@@ -486,7 +491,8 @@ def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
                 "face cannot be split without a parallel edge")
         return pos
 
-    rot, added = insert_chords(g, choose)
+    rot, added = insert_chords(
+        g.rot, (f.vertices for f in g.faces if f.size > 3), g.edges, choose)
     result = _rebuild(rot, g.faces[g.outer_face].walk[0]) if added else g
     mapping = GraphMapping(
         vertex_forward={v: v for v in range(g.n)},

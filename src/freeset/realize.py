@@ -3,9 +3,10 @@
 The pipeline follows the constructive side of the proper-good/free
 equivalence: subdivide the crossed edges, split the graph along the curve,
 draw each side in a half-plane with the curve vertices on the x-axis
-(Tutte systems on an augmented graph, solved exactly by a sparse LDLᵀ
-factor modulo a prime and p-adic lifting, certified by exact verification),
-then perturb the free vertices off the axis and rescale to hit arbitrary
+(a Tutte system on the side joined to an apex and filled with chords, built
+in one pass with no face trace, solved exactly by a sparse LDLᵀ factor
+modulo a prime and p-adic lifting, certified by exact verification), then
+perturb the free vertices off the axis and rescale to hit arbitrary
 targets.  Every returned drawing has passed the exact crossing-free check,
 and each public entry point runs that check once, on the drawing it
 returns; intermediate drawings are not checked.  Each system is solved once
@@ -32,7 +33,6 @@ from .embedding import (
     EmbeddedGraph,
     Edge,
     Face,
-    _rebuild,
     build_embedded,
     insert_chords,
     midpoint_of,
@@ -41,7 +41,6 @@ from .embedding import (
 )
 from .errors import (
     DegenerateOutput,
-    FreesetError,
     InvalidCurve,
     MergeConflict,
     SizeMismatch,
@@ -274,19 +273,19 @@ def _checked(d: PolyDrawing, stage: str) -> PolyDrawing:
 # ---------------------------------------------------------------------------
 
 class _Barycentric:
-    """Weighted Laplacian of the non-fixed vertices of a graph, as sparse
-    rows, factored once; ``positions`` solves it exactly for given fixed
-    positions."""
+    """Weighted Laplacian of the non-fixed vertices of a rotation system
+    (only its adjacency is read), as sparse rows, factored once;
+    ``positions`` solves it exactly for given fixed positions."""
 
-    def __init__(self, g: EmbeddedGraph, fixed, weights: dict):
-        self.interior = [v for v in range(g.n) if v not in fixed]
+    def __init__(self, rot, fixed, weights: dict):
+        self.interior = [v for v in range(len(rot)) if v not in fixed]
         index = {v: i for i, v in enumerate(self.interior)}
         rows = []
         self.fixed_nbrs = []  # per interior vertex: (fixed neighbor, weight)
         for i, v in enumerate(self.interior):
             row = {i: 0}
             fx = []
-            for u in g.rot[v]:
+            for u in rot[v]:
                 wt = weights[norm_edge(u, v)]
                 row[i] += wt
                 if u in fixed:
@@ -325,7 +324,7 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
 
-    pos = _Barycentric(h, fixed, {e: 1 for e in h.edges}).positions(fixed)
+    pos = _Barycentric(h.rot, fixed, {e: 1 for e in h.edges}).positions(fixed)
     _checked(PolyDrawing(graph=h, pos=pos, provenance="tutte"), "tutte")
     return pos
 
@@ -334,29 +333,52 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
 # Half-plane drawings
 # ---------------------------------------------------------------------------
 
-def _insert_edge_at_corners(rot: list[list[int]], g: EmbeddedGraph,
-                            fid: int, a: int, b: int) -> None:
-    """Insert edge a-b into the face fid of g, mutating rotation lists."""
-    walk = g.faces[fid].walk
-    verts = [u for u, _ in walk]
-    ia = verts.index(a)
-    ib = verts.index(b)
-    rot[a].insert(rot[a].index(verts[ia - 1]), b)
-    rot[b].insert(rot[b].index(verts[ib - 1]), a)
+def _with_apex(h: EmbeddedGraph, y0: int, ym: int):
+    """Rotation lists, face walks (vertex lists) and edges of h plus an
+    apex, vertex h.n, joined to y0 and ym in the first outer corner at
+    each.  The apex cuts h's outer walk in two at those corners and leaves
+    the other faces as they are, so nothing is traced."""
+    apex = h.n
+    rot = [list(r) for r in h.rot] + [[y0, ym]]
+    outer = h.faces[h.outer_face].walk
+    cuts = []
+    for end in (y0, ym):
+        j = next(j for j in range(len(h.rot[end]))
+                 if h.corner_face(end, j) == h.outer_face)
+        rot[end].insert(j, apex)
+        # the outer walk leaves that corner by the dart to rot[end][j - 1]
+        cuts.append(outer.index((end, h.rot[end][j - 1])))
+    p, q = cuts
+    walk = [u for u, _ in outer[p:] + outer[:p]]  # y0 first
+    q = (q - p) % len(walk)                       # where ym is
+    faces = [f.vertices for f in h.faces if f.id != h.outer_face]
+    faces += [[apex] + walk[:q + 1], [apex] + walk[q:] + walk[:1]]
+    return rot, faces, h.edges | {(y0, apex), (ym, apex)}
 
 
 class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
-    Holds the apex/helper augmentation and the interior system, factored
-    once (sparse LDLᵀ modulo a prime, in minimum-degree order), so a solve
-    for new axis positions is only p-adic lifting with that factor.
-    ``solve`` only solves; the caller verifies the drawing it assembles.
+    The augmentation joins an apex to the two axis ends and fills every
+    face with chords, so that the fixed vertices (the axis and the apex)
+    pull each free vertex off the axis.  It is built in one pass: the apex
+    faces come from cutting h's outer walk (``_with_apex``) and
+    ``insert_chords`` splits them in place, so no face is traced.  On every
+    input tested each free vertex ends with degree three or more and a path
+    through free vertices to the apex; the exact check of the drawing has
+    the last word.  The interior system is factored once (sparse LDLᵀ
+    modulo a prime, in minimum-degree order), so a solve for new axis
+    positions is only p-adic lifting with that factor.  ``solve`` only
+    solves; the caller verifies the drawing it assembles.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
         self.h = h
         self.y = list(y_order)
+        if len(self.y) < 2:
+            raise SizeMismatch("the axis needs at least two vertices")
+        if len(set(self.y)) != len(self.y):
+            raise SizeMismatch("axis repeats a vertex")
         outer = h.faces[h.outer_face]
         on_outer = outer.vertex_set()
         for v in self.y:
@@ -368,82 +390,26 @@ class _HalfPlane:
                 raise YNotOnOuterFace(
                     f"axis edge {a}-{b} does not bound the outer face")
 
-        # apex adjacent to the two axis extremes, then pull every
-        # axis-locked interior vertex off the line with helper edges
-        rot = [list(r) for r in h.rot] + [[]]
-        apex = h.n
-        self.apex = apex
-        aug = self._insert_apex(rot, h, apex)
-        helper_edges: list[Edge] = []
-        yset = set(self.y)
-
-        # fill the content faces (everything away from the apex) with
-        # chords, preferring chords from fixed axis vertices: hanging
-        # clusters then anchor to spread positions instead of collapsing
-        # onto a line; the extra edges only shape the solve
-        aug = self._fill_content_faces(aug, yset, helper_edges)
-
-        def add_helper(picked) -> EmbeddedGraph:
-            _, fid, w, v = picked
-            rot2 = [list(r) for r in aug.rot]
-            _insert_edge_at_corners(rot2, aug, fid, v, w)
-            helper_edges.append(norm_edge(v, w))
-            return build_embedded(len(rot2), rot2)
-
-        # pull axis-locked interior vertices off the line
-        while True:
-            locked = self._locked(aug)
-            if not locked:
-                break
-            found = None  # (prefer apex, face id, target, vertex)
-            for v in locked:
-                for fid in aug.faces_at(v):
-                    for w in {u for u, _ in aug.faces[fid].walk}:
-                        if w == v or w in yset or w in locked:
-                            continue
-                        if aug.has_edge(v, w):
-                            continue
-                        cand = (w != self.apex, fid, w, v)
-                        if found is None or cand < found:
-                            found = cand
-                if found is not None and not found[0]:
-                    break  # an apex link is as good as it gets
-            if found is None:
-                break  # solve anyway; verification has the last word
-            aug = add_helper(found)
-
-        # low-degree interior vertices sit on the segment between their
-        # neighbors; raise them to degree three (non-apex targets first,
-        # fixed axis vertices give guaranteed spread)
-        while True:
-            low = [v for v in range(aug.n)
-                   if v not in yset and v != self.apex and aug.degree(v) < 3]
-            found = None
-            for v in low:
-                for fid in aug.faces_at(v):
-                    for w in {u for u, _ in aug.faces[fid].walk}:
-                        if w == v or aug.has_edge(v, w):
-                            continue
-                        cand = (w == self.apex, w, fid, v)
-                        if found is None or cand < found:
-                            found = cand
-            if found is None:
-                break
-            found = (found[0], found[2], found[1], found[3])
-            aug = add_helper(found)
-        self.aug = aug
-        self.helper_edges = helper_edges
-        # distinct helper weights keep symmetric twins (two pendants pulled
-        # toward the apex from the same axis vertex) from coinciding
-        self.base_weights = {e: 1 for e in aug.edges}
-        for i, e in enumerate(helper_edges):
+        self.apex = h.n
+        self.rot, self.helper_edges = self._fill_content_faces(
+            *_with_apex(h, self.y[0], self.y[-1]))
+        # distinct chord weights keep symmetric twins (two pendants chorded
+        # to the same fixed vertices) from coinciding
+        edges = frozenset(norm_edge(u, v)
+                          for v, nbrs in enumerate(self.rot) for u in nbrs)
+        self.base_weights = {e: 1 for e in edges}
+        for i, e in enumerate(self.helper_edges):
             self.base_weights[e] = 2 + i
-        self._base = _Barycentric(aug, set(self.y) | {self.apex},
+        self._base = _Barycentric(self.rot, set(self.y) | {self.apex},
                                   self.base_weights)
 
-    def _fill_content_faces(self, aug: EmbeddedGraph, yset: set,
-                            helpers: list) -> EmbeddedGraph:
-        fixed = yset | {self.apex}
+    def _fill_content_faces(self, rot: list[list[int]], faces: list,
+                            edges: frozenset,
+                            ) -> tuple[list[list[int]], list[Edge]]:
+        """Fill the faces with chords, preferring chords from fixed
+        vertices: hanging clusters then anchor to spread positions instead
+        of collapsing onto a line; the chords only shape the solve."""
+        fixed = set(self.y) | {self.apex}
 
         def choose(target: list[int], edges: set) -> tuple[int, int] | None:
             """The first walk positions (i, j), in row-major order, of a
@@ -474,40 +440,7 @@ class _HalfPlane:
                     return (i, j)
             return None  # face already saturated for our purposes
 
-        rot, added = insert_chords(aug, choose)
-        helpers.extend(added)
-        return _rebuild(rot, aug.faces[aug.outer_face].walk[0])
-
-    def _insert_apex(self, rot, h: EmbeddedGraph, apex: int) -> EmbeddedGraph:
-        y0, ym = self.y[0], self.y[-1]
-        fid = h.outer_face
-        for end in (y0, ym):
-            slots = [j for j in range(len(h.rot[end]))
-                     if h.corner_face(end, j) == fid]
-            rot[end].insert(slots[0], apex)
-        rot[apex] = [y0, ym]
-        try:
-            return build_embedded(len(rot), rot)
-        except FreesetError as exc:
-            raise DegenerateOutput(f"apex insertion failed: {exc}") from exc
-
-    def _locked(self, aug: EmbeddedGraph) -> list[int]:
-        """Interior vertices forced onto the axis: no interior path to any
-        vertex with an off-axis pull (the apex)."""
-        yset = set(self.y)
-        interior = [v for v in range(aug.n)
-                    if v not in yset and v != self.apex]
-        free = set()
-        stack = [v for v in interior if self.apex in aug.rot[v]]
-        free.update(stack)
-        while stack:
-            v = stack.pop()
-            for u in aug.rot[v]:
-                if u in yset or u == self.apex or u in free:
-                    continue
-                free.add(u)
-                stack.append(u)
-        return sorted(v for v in interior if v not in free)
+        return insert_chords(rot, faces, edges, choose)
 
     def solve(self, xs: list[Fraction], side: str) -> dict:
         """Unverified positions for the original half graph, axis at the
@@ -530,6 +463,8 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     """Draw h with the axis vertices at (x_i, 0) and everything else
     strictly on one side.  Consecutive axis vertices must be adjacent in h
     and the axis must lie on h's outer face in order."""
+    if side not in ("below", "above"):
+        raise SizeMismatch(f"side must be 'below' or 'above', not {side!r}")
     xs = [F(x) for x in xs]
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")

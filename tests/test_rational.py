@@ -104,8 +104,9 @@ def rational_rhs(k: int, rng: random.Random) -> list[F]:
             for _ in range(k)]
 
 
-def barycentric_rows(g, fixed, weights, monkeypatch) -> list[dict]:
-    """The sparse rows ``_Barycentric`` hands to the solver."""
+def barycentric_rows(rot, fixed, weights, monkeypatch) -> list[dict]:
+    """The sparse rows ``_Barycentric`` hands to the solver for the
+    rotation lists ``rot``."""
     seen = []
 
     class Recording(FractionFreeSolver):
@@ -115,7 +116,7 @@ def barycentric_rows(g, fixed, weights, monkeypatch) -> list[dict]:
 
     with monkeypatch.context() as mp:
         mp.setattr(realize, "FractionFreeSolver", Recording)
-        _Barycentric(g, fixed, weights)
+        _Barycentric(rot, fixed, weights)
     return seen[0]
 
 
@@ -140,7 +141,7 @@ def halfplane_systems(make, args, monkeypatch):
         fixed = set(hp.y) | {hp.apex}
         for draw in range(DRAWS):
             weights = drawn_weights(hp.base_weights, 0xA11CE, draw)
-            yield barycentric_rows(hp.aug, fixed, weights, monkeypatch)
+            yield barycentric_rows(hp.rot, fixed, weights, monkeypatch)
 
 
 TUTTE_CORPUS = [
@@ -157,7 +158,7 @@ def tutte_systems(make, args, monkeypatch):
     fixed = {u for u, _ in g.faces[g.outer_face].walk}
     for draw in range(DRAWS):
         weights = drawn_weights({e: 1 for e in g.edges}, 0x5EED, draw)
-        yield barycentric_rows(g, fixed, weights, monkeypatch)
+        yield barycentric_rows(g.rot, fixed, weights, monkeypatch)
 
 
 def assert_matches_reference(rows, seed: int) -> None:

@@ -6,17 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeset import realize
+from freeset import build_embedded, embedding, realize
 from freeset.canonical import canonical_order
-from freeset.embedding import _rebuild, _trace_faces, norm_edge
+from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     DegenerateOutput,
-    MultiEdgeOrLoop,
     SizeMismatch,
     YNotOnOuterFace,
 )
 from freeset.extractors import antichain_freeset, planar_freeset
 from freeset.generators import (
+    cycle,
+    fan,
     grid,
     maximal_outerplanar,
     octahedron,
@@ -195,21 +196,48 @@ class TestHalfplane:
         with pytest.raises(YNotOnOuterFace):
             halfplane_draw(g, axis, [0, 1], side="below")
 
+    @pytest.mark.parametrize("g,axis,xs,side", [
+        (path(3), [], [], "below"),
+        (path(3), [0], [0], "below"),
+        (cycle(4), [0, 1, 2, 3, 0], [0, 1, 2, 3, 4], "below"),
+        (path(3), [0, 1, 2], [0, 1, 2], "sideways"),
+    ], ids=["empty", "one-vertex", "repeated-vertex", "unknown-side"])
+    def test_malformed_axis_rejected_before_building(
+            self, g, axis, xs, side, monkeypatch):
+        built = []
+        monkeypatch.setattr(realize, "insert_chords",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr(realize, "FractionFreeSolver", built.append)
+        with pytest.raises(SizeMismatch):
+            halfplane_draw(g, axis, xs, side=side)
+        assert built == []
 
-def reference_fill_content_faces(hp, aug, yset, helpers):
+
+def cyclic_form(walk):
+    """A face walk (vertex sequence) up to where it starts."""
+    walk = list(walk)
+    return min(tuple(walk[i:] + walk[:i]) for i in range(len(walk)))
+
+
+def reference_fill_content_faces(hp, rot, faces, edges):
     """The re-trace loop that ``_HalfPlane._fill_content_faces`` replaced:
     chord the first face of more than three darts that is not known to be
-    saturated, then trace every face again."""
-    rot = [list(r) for r in aug.rot]
-    marker = aug.faces[aug.outer_face].walk[0]
-    edges = set(aug.edges)
-    fixed = yset | {hp.apex}
+    saturated, then trace every face again.  The apex graph handed in must
+    be a valid embedding, with the faces and edges that building it finds."""
+    apex_graph = build_embedded(len(rot), rot)
+    assert sorted(map(cyclic_form, faces)) == \
+        sorted(cyclic_form(f.vertices) for f in apex_graph.faces)
+    assert edges == apex_graph.edges
+    rot = [list(r) for r in rot]
+    edges = set(edges)
+    helpers = []
+    fixed = set(hp.y) | {hp.apex}
     skipped = set()
     while True:
         target = next((w for w in _trace_faces(rot)
                        if len(w) > 3 and frozenset(w) not in skipped), None)
         if target is None:
-            return _rebuild(rot, marker)
+            return rot, helpers
         verts = [u for u, _ in target]
         k = len(verts)
 
@@ -260,33 +288,103 @@ class TestFillContentFaces:
         for hp in built:
             ref = _HalfPlane(hp.h, hp.y)
             assert hp.helper_edges == ref.helper_edges
-            assert hp.aug.rot == ref.aug.rot
-            assert hp.aug.outer_face == ref.aug.outer_face
+            assert hp.rot == ref.rot
 
-    def test_traces_once(self, trace_calls):
+    def test_traces_and_builds_nothing(self, trace_calls, monkeypatch):
         hp = halfplanes(thinned_triangulation(120, 7))[0]
-        rot = [list(r) for r in hp.h.rot] + [[]]
-        aug = hp._insert_apex(rot, hp.h, hp.apex)
-        helpers = []
+        builds = []
+        real = embedding.build_embedded
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        for mod in (embedding, realize):
+            monkeypatch.setattr(mod, "build_embedded", counting)
         before = trace_calls[0]
-        hp._fill_content_faces(aug, set(hp.y), helpers)
-        assert len(helpers) > 10
-        assert trace_calls[0] - before <= 3  # the re-trace loop made 117
+        again = _HalfPlane(hp.h, hp.y)
+        assert len(again.helper_edges) > 10
+        # the apex re-validation and the final rebuild made 2 traces
+        assert trace_calls[0] - before == 0
+        assert builds == []
 
-    @pytest.mark.parametrize("raised,seen", [
-        (MultiEdgeOrLoop, DegenerateOutput),  # typed: one degenerate output
-        (RuntimeError, RuntimeError),         # a bug is not masked
-    ])
-    def test_apex_insertion_failure(self, raised, seen, monkeypatch):
-        hp = halfplanes(random_triangulation(12, 1))[0]
 
-        def broken(vertex_count, rotations):
-            raise raised("broken")
+def locked(rot, yset, apex):
+    """Free vertices (neither on the axis nor the apex) with no path
+    through free vertices to a neighbor of the apex: the vertices the
+    helper-edge repair used to pull off the axis."""
+    free_ = [v for v in range(len(rot)) if v not in yset and v != apex]
+    reached = set()
+    stack = [v for v in free_ if apex in rot[v]]
+    reached.update(stack)
+    while stack:
+        v = stack.pop()
+        for u in rot[v]:
+            if u in yset or u == apex or u in reached:
+                continue
+            reached.add(u)
+            stack.append(u)
+    return sorted(v for v in free_ if v not in reached)
 
-        monkeypatch.setattr(realize, "build_embedded", broken)
-        rot = [list(r) for r in hp.h.rot] + [[]]
-        with pytest.raises(seen):
-            hp._insert_apex(rot, hp.h, hp.apex)
+
+def outer_paths(g):
+    """Every axis that can be drawn on g: each path of two or more distinct
+    vertices along the outer walk, in both directions, with no edge between
+    two axis vertices that are not consecutive (it would lie on the axis)."""
+    walk = [u for u, _ in g.faces[g.outer_face].walk]
+    k = len(walk)
+    axes = set()
+    for start in range(k):
+        for length in range(2, k + 1):
+            run = tuple(walk[(start + i) % k] for i in range(length))
+            if len(set(run)) == length and not any(
+                    g.has_edge(run[i], run[j])
+                    for i in range(length) for j in range(i + 2, length)):
+                axes.update((run, run[::-1]))
+    return sorted(axes)
+
+
+class TestAugmentationInvariant:
+    """The chords alone pull every free vertex off the axis: each has
+    degree three or more and reaches the apex through free vertices."""
+
+    @staticmethod
+    def assert_pulled(hp):
+        yset = set(hp.y)
+        free_ = [v for v in range(len(hp.rot))
+                 if v not in yset and v != hp.apex]
+        assert all(len(hp.rot[v]) >= 3 for v in free_)
+        assert locked(hp.rot, yset, hp.apex) == []
+
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_collinear_halves(self, make, args):
+        for hp in halfplanes(make(*args)):
+            self.assert_pulled(hp)
+
+    @pytest.mark.parametrize("g", [path(n) for n in range(2, 7)]
+                             + [fan(n) for n in range(3, 8)],
+                             ids=[f"path{n}" for n in range(2, 7)]
+                             + [f"fan{n}" for n in range(3, 8)])
+    def test_every_outer_axis(self, g, monkeypatch):
+        built = []
+
+        class Recording(_HalfPlane):
+            def __init__(self, h, y_order):
+                super().__init__(h, y_order)
+                built.append(self)
+
+        monkeypatch.setattr(realize, "_HalfPlane", Recording)
+        for axis in outer_paths(g):
+            halfplane_draw(g, axis, range(len(axis)))
+        assert len(built) == len(outer_paths(g))
+        for hp in built:
+            self.assert_pulled(hp)
+
+    def test_locked_detected(self):
+        # 2 hangs off the axis 0-1 with no link to the apex 3
+        assert locked([[1, 3, 2], [0, 3], [0], [0, 1]], {0, 1}, 3) == [2]
 
 
 class TestRealizeCollinear:

@@ -1,8 +1,9 @@
 """Source-level rules for the package: no ``assert`` (it vanishes under
 ``python -O``), no imports beyond the standard library and click, no
 catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
-bare ``except:`` or ``except Exception`` would swallow them), and no float
-arithmetic in the exact modules ``realize`` and ``rational``."""
+bare ``except:`` or ``except Exception`` would swallow them), no float
+arithmetic in the exact modules ``realize`` and ``rational``, and no
+module-level import that the module never uses (``__init__`` re-exports)."""
 
 from __future__ import annotations
 
@@ -61,6 +62,38 @@ def test_no_catch_all_except(path):
 def test_catch_all_detected(clause, caught):
     tree = ast.parse(f"try:\n    pass\n{clause}\n    pass\n")
     assert catch_all_handlers(tree) == ([3] if caught else [])
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports of ``tree`` (``__future__``
+    aside) that the module never reads."""
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert unused_imports(tree) == [], f"unused imports in {path.name}"
+
+
+@pytest.mark.parametrize("source,unused", [
+    ("import os\n", ["os"]), ("import os\nos.sep\n", []),
+    ("import os.path\nos.path.sep\n", []),
+    ("from a import b, c as d\nd()\n", ["b"]),
+    ("from __future__ import annotations\n", []),
+    ("def f():\n    import os\n", []),
+])
+def test_unused_import_detected(source, unused):
+    assert unused_imports(ast.parse(source)) == unused
 
 
 EXACT = ("realize.py", "rational.py")

@@ -47,7 +47,6 @@ __all__ = [
     "realize_collinear",
     "perturb_scale",
     "free_realize",
-    "straighten_heuristic",
     "untangle",
     "sge_nomap",
     "psge_two",
@@ -75,7 +74,6 @@ from .realize import (  # noqa: E402
     halfplane_draw,
     perturb_scale,
     realize_collinear,
-    straighten_heuristic,
     tutte_solve,
     verify_drawing,
 )

@@ -16,8 +16,8 @@ from .extractors import OrderedFreeSet, planar_freeset
 from .rational import Point
 from .realize import (
     PolyDrawing,
-    _distinct_x_turns,
-    _rotate_drawing,
+    _distinct_x_shear,
+    _shear_drawing,
     free_realize,
     tutte_solve,
     verify_drawing,
@@ -75,7 +75,10 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     size-k free set bit-exactly at their input positions.
 
     An input drawing that is already crossing-free is returned unchanged
-    with every vertex fixed.
+    with every vertex fixed.  Otherwise the positions are sheared by the
+    least integer t that makes (x + t*y) distinct, the monotone subsequence
+    of the free set is taken in that frame, and the realized drawing is
+    sheared back by -t, which is exact.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
     if len(pos) != g.n or len(set(pos.values())) != g.n:
@@ -87,11 +90,10 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
                               fixed=tuple(range(g.n)),
                               free_set_size=g.n)
 
-    k, turned = _distinct_x_turns([pos[v] for v in range(g.n)])
-    rotated = dict(enumerate(turned))
+    t, sheared = _distinct_x_shear([pos[v] for v in range(g.n)])
 
     fs = planar_freeset(g)
-    xs = [rotated[v][0] for v in fs.order]
+    xs = [sheared[v][0] for v in fs.order]
     idx, direction = lis_lds(xs)
     if direction == "decreasing":
         fs = fs.reversed()
@@ -100,8 +102,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     chosen = [fs.order[i] for i in idx]
     sub = fs.restricted(chosen)
 
-    d = _rotate_drawing(free_realize(g, sub, [rotated[v] for v in sub.order]),
-                        -k)
+    d = _shear_drawing(free_realize(g, sub, [sheared[v] for v in sub.order]),
+                       -t)
     for v in chosen:
         if d.pos[v] != pos[v]:
             raise MergeConflict(f"fixed vertex {v} left its position")

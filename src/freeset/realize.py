@@ -246,13 +246,6 @@ def _crossing(pieces: list, i: int, j: int, vertex_at: dict) -> DrawingViolation
     return DrawingViolation("crossing", f"edges {e} and {f} intersect")
 
 
-def checked_drawing(g: EmbeddedGraph, d: PolyDrawing) -> PolyDrawing:
-    violation = verify_drawing(g, d)
-    if violation is not None:
-        raise DegenerateOutput(str(violation))
-    return replace(d, verified=True)
-
-
 def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
     return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
@@ -379,6 +372,12 @@ class _HalfPlane:
             raise SizeMismatch("the axis needs at least two vertices")
         if len(set(self.y)) != len(self.y):
             raise SizeMismatch("axis repeats a vertex")
+        at = {v: i for i, v in enumerate(self.y)}
+        for i, v in enumerate(self.y):
+            for u in h.rot[v]:
+                if u in at and abs(at[u] - i) != 1:
+                    raise SizeMismatch(f"edge {v}-{u} joins axis vertices "
+                                       f"that are not consecutive")
         outer = h.faces[h.outer_face]
         on_outer = outer.vertex_set()
         for v in self.y:
@@ -767,52 +766,37 @@ def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
 # Free realization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _turn(k: int) -> tuple[Fraction, Fraction]:
-    """Cosine and sine of k 3-4-5 turns: the k-th power of (4 + 3i)/5
-    (its conjugate for negative k)."""
-    re, im = 1, 0
-    for _ in range(abs(k)):
-        re, im = 4 * re - 3 * im, 3 * re + 4 * im
-    d = 5 ** abs(k)
-    return F(re, d), F(im if k >= 0 else -im, d)
+def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
+    """Least integer t >= 0 after which the distinct points have distinct
+    x + t*y, and the points so sheared.  Two points with equal y never
+    collide, and two with distinct y collide at one t only, so t is at
+    most the number of point pairs."""
+    t = 0
+    while True:
+        sheared = [(x + t * y, y) for x, y in points]
+        if len({x for x, _ in sheared}) == len(sheared):
+            return t, sheared
+        t += 1
 
 
-def _rotate_point(p: Point, k: int) -> Point:
-    c, s = _turn(k)
-    x, y = F(p[0]), F(p[1])
-    return (c * x - s * y, s * x + c * y)
+def _shear_drawing(d: PolyDrawing, t: int) -> PolyDrawing:
+    """``d`` sheared by (x, y) -> (x + t*y, y).
 
-
-def _distinct_x_turns(points: list[Point]) -> tuple[int, list[Point]]:
-    """Fewest 3-4-5 turns after which the distinct points have distinct
-    x-coordinates, and the points so turned."""
-    k = 0
-    turned = [(F(x), F(y)) for x, y in points]
-    while len({x for x, _ in turned}) != len(turned):
-        turned = [_rotate_point(p, 1) for p in turned]
-        k += 1
-    return k, turned
-
-
-def _rotate_drawing(d: PolyDrawing, k: int) -> PolyDrawing:
-    """``d`` turned by k 3-4-5 angles (clockwise for negative k).
-
-    A rational rotation is an orientation-preserving isometry; the exact
-    predicates are invariant, so the verified flag carries over."""
-    if k == 0:
+    A shear has determinant 1, so every orientation sign is kept and the
+    verified flag carries over; shearing by -t undoes it exactly."""
+    if t == 0:
         return d
-    return replace(d, pos={v: _rotate_point(p, k) for v, p in d.pos.items()},
-                   bends={e: tuple(_rotate_point(p, k) for p in b)
+    return replace(d, pos={v: (x + t * y, y) for v, (x, y) in d.pos.items()},
+                   bends={e: tuple((x + t * y, y) for x, y in b)
                           for e, b in d.bends.items()})
 
 
 def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     """Drawing with the free set exactly at the given points.
 
-    Point sets with repeated x-coordinates are handled by an exact rational
-    rotation (powers of the 3-4-5 angle) before realization and the inverse
-    rotation afterwards.  The half-plane systems are solved exactly over the
+    Point sets with repeated x-coordinates are sheared by the least integer
+    t that makes (x + t*y) distinct before realization, and by -t
+    afterwards.  The half-plane systems are solved exactly over the
     rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
@@ -825,13 +809,13 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     if len(set(pts)) != len(pts):
         raise SizeMismatch("points must be distinct")
 
-    k, rotated = _distinct_x_turns(pts)
-    order = sorted(range(len(rotated)), key=lambda i: rotated[i][0])
-    xs = [rotated[i][0] for i in order]
-    ys = [rotated[i][1] for i in order]
+    t, sheared = _distinct_x_shear(pts)
+    order = sorted(range(len(sheared)), key=lambda i: sheared[i][0])
+    xs = [sheared[i][0] for i in order]
+    ys = [sheared[i][1] for i in order]
 
     base = _collinear_base(g, fs, xs)
-    d = _rotate_drawing(perturb_scale(base, fs.order, ys), -k)
+    d = _shear_drawing(perturb_scale(base, fs.order, ys), -t)
 
     placed = {fs.order[j]: pts[order[j]] for j in range(len(pts))}
     for v, p in placed.items():
@@ -839,25 +823,3 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
             raise MergeConflict(f"vertex {v} missed its target point")
     return replace(d, provenance=f"free[{fs.provenance}]", verified=True)
 
-
-def straighten_heuristic(d: PolyDrawing) -> PolyDrawing:
-    """Greedily replace bent edges by straight segments when the exact
-    verification allows it; the bend count never increases."""
-    g = d.graph
-    cur = d
-    improved = True
-    while improved:
-        improved = False
-        for e in sorted(cur.bends):
-            if not cur.bends[e]:
-                continue
-            bends = dict(cur.bends)
-            del bends[e]
-            cand = replace(cur, bends=bends, verified=False)
-            if verify_drawing(g, cand) is None:
-                cur = cand
-                improved = True
-    if cur is not d:
-        cur = replace(cur, provenance=d.provenance + "+straightened",
-                      verified=True)
-    return cur

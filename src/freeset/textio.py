@@ -7,13 +7,14 @@ parse(serialize(x)) reproduces x bit-exactly (rationals included).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
 from .embedding import EmbeddedGraph, build_embedded
-from .errors import GraphFormatError
+from .errors import GraphFormatError, Unverified
 from .extractors import OrderedFreeSet
-from .realize import PolyDrawing, checked_drawing
+from .realize import PolyDrawing, verify_drawing
 
 
 def _lines(text: str):
@@ -208,7 +209,10 @@ def parse_drawing(text: str, g: EmbeddedGraph, verify: bool = True,
                     bends={e: tuple(b) for e, b in bends.items()},
                     provenance="parsed")
     if verify:
-        return checked_drawing(g, d)
+        violation = verify_drawing(g, d)
+        if violation is not None:
+            raise Unverified(f"drawing fails verification: {violation}")
+        d = replace(d, verified=True)
     return d
 
 

@@ -26,7 +26,7 @@ from freeset.realize import (
     PolyDrawing,
     _clearance_sq,
     _collinear_base,
-    _distinct_x_turns,
+    _distinct_x_shear,
     perturb_scale,
 )
 
@@ -81,7 +81,7 @@ def _base(family: str, seed: int, style: str):
     g = FAMILIES[family](seed)
     fs = planar_freeset(g)
     pts = point_set(style, len(fs.order), random.Random(seed))
-    xs = sorted(x for x, _ in _distinct_x_turns(pts)[1])
+    xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
     return fs, _collinear_base(g, fs, xs)
 
 

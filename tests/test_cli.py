@@ -64,6 +64,19 @@ def test_verify_detects_bad_drawing(tmp_path):
     assert r.exit_code == 1
 
 
+def test_svg_of_bad_drawing_is_input_error(tmp_path):
+    # vertex 2 lies on the edge 0-1: the user's drawing is at fault
+    gpath = tmp_path / "g.txt"
+    dpath = tmp_path / "bad.drawing"
+    assert invoke("gen", "--family", "path", "--n", "3",
+                  "--out", str(gpath)).exit_code == 0
+    dpath.write_text("P 0 0 0\nP 1 2 0\nP 2 1 0\n")
+    r = CliRunner().invoke(main, ["svg", "--graph", str(gpath),
+                                  "--drawing", str(dpath)])
+    assert r.exit_code == 2
+    assert "Traceback" not in r.output and "vertex-on-edge" in r.output
+
+
 def test_realize_empty_freeset(tmp_path):
     # an S line that lists nothing is invalid input, not a crash
     gpath = tmp_path / "g.txt"

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeset import build_embedded, embedding, realize
 from freeset.canonical import canonical_order
@@ -28,14 +30,13 @@ from freeset.realize import (
     DrawingViolation,
     PolyDrawing,
     _collinear_system,
-    _distinct_x_turns,
+    _distinct_x_shear,
     _HalfPlane,
-    _rotate_point,
+    _shear_drawing,
     free_realize,
     halfplane_draw,
     perturb_scale,
     realize_collinear,
-    straighten_heuristic,
     tutte_solve,
     verify_drawing,
 )
@@ -201,7 +202,9 @@ class TestHalfplane:
         (path(3), [0], [0], "below"),
         (cycle(4), [0, 1, 2, 3, 0], [0, 1, 2, 3, 4], "below"),
         (path(3), [0, 1, 2], [0, 1, 2], "sideways"),
-    ], ids=["empty", "one-vertex", "repeated-vertex", "unknown-side"])
+        (fan(3), [0, 1, 2], [0, 1, 2], "below"),
+    ], ids=["empty", "one-vertex", "repeated-vertex", "unknown-side",
+            "edge-on-axis"])
     def test_malformed_axis_rejected_before_building(
             self, g, axis, xs, side, monkeypatch):
         built = []
@@ -468,22 +471,37 @@ class TestPerturbAndFree:
         d = free_realize(k4, fs, [(0, 0), (0, 1)])
         assert {d.pos[3], d.pos[2]} == {(F(0), F(0)), (F(0), F(1))}
 
-    @pytest.mark.parametrize("k", [-3, -1, 1, 2, 5])
-    def test_rotation_power_matches_single_turns(self, k):
-        p = (F(7, 3), F(-2, 9))
-        x, y = p
-        c, s = F(4, 5), F(3, 5) if k > 0 else F(-3, 5)
-        for _ in range(abs(k)):
-            x, y = c * x - s * y, s * x + c * y
-        assert _rotate_point(p, k) == (x, y)
-        assert _rotate_point((x, y), -k) == p
-
-    def test_distinct_x_turns_returns_turned_points(self):
+    def test_shear_is_least_t(self):
+        # t = 0 repeats x = 0 and x = 1; t = 1 sends (0, 1) and (1, 0) to 1
         pts = [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(2))]
-        k, turned = _distinct_x_turns(pts)
-        assert k >= 1
-        assert turned == [_rotate_point(p, k) for p in pts]
-        assert len({x for x, _ in turned}) == len(pts)
+        t, sheared = _distinct_x_shear(pts)
+        assert t == 2
+        assert sheared == [(F(0), F(0)), (F(2), F(1)), (F(1), F(0)),
+                           (F(5), F(2))]
+        assert [(x - t * y, y) for x, y in sheared] == pts
+
+    def test_shear_drawing_round_trip(self, k4):
+        fs = antichain_pair(k4)
+        d = free_realize(k4, fs, [(0, 3), (1, -2)])
+        sheared = _shear_drawing(d, 3)
+        assert sheared.verified
+        assert verify_drawing(k4, sheared) is None
+        assert _shear_drawing(sheared, -3) == d
+        assert _shear_drawing(d, 0) is d
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=200)
+    @given(st.lists(st.tuples(st.integers(-2, 2),
+                              st.fractions(-3, 3, max_denominator=3)),
+                    min_size=1, max_size=12, unique=True))
+    def test_shear_property(self, pts):
+        # few x values force repeats; the least t is at most the pair count
+        t, sheared = _distinct_x_shear(pts)
+        assert 0 <= t <= len(pts) * (len(pts) - 1) // 2
+        assert len({x for x, _ in sheared}) == len(pts)
+        assert [(x - t * y, y) for x, y in sheared] == pts
+        for s in range(t):
+            assert len({x + s * y for x, y in pts}) < len(pts)
 
     def test_free_realize_mismatch(self, k4):
         fs = antichain_pair(k4)
@@ -504,23 +522,6 @@ class TestPerturbAndFree:
         d = free_realize(g, fs, sorted(pts))
         assert d.verified
         assert {d.pos[v] for v in fs.order} == pts
-
-
-class TestStraighten:
-    def test_bends_never_increase(self, k4):
-        fs = antichain_pair(k4)
-        d = free_realize(k4, fs, [(0, 3), (1, -2)])
-        before = d.bend_count()
-        d2 = straighten_heuristic(d)
-        assert d2.bend_count() <= before
-        assert verify_drawing(k4, d2) is None
-
-    def test_collinear_bend_removed(self):
-        g = path(2)
-        d = PolyDrawing(graph=g, pos={0: (F(0), F(0)), 1: (F(2), F(0))},
-                        bends={(0, 1): ((F(1), F(0)),)}, verified=True)
-        d2 = straighten_heuristic(d)
-        assert d2.bend_count() == 0
 
 
 class TestVerifyOnce:

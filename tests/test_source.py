@@ -3,7 +3,8 @@
 catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
 bare ``except:`` or ``except Exception`` would swallow them), no float
 arithmetic in the exact modules ``realize`` and ``rational``, and no
-module-level import that the module never uses (``__init__`` re-exports)."""
+module-level import that the module never uses (``__init__`` re-exports
+exactly what it imports, and each exported name resolves)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import freeset
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "freeset").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"click", "freeset"}
@@ -94,6 +97,37 @@ def test_no_unused_imports(path):
 ])
 def test_unused_import_detected(source, unused):
     assert unused_imports(ast.parse(source)) == unused
+
+
+def export_mismatch(tree: ast.Module) -> list[str]:
+    """Names in the module's ``__all__`` that it does not import, and names
+    it imports (``__future__`` aside) that ``__all__`` leaves out."""
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(imported ^ exported)
+
+
+def test_exports_match_imports():
+    path = next(p for p in SOURCES if p.name == "__init__.py")
+    assert export_mismatch(ast.parse(path.read_text())) == []
+    for name in freeset.__all__:
+        assert getattr(freeset, name, None) is not None, name
+
+
+@pytest.mark.parametrize("source,mismatch", [
+    ("from a import b\n__all__ = ['b']\n", []),
+    ("from a import b\n__all__ = ['b', 'c']\n", ["c"]),
+    ("from a import b, c as d\n__all__ = ['b']\n", ["d"]),
+    ("from __future__ import annotations\n__all__ = []\n", []),
+])
+def test_export_mismatch_detected(source, mismatch):
+    assert export_mismatch(ast.parse(source)) == mismatch
 
 
 EXACT = ("realize.py", "rational.py")

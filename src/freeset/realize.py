@@ -460,8 +460,8 @@ class _HalfPlane:
 
 def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     """Draw h with the axis vertices at (x_i, 0) and everything else
-    strictly on one side.  Consecutive axis vertices must be adjacent in h
-    and the axis must lie on h's outer face in order."""
+    strictly on one side.  Consecutive axis vertices must be adjacent in h,
+    no other two may be, and the axis must lie on h's outer face in order."""
     if side not in ("below", "above"):
         raise SizeMismatch(f"side must be 'below' or 'above', not {side!r}")
     xs = [F(x) for x in xs]
@@ -822,4 +822,3 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
         if d.pos[v] != p:  # pragma: no cover - exact by construction
             raise MergeConflict(f"vertex {v} missed its target point")
     return replace(d, provenance=f"free[{fs.provenance}]", verified=True)
-

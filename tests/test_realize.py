@@ -480,12 +480,15 @@ class TestPerturbAndFree:
                            (F(5), F(2))]
         assert [(x - t * y, y) for x, y in sheared] == pts
 
-    def test_shear_drawing_round_trip(self, k4):
-        fs = antichain_pair(k4)
-        d = free_realize(k4, fs, [(0, 3), (1, -2)])
+    def test_shear_drawing_round_trip(self):
+        g = path(3)
+        d = PolyDrawing(graph=g, pos={0: (F(0), F(0)), 1: (F(2), F(1)),
+                                      2: (F(4), F(0))},
+                        bends={(1, 2): ((F(3), F(2)),)}, verified=True)
         sheared = _shear_drawing(d, 3)
-        assert sheared.verified
-        assert verify_drawing(k4, sheared) is None
+        assert sheared.pos[1] == (F(5), F(1))
+        assert sheared.bends[(1, 2)] == ((F(9), F(2)),)
+        assert sheared.verified and verify_drawing(g, sheared) is None
         assert _shear_drawing(sheared, -3) == d
         assert _shear_drawing(d, 0) is d
 

@@ -81,7 +81,10 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     sheared back by -t, which is exact.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
-    if len(pos) != g.n or len(set(pos.values())) != g.n:
+    if pos.keys() != set(range(g.n)):
+        raise VertexSetMismatch(f"positions must be keyed by the vertices "
+                                f"0..{g.n - 1}")
+    if len(set(pos.values())) != g.n:
         raise VertexSetMismatch("need one distinct position per vertex")
 
     given = PolyDrawing(graph=g, pos=pos, provenance="input")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import SingularSystem
 
@@ -49,12 +49,13 @@ class FractionFreeSolver:
     only means that p divides a leading minor, and the next prime is tried.
     A zero pivot under every prime raises SingularSystem.
 
-    ``solve`` lifts the solution p-adically (Dixon 1982): each step solves
+    ``solve`` takes an integer right-hand side over one denominator and
+    lifts the solution p-adically (Dixon 1982): each step solves
     A c = r (mod p) with the factor and divides the exact residual r - A c
     by p.  Rational reconstruction over one growing common denominator reads
-    the solution back, and it is returned only when A x = b holds exactly.
-    A residual that p does not divide raises ArithmeticError, so a wrong
-    factor can never give a wrong answer.
+    the numerators back, and the solution is returned only when A x = b
+    holds exactly.  A residual that p does not divide raises ArithmeticError,
+    so a wrong factor can never give a wrong answer.
     """
 
     def __init__(self, rows: list):
@@ -95,20 +96,13 @@ class FractionFreeSolver:
             y[v] = (y[v] - sum(lu * y[u] for u, lu in col)) % p
         return y
 
-    def _exact(self, sol: list[tuple[int, int]], b: list[int]) -> bool:
-        """Whether the numerator/denominator pairs ``sol`` solve A x = b."""
-        den = lcm(*(d for _, d in sol))
-        num = [x * (den // d) for x, d in sol]
-        return all(sum(a * num[j] for j, a in row) == den * bi
-                   for row, bi in zip(self.rows, b))
-
-    def solve(self, rhs: list[Fraction]) -> list[Fraction]:
+    def solve(self, b: list[int], den: int = 1) -> list[Fraction]:
+        """The solution of A x = b / den, for integers b and den > 0."""
         n = len(self.rows)
-        if len(rhs) != n:
+        if len(b) != n:
             raise ValueError(f"need {n} right-hand side entries")
-        rhs = [Fraction(v) for v in rhs]
-        scale = lcm(*(v.denominator for v in rhs))
-        b = [v.numerator * (scale // v.denominator) for v in rhs]
+        if den < 1:
+            raise ValueError("the denominator must be positive")
         # Cramer's rule bounds every numerator and the common denominator;
         # residues modulo m > 2 * bound**2 determine them
         b_bits = (sum(x * x for x in b).bit_length() + 1) // 2
@@ -129,8 +123,11 @@ class FractionFreeSolver:
             acc = [x + m * ci for x, ci in zip(acc, c)]
             m *= p
             sol = _reconstruct(acc, m)
-            if sol is not None and self._exact(sol, b):
-                return [Fraction(x, d * scale) for x, d in sol]
+            if sol is not None:
+                num, d = sol
+                if all(sum(a * num[j] for j, a in row) == d * bi
+                       for row, bi in zip(self.rows, b)):
+                    return [Fraction(x, d * den) for x in num]
             if m.bit_length() > 2 * bound_bits + 2:
                 raise ArithmeticError("no exact solution within the "
                                       "Hadamard bound")
@@ -169,10 +166,11 @@ def _ldl_mod(entries: list[dict[int, int]], p: int) -> list | None:
     return steps
 
 
-def _reconstruct(residues: list[int], m: int) -> list[tuple[int, int]] | None:
-    """Pairs (x, d) with x/d = residue (mod m), |x| and d at most √(m/2),
-    all denominators dividing one that grows as needed; None when some
-    residue has no such pair."""
+def _reconstruct(residues: list[int], m: int) -> tuple[list[int], int] | None:
+    """Numerators over one common denominator d, each x/d congruent to its
+    residue modulo m.  Every entry is read back with numerator and
+    denominator at most √(m/2) in size, over a denominator that grows as
+    needed and ends as d; None when some residue has no such pair."""
     bound = isqrt(m >> 1)
     den = 1
     out = []
@@ -194,4 +192,4 @@ def _reconstruct(residues: list[int], m: int) -> list[tuple[int, int]] | None:
             return None
         den *= s1
         out.append((r1, den))
-    return out
+    return [x * (den // d) for x, d in out], den

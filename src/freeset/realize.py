@@ -268,7 +268,12 @@ def _checked(d: PolyDrawing, stage: str) -> PolyDrawing:
 class _Barycentric:
     """Weighted Laplacian of the non-fixed vertices of a rotation system
     (only its adjacency is read), as sparse rows, factored once;
-    ``positions`` solves it exactly for given fixed positions."""
+    ``solve`` solves it exactly for one coordinate of the fixed vertices.
+
+    A right-hand side entry is the weighted sum of an interior vertex's
+    fixed neighbours.  It is built on integers: each fixed value is taken
+    over the common denominator L of all of them, and the solver divides by
+    L once."""
 
     def __init__(self, rot, fixed, weights: dict):
         self.interior = [v for v in range(len(rot)) if v not in fixed]
@@ -289,15 +294,15 @@ class _Barycentric:
             self.fixed_nbrs.append(fx)
         self.solver = FractionFreeSolver(rows)
 
-    def positions(self, fixed: dict) -> dict:
-        """Every non-fixed vertex at the weighted barycenter of its
-        neighbors, with the fixed vertices at ``fixed``."""
-        xs, ys = (self.solver.solve([sum(wt * fixed[u][c] for u, wt in fx)
-                                     for fx in self.fixed_nbrs])
-                  for c in (0, 1))
-        pos = dict(fixed)
-        pos.update(zip(self.interior, zip(xs, ys)))
-        return pos
+    def solve(self, values: dict) -> list[Fraction]:
+        """One coordinate of every interior vertex, in ``interior`` order,
+        at the weighted barycenter of its neighbors; ``values`` gives that
+        coordinate of every fixed vertex."""
+        den = lcm(*(v.denominator for v in values.values()))
+        num = {u: v.numerator * (den // v.denominator)
+               for u, v in values.items()}
+        return self.solver.solve([sum(wt * num[u] for u, wt in fx)
+                                  for fx in self.fixed_nbrs], den)
 
 
 def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
@@ -317,7 +322,11 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
 
-    pos = _Barycentric(h.rot, fixed, {e: 1 for e in h.edges}).positions(fixed)
+    system = _Barycentric(h.rot, fixed, {e: 1 for e in h.edges})
+    xs, ys = (system.solve({v: p[c] for v, p in fixed.items()})
+              for c in (0, 1))
+    pos = dict(fixed)
+    pos.update(zip(system.interior, zip(xs, ys)))
     _checked(PolyDrawing(graph=h, pos=pos, provenance="tutte"), "tutte")
     return pos
 
@@ -361,8 +370,14 @@ class _HalfPlane:
     through free vertices to the apex; the exact check of the drawing has
     the last word.  The interior system is factored once (sparse LDLᵀ
     modulo a prime, in minimum-degree order), so a solve for new axis
-    positions is only p-adic lifting with that factor.  ``solve`` only
-    solves; the caller verifies the drawing it assembles.
+    positions is only p-adic lifting with that factor.
+
+    The heights do not depend on the axis positions.  The axis is at
+    height 0 and the apex at b, so the interior heights are b·φ, where φ
+    solves the system with the apex at 1: the system is linear and its
+    solution unique.  φ is lifted once, here, and ``solve`` lifts only the
+    x's.  ``solve`` only solves; the caller verifies the drawing it
+    assembles.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
@@ -401,6 +416,9 @@ class _HalfPlane:
             self.base_weights[e] = 2 + i
         self._base = _Barycentric(self.rot, set(self.y) | {self.apex},
                                   self.base_weights)
+        heights = dict.fromkeys(self.y, 0)
+        heights[self.apex] = 1
+        self._phi = self._base.solve(heights)
 
     def _fill_content_faces(self, rot: list[list[int]], faces: list,
                             edges: frozenset,
@@ -448,14 +466,16 @@ class _HalfPlane:
             raise SizeMismatch("one x position per axis vertex")
         span = xs[-1] - xs[0]
         b = 4 * span if span > 0 else F(4)
-        fixed = {v: (x, F(0)) for v, x in zip(self.y, xs)}
-        fixed[self.apex] = ((xs[0] + xs[-1]) / 2, b)
-
-        pos = self._base.positions(fixed)
-        out = {v: pos[v] for v in range(self.h.n)}
         if side == "below":
-            out = {v: (x, -y) for v, (x, y) in out.items()}
-        return out
+            b = -b
+        fixed = dict(zip(self.y, xs))
+        fixed[self.apex] = (xs[0] + xs[-1]) / 2
+
+        pos = {v: (x, F(0)) for v, x in zip(self.y, xs)}
+        pos.update((v, (x, b * phi)) for v, x, phi in
+                   zip(self._base.interior, self._base.solve(fixed),
+                       self._phi))
+        return {v: pos[v] for v in range(self.h.n)}
 
 
 def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
@@ -687,7 +707,8 @@ def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
         chain[e] = [e[0], *range(len(pts), len(pts) + len(bends)), e[1]]
         pts.extend(bends)
     scale = lcm(*(c.denominator for p in pts for c in p))
-    grid = [(int(x * scale), int(y * scale)) for x, y in pts]
+    grid = [(x.numerator * (scale // x.denominator),
+             y.numerator * (scale // y.denominator)) for x, y in pts]
     reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
     best = None  # (num, den, point, edge): D² = num / den on the grid
     for fid in sorted({f for v in moving for f in g.faces_at(v)}):
@@ -771,12 +792,11 @@ def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
     x + t*y, and the points so sheared.  Two points with equal y never
     collide, and two with distinct y collide at one t only, so t is at
     most the number of point pairs."""
-    t = 0
-    while True:
-        sheared = [(x + t * y, y) for x, y in points]
-        if len({x for x, _ in sheared}) == len(sheared):
-            return t, sheared
+    t, sheared = 0, points
+    while len({x for x, _ in sheared}) < len(sheared):
         t += 1
+        sheared = [(x + t * y, y) for x, y in points]
+    return t, sheared
 
 
 def _shear_drawing(d: PolyDrawing, t: int) -> PolyDrawing:

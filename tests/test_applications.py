@@ -18,7 +18,7 @@ from freeset.bench import _random_tree
 from freeset.errors import MergeConflict, TooLarge, VertexSetMismatch
 from freeset.extractors import planar_freeset
 from freeset.generators import path, random_triangulation
-from freeset.realize import tutte_solve
+from freeset.realize import _distinct_x_shear, tutte_solve
 
 
 class TestLisLds:
@@ -83,13 +83,26 @@ class TestUntangle:
         assert res.moved + len(res.fixed) == n
 
     def test_duplicate_x_rotation_path(self):
+        # edges 0-1 and 2-3 cross at (1, 1); x = 0 and x = 2 repeat, so the
+        # realization runs in a sheared frame and is sheared back
         g = path(5)
-        pos = {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (1, 0), 4: (1, 1)}
+        pos = {0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0), 4: (1, 3)}
+        t, _ = _distinct_x_shear([(F(x), F(y)) for x, y in pos.values()])
+        assert t >= 1
         res = untangle(g, pos)
         assert res.drawing.verified
+        assert res.drawing.provenance == "untangled"
+        assert any(pos[v][1] != 0 for v in res.fixed)
         for v in res.fixed:
             x, y = pos[v]
             assert res.drawing.pos[v] == (F(x), F(y))
+
+    @pytest.mark.parametrize("keys", [(1, 2, 3), (0, 1, 3), (0, 1)],
+                             ids=["shifted", "gap", "missing"])
+    def test_position_keys_not_the_vertices(self, keys):
+        pos = {v: (i, i * i) for i, v in enumerate(keys)}
+        with pytest.raises(VertexSetMismatch):
+            untangle(path(3), pos)
 
 
 class TestSgeNomap:

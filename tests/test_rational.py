@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import ceil, gcd, log2
+from math import ceil, gcd, lcm, log2
 
 import pytest
 
@@ -95,6 +95,15 @@ class DenseReference:
         return [F(bi, self.det * scale) for bi in b]
 
 
+def solve_rational(solver: FractionFreeSolver, rhs: list) -> list[F]:
+    """``solver.solve`` on a rational right-hand side, handed over as
+    integer numerators over their common denominator."""
+    rhs = [F(v) for v in rhs]
+    den = lcm(*(v.denominator for v in rhs))
+    return solver.solve([v.numerator * (den // v.denominator) for v in rhs],
+                        den)
+
+
 def dense(rows: list[dict]) -> list[list[int]]:
     return [[r.get(j, 0) for j in range(len(rows))] for r in rows]
 
@@ -167,7 +176,7 @@ def assert_matches_reference(rows, seed: int) -> None:
     rng = random.Random(seed)
     for _ in range(2):
         rhs = rational_rhs(len(rows), rng)
-        assert solver.solve(rhs) == ref.solve(rhs)
+        assert solve_rational(solver, rhs) == ref.solve(rhs)
 
 
 class TestAgainstReference:
@@ -192,13 +201,66 @@ class TestAgainstReference:
         solver = FractionFreeSolver(rows)
         assert solver.p != p
         rhs = [F(1, 3), F(-7), F(5, 2)]
-        assert solver.solve(rhs) == DenseReference(dense(rows)).solve(rhs)
+        assert solve_rational(solver, rhs) == \
+            DenseReference(dense(rows)).solve(rhs)
 
     def test_integer_and_zero_right_hand_sides(self):
         rows = [{0: 2, 1: -1}, {0: -1, 1: 2}]
         solver = FractionFreeSolver(rows)
-        assert solver.solve([1, 1]) == [1, 1]
-        assert solver.solve([0, 0]) == [0, 0]
+        assert solve_rational(solver, [1, 1]) == [1, 1]
+        assert solve_rational(solver, [0, 0]) == [0, 0]
+
+
+def reference_halfplane_solve(hp, xs: list[F], side: str) -> dict:
+    """The two-coordinate solve that ``_HalfPlane.solve`` replaced: the
+    apex at height b = 4 * span, and x and y each lifted on right-hand
+    sides summed in fractions."""
+    span = xs[-1] - xs[0]
+    b = 4 * span if span > 0 else F(4)
+    fixed = {v: (x, F(0)) for v, x in zip(hp.y, xs)}
+    fixed[hp.apex] = ((xs[0] + xs[-1]) / 2, b)
+    base = hp._base
+    xs_, ys_ = (solve_rational(base.solver,
+                               [sum(wt * fixed[u][c] for u, wt in fx)
+                                for fx in base.fixed_nbrs])
+                for c in (0, 1))
+    pos = dict(fixed)
+    pos.update(zip(base.interior, zip(xs_, ys_)))
+    out = {v: pos[v] for v in range(hp.h.n)}
+    if side == "below":
+        out = {v: (x, -y) for v, (x, y) in out.items()}
+    return out
+
+
+def axis_styles(k: int, rng: random.Random) -> dict[str, list[F]]:
+    """Strictly increasing axis x's: integers, mixed denominators, and
+    negative values."""
+    def walk(start: F, dens: tuple[int, ...]) -> list[F]:
+        xs = [start]
+        for _ in range(k - 1):
+            xs.append(xs[-1] + F(rng.randint(1, 40), rng.choice(dens)))
+        return xs
+
+    return {"integer": [F(3 * i - k) for i in range(k)],
+            "mixed": walk(F(-7, 3), (1, 2, 3, 5, 12, 64)),
+            "negative": walk(F(-10 ** 6, 7), (1, 9, 11))}
+
+
+class TestHalfPlaneHeights:
+    """Heights b·φ from the one lift made with the half-plane, and x's on
+    integer right-hand sides, against lifting both coordinates."""
+
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_matches_two_coordinate_solve(self, make, args):
+        rng = random.Random(0xAB1E)
+        for hp in halfplanes(make(*args)):
+            for xs in axis_styles(len(hp.y), rng).values():
+                for side in ("below", "above"):
+                    got = hp.solve(xs, side)
+                    want = reference_halfplane_solve(hp, xs, side)
+                    assert list(got.items()) == list(want.items())
 
 
 class TestFailures:
@@ -223,7 +285,8 @@ class TestFailures:
             u, lu = col[0]
             col[0] = (u, (lu + 1) % p)
         with pytest.raises(ArithmeticError):
-            solver.solve(rational_rhs(len(rows), random.Random(1)))
+            solve_rational(solver,
+                           rational_rhs(len(rows), random.Random(1)))
 
 
 class TestScale:

@@ -660,3 +660,42 @@ class TestVerifyOnce:
                                  r"lies on edge \(0, 3\)"):
             perturb_scale(broken, fs.order, [3, -2])
         assert calls == []
+
+
+class TestLiftsPerRealization:
+    """Exact lifts (``FractionFreeSolver.solve`` calls) per entry point.
+
+    Each half-plane lifts its heights once when it is built; a solve for
+    new axis positions then lifts only the x's."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        seen = []
+        real = realize.FractionFreeSolver.solve
+
+        def counting(solver, *args):
+            seen.append(1)
+            return real(solver, *args)
+
+        monkeypatch.setattr(realize.FractionFreeSolver, "solve", counting)
+        return seen
+
+    def test_warm_free_realize_lifts_x_only(self, lifts):
+        g = random_triangulation(60, 5)
+        fs = planar_freeset(g)
+        rng = random.Random(5)
+        _collinear_system.cache_clear()
+        cold = free_realize(g, fs, point_set("general", len(fs.order), rng))
+        assert cold.verified and len(lifts) == 4
+        lifts.clear()
+        warm = free_realize(g, fs, point_set("repeated-x", len(fs.order),
+                                             rng))
+        assert warm.verified and len(lifts) == 2
+
+    def test_halfplane_draw_two_lifts(self, lifts):
+        halfplane_draw(path(4), [0, 1], [0, 1], side="above")
+        assert len(lifts) == 2
+
+    def test_tutte_solve_two_lifts(self, k4, lifts):
+        tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
+        assert len(lifts) == 2

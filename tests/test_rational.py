@@ -207,8 +207,11 @@ class TestAgainstReference:
     def test_integer_and_zero_right_hand_sides(self):
         rows = [{0: 2, 1: -1}, {0: -1, 1: 2}]
         solver = FractionFreeSolver(rows)
-        assert solve_rational(solver, [1, 1]) == [1, 1]
-        assert solve_rational(solver, [0, 0]) == [0, 0]
+        assert solver.solve([1, 1]) == [1, 1]
+        assert solver.solve([0, 0]) == [0, 0]
+        assert solver.solve([3, 3], 6) == [F(1, 2), F(1, 2)]
+        with pytest.raises(ValueError):
+            solver.solve([1, 1], 0)
 
 
 def reference_halfplane_solve(hp, xs: list[F], side: str) -> dict:

@@ -3,10 +3,13 @@
 A certificate is a cyclic sequence of items (vertices the curve passes
 through, edges it crosses once, edges it runs along entirely) together with
 the face traversed between consecutive items.  Validation checks that the
-data describes a simple closed curve meeting every edge at most once:
-besides the local properness rules this requires, for every face, a
-non-crossing placement of the passage chords on the face's boundary circle,
-and a globally consistent two-sided partition of the graph.
+data describes a simple closed curve meeting every edge at most once: the
+local properness rules, and for every face a non-crossing placement of the
+passage chords on the face's boundary circle.  Nothing more is needed.  The
+placed chords draw the curve through each face, the curve meets each vertex
+and edge at most once, and chords in one face do not cross, so the curve is
+simple.  By the Jordan curve theorem it then has two sides, which
+``side_partition`` reads off from local seeds and one flood.
 
 Boundary circle coordinates: a face of size L gets 2L cyclic positions;
 position 2t is the interior of the walk edge at index t, position 2t+1 the
@@ -142,14 +145,6 @@ class _FaceGeometry:
             corner_pos[(v, u)] = 2 * t + 1
         self.corner_pos = corner_pos  # (vertex, ccw-later neighbor) -> pos
 
-    def vertex_corners(self, g: EmbeddedGraph, v: int) -> list[int]:
-        out = []
-        for u in g.rot[v]:
-            p = self.corner_pos.get((v, u))
-            if p is not None:
-                out.append(p)
-        return sorted(out)
-
 
 def _chords_cross(a1: int, b1: int, a2: int, b2: int, size: int) -> bool:
     if len({a1, b1} & {a2, b2}) > 0:
@@ -179,8 +174,6 @@ class _Analysis:
         self.exit_pos: list[int | None] = []
         self.entry_corner: list[int | None] = []
         self.exit_corner: list[int | None] = []
-        self.face_chords: dict[int, list[tuple[int, int]]] = {}
-        self.arc_side: dict[int, list[tuple[int, int, str]]] = {}
 
     def geometry(self, fid: int) -> _FaceGeometry:
         geo = self.geom.get(fid)
@@ -188,21 +181,6 @@ class _Analysis:
             geo = _FaceGeometry(self.g, fid)
             self.geom[fid] = geo
         return geo
-
-    def position_side(self, fid: int, pos: int) -> str | None:
-        """Side of a boundary position; None when unlabeled or on the curve."""
-        arcs = self.arc_side.get(fid)
-        if not arcs:
-            return None
-        size = self.geometry(fid).size
-        for lo, _, _ in arcs:
-            if pos == lo:
-                return None
-        for lo, hi, side in arcs:
-            span = (hi - lo) % size or size
-            if 0 < (pos - lo) % size < span:
-                return side
-        return None
 
 
 def _structural_check(g: EmbeddedGraph, cert: CurveCertificate) -> None:
@@ -276,33 +254,6 @@ def _structural_check(g: EmbeddedGraph, cert: CurveCertificate) -> None:
 
     if all(p is None for p in passages):
         raise _Bad("no-passage", "certificate needs at least one face passage")
-
-
-def _parity_check(g: EmbeddedGraph, cert: CurveCertificate) -> None:
-    """A closed curve crosses every cycle an even number of times: the
-    same-side/opposite-side constraints must be 2-colorable."""
-    y = set(cert.vertex_order())
-    crossed = set(cert.crossed_edges())
-    color: dict[int, int] = {}
-    for s in range(g.n):
-        if s in y or s in color:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.rot[u]:
-                if v in y:
-                    continue
-                want = color[u] ^ (1 if norm_edge(u, v) in crossed else 0)
-                if v in color:
-                    if color[v] != want:
-                        raise _Bad("parity",
-                                   f"edge {norm_edge(u, v)} closes a cycle "
-                                   "crossed an odd number of times")
-                else:
-                    color[v] = want
-                    stack.append(v)
 
 
 def _item_slots(an: _Analysis, i: int, side: str) -> list[tuple[int, int | None]]:
@@ -433,105 +384,6 @@ def _assign_chords(an: _Analysis) -> None:
                 raise _Bad("self-crossing",
                            "no corner assignment avoids curve self-crossings")
             i = next(stack[-1], None)
-    an.face_chords = chords_by_face
-
-
-def _label_arcs(an: _Analysis) -> None:
-    """Per face: label boundary arcs inside/outside by toggling at chord arms.
-
-    Anchored by every directed chord (the arc just after the head is inside);
-    disagreement between anchors means the traversal is inconsistent.
-    """
-    for fid, chords in an.face_chords.items():
-        size = an.geometry(fid).size
-        arms: dict[int, int] = {}
-        real = [(a, b) for a, b in chords if a != b]  # spikes don't separate
-        for a, b in real:
-            arms[a] = arms.get(a, 0) + 1
-            arms[b] = arms.get(b, 0) + 1
-        if not arms:
-            continue
-        pts = sorted(arms)
-        at = {p: k for k, p in enumerate(pts)}
-        r = len(pts)
-
-        # absolute anchors exist only where the curve passes through the
-        # boundary (single-arm endpoints): the arc after a head and the arc
-        # before a tail lie to the curve's left
-        anchor_arcs: list[int] = []
-        for a, b in real:
-            if arms[b] == 1:
-                anchor_arcs.append(at[b])
-            if arms[a] == 1:
-                anchor_arcs.append((at[a] - 1) % r)
-
-        # chords joined head-to-tail at two-arm points form chains; a closed
-        # chain is an inscribed polygon whose winding fixes the orientation:
-        # boundary arcs lie right of a ccw polygon, left of a cw one
-        tail_at: dict[int, int] = {}
-        for ci, (a, b) in enumerate(real):
-            if arms[a] == 2:
-                tail_at[a] = ci
-        chain_checks: list[tuple[int, str]] = []  # (arc index, wanted side)
-        seen_chord = [False] * len(real)
-        for ci, (a, b) in enumerate(real):
-            if seen_chord[ci] or arms[a] != 2:
-                continue
-            # walk forward while the joints are two-armed
-            walk = [ci]
-            seen_chord[ci] = True
-            cur = ci
-            closed = False
-            while True:
-                head = real[cur][1]
-                if arms[head] != 2 or head not in tail_at:
-                    break
-                nxt = tail_at[head]
-                if nxt == walk[0]:
-                    closed = True
-                    break
-                if seen_chord[nxt]:
-                    break
-                seen_chord[nxt] = True
-                walk.append(nxt)
-                cur = nxt
-            if closed:
-                winding = sum((real[c][1] - real[c][0]) % size for c in walk)
-                if winding % size != 0:
-                    raise _Bad("inconsistent-sides",
-                               f"face {fid}: chord polygon does not close")
-                side = "Z" if winding == size else "X"
-                chain_checks.append((at[real[walk[0]][1]], side))
-
-        sides: list[str | None] = [None] * r
-        if anchor_arcs:
-            k0, s0 = anchor_arcs[0], "X"
-        elif chain_checks:
-            k0, s0 = chain_checks[0]
-        else:  # pragma: no cover - every real chord yields one or the other
-            continue
-        sides[k0] = s0
-        cur_side = s0
-        for step in range(1, r + 1):
-            k = (k0 + step) % r
-            if arms[pts[k]] % 2 == 1:
-                cur_side = "Z" if cur_side == "X" else "X"
-            if sides[k] is None:
-                sides[k] = cur_side
-            elif sides[k] != cur_side:
-                raise _Bad("inconsistent-sides",
-                           f"face {fid}: arc labeling does not close up")
-        for k in anchor_arcs:
-            if sides[k] != "X":
-                raise _Bad("inconsistent-sides",
-                           f"face {fid}: passage orientations disagree")
-        for k, want in chain_checks:
-            if sides[k] != want:
-                raise _Bad("inconsistent-sides",
-                           f"face {fid}: chord polygon orientation disagrees")
-        an.arc_side[fid] = [
-            (pts[k], pts[(k + 1) % r], sides[k]) for k in range(r)
-        ]
 
 
 def _analyze(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
@@ -539,8 +391,6 @@ def _analyze(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
     _structural_check(g, cert)
     an = _Analysis(g, cert)
     _assign_chords(an)
-    _parity_check(g, cert)
-    _label_arcs(an)
     return an
 
 
@@ -569,93 +419,91 @@ def validate_curve(g: EmbeddedGraph, cert: CurveCertificate,
 def side_partition(g: EmbeddedGraph, cert: CurveCertificate) -> SidePartition:
     """Split the graph into inside / on-curve / outside of the curve.
 
-    Inside is the region to the left of the traversal.  Raises InvalidCurve
-    for structural defects and InconsistentSides when no consistent
-    two-sided assignment exists.
+    Inside (X) is the region to the left of the traversal.  A valid
+    certificate is a simple closed curve, so by the Jordan curve theorem
+    each side is decided locally and spread by one flood:
+
+    - a crossed edge entered through its dart (u, v) on the entry face has v
+      on the left and u on the right;
+    - at a curve vertex whose entry and exit differ, the neighbours strictly
+      counter-clockwise from the exit to the entry are on the left, the rest
+      on the right (the entry and exit are corners, or along edges);
+    - at a spike (the curve enters and leaves through the same corner p)
+      every neighbour is on the left when the entry chord's far end comes
+      before the exit chord's far end going forward from p, else on the
+      right.
+
+    The flood runs through G - Y and flips sides at crossed edges; G is
+    connected, so it reaches every vertex.  Raises InvalidCurve for
+    structural defects and InconsistentSides when a crossing re-enters the
+    face it left.
     """
     try:
         an = _analyze(g, cert)
     except _Bad as exc:
-        if exc.violation.kind in ("parity", "inconsistent-sides"):
+        if exc.violation.kind == "inconsistent-sides":
             raise InconsistentSides(str(exc)) from None
         raise InvalidCurve(str(exc)) from None
     return _side_partition_of(an)
 
 
+_OTHER_SIDE = {"X": "Z", "Z": "X"}
+
+
+def _rotation_cut(an: _Analysis, i: int, corner: int | None, step: int) -> int:
+    """Where the curve meets vertex item i's rotation, on a circle of 2d
+    slots with neighbour j at 2j and the corner before neighbour s at
+    2s - 1; without a corner the curve runs along the edge to the vertex
+    item i + step."""
+    items = an.cert.items
+    rot = an.g.rot[items[i].v]
+    if corner is not None:
+        return (2 * corner - 1) % (2 * len(rot))
+    return 2 * rot.index(items[(i + step) % len(items)].v)
+
+
 def _side_partition_of(an: _Analysis) -> SidePartition:
     """The side partition of an analyzed (hence valid) certificate."""
     g, cert = an.g, an.cert
+    items, passages = cert.items, cert.passages
+    m = len(items)
     y_order = cert.vertex_order()
     y = set(y_order)
     crossed = set(cert.crossed_edges())
     along = set(norm_edge(*e) for e in cert.along_edges())
 
     side: dict[int, str] = {}
-    conflicts: list[str] = []
-
-    def seed(v: int, s: str) -> None:
-        if v in y:
-            return
-        if v in side and side[v] != s:
-            conflicts.append(f"vertex {v} seeded on both sides")
-            return
-        side[v] = s
-
-    edge_label: dict[Edge, str] = {}
-    for fid in an.arc_side:
-        geo = an.geometry(fid)
-        for d, pos in geo.edge_pos.items():
-            e = norm_edge(*d)
-            if e in along:
+    for i, it in enumerate(items):
+        if isinstance(it, CrossItem):
+            walk = g.faces[passages[i - 1]].walk
+            u, v = walk[an.entry_pos[i] // 2]
+            side[u], side[v] = "Z", "X"
+        elif isinstance(it, VertexItem):
+            rot = g.rot[it.v]
+            circle = 2 * len(rot)
+            entry = _rotation_cut(an, i, an.entry_corner[i], -2)
+            exit_ = _rotation_cut(an, i, an.exit_corner[i], 2)
+            if entry == exit_:
+                p = an.entry_pos[i]
+                size = an.geometry(passages[i]).size
+                a, b = an.exit_pos[i - 1], an.entry_pos[(i + 1) % m]
+                s = "X" if (a - p) % size < (b - p) % size else "Z"
+                side.update((u, s) for u in rot)
                 continue
-            if e in crossed:
-                # the two halves of a crossed edge lie on opposite sides
-                s_before = an.position_side(fid, (pos - 1) % geo.size)
-                s_after = an.position_side(fid, (pos + 1) % geo.size)
-                u, v = d
-                if s_before is not None:
-                    seed(u, s_before)
-                if s_after is not None:
-                    seed(v, s_after)
-                continue
-            s = an.position_side(fid, pos)
-            if s is None:
-                continue
-            if e in edge_label and edge_label[e] != s:
-                conflicts.append(f"edge {e} labeled on both sides")
-            edge_label[e] = s
-            for w in d:
-                seed(w, s)
+            span = (entry - exit_) % circle
+            for j, u in enumerate(rot):
+                if u not in y:
+                    side[u] = "X" if 0 < (2 * j - exit_) % circle < span \
+                        else "Z"
 
-    if conflicts:
-        raise InconsistentSides("; ".join(conflicts))
-
-    # propagate through uncrossed edges avoiding curve vertices
-    pending = [v for v in side]
+    pending = list(side)
     while pending:
         u = pending.pop()
         for v in g.rot[u]:
-            if v in y:
-                continue
-            e = norm_edge(u, v)
-            want = side[u]
-            if e in crossed:
-                want = "Z" if want == "X" else "X"
-            if v in side:
-                if side[v] != want:
-                    raise InconsistentSides(
-                        f"edge {e} connects both sides without a crossing")
-            else:
-                side[v] = want
+            if v not in y and v not in side:
+                flip = norm_edge(u, v) in crossed
+                side[v] = _OTHER_SIDE[side[u]] if flip else side[u]
                 pending.append(v)
-
-    # components the labeling never reached default to the outside
-    for v in range(g.n):
-        if v not in y and v not in side:
-            side[v] = "Z"
-            for u in g.rot[v]:
-                if u not in y and u not in side:
-                    side[u] = "Z"
 
     edge_class: dict[Edge, str] = {}
     for e in g.edges:

@@ -220,9 +220,10 @@ class OuterplanarResult:
 
 
 def _independent_greedy_on_chords(n: int, chords: set[tuple[int, int]],
-                                  ) -> tuple[list[int], dict]:
+                                  ) -> tuple[list[int], list[int]]:
     """Greedy independent set in the chord graph: repeatedly take the
     minimum-degree vertex (ties by id) and delete it with its neighbors.
+    Returns the picks in order and each pick's degree when it was taken.
 
     Degrees only fall and each fall pushes a new (degree, id) entry, so a
     living vertex's current entry pops before its stale ones; entries of
@@ -235,16 +236,13 @@ def _independent_greedy_on_chords(n: int, chords: set[tuple[int, int]],
     alive = [True] * n
     heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
-    counts = {0: 0, 1: 0, 2: 0}
-    chosen = []
+    chosen, degrees = [], []
     while heap:
         d, v = heapq.heappop(heap)
         if not alive[v]:
             continue
-        counts[min(d, 2)] += 1
-        if d > 2:  # pragma: no cover - impossible in outerplane chord graphs
-            raise NotMaximalOuterplane("chord degree exceeded 2 in the greedy")
         chosen.append(v)
+        degrees.append(d)
         for u in [v] + adj[v]:
             if alive[u]:
                 alive[u] = False
@@ -252,7 +250,7 @@ def _independent_greedy_on_chords(n: int, chords: set[tuple[int, int]],
                     if alive[w]:
                         deg[w] -= 1
                         heapq.heappush(heap, (deg[w], w))
-    return chosen, counts
+    return chosen, degrees
 
 
 def _fill_polygon_chords(k: int, chords: set[tuple[int, int]],
@@ -306,7 +304,10 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
     chords = {(pos[u], pos[v]) for (u, v) in og.edges
               if norm_edge(u, v) not in boundary_edges}
     chords = {norm_edge(a, b) for a, b in chords}
-    chosen_pos, counts = _independent_greedy_on_chords(n, chords)
+    chosen_pos, degrees = _independent_greedy_on_chords(n, chords)
+    # each pick has at most two living chords in an outerplane chord graph
+    if max(degrees) > 2:  # pragma: no cover
+        raise NotMaximalOuterplane("chord degree exceeded 2 in the greedy")
     s = {boundary[i] for i in chosen_pos}
     if 2 * len(s) < n + 2:
         raise NotMaximalOuterplane(
@@ -321,7 +322,8 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
         provenance="outerplanar-greedy",
         bound_met=f"|S|={len(s)} >= n/2+1={n // 2 + 1}",
     )
-    return OuterplanarResult(ofs, counts[0], counts[1], counts[2])
+    return OuterplanarResult(ofs, degrees.count(0), degrees.count(1),
+                             degrees.count(2))
 
 
 # ---------------------------------------------------------------------------
@@ -911,12 +913,11 @@ def dualcycle_freeset(t: EmbeddedGraph, dual_cycle) -> OrderedFreeSet:
     reported.
     """
     caressed = caressed_vertices(t, dual_cycle)
-    alive = set(caressed)
-    chosen: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (sum(1 for w in t.rot[u] if w in alive), u))
-        chosen.append(v)
-        alive -= {v} | set(t.rot[v])
+    index = {v: i for i, v in enumerate(caressed)}
+    edges = {norm_edge(index[u], index[w]) for u in caressed
+             for w in t.rot[u] if w in index}
+    picks, _ = _independent_greedy_on_chords(len(caressed), edges)
+    chosen = [caressed[i] for i in picks]
     if len(chosen) < 2:
         raise NoIndependentPair(
             f"only {len(chosen)} independent caressed vertices")

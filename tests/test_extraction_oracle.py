@@ -3,7 +3,8 @@
 The references below are the earlier implementations, kept verbatim in
 spirit: the boundary-rescan canonical ordering, descendant bitmasks for
 frame reachability, all-pairs Mirsky layers and the chain/antichain
-dichotomy built on them, the ``min``-scan independent-set greedy, the
+dichotomy built on them, the ``min``-scan independent-set greedy (on
+outerplane chords and on dualcycle_freeset's caressed vertices), the
 ``cycle_sides`` flood for the inside of a prefix boundary and the O(n^2)
 monotone-subsequence DP.  Each is compared with the program on a seeded
 corpus; a few deterministic work counts bound the new code.
@@ -25,7 +26,7 @@ from freeset.canonical import (
 )
 from freeset.curves import validate_curve
 from freeset.embedding import cycle_sides, norm_edge, triangulate
-from freeset.errors import AntichainTooShort
+from freeset.errors import AntichainTooShort, NoIndependentPair
 from freeset.extractors import (
     _crescents,
     _fill_polygon_chords,
@@ -164,14 +165,26 @@ def reference_greedy(n, chords):
         adj[u].add(v)
         adj[v].add(u)
     alive = set(range(n))
-    counts = {0: 0, 1: 0, 2: 0}
-    chosen = []
+    chosen, degrees = [], []
     while alive:
         v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        counts[min(len(adj[v] & alive), 2)] += 1
         chosen.append(v)
+        degrees.append(len(adj[v] & alive))
         alive -= {v} | adj[v]
-    return chosen, counts
+    return chosen, degrees
+
+
+def reference_dualcycle_picks(t, caressed):
+    """The ``min``-scan over the caressed vertices that dualcycle_freeset
+    used, with degrees counted in t among the living ones."""
+    alive = set(caressed)
+    chosen = []
+    while alive:
+        v = min(alive, key=lambda u: (sum(1 for w in t.rot[u] if w in alive),
+                                      u))
+        chosen.append(v)
+        alive -= {v} | set(t.rot[v])
+    return chosen
 
 
 def reference_inside(t, cycle):
@@ -315,6 +328,38 @@ def test_greedy_matches_min_scan(k, seed):
     for cs in (chords, _fill_polygon_chords(k, set(chords))):
         assert _independent_greedy_on_chords(k, cs) == \
             reference_greedy(k, cs)
+
+
+class _Picked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [8, 40, 150])
+@pytest.mark.parametrize("seed", range(4))
+def test_dualcycle_greedy_matches_min_scan(n, seed, monkeypatch):
+    """dualcycle_freeset's picks on seeded induced subgraphs, standing in
+    for the caressed vertices of a dual cycle."""
+    rng = random.Random(seed)
+    t = random_triangulation(n, seed)
+    picks = []
+
+    def capture(g, cycle, chosen):
+        picks.append(list(chosen))
+        raise _Picked
+
+    monkeypatch.setattr(extractors, "reroute_caressed", capture)
+    for density in (0.2, 0.5, 0.9):
+        ground = tuple(v for v in range(n) if rng.random() < density)
+        monkeypatch.setattr(extractors, "caressed_vertices",
+                            lambda g, cycle: ground)
+        want = reference_dualcycle_picks(t, ground)
+        if len(want) < 2:
+            with pytest.raises(NoIndependentPair):
+                extractors.dualcycle_freeset(t, None)
+            continue
+        with pytest.raises(_Picked):
+            extractors.dualcycle_freeset(t, None)
+        assert picks.pop() == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 300])

@@ -13,6 +13,7 @@ from freeset.canonical import canonical_order
 from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     DegenerateOutput,
+    FreesetError,
     SizeMismatch,
     YNotOnOuterFace,
 )
@@ -525,6 +526,25 @@ class TestPerturbAndFree:
         d = free_realize(g, fs, sorted(pts))
         assert d.verified
         assert {d.pos[v] for v in fs.order} == pts
+
+    @pytest.mark.parametrize("n", range(6, 41, 2))
+    def test_thinned_end_to_end(self, n):
+        """planar_freeset's own certificate realizes on every thinned
+        triangulation: 90 graphs per n, one general point set each."""
+        failed = []
+        for s in range(1, 31):
+            for keep in (0.3, 0.45, 0.6):
+                g = thinned_triangulation(n, s, keep)
+                fs = planar_freeset(g)
+                pts = point_set("general", len(fs.order), random.Random(5))
+                try:
+                    d = free_realize(g, fs, pts)
+                except FreesetError as exc:
+                    failed.append((s, keep, type(exc).__name__))
+                    continue
+                assert d.verified
+                assert [d.pos[v] for v in fs.order] == pts
+        assert failed == []
 
 
 class TestVerifyOnce:

@@ -469,7 +469,7 @@ def _side_partition_of(an: _Analysis) -> SidePartition:
     m = len(items)
     y_order = cert.vertex_order()
     y = set(y_order)
-    crossed = set(cert.crossed_edges())
+    crossed = set(norm_edge(*e) for e in cert.crossed_edges())
     along = set(norm_edge(*e) for e in cert.along_edges())
 
     side: dict[int, str] = {}

@@ -335,27 +335,32 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
 # Half-plane drawings
 # ---------------------------------------------------------------------------
 
-def _with_apex(h: EmbeddedGraph, y0: int, ym: int):
+def _with_apex(h: EmbeddedGraph, y: list[int]):
     """Rotation lists, face walks (vertex lists) and edges of h plus an
-    apex, vertex h.n, joined to y0 and ym in the first outer corner at
-    each.  The apex cuts h's outer walk in two at those corners and leaves
-    the other faces as they are, so nothing is traced."""
+    apex, vertex h.n, joined to both ends of the axis y.
+
+    The axis is found as a run of consecutive vertices of h's outer walk,
+    in either direction (the first match in walk order); YNotOnOuterFace
+    if it is none.  The apex goes into the corner where the walk enters
+    the run and the corner where it leaves it, which cuts the walk into
+    the faces [apex] + run and [apex] + the rest of the walk; the other
+    faces stay as they are, so nothing is traced."""
+    walk = [u for u, _ in h.faces[h.outer_face].walk]
+    k, m = len(walk), len(y)
+    runs = (y, y[::-1])
+    i = next((i for i in range(k) for run in runs
+              if all(walk[(i + t) % k] == run[t] for t in range(m))), None)
+    if i is None:
+        raise YNotOnOuterFace(f"axis {y} is not a run of the outer walk")
+    walk = walk[i:] + walk[:i]  # the run first
     apex = h.n
-    rot = [list(r) for r in h.rot] + [[y0, ym]]
-    outer = h.faces[h.outer_face].walk
-    cuts = []
-    for end in (y0, ym):
-        j = next(j for j in range(len(h.rot[end]))
-                 if h.corner_face(end, j) == h.outer_face)
-        rot[end].insert(j, apex)
-        # the outer walk leaves that corner by the dart to rot[end][j - 1]
-        cuts.append(outer.index((end, h.rot[end][j - 1])))
-    p, q = cuts
-    walk = [u for u, _ in outer[p:] + outer[:p]]  # y0 first
-    q = (q - p) % len(walk)                       # where ym is
+    rot = [list(r) for r in h.rot] + [[y[0], y[-1]]]
+    # the walk enters v from u through the corner just before u in rot[v]
+    for u, v in ((walk[-1], walk[0]), (walk[m - 2], walk[m - 1])):
+        rot[v].insert(rot[v].index(u), apex)
     faces = [f.vertices for f in h.faces if f.id != h.outer_face]
-    faces += [[apex] + walk[:q + 1], [apex] + walk[q:] + walk[:1]]
-    return rot, faces, h.edges | {(y0, apex), (ym, apex)}
+    faces += [[apex] + walk[:m], [apex] + walk[m - 1:] + walk[:1]]
+    return rot, faces, h.edges | {(y[0], apex), (y[-1], apex)}
 
 
 class _HalfPlane:
@@ -393,20 +398,9 @@ class _HalfPlane:
                 if u in at and abs(at[u] - i) != 1:
                     raise SizeMismatch(f"edge {v}-{u} joins axis vertices "
                                        f"that are not consecutive")
-        outer = h.faces[h.outer_face]
-        on_outer = outer.vertex_set()
-        for v in self.y:
-            if v not in on_outer:
-                raise YNotOnOuterFace(f"axis vertex {v} not on the outer face")
-        outer_edges = outer.edge_set()
-        for a, b in zip(self.y, self.y[1:]):
-            if norm_edge(a, b) not in outer_edges:
-                raise YNotOnOuterFace(
-                    f"axis edge {a}-{b} does not bound the outer face")
-
         self.apex = h.n
         self.rot, self.helper_edges = self._fill_content_faces(
-            *_with_apex(h, self.y[0], self.y[-1]))
+            *_with_apex(h, self.y))
         # distinct chord weights keep symmetric twins (two pendants chorded
         # to the same fixed vertices) from coinciding
         edges = frozenset(norm_edge(u, v)
@@ -509,7 +503,7 @@ class _CollinearSystem:
 
 def _lift_certificate(g0: EmbeddedGraph, cert: CurveCertificate):
     """Subdivide the crossed edges and rewrite crossings as vertex items."""
-    crossed = sorted(cert.crossed_edges())
+    crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
     gp, mp = subdivide(g0, crossed)
     mids = {e: midpoint_of(mp, e) for e in crossed}
 
@@ -519,8 +513,8 @@ def _lift_certificate(g0: EmbeddedGraph, cert: CurveCertificate):
         e = norm_edge(u, v)
         d = (u, mids[e]) if e in mids else (u, v)
         fmap[f.id] = gp.face_of(*d)
-    items = tuple(VertexItem(mids[it.edge]) if isinstance(it, CrossItem)
-                  else it for it in cert.items)
+    items = tuple(VertexItem(mids[norm_edge(*it.edge)])
+                  if isinstance(it, CrossItem) else it for it in cert.items)
     passages = tuple(None if p is None else fmap[p] for p in cert.passages)
     return gp, mids, CurveCertificate(items, passages)
 

@@ -6,7 +6,13 @@ from fractions import Fraction as F
 from click.testing import CliRunner
 
 from freeset.cli import main
-from freeset.textio import parse_freeset, parse_graph, serialize_points
+from freeset.generators import cycle
+from freeset.textio import (
+    parse_freeset,
+    parse_graph,
+    serialize_graph,
+    serialize_points,
+)
 
 
 def invoke(*args):
@@ -95,6 +101,21 @@ def test_realize_empty_freeset(tmp_path):
                                   "--points", str(ppath)])
     assert r.exit_code == 2
     assert "Traceback" not in r.output and "empty" in r.output
+
+
+def test_realize_crossed_edge_written_high_low(tmp_path):
+    # a certificate may name a crossed edge high end first
+    gpath = tmp_path / "g.txt"
+    fpath = tmp_path / "g.fs"
+    ppath = tmp_path / "pts.txt"
+    dpath = tmp_path / "g.drawing"
+    gpath.write_text(serialize_graph(cycle(4)))
+    fpath.write_text("S: 0\nCV 0\nCF 1\nCX 2 1\nCF 0\n")
+    ppath.write_text(serialize_points([(F(0), F(0))]))
+    assert invoke("realize", "--graph", str(gpath), "--freeset", str(fpath),
+                  "--points", str(ppath), "--out", str(dpath)).exit_code == 0
+    r = invoke("verify", "--graph", str(gpath), "--drawing", str(dpath))
+    assert r.exit_code == 0 and "ok" in r.output
 
 
 def test_untangle(tmp_path):

@@ -114,6 +114,18 @@ class TestSidePartition:
         with pytest.raises(InconsistentSides):
             side_partition(g, cert)
 
+    def test_crossed_edge_written_high_low(self):
+        g = cycle(4)
+        sps = []
+        for written in (((0, 1), (2, 3)), ((1, 0), (3, 2))):
+            cert = CurveCertificate(items=tuple(map(CrossItem, written)),
+                                    passages=(0, 1))
+            assert validate_curve(g, cert) is None
+            sps.append(side_partition(g, cert))
+        assert sps[1] == sps[0]
+        assert sps[1].edge_class[(0, 1)] == "crossed"
+        assert sps[1].edge_class[(2, 3)] == "crossed"
+
     def test_k4_antichain_partition(self, k4):
         from freeset.canonical import canonical_order
         from freeset.extractors import antichain_freeset

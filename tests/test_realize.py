@@ -348,17 +348,33 @@ def outer_paths(g):
     return sorted(axes)
 
 
+THINNED_AXES = [(n, s, keep) for n in range(5, 9) for s in range(1, 25)
+                for keep in (0.3, 0.4, 0.5)]
+
+
 class TestAugmentationInvariant:
     """The chords alone pull every free vertex off the axis: each has
-    degree three or more and reaches the apex through free vertices."""
+    degree three or more and reaches the apex through free vertices.  The
+    augmented graph meets the lemma of ``_HalfPlane``: its outer face is
+    exactly axis + apex, and every face that touches a free vertex is a
+    triangle."""
 
     @staticmethod
     def assert_pulled(hp):
         yset = set(hp.y)
-        free_ = [v for v in range(len(hp.rot))
-                 if v not in yset and v != hp.apex]
+        free_ = {v for v in range(len(hp.rot))
+                 if v not in yset and v != hp.apex}
         assert all(len(hp.rot[v]) >= 3 for v in free_)
         assert locked(hp.rot, yset, hp.apex) == []
+        outer = {cyclic_form([hp.apex, *hp.y]),
+                 cyclic_form([hp.apex, *hp.y[::-1]])}
+        faces = [[u for u, _ in w] for w in _trace_faces(hp.rot)]
+        assert any(cyclic_form(f) in outer for f in faces)
+        for f in faces:
+            if free_.isdisjoint(f):
+                assert cyclic_form(f) in outer
+            else:
+                assert len(f) == 3 and len(set(f)) == 3
 
     @pytest.mark.parametrize(
         "make,args", HALFPLANE_CORPUS,
@@ -368,9 +384,12 @@ class TestAugmentationInvariant:
             self.assert_pulled(hp)
 
     @pytest.mark.parametrize("g", [path(n) for n in range(2, 7)]
-                             + [fan(n) for n in range(3, 8)],
+                             + [fan(n) for n in range(3, 8)]
+                             + [thinned_triangulation(*a)
+                                for a in THINNED_AXES],
                              ids=[f"path{n}" for n in range(2, 7)]
-                             + [f"fan{n}" for n in range(3, 8)])
+                             + [f"fan{n}" for n in range(3, 8)]
+                             + [f"thinned{a}" for a in THINNED_AXES])
     def test_every_outer_axis(self, g, monkeypatch):
         built = []
 

@@ -266,51 +266,51 @@ def _checked(d: PolyDrawing, stage: str) -> PolyDrawing:
 # ---------------------------------------------------------------------------
 
 class _Barycentric:
-    """Weighted Laplacian of the non-fixed vertices of a rotation system
-    (only its adjacency is read), as sparse rows, factored once;
-    ``solve`` solves it exactly for one coordinate of the fixed vertices.
+    """Laplacian of the non-fixed vertices of a rotation system (only its
+    adjacency is read), as sparse integer rows: the degree on the diagonal,
+    -1 for each non-fixed neighbour.  It is factored once; ``solve`` solves
+    it exactly for one coordinate of the fixed vertices.
 
-    A right-hand side entry is the weighted sum of an interior vertex's
-    fixed neighbours.  It is built on integers: each fixed value is taken
-    over the common denominator L of all of them, and the solver divides by
-    L once."""
+    A right-hand side entry is the sum of an interior vertex's fixed
+    neighbours.  It is built on integers: each fixed value is taken over the
+    common denominator L of all of them, and the solver divides by L once."""
 
-    def __init__(self, rot, fixed, weights: dict):
+    def __init__(self, rot, fixed):
         self.interior = [v for v in range(len(rot)) if v not in fixed]
         index = {v: i for i, v in enumerate(self.interior)}
         rows = []
-        self.fixed_nbrs = []  # per interior vertex: (fixed neighbor, weight)
+        self.fixed_nbrs = []  # per interior vertex: its fixed neighbours
         for i, v in enumerate(self.interior):
-            row = {i: 0}
+            row = {i: len(rot[v])}
             fx = []
             for u in rot[v]:
-                wt = weights[norm_edge(u, v)]
-                row[i] += wt
                 if u in fixed:
-                    fx.append((u, wt))
+                    fx.append(u)
                 else:
-                    row[index[u]] = row.get(index[u], 0) - wt
+                    row[index[u]] = -1
             rows.append(row)
             self.fixed_nbrs.append(fx)
         self.solver = FractionFreeSolver(rows)
 
     def solve(self, values: dict) -> list[Fraction]:
         """One coordinate of every interior vertex, in ``interior`` order,
-        at the weighted barycenter of its neighbors; ``values`` gives that
-        coordinate of every fixed vertex."""
+        at the barycenter of its neighbors; ``values`` gives that coordinate
+        of every fixed vertex."""
         den = lcm(*(v.denominator for v in values.values()))
         num = {u: v.numerator * (den // v.denominator)
                for u, v in values.items()}
-        return self.solver.solve([sum(wt * num[u] for u, wt in fx)
+        return self.solver.solve([sum(num[u] for u in fx)
                                   for fx in self.fixed_nbrs], den)
 
 
 def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     """Barycentric drawing with a fixed boundary polygon.
 
-    The system, with unit edge weights, is solved once exactly over the
-    rationals and checked once by the exact crossing-free verification; a
-    failed check raises DegenerateOutput naming the stage and the violation.
+    The system is the plain integer Laplacian (``_Barycentric``), solved
+    once exactly over the rationals and checked once by the exact
+    crossing-free verification; a failed check raises DegenerateOutput
+    naming the stage and the violation.  A 3-connected graph with its outer
+    face on a convex polygon always passes (Tutte 1963).
     """
     cycle = list(boundary_cycle)
     positions = [(F(x), F(y)) for x, y in boundary_positions]
@@ -322,7 +322,7 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
         raise SizeMismatch("boundary cycle repeats a vertex")
     fixed = dict(zip(cycle, positions))
 
-    system = _Barycentric(h.rot, fixed, {e: 1 for e in h.edges})
+    system = _Barycentric(h.rot, fixed)
     xs, ys = (system.solve({v: p[c] for v, p in fixed.items()})
               for c in (0, 1))
     pos = dict(fixed)
@@ -366,16 +366,24 @@ def _with_apex(h: EmbeddedGraph, y: list[int]):
 class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
-    The augmentation joins an apex to the two axis ends and fills every
-    face with chords, so that the fixed vertices (the axis and the apex)
-    pull each free vertex off the axis.  It is built in one pass: the apex
-    faces come from cutting h's outer walk (``_with_apex``) and
-    ``insert_chords`` splits them in place, so no face is traced.  On every
-    input tested each free vertex ends with degree three or more and a path
-    through free vertices to the apex; the exact check of the drawing has
-    the last word.  The interior system is factored once (sparse LDLᵀ
-    modulo a prime, in minimum-degree order), so a solve for new axis
-    positions is only p-adic lifting with that factor.
+    The augmentation cuts an apex into h's outer walk where it runs along
+    the axis (``_with_apex``) and fills every face with chords, chords from
+    the fixed vertices (the axis and the apex) first.  It is built in one
+    pass: ``insert_chords`` splits the faces in place, so no face is traced.
+
+    Lemma.  The augmented outer face is exactly axis + apex, a weakly convex
+    polygon once the axis is on a line and the apex off it.  No other edge
+    joins two fixed vertices: an edge between axis vertices that are not
+    consecutive is refused, and no chord joins two fixed vertices.  When,
+    besides, every face that touches a free vertex is a triangle, the
+    barycentric drawing with any positive edge weights is an embedding
+    (Tutte 1963; Floater 2003 for a weakly convex boundary).  The chords
+    make those faces triangles on every input tested, every outer axis of
+    small thinned triangulations among them.  So the system is the plain
+    integer Laplacian, and the one exact check of the drawing confirms the
+    embedding.  The interior system is factored once (sparse LDLᵀ modulo a
+    prime, in minimum-degree order), so a solve for new axis positions is
+    only p-adic lifting with that factor.
 
     The heights do not depend on the axis positions.  The axis is at
     height 0 and the apex at b, so the interior heights are b·φ, where φ
@@ -401,15 +409,7 @@ class _HalfPlane:
         self.apex = h.n
         self.rot, self.helper_edges = self._fill_content_faces(
             *_with_apex(h, self.y))
-        # distinct chord weights keep symmetric twins (two pendants chorded
-        # to the same fixed vertices) from coinciding
-        edges = frozenset(norm_edge(u, v)
-                          for v, nbrs in enumerate(self.rot) for u in nbrs)
-        self.base_weights = {e: 1 for e in edges}
-        for i, e in enumerate(self.helper_edges):
-            self.base_weights[e] = 2 + i
-        self._base = _Barycentric(self.rot, set(self.y) | {self.apex},
-                                  self.base_weights)
+        self._base = _Barycentric(self.rot, set(self.y) | {self.apex})
         heights = dict.fromkeys(self.y, 0)
         heights[self.apex] = 1
         self._phi = self._base.solve(heights)

@@ -15,6 +15,7 @@ from math import ceil, gcd, lcm, log2
 import pytest
 
 from freeset import realize
+from freeset.embedding import norm_edge
 from freeset.errors import SingularSystem
 from freeset.extractors import planar_freeset
 from freeset.generators import (
@@ -113,7 +114,7 @@ def rational_rhs(k: int, rng: random.Random) -> list[F]:
             for _ in range(k)]
 
 
-def barycentric_rows(rot, fixed, weights, monkeypatch) -> list[dict]:
+def barycentric_rows(rot, fixed, monkeypatch) -> list[dict]:
     """The sparse rows ``_Barycentric`` hands to the solver for the
     rotation lists ``rot``."""
     seen = []
@@ -125,11 +126,29 @@ def barycentric_rows(rot, fixed, weights, monkeypatch) -> list[dict]:
 
     with monkeypatch.context() as mp:
         mp.setattr(realize, "FractionFreeSolver", Recording)
-        _Barycentric(rot, fixed, weights)
+        _Barycentric(rot, fixed)
     return seen[0]
 
 
-# weight draws per system: the program's weights, then random positive ones
+def weighted_rows(rot, fixed, weights: dict) -> list[dict]:
+    """Sparse rows of the weighted Laplacian of the non-fixed vertices of
+    ``rot``: each vertex's weighted degree on the diagonal, minus the
+    weight of each edge to a non-fixed neighbour off it."""
+    interior = [v for v in range(len(rot)) if v not in fixed]
+    index = {v: i for i, v in enumerate(interior)}
+    rows = []
+    for i, v in enumerate(interior):
+        row = {i: 0}
+        for u in rot[v]:
+            wt = weights[norm_edge(u, v)]
+            row[i] += wt
+            if u not in fixed:
+                row[index[u]] = -wt
+        rows.append(row)
+    return rows
+
+
+# weight draws per system: unit weights, then random positive ones
 DRAWS = 3
 
 
@@ -143,14 +162,25 @@ def drawn_weights(base: dict, seed: int, draw: int) -> dict:
     return weights
 
 
+def weighted_systems(rot, fixed, seed: int, monkeypatch):
+    """Rows of one corpus system for each weight draw.  Draw 0, unit
+    weights, must be the rows the program hands the solver."""
+    unit = dict.fromkeys(
+        frozenset(norm_edge(u, v) for v, nbrs in enumerate(rot) for u in nbrs),
+        1)
+    for draw in range(DRAWS):
+        rows = weighted_rows(rot, fixed, drawn_weights(unit, seed, draw))
+        if draw == 0:
+            assert rows == barycentric_rows(rot, fixed, monkeypatch)
+        yield rows
+
+
 def halfplane_systems(make, args, monkeypatch):
-    """Rows of each half-plane system of ``make(*args)``: the program's
-    weights and two draws of random positive weights."""
+    """Rows of each half-plane system of ``make(*args)``: unit weights and
+    two draws of random positive weights."""
     for hp in halfplanes(make(*args)):
-        fixed = set(hp.y) | {hp.apex}
-        for draw in range(DRAWS):
-            weights = drawn_weights(hp.base_weights, 0xA11CE, draw)
-            yield barycentric_rows(hp.rot, fixed, weights, monkeypatch)
+        yield from weighted_systems(hp.rot, set(hp.y) | {hp.apex}, 0xA11CE,
+                                    monkeypatch)
 
 
 TUTTE_CORPUS = [
@@ -165,9 +195,7 @@ def tutte_systems(make, args, monkeypatch):
     face fixed: unit weights and two draws of random positive weights."""
     g = make(*args)
     fixed = {u for u, _ in g.faces[g.outer_face].walk}
-    for draw in range(DRAWS):
-        weights = drawn_weights({e: 1 for e in g.edges}, 0x5EED, draw)
-        yield barycentric_rows(g.rot, fixed, weights, monkeypatch)
+    yield from weighted_systems(g.rot, fixed, 0x5EED, monkeypatch)
 
 
 def assert_matches_reference(rows, seed: int) -> None:
@@ -224,7 +252,7 @@ def reference_halfplane_solve(hp, xs: list[F], side: str) -> dict:
     fixed[hp.apex] = ((xs[0] + xs[-1]) / 2, b)
     base = hp._base
     xs_, ys_ = (solve_rational(base.solver,
-                               [sum(wt * fixed[u][c] for u, wt in fx)
+                               [sum(fixed[u][c] for u in fx)
                                 for fx in base.fixed_nbrs])
                 for c in (0, 1))
     pos = dict(fixed)

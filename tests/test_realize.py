@@ -194,9 +194,14 @@ class TestHalfplane:
     @pytest.mark.parametrize("g,axis", [(octahedron(), [0, 5]),
                                         (path(4), [0, 2])],
                              ids=["octahedron", "path"])
-    def test_axis_not_on_outer_face(self, g, axis):
+    def test_axis_not_on_outer_face(self, g, axis, monkeypatch):
+        built = []
+        monkeypatch.setattr(realize, "insert_chords",
+                            lambda *args: built.append(args))
+        monkeypatch.setattr(realize, "FractionFreeSolver", built.append)
         with pytest.raises(YNotOnOuterFace):
             halfplane_draw(g, axis, [0, 1], side="below")
+        assert built == []
 
     @pytest.mark.parametrize("g,axis,xs,side", [
         (path(3), [], [], "below"),
@@ -348,7 +353,7 @@ def outer_paths(g):
     return sorted(axes)
 
 
-THINNED_AXES = [(n, s, keep) for n in range(5, 9) for s in range(1, 25)
+THINNED_GRAPHS = [(n, s, keep) for n in range(5, 9) for s in range(1, 25)
                 for keep in (0.3, 0.4, 0.5)]
 
 
@@ -386,10 +391,10 @@ class TestAugmentationInvariant:
     @pytest.mark.parametrize("g", [path(n) for n in range(2, 7)]
                              + [fan(n) for n in range(3, 8)]
                              + [thinned_triangulation(*a)
-                                for a in THINNED_AXES],
+                                for a in THINNED_GRAPHS],
                              ids=[f"path{n}" for n in range(2, 7)]
                              + [f"fan{n}" for n in range(3, 8)]
-                             + [f"thinned{a}" for a in THINNED_AXES])
+                             + [f"thinned{a}" for a in THINNED_GRAPHS])
     def test_every_outer_axis(self, g, monkeypatch):
         built = []
 

@@ -5,9 +5,11 @@ spirit: the boundary-rescan canonical ordering, descendant bitmasks for
 frame reachability, all-pairs Mirsky layers and the chain/antichain
 dichotomy built on them, the ``min``-scan independent-set greedy (on
 outerplane chords and on dualcycle_freeset's caressed vertices), the
-``cycle_sides`` flood for the inside of a prefix boundary and the O(n^2)
-monotone-subsequence DP.  Each is compared with the program on a seeded
-corpus; a few deterministic work counts bound the new code.
+``cycle_sides`` flood for the inside of a prefix boundary, the O(n^2)
+monotone-subsequence DP and the collar curve that took its outer side from
+a ``cycle_sides`` flood and tried both rotation directions at every cycle
+vertex.  Each is compared with the program on a seeded corpus; a few
+deterministic work counts bound the new code.
 """
 
 from __future__ import annotations
@@ -24,14 +26,23 @@ from freeset.canonical import (
     canonical_order,
     chain_or_antichain,
 )
-from freeset.curves import validate_curve
+from freeset.curves import (
+    AlongItem,
+    CrossItem,
+    CurveCertificate,
+    VertexItem,
+    validate_curve,
+)
 from freeset.embedding import cycle_sides, norm_edge, triangulate
-from freeset.errors import AntichainTooShort, NoIndependentPair
+from freeset.errors import AntichainTooShort, InvalidCurve, NoIndependentPair
 from freeset.extractors import (
+    _collar_certificate,
     _crescents,
     _fill_polygon_chords,
     _independent_greedy_on_chords,
+    _rotate_to_vertex_start,
     antichain_freeset,
+    outerplanar_greedy,
     planar_freeset,
 )
 from freeset.generators import grid, maximal_outerplanar, random_triangulation
@@ -193,6 +204,71 @@ def reference_inside(t, cycle):
     label = "left" if t.outer_face in sides.faces_right else "right"
     faces = sides.faces_left if label == "left" else sides.faces_right
     return set(faces), {e for e, s in sides.edge_side.items() if s == label}
+
+
+def reference_collar(g, cycle, s):
+    """The collar curve built from a ``cycle_sides`` flood: at every cycle
+    vertex both rotation directions are tried against the flood, and the
+    cycle is walked twice so that the first walk fills in the face pending
+    from the last vertex."""
+    cs = cycle_sides(g, cycle)
+    if g.outer_face in cs.faces_left:
+        out_faces, out_label = cs.faces_left, "left"
+    else:
+        out_faces, out_label = cs.faces_right, "right"
+    k = len(cycle)
+    in_s = [cycle[i] in s for i in range(k)]
+
+    def vertex_plan(i):
+        u = cycle[i]
+        rot = g.rot[u]
+        d = len(rot)
+        ip = g.rot_index(u, cycle[i - 1])
+        inx = g.rot_index(u, cycle[(i + 1) % k])
+        for sign in (1, -1):
+            stubs = []
+            idx = ip
+            while True:
+                idx = (idx + sign) % d
+                if idx == inx:
+                    break
+                if cs.edge_side.get(norm_edge(u, rot[idx])) != out_label:
+                    break
+                stubs.append((idx, rot[idx]))
+            if idx != inx:
+                continue
+            faces = [g.corner_face(u, j if sign == 1 else (j + 1) % d)
+                     for j, _ in stubs]
+            exit_face = g.corner_face(u, inx if sign == 1 else (inx + 1) % d)
+            if all(f in out_faces for f in faces) and exit_face in out_faces:
+                return stubs, faces, exit_face
+        raise InvalidCurve(f"no outward corridor around cycle vertex {u}")
+
+    items, before = [], []
+    pending = None
+    for lap in range(2):
+        for i in range(k):
+            u = cycle[i]
+            stubs, faces, exit_face = vertex_plan(i)
+            if in_s[i]:
+                if lap == 1:
+                    items.append(VertexItem(u))
+                    before.append(pending)
+                if in_s[(i + 1) % k]:
+                    if lap == 1:
+                        items.append(AlongItem(norm_edge(u, cycle[(i + 1) % k])))
+                        before.append(None)
+                    pending = None
+                else:
+                    pending = exit_face
+            else:
+                for (_, w), face in zip(stubs, faces):
+                    if lap == 1:
+                        items.append(CrossItem(norm_edge(u, w)))
+                        before.append(face)
+                pending = exit_face
+    passages = tuple(before[1:] + before[:1])
+    return _rotate_to_vertex_start(CurveCertificate(tuple(items), passages))
 
 
 def reference_lis_lds(vals):
@@ -369,6 +445,42 @@ def test_lis_lds_matches_quadratic_dp(n, seed):
     for vals in (rng.sample(range(-5 * n, 5 * n), n), sorted(range(n)),
                  sorted(range(n), reverse=True)):
         assert lis_lds(vals) == reference_lis_lds(vals)
+
+
+def _collar_calls(monkeypatch):
+    """Record the (graph, cycle, S) of every collar the extractors build."""
+    calls = []
+
+    def recording(g, cycle, s):
+        calls.append((g, list(cycle), set(s)))
+        return _collar_certificate(g, cycle, s)
+
+    monkeypatch.setattr(extractors, "_collar_certificate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("family,args", CASES, ids=IDS)
+def test_collar_matches_cycle_flood(family, args, monkeypatch):
+    """Every collar of planar_freeset (full and restricted targets) and of
+    outerplanar_greedy, and the same cycles with seeded random subsets S,
+    item for item and passage for passage."""
+    g = FAMILIES[family](*args)
+    calls = _collar_calls(monkeypatch)
+    for xs in target_sets(g.n, g.n + 2):
+        try:
+            planar_freeset(g, xs)
+        except AntichainTooShort:  # a lone target at the source or sink
+            pass
+    if family == "outerplanar" and g.n >= 4:
+        outerplanar_greedy(g)
+    assert calls
+    rng = random.Random(g.n)
+    for t, cycle, s in list(calls):
+        sets = [s] + [set(rng.sample(cycle, rng.randint(1, len(cycle))))
+                      for _ in range(3)]
+        for s_ in sets:
+            assert _collar_certificate(t, cycle, s_) == \
+                reference_collar(t, cycle, s_)
 
 
 def test_antichain_makes_no_cycle_floods(monkeypatch):

@@ -5,8 +5,10 @@ serialized result.  The extraction hashes were recorded before face
 splitting moved to in-place chord insertion.  The drawing hashes were
 recorded when the half-plane systems became the plain integer Laplacian
 (unit chord weights change the realized bytes); the test ids leave the
-digests out, so a deliberate re-recording keeps the test names.  Both must
-keep producing exactly the same bytes.
+digests out, so a deliberate re-recording keeps the test names.  The
+outerplanar greedy, restricted extraction and ``freeset psge`` manifest
+hashes were recorded before the collar curve was built in one pass.  All
+must keep producing exactly the same bytes.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import hashlib
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from freeset.applications import psge_two, untangle
-from freeset.extractors import planar_freeset
+from freeset.cli import main
+from freeset.extractors import outerplanar_greedy, planar_freeset
 from freeset.generators import grid, maximal_outerplanar, random_triangulation
 from freeset.realize import free_realize
 from freeset.textio import serialize_drawing, serialize_freeset
@@ -62,6 +66,52 @@ def test_planar_freeset_golden(family, args, digest):
     fs = planar_freeset(FAMILIES[family](*args))
     h = hashlib.sha256(serialize_freeset(fs).encode()).hexdigest()[:16]
     assert h == digest
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,seed,digest", [
+    (30, 1, "60b4cbdd08720b26"),
+    (150, 2, "2227b0631257fd8f"),
+    (400, 3, "e02f0e3d99083014"),
+], ids=["n30-s1", "n150-s2", "n400-s3"])
+def test_outerplanar_greedy_golden(n, seed, digest):
+    fs = outerplanar_greedy(maximal_outerplanar(n, seed)).free_set
+    assert _sha(serialize_freeset(fs).encode()) == digest
+
+
+RESTRICTED_CASES = [
+    # (family, arguments, |X|, sample seed, digest)
+    ("grid", (9, 11), 30, 1, "ca4ae9f08be16950"),
+    ("grid", (9, 11), 5, 3, "5dd26d49bc8255dd"),
+    ("triangulation", (150, 2), 50, 2, "ed76f326321d7a1f"),
+]
+
+
+@pytest.mark.parametrize("family,args,k,seed,digest", RESTRICTED_CASES,
+                         ids=[f"{f}{a}-x{k}-s{s}"
+                              for f, a, k, s, _ in RESTRICTED_CASES])
+def test_restricted_planar_freeset_golden(family, args, k, seed, digest):
+    g = FAMILIES[family](*args)
+    fs = planar_freeset(g, random.Random(seed).sample(range(g.n), k))
+    assert _sha(serialize_freeset(fs).encode()) == digest
+
+
+def test_psge_manifest_golden(tmp_path):
+    runner = CliRunner()
+    paths = []
+    for seed in (1, 2):
+        paths += ["--graphs", str(tmp_path / f"g{seed}.txt")]
+        r = runner.invoke(main, ["gen", "--family", "random-triangulation",
+                                 "--n", "16", "--seed", str(seed),
+                                 "--out", paths[-1]])
+        assert r.exit_code == 0
+    out = tmp_path / "bundle"
+    r = runner.invoke(main, ["psge", *paths, "--outdir", str(out)])
+    assert r.exit_code == 0
+    assert _sha((out / "manifest.json").read_bytes()) == "46d87d9d27cfea19"
 
 
 REALIZE_CASES = [

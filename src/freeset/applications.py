@@ -184,18 +184,8 @@ def _psge_pair(g1, g2, fs1: OrderedFreeSet, fs2: OrderedFreeSet,
 def psge_two(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     """Partial simultaneous geometric embedding with mapping for two graphs
     on the same vertex set."""
-    if g1.n != g2.n:
-        raise VertexSetMismatch("graphs must share their vertex set")
-    fs1 = planar_freeset(g1)
-    fs2 = planar_freeset(g2, fs1.order)
-    shared = [v for v in fs2.order]
-    d1, d2, target = _psge_pair(g1, g2, fs1, fs2, shared)
-    return SimultaneousResult(
-        drawings=(d1, d2),
-        shared_vertices=tuple(shared),
-        shared_points=tuple(target[v] for v in shared),
-        bound_met=f"|V'|={len(shared)}",
-    )
+    res = psge_many([g1, g2])
+    return replace(res, bound_met=f"|V'|={len(res.shared_vertices)}")
 
 
 def psge_many(graphs) -> SimultaneousResult:

@@ -31,8 +31,6 @@ from .errors import (
     NotCaressed,
     NotIndependent,
     NotOnBoundary,
-    NotTriangulation,
-    OuterEdge,
     TooFew,
 )
 
@@ -617,43 +615,6 @@ def route_open_curve(g: EmbeddedGraph, a: Anchor, b: Anchor,
     crossings.reverse()
     return OpenCurve(items=tuple(CrossItem(e) for e in crossings),
                      passages=tuple(faces))
-
-
-def interior_curve_between(nt: EmbeddedGraph, a: Anchor, b: Anchor,
-                           ) -> OpenCurve:
-    """Open proper curve between two outer-boundary points of a
-    near-triangulation, running through its interior faces.
-
-    If both anchors are vertices joined by an inner edge the curve is that
-    edge itself.
-    """
-    outer = nt.faces[nt.outer_face]
-    boundary_vertices = outer.vertex_set()
-    boundary_edges = outer.edge_set()
-    for f in nt.faces:
-        if not f.is_outer and f.size != 3:
-            raise NotTriangulation(f"inner face {f.id} has size {f.size}")
-
-    if isinstance(a, int) and isinstance(b, int):
-        e = norm_edge(a, b)
-        if e in boundary_edges:
-            raise OuterEdge(f"{e} is an outer edge")
-        if nt.has_edge(a, b):
-            # an inner edge is itself a proper curve between its endpoints,
-            # whether or not they lie on the boundary
-            return OpenCurve(items=(AlongItem(e),), passages=(None, None))
-
-    for anchor in (a, b):
-        if isinstance(anchor, int):
-            if anchor not in boundary_vertices:
-                raise NotOnBoundary(f"vertex {anchor} not on the outer face")
-        else:
-            if norm_edge(*anchor) not in boundary_edges:
-                raise NotOnBoundary(f"edge {anchor} not on the outer face")
-
-    allowed = {f.id for f in nt.faces if not f.is_outer}
-    crossable = {e for e in nt.edges if e not in boundary_edges}
-    return route_open_curve(nt, a, b, allowed, crossable)
 
 
 # ---------------------------------------------------------------------------

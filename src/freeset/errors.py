@@ -54,10 +54,6 @@ class NotOnBoundary(FreesetError):
     pass
 
 
-class OuterEdge(FreesetError):
-    pass
-
-
 class NotACycle(FreesetError):
     pass
 

@@ -33,7 +33,6 @@ from .embedding import (
     EmbeddedGraph,
     GraphMapping,
     _trace_faces,
-    cycle_sides,
     norm_edge,
     subdivide,
     triangulate,
@@ -127,84 +126,45 @@ def _collar_certificate(g: EmbeddedGraph, cycle: list[int], s: set[int],
     The curve passes through the cycle vertices in S, runs along cycle edges
     joining consecutive S-members, and crosses the outward edges of the
     other cycle vertices.  The outer side is the one containing the graph's
-    outer face; all chords of the cycle must lie on the inner side.
+    outer face, which must lie on a cycle edge; all chords of the cycle
+    must lie on the inner side.
     """
-    cs = cycle_sides(g, cycle)
-    if g.outer_face in cs.faces_left:
-        out_faces, out_label = cs.faces_left, "left"
-    else:
-        out_faces, out_label = cs.faces_right, "right"
     k = len(cycle)
-    in_s = [cycle[i] in s for i in range(k)]
+    darts = [(u, cycle[(i + 1) % k]) for i, u in enumerate(cycle)]
+    # the face on one side of a cycle edge lies on that side of the cycle
+    left = next((g.face_of(u, w) == g.outer_face for u, w in darts
+                 if g.outer_face in (g.face_of(u, w), g.face_of(w, u))), None)
+    if left is None:
+        raise InvalidCurve("collar cycle has no edge on the outer face")
+    # the outward stubs lie between prev and next: clockwise from prev when
+    # the outer side is on the left of the walk
+    step = -1 if left else 1
 
-    def vertex_plan(i: int):
-        """(crossed stub midpoints-in-order, passage faces) at position i."""
-        u = cycle[i]
-        prev_v, next_v = cycle[i - 1], cycle[(i + 1) % k]
-        rot = g.rot[u]
-        d = len(rot)
-        ip, inx = g.rot_index(u, prev_v), g.rot_index(u, next_v)
-        for sign in (1, -1):
-            stubs = []
-            idx = ip
-            ok = True
-            while True:
-                idx = (idx + sign) % d
-                if idx == inx:
-                    break
-                w = rot[idx]
-                e = norm_edge(u, w)
-                if cs.edge_side.get(e) != out_label:
-                    ok = False
-                    break
-                stubs.append((idx, w))
-            if not ok:
-                continue
-            faces = []
-            for idx, _ in stubs:
-                faces.append(g.corner_face(u, idx if sign == 1 else
-                                           (idx + 1) % d))
-            exit_face = g.corner_face(u, inx if sign == 1 else (inx + 1) % d)
-            if all(f in out_faces for f in faces) and exit_face in out_faces:
-                return stubs, faces, exit_face
-        raise InvalidCurve(  # pragma: no cover - cycle chords must be inner
-            f"no outward corridor around cycle vertex {u}")
+    def outward(a: int, b: int) -> int:
+        """Face on the outer-side hand of the dart a -> b."""
+        return g.face_of(a, b) if left else g.face_of(b, a)
 
-    # two sweeps: the first fills in the pending face, the second records
+    # passages[j] is the face after item j: after a vertex, the face outside
+    # the next cycle edge; after a crossed stub, the corner that follows it,
+    # which for the last stub is the face outside the next cycle edge
     items: list = []
     passages: list[int | None] = []
-    pending: int | None = None
-    for lap in range(2):
-        for i in range(k):
-            u = cycle[i]
-            nxt_s = in_s[(i + 1) % k]
-            stubs, faces, exit_face = vertex_plan(i)
-            if in_s[i]:
-                if lap == 1:
-                    items.append(VertexItem(u))
-                    passages.append(pending)
-                if nxt_s:
-                    if lap == 1:
-                        items.append(AlongItem(norm_edge(u, cycle[(i + 1) % k])))
-                        passages.append(None)
-                    pending = None
-                else:
-                    pending = exit_face
+    for i, (u, nxt) in enumerate(darts):
+        if u in s:
+            items.append(VertexItem(u))
+            if nxt in s:
+                items.append(AlongItem(norm_edge(u, nxt)))
+                passages += [None, None]
             else:
-                # each crossing enters through its own sector face, which is
-                # also the face the previous step left the curve in
-                for (idx, w), face_before in zip(stubs, faces):
-                    if lap == 1:
-                        items.append(CrossItem(norm_edge(u, w)))
-                        passages.append(face_before)
-                pending = exit_face
-        if lap == 1:
-            break
-
-    # passages[j] currently holds the face before item j; shift to "after"
-    shifted = tuple(passages[1:] + passages[:1])
-    cert = CurveCertificate(tuple(items), shifted)
-    return _rotate_to_vertex_start(cert)
+                passages.append(outward(u, nxt))
+            continue
+        rot = g.rot[u]
+        j, stop = g.rot_index(u, cycle[i - 1]), g.rot_index(u, nxt)
+        while (j := (j + step) % len(rot)) != stop:
+            items.append(CrossItem(norm_edge(u, rot[j])))
+            passages.append(outward(rot[j], u))
+    return _rotate_to_vertex_start(
+        CurveCertificate(tuple(items), tuple(passages)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +294,8 @@ def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
                   chain: tuple[int, ...]) -> OrderedFreeSet:
     """Free set from a source-to-sink frame path: the path plus the base
     edge is a cycle whose chords are all interior, so the outerplanar
-    greedy applies to the cycle."""
+    greedy applies to the cycle.  The certificate is not validated here;
+    planar_freeset validates the certificate it returns."""
     k = len(chain)
     if k < 3:
         raise ChainTooShort("frame path needs at least 3 vertices")
@@ -357,7 +318,7 @@ def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
         chosen_pos, _ = _independent_greedy_on_chords(k, filled)
         s = {cycle[i] for i in chosen_pos}
 
-    cert = _checked(t, _collar_certificate(t, cycle, s))
+    cert = _collar_certificate(t, cycle, s)
     order = tuple(v for v in cert.vertex_order() if v in s)
     return OrderedFreeSet(
         graph=t,
@@ -400,7 +361,8 @@ def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
                       antichain: tuple[int, ...]) -> OrderedFreeSet:
     """Free set from a maximal frame antichain: the curve threads the
     nested prefix boundaries, entering through the base edge and returning
-    through the outer face."""
+    through the outer face.  The certificate is not validated here;
+    planar_freeset validates the certificate it returns."""
     k = len(antichain)
     if k < 2:
         raise AntichainTooShort("antichain needs at least 2 vertices")
@@ -439,7 +401,7 @@ def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
     # return from the apex to the base point through the outer face
     passages.append(outer_fid)
     cert = CurveCertificate(tuple(items), tuple(passages))
-    cert = _checked(t, _rotate_to_vertex_start(cert))
+    cert = _rotate_to_vertex_start(cert)
     in_ys = set(ys)
     order = tuple(v for v in cert.vertex_order() if v in in_ys)
     return OrderedFreeSet(
@@ -485,9 +447,7 @@ def _restrict_certificate(g: EmbeddedGraph, t: EmbeddedGraph,
                           added, cert: CurveCertificate) -> CurveCertificate:
     """Pull a certificate on a triangulated supergraph back to the original
     graph: crossings of added edges dissolve into face passages, along items
-    on added edges become passages through the containing face.  The pulled
-    back certificate is validated on g; with no added edge t is g, where the
-    extractor has validated it already."""
+    on added edges become passages through the containing face."""
     added = set(added)
     if not added:
         return cert
@@ -516,7 +476,7 @@ def _restrict_certificate(g: EmbeddedGraph, t: EmbeddedGraph,
     if pending_override is not None and new_items:
         new_pass[-1] = pending_override
 
-    return _checked(g, CurveCertificate(tuple(new_items), tuple(new_pass)))
+    return CurveCertificate(tuple(new_items), tuple(new_pass))
 
 
 def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
@@ -526,7 +486,8 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
 
     The graph is triangulated, a canonical frame poset built, and the
     Dilworth dichotomy dispatched to the chain or antichain construction;
-    the certificate is then pulled back through the triangulation.
+    the certificate is then pulled back through the triangulation and
+    validated once, on g.
     """
     full = xs is None
     xs = sorted(set(range(g.n) if full else xs))
@@ -547,6 +508,12 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
                               bound_met=f"|S|={g.n} (whole graph)")
     t, tmap = triangulate(g)
     cs = canonical_order(t)
+    if len(xs) == 1 and xs[0] in (cs.v1, cs.v2):
+        # the source and the sink are comparable to every vertex, so no
+        # maximal antichain through them reaches the apex; the target and a
+        # neighbour are a free pair on a common face
+        v = xs[0]
+        return _common_face_pair(g, [v, g.rot[v][0]]).restricted((v,))
 
     def run(kind: str, data: tuple[int, ...]) -> OrderedFreeSet:
         if kind == "chain":
@@ -573,7 +540,8 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         if pair is not None:
             return pair
 
-    cert = _restrict_certificate(g, t, tmap.new_edges, result.certificate)
+    cert = _checked(g, _restrict_certificate(g, t, tmap.new_edges,
+                                             result.certificate))
     in_picked = set(picked)
     order = tuple(v for v in cert.vertex_order() if v in in_picked)
     bound = antichain_bound(len(xs))

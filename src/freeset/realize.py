@@ -32,8 +32,7 @@ from .curves import (
 from .embedding import (
     EmbeddedGraph,
     Edge,
-    Face,
-    build_embedded,
+    _rebuild,
     insert_chords,
     midpoint_of,
     norm_edge,
@@ -493,9 +492,8 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
 
 @dataclass
 class _CollinearSystem:
-    gp: EmbeddedGraph
     mids: dict                    # crossed original edge -> midpoint vertex
-    y_order: tuple[int, ...]      # curve vertices of gp in traversal order
+    y_order: tuple[int, ...]      # lifted curve vertices in traversal order
     halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
     below: tuple[int, ...]        # vertices strictly inside the curve
     above: tuple[int, ...]        # vertices strictly outside the curve
@@ -565,13 +563,10 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
     keep = sorted(rot_map)
     rel = {v: i for i, v in enumerate(keep)}
     rot = [[rel[u] for u in rot_map[v]] for v in keep]
-    h = build_embedded(len(keep), rot)
-    # pin the outer face to the complement side of the curve
+    # the outer face is the complement side of the curve at the first axis
+    # edge
     y0r, y1r = rel[y_order[0]], rel[y_order[1]]
-    outer = h.face_of(y1r, y0r) if which == "inside" else h.face_of(y0r, y1r)
-    if outer != h.outer_face:
-        faces = tuple(Face(f.id, f.walk, f.id == outer) for f in h.faces)
-        h = EmbeddedGraph(h.rot, faces, outer)
+    h = _rebuild(rot, (y1r, y0r) if which == "inside" else (y0r, y1r))
     return h, rel
 
 
@@ -590,7 +585,7 @@ def _collinear_system(g0: EmbeddedGraph,
         h, rel = _half_embedding(gp, an, sp, y_order, which)
         hp = _HalfPlane(h, [rel[y] for y in y_order])
         halves[which] = (hp, rel)
-    return _CollinearSystem(gp=gp, mids=mids, y_order=y_order, halves=halves,
+    return _CollinearSystem(mids=mids, y_order=y_order, halves=halves,
                             below=tuple(sorted(sp.X)),
                             above=tuple(sorted(sp.Z)))
 

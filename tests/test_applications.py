@@ -167,6 +167,15 @@ class TestPsge:
             for d in res.drawings:
                 assert d.pos[v] == res.shared_points[i]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_two_is_many_of_two(self, seed):
+        g1 = random_triangulation(20, seed)
+        g2 = random_triangulation(20, seed + 50)
+        two = psge_two(g1, g2)
+        many = psge_many([g1, g2])
+        assert replace(two, bound_met=many.bound_met) == many
+        assert two.bound_met == f"|V'|={len(two.shared_vertices)}"
+
     def test_two_graph_reduction(self):
         g1 = random_triangulation(16, 21)
         g2 = random_triangulation(16, 22)

@@ -11,8 +11,8 @@ from freeset.curves import (
     VertexItem,
     caressed_vertices,
     dual_cycle_certificate,
-    interior_curve_between,
     reroute_caressed,
+    route_open_curve,
     side_partition,
     validate_curve,
 )
@@ -20,7 +20,6 @@ from freeset.errors import (
     InconsistentSides,
     NotCaressed,
     NotIndependent,
-    OuterEdge,
     TooFew,
 )
 from freeset.generators import cycle, star
@@ -151,30 +150,27 @@ class TestSidePartition:
                         assert side == cls
 
 
-class TestInteriorCurve:
-    def test_inner_edge_becomes_along(self, k4):
-        oc = interior_curve_between(k4, 0, 3)
-        assert oc.items == (AlongItem((0, 3)),)
-        assert oc.passages == (None, None)
+def interior_route(nt, a, b):
+    """route_open_curve through the inner faces of a near-triangulation,
+    crossing only inner edges."""
+    outer = nt.faces[nt.outer_face]
+    inner = {f.id for f in nt.faces if not f.is_outer}
+    return route_open_curve(nt, a, b, inner, nt.edges - outer.edge_set())
 
+
+class TestInteriorCurve:
     def test_vertex_to_midpoint_crosses_one_spoke(self, k4):
-        oc = interior_curve_between(k4, 0, (1, 2))
+        oc = interior_route(k4, 0, (1, 2))
         crossed = [it.edge for it in oc.items]
         assert len(crossed) == 1
         assert crossed[0] in [(1, 3), (2, 3)]
 
-    def test_outer_edge_rejected(self, k4):
-        with pytest.raises(OuterEdge):
-            interior_curve_between(k4, 0, 1)
-
     def test_fan_boundary_pair_validates(self, fan6):
-        oc = interior_curve_between(fan6, 1, 4)
+        oc = interior_route(fan6, 1, 4)
+        assert oc.items
         # close through the outer face and validate
         items = (VertexItem(1),) + oc.items + (VertexItem(4),)
-        passages = oc.passages[:1] + oc.passages[1:-1] + \
-            (oc.passages[-1], fan6.outer_face)
-        if oc.items and isinstance(oc.items[0], AlongItem):
-            passages = (None, None, fan6.outer_face)
+        passages = oc.passages + (fan6.outer_face,)
         cert = CurveCertificate(items, passages)
         assert validate_curve(fan6, cert) is None
 

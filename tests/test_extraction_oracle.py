@@ -15,6 +15,7 @@ deterministic work counts bound the new code.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -41,7 +42,6 @@ from freeset.extractors import (
     _fill_polygon_chords,
     _independent_greedy_on_chords,
     _rotate_to_vertex_start,
-    antichain_freeset,
     outerplanar_greedy,
     planar_freeset,
 )
@@ -467,10 +467,7 @@ def test_collar_matches_cycle_flood(family, args, monkeypatch):
     g = FAMILIES[family](*args)
     calls = _collar_calls(monkeypatch)
     for xs in target_sets(g.n, g.n + 2):
-        try:
-            planar_freeset(g, xs)
-        except AntichainTooShort:  # a lone target at the source or sink
-            pass
+        planar_freeset(g, xs)
     if family == "outerplanar" and g.n >= 4:
         outerplanar_greedy(g)
     assert calls
@@ -484,19 +481,26 @@ def test_collar_matches_cycle_flood(family, args, monkeypatch):
 
 
 def test_antichain_makes_no_cycle_floods(monkeypatch):
-    t, cs = structure("outerplanar", (400, 1))
-    kind, ys = chain_or_antichain(cs, range(t.n))
-    assert kind == "antichain"
+    """No extraction floods a cycle: not the antichain branch (one flood
+    per antichain vertex made 200 here), not the chain branch's collar and
+    not outerplanar_greedy's."""
     calls = [0]
 
     def counting(*args):
         calls[0] += 1
         return cycle_sides(*args)
 
-    monkeypatch.setattr(extractors, "cycle_sides", counting)
-    fs = antichain_freeset(t, cs, ys)
-    assert len(fs.order) == len(ys)
-    assert calls[0] == 0  # one flood per antichain vertex made 200
+    for name, module in list(sys.modules.items()):
+        if name.startswith("freeset") and \
+                getattr(module, "cycle_sides", None) is cycle_sides:
+            monkeypatch.setattr(module, "cycle_sides", counting)
+    kinds = set()
+    for g in (maximal_outerplanar(400, 1), random_triangulation(200, 1),
+              grid(10, 10)):
+        kinds.add(planar_freeset(g).provenance)
+    assert kinds == {"planar/antichain", "planar/chain"}
+    outerplanar_greedy(maximal_outerplanar(400, 1))
+    assert calls[0] == 0
 
 
 def test_dichotomy_precedes_calls_are_linear(monkeypatch):

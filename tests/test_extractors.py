@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -11,6 +12,7 @@ from freeset.errors import (
     AntichainTooShort,
     BadLevelAssignment,
     ChainTooShort,
+    InvalidCurve,
     NoIndependentPair,
     NotMaximalOuterplane,
     NotSpanningTree,
@@ -18,6 +20,7 @@ from freeset.errors import (
 )
 from freeset.extractors import (
     LevelAssignment,
+    _collar_certificate,
     _fill_polygon_chords,
     antichain_freeset,
     bfs_levels,
@@ -37,6 +40,9 @@ from freeset.generators import (
     random_triangulation,
     star,
 )
+from freeset.realize import free_realize
+
+from conftest import thinned_triangulation
 
 
 class TestOuterplanar:
@@ -156,6 +162,13 @@ class TestChainAntichain:
         assert len(fs.order) == len(data)
         assert validate_curve(octa, fs.certificate) is None
 
+    def test_collar_needs_an_outer_cycle_edge(self, octa):
+        outer = octa.faces[octa.outer_face].vertex_set()
+        inner = next(f for f in octa.faces if not f.vertex_set() & outer)
+        cycle = list(inner.vertices)
+        with pytest.raises(InvalidCurve, match="no edge on the outer face"):
+            _collar_certificate(octa, cycle, {cycle[0]})
+
     def test_k4_chain_curve_sides(self, k4):
         from freeset.curves import side_partition
         cs = canonical_order(k4)
@@ -215,11 +228,12 @@ class TestPlanarFreeset:
         assert set(fs.order) <= set(xs)
         assert len(fs.order) >= 2
 
-    @pytest.mark.parametrize("g,validations", [
-        (random_triangulation(200, 1), 1),  # triangulated: no pull-back
-        (grid(10, 10), 2),  # on the triangulation, then on the grid
-    ], ids=["triangulation", "grid"])
-    def test_validated_once_per_graph(self, g, validations, monkeypatch):
+    @pytest.mark.parametrize("g", [
+        random_triangulation(200, 1),  # triangulated: no pull-back
+        grid(10, 10),
+        maximal_outerplanar(150, 4),
+    ], ids=["triangulation", "grid", "outerplanar"])
+    def test_validated_once_per_graph(self, g, monkeypatch):
         import freeset.extractors as extractors
         seen = []
 
@@ -229,8 +243,24 @@ class TestPlanarFreeset:
 
         monkeypatch.setattr(extractors, "validate_curve", counting)
         fs = planar_freeset(g)
-        assert len(seen) == validations and seen[-1] is g
+        assert len(seen) == 1 and seen[0] is g
         assert validate_curve(g, fs.certificate) is None
+
+    @pytest.mark.parametrize("g", [
+        random_triangulation(12, 3),
+        grid(3, 4),
+        maximal_outerplanar(9, 2),
+        thinned_triangulation(14, 5),
+        path(5),
+    ], ids=["triangulation", "grid", "outerplanar", "thinned", "path"])
+    def test_every_single_target(self, g):
+        # the canonical source and sink used to raise AntichainTooShort
+        for v in range(g.n):
+            fs = planar_freeset(g, [v])
+            assert fs.order == (v,)
+            assert validate_curve(g, fs.certificate) is None
+            d = free_realize(g, fs, [(F(3), F(-2))])
+            assert d.verified and d.pos[v] == (3, -2)
 
     def test_order_is_certificate_subsequence(self):
         g = random_triangulation(30, 13)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from freeset import build_embedded, embedding, realize
 from freeset.canonical import canonical_order
+from freeset.curves import _side_partition_of, analyze_curve
 from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     DegenerateOutput,
@@ -272,6 +273,19 @@ def reference_fill_content_faces(hp, rot, faces, edges):
         helpers.append(norm_edge(a, b))
 
 
+def graph_builds(monkeypatch):
+    """Count EmbeddedGraph constructions: ``builds[0]``."""
+    builds = [0]
+    init = embedding.EmbeddedGraph.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(embedding.EmbeddedGraph, "__init__", counting)
+    return builds
+
+
 def halfplanes(g):
     """The two ``_HalfPlane``s of the collinear system of g's free set."""
     sysm = _collinear_system(g, planar_freeset(g).certificate)
@@ -301,21 +315,33 @@ class TestFillContentFaces:
 
     def test_traces_and_builds_nothing(self, trace_calls, monkeypatch):
         hp = halfplanes(thinned_triangulation(120, 7))[0]
-        builds = []
-        real = embedding.build_embedded
-
-        def counting(*args, **kwargs):
-            builds.append(1)
-            return real(*args, **kwargs)
-
-        for mod in (embedding, realize):
-            monkeypatch.setattr(mod, "build_embedded", counting)
+        builds = graph_builds(monkeypatch)
         before = trace_calls[0]
         again = _HalfPlane(hp.h, hp.y)
         assert len(again.helper_edges) > 10
         # the apex re-validation and the final rebuild made 2 traces
         assert trace_calls[0] - before == 0
-        assert builds == []
+        assert builds[0] == 0
+
+
+@pytest.mark.parametrize("make,args", HALFPLANE_CORPUS,
+                         ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+def test_half_embedding_builds_each_half_once(make, args, trace_calls,
+                                              monkeypatch):
+    g = make(*args)
+    gp, _, lifted = realize._lift_certificate(g, planar_freeset(g).certificate)
+    an = analyze_curve(gp, lifted)
+    sp = _side_partition_of(an)
+    y_order = lifted.vertex_order()
+    builds = graph_builds(monkeypatch)
+    for which in ("inside", "outside"):
+        before = trace_calls[0], builds[0]
+        h, rel = realize._half_embedding(gp, an, sp, y_order, which)
+        assert (trace_calls[0], builds[0]) == (before[0] + 1, before[1] + 1)
+        # the outer face is the complement side at the first axis edge
+        y0, y1 = rel[y_order[0]], rel[y_order[1]]
+        dart = (y1, y0) if which == "inside" else (y0, y1)
+        assert h.face_of(*dart) == h.outer_face
 
 
 def locked(rot, yset, apex):

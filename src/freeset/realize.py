@@ -563,8 +563,7 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
     keep = sorted(rot_map)
     rel = {v: i for i, v in enumerate(keep)}
     rot = [[rel[u] for u in rot_map[v]] for v in keep]
-    # the outer face is the complement side of the curve at the first axis
-    # edge
+    # the outer face is the curve's complement side at the first axis edge
     y0r, y1r = rel[y_order[0]], rel[y_order[1]]
     h = _rebuild(rot, (y1r, y0r) if which == "inside" else (y0r, y1r))
     return h, rel

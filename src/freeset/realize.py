@@ -5,13 +5,15 @@ equivalence: subdivide the crossed edges, split the graph along the curve,
 draw each side in a half-plane with the curve vertices on the x-axis
 (a Tutte system on the side joined to an apex and filled with chords, built
 in one pass with no face trace, solved exactly by a sparse LDLᵀ factor
-modulo a prime and p-adic lifting, certified by exact verification), then
-perturb the free vertices off the axis and rescale to hit arbitrary
-targets.  Every returned drawing has passed the exact crossing-free check,
-and each public entry point runs that check once, on the drawing it
-returns; intermediate drawings are not checked.  Each system is solved once
-and the perturbation is sized by an exact clearance, so nothing is retried:
-a drawing that fails its check raises DegenerateOutput naming the stage and
+modulo a prime and p-adic lifting), then lift the free vertices off the
+axis and scale every height, in one step, so that they land exactly on
+arbitrary targets (the collinear-is-free argument of Dujmović, Frati,
+Gonçalves, Morin & Rote 2020).  Every returned drawing has passed the exact
+crossing-free check, and each public entry point runs that check once, on
+the drawing it returns; intermediate drawings are not checked.  Each system
+is solved once and the lift is sized by an exact clearance, measured on a
+plan cached per graph, bend layout and free set, so nothing is retried: a
+drawing that fails its check raises DegenerateOutput naming the stage and
 the violation.
 """
 
@@ -675,6 +677,46 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=24)
+def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
+                    ) -> tuple[tuple[int, int, tuple[int, ...], Edge], ...]:
+    """The tests ``_clearance_sq`` makes, as (a, b, points, edge): the
+    piece from point a to point b of edge, and the indices of the points to
+    measure against it.  Points are numbered as in ``_clearance_sq``: the
+    vertices, then the bends of the edges of ``layout``, (edge, bend count)
+    in edge order.
+
+    The faces at a moving vertex are visited by id, their edges in order,
+    and each piece is tested against the points of the face, all of them
+    when an end of the piece moves, else only the moving vertices.  A pair
+    is tested once: a piece on two such faces comes back only for the
+    points of the second face that the first did not have.  Otherwise the
+    order of a face-by-face scan is kept, so D² = 0 names the pair that
+    scan finds first.  The plan depends on the three arguments only, never
+    on positions."""
+    counts = dict(layout)
+    chain = {}  # edge -> its point indices, end to end
+    k = g.n
+    for e in sorted(g.edges):
+        chain[e] = [e[0], *range(k, k + counts.get(e, 0)), e[1]]
+        k += counts.get(e, 0)
+    plan = []
+    tested: dict[tuple[int, int], set[int]] = {}  # piece -> points so far
+    for fid in sorted({f for v in moving for f in g.faces_at(v)}):
+        edges = sorted({norm_edge(u, v) for u, v in g.faces[fid].walk})
+        on = sorted({i for e in edges for i in chain[e]})
+        on_moving = [i for i in on if i in moving]
+        for e in edges:
+            for a, b in zip(chain[e], chain[e][1:]):
+                seen = tested.setdefault((a, b), {a, b})
+                points = tuple(i for i in (on if a in moving or b in moving
+                                           else on_moving) if i not in seen)
+                if points:
+                    seen.update(points)
+                    plan.append((a, b, points, e))
+    return tuple(plan)
+
+
 def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
     """Exact D²: the least squared distance between a vertex or bend and a
     piece it is not an end of, over the pairs in which the point or an end
@@ -682,53 +724,49 @@ def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
 
     Moving points continuously, a crossing-free drawing first fails where a
     point reaches such a piece; just before, the two see each other, so they
-    share a face that touches a moving vertex.  Only those faces are scanned,
-    on one integer grid with a single scale for both axes, and a point
-    outside a piece's box grown by the floor of the least D so far is
-    skipped.  D² = 0, a point on a piece of the base, raises DegenerateOutput.
+    share a face that touches a moving vertex.  Only those pairs are tested
+    (``_clearance_plan``, cached per graph, bend layout and moving set), on
+    one integer grid with a single scale for both axes, and a point outside
+    a piece's box grown by the floor of the least D so far is skipped.
+    D² = 0, a point on a piece of the base, raises DegenerateOutput.
     """
-    g, moving = d.graph, set(moving)
+    g = d.graph
+    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()
+                          if b and e in g.edges))
+    pieces = _clearance_plan(g, layout, frozenset(moving))
     pts = [d.pos[v] for v in range(g.n)]
-    chain = {}  # edge -> its point indices, end to end
-    for e in sorted(g.edges):
-        bends = d.bends.get(e, ())
-        chain[e] = [e[0], *range(len(pts), len(pts) + len(bends)), e[1]]
-        pts.extend(bends)
+    for e, _ in layout:
+        pts.extend(d.bends[e])
     scale = lcm(*(c.denominator for p in pts for c in p))
     grid = [(x.numerator * (scale // x.denominator),
              y.numerator * (scale // y.denominator)) for x, y in pts]
     reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
     best = None  # (num, den, point, edge): D² = num / den on the grid
-    for fid in sorted({f for v in moving for f in g.faces_at(v)}):
-        edges = sorted({norm_edge(u, v) for u, v in g.faces[fid].walk})
-        on = sorted({i for e in edges for i in chain[e]})
-        on_moving = [i for i in on if i in moving]
-        for e in edges:
-            for a, b in zip(chain[e], chain[e][1:]):
-                (ax, ay), (bx, by) = grid[a], grid[b]
-                x0, x1 = min(ax, bx) - reach, max(ax, bx) + reach
-                y0, y1 = min(ay, by) - reach, max(ay, by) + reach
-                dx, dy = bx - ax, by - ay
-                for i in on if a in moving or b in moving else on_moving:
-                    px, py = grid[i]
-                    if i == a or i == b or \
-                            not (x0 <= px <= x1 and y0 <= py <= y1):
-                        continue
-                    wx, wy = px - ax, py - ay
-                    dot = wx * dx + wy * dy
-                    if dot <= 0:
-                        num, den = wx * wx + wy * wy, 1
-                    elif dot >= dx * dx + dy * dy:
-                        num, den = (px - bx) ** 2 + (py - by) ** 2, 1
-                    else:
-                        num, den = (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
-                    if best is None or num * best[1] < best[0] * den:
-                        best = (num, den, i, e)
-                        reach = isqrt(num // den)
+    for a, b, points, e in pieces:
+        (ax, ay), (bx, by) = grid[a], grid[b]
+        x0, x1 = min(ax, bx) - reach, max(ax, bx) + reach
+        y0, y1 = min(ay, by) - reach, max(ay, by) + reach
+        dx, dy = bx - ax, by - ay
+        for i in points:
+            px, py = grid[i]
+            if not (x0 <= px <= x1 and y0 <= py <= y1):
+                continue
+            wx, wy = px - ax, py - ay
+            dot = wx * dx + wy * dy
+            if dot <= 0:
+                num, den = wx * wx + wy * wy, 1
+            elif dot >= dx * dx + dy * dy:
+                num, den = (px - bx) ** 2 + (py - by) ** 2, 1
+            else:
+                num, den = (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
+            if best is None or num * best[1] < best[0] * den:
+                best = (num, den, i, e)
+                reach = isqrt(num // den)
     if best is not None and best[0] == 0:
         i, e = best[2:]
+        owners = [f for f, nb in layout for _ in range(nb)]  # of the bends
         point = f"vertex {i}" if i < g.n else \
-            f"a bend of edge {next(f for f, c in chain.items() if i in c)}"
+            f"a bend of edge {owners[i - g.n]}"
         raise _degenerate("collinear", DrawingViolation(
             "vertex-on-edge", f"{point} lies on edge {e}"))
     return None if best is None else F(best[0], best[1] * scale * scale)
@@ -737,11 +775,13 @@ def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
 def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
     """Move the free set, on the axis in ``d``, to the target heights.
 
-    Each member is lifted to epsilon * y_i / ymax, epsilon the largest power
-    of two with (2 epsilon)² < D² (1 without a moving pair), the lifted
-    drawing is checked once, and every y is scaled by ymax / epsilon, which
-    is affine and exact.  ``d`` need not be verified; all-zero targets check
-    ``d`` itself."""
+    With epsilon the largest power of two with (2 epsilon)² < D² (1 without
+    a moving pair), the free set lifted to epsilon * y_i / ymax is crossing
+    free.  Every y of that drawing is then scaled by ymax / epsilon, which
+    keeps every orientation sign, so the drawing is built scaled: the free
+    vertices exactly at y_i, every other y and every bend times ymax /
+    epsilon.  That drawing, the one returned, is checked once.  ``d`` need
+    not be verified; all-zero targets check ``d`` itself."""
     s_order = list(s_order)
     ys = [F(y) for y in targets]
     if len(ys) != len(s_order):
@@ -758,17 +798,14 @@ def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
         (d2.numerator.bit_length() - d2.denominator.bit_length()) // 2)
     while d2 is not None and 4 * eps * eps >= d2:
         eps /= 2
-    pos = dict(d.pos)
-    pos.update((v, (pos[v][0], eps * y / ymax)) for v, y in zip(s_order, ys))
-    _checked(replace(d, pos=pos, verified=False), "perturb")
-    # scaling y by a positive rational keeps every orientation sign and
-    # collinear box test, so the check carries over
     factor = ymax / eps
-    return PolyDrawing(
-        graph=d.graph, pos={v: (x, y * factor) for v, (x, y) in pos.items()},
+    pos = {v: (x, y * factor) for v, (x, y) in d.pos.items()}
+    pos.update((v, (pos[v][0], y)) for v, y in zip(s_order, ys))
+    return _checked(PolyDrawing(
+        graph=d.graph, pos=pos,
         bends={e: tuple((x, y * factor) for x, y in pts)
                for e, pts in d.bends.items()},
-        provenance=d.provenance + "+perturbed", verified=True)
+        provenance=d.provenance + "+perturbed"), "perturb")
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +817,15 @@ def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
     x + t*y, and the points so sheared.  Two points with equal y never
     collide, and two with distinct y collide at one t only, so t is at
     most the number of point pairs."""
-    t, sheared = 0, points
-    while len({x for x, _ in sheared}) < len(sheared):
+    den = lcm(*(c.denominator for p in points for c in p))
+    keys = [(x.numerator * (den // x.denominator),
+             y.numerator * (den // y.denominator)) for x, y in points]
+    t = 0
+    while len({x + t * y for x, y in keys}) < len(keys):
         t += 1
-        sheared = [(x + t * y, y) for x, y in points]
-    return t, sheared
+    if t == 0:
+        return 0, points
+    return t, [(x + t * y, y) for x, y in points]
 
 
 def _shear_drawing(d: PolyDrawing, t: int) -> PolyDrawing:

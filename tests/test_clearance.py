@@ -1,9 +1,11 @@
 """The exact clearance that sizes the perturbation of a collinear base.
 
 ``_clearance_sq`` measures only the pairs on a common face that touches a
-moving vertex.  The reference here measures every pair of a vertex or bend
-and a piece it is not an end of, in Fractions, and both must agree on a
-seeded corpus of collinear bases, degenerate ones included.
+moving vertex, from a plan cached per graph, bend layout and moving set.
+The reference here measures every pair of a vertex or bend and a piece it
+is not an end of, in Fractions, and both must agree on a seeded corpus of
+collinear bases, degenerate ones included, and on drawings that share a
+graph but not a plan.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from freeset import realize
 from freeset.errors import DegenerateOutput
 from freeset.extractors import planar_freeset
 from freeset.generators import (
@@ -24,10 +27,12 @@ from freeset.generators import (
 )
 from freeset.realize import (
     PolyDrawing,
+    _clearance_plan,
     _clearance_sq,
     _collinear_base,
     _distinct_x_shear,
     perturb_scale,
+    verify_drawing,
 )
 
 from conftest import point_set, thinned_triangulation
@@ -77,10 +82,11 @@ def all_pairs_sq(d: PolyDrawing, moving) -> F | None:
     return best
 
 
-def _base(family: str, seed: int, style: str):
+def _base(family: str, seed: int, style: str, rng_seed: int | None = None):
     g = FAMILIES[family](seed)
     fs = planar_freeset(g)
-    pts = point_set(style, len(fs.order), random.Random(seed))
+    pts = point_set(style, len(fs.order),
+                    random.Random(seed if rng_seed is None else rng_seed))
     xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
     return fs, _collinear_base(g, fs, xs)
 
@@ -145,3 +151,50 @@ def test_epsilon_is_largest_power_of_two(family, style):
     d2 = _clearance_sq(base, fs.order)
     assert (2 * eps) ** 2 < d2 <= (4 * eps) ** 2
 
+
+def test_plan_follows_bend_layout_and_moving_set():
+    # one graph, three plans: the base, the base with one bend fewer, and a
+    # smaller moving set; a plan reused across them would misnumber the
+    # bends or test the wrong pairs, and the three values differ
+    fs, base = _base("thinned", 2, "general")
+    g = base.graph
+
+    def without(e):
+        return PolyDrawing(graph=g, pos=base.pos,
+                           bends={f: b for f, b in base.bends.items()
+                                  if f != e})
+
+    e = next(e for e in sorted(base.bends)
+             if verify_drawing(g, without(e)) is None)
+    cases = [(base, fs.order), (without(e), fs.order),
+             (base, fs.order[-1:])]
+    values = [_clearance_sq(d, moving) for d, moving in cases]
+    assert values == [all_pairs_sq(d, moving) for d, moving in cases]
+    assert len(set(values)) == 3
+
+
+def test_plan_is_reused_across_positions():
+    # the same graph, free set and bends at two sets of x positions
+    _clearance_plan.cache_clear()
+    for rng_seed in (1, 7):
+        fs, base = _base("triangulation", 3, "coprime", rng_seed)
+        assert _clearance_sq(base, fs.order) == all_pairs_sq(base, fs.order)
+    info = _clearance_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_perturb_checks_the_returned_drawing(monkeypatch):
+    fs, base = _base("stacked", 1, "general")
+    checked = []
+    real = realize.verify_drawing
+
+    def spy(g, d):
+        checked.append(d)
+        return real(g, d)
+
+    monkeypatch.setattr(realize, "verify_drawing", spy)
+    targets = [F(2 * i - 5, i + 2) for i in range(len(fs.order))]
+    d = perturb_scale(base, fs.order, targets)
+    assert d.verified and len(checked) == 1
+    assert (checked[0].pos, checked[0].bends) == (d.pos, d.bends)
+    assert [d.pos[v][1] for v in fs.order] == targets

@@ -24,7 +24,7 @@ from freeset.generators import (
     octahedron,
     random_triangulation,
 )
-from freeset.rational import FractionFreeSolver
+from freeset.rational import _PRIMES, FractionFreeSolver
 from freeset.realize import (
     _Barycentric,
     _collinear_system,
@@ -223,8 +223,8 @@ class TestAgainstReference:
             assert_matches_reference(rows, i)
 
     def test_pivot_vanishing_modulo_first_prime(self):
-        # the first pivot is 2^61 - 1, zero modulo the first prime
-        p = 2 ** 61 - 1
+        # the first pivot is the first prime, so it vanishes modulo it
+        p = _PRIMES[0]
         rows = [{0: p, 1: 1}, {0: 1, 1: 2, 2: -1}, {1: -1, 2: 3}]
         solver = FractionFreeSolver(rows)
         assert solver.p != p

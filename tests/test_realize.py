@@ -633,7 +633,7 @@ class TestVerifyOnce:
     def test_free_realize_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 3), (1, -2)])
-        assert d.verified and calls == ["collinear[antichain]"]
+        assert d.verified and calls == ["collinear[antichain]+perturbed"]
 
     def test_free_realize_once_larger(self, calls):
         g = random_triangulation(60, 5)

@@ -701,7 +701,8 @@ def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
         chain[e] = [e[0], *range(k, k + counts.get(e, 0)), e[1]]
         k += counts.get(e, 0)
     plan = []
-    tested: dict[tuple[int, int], set[int]] = {}  # piece -> points so far
+    # piece -> its ends and the points it was tested against so far
+    tested: dict[tuple[int, int], set[int]] = {}
     for fid in sorted({f for v in moving for f in g.faces_at(v)}):
         edges = sorted({norm_edge(u, v) for u, v in g.faces[fid].walk})
         on = sorted({i for e in edges for i in chain[e]})
@@ -816,7 +817,8 @@ def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
     """Least integer t >= 0 after which the distinct points have distinct
     x + t*y, and the points so sheared.  Two points with equal y never
     collide, and two with distinct y collide at one t only, so t is at
-    most the number of point pairs."""
+    most the number of point pairs.  Each t is tried on integer keys, the
+    coordinates over one common denominator."""
     den = lcm(*(c.denominator for p in points for c in p))
     keys = [(x.numerator * (den // x.denominator),
              y.numerator * (den // y.denominator)) for x, y in points]

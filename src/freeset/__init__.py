@@ -11,7 +11,6 @@ from .embedding import (
     Face,
     GraphMapping,
     build_embedded,
-    cycle_sides,
     dual_graph,
     embed_from_faces,
     induce,
@@ -24,7 +23,6 @@ __all__ = [
     "Face",
     "GraphMapping",
     "build_embedded",
-    "cycle_sides",
     "dual_graph",
     "embed_from_faces",
     "induce",

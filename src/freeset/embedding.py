@@ -20,7 +20,6 @@ from .errors import (
     DisconnectedResult,
     MultiEdgeOrLoop,
     NonPlanarRotation,
-    NotACycle,
     TooSmall,
     UnknownElement,
 )
@@ -74,61 +73,55 @@ class GraphMapping:
     new_edges: tuple = ()
 
 
-def _cyclic_equal(a: Sequence[int], b: Sequence[int]) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = list(a) + list(a)
-    bl = list(b)
-    return any(doubled[i:i + len(bl)] == bl for i in range(len(a)))
-
-
-def _trace_faces(rot: Sequence[Sequence[int]]) -> list[list[DirectedEdge]]:
-    """Return the face walks of a rotation system (face-on-the-left rule)."""
-    index = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
-    seen: set[DirectedEdge] = set()
+def _trace_faces(rot: Sequence[Sequence[int]],
+                 index: Sequence[dict[int, int]] | None = None,
+                 ) -> tuple[list[list[DirectedEdge]], dict[DirectedEdge, int]]:
+    """The face walks of a rotation system (face-on-the-left rule), and the
+    walk number of the face on the left of each dart.  ``index`` maps each
+    vertex's neighbours to their rotation slots; it is built when not
+    given."""
+    if index is None:
+        index = [{u: i for i, u in enumerate(nbrs)} for nbrs in rot]
+    face_of: dict[DirectedEdge, int] = {}
     walks: list[list[DirectedEdge]] = []
     for v0 in range(len(rot)):
         for u0 in rot[v0]:
-            if (v0, u0) in seen:
+            if (v0, u0) in face_of:
                 continue
             walk = []
-            u, v = v0, u0
-            while (u, v) not in seen:
-                seen.add((u, v))
-                walk.append((u, v))
-                nbrs = rot[v]
-                w = nbrs[index[v][u] - 1]
-                u, v = v, w
+            dart = (v0, u0)
+            while dart not in face_of:
+                face_of[dart] = len(walks)
+                walk.append(dart)
+                u, v = dart
+                dart = (v, rot[v][index[v][u] - 1])
             walks.append(walk)
-    return walks
+    return walks, face_of
 
 
 class EmbeddedGraph:
     """A simple connected planar graph with a fixed combinatorial embedding.
 
     Construct through :func:`build_embedded`, which validates the rotation
-    system; the constructor itself trusts its inputs.
+    system; the constructor itself trusts its inputs: ``rot_index`` maps
+    each vertex's neighbours to their rotation slots, and ``face_of`` each
+    dart to the id of the face on its left.
     """
 
     __slots__ = ("n", "rot", "faces", "outer_face", "_edges", "_face_of",
                  "_rot_index", "_hash")
 
     def __init__(self, rot: tuple[tuple[int, ...], ...],
-                 faces: tuple[Face, ...], outer_face: int):
+                 faces: tuple[Face, ...], outer_face: int,
+                 rot_index: Sequence[dict[int, int]],
+                 face_of: dict[DirectedEdge, int]):
         self.n = len(rot)
         self.rot = rot
         self.faces = faces
         self.outer_face = outer_face
         self._edges = frozenset(
             norm_edge(u, v) for v in range(self.n) for u in rot[v])
-        self._rot_index = tuple(
-            {u: i for i, u in enumerate(nbrs)} for nbrs in rot)
-        face_of: dict[DirectedEdge, int] = {}
-        for f in faces:
-            for d in f.walk:
-                face_of[d] = f.id
+        self._rot_index = tuple(rot_index)
         self._face_of = face_of
         self._hash = None
 
@@ -185,26 +178,30 @@ class EmbeddedGraph:
                 f"f={len(self.faces)})")
 
 
-def _checked_rotation(n: int, rotations: Sequence[Sequence[int]],
-                      ) -> tuple[tuple[tuple[int, ...], ...],
-                                 list[list[DirectedEdge]]]:
-    """Validate a rotation system; return it as tuples with its face walks."""
+def _checked_rotation(n: int, rotations: Sequence[Sequence[int]]) -> tuple:
+    """Validate a rotation system; return it as tuples with its rotation
+    index, its face walks and the walk number of each dart's face
+    (``_trace_faces``).  The index is built once and makes every check
+    linear."""
     if n <= 0:
         raise TooSmall("graph must have at least one vertex")
     if len(rotations) != n:
         raise UnknownElement(f"expected {n} rotation lines, got {len(rotations)}")
     rot = tuple(tuple(r) for r in rotations)
+    index = []
     for v, nbrs in enumerate(rot):
         for u in nbrs:
             if not 0 <= u < n:
                 raise UnknownElement(f"vertex {u} out of range in rotation of {v}")
             if u == v:
                 raise MultiEdgeOrLoop(f"loop at vertex {v}")
-        if len(set(nbrs)) != len(nbrs):
+        slots = {u: i for i, u in enumerate(nbrs)}
+        if len(slots) != len(nbrs):
             raise MultiEdgeOrLoop(f"repeated neighbor in rotation of {v}")
+        index.append(slots)
     for v, nbrs in enumerate(rot):
         for u in nbrs:
-            if v not in rot[u]:
+            if v not in index[u]:
                 raise UnknownElement(f"edge {v}-{u} missing from rotation of {u}")
 
     # connectivity
@@ -219,13 +216,13 @@ def _checked_rotation(n: int, rotations: Sequence[Sequence[int]],
     if len(seen) != n:
         raise Disconnected(f"{n - len(seen)} vertices unreachable from 0")
 
-    walks = _trace_faces(rot)
+    walks, face_of = _trace_faces(rot, index)
     m = sum(len(r) for r in rot) // 2
     f = len(walks) if m > 0 else 1
     if n - m + f != 2:
         raise NonPlanarRotation(
             f"V-E+F = {n}-{m}+{f} = {n - m + f}, expected 2")
-    return rot, walks
+    return rot, index, walks, face_of
 
 
 def build_embedded(vertex_count: int,
@@ -240,21 +237,23 @@ def build_embedded(vertex_count: int,
     Raises MultiEdgeOrLoop, Disconnected or NonPlanarRotation when the input
     is not a simple connected genus-0 rotation system.
     """
-    rot, walks = _checked_rotation(vertex_count, rotations)
+    rot, index, walks, face_of = _checked_rotation(vertex_count, rotations)
     if not walks:
-        faces = (Face(0, (), True),)
-        return EmbeddedGraph(rot, faces, 0)
+        return EmbeddedGraph(rot, (Face(0, (), True),), 0, index, face_of)
 
     outer = None
     if outer_face_hint is not None:
         hint = list(outer_face_hint)
         # prefer an exact cyclic match of the boundary walk, fall back to a
-        # vertex-set match (the text format only records the walk)
-        for i, w in enumerate(walks):
-            tails = [u for u, _ in w]
-            if len(tails) == len(hint) and _cyclic_equal(tails, hint):
-                outer = i
-                break
+        # vertex-set match (the text format only records the walk).  Each
+        # dart lies on one face, so only the face of the dart (hint[0],
+        # hint[1]) can match cyclically.
+        dart = tuple(hint[:2])
+        if dart in face_of:
+            w = walks[face_of[dart]]
+            at = w.index(dart)
+            if [u for u, _ in w[at:] + w[:at]] == hint:
+                outer = face_of[dart]
         if outer is None:
             hset = frozenset(hint)
             for i, w in enumerate(walks):
@@ -267,16 +266,16 @@ def build_embedded(vertex_count: int,
         outer = max(range(len(walks)), key=lambda i: (len(walks[i]), -i))
 
     faces = tuple(Face(i, tuple(w), i == outer) for i, w in enumerate(walks))
-    return EmbeddedGraph(rot, faces, outer)
+    return EmbeddedGraph(rot, faces, outer, index, face_of)
 
 
 def _rebuild(rot: Sequence[Sequence[int]], outer_marker: DirectedEdge,
              ) -> EmbeddedGraph:
     """Build a graph whose outer face is the one containing a marker edge."""
-    rot, walks = _checked_rotation(len(rot), rot)
-    outer = next(i for i, w in enumerate(walks) if outer_marker in w)
+    rot, index, walks, face_of = _checked_rotation(len(rot), rot)
+    outer = face_of[outer_marker]
     faces = tuple(Face(i, tuple(w), i == outer) for i, w in enumerate(walks))
-    return EmbeddedGraph(rot, faces, outer)
+    return EmbeddedGraph(rot, faces, outer, index, face_of)
 
 
 def embed_from_faces(vertex_count: int,
@@ -596,124 +595,3 @@ def induce(g: EmbeddedGraph, vertices: Iterable[int],
                        for (u, v) in g.edges if u in kept and v in kept},
     )
     return result, mapping
-
-
-# ---------------------------------------------------------------------------
-# Sides of an embedded cycle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CycleSides:
-    """Partition of a graph relative to a directed embedded cycle.
-
-    ``left``/``right`` hold the non-cycle vertices on each side of the
-    traversal; ``edge_side`` maps every non-cycle edge to "left" or "right";
-    ``faces_left``/``faces_right`` partition the face ids.
-    """
-
-    cycle: tuple[int, ...]
-    left: frozenset[int]
-    right: frozenset[int]
-    edge_side: dict
-    faces_left: frozenset[int]
-    faces_right: frozenset[int]
-
-
-def cycle_sides(g: EmbeddedGraph, cycle: Sequence[int]) -> CycleSides:
-    """Classify vertices, edges and faces as left or right of a cycle.
-
-    The cycle is given as a vertex sequence (closed implicitly); consecutive
-    vertices must be adjacent and all cycle vertices distinct.
-    """
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        raise NotACycle(f"{cycle} is not a simple cycle")
-    on_cycle = {v: i for i, v in enumerate(cycle)}
-    cyc_edges = set()
-    for i, v in enumerate(cycle):
-        w = cycle[(i + 1) % k]
-        if not g.has_edge(v, w):
-            raise NotACycle(f"{v}-{w} is not an edge")
-        cyc_edges.add(norm_edge(v, w))
-
-    # stub sides: at x_i, neighbors strictly ccw between next and prev are left
-    stub_side: dict[DirectedEdge, str] = {}
-    for i, v in enumerate(cycle):
-        prev, nxt = cycle[i - 1], cycle[(i + 1) % k]
-        nbrs = g.rot[v]
-        d = len(nbrs)
-        j = g.rot_index(v, nxt)
-        side = "left"
-        for step in range(1, d):
-            u = nbrs[(j + step) % d]
-            if u == prev:
-                side = "right"
-                continue
-            stub_side[(v, u)] = side
-
-    # flood vertex sides through non-cycle edges
-    vert_side: dict[int, str] = {}
-    for (v, u), side in stub_side.items():
-        if u in on_cycle:
-            continue
-        if u in vert_side:
-            if vert_side[u] != side:
-                raise NotACycle(f"vertex {u} lies on both sides of the cycle")
-            continue
-        vert_side[u] = side
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for z in g.rot[w]:
-                if z in on_cycle or z in vert_side:
-                    if z in vert_side and vert_side[z] != side:
-                        raise NotACycle(
-                            f"vertex {z} lies on both sides of the cycle")
-                    continue
-                vert_side[z] = side
-                stack.append(z)
-
-    edge_side: dict[Edge, str] = {}
-    for (u, v) in g.edges:
-        e = norm_edge(u, v)
-        if e in cyc_edges:
-            continue
-        if u in on_cycle and v in on_cycle:
-            s1, s2 = stub_side[(u, v)], stub_side[(v, u)]
-            if s1 != s2:
-                raise NotACycle(f"chord {e} crosses the cycle")
-            edge_side[e] = s1
-        elif u in on_cycle:
-            edge_side[e] = vert_side[v]
-        elif v in on_cycle:
-            edge_side[e] = vert_side[u]
-        else:
-            edge_side[e] = vert_side[u]
-
-    # flood face sides in the dual, blocked at cycle edges
-    face_side: dict[int, str] = {}
-    stack2: list[tuple[int, str]] = []
-    for i, v in enumerate(cycle):
-        w = cycle[(i + 1) % k]
-        stack2.append((g.face_of(v, w), "left"))
-        stack2.append((g.face_of(w, v), "right"))
-    while stack2:
-        fid, side = stack2.pop()
-        if fid in face_side:
-            if face_side[fid] != side:
-                raise NotACycle("face reachable from both sides of the cycle")
-            continue
-        face_side[fid] = side
-        for (u, v) in g.faces[fid].walk:
-            if norm_edge(u, v) in cyc_edges:
-                continue
-            stack2.append((g.face_of(v, u), side))
-
-    return CycleSides(
-        cycle=tuple(cycle),
-        left=frozenset(v for v, s in vert_side.items() if s == "left"),
-        right=frozenset(v for v, s in vert_side.items() if s == "right"),
-        edge_side=edge_side,
-        faces_left=frozenset(f for f, s in face_side.items() if s == "left"),
-        faces_right=frozenset(f for f, s in face_side.items() if s == "right"),
-    )

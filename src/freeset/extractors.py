@@ -234,7 +234,7 @@ def _fill_polygon_chords(k: int, chords: set[tuple[int, int]],
         adj[v].add(u)
     rot = [sorted(adj[v], key=lambda u: (u - v) % k) for v in range(k)]
     filled = set(chords)
-    for walk in _trace_faces(rot):
+    for walk in _trace_faces(rot)[0]:
         if walk[0] == (0, k - 1):
             continue
         s = walk[0][0]  # a walk starts at its smallest vertex

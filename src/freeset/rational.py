@@ -1,8 +1,9 @@
 """Exact rational linear algebra and plane predicates.
 
-All verified geometry runs over arbitrary-precision rationals; predicates
-are evaluated on integer-scaled coordinates (orientation signs are invariant
-under independent positive scaling of the axes).
+All verified geometry is exact.  Rationals are handled as integer
+numerators over one positive common denominator, and predicates are
+evaluated on those integers: orientation signs are invariant under
+independent positive scaling of the axes.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ def orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def integer_grid(points: list[Point]) -> list[tuple[int, int]]:
-    """Scale rational points to integers, one positive factor per axis."""
-    lx = lcm(*(x.denominator for x, _ in points))
-    ly = lcm(*(y.denominator for _, y in points))
-    return [(x.numerator * (lx // x.denominator),
-             y.numerator * (ly // y.denominator)) for x, y in points]
+def common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def integer_grid(points: list[Point],
+                 ) -> tuple[list[tuple[int, int]], int, int]:
+    """Scale rational points to integers, one positive factor per axis: the
+    integer points and the denominators of their x's and of their y's."""
+    xs, lx = common_denominator([x for x, _ in points])
+    ys, ly = common_denominator([y for _, y in points])
+    return list(zip(xs, ys)), lx, ly
 
 
 class FractionFreeSolver:
@@ -53,8 +61,8 @@ class FractionFreeSolver:
     lifts the solution p-adically (Dixon 1982): each step solves
     A c = r (mod p) with the factor and divides the exact residual r - A c
     by p.  Rational reconstruction over one growing common denominator reads
-    the numerators back, and the solution is returned only when A x = b
-    holds exactly.  With p = 2^521 - 1 a step gains 521 bits, so most
+    the numerators back, and the solution is returned, as those numerators
+    and their one denominator, only when A x = b holds exactly.  With p = 2^521 - 1 a step gains 521 bits, so most
     half-plane solves take one step.  A residual that p does not divide
     raises ArithmeticError, so a wrong factor can never give a wrong answer.
     """
@@ -97,8 +105,9 @@ class FractionFreeSolver:
             y[v] = (y[v] - sum(lu * y[u] for u, lu in col)) % p
         return y
 
-    def solve(self, b: list[int], den: int = 1) -> list[Fraction]:
-        """The solution of A x = b / den, for integers b and den > 0."""
+    def solve(self, b: list[int], den: int = 1) -> tuple[list[int], int]:
+        """The solution of A x = b / den, for integers b and den > 0, as
+        integer numerators over one positive denominator."""
         n = len(self.rows)
         if len(b) != n:
             raise ValueError(f"need {n} right-hand side entries")
@@ -128,7 +137,7 @@ class FractionFreeSolver:
                 num, d = sol
                 if all(sum(a * num[j] for j, a in row) == d * bi
                        for row, bi in zip(self.rows, b)):
-                    return [Fraction(x, d * den) for x in num]
+                    return num, d * den
             if m.bit_length() > 2 * bound_bits + 2:
                 raise ArithmeticError("no exact solution within the "
                                       "Hadamard bound")

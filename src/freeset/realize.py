@@ -15,6 +15,12 @@ is solved once and the lift is sized by an exact clearance, measured on a
 plan cached per graph, bend layout and free set, so nothing is retried: a
 drawing that fails its check raises DegenerateOutput naming the stage and
 the violation.
+
+From the solve to the exact check a drawing is a ``GridDrawing``: integer
+numerators over one positive denominator per axis.  The solver returns
+numerators over one denominator, the halves are merged, the clearance
+measured, the heights scaled, the drawing sheared and checked on those
+integers, and Fractions are built once, for the drawing that is returned.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .curves import (
     CrossItem,
@@ -48,7 +54,12 @@ from .errors import (
     YNotOnOuterFace,
 )
 from .extractors import OrderedFreeSet
-from .rational import FractionFreeSolver, Point, integer_grid, orient
+from .rational import (
+    FractionFreeSolver,
+    Point,
+    common_denominator,
+    integer_grid,
+)
 
 F = Fraction
 
@@ -85,7 +96,53 @@ class PolyDrawing:
         return sum(len(b) for b in self.bends.values())
 
 
-def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
+@dataclass(frozen=True)
+class GridDrawing:
+    """A drawing on one integer grid: the integer point (x, y) stands for
+    (x / dx, y / dy), with dx and dy positive.
+
+    ``pos[v]`` is vertex v's point and ``bends`` maps an edge to its bend
+    points, as in ``PolyDrawing``; the edges without bends are left out.
+    ``drawing`` builds the Fractions once."""
+
+    graph: EmbeddedGraph
+    pos: list
+    bends: dict
+    dx: int
+    dy: int
+    provenance: str = ""
+    verified: bool = False
+
+    @classmethod
+    def from_drawing(cls, d: PolyDrawing) -> GridDrawing:
+        """``d`` over the least common denominator of each axis."""
+        n = d.graph.n
+        edges = [e for e in sorted(d.graph.edges) if d.bends.get(e)]
+        pts, dx, dy = integer_grid([d.pos[v] for v in range(n)] +
+                                   [p for e in edges for p in d.bends[e]])
+        bends = {}
+        k = n
+        for e in edges:
+            bends[e] = tuple(pts[k:k + len(d.bends[e])])
+            k += len(bends[e])
+        return cls(graph=d.graph, pos=pts[:n], bends=bends, dx=dx, dy=dy,
+                   provenance=d.provenance, verified=d.verified)
+
+    def drawing(self) -> PolyDrawing:
+        dx, dy = self.dx, self.dy
+        return PolyDrawing(
+            graph=self.graph,
+            pos={v: (F(x, dx), F(y, dy)) for v, (x, y) in enumerate(self.pos)},
+            bends={e: tuple((F(x, dx), F(y, dy)) for x, y in b)
+                   for e, b in self.bends.items()},
+            provenance=self.provenance, verified=self.verified)
+
+    def bend_count(self) -> int:
+        return sum(len(b) for b in self.bends.values())
+
+
+def verify_drawing(g: EmbeddedGraph,
+                   d: PolyDrawing | GridDrawing) -> DrawingViolation | None:
     """Exact crossing-free check: distinct vertices, no vertex on any piece
     of an edge other than as an endpoint of a piece of its own edge, no two
     pieces meeting outside a shared endpoint, and pieces of two different
@@ -93,43 +150,45 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
 
     After the pre-checks (every vertex placed, no two vertices at one point,
     no zero-length piece) one Shamos-Hoey sweep (Shamos & Hoey 1976) runs
-    over the integer grid of the drawing in lexicographic (x, y) order.  The
-    events are the vertices and the endpoints of all pieces; the status is
-    the list of pieces crossing the sweep line, bottom to top, ordered by
-    ``orient`` and searched by bisection.  At each event point the pieces
-    that end or start there and the status pieces through it are compared
-    locally (vertex on an edge, touches at a vertex of both edges, pieces
-    leaving the point in one direction); the only other test is for a
-    proper crossing between pieces that become neighbours in the status.
-    Each event costs one bisection, one test per piece ending there, a sort
-    of the pieces starting there and at most two neighbour tests: O((m + k)
-    log m) orientation tests for m pieces, k being the number of pieces
-    that start or end at event points (k <= 2m).
+    over the integer grid of the drawing in lexicographic (x, y) order: a
+    ``GridDrawing``'s own, or ``integer_grid`` of a ``PolyDrawing``.  The
+    verdict is the same on any grid with positive axis scales, since the
+    sweep order and every orientation sign are.  The events are the vertices
+    and the endpoints of all pieces; the status is the list of pieces
+    crossing the sweep line, bottom to top, ordered by orientation and
+    searched by bisection.  Each piece is kept as its left end and its
+    direction, (x, y, dx, dy), and its orientation tests are evaluated
+    inline on those.  At each event point the pieces that end or start
+    there and the status pieces through it are compared locally (vertex on
+    an edge, touches at a vertex of both edges, pieces leaving the point in
+    one direction); the only other test is for a proper crossing between
+    pieces that become neighbours in the status.  Each event costs one
+    bisection, one test per piece ending there, a sort of the pieces
+    starting there and at most two neighbour tests: O((m + k) log m)
+    orientation tests for m pieces, k being the number of pieces that start
+    or end at event points (k <= 2m).
 
     The first violation in sweep order is returned: the leftmost event
     wins, and at one event point a vertex on an edge comes before a
     crossing.
     """
-    if set(d.pos) != set(range(g.n)):
-        return DrawingViolation("missing-vertex", "not every vertex is placed")
+    if isinstance(d, PolyDrawing):
+        if set(d.pos) != set(range(g.n)):
+            return DrawingViolation("missing-vertex",
+                                    "not every vertex is placed")
+        d = GridDrawing.from_drawing(d)
 
-    # the vertices, then the bends edge by edge, on one integer grid
-    edges = sorted(d.graph.edges)
-    grid = integer_grid([d.pos[v] for v in range(g.n)] +
-                        [p for e in edges for p in d.bends.get(e, ())])
-
-    if len(set(grid[:g.n])) != g.n:
+    pos = d.pos
+    vertex_at = {p: v for v, p in enumerate(pos)}
+    if len(vertex_at) != len(pos):
         return DrawingViolation("coincident-vertices",
                                 "two vertices share a position")
-    vertex_at = {grid[v]: v for v in range(g.n)}
 
     pieces = []  # (left, right, edge), endpoints in sweep order
+    geo = []  # per piece: (x, y, dx, dy), its left end and its direction
     starts: dict[tuple[int, int], list[int]] = {}
-    k = g.n
-    for e in edges:
-        nb = len(d.bends.get(e, ()))
-        chain = [grid[e[0]], *grid[k:k + nb], grid[e[1]]]
-        k += nb
+    for e in sorted(d.graph.edges):
+        chain = [pos[e[0]], *d.bends.get(e, ()), pos[e[1]]]
         for p, q in zip(chain, chain[1:]):
             if p == q:
                 return DrawingViolation("degenerate-segment",
@@ -138,6 +197,7 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
                 p, q = q, p
             starts.setdefault(p, []).append(len(pieces))
             pieces.append((p, q, e))
+            geo.append((p[0], p[1], q[0] - p[0], q[1] - p[1]))
     events = set(vertex_at)
     events.update(q for _, q, _ in pieces)
     events.update(starts)
@@ -145,12 +205,13 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
     status: list[int] = []  # pieces crossing the sweep line, bottom to top
     for point in sorted(events):
         px, py = point
-        # status[:lo] passes strictly below the point, status[lo:hi] through it
+        # status[:lo] passes strictly below the point, status[lo:hi] through
+        # it: piece i is below when the point is left of its direction
         lo, hi = 0, len(status)
         while lo < hi:
             mid = (lo + hi) // 2
-            (ax, ay), (bx, by), _ = pieces[status[mid]]
-            if orient(ax, ay, bx, by, px, py) > 0:
+            ax, ay, ux, uy = geo[status[mid]]
+            if ux * (py - ay) > uy * (px - ax):
                 lo = mid + 1
             else:
                 hi = mid
@@ -158,13 +219,13 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
         hi = lo
         while hi < len(status):
             i = status[hi]
-            (ax, ay), q, _ = pieces[i]
-            if q == point:
+            if pieces[i][1] == point:
                 ending.append(i)
-            elif orient(ax, ay, q[0], q[1], px, py) == 0:
-                inner.append(i)
             else:
-                break
+                ax, ay, ux, uy = geo[i]
+                if ux * (py - ay) != uy * (px - ax):
+                    break
+                inner.append(i)
             hi += 1
         new = starts.get(point, [])
         here = ending + new
@@ -194,9 +255,10 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
         if len(new) > 1:
             # bottom to top just after the point; equal directions overlap
             def turn(i: int, j: int) -> int:
-                """-1 when piece j leaves the point above piece i."""
-                (qx, qy), (rx, ry) = pieces[i][1], pieces[j][1]
-                return -orient(px, py, qx, qy, rx, ry)
+                """Negative when piece j leaves the point above piece i."""
+                _, _, ux, uy = geo[i]
+                _, _, wx, wy = geo[j]
+                return uy * wx - ux * wy
 
             new = sorted(new, key=cmp_to_key(turn))
             for i, j in zip(new, new[1:]):
@@ -210,20 +272,26 @@ def verify_drawing(g: EmbeddedGraph, d: PolyDrawing) -> DrawingViolation | None:
         pairs = [(down, new[0]), (new[-1], up)] if new else [(down, up)]
         for i, j in pairs:
             if i is not None and j is not None and \
-                    _cross_properly(pieces[i], pieces[j]):
+                    _cross_properly(geo[i], geo[j]):
                 return _crossing(pieces, i, j, vertex_at)
     return None
 
 
 def _cross_properly(s, t) -> bool:
-    """Whether two pieces meet in one point interior to both."""
-    (ax, ay), (bx, by), _ = s
-    (cx, cy), (dx, dy), _ = t
-    o = orient(ax, ay, bx, by, cx, cy)
-    if o == 0 or o + orient(ax, ay, bx, by, dx, dy) != 0:
+    """Whether two pieces, each given as (x, y, dx, dy), meet in one point
+    interior to both: the ends of each lie strictly on opposite sides of
+    the other."""
+    ax, ay, ux, uy = s
+    cx, cy, vx, vy = t
+    wx, wy = cx - ax, cy - ay
+    cross = ux * vy - uy * vx
+    o1 = ux * wy - uy * wx  # t's first end against s, then its second
+    o2 = o1 + cross
+    if not (o1 < 0 < o2 or o2 < 0 < o1):
         return False
-    o = orient(cx, cy, dx, dy, ax, ay)
-    return o != 0 and o + orient(cx, cy, dx, dy, bx, by) == 0
+    o3 = vy * wx - vx * wy  # s's first end against t, then its second
+    o4 = o3 - cross
+    return o3 < 0 < o4 or o4 < 0 < o3
 
 
 def _crossing(pieces: list, i: int, j: int, vertex_at: dict) -> DrawingViolation:
@@ -251,7 +319,7 @@ def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
     return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
 
-def _checked(d: PolyDrawing, stage: str) -> PolyDrawing:
+def _checked(d, stage: str):
     """``d`` after one exact check (none if it is verified already); a
     failure raises DegenerateOutput naming the stage."""
     if d.verified:
@@ -273,8 +341,8 @@ class _Barycentric:
     it exactly for one coordinate of the fixed vertices.
 
     A right-hand side entry is the sum of an interior vertex's fixed
-    neighbours.  It is built on integers: each fixed value is taken over the
-    common denominator L of all of them, and the solver divides by L once."""
+    neighbours.  It is built on integers: the fixed values are numerators
+    over one denominator L, and the solver divides by L once."""
 
     def __init__(self, rot, fixed):
         self.interior = [v for v in range(len(rot)) if v not in fixed]
@@ -293,14 +361,13 @@ class _Barycentric:
             self.fixed_nbrs.append(fx)
         self.solver = FractionFreeSolver(rows)
 
-    def solve(self, values: dict) -> list[Fraction]:
+    def solve(self, values: dict[int, int],
+              den: int) -> tuple[list[int], int]:
         """One coordinate of every interior vertex, in ``interior`` order,
-        at the barycenter of its neighbors; ``values`` gives that coordinate
-        of every fixed vertex."""
-        den = lcm(*(v.denominator for v in values.values()))
-        num = {u: v.numerator * (den // v.denominator)
-               for u, v in values.items()}
-        return self.solver.solve([sum(num[u] for u in fx)
+        at the barycenter of its neighbors, as numerators over one
+        denominator; ``values[u] / den`` is that coordinate of each fixed
+        vertex u."""
+        return self.solver.solve([sum(values[u] for u in fx)
                                   for fx in self.fixed_nbrs], den)
 
 
@@ -321,15 +388,21 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
         raise SizeMismatch("the boundary cycle needs at least three vertices")
     if len(set(cycle)) != len(cycle):
         raise SizeMismatch("boundary cycle repeats a vertex")
-    fixed = dict(zip(cycle, positions))
-
-    system = _Barycentric(h.rot, fixed)
-    xs, ys = (system.solve({v: p[c] for v, p in fixed.items()})
-              for c in (0, 1))
-    pos = dict(fixed)
-    pos.update(zip(system.interior, zip(xs, ys)))
-    _checked(PolyDrawing(graph=h, pos=pos, provenance="tutte"), "tutte")
-    return pos
+    system = _Barycentric(h.rot, set(cycle))
+    axes = []  # per axis: every vertex's numerator and their denominator
+    for c in (0, 1):
+        fixed, den = common_denominator([p[c] for p in positions])
+        inner, d = system.solve(dict(zip(cycle, fixed)), den)
+        col = [0] * h.n
+        for v, a in zip(cycle, fixed):
+            col[v] = a * (d // den)
+        for v, a in zip(system.interior, inner):
+            col[v] = a
+        axes.append((col, d))
+    (xs, dx), (ys, dy) = axes
+    grid = GridDrawing(graph=h, pos=list(zip(xs, ys)), bends={}, dx=dx,
+                       dy=dy, provenance="tutte")
+    return _checked(grid, "tutte").drawing().pos
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +462,13 @@ class _HalfPlane:
     The heights do not depend on the axis positions.  The axis is at
     height 0 and the apex at b, so the interior heights are b·φ, where φ
     solves the system with the apex at 1: the system is linear and its
-    solution unique.  φ is lifted once, here, and ``solve`` lifts only the
-    x's.  ``solve`` only solves; the caller verifies the drawing it
-    assembles.
+    solution unique.  φ is lifted once, here, and kept as integer
+    numerators over one denominator; ``solve`` lifts only the x's and
+    returns the drawing on the integer grid with the apex at height ±1.
+    That drawing is the one with the apex at ±b scaled by 1/b along y,
+    which keeps every orientation sign, so the caller applies b when it
+    next scales the heights.  ``solve`` only solves; the caller verifies
+    the drawing it assembles.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
@@ -413,7 +490,7 @@ class _HalfPlane:
         self._base = _Barycentric(self.rot, set(self.y) | {self.apex})
         heights = dict.fromkeys(self.y, 0)
         heights[self.apex] = 1
-        self._phi = self._base.solve(heights)
+        self._phi, self._phi_den = self._base.solve(heights, 1)
 
     def _fill_content_faces(self, rot: list[list[int]], faces: list,
                             edges: frozenset,
@@ -454,23 +531,23 @@ class _HalfPlane:
 
         return insert_chords(rot, faces, edges, choose)
 
-    def solve(self, xs: list[Fraction], side: str) -> dict:
-        """Unverified positions for the original half graph, axis at the
-        given x's."""
+    def solve(self, xs: list[int], den: int, side: str) -> GridDrawing:
+        """Unverified drawing of the original half graph with the axis
+        vertices at x = xs[i] / den, increasing, and the apex at height -1
+        (``side`` "below") or 1: heights are ±φ."""
         if len(xs) != len(self.y):
             raise SizeMismatch("one x position per axis vertex")
-        span = xs[-1] - xs[0]
-        b = 4 * span if span > 0 else F(4)
-        if side == "below":
-            b = -b
-        fixed = dict(zip(self.y, xs))
-        fixed[self.apex] = (xs[0] + xs[-1]) / 2
-
-        pos = {v: (x, F(0)) for v, x in zip(self.y, xs)}
-        pos.update((v, (x, b * phi)) for v, x, phi in
-                   zip(self._base.interior, self._base.solve(fixed),
-                       self._phi))
-        return {v: pos[v] for v in range(self.h.n)}
+        fixed = {v: 2 * x for v, x in zip(self.y, xs)}
+        fixed[self.apex] = xs[0] + xs[-1]  # the midpoint, over 2·den
+        inner, dx = self._base.solve(fixed, 2 * den)
+        sign = -1 if side == "below" else 1
+        pos = [None] * self.h.n
+        for v, x in zip(self.y, xs):
+            pos[v] = (x * (dx // den), 0)
+        for v, x, phi in zip(self._base.interior, inner, self._phi):
+            pos[v] = (x, sign * phi)
+        return GridDrawing(graph=self.h, pos=pos, bends={}, dx=dx,
+                           dy=self._phi_den, provenance="halfplane")
 
 
 def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
@@ -479,13 +556,14 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
     no other two may be, and the axis must lie on h's outer face in order."""
     if side not in ("below", "above"):
         raise SizeMismatch(f"side must be 'below' or 'above', not {side!r}")
-    xs = [F(x) for x in xs]
+    xs, den = common_denominator([F(x) for x in xs])
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-    pos = _HalfPlane(h, list(y_order)).solve(xs, side)
-    _checked(PolyDrawing(graph=h, pos=pos, provenance="halfplane"),
-             "halfplane")
-    return pos
+    d = _checked(_HalfPlane(h, list(y_order)).solve(xs, den, side),
+                 "halfplane")
+    b = 4 * (xs[-1] - xs[0])  # the apex height, over den
+    return replace(d, pos=[(x, b * y) for x, y in d.pos],
+                   dy=den * d.dy).drawing().pos
 
 
 # ---------------------------------------------------------------------------
@@ -591,58 +669,65 @@ def _collinear_system(g0: EmbeddedGraph,
                             above=tuple(sorted(sp.Z)))
 
 
-def _axis_positions(y_order, s_order, xs) -> list[Fraction]:
-    """x positions for every curve vertex: the free set gets the given
-    values, the rest are interpolated uniformly (ends padded by one)."""
-    xs = [F(x) for x in xs]
-    spos = {v: xs[i] for i, v in enumerate(s_order)}
+def _axis_positions(y_order, s_order, xs: list[int],
+                    den: int) -> tuple[list[int], int]:
+    """x positions for every curve vertex, as numerators over one
+    denominator: the free set gets xs[i] / den, the rest are interpolated
+    uniformly (ends padded by one)."""
+    spos = dict(zip(s_order, xs))
     anchors = [i for i, v in enumerate(y_order) if v in spos]
-    out: list[Fraction | None] = [None] * len(y_order)
-    for i in anchors:
-        out[i] = spos[y_order[i]]
     first, last = anchors[0], anchors[-1]
-    for j in range(first):
-        out[j] = out[first] - 1 + F(j + 1, first + 1)
     tail = len(y_order) - last - 1
+    # one denominator for every step: the padded ends and each gap
+    m = lcm(first + 1, tail + 1,
+            *(b - a for a, b in zip(anchors, anchors[1:])))
+    out = [0] * len(y_order)
+    for i in anchors:
+        out[i] = spos[y_order[i]] * m
+    for j in range(first):
+        out[j] = out[first] - den * m + den * (j + 1) * (m // (first + 1))
     for k, j in enumerate(range(last + 1, len(y_order))):
-        out[j] = out[last] + F(k + 1, tail + 1)
+        out[j] = out[last] + den * (k + 1) * (m // (tail + 1))
     for a, b in zip(anchors, anchors[1:]):
-        gap = b - a
+        step = (out[b] - out[a]) // (b - a)
         for k, j in enumerate(range(a + 1, b)):
-            out[j] = out[a] + (out[b] - out[a]) * F(k + 1, gap)
-    return out
+            out[j] = out[a] + step * (k + 1)
+    return out, den * m
 
 
-def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet,
-                    xs) -> PolyDrawing:
-    """Unverified collinear drawing with the free set at ``xs``: both halves
-    of the (cached) collinear system solved, the crossed edges bent at their
-    midpoints, the side condition checked."""
+def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
+                    den: int) -> GridDrawing:
+    """Unverified collinear drawing with the free set at x = xs[i] / den:
+    both halves of the (cached) collinear system solved and merged on
+    integer columns, the crossed edges bent at their midpoints, the side
+    condition checked."""
     if g != fs.graph:
         raise SizeMismatch("free set does not belong to this graph")
     if not fs.order:
         raise SizeMismatch("the free set is empty")
-    xs = [F(x) for x in xs]
     if len(xs) != len(fs.order):
         raise SizeMismatch(f"need {len(fs.order)} x positions")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
     sysm = _collinear_system(g, fs.certificate)
-    axis_x = _axis_positions(sysm.y_order, fs.order, xs)
+    axis_x, axis_den = _axis_positions(sysm.y_order, fs.order, xs, den)
 
-    hp_in, rel_in = sysm.halves["inside"]
-    hp_out, rel_out = sysm.halves["outside"]
-    pos_in = hp_in.solve(axis_x, "below")
-    pos_out = hp_out.solve(axis_x, "above")
-
-    merged: dict[int, Point] = {}
-    for v, i in rel_in.items():
-        merged[v] = pos_in[i]
-    for v, i in rel_out.items():
-        p = pos_out[i]
-        if v in merged and merged[v] != p:
-            raise MergeConflict(f"vertex {v} differs between the halves")
-        merged[v] = p
+    halves = [(hp.solve(axis_x, axis_den, side), rel) for (hp, rel), side in
+              ((sysm.halves["inside"], "below"),
+               (sysm.halves["outside"], "above"))]
+    dx = lcm(*(h.dx for h, _ in halves))
+    dphi = lcm(*(h.dy for h, _ in halves))
+    # a half's heights are ±φ; the apex goes to b = 4·span, over axis_den,
+    # and b goes into each half's column factor
+    b = 4 * (axis_x[-1] - axis_x[0])
+    merged: dict[int, tuple[int, int]] = {}
+    for h, rel in halves:
+        cx, cy = dx // h.dx, b * (dphi // h.dy)
+        for v, i in rel.items():
+            x, y = h.pos[i]
+            p = (x * cx, y * cy)
+            if merged.setdefault(v, p) != p:
+                raise MergeConflict(f"vertex {v} differs between the halves")
 
     # inside vertices strictly below the axis, outside strictly above: the
     # halves then meet only on the axis, at curve vertices, so the exact
@@ -656,9 +741,10 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet,
             raise _degenerate("collinear", DrawingViolation(
                 "wrong-side", f"outside vertex {v} is not above the axis"))
 
-    pos = {v: merged[v] for v in range(g.n)}
-    bends = {e: (merged[mid],) for e, mid in sysm.mids.items()}
-    return PolyDrawing(graph=g, pos=pos, bends=bends,
+    return GridDrawing(graph=g, pos=[merged[v] for v in range(g.n)],
+                       bends={e: (merged[mid],)
+                              for e, mid in sysm.mids.items()},
+                       dx=dx, dy=axis_den * dphi,
                        provenance=f"collinear[{fs.provenance}]")
 
 
@@ -670,7 +756,8 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 
     The merged drawing is checked once, after the side condition; a failure
     of either raises DegenerateOutput."""
-    return _checked(_collinear_base(g, fs, xs), "collinear")
+    base = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
+    return _checked(base, "collinear").drawing()
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +805,7 @@ def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
     return tuple(plan)
 
 
-def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
+def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
     """Exact D²: the least squared distance between a vertex or bend and a
     piece it is not an end of, over the pairs in which the point or an end
     of the piece is a moving vertex; None when there is no such pair.
@@ -727,26 +814,26 @@ def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
     point reaches such a piece; just before, the two see each other, so they
     share a face that touches a moving vertex.  Only those pairs are tested
     (``_clearance_plan``, cached per graph, bend layout and moving set), on
-    one integer grid with a single scale for both axes, and a point outside
+    d's grid brought to a single scale for both axes, and a point outside
     a piece's box grown by the floor of the least D so far is skipped.
     D² = 0, a point on a piece of the base, raises DegenerateOutput.
     """
     g = d.graph
-    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()
-                          if b and e in g.edges))
+    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()))
     pieces = _clearance_plan(g, layout, frozenset(moving))
-    pts = [d.pos[v] for v in range(g.n)]
+    pts = list(d.pos)
     for e, _ in layout:
         pts.extend(d.bends[e])
-    scale = lcm(*(c.denominator for p in pts for c in p))
-    grid = [(x.numerator * (scale // x.denominator),
-             y.numerator * (scale // y.denominator)) for x, y in pts]
+    scale = lcm(d.dx, d.dy)
+    mx, my = scale // d.dx, scale // d.dy
+    grid = [(x * mx, y * my) for x, y in pts]
     reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
     best = None  # (num, den, point, edge): D² = num / den on the grid
     for a, b, points, e in pieces:
         (ax, ay), (bx, by) = grid[a], grid[b]
-        x0, x1 = min(ax, bx) - reach, max(ax, bx) + reach
-        y0, y1 = min(ay, by) - reach, max(ay, by) + reach
+        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
+        y0, y1 = (ay, by) if ay < by else (by, ay)
+        x0, x1, y0, y1 = x0 - reach, x1 + reach, y0 - reach, y1 + reach
         dx, dy = bx - ax, by - ay
         for i in points:
             px, py = grid[i]
@@ -773,16 +860,18 @@ def _clearance_sq(d: PolyDrawing, moving) -> Fraction | None:
     return None if best is None else F(best[0], best[1] * scale * scale)
 
 
-def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
+def perturb_scale(d: PolyDrawing | GridDrawing, s_order, targets):
     """Move the free set, on the axis in ``d``, to the target heights.
 
     With epsilon the largest power of two with (2 epsilon)² < D² (1 without
     a moving pair), the free set lifted to epsilon * y_i / ymax is crossing
     free.  Every y of that drawing is then scaled by ymax / epsilon, which
     keeps every orientation sign, so the drawing is built scaled: the free
-    vertices exactly at y_i, every other y and every bend times ymax /
-    epsilon.  That drawing, the one returned, is checked once.  ``d`` need
-    not be verified; all-zero targets check ``d`` itself."""
+    vertices exactly at y_i, and every other height of the grid times one
+    integer, ymax / epsilon over the new y denominator.  That drawing, the
+    one returned, is checked once, and it comes back in the form ``d`` was
+    given in.  ``d`` need not be verified; all-zero targets check ``d``
+    itself."""
     s_order = list(s_order)
     ys = [F(y) for y in targets]
     if len(ys) != len(s_order):
@@ -792,51 +881,68 @@ def perturb_scale(d: PolyDrawing, s_order, targets) -> PolyDrawing:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     if all(y == 0 for y in ys):
         return _checked(d, "collinear")
-    ymax = max(abs(y) for y in ys)
-    d2 = _clearance_sq(d, s_order)
+    grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
+    d2 = _clearance_sq(grid, s_order)
     # the first 2^k has D² < (2 * 2^k)² <= 8 D²: at most two halvings
     eps = F(1) if d2 is None else F(2) ** (
         (d2.numerator.bit_length() - d2.denominator.bit_length()) // 2)
     while d2 is not None and 4 * eps * eps >= d2:
         eps /= 2
-    factor = ymax / eps
-    pos = {v: (x, y * factor) for v, (x, y) in d.pos.items()}
-    pos.update((v, (pos[v][0], y)) for v, y in zip(s_order, ys))
-    return _checked(PolyDrawing(
-        graph=d.graph, pos=pos,
-        bends={e: tuple((x, y * factor) for x, y in pts)
-               for e, pts in d.bends.items()},
-        provenance=d.provenance + "+perturbed"), "perturb")
+    # ymax / eps = scale / (tden * eps.numerator), over the new denominator
+    ys, tden = common_denominator(ys)
+    scale = max(abs(y) for y in ys) * eps.denominator
+    lift = grid.dy * eps.numerator
+    pos = [(x, y * scale) for x, y in grid.pos]
+    for v, y in zip(s_order, ys):
+        pos[v] = (pos[v][0], y * lift)
+    out = _checked(GridDrawing(
+        graph=grid.graph, pos=pos,
+        bends={e: tuple((x, y * scale) for x, y in pts)
+               for e, pts in grid.bends.items()},
+        dx=grid.dx, dy=lift * tden,
+        provenance=grid.provenance + "+perturbed"), "perturb")
+    return out if d is grid else out.drawing()
 
 
 # ---------------------------------------------------------------------------
 # Free realization
 # ---------------------------------------------------------------------------
 
-def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
+def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     """Least integer t >= 0 after which the distinct points have distinct
-    x + t*y, and the points so sheared.  Two points with equal y never
-    collide, and two with distinct y collide at one t only, so t is at
-    most the number of point pairs.  Each t is tried on integer keys, the
-    coordinates over one common denominator."""
-    den = lcm(*(c.denominator for p in points for c in p))
-    keys = [(x.numerator * (den // x.denominator),
-             y.numerator * (den // y.denominator)) for x, y in points]
+    x + t*y, with the points as integer keys over one common denominator.
+    Two points with equal y never collide, and two with distinct y collide
+    at one t only, so t is at most the number of point pairs."""
+    flat, den = common_denominator([c for p in points for c in p])
+    keys = list(zip(flat[::2], flat[1::2]))
     t = 0
     while len({x + t * y for x, y in keys}) < len(keys):
         t += 1
+    return t, keys, den
+
+
+def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
+    """Least integer t >= 0 after which the distinct points have distinct
+    x + t*y (``_shear_keys``), and the points so sheared."""
+    t = _shear_keys(points)[0]
     if t == 0:
         return 0, points
     return t, [(x + t * y, y) for x, y in points]
 
 
-def _shear_drawing(d: PolyDrawing, t: int) -> PolyDrawing:
-    """``d`` sheared by (x, y) -> (x + t*y, y).
+def _shear_drawing(d, t: int):
+    """``d`` sheared by (x, y) -> (x + t*y, y), in the form it is given in.
 
     A shear has determinant 1, so every orientation sign is kept and the
     verified flag carries over; shearing by -t undoes it exactly."""
     if t == 0:
         return d
+    if isinstance(d, GridDrawing):
+        dx = lcm(d.dx, d.dy)
+        mx, my = dx // d.dx, t * (dx // d.dy)
+        return replace(d, pos=[(x * mx + y * my, y) for x, y in d.pos],
+                       bends={e: tuple((x * mx + y * my, y) for x, y in b)
+                              for e, b in d.bends.items()}, dx=dx)
     return replace(d, pos={v: (x + t * y, y) for v, (x, y) in d.pos.items()},
                    bends={e: tuple((x + t * y, y) for x, y in b)
                           for e, b in d.bends.items()})
@@ -852,7 +958,8 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
 
     Only the returned drawing is verified: the collinear base is built
     unchecked (only the side condition is tested) and the perturbed drawing
-    is checked once.  A failure of either raises DegenerateOutput.
+    is checked once.  A failure of either raises DegenerateOutput.  Both
+    stay on the integer grid; the Fractions of the result are built once.
     """
     pts = [(F(x), F(y)) for x, y in points]
     if len(pts) != len(fs.order):
@@ -860,13 +967,15 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     if len(set(pts)) != len(pts):
         raise SizeMismatch("points must be distinct")
 
-    t, sheared = _distinct_x_shear(pts)
-    order = sorted(range(len(sheared)), key=lambda i: sheared[i][0])
-    xs = [sheared[i][0] for i in order]
-    ys = [sheared[i][1] for i in order]
+    t, keys, den = _shear_keys(pts)
+    sheared = [x + t * y for x, y in keys]
+    order = sorted(range(len(pts)), key=sheared.__getitem__)
+    xs = [sheared[i] for i in order]
+    common = gcd(den, *xs)  # the x's over their least denominator
 
-    base = _collinear_base(g, fs, xs)
-    d = _shear_drawing(perturb_scale(base, fs.order, ys), -t)
+    base = _collinear_base(g, fs, [x // common for x in xs], den // common)
+    d = _shear_drawing(perturb_scale(base, fs.order,
+                                     [pts[i][1] for i in order]), -t).drawing()
 
     placed = {fs.order[j]: pts[order[j]] for j in range(len(pts))}
     for v, p in placed.items():

@@ -112,9 +112,9 @@ def trace_calls_fixture(monkeypatch):
     calls = [0]
     trace = embedding._trace_faces
 
-    def counting(rot):
+    def counting(*args):
         calls[0] += 1
-        return trace(rot)
+        return trace(*args)
 
     for mod in (embedding, extractors):
         monkeypatch.setattr(mod, "_trace_faces", counting)

@@ -25,7 +25,9 @@ from freeset.generators import (
     random_triangulation,
     stacked_3tree,
 )
+from freeset.rational import common_denominator
 from freeset.realize import (
+    GridDrawing,
     PolyDrawing,
     _clearance_plan,
     _clearance_sq,
@@ -59,10 +61,12 @@ def _segment_sq(p, a, b) -> F:
     return (p[0] - qx) ** 2 + (p[1] - qy) ** 2
 
 
-def all_pairs_sq(d: PolyDrawing, moving) -> F | None:
+def all_pairs_sq(d: PolyDrawing | GridDrawing, moving) -> F | None:
     """Least squared distance between a vertex or bend and a piece it is
     not an end of, over every pair in which the point or an end of the
     piece is a moving vertex."""
+    if isinstance(d, GridDrawing):
+        d = d.drawing()
     moving = {("v", v) for v in moving}
     points = {("v", v): p for v, p in d.pos.items()}
     pieces = []
@@ -88,7 +92,7 @@ def _base(family: str, seed: int, style: str, rng_seed: int | None = None):
     pts = point_set(style, len(fs.order),
                     random.Random(seed if rng_seed is None else rng_seed))
     xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
-    return fs, _collinear_base(g, fs, xs)
+    return fs, _collinear_base(g, fs, *common_denominator(xs))
 
 
 @pytest.mark.parametrize("family,seed,style", CASES)
@@ -102,7 +106,8 @@ def test_face_local_matches_all_pairs(family, seed, style):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_vertex_on_piece_is_degenerate(family):
     # a vertex put on a piece of its own face at a moving vertex
-    fs, base = _base(family, 1, "general")
+    fs, grid = _base(family, 1, "general")
+    base = grid.drawing()
     g = base.graph
     v = fs.order[0]
     walk = [u for u, _ in g.faces[g.faces_at(v)[0]].walk]
@@ -118,7 +123,7 @@ def test_vertex_on_piece_is_degenerate(family):
     with pytest.raises(DegenerateOutput,
                        match="collinear drawing failed verification: "
                              "vertex-on-edge"):
-        _clearance_sq(broken, fs.order)
+        _clearance_sq(GridDrawing.from_drawing(broken), fs.order)
 
 
 def test_pruning_keeps_the_nearest_pair():
@@ -127,7 +132,8 @@ def test_pruning_keeps_the_nearest_pair():
     pos = {0: (-10, 12), 1: (-6, -20), 2: (-8, 14), 3: (15, -6), 4: (5, 12)}
     d = PolyDrawing(graph=path(5), pos={v: (F(x), F(y))
                                         for v, (x, y) in pos.items()})
-    assert _clearance_sq(d, [0, 2]) == all_pairs_sq(d, [0, 2]) == F(648, 145)
+    assert _clearance_sq(GridDrawing.from_drawing(d), [0, 2]) == \
+        all_pairs_sq(d, [0, 2]) == F(648, 145)
 
 
 def test_no_pair_means_no_bound():
@@ -140,15 +146,16 @@ def test_no_pair_means_no_bound():
                                           ("grid", "coprime")])
 def test_epsilon_is_largest_power_of_two(family, style):
     # the lift is epsilon * y / ymax: a fixed vertex ends at y * ymax / eps
-    fs, base = _base(family, 2, style)
+    fs, grid = _base(family, 2, style)
     targets = [F(3 * i - 7, i + 1) for i in range(len(fs.order))]
-    d = perturb_scale(base, fs.order, targets)
+    d = perturb_scale(grid, fs.order, targets).drawing()
+    base = grid.drawing()
     ymax = max(abs(y) for y in targets)
     v = next(v for v in range(base.graph.n) if base.pos[v][1] != 0)
     eps = base.pos[v][1] * ymax / d.pos[v][1]
     assert eps == F(2) ** (eps.numerator.bit_length() -
                            eps.denominator.bit_length())
-    d2 = _clearance_sq(base, fs.order)
+    d2 = _clearance_sq(grid, fs.order)
     assert (2 * eps) ** 2 < d2 <= (4 * eps) ** 2
 
 
@@ -160,9 +167,9 @@ def test_plan_follows_bend_layout_and_moving_set():
     g = base.graph
 
     def without(e):
-        return PolyDrawing(graph=g, pos=base.pos,
+        return GridDrawing(graph=g, pos=base.pos,
                            bends={f: b for f, b in base.bends.items()
-                                  if f != e})
+                                  if f != e}, dx=base.dx, dy=base.dy)
 
     e = next(e for e in sorted(base.bends)
              if verify_drawing(g, without(e)) is None)
@@ -197,4 +204,4 @@ def test_perturb_checks_the_returned_drawing(monkeypatch):
     d = perturb_scale(base, fs.order, targets)
     assert d.verified and len(checked) == 1
     assert (checked[0].pos, checked[0].bends) == (d.pos, d.bends)
-    assert [d.pos[v][1] for v in fs.order] == targets
+    assert [d.drawing().pos[v][1] for v in fs.order] == targets

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from freeset import (
     build_embedded,
-    cycle_sides,
     dual_graph,
     induce,
     subdivide,
@@ -13,6 +14,7 @@ from freeset import (
 from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     Disconnected,
+    FreesetError,
     MultiEdgeOrLoop,
     NonPlanarRotation,
     TooSmall,
@@ -33,6 +35,7 @@ from freeset.generators import (
 )
 
 from conftest import thinned_triangulation
+from test_extraction_oracle import cycle_sides
 
 
 def check_consistency(g):
@@ -171,7 +174,7 @@ def reference_triangulate(g):
     edges = set(g.edges)
     added = []
     while True:
-        target = next((w for w in _trace_faces(rot) if len(w) > 3), None)
+        target = next((w for w in _trace_faces(rot)[0] if len(w) > 3), None)
         if target is None:
             break
         verts = [u for u, _ in target]
@@ -187,7 +190,7 @@ def reference_triangulate(g):
         rot[b].insert(rot[b].index(verts[j - 1]), a)
         edges.add(norm_edge(a, b))
         added.append(norm_edge(a, b))
-    walks = _trace_faces(rot)
+    walks = _trace_faces(rot)[0]
     outer = next(i for i, w in enumerate(walks) if marker in w)
     return tuple(tuple(r) for r in rot), outer, tuple(added)
 
@@ -222,6 +225,146 @@ class TestTriangulateInPlace:
         t, _ = triangulate(g)
         assert t.is_triangulation()
         assert trace_calls[0] <= 3  # the re-trace loop made 437 and 400
+
+
+def _cyclic_equal(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    doubled = list(a) + list(a)
+    bl = list(b)
+    return any(doubled[i:i + len(bl)] == bl for i in range(len(a)))
+
+
+def reference_build_embedded(n, rotations, hint=None):
+    """The scans that ``build_embedded`` replaced: each edge's reverse
+    looked up in the neighbour's rotation list, and the outer hint matched
+    cyclically against every face before the vertex-set match.  Returns the
+    rotation, the face walks and the outer face id, or raises as
+    ``build_embedded`` does."""
+    if n <= 0:
+        raise TooSmall("graph must have at least one vertex")
+    if len(rotations) != n:
+        raise UnknownElement(
+            f"expected {n} rotation lines, got {len(rotations)}")
+    rot = tuple(tuple(r) for r in rotations)
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise UnknownElement(
+                    f"vertex {u} out of range in rotation of {v}")
+            if u == v:
+                raise MultiEdgeOrLoop(f"loop at vertex {v}")
+        if len(set(nbrs)) != len(nbrs):
+            raise MultiEdgeOrLoop(f"repeated neighbor in rotation of {v}")
+    for v, nbrs in enumerate(rot):
+        for u in nbrs:
+            if v not in rot[u]:
+                raise UnknownElement(
+                    f"edge {v}-{u} missing from rotation of {u}")
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for u in rot[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != n:
+        raise Disconnected(f"{n - len(seen)} vertices unreachable from 0")
+    walks = _trace_faces(rot)[0]
+    m = sum(len(r) for r in rot) // 2
+    f = len(walks) if m > 0 else 1
+    if n - m + f != 2:
+        raise NonPlanarRotation(
+            f"V-E+F = {n}-{m}+{f} = {n - m + f}, expected 2")
+    if not walks:
+        return rot, [()], 0
+    outer = None
+    if hint is not None:
+        hint = list(hint)
+        for i, w in enumerate(walks):
+            tails = [u for u, _ in w]
+            if len(tails) == len(hint) and _cyclic_equal(tails, hint):
+                outer = i
+                break
+        if outer is None:
+            hset = frozenset(hint)
+            outer = next((i for i, w in enumerate(walks)
+                          if frozenset(u for u, _ in w) == hset), None)
+        if outer is None:
+            raise UnknownElement(f"no face matches outer hint {hint}")
+    else:
+        outer = max(range(len(walks)), key=lambda i: (len(walks[i]), -i))
+    return rot, [tuple(w) for w in walks], outer
+
+
+def _hints(g):
+    """Outer hints for g: no hint, every face's walk from each of two
+    starts, reversed, as a sorted vertex set, and lists no face matches."""
+    yield None
+    for f in g.faces:
+        tails = [u for u, _ in f.walk]
+        yield tails
+        yield tails[len(tails) // 2:] + tails[:len(tails) // 2]
+        yield tails[::-1]
+        yield sorted(set(tails))
+    yield [0]
+    yield []
+    yield [0, *g.rot[0][:1], 0]
+
+
+VALID_ROTATIONS = [
+    ("path", path(6)), ("star", star(5)), ("cycle", cycle(7)),
+    ("fan", fan(9)), ("grid", grid(3, 4)),
+    ("outerplanar", maximal_outerplanar(12, 3)),
+    ("triangulation", random_triangulation(15, 2)),
+    ("thinned", thinned_triangulation(20, 4)),
+    ("single", build_embedded(1, [[]])),
+]
+INVALID_ROTATIONS = [
+    ("missing-reverse", ((1, 2), (2,), (0, 1))),
+    ("repeated", ((1, 1), (0,))),
+    ("loop", ((0, 1), (0,))),
+    ("out-of-range", ((1,), (0, 5))),
+    ("disconnected", ((1,), (0,), (3,), (2,))),
+    ("k4-twisted", ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))),
+]
+
+
+def _assert_same_build(rot, hint) -> None:
+    n = len(rot)
+    try:
+        want = reference_build_embedded(n, rot, hint)
+    except FreesetError as exc:  # then the same error
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            build_embedded(n, rot, outer_face_hint=hint)
+        return
+    g = build_embedded(n, rot, outer_face_hint=hint)
+    assert (g.rot, [f.walk for f in g.faces], g.outer_face) == want
+    for f in g.faces:
+        assert all(g.face_of(u, v) == f.id for u, v in f.walk)
+    for v in range(n):
+        assert [g.rot_index(v, u) for u in g.rot[v]] == \
+            list(range(len(g.rot[v])))
+
+
+class TestBuildEmbeddedOracle:
+    """The shared rotation index and the one-face hint match against the
+    scans they replaced: the same faces, face ids and outer face, or the
+    same error."""
+
+    @pytest.mark.parametrize("name,g", VALID_ROTATIONS,
+                             ids=[name for name, _ in VALID_ROTATIONS])
+    def test_every_hint(self, name, g):
+        for hint in _hints(g):
+            _assert_same_build(g.rot, hint)
+
+    @pytest.mark.parametrize("name,rot", INVALID_ROTATIONS,
+                             ids=[name for name, _ in INVALID_ROTATIONS])
+    def test_invalid_rotation(self, name, rot):
+        for hint in (None, [0, 1]):
+            _assert_same_build(rot, hint)
 
 
 class TestDerive:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -34,8 +35,13 @@ from freeset.curves import (
     VertexItem,
     validate_curve,
 )
-from freeset.embedding import cycle_sides, norm_edge, triangulate
-from freeset.errors import AntichainTooShort, InvalidCurve, NoIndependentPair
+from freeset.embedding import norm_edge, triangulate
+from freeset.errors import (
+    AntichainTooShort,
+    InvalidCurve,
+    NoIndependentPair,
+    NotACycle,
+)
 from freeset.extractors import (
     _collar_certificate,
     _crescents,
@@ -53,6 +59,124 @@ from conftest import prefix_boundaries, thinned_triangulation
 # ---------------------------------------------------------------------------
 # References
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CycleSides:
+    """Partition of a graph relative to a directed embedded cycle.
+
+    ``left``/``right`` hold the non-cycle vertices on each side of the
+    traversal; ``edge_side`` maps every non-cycle edge to "left" or "right";
+    ``faces_left``/``faces_right`` partition the face ids.
+    """
+
+    cycle: tuple[int, ...]
+    left: frozenset[int]
+    right: frozenset[int]
+    edge_side: dict
+    faces_left: frozenset[int]
+    faces_right: frozenset[int]
+
+
+def cycle_sides(g, cycle) -> CycleSides:
+    """Classify vertices, edges and faces as left or right of a cycle by
+    flooding from its stubs; no extraction uses it any more.
+
+    The cycle is given as a vertex sequence (closed implicitly); consecutive
+    vertices must be adjacent and all cycle vertices distinct.
+    """
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        raise NotACycle(f"{cycle} is not a simple cycle")
+    on_cycle = {v: i for i, v in enumerate(cycle)}
+    cyc_edges = set()
+    for i, v in enumerate(cycle):
+        w = cycle[(i + 1) % k]
+        if not g.has_edge(v, w):
+            raise NotACycle(f"{v}-{w} is not an edge")
+        cyc_edges.add(norm_edge(v, w))
+
+    # stub sides: at x_i, neighbors strictly ccw between next and prev are left
+    stub_side: dict[tuple[int, int], str] = {}
+    for i, v in enumerate(cycle):
+        prev, nxt = cycle[i - 1], cycle[(i + 1) % k]
+        nbrs = g.rot[v]
+        d = len(nbrs)
+        j = g.rot_index(v, nxt)
+        side = "left"
+        for step in range(1, d):
+            u = nbrs[(j + step) % d]
+            if u == prev:
+                side = "right"
+                continue
+            stub_side[(v, u)] = side
+
+    # flood vertex sides through non-cycle edges
+    vert_side: dict[int, str] = {}
+    for (v, u), side in stub_side.items():
+        if u in on_cycle:
+            continue
+        if u in vert_side:
+            if vert_side[u] != side:
+                raise NotACycle(f"vertex {u} lies on both sides of the cycle")
+            continue
+        vert_side[u] = side
+        stack = [u]
+        while stack:
+            w = stack.pop()
+            for z in g.rot[w]:
+                if z in on_cycle or z in vert_side:
+                    if z in vert_side and vert_side[z] != side:
+                        raise NotACycle(
+                            f"vertex {z} lies on both sides of the cycle")
+                    continue
+                vert_side[z] = side
+                stack.append(z)
+
+    edge_side: dict[tuple[int, int], str] = {}
+    for (u, v) in g.edges:
+        e = norm_edge(u, v)
+        if e in cyc_edges:
+            continue
+        if u in on_cycle and v in on_cycle:
+            s1, s2 = stub_side[(u, v)], stub_side[(v, u)]
+            if s1 != s2:
+                raise NotACycle(f"chord {e} crosses the cycle")
+            edge_side[e] = s1
+        elif u in on_cycle:
+            edge_side[e] = vert_side[v]
+        elif v in on_cycle:
+            edge_side[e] = vert_side[u]
+        else:
+            edge_side[e] = vert_side[u]
+
+    # flood face sides in the dual, blocked at cycle edges
+    face_side: dict[int, str] = {}
+    stack2: list[tuple[int, str]] = []
+    for i, v in enumerate(cycle):
+        w = cycle[(i + 1) % k]
+        stack2.append((g.face_of(v, w), "left"))
+        stack2.append((g.face_of(w, v), "right"))
+    while stack2:
+        fid, side = stack2.pop()
+        if fid in face_side:
+            if face_side[fid] != side:
+                raise NotACycle("face reachable from both sides of the cycle")
+            continue
+        face_side[fid] = side
+        for (u, v) in g.faces[fid].walk:
+            if norm_edge(u, v) in cyc_edges:
+                continue
+            stack2.append((g.face_of(v, u), side))
+
+    return CycleSides(
+        cycle=tuple(cycle),
+        left=frozenset(v for v, s in vert_side.items() if s == "left"),
+        right=frozenset(v for v, s in vert_side.items() if s == "right"),
+        edge_side=edge_side,
+        faces_left=frozenset(f for f, s in face_side.items() if s == "left"),
+        faces_right=frozenset(f for f, s in face_side.items() if s == "right"),
+    )
+
 
 def reference_canonical_order(t, v1, v2, vn):
     """Reverse deletion rescanning the whole boundary for the smallest
@@ -480,27 +604,20 @@ def test_collar_matches_cycle_flood(family, args, monkeypatch):
                 reference_collar(t, cycle, s_)
 
 
-def test_antichain_makes_no_cycle_floods(monkeypatch):
+def test_antichain_makes_no_cycle_floods():
     """No extraction floods a cycle: not the antichain branch (one flood
     per antichain vertex made 200 here), not the chain branch's collar and
-    not outerplanar_greedy's."""
-    calls = [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return cycle_sides(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("freeset") and \
-                getattr(module, "cycle_sides", None) is cycle_sides:
-            monkeypatch.setattr(module, "cycle_sides", counting)
+    not outerplanar_greedy's.  The flood, ``cycle_sides``, lives here only,
+    and no program module binds it."""
+    assert not [name for name, module in list(sys.modules.items())
+                if name.startswith("freeset") and
+                hasattr(module, "cycle_sides")]
     kinds = set()
     for g in (maximal_outerplanar(400, 1), random_triangulation(200, 1),
               grid(10, 10)):
         kinds.add(planar_freeset(g).provenance)
     assert kinds == {"planar/antichain", "planar/chain"}
     outerplanar_greedy(maximal_outerplanar(400, 1))
-    assert calls[0] == 0
 
 
 def test_dichotomy_precedes_calls_are_linear(monkeypatch):

@@ -24,7 +24,7 @@ from freeset.generators import (
     octahedron,
     random_triangulation,
 )
-from freeset.rational import _PRIMES, FractionFreeSolver
+from freeset.rational import _PRIMES, FractionFreeSolver, common_denominator
 from freeset.realize import (
     _Barycentric,
     _collinear_system,
@@ -96,13 +96,19 @@ class DenseReference:
         return [F(bi, self.det * scale) for bi in b]
 
 
+def fractions(solution: tuple[list[int], int]) -> list[F]:
+    """A solution given as numerators over one denominator, as Fractions."""
+    num, den = solution
+    return [F(x, den) for x in num]
+
+
 def solve_rational(solver: FractionFreeSolver, rhs: list) -> list[F]:
     """``solver.solve`` on a rational right-hand side, handed over as
     integer numerators over their common denominator."""
     rhs = [F(v) for v in rhs]
     den = lcm(*(v.denominator for v in rhs))
-    return solver.solve([v.numerator * (den // v.denominator) for v in rhs],
-                        den)
+    return fractions(solver.solve(
+        [v.numerator * (den // v.denominator) for v in rhs], den))
 
 
 def dense(rows: list[dict]) -> list[list[int]]:
@@ -222,6 +228,29 @@ class TestAgainstReference:
         for i, rows in enumerate(tutte_systems(make, args, monkeypatch)):
             assert_matches_reference(rows, i)
 
+    @pytest.mark.parametrize(
+        "systems,make,args",
+        [(halfplane_systems, m, a) for m, a in HALFPLANE_CORPUS[:4]] +
+        [(tutte_systems, m, a) for m, a in TUTTE_CORPUS[:3]],
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS[:4] +
+             TUTTE_CORPUS[:3]])
+    def test_numerators_over_one_denominator(self, systems, make, args,
+                                             monkeypatch):
+        # solve hands back integer numerators over one positive multiple of
+        # the given denominator, and A·num = (d / den)·b holds on integers
+        rows = next(systems(make, args, monkeypatch))
+        solver = FractionFreeSolver(rows)
+        ref = DenseReference(dense(rows))
+        rng = random.Random(len(rows))
+        for rhs in (rational_rhs(len(rows), rng), [F(0)] * len(rows)):
+            b, den = common_denominator(rhs)
+            num, d = solver.solve(b, den)
+            assert all(isinstance(x, int) for x in num)
+            assert d > 0 and d % den == 0
+            assert [F(x, d) for x in num] == ref.solve(rhs)
+            assert [sum(a * num[j] for j, a in r.items()) for r in rows] \
+                == [d // den * bi for bi in b]
+
     def test_pivot_vanishing_modulo_first_prime(self):
         # the first pivot is the first prime, so it vanishes modulo it
         p = _PRIMES[0]
@@ -235,9 +264,9 @@ class TestAgainstReference:
     def test_integer_and_zero_right_hand_sides(self):
         rows = [{0: 2, 1: -1}, {0: -1, 1: 2}]
         solver = FractionFreeSolver(rows)
-        assert solver.solve([1, 1]) == [1, 1]
-        assert solver.solve([0, 0]) == [0, 0]
-        assert solver.solve([3, 3], 6) == [F(1, 2), F(1, 2)]
+        assert fractions(solver.solve([1, 1])) == [1, 1]
+        assert fractions(solver.solve([0, 0])) == [0, 0]
+        assert fractions(solver.solve([3, 3], 6)) == [F(1, 2), F(1, 2)]
         with pytest.raises(ValueError):
             solver.solve([1, 1], 0)
 
@@ -278,8 +307,10 @@ def axis_styles(k: int, rng: random.Random) -> dict[str, list[F]]:
 
 
 class TestHalfPlaneHeights:
-    """Heights b·φ from the one lift made with the half-plane, and x's on
-    integer right-hand sides, against lifting both coordinates."""
+    """Heights φ from the one lift made with the half-plane, and x's on
+    integer right-hand sides, against lifting both coordinates with the
+    apex at b: the half-plane solve draws the apex at ±1, so its heights
+    are the reference's over b."""
 
     @pytest.mark.parametrize(
         "make,args", HALFPLANE_CORPUS,
@@ -288,10 +319,13 @@ class TestHalfPlaneHeights:
         rng = random.Random(0xAB1E)
         for hp in halfplanes(make(*args)):
             for xs in axis_styles(len(hp.y), rng).values():
+                nums, den = common_denominator(xs)
+                b = 4 * (xs[-1] - xs[0])
                 for side in ("below", "above"):
-                    got = hp.solve(xs, side)
+                    got = hp.solve(nums, den, side).drawing().pos
                     want = reference_halfplane_solve(hp, xs, side)
-                    assert list(got.items()) == list(want.items())
+                    assert list(got.items()) == \
+                        [(v, (x, y / b)) for v, (x, y) in want.items()]
 
 
 class TestFailures:

@@ -30,6 +30,7 @@ from freeset.generators import (
 )
 from freeset.realize import (
     DrawingViolation,
+    GridDrawing,
     PolyDrawing,
     _collinear_system,
     _distinct_x_shear,
@@ -87,11 +88,25 @@ class TestVerify:
         v = verify_drawing(g, d)
         assert v is not None
 
-    def test_orientation_tests_near_linearithmic(self, monkeypatch):
-        import sys
+    def test_orientation_tests_near_linearithmic(self):
         from math import ceil, log2
 
-        import freeset.rational as rational
+        class Counted(int):
+            """An int whose differences stay counted and whose products are
+            counted: the sweep evaluates an orientation test inline as at
+            most two products of coordinate differences."""
+
+            def __sub__(self, other):
+                return Counted(int(self) - int(other))
+
+            def __rsub__(self, other):
+                return Counted(int(other) - int(self))
+
+            def __mul__(self, other):
+                calls.append(1)
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
 
         g = random_triangulation(200, 6)
         fs = planar_freeset(g)
@@ -101,20 +116,18 @@ class TestVerify:
             pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                      F(rng.randint(-400, 400), rng.randint(1, 9))))
         d = free_realize(g, fs, sorted(pts))
+        grid = GridDrawing.from_drawing(d)
+
+        def counted(p):
+            return (Counted(p[0]), Counted(p[1]))
+
+        counting = replace(grid, pos=[counted(p) for p in grid.pos],
+                           bends={e: tuple(map(counted, b))
+                                  for e, b in grid.bends.items()})
         calls = []
-        real = rational.orient
-
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("freeset") and \
-                    getattr(mod, "orient", None) is real:
-                monkeypatch.setattr(mod, "orient", counting)
-        assert verify_drawing(g, d) is None
+        assert verify_drawing(g, counting) is None
         m = len(d.segments())
-        assert 0 < len(calls) <= 8 * m * ceil(log2(m))
+        assert 0 < len(calls) <= 2 * 8 * m * ceil(log2(m))
 
 
 class TestTutte:
@@ -244,7 +257,7 @@ def reference_fill_content_faces(hp, rot, faces, edges):
     fixed = set(hp.y) | {hp.apex}
     skipped = set()
     while True:
-        target = next((w for w in _trace_faces(rot)
+        target = next((w for w in _trace_faces(rot)[0]
                        if len(w) > 3 and frozenset(w) not in skipped), None)
         if target is None:
             return rot, helpers
@@ -399,7 +412,7 @@ class TestAugmentationInvariant:
         assert locked(hp.rot, yset, hp.apex) == []
         outer = {cyclic_form([hp.apex, *hp.y]),
                  cyclic_form([hp.apex, *hp.y[::-1]])}
-        faces = [[u for u, _ in w] for w in _trace_faces(hp.rot)]
+        faces = [[u for u, _ in w] for w in _trace_faces(hp.rot)[0]]
         assert any(cyclic_form(f) in outer for f in faces)
         for f in faces:
             if free_.isdisjoint(f):
@@ -705,8 +718,8 @@ class TestVerifyOnce:
         # the inside half drawn above the axis: no exact check, no re-solve
         real = _HalfPlane.solve
 
-        def upside_down(hp, xs, side):
-            return real(hp, xs, "above" if side == "below" else side)
+        def upside_down(hp, xs, den, side):
+            return real(hp, xs, den, "above" if side == "below" else side)
 
         monkeypatch.setattr(_HalfPlane, "solve", upside_down)
         fs = antichain_pair(k4)

@@ -16,15 +16,20 @@ as possible:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeset import build_embedded
 from freeset.embedding import norm_edge
 from freeset.extractors import planar_freeset
 from freeset.generators import cycle, path, random_triangulation, star
 from freeset.realize import (
+    GridDrawing,
     PolyDrawing,
     free_realize,
     realize_collinear,
@@ -186,6 +191,62 @@ def test_oracle_larger_realizations():
             d.pos, d.bends)
         verdicts[ref] += 1
     assert verdicts[True] >= 6 and verdicts[False] >= 20
+
+
+@lru_cache(maxsize=1)
+def _grid_corpus() -> list[PolyDrawing]:
+    """Verified drawings: realizations and collinear bases of small
+    triangulations, on the points of four seeds."""
+    out = []
+    for seed in range(4):
+        g = random_triangulation(10 + 4 * seed, 700 + seed)
+        fs = planar_freeset(g)
+        rng = random.Random(seed)
+        pts = rng.sample(sorted({(F(rng.randint(-9, 9), rng.randint(1, 4)),
+                                  F(rng.randint(-9, 9), rng.randint(1, 4)))
+                                 for _ in range(len(fs.order) * 3)}),
+                         len(fs.order))
+        out.append(free_realize(g, fs, pts))
+        out.append(realize_collinear(g, fs, [F(x, 3) for x in
+                                             range(len(fs.order))]))
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 7), st.sampled_from(["none", "onto-edge",
+                                            "onto-vertex", "shifted"]),
+       st.integers(0, 10 ** 6), st.integers(1, 10 ** 12),
+       st.integers(1, 10 ** 12))
+def test_sweep_invariant_under_axis_scales(which, broken, pick, a, b):
+    """The sweep's verdict and violation text are the same on (a·x, b·y)
+    as on the least common grid, on valid drawings and on drawings with a
+    vertex moved onto a piece of an edge, onto another vertex, or by a
+    small shift."""
+    d = _grid_corpus()[which]
+    g = d.graph
+    v = pick % g.n
+    x, y = d.pos[v]
+    if broken == "onto-edge":
+        p, q, _ = d.segments()[pick % len(d.segments())]
+        d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
+                                         (p[1] + q[1]) / 2)})
+    elif broken == "onto-vertex":
+        d = replace(d, pos={**d.pos, v: d.pos[(v + 1 + pick) % g.n]})
+    elif broken == "shifted":
+        d = replace(d, pos={**d.pos, v: (x + F(pick % 7 - 3, 5),
+                                         y + F(pick % 5 - 2, 3))})
+    grid = GridDrawing.from_drawing(d)
+
+    def scaled(p):
+        return (a * p[0], b * p[1])
+
+    stretched = replace(grid, pos=[scaled(p) for p in grid.pos],
+                        bends={e: tuple(map(scaled, ps))
+                               for e, ps in grid.bends.items()},
+                        dx=a * grid.dx, dy=b * grid.dy)
+    want = verify_drawing(g, d)
+    assert str(verify_drawing(g, stretched)) == str(want)
+    assert (want is None) == reference_ok(g, d)
 
 
 def _violation(g, pos, bends=None):

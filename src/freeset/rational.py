@@ -24,12 +24,6 @@ Point = tuple[Fraction, Fraction]
 _PRIMES = (2 ** 521 - 1, 2 ** 607 - 1, 2 ** 1279 - 1, 2 ** 2203 - 1)
 
 
-def orient(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> int:
-    """Sign of the cross product (b-a) x (c-a) on integer coordinates."""
-    d = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (d > 0) - (d < 0)
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values))

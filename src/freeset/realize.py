@@ -319,7 +319,8 @@ def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
     return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
 
-def _checked(d, stage: str):
+def _checked(d: PolyDrawing | GridDrawing,
+             stage: str) -> PolyDrawing | GridDrawing:
     """``d`` after one exact check (none if it is verified already); a
     failure raises DegenerateOutput naming the stage."""
     if d.verified:
@@ -860,7 +861,8 @@ def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
     return None if best is None else F(best[0], best[1] * scale * scale)
 
 
-def perturb_scale(d: PolyDrawing | GridDrawing, s_order, targets):
+def perturb_scale(d: PolyDrawing | GridDrawing, s_order,
+                  targets) -> PolyDrawing | GridDrawing:
     """Move the free set, on the axis in ``d``, to the target heights.
 
     With epsilon the largest power of two with (2 epsilon)² < D² (1 without
@@ -930,7 +932,8 @@ def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
     return t, [(x + t * y, y) for x, y in points]
 
 
-def _shear_drawing(d, t: int):
+def _shear_drawing(d: PolyDrawing | GridDrawing,
+                   t: int) -> PolyDrawing | GridDrawing:
     """``d`` sheared by (x, y) -> (x + t*y, y), in the form it is given in.
 
     A shear has determinant 1, so every orientation sign is kept and the

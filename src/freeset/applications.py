@@ -12,11 +12,12 @@ from fractions import Fraction
 from .canonical import chain_by_layers, patience_layers
 from .embedding import EmbeddedGraph, triangulate
 from .errors import MergeConflict, TooLarge, VertexSetMismatch
-from .extractors import OrderedFreeSet, planar_freeset
+from .extractors import planar_freeset
 from .rational import Point
 from .realize import (
     PolyDrawing,
     _distinct_x_shear,
+    _free_grid,
     _shear_drawing,
     free_realize,
     tutte_solve,
@@ -78,7 +79,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     with every vertex fixed.  Otherwise the positions are sheared by the
     least integer t that makes (x + t*y) distinct, the monotone subsequence
     of the free set is taken in that frame, and the realized drawing is
-    sheared back by -t, which is exact.
+    sheared back by -t on its integer grid, which is exact, before its
+    Fractions are built.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
     if pos.keys() != set(range(g.n)):
@@ -105,8 +107,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     chosen = [fs.order[i] for i in idx]
     sub = fs.restricted(chosen)
 
-    d = _shear_drawing(free_realize(g, sub, [sheared[v] for v in sub.order]),
-                       -t)
+    d = _shear_drawing(_free_grid(g, sub, [sheared[v] for v in sub.order]),
+                       -t).drawing()
     for v in chosen:
         if d.pos[v] != pos[v]:
             raise MergeConflict(f"fixed vertex {v} left its position")
@@ -115,14 +117,15 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
                           free_set_size=len(fs.order))
 
 
-def _plain_drawing(g: EmbeddedGraph, scale: int = 1 << 12) -> PolyDrawing:
-    """Any verified straight-line drawing: Tutte on a triangulated copy.
+def _plain_drawing(g: EmbeddedGraph) -> PolyDrawing:
+    """Any verified straight-line drawing: Tutte on a triangulated copy,
+    its outer triangle at (0, 0), (4096, 0) and (0, 4096).
 
     ``tutte_solve`` verified these positions with a superset of g's edges,
     so the drawing of g is crossing-free too."""
     t, _ = triangulate(g)
     outer = [u for u, _ in t.faces[t.outer_face].walk]
-    pos = tutte_solve(t, outer, [(0, 0), (scale, 0), (0, scale)])
+    pos = tutte_solve(t, outer, [(0, 0), (4096, 0), (0, 4096)])
     return PolyDrawing(graph=g, pos=pos, provenance="tutte-base",
                        verified=True)
 
@@ -159,26 +162,6 @@ def _rot90(d: PolyDrawing) -> PolyDrawing:
     pos = {v: (-y, x) for v, (x, y) in d.pos.items()}
     bends = {e: tuple((-y, x) for x, y in b) for e, b in d.bends.items()}
     return replace(d, pos=pos, bends=bends)
-
-
-def _psge_pair(g1, g2, fs1: OrderedFreeSet, fs2: OrderedFreeSet,
-               shared: list[int]) -> tuple[PolyDrawing, PolyDrawing, dict]:
-    """Draw two graphs with the shared set at (rank-in-G1, rank-in-G2)."""
-    in_shared = set(shared)
-    ord1 = [v for v in fs1.order if v in in_shared]
-    ord2 = [v for v in fs2.order if v in in_shared]
-    rank1 = {v: i + 1 for i, v in enumerate(ord1)}
-    rank2 = {v: i + 1 for i, v in enumerate(ord2)}
-    target = {v: (F(rank1[v]), F(rank2[v])) for v in shared}
-
-    d1 = free_realize(g1, fs1.restricted(ord1), [target[v] for v in ord1])
-    # swap the axis roles for the second graph, then rotate back
-    pre = [(F(rank2[v]), F(-rank1[v])) for v in ord2]
-    d2 = _rot90(free_realize(g2, fs2.restricted(ord2), pre))
-    for v in shared:
-        if d1.pos[v] != target[v] or d2.pos[v] != target[v]:
-            raise MergeConflict(f"shared vertex {v} mismatch")
-    return d1, d2, target
 
 
 def psge_two(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
@@ -224,24 +207,29 @@ def psge_many(graphs) -> SimultaneousResult:
         current = [current[j] for j in idx]
     shared = current
 
-    d1, d2, target = _psge_pair(graphs[0], graphs[1],
-                                free_sets[0], free_sets[1], shared)
-    drawings = [d1, d2]
+    # the shared set at (rank in G1's order, rank in the shared order)
     in_shared = set(shared)
-    for i in range(2, r):
+    ord1 = [v for v in free_sets[0].order if v in in_shared]
+    rank1 = {v: i + 1 for i, v in enumerate(ord1)}
+    target = {v: (F(rank1[v]), F(i + 1)) for i, v in enumerate(shared)}
+    drawings = [free_realize(graphs[0], free_sets[0].restricted(ord1),
+                             [target[v] for v in ord1])]
+    rank = {v: j for j, v in enumerate(shared)}
+    for i in range(1, r):
         fs = free_sets[i]
         ordered = [v for v in fs.order if v in in_shared]
-        rank2 = {v: j for j, v in enumerate(shared)}
-        seq = [rank2[v] for v in ordered]
+        seq = [rank[v] for v in ordered]
         if any(a > b for a, b in zip(seq, seq[1:])):
             fs = fs.reversed()
             ordered = ordered[::-1]
+        # swap the axis roles, then rotate back
         pre = [(target[v][1], -target[v][0]) for v in ordered]
-        di = _rot90(free_realize(graphs[i], fs.restricted(ordered), pre))
+        drawings.append(_rot90(free_realize(graphs[i],
+                                            fs.restricted(ordered), pre)))
+    for d in drawings:
         for v in shared:
-            if di.pos[v] != target[v]:
+            if d.pos[v] != target[v]:
                 raise MergeConflict(f"shared vertex {v} mismatch")
-        drawings.append(di)
 
     bound = 1
     if shared:

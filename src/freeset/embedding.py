@@ -556,14 +556,6 @@ def subdivide(g: EmbeddedGraph, edge_list: Sequence[Edge],
     return result, mapping
 
 
-def midpoint_of(mapping: GraphMapping, e: Edge) -> int:
-    """Subdivision vertex of an edge split by :func:`subdivide`."""
-    halves = mapping.edge_forward[e]
-    if not (isinstance(halves, tuple) and isinstance(halves[0], tuple)):
-        raise UnknownElement(f"edge {e} was not subdivided")
-    return halves[0][1]
-
-
 def induce(g: EmbeddedGraph, vertices: Iterable[int],
            outer_face_hint: Iterable[int] | None = None,
            ) -> tuple[EmbeddedGraph, GraphMapping]:

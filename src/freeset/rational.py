@@ -1,9 +1,9 @@
-"""Exact rational linear algebra and plane predicates.
+"""Exact rational linear algebra and integer grids.
 
 All verified geometry is exact.  Rationals are handled as integer
-numerators over one positive common denominator, and predicates are
-evaluated on those integers: orientation signs are invariant under
-independent positive scaling of the axes.
+numerators over one positive common denominator (``common_denominator``,
+and ``integer_grid`` for the two axes of a set of points), and
+``FractionFreeSolver`` solves sparse integer systems exactly.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
 """Exact-rational geometric realization of curve certificates.
 
 The pipeline follows the constructive side of the proper-good/free
-equivalence: subdivide the crossed edges, split the graph along the curve,
-draw each side in a half-plane with the curve vertices on the x-axis
-(a Tutte system on the side joined to an apex and filled with chords, built
-in one pass with no face trace, solved exactly by a sparse LDLᵀ factor
-modulo a prime and p-adic lifting), then lift the free vertices off the
-axis and scale every height, in one step, so that they land exactly on
-arbitrary targets (the collinear-is-free argument of Dujmović, Frati,
-Gonçalves, Morin & Rote 2020).  Every returned drawing has passed the exact
-crossing-free check, and each public entry point runs that check once, on
-the drawing it returns; intermediate drawings are not checked.  Each system
-is solved once and the lift is sized by an exact clearance, measured on a
-plan cached per graph, bend layout and free set, so nothing is retried: a
-drawing that fails its check raises DegenerateOutput naming the stage and
-the violation.
+equivalence: analyze the certificate once, on its own graph g, and split g
+along the curve into two half graphs built from g's rotations, with one
+midpoint per crossed edge (no subdivided copy of g is built and nothing is
+validated twice); draw each side in a half-plane with the curve vertices
+and midpoints on the x-axis (a Tutte system on the side joined to an apex
+and filled with chords, built in one pass with no face trace, solved
+exactly by a sparse LDLᵀ factor modulo a prime and p-adic lifting), then
+lift the free vertices off the axis and scale every height, in one step,
+so that they land exactly on arbitrary targets (the collinear-is-free
+argument of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every
+returned drawing has passed the exact crossing-free check, and each public
+entry point runs that check once, on the drawing it returns; intermediate
+drawings are not checked.  Each system is solved once and the lift is
+sized by an exact clearance, measured on a plan cached per graph, bend
+layout and free set, so nothing is retried: a drawing that fails its check
+raises DegenerateOutput naming the stage and the violation.
 
 From the solve to the exact check a drawing is a ``GridDrawing``: integer
 numerators over one positive denominator per axis.  The solver returns
@@ -31,7 +33,7 @@ from functools import cmp_to_key, lru_cache
 from math import gcd, isqrt, lcm
 
 from .curves import (
-    CrossItem,
+    AlongItem,
     CurveCertificate,
     VertexItem,
     _side_partition_of,
@@ -42,9 +44,7 @@ from .embedding import (
     Edge,
     _rebuild,
     insert_chords,
-    midpoint_of,
     norm_edge,
-    subdivide,
 )
 from .errors import (
     DegenerateOutput,
@@ -573,60 +573,49 @@ def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
 
 @dataclass
 class _CollinearSystem:
-    mids: dict                    # crossed original edge -> midpoint vertex
-    y_order: tuple[int, ...]      # lifted curve vertices in traversal order
+    mids: dict                    # crossed edge -> its midpoint, g.n + k
+    y_order: tuple[int, ...]      # curve vertices and midpoints, in order
     halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
     below: tuple[int, ...]        # vertices strictly inside the curve
     above: tuple[int, ...]        # vertices strictly outside the curve
 
 
-def _lift_certificate(g0: EmbeddedGraph, cert: CurveCertificate):
-    """Subdivide the crossed edges and rewrite crossings as vertex items."""
-    crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
-    gp, mp = subdivide(g0, crossed)
-    mids = {e: midpoint_of(mp, e) for e in crossed}
+def _half_embedding(an, sp, mids: dict, y_order, which: str):
+    """Embedded half graph (side content, axis vertices, axis edges), read
+    off g's rotations and the analysis of the certificate on g.
 
-    fmap = {}
-    for f in g0.faces:
-        u, v = f.walk[0]
-        e = norm_edge(u, v)
-        d = (u, mids[e]) if e in mids else (u, v)
-        fmap[f.id] = gp.face_of(*d)
-    items = tuple(VertexItem(mids[norm_edge(*it.edge)])
-                  if isinstance(it, CrossItem) else it for it in cert.items)
-    passages = tuple(None if p is None else fmap[p] for p in cert.passages)
-    return gp, mids, CurveCertificate(items, passages)
-
-
-def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
-    """Embedded half graph (side content, axis vertices, axis edges)."""
-    keep_class = {"along", "inside" if which == "inside" else "outside"}
-    side_vertices = sp.X if which == "inside" else sp.Z
-    cert = an.cert
+    The k-th crossed edge (u, w), u < w, in sorted order becomes the
+    midpoint g.n + k with rotation [u, w]; its corner on a face is the half
+    of the dart the analysis placed there, slot 0 for a dart from u and 1
+    for one from w.  A side vertex keeps every neighbour, a midpoint in
+    place of each crossed one; a curve vertex or midpoint keeps every
+    neighbour not on the other side, with the axis neighbours inserted at
+    its entry and exit corners."""
+    g, cert = an.g, an.cert
+    side, other = (sp.X, sp.Z) if which == "inside" else (sp.Z, sp.X)
     m = len(y_order)
-    yset = set(y_order)
-    y_index = {v: i for i, v in enumerate(y_order)}
-
-    def keep_edge(u, v):
-        return sp.edge_class[norm_edge(u, v)] in keep_class
-
-    item_of = {}
-    for i, it in enumerate(cert.items):
-        if isinstance(it, VertexItem):
-            item_of[it.v] = i
 
     rot_map: dict[int, list[int]] = {}
-    for v in sorted(side_vertices):
-        rot_map[v] = [u for u in gp.rot[v] if keep_edge(v, u)]
-    for y in y_order:
-        i = item_of[y]
-        base = list(gp.rot[y])
+    for v in sorted(side):
+        rot_map[v] = [mids.get(norm_edge(v, u), u) for u in g.rot[v]]
+    curve = [(i, it) for i, it in enumerate(cert.items)
+             if not isinstance(it, AlongItem)]
+    for yi, (i, it) in enumerate(curve):
+        y = y_order[yi]
+        if isinstance(it, VertexItem):
+            base = list(g.rot[y])
+            entry, exit_ = an.entry_corner[i], an.exit_corner[i]
+        else:
+            base = list(norm_edge(*it.edge))
+            entry, exit_ = (
+                0 if g.faces[f].walk[p // 2][0] == base[0] else 1
+                for f, p in ((cert.passages[i - 1], an.entry_pos[i]),
+                             (cert.passages[i], an.exit_pos[i])))
         inserts = []  # (slot, neighbor, tiebreak)
-        yi = y_index[y]
-        if yi + 1 < m and an.exit_corner[i] is not None:
-            inserts.append((an.exit_corner[i], y_order[yi + 1], 0))
-        if yi > 0 and an.entry_corner[i] is not None:
-            inserts.append((an.entry_corner[i], y_order[yi - 1], 1))
+        if yi + 1 < m and exit_ is not None:
+            inserts.append((exit_, y_order[yi + 1], 0))
+        if yi > 0 and entry is not None:
+            inserts.append((entry, y_order[yi - 1], 1))
         # when entry and exit share a corner the curve spikes through it and
         # this half's stubs all lie on one side of the axis; the two axis
         # neighbors then sit together in that corner, ordered oppositely in
@@ -635,11 +624,7 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
         for slot, nbr, tie in sorted(inserts,
                                      key=lambda t: (-t[0], flip * t[2])):
             base.insert(slot, nbr)
-        axis = {y_order[yi + 1]} if yi + 1 < m else set()
-        if yi > 0:
-            axis.add(y_order[yi - 1])
-        rot_map[y] = [u for u in base
-                      if u in axis or (gp.has_edge(y, u) and keep_edge(y, u))]
+        rot_map[y] = [u for u in base if u not in other]
 
     keep = sorted(rot_map)
     rel = {v: i for i, v in enumerate(keep)}
@@ -651,18 +636,21 @@ def _half_embedding(gp: EmbeddedGraph, an, sp, y_order, which: str):
 
 
 @lru_cache(maxsize=24)
-def _collinear_system(g0: EmbeddedGraph,
+def _collinear_system(g: EmbeddedGraph,
                       cert: CurveCertificate) -> _CollinearSystem:
-    gp, mids, lifted = _lift_certificate(g0, cert)
-    an = analyze_curve(gp, lifted)
+    an = analyze_curve(g, cert)
     sp = _side_partition_of(an)
-    y_order = lifted.vertex_order()
+    crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
+    mids = {e: g.n + k for k, e in enumerate(crossed)}
+    y_order = tuple(it.v if isinstance(it, VertexItem)
+                    else mids[norm_edge(*it.edge)]
+                    for it in cert.items if not isinstance(it, AlongItem))
     if len(y_order) < 2:
         raise InvalidCurve("collinear realization needs at least two "
                            "curve vertices")
     halves = {}
     for which in ("inside", "outside"):
-        h, rel = _half_embedding(gp, an, sp, y_order, which)
+        h, rel = _half_embedding(an, sp, mids, y_order, which)
         hp = _HalfPlane(h, [rel[y] for y in y_order])
         halves[which] = (hp, rel)
     return _CollinearSystem(mids=mids, y_order=y_order, halves=halves,
@@ -932,23 +920,44 @@ def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
     return t, [(x + t * y, y) for x, y in points]
 
 
-def _shear_drawing(d: PolyDrawing | GridDrawing,
-                   t: int) -> PolyDrawing | GridDrawing:
-    """``d`` sheared by (x, y) -> (x + t*y, y), in the form it is given in.
+def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
+    """``d`` sheared by (x, y) -> (x + t*y, y).
 
     A shear has determinant 1, so every orientation sign is kept and the
     verified flag carries over; shearing by -t undoes it exactly."""
     if t == 0:
         return d
-    if isinstance(d, GridDrawing):
-        dx = lcm(d.dx, d.dy)
-        mx, my = dx // d.dx, t * (dx // d.dy)
-        return replace(d, pos=[(x * mx + y * my, y) for x, y in d.pos],
-                       bends={e: tuple((x * mx + y * my, y) for x, y in b)
-                              for e, b in d.bends.items()}, dx=dx)
-    return replace(d, pos={v: (x + t * y, y) for v, (x, y) in d.pos.items()},
-                   bends={e: tuple((x + t * y, y) for x, y in b)
-                          for e, b in d.bends.items()})
+    dx = lcm(d.dx, d.dy)
+    mx, my = dx // d.dx, t * (dx // d.dy)
+    return replace(d, pos=[(x * mx + y * my, y) for x, y in d.pos],
+                   bends={e: tuple((x * mx + y * my, y) for x, y in b)
+                          for e, b in d.bends.items()}, dx=dx)
+
+
+def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
+    """The verified drawing ``free_realize`` returns, on its integer grid:
+    the Fractions are not built yet."""
+    pts = [(F(x), F(y)) for x, y in points]
+    if len(pts) != len(fs.order):
+        raise SizeMismatch(f"need {len(fs.order)} points")
+    if len(set(pts)) != len(pts):
+        raise SizeMismatch("points must be distinct")
+
+    t, keys, den = _shear_keys(pts)
+    sheared = [x + t * y for x, y in keys]
+    order = sorted(range(len(pts)), key=sheared.__getitem__)
+    xs = [sheared[i] for i in order]
+    common = gcd(den, *xs)  # the x's over their least denominator
+
+    base = _collinear_base(g, fs, [x // common for x in xs], den // common)
+    d = _shear_drawing(perturb_scale(base, fs.order,
+                                     [pts[i][1] for i in order]), -t)
+    for v, i in zip(fs.order, order):
+        (x, y), (px, py) = d.pos[v], pts[i]
+        if x * px.denominator != px.numerator * d.dx or \
+                y * py.denominator != py.numerator * d.dy:  # pragma: no cover
+            raise MergeConflict(f"vertex {v} missed its target point")
+    return replace(d, provenance=f"free[{fs.provenance}]")
 
 
 def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
@@ -964,24 +973,4 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     is checked once.  A failure of either raises DegenerateOutput.  Both
     stay on the integer grid; the Fractions of the result are built once.
     """
-    pts = [(F(x), F(y)) for x, y in points]
-    if len(pts) != len(fs.order):
-        raise SizeMismatch(f"need {len(fs.order)} points")
-    if len(set(pts)) != len(pts):
-        raise SizeMismatch("points must be distinct")
-
-    t, keys, den = _shear_keys(pts)
-    sheared = [x + t * y for x, y in keys]
-    order = sorted(range(len(pts)), key=sheared.__getitem__)
-    xs = [sheared[i] for i in order]
-    common = gcd(den, *xs)  # the x's over their least denominator
-
-    base = _collinear_base(g, fs, [x // common for x in xs], den // common)
-    d = _shear_drawing(perturb_scale(base, fs.order,
-                                     [pts[i][1] for i in order]), -t).drawing()
-
-    placed = {fs.order[j]: pts[order[j]] for j in range(len(pts))}
-    for v, p in placed.items():
-        if d.pos[v] != p:  # pragma: no cover - exact by construction
-            raise MergeConflict(f"vertex {v} missed its target point")
-    return replace(d, provenance=f"free[{fs.provenance}]", verified=True)
+    return _free_grid(g, fs, points).drawing()

@@ -189,15 +189,16 @@ class TestTypedErrors:
 
     def test_untangle_fixed_vertex_moved(self, monkeypatch):
         import freeset.applications as apps
-        real = apps.free_realize
+        real = apps._free_grid
 
         def shifted(g, fs, points):
             d = real(g, fs, points)
-            v = fs.order[0]
-            x, y = d.pos[v]
-            return replace(d, pos={**d.pos, v: (x + 1, y)})
+            pos = list(d.pos)
+            x, y = pos[fs.order[0]]
+            pos[fs.order[0]] = (x + d.dx, y)
+            return replace(d, pos=pos)
 
-        monkeypatch.setattr(apps, "free_realize", shifted)
+        monkeypatch.setattr(apps, "_free_grid", shifted)
         g = path(4)
         with pytest.raises(MergeConflict, match="left its position"):
             untangle(g, {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (3, 0)})

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction as F
 
+import pytest
 from click.testing import CliRunner
 
 from freeset.cli import main
-from freeset.generators import cycle
+from freeset.extractors import planar_freeset
+from freeset.generators import cycle, random_triangulation
 from freeset.textio import (
     parse_freeset,
     parse_graph,
+    serialize_freeset,
     serialize_graph,
     serialize_points,
 )
@@ -116,6 +119,73 @@ def test_realize_crossed_edge_written_high_low(tmp_path):
                   "--points", str(ppath), "--out", str(dpath)).exit_code == 0
     r = invoke("verify", "--graph", str(gpath), "--drawing", str(dpath))
     assert r.exit_code == 0 and "ok" in r.output
+
+
+def mutated_certificate(lines: list[str], g, case: str) -> list[str]:
+    """A free-set file's lines with one defect in its certificate.  A
+    vertex item that is replaced leaves the S line too, so the set is still
+    a subsequence of the curve and the defect reaches the curve's
+    validation."""
+    lines = list(lines)
+    cf = next(i for i, line in enumerate(lines) if line.startswith("CF "))
+    cx = next(i for i, line in enumerate(lines) if line.startswith("CX "))
+    cv = [i for i, line in enumerate(lines) if line.startswith("CV ")]
+    curve = {int(lines[i].split()[1]) for i in cv}
+    a = int(lines[cx].split()[1])
+
+    def replace_vertex_item(i: int, item: str) -> None:
+        gone = lines[i].split()[1]
+        s = next(j for j, line in enumerate(lines) if line.startswith("S:"))
+        lines[s] = " ".join(w for w in lines[s].split() if w != gone)
+        lines[i] = item
+
+    if case == "face out of range":
+        lines[cf] = "CF 99"
+    elif case == "negative face":
+        lines[cf] = "CF -1"
+    elif case == "crossed non-edge":
+        b = next(v for v in range(g.n) if v != a and not g.has_edge(a, v))
+        lines[cx] = f"CX {a} {b}"
+    elif case == "crossing at a curve vertex":
+        lines[cx] = f"CX {a} {next(v for v in g.rot[a] if v in curve)}"
+    elif case == "unknown vertex":
+        replace_vertex_item(cv[0], f"CV {g.n}")
+    elif case == "dropped CF":
+        del lines[cf]
+    elif case == "duplicate CV":
+        replace_vertex_item(cv[1], lines[cv[0]])
+    else:  # a face that misses the vertex before the passage
+        v = int(lines[cf - 1].split()[1])
+        f = next(f.id for f in g.faces if v not in f.vertex_set())
+        lines[cf] = f"CF {f}"
+    return lines
+
+
+@pytest.mark.parametrize("case", [
+    "face out of range", "negative face", "crossed non-edge",
+    "crossing at a curve vertex", "unknown vertex", "dropped CF",
+    "duplicate CV", "wrong face"])
+def test_realize_rejects_mutated_certificate(tmp_path, case):
+    # a broken certificate file is invalid input, named in the user's terms
+    g = random_triangulation(30, 1)
+    fs = planar_freeset(g)
+    lines = mutated_certificate(serialize_freeset(fs).splitlines(), g, case)
+    gpath, fpath, ppath = (tmp_path / name for name in ("g.txt", "g.fs",
+                                                        "pts.txt"))
+    gpath.write_text(serialize_graph(g))
+    fpath.write_text("\n".join(lines) + "\n")
+    k = len(next(line for line in lines if line.startswith("S:")).split())
+    ppath.write_text(serialize_points([(F(i), F(i % 3))
+                                       for i in range(k - 1)]))
+    r = CliRunner().invoke(main, ["realize", "--graph", str(gpath),
+                                  "--freeset", str(fpath),
+                                  "--points", str(ppath)])
+    assert r.exit_code == 2, r.exc_info
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.output
+    if case == "crossing at a curve vertex":
+        cx = next(line for line in lines if line.startswith("CX "))
+        assert "({}, {})".format(*cx.split()[1:]) in r.stderr
 
 
 def test_untangle(tmp_path):

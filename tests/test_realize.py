@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from freeset import build_embedded, embedding, realize
 from freeset.canonical import canonical_order
-from freeset.curves import _side_partition_of, analyze_curve
+from freeset.curves import (
+    CrossItem,
+    CurveCertificate,
+    VertexItem,
+    _side_partition_of,
+    analyze_curve,
+    side_partition,
+)
 from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     DegenerateOutput,
@@ -342,19 +349,150 @@ class TestFillContentFaces:
 def test_half_embedding_builds_each_half_once(make, args, trace_calls,
                                               monkeypatch):
     g = make(*args)
-    gp, _, lifted = realize._lift_certificate(g, planar_freeset(g).certificate)
-    an = analyze_curve(gp, lifted)
+    cert = planar_freeset(g).certificate
+    sysm = _collinear_system(g, cert)
+    an = analyze_curve(g, cert)
     sp = _side_partition_of(an)
-    y_order = lifted.vertex_order()
     builds = graph_builds(monkeypatch)
     for which in ("inside", "outside"):
         before = trace_calls[0], builds[0]
-        h, rel = realize._half_embedding(gp, an, sp, y_order, which)
+        h, rel = realize._half_embedding(an, sp, sysm.mids, sysm.y_order,
+                                         which)
         assert (trace_calls[0], builds[0]) == (before[0] + 1, before[1] + 1)
         # the outer face is the complement side at the first axis edge
-        y0, y1 = rel[y_order[0]], rel[y_order[1]]
+        y0, y1 = rel[sysm.y_order[0]], rel[sysm.y_order[1]]
         dart = (y1, y0) if which == "inside" else (y0, y1)
         assert h.face_of(*dart) == h.outer_face
+
+
+def crosses_bridge(g, cert) -> bool:
+    """Whether the certificate crosses an edge with one face on both sides."""
+    return any(g.face_of(u, v) == g.face_of(v, u)
+               for u, v in cert.crossed_edges())
+
+
+def lifted_halves(g, cert) -> dict:
+    """Reference: the halves built on a subdivided copy of g.
+
+    Every crossed edge is subdivided, the certificate is moved onto the copy
+    (a crossing becomes a pass through the midpoint, each face the copy's
+    face of one of its darts) and analyzed there again; each half keeps the
+    edges whose side class is its own or "along".  Returns which -> (h,
+    rel).  On a certificate that crosses no bridge it is the construction
+    on g."""
+    crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
+    gp, _ = embedding.subdivide(g, crossed)
+    mids = {e: g.n + k for k, e in enumerate(crossed)}
+    fmap = {}
+    for f in g.faces:
+        u, v = f.walk[0]
+        fmap[f.id] = gp.face_of(u, mids.get(norm_edge(u, v), v))
+    lifted = CurveCertificate(
+        tuple(VertexItem(mids[norm_edge(*it.edge)])
+              if isinstance(it, CrossItem) else it for it in cert.items),
+        tuple(None if p is None else fmap[p] for p in cert.passages))
+    an = analyze_curve(gp, lifted)
+    sp = _side_partition_of(an)
+    y_order = lifted.vertex_order()
+    m = len(y_order)
+    item_of = {it.v: i for i, it in enumerate(lifted.items)
+               if isinstance(it, VertexItem)}
+    out = {}
+    for which in ("inside", "outside"):
+        keep_class = {"along", which}
+
+        def keep_edge(u, v):
+            return sp.edge_class[norm_edge(u, v)] in keep_class
+
+        rot_map = {v: [u for u in gp.rot[v] if keep_edge(v, u)]
+                   for v in sorted(sp.X if which == "inside" else sp.Z)}
+        for yi, y in enumerate(y_order):
+            i = item_of[y]
+            base = list(gp.rot[y])
+            inserts = []
+            if yi + 1 < m and an.exit_corner[i] is not None:
+                inserts.append((an.exit_corner[i], y_order[yi + 1], 0))
+            if yi > 0 and an.entry_corner[i] is not None:
+                inserts.append((an.entry_corner[i], y_order[yi - 1], 1))
+            flip = 1 if which == "inside" else -1
+            for slot, nbr, _ in sorted(inserts,
+                                       key=lambda t: (-t[0], flip * t[2])):
+                base.insert(slot, nbr)
+            axis = {y_order[j] for j in (yi - 1, yi + 1) if 0 <= j < m}
+            rot_map[y] = [u for u in base if u in axis
+                          or (gp.has_edge(y, u) and keep_edge(y, u))]
+        keep = sorted(rot_map)
+        rel = {v: i for i, v in enumerate(keep)}
+        y0r, y1r = rel[y_order[0]], rel[y_order[1]]
+        h = embedding._rebuild([[rel[u] for u in rot_map[v]] for v in keep],
+                               (y1r, y0r) if which == "inside" else (y0r, y1r))
+        out[which] = (h, rel)
+    return out
+
+
+class TestHalvesOnG:
+    """Each half is built from g and the one analysis of the certificate
+    on g: the same halves as the subdivided reference wherever the
+    certificate crosses no bridge, and the sides of ``side_partition``
+    where it does."""
+
+    @staticmethod
+    def same_as_lifted(g) -> bool:
+        """Whether g's certificate crosses no bridge; if so, assert that
+        both halves equal the reference's."""
+        cert = planar_freeset(g).certificate
+        if crosses_bridge(g, cert):
+            return False
+        sysm = _collinear_system(g, cert)
+        ref = lifted_halves(g, cert)
+        for which in ("inside", "outside"):
+            hp, rel = sysm.halves[which]
+            assert (hp.h, rel) == ref[which]
+        return True
+
+    @staticmethod
+    def assert_sides(g):
+        """The collinear drawing of g's free set puts ``side_partition``'s
+        X below the axis, its Z above and its Y on it."""
+        fs = planar_freeset(g)
+        sp = side_partition(g, fs.certificate)
+        d = realize_collinear(g, fs, range(len(fs.order)))
+        assert all(d.pos[v][1] < 0 for v in sp.X)
+        assert all(d.pos[v][1] > 0 for v in sp.Z)
+        assert {v for v in range(g.n) if d.pos[v][1] == 0} == set(sp.Y)
+
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_corpus(self, make, args):
+        g = make(*args)
+        if not self.same_as_lifted(g):
+            self.assert_sides(g)
+
+    @pytest.mark.parametrize("n", range(6, 41, 2))
+    def test_thinned_sweep(self, n):
+        """The 90 graphs of ``test_thinned_end_to_end`` for this n; about
+        half of their certificates cross a bridge."""
+        compared = 0
+        for s in range(1, 31):
+            for keep in (0.3, 0.45, 0.6):
+                g = thinned_triangulation(n, s, keep)
+                if self.same_as_lifted(g):
+                    compared += 1
+                else:
+                    self.assert_sides(g)
+        assert compared >= 40
+
+    def test_bridge_crossings_keep_sides(self):
+        # the subdivided reference could pass a bridge's midpoint through
+        # one corner and put both ends of the bridge on one side
+        graphs = [thinned_triangulation(n, s) for n in (20, 30, 40)
+                  for s in range(1, 12)]
+        crossing = [g for g in graphs
+                    if crosses_bridge(g, planar_freeset(g).certificate)]
+        assert len(crossing) >= 10
+        for g in crossing:
+            self.assert_sides(g)
 
 
 def locked(rot, yset, apex):
@@ -546,12 +684,11 @@ class TestPerturbAndFree:
 
     def test_shear_drawing_round_trip(self):
         g = path(3)
-        d = PolyDrawing(graph=g, pos={0: (F(0), F(0)), 1: (F(2), F(1)),
-                                      2: (F(4), F(0))},
-                        bends={(1, 2): ((F(3), F(2)),)}, verified=True)
+        d = GridDrawing(graph=g, pos=[(0, 0), (4, 1), (8, 0)],
+                        bends={(1, 2): ((6, 2),)}, dx=2, dy=1, verified=True)
         sheared = _shear_drawing(d, 3)
-        assert sheared.pos[1] == (F(5), F(1))
-        assert sheared.bends[(1, 2)] == ((F(9), F(2)),)
+        assert sheared.drawing().pos[1] == (F(5), F(1))
+        assert sheared.drawing().bends[(1, 2)] == ((F(9), F(2)),)
         assert sheared.verified and verify_drawing(g, sheared) is None
         assert _shear_drawing(sheared, -3) == d
         assert _shear_drawing(d, 0) is d

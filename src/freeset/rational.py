@@ -53,12 +53,14 @@ class FractionFreeSolver:
 
     ``solve`` takes an integer right-hand side over one denominator and
     lifts the solution p-adically (Dixon 1982): each step solves
-    A c = r (mod p) with the factor and divides the exact residual r - A c
-    by p.  Rational reconstruction over one growing common denominator reads
-    the numerators back, and the solution is returned, as those numerators
-    and their one denominator, only when A x = b holds exactly.  With p = 2^521 - 1 a step gains 521 bits, so most
-    half-plane solves take one step.  A residual that p does not divide
-    raises ArithmeticError, so a wrong factor can never give a wrong answer.
+    A c = r (mod p) with the factor.  Rational reconstruction over one
+    growing common denominator reads the numerators back, and the solution
+    is returned, as those numerators and their one denominator, only when
+    A x = b holds exactly.  Otherwise the exact residual r - A c is divided
+    by p for the next step.  With p = 2^521 - 1 a step gains 521 bits, so
+    most half-plane solves take one step and form no residual.  A residual
+    that p does not divide raises ArithmeticError, so a wrong factor can
+    never give a wrong answer.
     """
 
     def __init__(self, rows: list):
@@ -117,13 +119,6 @@ class FractionFreeSolver:
         m = 1
         while True:
             c = self._solve_mod(r)
-            nxt = []
-            for ri, row in zip(r, self.rows):
-                q, rem = divmod(ri - sum(a * c[j] for j, a in row), p)
-                if rem:
-                    raise ArithmeticError("p-adic lifting step is not exact")
-                nxt.append(q)
-            r = nxt
             acc = [x + m * ci for x, ci in zip(acc, c)]
             m *= p
             sol = _reconstruct(acc, m)
@@ -132,6 +127,14 @@ class FractionFreeSolver:
                 if all(sum(a * num[j] for j, a in row) == d * bi
                        for row, bi in zip(self.rows, b)):
                     return num, d * den
+            # formed only now: a solve that ends here needs no residual
+            nxt = []
+            for ri, row in zip(r, self.rows):
+                q, rem = divmod(ri - sum(a * c[j] for j, a in row), p)
+                if rem:
+                    raise ArithmeticError("p-adic lifting step is not exact")
+                nxt.append(q)
+            r = nxt
             if m.bit_length() > 2 * bound_bits + 2:
                 raise ArithmeticError("no exact solution within the "
                                       "Hadamard bound")

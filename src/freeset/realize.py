@@ -155,18 +155,30 @@ def verify_drawing(g: EmbeddedGraph,
     verdict is the same on any grid with positive axis scales, since the
     sweep order and every orientation sign are.  The events are the vertices
     and the endpoints of all pieces; the status is the list of pieces
-    crossing the sweep line, bottom to top, ordered by orientation and
-    searched by bisection.  Each piece is kept as its left end and its
-    direction, (x, y, dx, dy), and its orientation tests are evaluated
-    inline on those.  At each event point the pieces that end or start
-    there and the status pieces through it are compared locally (vertex on
-    an edge, touches at a vertex of both edges, pieces leaving the point in
-    one direction); the only other test is for a proper crossing between
-    pieces that become neighbours in the status.  Each event costs one
-    bisection, one test per piece ending there, a sort of the pieces
-    starting there and at most two neighbour tests: O((m + k) log m)
-    orientation tests for m pieces, k being the number of pieces that start
-    or end at event points (k <= 2m).
+    crossing the sweep line, bottom to top, ordered by orientation.  Each
+    piece is kept as its left end and its direction, (x, y, dx, dy), and its
+    orientation tests are evaluated inline on those.
+
+    At each event point the pieces through it form one run of the status.
+    Until the first violation the status stays ordered and holds every
+    piece that ends at a later event, so where some piece ends at the point
+    the run is found from that piece: ``list.index`` locates it (a scan of
+    small integers in C) and the run is walked down and up from there, one
+    orientation test at each end of the run.  Only where no piece ends is
+    the status bisected.  The pieces starting at the point are sorted by an
+    integer slope key, floor(2^64·dy/dx) with the vertical pieces last,
+    which never decreases as the slope grows; where two neighbouring keys
+    are equal the pieces are sorted again by exact orientation, and equal
+    slopes there are an overlap.  The pieces that end or start at the point
+    and those through it are compared locally (vertex on an edge, touches
+    at a vertex of both edges, pieces leaving the point in one direction);
+    the only other test is for a proper crossing between pieces that become
+    neighbours in the status, skipped when the two share an endpoint.  So
+    an event costs about two orientation tests and at most two crossing
+    tests, O(m) orientation tests in all for m pieces, plus one bisection
+    per event where no piece ends and one ``list.index`` per other event,
+    which is linear in the size of the status but makes no big-integer
+    product.
 
     The first violation in sweep order is returned: the leftmost event
     wins, and at one event point a vertex on an edge comes before a
@@ -187,6 +199,7 @@ def verify_drawing(g: EmbeddedGraph,
     pieces = []  # (left, right, edge), endpoints in sweep order
     geo = []  # per piece: (x, y, dx, dy), its left end and its direction
     starts: dict[tuple[int, int], list[int]] = {}
+    ends: dict[tuple[int, int], int] = {}  # one piece ending at each point
     for e in sorted(d.graph.edges):
         chain = [pos[e[0]], *d.bends.get(e, ()), pos[e[1]]]
         for p, q in zip(chain, chain[1:]):
@@ -196,10 +209,11 @@ def verify_drawing(g: EmbeddedGraph,
             if q < p:
                 p, q = q, p
             starts.setdefault(p, []).append(len(pieces))
+            ends[q] = len(pieces)
             pieces.append((p, q, e))
             geo.append((p[0], p[1], q[0] - p[0], q[1] - p[1]))
     events = set(vertex_at)
-    events.update(q for _, q, _ in pieces)
+    events.update(ends)
     events.update(starts)
 
     status: list[int] = []  # pieces crossing the sweep line, bottom to top
@@ -207,14 +221,25 @@ def verify_drawing(g: EmbeddedGraph,
         px, py = point
         # status[:lo] passes strictly below the point, status[lo:hi] through
         # it: piece i is below when the point is left of its direction
-        lo, hi = 0, len(status)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            ax, ay, ux, uy = geo[status[mid]]
-            if ux * (py - ay) > uy * (px - ax):
-                lo = mid + 1
-            else:
-                hi = mid
+        k = ends.get(point)
+        if k is None:
+            lo, hi = 0, len(status)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ax, ay, ux, uy = geo[status[mid]]
+                if ux * (py - ay) > uy * (px - ax):
+                    lo = mid + 1
+                else:
+                    hi = mid
+        else:
+            lo = status.index(k)
+            while lo:
+                i = status[lo - 1]
+                if pieces[i][1] != point:
+                    ax, ay, ux, uy = geo[i]
+                    if ux * (py - ay) != uy * (px - ax):
+                        break
+                lo -= 1
         ending, inner = [], []
         hi = lo
         while hi < len(status):
@@ -253,17 +278,22 @@ def verify_drawing(g: EmbeddedGraph,
                     return _crossing(pieces, here[0], i, vertex_at)
 
         if len(new) > 1:
-            # bottom to top just after the point; equal directions overlap
-            def turn(i: int, j: int) -> int:
-                """Negative when piece j leaves the point above piece i."""
-                _, _, ux, uy = geo[i]
-                _, _, wx, wy = geo[j]
-                return uy * wx - ux * wy
+            # bottom to top just after the point; the ties of the key sort
+            # go by piece index, as in a stable sort
+            keyed = sorted([(_slope_key(geo[i]), i) for i in new])
+            if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+                def turn(i: int, j: int) -> int:
+                    """Negative when piece j leaves the point above i."""
+                    _, _, ux, uy = geo[i]
+                    _, _, wx, wy = geo[j]
+                    return uy * wx - ux * wy
 
-            new = sorted(new, key=cmp_to_key(turn))
-            for i, j in zip(new, new[1:]):
-                if turn(i, j) == 0:
-                    return _crossing(pieces, i, j, vertex_at)
+                new = sorted(new, key=cmp_to_key(turn))
+                for i, j in zip(new, new[1:]):
+                    if turn(i, j) == 0:  # equal directions overlap
+                        return _crossing(pieces, i, j, vertex_at)
+            else:
+                new = [i for _, i in keyed]
 
         status[lo:hi] = new
         top = lo + len(new)
@@ -271,16 +301,30 @@ def verify_drawing(g: EmbeddedGraph,
         up = status[top] if top < len(status) else None
         pairs = [(down, new[0]), (new[-1], up)] if new else [(down, up)]
         for i, j in pairs:
-            if i is not None and j is not None and \
-                    _cross_properly(geo[i], geo[j]):
+            if i is None or j is None:
+                continue
+            p, q, _ = pieces[i]
+            if p in pieces[j][:2] or q in pieces[j][:2]:
+                continue
+            if _cross_properly(geo[i], geo[j]):
                 return _crossing(pieces, i, j, vertex_at)
     return None
+
+
+def _slope_key(piece) -> tuple[int, int]:
+    """A sort key of a piece (x, y, dx, dy) with dx >= 0 that leaves its
+    left end upward when vertical: floor(2^64·dy/dx), and the vertical
+    pieces after all others.  It never decreases as the slope grows, and
+    two pieces with distinct keys have distinct slopes."""
+    _, _, dx, dy = piece
+    return (1, 0) if dx == 0 else (0, (dy << 64) // dx)
 
 
 def _cross_properly(s, t) -> bool:
     """Whether two pieces, each given as (x, y, dx, dy), meet in one point
     interior to both: the ends of each lie strictly on opposite sides of
-    the other."""
+    the other.  Two pieces with a common endpoint never do (they meet only
+    there, or run along one line), so the sweep tests no such pair."""
     ax, ay, ux, uy = s
     cx, cy, vx, vy = t
     wx, wy = cx - ax, cy - ay

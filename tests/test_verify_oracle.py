@@ -11,6 +11,10 @@ as possible:
 * two pieces of one edge meet at most in one common endpoint;
 * pieces of two different edges meet at most in one common endpoint, and
   that point is the position of a vertex of both edges.
+
+``reference_verify`` is the sweep as it was before events were located
+from a piece ending there and the pieces leaving a point were sorted by an
+integer slope key: every violation text must be the same as its text.
 """
 
 from __future__ import annotations
@@ -18,19 +22,22 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset import build_embedded
+from freeset import build_embedded, realize
 from freeset.embedding import norm_edge
 from freeset.extractors import planar_freeset
 from freeset.generators import cycle, path, random_triangulation, star
 from freeset.realize import (
+    DrawingViolation,
     GridDrawing,
     PolyDrawing,
+    _cross_properly,
+    _crossing,
     free_realize,
     realize_collinear,
     verify_drawing,
@@ -105,6 +112,124 @@ def reference_ok(g, d: PolyDrawing) -> bool:
     return True
 
 
+def reference_verify(g, d) -> DrawingViolation | None:
+    """The sweep that ``verify_drawing`` replaced: the status is bisected at
+    every event and the pieces leaving a point are sorted by a comparator
+    on exact orientation.  Verdict and violation text must match."""
+    if isinstance(d, PolyDrawing):
+        if set(d.pos) != set(range(g.n)):
+            return DrawingViolation("missing-vertex",
+                                    "not every vertex is placed")
+        d = GridDrawing.from_drawing(d)
+
+    pos = d.pos
+    vertex_at = {p: v for v, p in enumerate(pos)}
+    if len(vertex_at) != len(pos):
+        return DrawingViolation("coincident-vertices",
+                                "two vertices share a position")
+
+    pieces = []  # (left, right, edge), endpoints in sweep order
+    geo = []  # per piece: (x, y, dx, dy), its left end and its direction
+    starts: dict[tuple[int, int], list[int]] = {}
+    for e in sorted(d.graph.edges):
+        chain = [pos[e[0]], *d.bends.get(e, ()), pos[e[1]]]
+        for p, q in zip(chain, chain[1:]):
+            if p == q:
+                return DrawingViolation("degenerate-segment",
+                                        f"edge {e} has a zero-length piece")
+            if q < p:
+                p, q = q, p
+            starts.setdefault(p, []).append(len(pieces))
+            pieces.append((p, q, e))
+            geo.append((p[0], p[1], q[0] - p[0], q[1] - p[1]))
+    events = set(vertex_at)
+    events.update(q for _, q, _ in pieces)
+    events.update(starts)
+
+    status: list[int] = []  # pieces crossing the sweep line, bottom to top
+    for point in sorted(events):
+        px, py = point
+        # status[:lo] passes strictly below the point, status[lo:hi] through
+        # it: piece i is below when the point is left of its direction
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            ax, ay, ux, uy = geo[status[mid]]
+            if ux * (py - ay) > uy * (px - ax):
+                lo = mid + 1
+            else:
+                hi = mid
+        ending, inner = [], []
+        hi = lo
+        while hi < len(status):
+            i = status[hi]
+            if pieces[i][1] == point:
+                ending.append(i)
+            else:
+                ax, ay, ux, uy = geo[i]
+                if ux * (py - ay) != uy * (px - ax):
+                    break
+                inner.append(i)
+            hi += 1
+        new = starts.get(point, [])
+        here = ending + new
+        v = vertex_at.get(point)
+
+        if inner:
+            t = pieces[inner[0]]
+            if v is not None:
+                return DrawingViolation(
+                    "vertex-on-edge", f"vertex {v} lies on edge {t[2]}")
+            others = here + inner[1:]
+            j = next((j for j in others
+                      if pieces[j][0] in t[:2] or pieces[j][1] in t[:2]),
+                     others[0])
+            return _crossing(pieces, inner[0], j, vertex_at)
+        if v is not None:
+            for i in here:
+                if v not in pieces[i][2]:
+                    return DrawingViolation(
+                        "vertex-on-edge",
+                        f"vertex {v} lies on edge {pieces[i][2]}")
+        else:
+            for i in here:
+                if pieces[i][2] != pieces[here[0]][2]:
+                    return _crossing(pieces, here[0], i, vertex_at)
+
+        if len(new) > 1:
+            # bottom to top just after the point; equal directions overlap
+            def turn(i: int, j: int) -> int:
+                """Negative when piece j leaves the point above piece i."""
+                _, _, ux, uy = geo[i]
+                _, _, wx, wy = geo[j]
+                return uy * wx - ux * wy
+
+            new = sorted(new, key=cmp_to_key(turn))
+            for i, j in zip(new, new[1:]):
+                if turn(i, j) == 0:
+                    return _crossing(pieces, i, j, vertex_at)
+
+        status[lo:hi] = new
+        top = lo + len(new)
+        down = status[lo - 1] if lo > 0 else None
+        up = status[top] if top < len(status) else None
+        pairs = [(down, new[0]), (new[-1], up)] if new else [(down, up)]
+        for i, j in pairs:
+            if i is not None and j is not None and \
+                    _cross_properly(geo[i], geo[j]):
+                return _crossing(pieces, i, j, vertex_at)
+    return None
+
+
+def _checked(d: PolyDrawing) -> DrawingViolation | None:
+    """``verify_drawing``'s violation, after checking its verdict against
+    ``reference_ok`` and its text against ``reference_verify``."""
+    got = verify_drawing(d.graph, d)
+    assert str(got) == str(reference_verify(d.graph, d)), (d.pos, d.bends)
+    assert (got is None) == reference_ok(d.graph, d), (d.pos, d.bends)
+    return got
+
+
 def _random_drawing(g, rng: random.Random, grid: int,
                     bend_rate: float) -> PolyDrawing:
     def point():
@@ -173,10 +298,7 @@ def test_oracle_random_corpus():
     corpus += _perturbed_realizations(rng)
     verdicts = {True: 0, False: 0}
     for d in corpus:
-        ref = reference_ok(d.graph, d)
-        assert (verify_drawing(d.graph, d) is None) == ref, (
-            d.pos, d.bends)
-        verdicts[ref] += 1
+        verdicts[_checked(d) is None] += 1
     # the corpus exercises both verdicts in quantity
     assert verdicts[True] >= 60 and verdicts[False] >= 300
 
@@ -186,10 +308,7 @@ def test_oracle_larger_realizations():
                                      graphs=3, with_base=True)
     verdicts = {True: 0, False: 0}
     for d in corpus:
-        ref = reference_ok(d.graph, d)
-        assert (verify_drawing(d.graph, d) is None) == ref, (
-            d.pos, d.bends)
-        verdicts[ref] += 1
+        verdicts[_checked(d) is None] += 1
     assert verdicts[True] >= 6 and verdicts[False] >= 20
 
 
@@ -244,18 +363,16 @@ def test_sweep_invariant_under_axis_scales(which, broken, pick, a, b):
                         bends={e: tuple(map(scaled, ps))
                                for e, ps in grid.bends.items()},
                         dx=a * grid.dx, dy=b * grid.dy)
-    want = verify_drawing(g, d)
+    want = _checked(d)
     assert str(verify_drawing(g, stretched)) == str(want)
-    assert (want is None) == reference_ok(g, d)
+    assert str(reference_verify(g, stretched)) == str(want)
 
 
 def _violation(g, pos, bends=None):
     d = PolyDrawing(graph=g, pos={v: (F(x), F(y)) for v, (x, y) in pos.items()},
                     bends={norm_edge(*e): tuple((F(x), F(y)) for x, y in b)
                            for e, b in (bends or {}).items()})
-    v = verify_drawing(g, d)
-    assert (v is None) == reference_ok(g, d)
-    return v
+    return _checked(d)
 
 
 def test_touch_at_shared_vertex_is_allowed():
@@ -315,8 +432,19 @@ def test_zero_length_piece(bend):
     assert v.kind == "degenerate-segment"
 
 
+def _graph(n: int, edges):
+    """The graph on n vertices with exactly these edges, which form a tree
+    (so any rotation is planar).  The cases below join their edges through
+    one vertex drawn far right, at (100, 0)."""
+    rot = [[] for _ in range(n)]
+    for u, v in edges:
+        rot[u].append(v)
+        rot[v].append(u)
+    return build_embedded(n, rot)
+
+
 # name: (graph, positions, bends, crossing-free); sweep degeneracies, each
-# also checked against the reference
+# also checked against both references
 _DEGENERATE = {
     "vertical path": (path(3), {0: (0, 0), 1: (0, 2), 2: (0, 4)}, {}, True),
     "vertical through horizontal": (
@@ -367,6 +495,37 @@ _DEGENERATE = {
     "collinear pieces overlapping on the axis": (
         path(4), {0: (0, 0), 1: (2, 0), 2: (1, 1), 3: (3, 0)},
         {(2, 3): ((1, 0),)}, False),
+    "vertical and sloped pieces leave a vertex": (
+        star(4), {0: (0, 0), 1: (0, 5), 2: (3, 1), 3: (3, -1)}, {}, True),
+    "two vertical pieces leave a vertex": (
+        star(4), {0: (0, 0), 1: (0, 5), 2: (3, 1), 3: (-1, 4)},
+        {(0, 3): ((0, 2),)}, False),
+    "vertical piece ends where a sloped one passes": (
+        _graph(5, [(0, 1), (2, 3), (1, 4), (3, 4)]),
+        {0: (0, -3), 1: (1, 3), 2: (-2, 2), 3: (2, -2), 4: (100, 0)},
+        {(0, 1): ((0, 0),)}, False),
+    "sloped piece ends on a vertical piece": (
+        path(4), {0: (0, -3), 1: (0, 3), 2: (-2, 2), 3: (3, 4)},
+        {(2, 3): ((0, 0),)}, False),
+    # a piece passes through an event point below a piece that ends there
+    "foreign piece through a bend, below the piece ending there": (
+        _graph(5, [(0, 1), (2, 3), (1, 4), (3, 4)]),
+        {0: (-4, 0), 1: (0, 4), 2: (-2, -2), 3: (2, 2), 4: (100, 0)},
+        {(0, 1): ((0, 0),)}, False),
+    "foreign piece through a vertex, below the edge ending there": (
+        _graph(5, [(0, 1), (2, 3), (1, 4), (3, 4)]),
+        {0: (-4, 0), 1: (0, 0), 2: (-2, -2), 3: (2, 2), 4: (100, 0)}, {},
+        False),
+    "foreign piece below two pieces ending at a shared bend": (
+        _graph(7, [(0, 1), (2, 3), (4, 5), (1, 6), (3, 6), (5, 6)]),
+        {0: (-4, 0), 1: (4, 1), 2: (-4, 4), 3: (4, 5), 4: (-2, -4),
+         5: (2, 4), 6: (100, 0)},
+        {(0, 1): ((0, 0),), (2, 3): ((0, 0),)}, False),
+    # the upper of the two edges ending at vertex 0 is the later piece
+    "foreign piece between two edges ending at a vertex": (
+        _graph(5, [(0, 1), (0, 2), (2, 3), (3, 4)]),
+        {0: (0, 0), 1: (-4, -4), 2: (-4, 0), 3: (-4, -2), 4: (4, 2)}, {},
+        False),
 }
 
 
@@ -374,3 +533,138 @@ _DEGENERATE = {
 def test_sweep_degeneracies(name):
     g, pos, bends, ok = _DEGENERATE[name]
     assert (_violation(g, pos, bends) is None) == ok
+
+
+# ---------------------------------------------------------------------------
+# The event lookup, the slope-key sort and the shared-end skip
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bits", [70, 1100])
+def test_equal_keys_distinct_slopes(bits, monkeypatch):
+    """Slopes 1 and 1 + 2^-bits have one key: the exact sort decides."""
+    fallbacks = []
+
+    def counting(cmp):
+        fallbacks.append(cmp)
+        return cmp_to_key(cmp)
+
+    monkeypatch.setattr(realize, "cmp_to_key", counting)
+    t = 2 ** bits
+    pos = {0: (0, 0), 1: (t, t), 2: (t, t + 1)}
+    assert _violation(star(3), pos) is None
+    assert len(fallbacks) == 1
+    # a vertex on the upper of the two, and a third edge along the lower
+    g = build_embedded(4, [[1, 2], [0, 3], [0], [1]])
+    v = _violation(g, {**pos, 3: (F(t, 2), F(t + 1, 2))})
+    assert str(v) == "vertex-on-edge: vertex 3 lies on edge (0, 2)"
+    v = _violation(star(4), {**pos, 3: (2 * t, 2 * t)})
+    assert v.kind == "crossing" and "overlap" in v.detail
+    # the lower one bends back up across the upper one
+    v = _violation(star(3), {0: (0, 0), 1: (t, t + 1), 2: (t - 1, t + 10)},
+                   {(0, 2): ((t, t),)})
+    assert str(v) == "crossing: edges (0, 2) and (0, 1) intersect"
+    assert len(fallbacks) == 4
+
+
+def test_same_pair_named_among_many_in_one_direction():
+    # five pieces leave vertex 0, three of them in one direction (slope 1),
+    # interleaved with others: the first two of the three, in piece order,
+    # are named
+    g = star(6)
+    pos = {0: (0, 0), 1: (1, 10), 2: (5, 0), 3: (2, 10), 4: (1, -3),
+           5: (3, 10)}
+    bends = {(0, 1): ((1, 1),), (0, 3): ((2, 2),), (0, 5): ((3, 3),)}
+    v = _violation(g, pos, bends)
+    assert str(v) == "crossing: edges (0, 3) and (0, 1) overlap"
+    # without the first of them the next pair is named
+    v = _violation(g, pos, {(0, 3): ((2, 2),), (0, 5): ((3, 3),)})
+    assert str(v) == "crossing: edges (0, 5) and (0, 3) overlap"
+
+
+@pytest.mark.parametrize("broken", ["none", "onto-edge", "onto-vertex",
+                                    "shifted"])
+def test_coordinates_above_2_to_1100(broken):
+    """A drawing moved and stretched to coordinates above 2^1100 gets the
+    small drawing's violation text, from the sweep and from the
+    reference."""
+    big = 2 ** 1100
+    rng = random.Random(1100)
+    for d in _grid_corpus():
+        g = d.graph
+        v = rng.randrange(g.n)
+        x, y = d.pos[v]
+        if broken == "onto-edge":
+            p, q, _ = rng.choice(d.segments())
+            d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
+                                             (p[1] + q[1]) / 2)})
+        elif broken == "onto-vertex":
+            d = replace(d, pos={**d.pos, v: d.pos[(v + 1) % g.n]})
+        elif broken == "shifted":
+            d = replace(d, pos={**d.pos, v: (x + F(1, 3), y - F(1, 2))})
+
+        def moved(p):
+            return (p[0] * big + 3 * big, p[1] * (big + 1) - big)
+
+        far = replace(d, pos={u: moved(p) for u, p in d.pos.items()},
+                      bends={e: tuple(map(moved, ps))
+                             for e, ps in d.bends.items()})
+        want = _checked(d)
+        assert str(verify_drawing(g, far)) == str(want)
+        assert str(reference_verify(g, far)) == str(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 7), st.integers(1, 3), st.sampled_from([0.0, 0.5]),
+       st.integers(0, 2 ** 32))
+def test_matches_reference_on_crowded_drawings(which, grid, bend_rate, seed):
+    """Random drawings on a few grid points, so that pieces meet, overlap
+    and pass through vertices and bends often."""
+    d = _random_drawing(_small_graphs()[which], random.Random(seed), grid,
+                        bend_rate)
+    _checked(d)
+
+
+class _Counted(int):
+    """An int whose differences stay counted and whose products are
+    counted."""
+
+    products = 0
+
+    def __sub__(self, other):
+        return _Counted(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Counted(int(other) - int(self))
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_products_per_piece(n, monkeypatch):
+    """The sweep of a realized triangulation makes at most six products
+    of coordinate differences per piece; the bisecting sweep made about
+    thirteen."""
+    g = random_triangulation(n, n + 1)
+    fs = planar_freeset(g)
+    rng = random.Random(n)
+    pts: set = set()
+    while len(pts) < len(fs.order):
+        pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
+                 F(rng.randint(-400, 400), rng.randint(1, 9))))
+    grid = GridDrawing.from_drawing(free_realize(g, fs, sorted(pts)))
+
+    def counted(p):
+        return (_Counted(p[0]), _Counted(p[1]))
+
+    counting = replace(grid, pos=[counted(p) for p in grid.pos],
+                       bends={e: tuple(map(counted, b))
+                              for e, b in grid.bends.items()})
+    monkeypatch.setattr(_Counted, "products", 0)
+    assert verify_drawing(g, counting) is None
+    m = sum(1 + len(b) for b in grid.bends.values()) + \
+        len(g.edges) - len(grid.bends)
+    assert 0 < _Counted.products <= 6 * m

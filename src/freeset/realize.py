@@ -312,10 +312,10 @@ def verify_drawing(g: EmbeddedGraph,
 
 
 def _slope_key(piece) -> tuple[int, int]:
-    """A sort key of a piece (x, y, dx, dy) with dx >= 0 that leaves its
-    left end upward when vertical: floor(2^64·dy/dx), and the vertical
-    pieces after all others.  It never decreases as the slope grows, and
-    two pieces with distinct keys have distinct slopes."""
+    """The sort key of a piece (x, y, dx, dy) leaving its left end (dx > 0,
+    or dx = 0 and dy > 0): floor(2^64·dy/dx), with the vertical pieces
+    after all others.  The key never decreases as the slope grows, so
+    pieces with distinct keys have distinct slopes."""
     _, _, dx, dy = piece
     return (1, 0) if dx == 0 else (0, (dy << 64) // dx)
 

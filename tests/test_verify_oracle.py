@@ -655,7 +655,8 @@ def test_products_per_piece(n, monkeypatch):
     while len(pts) < len(fs.order):
         pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                  F(rng.randint(-400, 400), rng.randint(1, 9))))
-    grid = GridDrawing.from_drawing(free_realize(g, fs, sorted(pts)))
+    d = free_realize(g, fs, sorted(pts))
+    grid = GridDrawing.from_drawing(d)
 
     def counted(p):
         return (_Counted(p[0]), _Counted(p[1]))
@@ -665,6 +666,4 @@ def test_products_per_piece(n, monkeypatch):
                               for e, b in grid.bends.items()})
     monkeypatch.setattr(_Counted, "products", 0)
     assert verify_drawing(g, counting) is None
-    m = sum(1 + len(b) for b in grid.bends.values()) + \
-        len(g.edges) - len(grid.bends)
-    assert 0 < _Counted.products <= 6 * m
+    assert 0 < _Counted.products <= 6 * len(d.segments())

@@ -1,8 +1,9 @@
 """Free-set extractors.
 
 Each extractor returns an OrderedFreeSet: an ordered vertex list together
-with a validated curve certificate witnessing it, the extractor name, and
-the size bound actually met.
+with a curve certificate witnessing it, the extractor name, and the size
+bound actually met.  The certificate is validated once, when the free set
+is made; the extractors themselves check nothing.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .canonical import (
     CanonicalStructure,
@@ -24,10 +25,11 @@ from .curves import (
     CurveCertificate,
     OpenCurve,
     VertexItem,
+    _Analysis,
+    analyze_curve,
     caressed_vertices,
     reroute_caressed,
     route_open_curve,
-    validate_curve,
 )
 from .embedding import (
     EmbeddedGraph,
@@ -54,7 +56,10 @@ class OrderedFreeSet:
     """An ordered free set with its witnessing certificate.
 
     The certificate may pass through more vertices than the set itself; the
-    set is always a subsequence of the certificate's vertex items.
+    set is always a subsequence of the certificate's vertex items.  Making a
+    free set checks that and validates the certificate (``analyze_curve``,
+    InvalidCurve on failure), its one check; the analysis stays on the set
+    for realization.  A restriction shares it, a reversal makes its own.
     """
 
     graph: EmbeddedGraph
@@ -62,6 +67,8 @@ class OrderedFreeSet:
     certificate: CurveCertificate
     provenance: str
     bound_met: str
+    _analysis: _Analysis | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         items = self.certificate.vertex_order()
@@ -69,9 +76,11 @@ class OrderedFreeSet:
         if not all(v in it for v in self.order):
             raise InvalidCurve(
                 "free set is not a subsequence of the curve's vertex items")
-
-    def size(self) -> int:
-        return len(self.order)
+        an = self._analysis
+        if an is None or an.g is not self.graph or \
+                an.cert is not self.certificate:
+            object.__setattr__(self, "_analysis",
+                               analyze_curve(self.graph, self.certificate))
 
     def restricted(self, keep) -> "OrderedFreeSet":
         """Subsequence of the set (any subsequence stays free)."""
@@ -82,6 +91,7 @@ class OrderedFreeSet:
             certificate=self.certificate,
             provenance=self.provenance,
             bound_met="restriction: no bound asserted",
+            _analysis=self._analysis,
         )
 
     def reversed(self) -> "OrderedFreeSet":
@@ -94,17 +104,9 @@ class OrderedFreeSet:
         )
 
 
-def _checked(g: EmbeddedGraph, cert: CurveCertificate) -> CurveCertificate:
-    violation = validate_curve(g, cert)
-    if violation is not None:  # pragma: no cover - constructions are sound
-        raise InvalidCurve(f"extractor produced an invalid curve: {violation}")
-    return cert
-
-
 def _rotate_to_vertex_start(cert: CurveCertificate) -> CurveCertificate:
     """Start the item list at a vertex item that follows a face passage,
     preferring the smallest vertex id (deterministic base point)."""
-    m = len(cert.items)
     best = None
     for i, it in enumerate(cert.items):
         if isinstance(it, VertexItem) and cert.passages[i - 1] is not None:
@@ -273,7 +275,7 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
         raise NotMaximalOuterplane(
             f"greedy free set of size {len(s)} < n/2+1 for n={n}")
 
-    cert = _checked(og, _collar_certificate(og, boundary, s))
+    cert = _collar_certificate(og, boundary, s)
     order = tuple(v for v in cert.vertex_order() if v in s)
     ofs = OrderedFreeSet(
         graph=og,
@@ -291,11 +293,13 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
 # ---------------------------------------------------------------------------
 
 def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
-                  chain: tuple[int, ...]) -> OrderedFreeSet:
+                  chain: tuple[int, ...],
+                  ) -> tuple[CurveCertificate, tuple[int, ...]]:
     """Free set from a source-to-sink frame path: the path plus the base
     edge is a cycle whose chords are all interior, so the outerplanar
-    greedy applies to the cycle.  The certificate is not validated here;
-    planar_freeset validates the certificate it returns."""
+    greedy applies to the cycle.  Returns the certificate and the set in
+    its order, unchecked: planar_freeset makes the free set on g, which
+    validates the pulled-back certificate once."""
     k = len(chain)
     if k < 3:
         raise ChainTooShort("frame path needs at least 3 vertices")
@@ -305,7 +309,6 @@ def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
 
     if k == 3:
         s = {chain[0], chain[-1]}
-        counts = None
     else:
         pos = {v: i for i, v in enumerate(cycle)}
         cyc_edges = {norm_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
@@ -319,15 +322,7 @@ def chain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
         s = {cycle[i] for i in chosen_pos}
 
     cert = _collar_certificate(t, cycle, s)
-    order = tuple(v for v in cert.vertex_order() if v in s)
-    return OrderedFreeSet(
-        graph=t,
-        order=order,
-        certificate=cert,
-        provenance="chain",
-        bound_met=f"|S|={len(s)} >= k/2+1 over a {k}-cycle" if k > 3
-        else "|S|=2 (short chain floor)",
-    )
+    return cert, tuple(v for v in cert.vertex_order() if v in s)
 
 
 def _crescents(t: EmbeddedGraph, pos: dict, ys: list[int],
@@ -358,11 +353,12 @@ def _crescents(t: EmbeddedGraph, pos: dict, ys: list[int],
 
 
 def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
-                      antichain: tuple[int, ...]) -> OrderedFreeSet:
+                      antichain: tuple[int, ...],
+                      ) -> tuple[CurveCertificate, tuple[int, ...]]:
     """Free set from a maximal frame antichain: the curve threads the
     nested prefix boundaries, entering through the base edge and returning
-    through the outer face.  The certificate is not validated here;
-    planar_freeset validates the certificate it returns."""
+    through the outer face.  Returns the certificate and the set in its
+    order, unchecked, as chain_freeset does."""
     k = len(antichain)
     if k < 2:
         raise AntichainTooShort("antichain needs at least 2 vertices")
@@ -403,14 +399,7 @@ def antichain_freeset(t: EmbeddedGraph, cs: CanonicalStructure,
     cert = CurveCertificate(tuple(items), tuple(passages))
     cert = _rotate_to_vertex_start(cert)
     in_ys = set(ys)
-    order = tuple(v for v in cert.vertex_order() if v in in_ys)
-    return OrderedFreeSet(
-        graph=t,
-        order=order,
-        certificate=cert,
-        provenance="antichain",
-        bound_met=f"|S|={k} (antichain size)",
-    )
+    return cert, tuple(v for v in cert.vertex_order() if v in in_ys)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +492,7 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
                 (VertexItem(0), AlongItem((0, 1)), VertexItem(1)),
                 (None, None, g.face_of(0, 1)))
         return OrderedFreeSet(graph=g, order=tuple(range(g.n)),
-                              certificate=_checked(g, cert),
-                              provenance="trivial",
+                              certificate=cert, provenance="trivial",
                               bound_met=f"|S|={g.n} (whole graph)")
     t, tmap = triangulate(g)
     cs = canonical_order(t)
@@ -515,33 +503,33 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         v = xs[0]
         return _common_face_pair(g, [v, g.rot[v][0]]).restricted((v,))
 
-    def run(kind: str, data: tuple[int, ...]) -> OrderedFreeSet:
+    def run(kind: str, data: tuple[int, ...]):
         if kind == "chain":
             return chain_freeset(t, cs, data)
         return antichain_freeset(t, cs, data)
 
     kind, data = chain_or_antichain(cs, xs)
-    result = run(kind, data)
+    cert, order = run(kind, data)
     in_x = set(xs)
-    picked = [v for v in result.order if v in in_x]
+    picked = [v for v in order if v in in_x]
     if len(picked) < 2 and not full:
         # the dispatched branch may waste X; try the other one
         other = "antichain" if kind == "chain" else "chain"
         try:
-            alt = run(other, chain_or_antichain(cs, xs, force=other)[1])
+            alt, alt_order = run(other,
+                                 chain_or_antichain(cs, xs, force=other)[1])
         except AntichainTooShort:  # the forced antichain is one vertex
             pass
         else:
-            alt_picked = [v for v in alt.order if v in in_x]
+            alt_picked = [v for v in alt_order if v in in_x]
             if len(alt_picked) > len(picked):
-                result, picked = alt, alt_picked
+                kind, cert, picked = other, alt, alt_picked
     if len(picked) < 2 and not full:
         pair = _common_face_pair(g, xs)
         if pair is not None:
             return pair
 
-    cert = _checked(g, _restrict_certificate(g, t, tmap.new_edges,
-                                             result.certificate))
+    cert = _restrict_certificate(g, t, tmap.new_edges, cert)
     in_picked = set(picked)
     order = tuple(v for v in cert.vertex_order() if v in in_picked)
     bound = antichain_bound(len(xs))
@@ -549,7 +537,7 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         graph=g,
         order=order,
         certificate=cert,
-        provenance=f"planar/{result.provenance}",
+        provenance=f"planar/{kind}",
         bound_met=(f"|S|={len(order)} >= ceil(sqrt(n/2))={bound}" if full
                    else f"|S|={len(order)} within X of size {len(xs)}"),
     )
@@ -570,13 +558,15 @@ def _common_face_pair(g: EmbeddedGraph, xs) -> OrderedFreeSet | None:
             else:
                 items = (VertexItem(a), VertexItem(b))
                 passages = (f.id, f.id)
-            cert = CurveCertificate(items, passages)
-            if validate_curve(g, cert) is None:
+            try:
                 return OrderedFreeSet(
-                    graph=g, order=(a, b), certificate=cert,
+                    graph=g, order=(a, b),
+                    certificate=CurveCertificate(items, passages),
                     provenance="common-face-pair",
                     bound_met="|S|=2 (fallback)",
                 )
+            except InvalidCurve:
+                continue
     return None
 
 
@@ -690,23 +680,24 @@ def level_freeset(g: EmbeddedGraph, la: LevelAssignment,
         passages.append(frag.passages[-1])
 
     cert = CurveCertificate(tuple(items), tuple(passages))
-    violation = validate_curve(g, cert)
-    if violation is not None:
-        raise BadLevelAssignment(
-            f"level structure does not yield a proper curve: {violation}")
     in_x = set(xs)
     order = tuple(v for v in cert.vertex_order() if v in in_x)
     need = -(-len(xs) // mod)  # ceil
+    try:
+        fs = OrderedFreeSet(
+            graph=g,
+            order=order,
+            certificate=cert,
+            provenance="level",
+            bound_met=f"|S|={len(order)} >= ceil(|X|/(s+1))={need}",
+        )
+    except InvalidCurve as exc:
+        raise BadLevelAssignment(
+            f"level structure does not yield a proper curve: {exc}") from None
     if len(order) < need:
         raise BadLevelAssignment(
             f"free set of size {len(order)} misses ceil(|X|/(s+1))={need}")
-    return OrderedFreeSet(
-        graph=g,
-        order=order,
-        certificate=cert,
-        provenance="level",
-        bound_met=f"|S|={len(order)} >= ceil(|X|/(s+1))={need}",
-    )
+    return fs
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +847,7 @@ def onebend_freeset(g: EmbeddedGraph, tree: SpanningTree,
     items = tuple(it for it, _ in collected)
     before = [p for _, p in collected]
     passages = tuple(before[1:] + before[:1])
-    cert = _checked(gp, _rotate_to_vertex_start(
-        CurveCertificate(items, passages)))
+    cert = _rotate_to_vertex_start(CurveCertificate(items, passages))
     order = cert.vertex_order()
     ofs = OrderedFreeSet(
         graph=gp,

@@ -1,10 +1,11 @@
 """Exact-rational geometric realization of curve certificates.
 
 The pipeline follows the constructive side of the proper-good/free
-equivalence: analyze the certificate once, on its own graph g, and split g
+equivalence: read the analysis of the certificate on its own graph g that
+the free set carries (made once, when the free set was made), and split g
 along the curve into two half graphs built from g's rotations, with one
 midpoint per crossed edge (no subdivided copy of g is built and nothing is
-validated twice); draw each side in a half-plane with the curve vertices
+validated again); draw each side in a half-plane with the curve vertices
 and midpoints on the x-axis (a Tutte system on the side joined to an apex
 and filled with chords, built in one pass with no face trace, solved
 exactly by a sparse LDLᵀ factor modulo a prime and p-adic lifting), then
@@ -34,10 +35,9 @@ from math import gcd, isqrt, lcm
 
 from .curves import (
     AlongItem,
-    CurveCertificate,
     VertexItem,
+    _Analysis,
     _side_partition_of,
-    analyze_curve,
 )
 from .embedding import (
     EmbeddedGraph,
@@ -679,10 +679,13 @@ def _half_embedding(an, sp, mids: dict, y_order, which: str):
     return h, rel
 
 
-@lru_cache(maxsize=24)
-def _collinear_system(g: EmbeddedGraph,
-                      cert: CurveCertificate) -> _CollinearSystem:
-    an = analyze_curve(g, cert)
+def _collinear_system(an: _Analysis) -> _CollinearSystem:
+    """The collinear system of an analyzed certificate, built on the first
+    call and kept on the analysis, so every free set sharing the analysis
+    (a restriction shares it) reuses it, and it goes when they go."""
+    if an.collinear is not None:
+        return an.collinear
+    g, cert = an.g, an.cert
     sp = _side_partition_of(an)
     crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
     mids = {e: g.n + k for k, e in enumerate(crossed)}
@@ -697,9 +700,10 @@ def _collinear_system(g: EmbeddedGraph,
         h, rel = _half_embedding(an, sp, mids, y_order, which)
         hp = _HalfPlane(h, [rel[y] for y in y_order])
         halves[which] = (hp, rel)
-    return _CollinearSystem(mids=mids, y_order=y_order, halves=halves,
-                            below=tuple(sorted(sp.X)),
-                            above=tuple(sorted(sp.Z)))
+    an.collinear = _CollinearSystem(mids=mids, y_order=y_order,
+                                    halves=halves, below=tuple(sorted(sp.X)),
+                                    above=tuple(sorted(sp.Z)))
+    return an.collinear
 
 
 def _axis_positions(y_order, s_order, xs: list[int],
@@ -731,7 +735,8 @@ def _axis_positions(y_order, s_order, xs: list[int],
 def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
                     den: int) -> GridDrawing:
     """Unverified collinear drawing with the free set at x = xs[i] / den:
-    both halves of the (cached) collinear system solved and merged on
+    both halves of the collinear system kept on the free set's analysis
+    solved and merged on
     integer columns, the crossed edges bent at their midpoints, the side
     condition checked."""
     if g != fs.graph:
@@ -742,7 +747,9 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
         raise SizeMismatch(f"need {len(fs.order)} x positions")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-    sysm = _collinear_system(g, fs.certificate)
+    if fs._analysis is None:  # a set built without its constructor
+        raise InvalidCurve("the free set's certificate was never validated")
+    sysm = _collinear_system(fs._analysis)
     axis_x, axis_den = _axis_positions(sysm.y_order, fs.order, xs, den)
 
     halves = [(hp.solve(axis_x, axis_den, side), rel) for (hp, rel), side in

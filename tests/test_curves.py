@@ -129,8 +129,8 @@ class TestSidePartition:
         from freeset.canonical import canonical_order
         from freeset.extractors import antichain_freeset
         cs = canonical_order(k4)
-        fs = antichain_freeset(k4, cs, (3, 2))
-        sp = side_partition(k4, fs.certificate)
+        cert, _ = antichain_freeset(k4, cs, (3, 2))
+        sp = side_partition(k4, cert)
         # the crossed edge ab separates a from b
         assert {frozenset(sp.X), frozenset(sp.Z)} == \
             {frozenset({0}), frozenset({1})}

@@ -128,9 +128,9 @@ class TestFillPolygonChords:
 class TestChainAntichain:
     def test_k4_chain_gives_pair(self, k4):
         cs = canonical_order(k4)
-        fs = chain_freeset(k4, cs, (0, 2, 1))
-        assert len(fs.order) == 2
-        assert validate_curve(k4, fs.certificate) is None
+        cert, order = chain_freeset(k4, cs, (0, 2, 1))
+        assert len(order) == 2
+        assert validate_curve(k4, cert) is None
 
     def test_chain_too_short(self, k4):
         cs = canonical_order(k4)
@@ -139,12 +139,12 @@ class TestChainAntichain:
 
     def test_k4_antichain_matches_spec_example(self, k4):
         cs = canonical_order(k4)
-        fs = antichain_freeset(k4, cs, (3, 2))
-        assert fs.order == (3, 2)
-        kinds = [type(it).__name__ for it in fs.certificate.items]
+        cert, order = antichain_freeset(k4, cs, (3, 2))
+        assert order == (3, 2)
+        kinds = [type(it).__name__ for it in cert.items]
         assert kinds.count("CrossItem") == 1
         assert kinds.count("AlongItem") == 1
-        assert validate_curve(k4, fs.certificate) is None
+        assert validate_curve(k4, cert) is None
 
     def test_antichain_too_short(self, k4):
         cs = canonical_order(k4)
@@ -158,9 +158,9 @@ class TestChainAntichain:
                     if not cs.comparable(a, b))
         kind, data = chain_or_antichain(cs, pair)
         assert kind == "antichain"
-        fs = antichain_freeset(octa, cs, data)
-        assert len(fs.order) == len(data)
-        assert validate_curve(octa, fs.certificate) is None
+        cert, order = antichain_freeset(octa, cs, data)
+        assert len(order) == len(data)
+        assert validate_curve(octa, cert) is None
 
     def test_collar_needs_an_outer_cycle_edge(self, octa):
         outer = octa.faces[octa.outer_face].vertex_set()
@@ -172,8 +172,8 @@ class TestChainAntichain:
     def test_k4_chain_curve_sides(self, k4):
         from freeset.curves import side_partition
         cs = canonical_order(k4)
-        fs = chain_freeset(k4, cs, (0, 2, 1))
-        sp = side_partition(k4, fs.certificate)
+        cert, _ = chain_freeset(k4, cs, (0, 2, 1))
+        sp = side_partition(k4, cert)
         # the cycle interior (the chord side) sits on one side, nothing on
         # the other: vertex 3 and the skipped cycle vertex 2
         inside = sp.X if sp.X else sp.Z
@@ -185,8 +185,8 @@ class TestChainAntichain:
         from freeset.canonical import chain_or_antichain
         kind, data = chain_or_antichain(cs, range(40))
         if kind == "chain" and len(data) >= 4:
-            fs = chain_freeset(t, cs, data)
-            assert 2 * len(fs.order) >= len(data) + 2
+            _, order = chain_freeset(t, cs, data)
+            assert 2 * len(order) >= len(data) + 2
 
 
 class TestPlanarFreeset:
@@ -234,14 +234,15 @@ class TestPlanarFreeset:
         maximal_outerplanar(150, 4),
     ], ids=["triangulation", "grid", "outerplanar"])
     def test_validated_once_per_graph(self, g, monkeypatch):
-        import freeset.extractors as extractors
+        import freeset.curves as curves
         seen = []
+        analyze = curves._analyze
 
         def counting(graph, cert):
             seen.append(graph)
-            return validate_curve(graph, cert)
+            return analyze(graph, cert)
 
-        monkeypatch.setattr(extractors, "validate_curve", counting)
+        monkeypatch.setattr(curves, "_analyze", counting)
         fs = planar_freeset(g)
         assert len(seen) == 1 and seen[0] is g
         assert validate_curve(g, fs.certificate) is None

@@ -360,7 +360,7 @@ class TestScale:
                                            (random_triangulation, (800, 2))])
     def test_factor_fill(self, make, args):
         g = make(*args)
-        sysm = _collinear_system(g, planar_freeset(g).certificate)
+        sysm = _collinear_system(planar_freeset(g)._analysis)
         for which in ("inside", "outside"):
             solver = sysm.halves[which][0]._base.solver
             k = len(solver.rows)
@@ -383,7 +383,6 @@ class TestScale:
             return verify(*args)
 
         monkeypatch.setattr(realize, "verify_drawing", counting)
-        _collinear_system.cache_clear()
         d = free_realize(g, fs, sorted(pts))
         assert d.verified and len(calls) == 1
         assert verify(g, d) is None

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset import build_embedded, embedding, realize
+from freeset import build_embedded, curves, embedding, realize
+from freeset.applications import untangle
 from freeset.canonical import canonical_order
 from freeset.curves import (
     CrossItem,
@@ -25,7 +26,11 @@ from freeset.errors import (
     SizeMismatch,
     YNotOnOuterFace,
 )
-from freeset.extractors import antichain_freeset, planar_freeset
+from freeset.extractors import (
+    OrderedFreeSet,
+    antichain_freeset,
+    planar_freeset,
+)
 from freeset.generators import (
     cycle,
     fan,
@@ -50,13 +55,16 @@ from freeset.realize import (
     tutte_solve,
     verify_drawing,
 )
+from freeset.textio import parse_freeset, serialize_freeset
 
 from conftest import point_set, thinned_triangulation
 
 
 def antichain_pair(k4):
     cs = canonical_order(k4)
-    return antichain_freeset(k4, cs, (3, 2))
+    cert, order = antichain_freeset(k4, cs, (3, 2))
+    return OrderedFreeSet(graph=k4, order=order, certificate=cert,
+                          provenance="antichain", bound_met="|S|=2")
 
 
 class TestVerify:
@@ -308,7 +316,7 @@ def graph_builds(monkeypatch):
 
 def halfplanes(g):
     """The two ``_HalfPlane``s of the collinear system of g's free set."""
-    sysm = _collinear_system(g, planar_freeset(g).certificate)
+    sysm = _collinear_system(planar_freeset(g)._analysis)
     return [sysm.halves[w][0] for w in ("inside", "outside")]
 
 
@@ -348,10 +356,8 @@ class TestFillContentFaces:
                          ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
 def test_half_embedding_builds_each_half_once(make, args, trace_calls,
                                               monkeypatch):
-    g = make(*args)
-    cert = planar_freeset(g).certificate
-    sysm = _collinear_system(g, cert)
-    an = analyze_curve(g, cert)
+    an = planar_freeset(make(*args))._analysis
+    sysm = _collinear_system(an)
     sp = _side_partition_of(an)
     builds = graph_builds(monkeypatch)
     for which in ("inside", "outside"):
@@ -440,10 +446,11 @@ class TestHalvesOnG:
     def same_as_lifted(g) -> bool:
         """Whether g's certificate crosses no bridge; if so, assert that
         both halves equal the reference's."""
-        cert = planar_freeset(g).certificate
+        fs = planar_freeset(g)
+        cert = fs.certificate
         if crosses_bridge(g, cert):
             return False
-        sysm = _collinear_system(g, cert)
+        sysm = _collinear_system(fs._analysis)
         ref = lifted_halves(g, cert)
         for which in ("inside", "outside"):
             hp, rel = sysm.halves[which]
@@ -904,7 +911,6 @@ class TestLiftsPerRealization:
         g = random_triangulation(60, 5)
         fs = planar_freeset(g)
         rng = random.Random(5)
-        _collinear_system.cache_clear()
         cold = free_realize(g, fs, point_set("general", len(fs.order), rng))
         assert cold.verified and len(lifts) == 4
         lifts.clear()
@@ -919,3 +925,77 @@ class TestLiftsPerRealization:
     def test_tutte_solve_two_lifts(self, k4, lifts):
         tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
         assert len(lifts) == 2
+
+
+class TestOneAnalysis:
+    """A certificate is analyzed once, when its free set is made.
+
+    Realization reads the analysis the free set carries and keeps its
+    collinear system on it, so a restriction or a second realization of
+    the same set analyzes and builds nothing."""
+
+    @pytest.fixture
+    def analyses(self, monkeypatch):
+        seen = []
+        analyze = curves._analyze
+
+        def counting(g, cert):
+            seen.append(cert)
+            return analyze(g, cert)
+
+        monkeypatch.setattr(curves, "_analyze", counting)
+        return seen
+
+    def test_extract_then_realize(self, analyses):
+        g = random_triangulation(40, 3)
+        fs = planar_freeset(g)
+        rng = random.Random(3)
+        free_realize(g, fs, point_set("general", len(fs.order), rng))
+        assert analyses == [fs.certificate]
+        free_realize(g, fs, point_set("repeated-x", len(fs.order), rng))
+        assert len(analyses) == 1
+
+    def test_parse_then_realize(self, analyses):
+        g = random_triangulation(40, 4)
+        text = serialize_freeset(planar_freeset(g))
+        analyses.clear()
+        fs = parse_freeset(text, g)
+        free_realize(g, fs, point_set("general", len(fs.order),
+                                      random.Random(4)))
+        assert analyses == [fs.certificate]
+
+    @pytest.mark.parametrize("sign,want", [(1, 1), (-1, 2)],
+                             ids=["increasing", "reversed"])
+    def test_untangle(self, analyses, sign, want):
+        # the free set's x's run one way, every other vertex sits far off
+        # to the right: untangle keeps the set, reversing it when the x's
+        # decrease along it
+        g = random_triangulation(40, 5)
+        order = planar_freeset(g).order
+        analyses.clear()
+        rng = random.Random(5)
+        rank = {v: k for k, v in enumerate(order)}
+        pos = {v: (F(sign * rank[v]) if v in rank else F(1000 + v),
+                   F(rng.randint(-50, 50))) for v in range(g.n)}
+        res = untangle(g, pos)
+        assert res.fixed and len(res.fixed) < g.n
+        assert len(analyses) == want
+
+    def test_round_robin_builds_each_system_once(self, monkeypatch):
+        built = []
+        real = realize._CollinearSystem
+
+        def counting(**kwargs):
+            built.append(1)
+            return real(**kwargs)
+
+        monkeypatch.setattr(realize, "_CollinearSystem", counting)
+        sets = [(g, planar_freeset(g)) for g in
+                (random_triangulation(12, s) for s in range(30))]
+        rng = random.Random(6)
+        for _ in range(2):
+            for g, fs in sets:
+                d = free_realize(g, fs, point_set("general", len(fs.order),
+                                                  rng))
+                assert d.verified
+        assert len(built) == 30

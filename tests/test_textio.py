@@ -49,7 +49,7 @@ class TestGraphFormat:
 class TestCertificateFormat:
     def test_roundtrip(self, k4):
         cs = canonical_order(k4)
-        cert = antichain_freeset(k4, cs, (3, 2)).certificate
+        cert, _ = antichain_freeset(k4, cs, (3, 2))
         assert parse_certificate(serialize_certificate(cert)) == cert
 
     def test_freeset_roundtrip(self, k4):

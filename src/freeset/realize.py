@@ -35,6 +35,7 @@ from math import gcd, isqrt, lcm
 
 from .curves import (
     AlongItem,
+    CurveCertificate,
     VertexItem,
     _Analysis,
     _side_partition_of,
@@ -624,6 +625,17 @@ class _CollinearSystem:
     above: tuple[int, ...]        # vertices strictly outside the curve
 
 
+def _axis_items(cert: CurveCertificate) -> list:
+    """The vertex and cross items of ``cert`` with their indices, in axis
+    order: from the first item, counting cyclically from item 0, that
+    follows a face passage.  So the two ends of the axis are never joined
+    by an along edge."""
+    m = len(cert.items)
+    start = next(i for i in range(m) if cert.passages[i - 1] is not None)
+    return [(i % m, cert.items[i % m]) for i in range(start, start + m)
+            if not isinstance(cert.items[i % m], AlongItem)]
+
+
 def _half_embedding(an, sp, mids: dict, y_order, which: str):
     """Embedded half graph (side content, axis vertices, axis edges), read
     off g's rotations and the analysis of the certificate on g.
@@ -642,9 +654,7 @@ def _half_embedding(an, sp, mids: dict, y_order, which: str):
     rot_map: dict[int, list[int]] = {}
     for v in sorted(side):
         rot_map[v] = [mids.get(norm_edge(v, u), u) for u in g.rot[v]]
-    curve = [(i, it) for i, it in enumerate(cert.items)
-             if not isinstance(it, AlongItem)]
-    for yi, (i, it) in enumerate(curve):
+    for yi, (i, it) in enumerate(_axis_items(cert)):
         y = y_order[yi]
         if isinstance(it, VertexItem):
             base = list(g.rot[y])
@@ -691,7 +701,7 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
     mids = {e: g.n + k for k, e in enumerate(crossed)}
     y_order = tuple(it.v if isinstance(it, VertexItem)
                     else mids[norm_edge(*it.edge)]
-                    for it in cert.items if not isinstance(it, AlongItem))
+                    for _, it in _axis_items(cert))
     if len(y_order) < 2:
         raise InvalidCurve("collinear realization needs at least two "
                            "curve vertices")
@@ -733,10 +743,10 @@ def _axis_positions(y_order, s_order, xs: list[int],
 
 
 def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
-                    den: int) -> GridDrawing:
-    """Unverified collinear drawing with the free set at x = xs[i] / den:
-    both halves of the collinear system kept on the free set's analysis
-    solved and merged on
+                    den: int) -> tuple[GridDrawing, list[int]]:
+    """Unverified collinear drawing with the free set at x = xs[i] / den
+    in axis order, and the free set in that order: both halves of the
+    collinear system kept on the free set's analysis solved and merged on
     integer columns, the crossed edges bent at their midpoints, the side
     condition checked."""
     if g != fs.graph:
@@ -750,7 +760,9 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
     if fs._analysis is None:  # a set built without its constructor
         raise InvalidCurve("the free set's certificate was never validated")
     sysm = _collinear_system(fs._analysis)
-    axis_x, axis_den = _axis_positions(sysm.y_order, fs.order, xs, den)
+    members = set(fs.order)
+    s_axis = [v for v in sysm.y_order if v in members]
+    axis_x, axis_den = _axis_positions(sysm.y_order, s_axis, xs, den)
 
     halves = [(hp.solve(axis_x, axis_den, side), rel) for (hp, rel), side in
               ((sysm.halves["inside"], "below"),
@@ -785,18 +797,22 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
                        bends={e: (merged[mid],)
                               for e, mid in sysm.mids.items()},
                        dx=dx, dy=axis_den * dphi,
-                       provenance=f"collinear[{fs.provenance}]")
+                       provenance=f"collinear[{fs.provenance}]"), s_axis
 
 
 def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
                       xs) -> PolyDrawing:
     """Straight-line drawing (bends only on curve-crossed edges) with the
-    free set exactly at (x_i, 0) in order, everything inside the curve
+    free set exactly at (x_i, 0) in axis order, everything inside the curve
     strictly below the axis and everything outside strictly above.
 
-    The merged drawing is checked once, after the side condition; a failure
-    of either raises DegenerateOutput."""
-    base = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
+    The axis runs along the curve from its first item, counting from item
+    0, that follows a face passage.  Every extracted certificate starts
+    there, so the axis order is the set's own order; for another
+    certificate it is a rotation of it.  The merged drawing is checked
+    once, after the side condition; a failure of either raises
+    DegenerateOutput."""
+    base, _ = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
     return _checked(base, "collinear").drawing()
 
 
@@ -1000,10 +1016,11 @@ def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
     xs = [sheared[i] for i in order]
     common = gcd(den, *xs)  # the x's over their least denominator
 
-    base = _collinear_base(g, fs, [x // common for x in xs], den // common)
-    d = _shear_drawing(perturb_scale(base, fs.order,
+    base, s_axis = _collinear_base(g, fs, [x // common for x in xs],
+                                   den // common)
+    d = _shear_drawing(perturb_scale(base, s_axis,
                                      [pts[i][1] for i in order]), -t)
-    for v, i in zip(fs.order, order):
+    for v, i in zip(s_axis, order):
         (x, y), (px, py) = d.pos[v], pts[i]
         if x * px.denominator != px.numerator * d.dx or \
                 y * py.denominator != py.numerator * d.dy:  # pragma: no cover
@@ -1016,8 +1033,10 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
 
     Point sets with repeated x-coordinates are sheared by the least integer
     t that makes (x + t*y) distinct before realization, and by -t
-    afterwards.  The half-plane systems are solved exactly over the
-    rationals at every size.
+    afterwards.  The free vertices take the points in axis order
+    (``realize_collinear``; for an extracted set, the set's own order): the
+    k-th of them goes to the point with the k-th least x + t*y.  The
+    half-plane systems are solved exactly over the rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
     unchecked (only the side condition is tested) and the perturbed drawing

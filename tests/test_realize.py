@@ -643,6 +643,28 @@ class TestRealizeCollinear:
         with pytest.raises(SizeMismatch):
             realize_collinear(k4, fs, [0, 1, 2])
 
+    def test_certificate_starting_after_an_along_item(self):
+        # item 0 of the rotated certificate follows an along item, so its
+        # last and first vertex items are joined by an along edge; the axis
+        # starts at the first item that follows a face passage
+        g = random_triangulation(30, 1)
+        fs = planar_freeset(g)
+        cert = fs.certificate.rotated(2)
+        start = next(i for i, p in enumerate(cert.passages) if p is not None)
+        assert cert.passages[-1] is None and start > 0
+        members = set(fs.order)
+        rotated = OrderedFreeSet(
+            graph=g, certificate=cert, provenance="rotated", bound_met="",
+            order=tuple(v for v in cert.vertex_order() if v in members))
+        axis = [v for v in cert.rotated(start + 1).vertex_order()
+                if v in members]
+        assert axis != list(rotated.order)
+        rng = random.Random(7)
+        pts = [(F(k, 3), F(rng.randint(-90, 90), 7)) for k in range(len(axis))]
+        d = free_realize(g, rotated, pts)
+        assert d.verified and verify_drawing(g, d) is None
+        assert [d.pos[v] for v in axis] == pts
+
 
 class TestPerturbAndFree:
     def test_zero_targets_identity(self, k4):

@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
-from .embedding import EmbeddedGraph, build_embedded
+from .embedding import EmbeddedGraph, build_embedded, norm_edge
 from .errors import GraphFormatError, Unverified
 from .extractors import OrderedFreeSet
 from .realize import PolyDrawing, verify_drawing
@@ -78,7 +78,9 @@ def parse_graph(text: str) -> EmbeddedGraph:
             _fail(no, f"unknown directive {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing V line")
-    if set(rot) != set(range(n)):
+    # the keys are distinct, so n of them in range cover 0..n-1; no set of
+    # size n is built before the lines are known to match it
+    if len(rot) != n or not all(0 <= v < n for v in rot):
         raise GraphFormatError("rotation lines must cover vertices 0..n-1")
     return build_embedded(n, [rot[v] for v in range(n)],
                           outer_face_hint=outer)
@@ -193,18 +195,36 @@ def serialize_drawing(d: PolyDrawing) -> str:
 
 def parse_drawing(text: str, g: EmbeddedGraph, verify: bool = True,
                   ) -> PolyDrawing:
+    """A drawing of g: one ``P v x y`` line per vertex, and ``B u v x y``
+    lines for the bends of edge u-v in order from its smaller end.  A bend
+    may name its edge either way round; it is stored under the edge's
+    normal key, so the exact check sees it."""
     pos = {}
     bends: dict = {}
     for no, line in _lines(text):
         parts = line.split()
-        if parts[0] == "P" and len(parts) == 4:
-            pos[int(parts[1])] = (_frac(parts[2], no), _frac(parts[3], no))
-        elif parts[0] == "B" and len(parts) == 5:
-            e = (int(parts[1]), int(parts[2]))
-            bends.setdefault(e, []).append((_frac(parts[3], no),
-                                            _frac(parts[4], no)))
+        kind = parts[0]
+        if kind not in ("P", "B"):
+            _fail(no, f"unknown drawing directive {kind!r}")
+        if len(parts) != (4 if kind == "P" else 5):
+            _fail(no, f"malformed {kind} line")
+        try:
+            ids = [int(t) for t in parts[1:-2]]
+        except ValueError:
+            _fail(no, f"{kind} expects integer vertex ids")
+        point = (_frac(parts[-2], no), _frac(parts[-1], no))
+        if kind == "P":
+            v = ids[0]
+            if not 0 <= v < g.n:
+                _fail(no, f"vertex {v} is not in the graph")
+            if v in pos:
+                _fail(no, f"duplicate position for vertex {v}")
+            pos[v] = point
         else:
-            _fail(no, f"unknown drawing directive {parts[0]!r}")
+            e = norm_edge(*ids)
+            if e not in g.edges:
+                _fail(no, f"bend on {e}, which is not an edge of the graph")
+            bends.setdefault(e, []).append(point)
     d = PolyDrawing(graph=g, pos=pos,
                     bends={e: tuple(b) for e, b in bends.items()},
                     provenance="parsed")

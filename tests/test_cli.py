@@ -9,9 +9,11 @@ from click.testing import CliRunner
 from freeset.cli import main
 from freeset.extractors import planar_freeset
 from freeset.generators import cycle, random_triangulation
+from freeset.realize import free_realize
 from freeset.textio import (
     parse_freeset,
     parse_graph,
+    serialize_drawing,
     serialize_freeset,
     serialize_graph,
     serialize_points,
@@ -260,3 +262,166 @@ def test_bench_quick(tmp_path):
     assert r.exit_code == 0
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records and all(rec["passed"] for rec in records)
+
+
+def fuzz_files(tmp_path, g, fs):
+    """A graph, a free set, points for it and a verified drawing of g,
+    written to files; returns their paths by kind."""
+    paths = {kind: tmp_path / f"{kind}.txt"
+             for kind in ("graph", "freeset", "points", "drawing")}
+    paths["graph"].write_text(serialize_graph(g))
+    paths["freeset"].write_text(serialize_freeset(fs))
+    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
+    paths["points"].write_text(serialize_points(pts))
+    paths["drawing"].write_text(
+        serialize_drawing(free_realize(g, fs, pts)))
+    return paths
+
+
+def mutated_file(lines: list[str], g, kind: str, case: str) -> list[str]:
+    """The lines of a graph, drawing or point file, as serialized for g,
+    with one defect."""
+    lines = list(lines)
+    # a vertex, one of its neighbours and a vertex that is not one
+    u, w = 3, g.rot[3][0]
+    far = next(v for v in range(g.n) if v != u and not g.has_edge(u, v))
+    if kind == "graph":
+        r = lines.index(f"R {u}: " + " ".join(map(str, g.rot[u])))
+        edits = {
+            "non-integer token": (r, f"R {u}: x"),
+            "non-integer count": (0, "V ten"),
+            "1/0": (0, "V 1/0"),
+            "wrong arity": (0, "V"),
+            "missing colon": (r, f"R {u} {w}"),
+            "out-of-range id": (r, f"R {g.n}: " + lines[r].split(": ")[1]),
+            "out-of-range neighbour": (r, lines[r] + f" {g.n}"),
+            "negative id": (r, "R -1: " + lines[r].split(": ")[1]),
+            "asymmetric rotation": (r, lines[r].replace(f" {w}", "", 1)),
+            "outer hint not integers": (len(lines) - 1, "OUTER: a b"),
+            "outer hint not a face": (len(lines) - 1, f"OUTER: {u} {far} 0"),
+        }
+        if case == "missing line":
+            del lines[r]
+        elif case == "duplicate line":
+            lines.insert(r, lines[r])
+        elif case == "missing V":
+            del lines[0]
+        elif case == "duplicate V":
+            lines.insert(0, lines[0])
+        elif case == "huge V":  # four rotation lines for 10^11 vertices
+            lines = ["V 100000000000"] + lines[1:5]
+        else:
+            at, text = edits[case]
+            lines[at] = text
+        return lines
+    if kind == "drawing":
+        p = lines.index(next(line for line in lines
+                             if line.startswith(f"P {u} ")))
+        x, y = lines[p].split()[2:]
+        vx, vy = next(line for line in lines
+                      if line.startswith(f"P {far} ")).split()[2:]
+        edits = {
+            "non-integer token": f"P x {x} {y}",
+            "non-rational coordinate": f"P {u} a {y}",
+            "1/0": f"P {u} 1/0 {y}",
+            "out-of-range id": f"P {g.n} {x} {y}",
+            "wrong arity": f"P {u} {x}",
+            "unknown directive": f"Q {u} {x} {y}",
+            "bend on a non-edge": f"B {u} {far} {x} {y}",
+            # a bend on another vertex, keyed high end first: it must be
+            # checked, not dropped
+            "reversed bend on a vertex": f"B {max(u, w)} {min(u, w)} "
+                                         f"{vx} {vy}",
+        }
+        if case == "missing line":
+            del lines[p]
+        elif case == "duplicate line":
+            lines.insert(p, lines[p])
+        elif case.startswith("bend") or case.startswith("reversed"):
+            lines.append(edits[case])
+        else:
+            lines[p] = edits[case]
+        return lines
+    edits = {  # points
+        "non-integer token": "a 1",
+        "1/0": "1/0 2",
+        "wrong arity": "1 2 3",
+    }
+    if case == "missing line":
+        del lines[-1]
+    elif case == "duplicate line":
+        lines.append(lines[-1])
+    elif case == "repeated point":
+        lines[-1] = lines[0]
+    else:
+        lines[-1] = edits[case]
+    return lines
+
+
+FILE_CASES = [("graph", c) for c in (
+    "non-integer token", "non-integer count", "1/0", "wrong arity",
+    "missing colon", "out-of-range id", "out-of-range neighbour",
+    "negative id", "asymmetric rotation", "outer hint not integers",
+    "outer hint not a face", "missing line", "duplicate line", "missing V",
+    "duplicate V", "huge V")] + [("drawing", c) for c in (
+        "non-integer token", "non-rational coordinate", "1/0",
+        "out-of-range id", "wrong arity", "unknown directive",
+        "bend on a non-edge", "reversed bend on a vertex", "missing line",
+        "duplicate line")] + [(kind, c) for kind in ("points", "positions")
+                              for c in ("non-integer token", "1/0",
+                                        "wrong arity", "missing line",
+                                        "duplicate line", "repeated point")]
+
+
+@pytest.mark.parametrize("kind,case", FILE_CASES,
+                         ids=[f"{k}-{c}" for k, c in FILE_CASES])
+def test_cli_rejects_mutated_file(tmp_path, kind, case):
+    # a broken graph, drawing or point file is invalid input: exit code 2
+    # and an error line, never a traceback
+    g = random_triangulation(12, 4)
+    fs = planar_freeset(g)
+    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
+    files = {"graph": serialize_graph(g), "freeset": serialize_freeset(fs),
+             "points": serialize_points(pts),
+             "positions": serialize_points([(F(v), F(v * v % 7))
+                                            for v in range(g.n)]),
+             "drawing": serialize_drawing(free_realize(g, fs, pts))}
+    files[kind] = "\n".join(mutated_file(files[kind].splitlines(), g,
+                                         "points" if kind == "positions"
+                                         else kind, case)) + "\n"
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    args = {"graph": ["freeset", "--graph", path["graph"]],
+            "drawing": ["svg", "--graph", path["graph"],
+                        "--drawing", path["drawing"]],
+            "points": ["realize", "--graph", path["graph"],
+                       "--freeset", path["freeset"],
+                       "--points", path["points"]],
+            "positions": ["untangle", "--graph", path["graph"],
+                          "--positions", path["positions"]]}[kind]
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.output
+
+
+def test_svg_rejects_mutated_certificate(tmp_path):
+    # the free set is validated when it is parsed, before anything renders
+    g = random_triangulation(30, 1)
+    fs = planar_freeset(g)
+    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
+    gpath, fpath, dpath = (tmp_path / name
+                           for name in ("g.txt", "g.fs", "g.drawing"))
+    gpath.write_text(serialize_graph(g))
+    dpath.write_text(serialize_drawing(free_realize(g, fs, pts)))
+    lines = mutated_certificate(serialize_freeset(fs).splitlines(), g,
+                                "wrong face")
+    fpath.write_text("\n".join(lines) + "\n")
+    r = CliRunner().invoke(main, ["svg", "--graph", str(gpath),
+                                  "--drawing", str(dpath),
+                                  "--freeset", str(fpath)])
+    assert r.exit_code == 2, r.exc_info
+    assert r.stderr.startswith("error:") and "off-face" in r.stderr
+    assert "Traceback" not in r.output and "<svg" not in r.output

@@ -45,6 +45,12 @@ class TestGraphFormat:
         with pytest.raises(GraphFormatError):
             parse_graph("R 0: 1\nR 1: 0\n")
 
+    def test_huge_vertex_count_rejected(self):
+        # the count is checked against the rotation lines, nothing of size
+        # 10^11 is built
+        with pytest.raises(GraphFormatError, match="cover vertices"):
+            parse_graph("V 100000000000\nR 0: 1\nR 1: 0\n")
+
 
 class TestCertificateFormat:
     def test_roundtrip(self, k4):
@@ -73,6 +79,26 @@ class TestDrawingFormat:
         assert back.pos == d.pos
         assert back.bends == d.bends
         assert serialize_drawing(back) == text
+
+    def test_reversed_bend_key_is_checked(self, k4):
+        # a bend keyed high end first is stored under the edge's normal key,
+        # so the exact check sees it: here it sits on vertex 2, and edge
+        # 0-1 runs along edge 0-2
+        text = "".join(f"P {v} {x} {y}\n" for v, (x, y) in
+                       enumerate([(0, 0), (4, 0), (0, 4), (1, 1)]))
+        d = parse_drawing(text + "B 1 0 0 4\n", k4, verify=False)
+        assert d.bends == {(0, 1): ((F(0), F(4)),)}
+        with pytest.raises(Unverified, match="edges .* overlap"):
+            parse_drawing(text + "B 1 0 0 4\n", k4)
+
+    @pytest.mark.parametrize("line,message", [
+        ("P x 1 2", "integer vertex ids"), ("P 0 1 2", "duplicate position"),
+        ("P 4 1 2", "not in the graph"), ("P 0 1", "malformed P line"),
+        ("B 0 1 2", "malformed B line"), ("B 0 9 1 1", "not an edge")])
+    def test_bad_drawing_line(self, k4, line, message):
+        text = "P 0 0 0\nP 1 4 0\nP 2 0 4\nP 3 1 1\n" + line + "\n"
+        with pytest.raises(GraphFormatError, match=message):
+            parse_drawing(text, k4)
 
     def test_points_roundtrip(self):
         pts = [(F(1, 3), F(-2, 5)), (F(4), F(0))]

@@ -4,11 +4,13 @@ catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
 bare ``except:`` or ``except Exception`` would swallow them), no float
 arithmetic in the exact modules ``realize`` and ``rational``, and no
 module-level import that the module never uses (``__init__`` re-exports
-exactly what it imports, and each exported name resolves)."""
+exactly what it imports, and each exported name resolves), and every
+function the benchmark's layer trace wraps still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -166,3 +168,36 @@ def test_float_use_detected(line, found):
 
 def test_sources_found():
     assert len(SOURCES) > 10
+
+
+def perfbench_hooks() -> list[tuple[str, str]]:
+    """(module, name) for every function that ``perfbench/layertrace.py``
+    wraps, read from its ``LAYERS`` without importing it; a class method is
+    named as in its ``_METHOD_ATTR``."""
+    path = Path(__file__).parent.parent / "perfbench" / "layertrace.py"
+    values = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("LAYERS", "_METHOD_ATTR"):
+                values[node.targets[0].id] = ast.literal_eval(node.value)
+    hooks = []
+    for layer, names in values["LAYERS"].items():
+        for name in names:
+            cls, _, method = name.rpartition(".")
+            if cls:
+                name = f"{cls}.{values['_METHOD_ATTR'][method]}"
+            hooks.append((layer, name))
+    return hooks
+
+
+@pytest.mark.parametrize("layer,name", perfbench_hooks(),
+                         ids=lambda x: x)
+def test_perfbench_hooks_resolve(layer, name):
+    # the benchmark's per-layer trace wraps these by name and fails on a
+    # missing one
+    obj = importlib.import_module(f"freeset.{layer}")
+    for attr in name.split("."):
+        obj = getattr(obj, attr, None)
+        assert obj is not None, f"freeset.{layer}.{name} is gone"
+    assert callable(obj)

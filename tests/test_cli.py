@@ -264,20 +264,6 @@ def test_bench_quick(tmp_path):
     assert records and all(rec["passed"] for rec in records)
 
 
-def fuzz_files(tmp_path, g, fs):
-    """A graph, a free set, points for it and a verified drawing of g,
-    written to files; returns their paths by kind."""
-    paths = {kind: tmp_path / f"{kind}.txt"
-             for kind in ("graph", "freeset", "points", "drawing")}
-    paths["graph"].write_text(serialize_graph(g))
-    paths["freeset"].write_text(serialize_freeset(fs))
-    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
-    paths["points"].write_text(serialize_points(pts))
-    paths["drawing"].write_text(
-        serialize_drawing(free_realize(g, fs, pts)))
-    return paths
-
-
 def mutated_file(lines: list[str], g, kind: str, case: str) -> list[str]:
     """The lines of a graph, drawing or point file, as serialized for g,
     with one defect."""
@@ -358,19 +344,22 @@ def mutated_file(lines: list[str], g, kind: str, case: str) -> list[str]:
     return lines
 
 
-FILE_CASES = [("graph", c) for c in (
+GRAPH_CASES = [
     "non-integer token", "non-integer count", "1/0", "wrong arity",
     "missing colon", "out-of-range id", "out-of-range neighbour",
     "negative id", "asymmetric rotation", "outer hint not integers",
     "outer hint not a face", "missing line", "duplicate line", "missing V",
-    "duplicate V", "huge V")] + [("drawing", c) for c in (
-        "non-integer token", "non-rational coordinate", "1/0",
-        "out-of-range id", "wrong arity", "unknown directive",
-        "bend on a non-edge", "reversed bend on a vertex", "missing line",
-        "duplicate line")] + [(kind, c) for kind in ("points", "positions")
-                              for c in ("non-integer token", "1/0",
-                                        "wrong arity", "missing line",
-                                        "duplicate line", "repeated point")]
+    "duplicate V", "huge V"]
+DRAWING_CASES = [
+    "non-integer token", "non-rational coordinate", "1/0", "out-of-range id",
+    "wrong arity", "unknown directive", "bend on a non-edge",
+    "reversed bend on a vertex", "missing line", "duplicate line"]
+POINT_CASES = ["non-integer token", "1/0", "wrong arity", "missing line",
+               "duplicate line", "repeated point"]
+FILE_CASES = ([("graph", c) for c in GRAPH_CASES]
+              + [("drawing", c) for c in DRAWING_CASES]
+              + [(kind, c) for kind in ("points", "positions")
+                 for c in POINT_CASES])
 
 
 @pytest.mark.parametrize("kind,case", FILE_CASES,

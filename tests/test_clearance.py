@@ -92,7 +92,7 @@ def _base(family: str, seed: int, style: str, rng_seed: int | None = None):
     pts = point_set(style, len(fs.order),
                     random.Random(seed if rng_seed is None else rng_seed))
     xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
-    return fs, _collinear_base(g, fs, *common_denominator(xs))
+    return fs, _collinear_base(g, fs, *common_denominator(xs))[0]
 
 
 @pytest.mark.parametrize("family,seed,style", CASES)

@@ -3,7 +3,7 @@
 Extracts large free sets from embedded planar graphs as combinatorial
 curve certificates, realizes them as exact-rational crossing-free drawings
 with the free vertices at prescribed points, and applies the machinery to
-untangling, universal point subsets, and simultaneous embeddings.
+untangling and simultaneous embeddings.
 """
 
 from .embedding import (
@@ -13,7 +13,6 @@ from .embedding import (
     build_embedded,
     dual_graph,
     embed_from_faces,
-    induce,
     subdivide,
     triangulate,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "build_embedded",
     "dual_graph",
     "embed_from_faces",
-    "induce",
     "subdivide",
     "triangulate",
     "CurveCertificate",
@@ -41,7 +39,6 @@ __all__ = [
     "PolyDrawing",
     "verify_drawing",
     "tutte_solve",
-    "halfplane_draw",
     "realize_collinear",
     "perturb_scale",
     "free_realize",
@@ -69,7 +66,6 @@ from .extractors import (  # noqa: E402
 from .realize import (  # noqa: E402
     PolyDrawing,
     free_realize,
-    halfplane_draw,
     perturb_scale,
     realize_collinear,
     tutte_solve,

@@ -191,15 +191,6 @@ def canonical_order(t: EmbeddedGraph,
     )
 
 
-def is_near_triangulation(g: EmbeddedGraph) -> bool:
-    """Inner faces all triangles and a simple outer boundary cycle."""
-    outer = g.faces[g.outer_face]
-    tails = [u for u, _ in outer.walk]
-    if len(set(tails)) != len(tails):
-        return False
-    return all(f.size == 3 for f in g.faces if not f.is_outer)
-
-
 # ---------------------------------------------------------------------------
 # Chain / antichain dichotomy
 # ---------------------------------------------------------------------------
@@ -298,11 +289,6 @@ def chain_or_antichain(cs: CanonicalStructure, xs, force: str | None = None,
     if ordered[-1] != cs.vn:
         raise AntichainTooShort("maximal antichains must end at the apex")
     return "antichain", ordered
-
-
-def chain_bound(x_size: int) -> int:
-    """ceil(sqrt(2 x)) for x >= 1."""
-    return math.isqrt(2 * x_size - 1) + 1
 
 
 def antichain_bound(x_size: int) -> int:

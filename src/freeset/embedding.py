@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import (
     Disconnected,
-    DisconnectedResult,
     MultiEdgeOrLoop,
     NonPlanarRotation,
     TooSmall,
@@ -105,11 +104,13 @@ class EmbeddedGraph:
     Construct through :func:`build_embedded`, which validates the rotation
     system; the constructor itself trusts its inputs: ``rot_index`` maps
     each vertex's neighbours to their rotation slots, and ``face_of`` each
-    dart to the id of the face on its left.
+    dart to the id of the face on its left.  ``_plan`` is an opaque slot
+    in which realization keeps its clearance plan for this graph; the plan
+    goes when the graph does.
     """
 
     __slots__ = ("n", "rot", "faces", "outer_face", "_edges", "_face_of",
-                 "_rot_index", "_hash")
+                 "_rot_index", "_hash", "_plan")
 
     def __init__(self, rot: tuple[tuple[int, ...], ...],
                  faces: tuple[Face, ...], outer_face: int,
@@ -124,6 +125,7 @@ class EmbeddedGraph:
         self._rot_index = tuple(rot_index)
         self._face_of = face_of
         self._hash = None
+        self._plan = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -552,38 +554,5 @@ def subdivide(g: EmbeddedGraph, edge_list: Sequence[Edge],
         vertex_backward={v: v for v in range(g.n)},
         edge_forward=edge_fwd,
         edge_backward=edge_bwd,
-    )
-    return result, mapping
-
-
-def induce(g: EmbeddedGraph, vertices: Iterable[int],
-           outer_face_hint: Iterable[int] | None = None,
-           ) -> tuple[EmbeddedGraph, GraphMapping]:
-    """Induced subgraph on a vertex set, inheriting the cyclic orders.
-
-    Vertices are relabelled densely in increasing order of their original
-    ids.  The result must be connected.
-    """
-    keep = sorted(set(vertices))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise UnknownElement(f"vertex {v} not in graph")
-    relabel = {v: i for i, v in enumerate(keep)}
-    kept = set(keep)
-    rot = [[relabel[u] for u in g.rot[v] if u in kept] for v in keep]
-    hint = None
-    if outer_face_hint is not None:
-        hint = [relabel[v] for v in outer_face_hint]
-    try:
-        result = build_embedded(len(keep), rot, outer_face_hint=hint)
-    except Disconnected as exc:
-        raise DisconnectedResult(str(exc)) from exc
-    mapping = GraphMapping(
-        vertex_forward=dict(relabel),
-        vertex_backward={i: v for v, i in relabel.items()},
-        edge_forward={norm_edge(u, v): norm_edge(relabel[u], relabel[v])
-                      for (u, v) in g.edges if u in kept and v in kept},
-        edge_backward={norm_edge(relabel[u], relabel[v]): norm_edge(u, v)
-                       for (u, v) in g.edges if u in kept and v in kept},
     )
     return result, mapping

@@ -30,10 +30,6 @@ class TooSmall(FreesetError):
     pass
 
 
-class DisconnectedResult(FreesetError):
-    pass
-
-
 class UnknownElement(FreesetError):
     pass
 

@@ -79,18 +79,20 @@ def maximal_outerplanar(n: int, seed: int) -> EmbeddedGraph:
         adj[i].add(j)
         adj[j].add(i)
 
-    def split(i: int, j: int) -> None:
+    # split the polygon 0..n-1 at a random k, the part (i, k) first, so the
+    # draws come in the order of a recursive split; the stack keeps the
+    # depth flat however deep the split tree is
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
         if j - i < 2:
-            return
+            continue
         k = rng.randint(i + 1, j - 1)
         for a, b in ((i, k), (k, j)):
             if b - a > 1:
                 adj[a].add(b)
                 adj[b].add(a)
-        split(i, k)
-        split(k, j)
-
-    split(0, n - 1)
+        stack += [(k, j), (i, k)]
     rot = _convex_rotation(n, adj)
     return build_embedded(n, rot, outer_face_hint=range(n))
 

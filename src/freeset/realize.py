@@ -15,9 +15,9 @@ argument of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every
 returned drawing has passed the exact crossing-free check, and each public
 entry point runs that check once, on the drawing it returns; intermediate
 drawings are not checked.  Each system is solved once and the lift is
-sized by an exact clearance, measured on a plan cached per graph, bend
-layout and free set, so nothing is retried: a drawing that fails its check
-raises DegenerateOutput naming the stage and the violation.
+sized by an exact clearance, measured on a plan kept on the graph for its
+bend layout and free set, so nothing is retried: a drawing that fails its
+check raises DegenerateOutput naming the stage and the violation.
 
 From the solve to the exact check a drawing is a ``GridDrawing``: integer
 numerators over one positive denominator per axis.  The solver returns
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 
 from .curves import (
@@ -83,15 +83,6 @@ class PolyDrawing:
     bends: dict = field(default_factory=dict)
     provenance: str = ""
     verified: bool = False
-
-    def segments(self) -> list[tuple[Point, Point, Edge]]:
-        out = []
-        for e in sorted(self.graph.edges):
-            u, v = e
-            chain = [self.pos[u], *self.bends.get(e, ()), self.pos[v]]
-            for a, b in zip(chain, chain[1:]):
-                out.append((a, b, e))
-        return out
 
     def bend_count(self) -> int:
         return sum(len(b) for b in self.bends.values())
@@ -596,22 +587,6 @@ class _HalfPlane:
                            dy=self._phi_den, provenance="halfplane")
 
 
-def halfplane_draw(h: EmbeddedGraph, y_order, xs, side: str = "below") -> dict:
-    """Draw h with the axis vertices at (x_i, 0) and everything else
-    strictly on one side.  Consecutive axis vertices must be adjacent in h,
-    no other two may be, and the axis must lie on h's outer face in order."""
-    if side not in ("below", "above"):
-        raise SizeMismatch(f"side must be 'below' or 'above', not {side!r}")
-    xs, den = common_denominator([F(x) for x in xs])
-    if any(a >= b for a, b in zip(xs, xs[1:])):
-        raise SizeMismatch("x positions must be strictly increasing")
-    d = _checked(_HalfPlane(h, list(y_order)).solve(xs, den, side),
-                 "halfplane")
-    b = 4 * (xs[-1] - xs[0])  # the apex height, over den
-    return replace(d, pos=[(x, b * y) for x, y in d.pos],
-                   dy=den * d.dy).drawing().pos
-
-
 # ---------------------------------------------------------------------------
 # Collinear realization of curve certificates
 # ---------------------------------------------------------------------------
@@ -820,7 +795,6 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=24)
 def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
                     ) -> tuple[tuple[int, int, tuple[int, ...], Edge], ...]:
     """The tests ``_clearance_sq`` makes, as (a, b, points, edge): the
@@ -836,7 +810,7 @@ def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
     points of the second face that the first did not have.  Otherwise the
     order of a face-by-face scan is kept, so D² = 0 names the pair that
     scan finds first.  The plan depends on the three arguments only, never
-    on positions."""
+    on positions, so ``_clearance_sq`` keeps it on g."""
     counts = dict(layout)
     chain = {}  # edge -> its point indices, end to end
     k = g.n
@@ -869,14 +843,21 @@ def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
     Moving points continuously, a crossing-free drawing first fails where a
     point reaches such a piece; just before, the two see each other, so they
     share a face that touches a moving vertex.  Only those pairs are tested
-    (``_clearance_plan``, cached per graph, bend layout and moving set), on
-    d's grid brought to a single scale for both axes, and a point outside
-    a piece's box grown by the floor of the least D so far is skipped.
-    D² = 0, a point on a piece of the base, raises DegenerateOutput.
+    (``_clearance_plan``), on d's grid brought to a single scale for both
+    axes, and a point outside a piece's box grown by the floor of the least
+    D so far is skipped.  D² = 0, a point on a piece of the base, raises
+    DegenerateOutput.
+
+    The plan is kept on the graph as one entry (bend layout, moving set,
+    plan), built again when the layout or the moving set differs.
     """
     g = d.graph
     layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()))
-    pieces = _clearance_plan(g, layout, frozenset(moving))
+    moving = frozenset(moving)
+    kept = g._plan
+    if kept is None or kept[:2] != (layout, moving):
+        kept = g._plan = (layout, moving, _clearance_plan(g, layout, moving))
+    pieces = kept[2]
     pts = list(d.pos)
     for e, _ in layout:
         pts.extend(d.bends[e])

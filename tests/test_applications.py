@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import replace
@@ -15,6 +16,7 @@ from freeset.applications import (
     untangle,
 )
 from freeset.bench import _random_tree
+from freeset.embedding import EmbeddedGraph
 from freeset.errors import MergeConflict, TooLarge, VertexSetMismatch
 from freeset.extractors import planar_freeset
 from freeset.generators import path, random_triangulation
@@ -96,6 +98,26 @@ class TestUntangle:
         for v in res.fixed:
             x, y = pos[v]
             assert res.drawing.pos[v] == (F(x), F(y))
+
+    def test_dropped_results_leave_no_graph_alive(self):
+        # realization keeps its state on the graph and the free set, so
+        # nothing outlives the results once they are dropped
+        def graphs() -> list:
+            gc.collect()
+            return [o for o in gc.get_objects()
+                    if isinstance(o, EmbeddedGraph)]
+
+        before = graphs()  # held, so that no new graph reuses an id
+        known = {id(g) for g in before}
+        for seed in range(30):
+            rng = random.Random(seed)
+            pts = rng.sample([(x, y) for x in range(20) for y in range(20)],
+                             60)
+            res = untangle(random_triangulation(60, seed),
+                           dict(enumerate(pts)))
+            assert res.drawing.verified and res.moved > 0
+        del res
+        assert [g for g in graphs() if id(g) not in known] == []
 
     @pytest.mark.parametrize("keys", [(1, 2, 3), (0, 1, 3), (0, 1)],
                              ids=["shifted", "gap", "missing"])

@@ -1,19 +1,31 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from freeset import induce
 from freeset.canonical import (
     antichain_bound,
     canonical_order,
-    chain_bound,
     chain_or_antichain,
-    is_near_triangulation,
 )
 from freeset.errors import NotTriangulation
 from freeset.generators import random_triangulation
 
-from conftest import prefix_boundaries
+from conftest import induce, prefix_boundaries
+
+
+def is_near_triangulation(g) -> bool:
+    """Inner faces all triangles and a simple outer boundary cycle."""
+    tails = [u for u, _ in g.faces[g.outer_face].walk]
+    if len(set(tails)) != len(tails):
+        return False
+    return all(f.size == 3 for f in g.faces if not f.is_outer)
+
+
+def chain_bound(x_size: int) -> int:
+    """ceil(sqrt(2 x)) for x >= 1."""
+    return math.isqrt(2 * x_size - 1) + 1
 
 
 class TestCanonicalOrder:

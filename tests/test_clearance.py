@@ -1,11 +1,11 @@
 """The exact clearance that sizes the perturbation of a collinear base.
 
 ``_clearance_sq`` measures only the pairs on a common face that touches a
-moving vertex, from a plan cached per graph, bend layout and moving set.
-The reference here measures every pair of a vertex or bend and a piece it
-is not an end of, in Fractions, and both must agree on a seeded corpus of
-collinear bases, degenerate ones included, and on drawings that share a
-graph but not a plan.
+moving vertex, from a plan kept on the graph for one bend layout and
+moving set.  The reference here measures every pair of a vertex or bend
+and a piece it is not an end of, in Fractions, and both must agree on a
+seeded corpus of collinear bases, degenerate ones included, and on
+drawings that share a graph but not a plan.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from freeset.rational import common_denominator
 from freeset.realize import (
     GridDrawing,
     PolyDrawing,
-    _clearance_plan,
     _clearance_sq,
     _collinear_base,
     _distinct_x_shear,
+    free_realize,
     perturb_scale,
     verify_drawing,
 )
@@ -86,13 +86,29 @@ def all_pairs_sq(d: PolyDrawing | GridDrawing, moving) -> F | None:
     return best
 
 
-def _base(family: str, seed: int, style: str, rng_seed: int | None = None):
-    g = FAMILIES[family](seed)
-    fs = planar_freeset(g)
-    pts = point_set(style, len(fs.order),
-                    random.Random(seed if rng_seed is None else rng_seed))
+def _base_on(fs, style: str, rng_seed: int) -> GridDrawing:
+    pts = point_set(style, len(fs.order), random.Random(rng_seed))
     xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
-    return fs, _collinear_base(g, fs, *common_denominator(xs))[0]
+    return _collinear_base(fs.graph, fs, *common_denominator(xs))[0]
+
+
+def _base(family: str, seed: int, style: str):
+    fs = planar_freeset(FAMILIES[family](seed))
+    return fs, _base_on(fs, style, seed)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of each ``_clearance_plan`` call, one per plan built."""
+    calls = []
+    build = realize._clearance_plan
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(realize, "_clearance_plan", counting)
+    return calls
 
 
 @pytest.mark.parametrize("family,seed,style", CASES)
@@ -180,14 +196,31 @@ def test_plan_follows_bend_layout_and_moving_set():
     assert len(set(values)) == 3
 
 
-def test_plan_is_reused_across_positions():
-    # the same graph, free set and bends at two sets of x positions
-    _clearance_plan.cache_clear()
+def test_plan_is_reused_across_positions(builds):
+    # the same graph, free set and bends at two sets of x positions, then
+    # realized on a third point set: one plan
+    fs = planar_freeset(FAMILIES["triangulation"](3))
     for rng_seed in (1, 7):
-        fs, base = _base("triangulation", 3, "coprime", rng_seed)
+        base = _base_on(fs, "coprime", rng_seed)
         assert _clearance_sq(base, fs.order) == all_pairs_sq(base, fs.order)
-    info = _clearance_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    pts = point_set("general", len(fs.order), random.Random(3))
+    assert free_realize(fs.graph, fs, pts).verified
+    assert len(builds) == 1
+
+
+def test_plan_is_rebuilt_for_a_new_layout_or_moving_set(builds):
+    # the graph keeps one plan: a new bend layout or moving set replaces it
+    fs, base = _base("thinned", 2, "general")
+    e = min(base.bends)
+    fewer = GridDrawing(graph=base.graph, pos=base.pos,
+                        bends={f: b for f, b in base.bends.items() if f != e},
+                        dx=base.dx, dy=base.dy)
+    for d, moving in [(base, fs.order), (base, fs.order), (fewer, fs.order),
+                      (base, fs.order[-1:]), (base, fs.order[-1:])]:
+        _clearance_sq(d, moving)
+    assert [(dict(layout).get(e), len(moving))
+            for _, layout, moving in builds] == \
+        [(1, len(fs.order)), (None, len(fs.order)), (1, 1)]
 
 
 def test_perturb_checks_the_returned_drawing(monkeypatch):

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
 from freeset import (
     build_embedded,
     dual_graph,
-    induce,
     subdivide,
     triangulate,
 )
@@ -34,7 +34,7 @@ from freeset.generators import (
     star,
 )
 
-from conftest import thinned_triangulation
+from conftest import induce, thinned_triangulation
 from test_extraction_oracle import cycle_sides
 
 
@@ -397,8 +397,7 @@ class TestDerive:
             assert mp.vertex_backward[new] == old
 
     def test_induce_disconnected(self, octa):
-        from freeset.errors import DisconnectedResult
-        with pytest.raises(DisconnectedResult):
+        with pytest.raises(Disconnected):
             induce(octa, [0, 5])  # opposite poles share no edge
 
 
@@ -460,6 +459,21 @@ class TestGenerators:
         assert outer.size == n
         assert all(f.size == 3 for f in g.faces if not f.is_outer)
         check_consistency(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maximal_outerplanar_stack_stays_flat(self, seed):
+        # the split tree of a random 3000-gon is about 30 levels deep; split
+        # on an explicit stack, generating needs a few frames beyond ours
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 15)
+        try:
+            g = maximal_outerplanar(3000, seed)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(g.edges) == 2 * 3000 - 3
 
     @pytest.mark.parametrize("n,seed", [(4, 0), (12, 9)])
     def test_stacked_3tree(self, n, seed):

@@ -2,10 +2,12 @@
 ``python -O``), no imports beyond the standard library and click, no
 catch-all ``except`` (failures are raised as typed ``FreesetError``s, and a
 bare ``except:`` or ``except Exception`` would swallow them), no float
-arithmetic in the exact modules ``realize`` and ``rational``, and no
-module-level import that the module never uses (``__init__`` re-exports
-exactly what it imports, and each exported name resolves), and every
-function the benchmark's layer trace wraps still exists."""
+arithmetic in the exact modules ``realize`` and ``rational``, no
+``functools`` cache (it would outlive the calls that fill it, keeping their
+graphs alive), and no module-level import that the module never uses
+(``__init__`` re-exports exactly what it imports, and each exported name
+resolves), and every function the benchmark's layer trace wraps still
+exists."""
 
 from __future__ import annotations
 
@@ -67,6 +69,42 @@ def test_no_catch_all_except(path):
 def test_catch_all_detected(clause, caught):
     tree = ast.parse(f"try:\n    pass\n{clause}\n    pass\n")
     assert catch_all_handlers(tree) == ([3] if caught else [])
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def functools_caches(tree: ast.AST) -> list[int]:
+    """Lines that import a ``functools`` cache or name it as an attribute
+    of ``functools``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and any(a.name in CACHES for a in node.names) or \
+                isinstance(node, ast.Attribute) and node.attr in CACHES and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == "functools":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_functools_cache(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert functools_caches(tree) == [], f"functools cache in {path.name}"
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from functools import cmp_to_key, lru_cache\n\n"
+     "@lru_cache(maxsize=24)\ndef f(g):\n    pass\n", [1]),
+    ("import functools\n\n@functools.cache\ndef f(g):\n    pass\n", [3]),
+    ("import functools\n\n@functools.lru_cache(maxsize=None)\n"
+     "def f(g):\n    pass\n", [3]),
+    ("from functools import cmp_to_key\n", []),
+    ("cache = {}\ng.cache = None\n", []),
+])
+def test_functools_cache_detected(source, found):
+    assert functools_caches(ast.parse(source)) == found
 
 
 def unused_imports(tree: ast.Module) -> list[str]:

@@ -43,6 +43,8 @@ from freeset.realize import (
     verify_drawing,
 )
 
+from conftest import segments
+
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -272,7 +274,7 @@ def _perturbed_realizations(rng: random.Random, sizes=(6, 14), graphs=6,
         feats = [p for p in d.pos.values()]
         feats += [p for b in d.bends.values() for p in b]
         feats += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-                  for a, b, _ in d.segments()]
+                  for a, b, _ in segments(d)]
         for _ in range(12):
             target = rng.choice(feats)
             if d.bends and rng.random() < 0.3:
@@ -346,7 +348,7 @@ def test_sweep_invariant_under_axis_scales(which, broken, pick, a, b):
     v = pick % g.n
     x, y = d.pos[v]
     if broken == "onto-edge":
-        p, q, _ = d.segments()[pick % len(d.segments())]
+        p, q, _ = segments(d)[pick % len(segments(d))]
         d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
                                          (p[1] + q[1]) / 2)})
     elif broken == "onto-vertex":
@@ -594,7 +596,7 @@ def test_coordinates_above_2_to_1100(broken):
         v = rng.randrange(g.n)
         x, y = d.pos[v]
         if broken == "onto-edge":
-            p, q, _ = rng.choice(d.segments())
+            p, q, _ = rng.choice(segments(d))
             d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
                                              (p[1] + q[1]) / 2)})
         elif broken == "onto-vertex":
@@ -666,4 +668,4 @@ def test_products_per_piece(n, monkeypatch):
                               for e, b in grid.bends.items()})
     monkeypatch.setattr(_Counted, "products", 0)
     assert verify_drawing(g, counting) is None
-    assert 0 < _Counted.products <= 6 * len(d.segments())
+    assert 0 < _Counted.products <= 6 * len(segments(d))

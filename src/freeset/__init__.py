@@ -9,7 +9,6 @@ untangling and simultaneous embeddings.
 from .embedding import (
     EmbeddedGraph,
     Face,
-    GraphMapping,
     build_embedded,
     dual_graph,
     embed_from_faces,
@@ -20,7 +19,6 @@ from .embedding import (
 __all__ = [
     "EmbeddedGraph",
     "Face",
-    "GraphMapping",
     "build_embedded",
     "dual_graph",
     "embed_from_faces",

@@ -18,7 +18,7 @@ from .curves import (
     VertexItem,
     validate_curve,
 )
-from .embedding import EmbeddedGraph, norm_edge
+from .embedding import EmbeddedGraph, norm_edge, vertex_ids
 from .errors import FreesetError, TooLarge
 
 _MAX_EDGES = 14
@@ -43,7 +43,7 @@ def exhaustive_curve_search(g: EmbeddedGraph, target,
     Enumerates item sequences face-by-face and filters candidates through
     the full certificate validation.
     """
-    s = sorted(set(target))
+    s = vertex_ids(g, target)
     if len(g.edges) > _MAX_EDGES:
         raise TooLarge(f"{len(g.edges)} edges exceeds the bound {_MAX_EDGES}")
     if not s:
@@ -200,7 +200,7 @@ def brute_cycles(g: EmbeddedGraph, mode: str = "longest") -> OracleReport:
 
 def brute_independent_set(g: EmbeddedGraph, ground) -> OracleReport:
     """Exact maximum independent subset of a ground set, branch and bound."""
-    ground = sorted(set(ground))
+    ground = vertex_ids(g, ground)
     if len(ground) > _MAX_GROUND:
         raise TooLarge(f"ground set of {len(ground)} exceeds {_MAX_GROUND}")
     t0 = time.time()

@@ -90,27 +90,19 @@ def _dfs_ranks(root: int, children: list[list[int]]) -> list[int]:
     return rank
 
 
-def canonical_order(t: EmbeddedGraph,
-                    outer_triple: tuple[int, int, int] | None = None,
-                    ) -> CanonicalStructure:
-    """Canonical ordering of a triangulation with designated outer triangle.
+def canonical_order(t: EmbeddedGraph) -> CanonicalStructure:
+    """Canonical ordering of a triangulation.
 
-    outer_triple is (v1, v2, vn); by default v1 is the smallest outer vertex,
-    vn its successor on the outer walk and v2 its predecessor.
+    v1 is the smallest outer vertex, vn its successor on the outer walk and
+    v2 its predecessor.
     """
     if not t.is_triangulation():
         raise NotTriangulation("canonical ordering needs a triangulation")
     outer_walk = [u for u, _ in t.faces[t.outer_face].walk]
-    if outer_triple is None:
-        v1 = min(outer_walk)
-        i = outer_walk.index(v1)
-        vn = outer_walk[(i + 1) % 3]
-        v2 = outer_walk[(i - 1) % 3]
-    else:
-        v1, v2, vn = outer_triple
-        if {v1, v2, vn} != set(outer_walk):
-            raise NotTriangulation(
-                f"({v1},{v2},{vn}) is not the outer face {outer_walk}")
+    v1 = min(outer_walk)
+    i = outer_walk.index(v1)
+    vn = outer_walk[(i + 1) % 3]
+    v2 = outer_walk[(i - 1) % 3]
 
     n = t.n
     alive = [True] * n

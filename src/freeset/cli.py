@@ -16,6 +16,7 @@ from . import applications, bruteforce, svg, textio
 from .bench import run_all
 from .curves import validate_curve
 from .errors import (
+    BadSpec,
     DegenerateOutput,
     FreesetError,
     MergeConflict,
@@ -48,6 +49,18 @@ def _run(fn):
 
 def _read_graph(path: str):
     return textio.parse_graph(Path(path).read_text())
+
+
+def _target(text: str | None) -> list[int] | None:
+    """The vertex ids of a comma-separated ``--target``, or None without
+    one."""
+    if not text:
+        return None
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise BadSpec(f"--target {text!r} is not a comma-separated list "
+                      "of vertex ids") from None
 
 
 def _write(out: str | None, text: str) -> None:
@@ -92,9 +105,7 @@ def freeset_cmd(graph_path, method, target, seed, out):
     """Extract an ordered free set with its curve certificate."""
     def go():
         g = _read_graph(graph_path)
-        xs = None
-        if target:
-            xs = [int(t) for t in target.split(",")]
+        xs = _target(target)
         if method == "planar":
             fs = planar_freeset(g, xs)
         elif method == "outerplanar":
@@ -103,22 +114,21 @@ def freeset_cmd(graph_path, method, target, seed, out):
             fs = level_freeset(g, bfs_levels(g), xs)
         elif method == "onebend":
             tree = maxleaf_tree(g, seed=seed)
-            fs, _ = onebend_freeset(g, tree)
+            fs = onebend_freeset(g, tree)
             _write(out, "# free set lives on the fully subdivided graph\n"
                    + textio.serialize_graph(fs.graph)
                    + textio.serialize_freeset(fs))
             return
         else:
             from .embedding import dual_graph
-            dual, mapping = dual_graph(g)
-            cycle_faces = bruteforce.brute_cycles(dual, "hamiltonian").result
+            cycle_faces = bruteforce.brute_cycles(
+                dual_graph(g), "hamiltonian").result
             if cycle_faces is None:
                 click.echo("no hamiltonian dual cycle; guarantee not met",
                            err=True)
                 sys.exit(1)
             from .extractors import dualcycle_freeset
-            fs = dualcycle_freeset(
-                g, [mapping.vertex_backward[f] for f in cycle_faces])
+            fs = dualcycle_freeset(g, cycle_faces)
         _write(out, textio.serialize_freeset(fs))
     _run(go)
 
@@ -250,7 +260,7 @@ def oracle(graph_path, mode, target, trials, seed):
     """Brute-force ground truth searches."""
     def go():
         g = _read_graph(graph_path)
-        tgt = [int(t) for t in target.split(",")] if target else None
+        tgt = _target(target)
         if mode == "curve":
             rep = bruteforce.exhaustive_curve_search(g, tgt or range(g.n))
         elif mode in ("longest", "hamiltonian"):

@@ -394,11 +394,15 @@ def _analyze(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
 
 
 def analyze_curve(g: EmbeddedGraph, cert: CurveCertificate) -> _Analysis:
-    """Full validation; raises InvalidCurve with the first violated invariant."""
+    """Full validation; raises InvalidCurve with the first violated
+    invariant, InconsistentSides when a crossing re-enters the face it
+    left."""
     try:
         return _analyze(g, cert)
     except _Bad as exc:
-        raise InvalidCurve(str(exc)) from None
+        bad = (InconsistentSides if exc.violation.kind == "inconsistent-sides"
+               else InvalidCurve)
+        raise bad(str(exc)) from None
 
 
 def validate_curve(g: EmbeddedGraph, cert: CurveCertificate,
@@ -433,17 +437,9 @@ def side_partition(g: EmbeddedGraph, cert: CurveCertificate) -> SidePartition:
       right.
 
     The flood runs through G - Y and flips sides at crossed edges; G is
-    connected, so it reaches every vertex.  Raises InvalidCurve for
-    structural defects and InconsistentSides when a crossing re-enters the
-    face it left.
+    connected, so it reaches every vertex.  Raises as ``analyze_curve``.
     """
-    try:
-        an = _analyze(g, cert)
-    except _Bad as exc:
-        if exc.violation.kind == "inconsistent-sides":
-            raise InconsistentSides(str(exc)) from None
-        raise InvalidCurve(str(exc)) from None
-    return _side_partition_of(an)
+    return _side_partition_of(analyze_curve(g, cert))
 
 
 _OTHER_SIDE = {"X": "Z", "Z": "X"}

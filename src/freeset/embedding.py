@@ -56,22 +56,6 @@ class Face:
         return frozenset(norm_edge(u, v) for u, v in self.walk)
 
 
-@dataclass(frozen=True)
-class GraphMapping:
-    """Element correspondences between a graph and a derived graph.
-
-    The exact meaning of the keys depends on the operation that produced the
-    mapping (documented there); forward o backward is the identity on
-    surviving elements.
-    """
-
-    vertex_forward: dict
-    vertex_backward: dict
-    edge_forward: dict
-    edge_backward: dict
-    new_edges: tuple = ()
-
-
 def _trace_faces(rot: Sequence[Sequence[int]],
                  index: Sequence[dict[int, int]] | None = None,
                  ) -> tuple[list[list[DirectedEdge]], dict[DirectedEdge, int]]:
@@ -139,18 +123,12 @@ class EmbeddedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self._edges
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rot[v]
-
     def rot_index(self, v: int, u: int) -> int:
         return self._rot_index[v][u]
 
     def face_of(self, u: int, v: int) -> int:
         """Id of the face on the left of the directed edge (u, v)."""
         return self._face_of[(u, v)]
-
-    def face(self, fid: int) -> Face:
-        return self.faces[fid]
 
     def corner_face(self, v: int, j: int) -> int:
         """Face in the angular sector from rot[v][j-1] ccw to rot[v][j]."""
@@ -178,6 +156,16 @@ class EmbeddedGraph:
     def __repr__(self) -> str:
         return (f"EmbeddedGraph(n={self.n}, m={len(self._edges)}, "
                 f"f={len(self.faces)})")
+
+
+def vertex_ids(g: EmbeddedGraph, vs: Iterable[int]) -> list[int]:
+    """The distinct ids in ``vs``, sorted; UnknownElement names one that is
+    not a vertex of g."""
+    out = sorted(set(vs))
+    if out and (out[0] < 0 or out[-1] >= g.n):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise UnknownElement(f"vertex {bad} not in a graph of {g.n} vertices")
+    return out
 
 
 def _checked_rotation(n: int, rotations: Sequence[Sequence[int]]) -> tuple:
@@ -322,53 +310,26 @@ def embed_from_faces(vertex_count: int,
 # Dual graphs
 # ---------------------------------------------------------------------------
 
-def dual_graph(g: EmbeddedGraph, weak: bool = False,
-               ) -> tuple[EmbeddedGraph, GraphMapping]:
-    """Dual (or weak dual) of an embedding: one vertex per face, one edge per
+def dual_graph(g: EmbeddedGraph) -> EmbeddedGraph:
+    """Dual of an embedding: vertex i is face i, and one edge joins each
     pair of faces sharing a primal edge.
 
-    The construction requires the dual to be simple once the outer face is
-    dropped in weak mode: a bridge (same face on both sides) or two faces
-    sharing more than one edge raise MultiEdgeOrLoop.  Mapping semantics:
-    vertex_forward maps primal face ids to dual vertex ids, edge_forward maps
-    primal edges to dual edges.
+    The dual must be simple: a bridge (same face on both sides) or two
+    faces sharing more than one edge raise MultiEdgeOrLoop.
     """
-    keep = [f.id for f in g.faces if not (weak and f.is_outer)]
-    if not keep:
-        raise TooSmall("weak dual of a graph with a single face is empty")
-    relabel = {fid: i for i, fid in enumerate(keep)}
-    kept = set(keep)
-
-    rot_dual: list[list[int]] = [[] for _ in keep]
-    edge_fwd: dict[Edge, Edge] = {}
-    for fid in keep:
-        for (u, v) in g.faces[fid].walk:
+    rot_dual: list[list[int]] = [[] for _ in g.faces]
+    for f in g.faces:
+        for (u, v) in f.walk:
             other = g.face_of(v, u)
-            if other == fid:
+            if other == f.id:
                 raise MultiEdgeOrLoop(
-                    f"edge {norm_edge(u, v)} has face {fid} on both sides")
-            if other not in kept:
-                continue
-            rot_dual[relabel[fid]].append(relabel[other])
-            e = norm_edge(u, v)
-            d = norm_edge(relabel[fid], relabel[other])
-            if e in edge_fwd and edge_fwd[e] != d:
-                raise MultiEdgeOrLoop("inconsistent dual adjacency")
-            edge_fwd[e] = d
-    for fid in keep:
-        nbrs = rot_dual[relabel[fid]]
+                    f"edge {norm_edge(u, v)} has face {f.id} on both sides")
+            rot_dual[f.id].append(other)
+    for fid, nbrs in enumerate(rot_dual):
         if len(set(nbrs)) != len(nbrs):
             raise MultiEdgeOrLoop(
                 f"faces adjacent to face {fid} share more than one edge")
-
-    dual = build_embedded(len(keep), rot_dual)
-    mapping = GraphMapping(
-        vertex_forward={fid: relabel[fid] for fid in keep},
-        vertex_backward={relabel[fid]: fid for fid in keep},
-        edge_forward=edge_fwd,
-        edge_backward={d: e for e, d in edge_fwd.items()},
-    )
-    return dual, mapping
+    return build_embedded(len(g.faces), rot_dual)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +433,12 @@ def _chord_positions(walk_vertices: list[int], edges: set[Edge],
     return None
 
 
-def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
+def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, list[Edge]]:
     """Add edges until every face (the outer one included) is a triangle.
 
     Output has exactly 3V-6 edges and stays simple; a triangulation is
-    returned as it is.  The mapping is the identity on vertices and original
-    edges; added edges are listed in ``new_edges`` in insertion order.  Each
+    returned as it is.  Returns the triangulation and the added edges in
+    insertion order; vertices and the input's edges keep their ids.  Each
     face is split by :func:`insert_chords`, preferring ears, so the faces
     are traced once (for the result) and a chord costs O(face length) plus
     its search.
@@ -495,27 +456,18 @@ def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, GraphMapping]:
     rot, added = insert_chords(
         g.rot, (f.vertices for f in g.faces if f.size > 3), g.edges, choose)
     result = _rebuild(rot, g.faces[g.outer_face].walk[0]) if added else g
-    mapping = GraphMapping(
-        vertex_forward={v: v for v in range(g.n)},
-        vertex_backward={v: v for v in range(g.n)},
-        edge_forward={e: e for e in g.edges},
-        edge_backward={e: e for e in g.edges},
-        new_edges=tuple(added),
-    )
-    return result, mapping
+    return result, added
 
 
 # ---------------------------------------------------------------------------
-# Subdivision and induced subgraphs
+# Subdivision
 # ---------------------------------------------------------------------------
 
-def subdivide(g: EmbeddedGraph, edge_list: Sequence[Edge],
-              ) -> tuple[EmbeddedGraph, GraphMapping]:
+def subdivide(g: EmbeddedGraph, edge_list: Sequence[Edge]) -> EmbeddedGraph:
     """Insert one degree-2 vertex in each listed edge, preserving rotations.
 
-    New vertices get ids n, n+1, ... in the order of ``edge_list``.  The
-    mapping sends each subdivided edge to its two halves (edge_forward) and
-    each half back to the original edge.
+    The midpoint of ``edge_list[k]`` = (u, w), u < w, is vertex g.n + k,
+    with rotation [u, w]; the other vertices keep their ids.
     """
     todo = []
     seen: set[Edge] = set()
@@ -529,30 +481,14 @@ def subdivide(g: EmbeddedGraph, edge_list: Sequence[Edge],
         todo.append(e)
 
     rot = [list(r) for r in g.rot]
-    edge_fwd: dict[Edge, tuple[Edge, Edge] | Edge] = {
-        e: e for e in g.edges if e not in seen}
-    edge_bwd: dict[Edge, Edge] = {e: e for e in g.edges if e not in seen}
-    mid = g.n
-    for (u, v) in todo:
+    for mid, (u, v) in enumerate(todo, g.n):
         rot[u][rot[u].index(v)] = mid
         rot[v][rot[v].index(u)] = mid
         rot.append([u, v])
-        h1, h2 = norm_edge(u, mid), norm_edge(v, mid)
-        edge_fwd[(u, v)] = (h1, h2)
-        edge_bwd[h1] = (u, v)
-        edge_bwd[h2] = (u, v)
-        mid += 1
 
     outer_walk = g.faces[g.outer_face].walk
     u0, v0 = outer_walk[0]
     marker = (u0, v0)
     if norm_edge(u0, v0) in seen:
         marker = (u0, g.n + todo.index(norm_edge(u0, v0)))
-    result = _rebuild(rot, marker)
-    mapping = GraphMapping(
-        vertex_forward={v: v for v in range(g.n)},
-        vertex_backward={v: v for v in range(g.n)},
-        edge_forward=edge_fwd,
-        edge_backward=edge_bwd,
-    )
-    return result, mapping
+    return _rebuild(rot, marker)

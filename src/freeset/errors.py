@@ -42,8 +42,8 @@ class InvalidCurve(FreesetError):
     """A certificate failed validation; message carries the locus."""
 
 
-class InconsistentSides(FreesetError):
-    pass
+class InconsistentSides(InvalidCurve):
+    """A crossing re-enters the face it left."""
 
 
 class NotOnBoundary(FreesetError):

@@ -33,11 +33,11 @@ from .curves import (
 )
 from .embedding import (
     EmbeddedGraph,
-    GraphMapping,
     _trace_faces,
     norm_edge,
     subdivide,
     triangulate,
+    vertex_ids,
 )
 from .errors import (
     AntichainTooShort,
@@ -479,7 +479,7 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
     validated once, on g.
     """
     full = xs is None
-    xs = sorted(set(range(g.n) if full else xs))
+    xs = vertex_ids(g, range(g.n) if full else xs)
     if not xs:
         raise TooSmall("target set is empty")
     if g.n <= 2:
@@ -494,7 +494,7 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         return OrderedFreeSet(graph=g, order=tuple(range(g.n)),
                               certificate=cert, provenance="trivial",
                               bound_met=f"|S|={g.n} (whole graph)")
-    t, tmap = triangulate(g)
+    t, added = triangulate(g)
     cs = canonical_order(t)
     if len(xs) == 1 and xs[0] in (cs.v1, cs.v2):
         # the source and the sink are comparable to every vertex, so no
@@ -529,7 +529,7 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
         if pair is not None:
             return pair
 
-    cert = _restrict_certificate(g, t, tmap.new_edges, cert)
+    cert = _restrict_certificate(g, t, added, cert)
     in_picked = set(picked)
     order = tuple(v for v in cert.vertex_order() if v in in_picked)
     bound = antichain_bound(len(xs))
@@ -639,7 +639,7 @@ def level_freeset(g: EmbeddedGraph, la: LevelAssignment,
     spanning a chosen level exactly once.
     """
     la.check(g)
-    xs = sorted(set(range(g.n) if xs is None else xs))
+    xs = vertex_ids(g, range(g.n) if xs is None else xs)
     mod = la.span + 1
     lvls = sorted(la.order)
     best_r = max(range(mod), key=lambda r: (
@@ -717,7 +717,9 @@ def maxleaf_tree(g: EmbeddedGraph, seed: int | None = None) -> SpanningTree:
     """Greedy many-leaf spanning tree (no guarantee asserted).
 
     Grows from a maximum-degree vertex, always attaching the vertex whose
-    attachment adds the most leaves, then improves by 1-swaps.
+    attachment adds the most leaves, then improves by 1-swaps until none
+    adds a leaf.  Each accepted swap adds one leaf, so that takes at most
+    n rounds.
     """
     n = g.n
     rng = random.Random(seed) if seed is not None else None
@@ -760,7 +762,8 @@ def maxleaf_tree(g: EmbeddedGraph, seed: int | None = None) -> SpanningTree:
             x = parent[x]
         return False
 
-    for _ in range(20):
+    improved = True
+    while improved:
         improved = False
         for u in range(n):
             if parent[u] is None:
@@ -776,8 +779,6 @@ def maxleaf_tree(g: EmbeddedGraph, seed: int | None = None) -> SpanningTree:
                     parent[u] = t
                     improved = True
                     p = t
-        if not improved:
-            break
 
     edges = frozenset(norm_edge(u, p) for u, p in parent.items()
                       if p is not None)
@@ -785,15 +786,15 @@ def maxleaf_tree(g: EmbeddedGraph, seed: int | None = None) -> SpanningTree:
     return SpanningTree(edges=edges, leaf_count=leaves)
 
 
-def onebend_freeset(g: EmbeddedGraph, tree: SpanningTree,
-                    ) -> tuple[OrderedFreeSet, GraphMapping]:
+def onebend_freeset(g: EmbeddedGraph, tree: SpanningTree) -> OrderedFreeSet:
     """The leaves of a spanning tree as a free set of the fully subdivided
     graph (a one-bend collinear set of the original graph).
 
     The curve follows the tree contour, passing through each leaf and
     crossing the near half of every non-tree edge met between consecutive
-    tree edges in a rotation.  Returns the free set on the subdivided graph
-    together with the subdivision mapping.
+    tree edges in a rotation.  The free set's graph is ``g`` with every
+    edge subdivided: the k-th edge in sorted order gets the midpoint
+    g.n + k (``subdivide``).
     """
     n = g.n
     tset = set(tree.edges)
@@ -806,8 +807,9 @@ def onebend_freeset(g: EmbeddedGraph, tree: SpanningTree,
     if 0 in t_deg and n > 1:
         raise NotSpanningTree("tree does not span every vertex")
 
-    gp, mp = subdivide(g, sorted(g.edges))
-    mid = {e: mp.edge_forward[e][0][1] for e in g.edges}
+    edges = sorted(g.edges)
+    gp = subdivide(g, edges)
+    mid = {e: k for k, e in enumerate(edges, n)}
 
     leaves = [v for v in range(n) if t_deg[v] == 1]
     l0 = min(leaves)
@@ -849,14 +851,13 @@ def onebend_freeset(g: EmbeddedGraph, tree: SpanningTree,
     passages = tuple(before[1:] + before[:1])
     cert = _rotate_to_vertex_start(CurveCertificate(items, passages))
     order = cert.vertex_order()
-    ofs = OrderedFreeSet(
+    return OrderedFreeSet(
         graph=gp,
         order=order,
         certificate=cert,
         provenance="onebend-tree-leaves",
         bound_met=f"|S|={len(order)} = leaf count (no ratio asserted)",
     )
-    return ofs, mp
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from freeset import build_embedded, embedding, extractors
-from freeset.embedding import GraphMapping, norm_edge
 from freeset.generators import (
     fan,
     goldner_harary,
@@ -23,25 +22,16 @@ def k4():
 
 def induce(g, vertices, outer_face_hint=None):
     """Induced subgraph on a vertex set, inheriting the cyclic orders, and
-    its mapping.  Vertices are relabelled densely in increasing order of
-    their original ids; ``build_embedded`` raises Disconnected when the
-    result is not connected."""
+    its relabelling (old id -> new id).  Vertices are relabelled densely in
+    increasing order of their original ids; ``build_embedded`` raises
+    Disconnected when the result is not connected."""
     keep = sorted(set(vertices))
     relabel = {v: i for i, v in enumerate(keep)}
     rot = [[relabel[u] for u in g.rot[v] if u in relabel] for v in keep]
     hint = None
     if outer_face_hint is not None:
         hint = [relabel[v] for v in outer_face_hint]
-    h = build_embedded(len(keep), rot, outer_face_hint=hint)
-    edges = {norm_edge(u, v): norm_edge(relabel[u], relabel[v])
-             for u, v in g.edges if u in relabel and v in relabel}
-    mapping = GraphMapping(
-        vertex_forward=dict(relabel),
-        vertex_backward={i: v for v, i in relabel.items()},
-        edge_forward=edges,
-        edge_backward={new: old for old, new in edges.items()},
-    )
-    return h, mapping
+    return build_embedded(len(keep), rot, outer_face_hint=hint), relabel
 
 
 def segments(d):

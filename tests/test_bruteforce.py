@@ -13,7 +13,7 @@ from freeset.bruteforce import (
     max_proper_good_size,
 )
 from freeset.curves import CrossItem, CurveCertificate
-from freeset.errors import TooLarge
+from freeset.errors import TooLarge, UnknownElement
 from freeset.extractors import OrderedFreeSet, planar_freeset
 from freeset.generators import cycle, star
 
@@ -47,7 +47,7 @@ class TestCurveSearch:
 
 class TestCycles:
     def test_cube_longest(self, octa):
-        cube, _ = dual_graph(octa)
+        cube = dual_graph(octa)
         assert brute_cycles(cube, "longest").result == 8
 
     def test_k4_longest(self, k4):
@@ -79,6 +79,12 @@ class TestIndependentSet:
 
     def test_empty_ground(self, k4):
         assert brute_independent_set(k4, []).result == ()
+
+    @pytest.mark.parametrize("search", [brute_independent_set,
+                                        exhaustive_curve_search])
+    def test_unknown_ground_rejected(self, k4, search):
+        with pytest.raises(UnknownElement, match="vertex 99 "):
+            search(k4, [1, 99])
 
 
 class TestFalsify:

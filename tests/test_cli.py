@@ -396,6 +396,26 @@ def test_cli_rejects_mutated_file(tmp_path, kind, case):
     assert "Traceback" not in r.output
 
 
+TARGET_CASES = [("freeset", "1,,2"), ("freeset", "a"), ("freeset", "999"),
+                ("freeset", "-1"), ("oracle", "1,x"), ("oracle", "99")]
+
+
+@pytest.mark.parametrize("command,target", TARGET_CASES,
+                         ids=[f"{c}-{t}" for c, t in TARGET_CASES])
+def test_cli_rejects_bad_target(tmp_path, command, target):
+    # a malformed or unknown --target is invalid input: exit code 2 and
+    # one error line, never a traceback
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(random_triangulation(12, 4)))
+    args = [command, "--graph", str(gpath), "--target", target]
+    if command == "oracle":
+        args += ["--mode", "mis"]
+    r = CliRunner().invoke(main, args)
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.output
+
+
 def test_svg_rejects_mutated_certificate(tmp_path):
     # the free set is validated when it is parsed, before anything renders
     g = random_triangulation(30, 1)

@@ -9,6 +9,7 @@ from freeset.curves import (
     CrossItem,
     CurveCertificate,
     VertexItem,
+    analyze_curve,
     caressed_vertices,
     dual_cycle_certificate,
     reroute_caressed,
@@ -18,10 +19,12 @@ from freeset.curves import (
 )
 from freeset.errors import (
     InconsistentSides,
+    InvalidCurve,
     NotCaressed,
     NotIndependent,
     TooFew,
 )
+from freeset.extractors import OrderedFreeSet
 from freeset.generators import cycle, star
 
 
@@ -104,14 +107,21 @@ class TestSidePartition:
             {frozenset({0}), frozenset()}
 
     def test_triangle_triple_cross_inconsistent(self):
+        # one violation, one exception: the analysis, the side partition and
+        # a free set made from the certificate all raise InconsistentSides,
+        # which is an InvalidCurve
         g = cycle(3)
         f1 = g.face_of(0, 1)
         f0 = g.face_of(1, 0)
         cert = CurveCertificate(
             items=(CrossItem((0, 1)), CrossItem((1, 2)), CrossItem((0, 2))),
             passages=(f1, f0, f1))
-        with pytest.raises(InconsistentSides):
-            side_partition(g, cert)
+        makers = (analyze_curve, side_partition,
+                  lambda g, cert: OrderedFreeSet(g, (), cert, "test", "-"))
+        for make in makers:
+            with pytest.raises(InconsistentSides):
+                make(g, cert)
+        assert issubclass(InconsistentSides, InvalidCurve)
 
     def test_crossed_edge_written_high_low(self):
         g = cycle(4)

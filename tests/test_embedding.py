@@ -28,6 +28,7 @@ from freeset.generators import (
     grid,
     icosahedron,
     maximal_outerplanar,
+    octahedron,
     path,
     random_triangulation,
     stacked_3tree,
@@ -89,20 +90,14 @@ class TestBuild:
 
 class TestDual:
     def test_k4_self_dual(self, k4):
-        d, mapping = dual_graph(k4)
+        d = dual_graph(k4)
         assert d.n == 4
         assert all(d.degree(v) == 3 for v in range(4))
         check_consistency(d)
-        assert len(mapping.edge_forward) == 6
-
-    def test_weak_dual_of_fan_is_path(self, fan6):
-        d, _ = dual_graph(fan6, weak=True)
-        assert d.n == 4
-        degs = sorted(d.degree(v) for v in range(d.n))
-        assert degs == [1, 1, 2, 2]
+        assert len(d.edges) == 6
 
     def test_octahedron_dual_is_cube(self, octa):
-        d, _ = dual_graph(octa)
+        d = dual_graph(octa)
         assert d.n == 8
         assert all(d.degree(v) == 3 for v in range(8))
         assert all(f.size == 4 for f in d.faces)
@@ -112,32 +107,40 @@ class TestDual:
         with pytest.raises(MultiEdgeOrLoop):
             dual_graph(path(3))
 
-    def test_mapping_roundtrip(self, octa):
-        d, mp = dual_graph(octa)
-        for e, de in mp.edge_forward.items():
-            assert mp.edge_backward[de] == e
-        for f, v in mp.vertex_forward.items():
-            assert mp.vertex_backward[v] == f
+    @pytest.mark.parametrize("g", [octahedron(), icosahedron(),
+                                   stacked_3tree(12, 9),
+                                   random_triangulation(30, 2)],
+                             ids=["octahedron", "icosahedron", "stacked-12",
+                                  "triangulation-30"])
+    def test_dual_vertex_is_face(self, g):
+        # vertex i is face i; its rotation lists the faces across the darts
+        # of face i's walk, so each dual edge crosses one edge of g
+        d = dual_graph(g)
+        assert d.n == len(g.faces)
+        for f in g.faces:
+            assert d.rot[f.id] == tuple(g.face_of(v, u) for u, v in f.walk)
+        for i, j in d.edges:
+            assert g.faces[i].edge_set() & g.faces[j].edge_set()
 
 
 class TestTriangulate:
     def test_c4_to_k4(self):
         g = cycle(4)
-        t, mp = triangulate(g)
+        t, added = triangulate(g)
         assert len(t.edges) == 6
         assert t.is_triangulation()
-        assert len(mp.new_edges) == 2
+        assert len(added) == 2
         # one diagonal inside, one outside: they must be the two distinct ones
-        assert set(mp.new_edges) == {(0, 2), (1, 3)}
+        assert set(added) == {(0, 2), (1, 3)}
         check_consistency(t)
 
     def test_identity_on_triangulation(self, k4):
-        t, mp = triangulate(k4)
-        assert mp.new_edges == ()
+        t, added = triangulate(k4)
+        assert added == []
         assert t.rot == k4.rot
 
     def test_path_to_triangle(self):
-        t, mp = triangulate(path(3))
+        t, _ = triangulate(path(3))
         assert t.is_triangulation()
         assert len(t.edges) == 3
         for e in path(3).edges:
@@ -154,15 +157,14 @@ class TestTriangulate:
         g = maximal_outerplanar(rng.randint(4, 12), seed)
         # drop some chords by inducing on everything (keeps graph) then
         # triangulate the original: must reach 3n-6 and stay simple
-        t, mp = triangulate(g)
+        t, added = triangulate(g)
         assert len(t.edges) == 3 * t.n - 6
         assert t.is_triangulation()
         check_consistency(t)
         # idempotence
-        t2, mp2 = triangulate(t)
-        assert mp2.new_edges == ()
+        assert triangulate(t)[1] == []
         # removing added edges recovers the input's face count
-        assert len(t.faces) == len(g.faces) + len(mp.new_edges)
+        assert len(t.faces) == len(g.faces) + len(added)
 
 
 def reference_triangulate(g):
@@ -211,8 +213,11 @@ class TestTriangulateInPlace:
                              ids=[f"{f}{a}" for f, a in TRIANGULATE_CORPUS])
     def test_matches_retrace_loop(self, family, args):
         g = FAMILIES[family](*args)
-        t, mp = triangulate(g)
-        assert (t.rot, t.outer_face, mp.new_edges) == reference_triangulate(g)
+        t, added = triangulate(g)
+        assert (t.rot, t.outer_face, tuple(added)) == reference_triangulate(g)
+        # the added edges are t.edges - g.edges, each listed once
+        assert set(added) == t.edges - g.edges
+        assert len(added) == len(set(added))
 
     def test_corpus_repeats_vertices_on_faces(self):
         # the in-place split must also hold where a walk revisits a vertex
@@ -370,18 +375,34 @@ class TestBuildEmbeddedOracle:
 class TestDerive:
     def test_subdivide_k3_gives_c6(self):
         g = cycle(3)
-        h, mp = subdivide(g, list(g.edges))
+        h = subdivide(g, list(g.edges))
         assert h.n == 6
         assert all(h.degree(v) == 2 for v in range(6))
         assert len(h.faces) == 2
         check_consistency(h)
 
     def test_subdivide_one_edge_of_k4(self, k4):
-        h, mp = subdivide(k4, [(0, 1)])
+        h = subdivide(k4, [(0, 1)])
         assert h.n == 5
         assert len(h.edges) == 7
-        halves = mp.edge_forward[(0, 1)]
-        assert halves == ((0, 4), (1, 4))
+        assert h.rot[4] == (0, 1)
+        assert not h.has_edge(0, 1)
+        check_consistency(h)
+
+    @pytest.mark.parametrize("g", [octahedron(), grid(3, 4),
+                                   thinned_triangulation(20, 1)],
+                             ids=["octahedron", "grid-3x4", "thinned-20"])
+    def test_midpoint_of_kth_edge(self, g):
+        # the midpoint of edges[k] = (u, w) is g.n + k with rotation [u, w],
+        # in the slots of w at u and of u at w, whichever way (u, w) is given
+        edges = sorted(g.edges, key=lambda e: (e[1] * 7 + e[0]) % 11)[::2]
+        h = subdivide(g, [(w, u) for u, w in edges])
+        assert h.n == g.n + len(edges)
+        for k, (u, w) in enumerate(edges):
+            mid = g.n + k
+            assert h.rot[mid] == (u, w)
+            assert h.rot[u][g.rot_index(u, w)] == mid
+            assert h.rot[w][g.rot_index(w, u)] == mid
         check_consistency(h)
 
     def test_subdivide_unknown_edge(self, k4):
@@ -389,12 +410,10 @@ class TestDerive:
             subdivide(k4, [(0, 5)])
 
     def test_induce_triangle_from_k4(self, k4):
-        h, mp = induce(k4, [0, 3, 1])
+        h, relabel = induce(k4, [0, 3, 1])
         assert h.n == 3
         assert len(h.edges) == 3
-        assert sorted(mp.vertex_forward) == [0, 1, 3]
-        for old, new in mp.vertex_forward.items():
-            assert mp.vertex_backward[new] == old
+        assert relabel == {0: 0, 1: 1, 3: 2}
 
     def test_induce_disconnected(self, octa):
         with pytest.raises(Disconnected):

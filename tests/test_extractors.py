@@ -17,6 +17,7 @@ from freeset.errors import (
     NotMaximalOuterplane,
     NotSpanningTree,
     TooSmall,
+    UnknownElement,
 )
 from freeset.extractors import (
     LevelAssignment,
@@ -271,6 +272,16 @@ class TestPlanarFreeset:
         assert all(v in it for v in fs.order)
 
 
+@pytest.mark.parametrize("extract,bad", [
+    (lambda xs: planar_freeset(random_triangulation(12, 5), xs), 999),
+    (lambda xs: planar_freeset(random_triangulation(12, 5), xs), -1),
+    (lambda xs: level_freeset(path(5), bfs_levels(path(5)), xs), 9),
+], ids=["planar-999", "planar-minus-1", "level-9"])
+def test_unknown_target_rejected(extract, bad):
+    with pytest.raises(UnknownElement, match=f"vertex {bad} "):
+        extract([1, bad])
+
+
 class TestLevel:
     def test_path5(self):
         fs = level_freeset(path(5), bfs_levels(path(5), 0))
@@ -332,14 +343,14 @@ class TestTrees:
         from freeset.extractors import SpanningTree
         tree = SpanningTree(edges=frozenset({(0, 1), (0, 2), (0, 3)}),
                             leaf_count=3)
-        fs, mapping = onebend_freeset(k4, tree)
+        fs = onebend_freeset(k4, tree)
         assert set(fs.order) == {1, 2, 3}
         assert fs.order[0] == 1  # rotation order around the hub, from b
         assert validate_curve(fs.graph, fs.certificate) is None
 
     def test_onebend_crossings_cover_nontree_halves(self, octa):
         tree = maxleaf_tree(octa)
-        fs, mapping = onebend_freeset(octa, tree)
+        fs = onebend_freeset(octa, tree)
         assert validate_curve(fs.graph, fs.certificate) is None
         crossed = set(fs.certificate.crossed_edges())
         assert len(crossed) == len(set(crossed))
@@ -351,7 +362,7 @@ class TestTrees:
     def test_goldner_harary_ceiling(self, gh):
         for seed in range(10):
             tree = maxleaf_tree(gh, seed=seed)
-            fs, _ = onebend_freeset(gh, tree)
+            fs = onebend_freeset(gh, tree)
             assert len(fs.order) <= 10
 
     def test_not_spanning_rejected(self, k4):

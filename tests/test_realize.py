@@ -392,7 +392,7 @@ def lifted_halves(g, cert) -> dict:
     rel).  On a certificate that crosses no bridge it is the construction
     on g."""
     crossed = sorted(norm_edge(*e) for e in cert.crossed_edges())
-    gp, _ = embedding.subdivide(g, crossed)
+    gp = embedding.subdivide(g, crossed)
     mids = {e: g.n + k for k, e in enumerate(crossed)}
     fmap = {}
     for f in g.faces:

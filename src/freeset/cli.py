@@ -21,6 +21,7 @@ from .errors import (
     FreesetError,
     MergeConflict,
     SingularSystem,
+    UnreadableFile,
 )
 from .extractors import (
     bfs_levels,
@@ -47,8 +48,19 @@ def _run(fn):
         sys.exit(2)
 
 
+def _read(path: str) -> str:
+    """The text of an input file; UnreadableFile when it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UnreadableFile(f"cannot read {path}: "
+                             f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise UnreadableFile(f"cannot read {path}: not text") from None
+
+
 def _read_graph(path: str):
-    return textio.parse_graph(Path(path).read_text())
+    return textio.parse_graph(_read(path))
 
 
 def _target(text: str | None) -> list[int] | None:
@@ -104,6 +116,8 @@ def gen(family, n, rows, cols, seed, out):
 def freeset_cmd(graph_path, method, target, seed, out):
     """Extract an ordered free set with its curve certificate."""
     def go():
+        if target and method not in ("planar", "level"):
+            raise BadSpec(f"--method {method} takes no --target")
         g = _read_graph(graph_path)
         xs = _target(target)
         if method == "planar":
@@ -145,8 +159,8 @@ def realize(graph_path, freeset_path, points_path, fmt, out):
     """Realize a free set at prescribed points (verified drawing)."""
     def go():
         g = _read_graph(graph_path)
-        fs = textio.parse_freeset(Path(freeset_path).read_text(), g)
-        pts = textio.parse_points(Path(points_path).read_text())
+        fs = textio.parse_freeset(_read(freeset_path), g)
+        pts = textio.parse_points(_read(points_path))
         d = free_realize(g, fs, pts)
         if fmt == "svg":
             _write(out, svg.export_svg(d, certificate=fs.certificate,
@@ -167,7 +181,7 @@ def untangle(graph_path, positions_path, fmt, out):
     """Untangle a straight-line drawing keeping many vertices fixed."""
     def go():
         g = _read_graph(graph_path)
-        pts = textio.parse_points(Path(positions_path).read_text())
+        pts = textio.parse_points(_read(positions_path))
         res = applications.untangle(g, dict(enumerate(pts)))
         click.echo(f"# fixed {len(res.fixed)} of {g.n}: "
                    + " ".join(map(str, res.fixed)), err=True)
@@ -231,14 +245,14 @@ def verify(graph_path, drawing_path, cert_path):
         g = _read_graph(graph_path)
         failed = False
         if drawing_path:
-            d = textio.parse_drawing(Path(drawing_path).read_text(), g,
+            d = textio.parse_drawing(_read(drawing_path), g,
                                      verify=False)
             violation = verify_drawing(g, d)
             click.echo("drawing: ok" if violation is None
                        else f"drawing: {violation}")
             failed |= violation is not None
         if cert_path:
-            cert = textio.parse_certificate(Path(cert_path).read_text())
+            cert = textio.parse_certificate(_read(cert_path))
             violation = validate_curve(g, cert)
             click.echo("certificate: ok" if violation is None
                        else f"certificate: {violation}")
@@ -284,11 +298,11 @@ def svg_cmd(graph_path, drawing_path, freeset_path, out):
     """Render a verified drawing to SVG."""
     def go():
         g = _read_graph(graph_path)
-        d = textio.parse_drawing(Path(drawing_path).read_text(), g)
+        d = textio.parse_drawing(_read(drawing_path), g)
         cert = None
         highlight = ()
         if freeset_path:
-            fs = textio.parse_freeset(Path(freeset_path).read_text(), g)
+            fs = textio.parse_freeset(_read(freeset_path), g)
             cert = fs.certificate
             highlight = fs.order
         _write(out, svg.export_svg(d, certificate=cert, highlight=highlight))

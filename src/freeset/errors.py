@@ -139,6 +139,10 @@ class GraphFormatError(FreesetError):
     """Syntax error in a text format; message includes the line number."""
 
 
+class UnreadableFile(FreesetError):
+    """An input file could not be read as text; the message names it."""
+
+
 class BadSpec(FreesetError):
     pass
 

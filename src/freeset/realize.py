@@ -795,6 +795,10 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
+# bits a coordinate keeps in the coarse stage of ``_clearance_sq``
+_COARSE_BITS = 60
+
+
 def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
                     ) -> tuple[tuple[int, int, tuple[int, ...], Edge], ...]:
     """The tests ``_clearance_sq`` makes, as (a, b, points, edge): the
@@ -844,9 +848,23 @@ def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
     point reaches such a piece; just before, the two see each other, so they
     share a face that touches a moving vertex.  Only those pairs are tested
     (``_clearance_plan``), on d's grid brought to a single scale for both
-    axes, and a point outside a piece's box grown by the floor of the least
-    D so far is skipped.  D² = 0, a point on a piece of the base, raises
-    DegenerateOutput.
+    axes.  D² = 0, a point on a piece of the base, raises DegenerateOutput
+    naming the first such pair of the plan.
+
+    The scan runs in two stages.  The coarse stage measures the plan's
+    pairs on the grid shifted right by sh, which leaves each coordinate at
+    most ``_COARSE_BITS`` bits.  Flooring moves each point by less than √2,
+    and each point of a piece by less than √2 too (it is a convex
+    combination of the piece's ends), so a pair's coarse distance c is
+    within 2√2 of its exact distance over 2^sh.  Let m be the least c.  A
+    pair with c > m + 6 > m + 4√2 is then exactly farther than the pair
+    that gave m: it is neither a nearest pair nor a pair at D = 0.  The
+    scan keeps an integer T above the least c so far plus 6 and drops a
+    pair with c > T, or whose point lies outside the piece's box grown by
+    T; T only falls, so each dropped pair has c > m + 6.  The exact stage
+    measures the pairs left with c <= T, in plan order, with the strict <
+    of a full exact scan, so it finds the same D² and, at D² = 0, names
+    the same first pair.
 
     The plan is kept on the graph as one entry (bend layout, moving set,
     plan), built again when the layout or the moving set differs.
@@ -857,36 +875,46 @@ def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
     kept = g._plan
     if kept is None or kept[:2] != (layout, moving):
         kept = g._plan = (layout, moving, _clearance_plan(g, layout, moving))
-    pieces = kept[2]
     pts = list(d.pos)
     for e, _ in layout:
         pts.extend(d.bends[e])
     scale = lcm(d.dx, d.dy)
     mx, my = scale // d.dx, scale // d.dy
     grid = [(x * mx, y * my) for x, y in pts]
-    reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
-    best = None  # (num, den, point, edge): D² = num / den on the grid
-    for a, b, points, e in pieces:
-        (ax, ay), (bx, by) = grid[a], grid[b]
+    top = max(abs(c) for p in grid for c in p)
+    sh = max(0, top.bit_length() - _COARSE_BITS)
+    coarse = [(x >> sh, y >> sh) for x, y in grid]
+
+    # any two coarse points are within reach on each axis, so within t2
+    # squared; (bn, bd) = (1, 0) stands for no pair yet
+    reach = 2 * (top >> sh) + 2
+    t2 = 2 * reach * reach
+    bn, bd = 1, 0
+    near = []  # (num, den, point, a, b, edge): coarse D² = num / den <= T²
+    for a, b, points, e in kept[2]:
+        (ax, ay), (bx, by) = coarse[a], coarse[b]
         x0, x1 = (ax, bx) if ax < bx else (bx, ax)
         y0, y1 = (ay, by) if ay < by else (by, ay)
         x0, x1, y0, y1 = x0 - reach, x1 + reach, y0 - reach, y1 + reach
-        dx, dy = bx - ax, by - ay
         for i in points:
-            px, py = grid[i]
+            px, py = coarse[i]
             if not (x0 <= px <= x1 and y0 <= py <= y1):
                 continue
-            wx, wy = px - ax, py - ay
-            dot = wx * dx + wy * dy
-            if dot <= 0:
-                num, den = wx * wx + wy * wy, 1
-            elif dot >= dx * dx + dy * dy:
-                num, den = (px - bx) ** 2 + (py - by) ** 2, 1
-            else:
-                num, den = (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, i, e)
-                reach = isqrt(num // den)
+            num, den = _point_piece_sq(coarse[i], coarse[a], coarse[b])
+            if num > t2 * den:
+                continue
+            near.append((num, den, i, a, b, e))
+            if num * bd < bn * den:
+                bn, bd = num, den
+                reach = isqrt(num // den) + 7  # T > sqrt(num / den) + 6
+                t2 = reach * reach
+    best = None  # (num, den, point, edge): D² = num / den on the grid
+    for num, den, i, a, b, e in near:
+        if num > t2 * den:
+            continue
+        num, den = _point_piece_sq(grid[i], grid[a], grid[b])
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den, i, e)
     if best is not None and best[0] == 0:
         i, e = best[2:]
         owners = [f for f, nb in layout for _ in range(nb)]  # of the bends
@@ -895,6 +923,20 @@ def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
         raise _degenerate("collinear", DrawingViolation(
             "vertex-on-edge", f"{point} lies on edge {e}"))
     return None if best is None else F(best[0], best[1] * scale * scale)
+
+
+def _point_piece_sq(p, a, b) -> tuple[int, int]:
+    """Squared distance from integer point p to the piece ab, as
+    (numerator, denominator)."""
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    wx, wy = px - ax, py - ay
+    dot = wx * dx + wy * dy
+    if dot <= 0:
+        return wx * wx + wy * wy, 1
+    if dot >= dx * dx + dy * dy:
+        return (px - bx) ** 2 + (py - by) ** 2, 1
+    return (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
 
 
 def perturb_scale(d: PolyDrawing | GridDrawing, s_order,

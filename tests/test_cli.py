@@ -416,6 +416,75 @@ def test_cli_rejects_bad_target(tmp_path, command, target):
     assert "Traceback" not in r.output
 
 
+READ_CASES = [(command, arg, what)
+              for command, arg in [("freeset", "--graph"),
+                                   ("realize", "--graph"),
+                                   ("realize", "--freeset"),
+                                   ("realize", "--points"),
+                                   ("untangle", "--positions"),
+                                   ("verify", "--drawing"),
+                                   ("verify", "--certificate"),
+                                   ("svg", "--drawing"),
+                                   ("psge", "--graphs"),
+                                   ("sge-nomap", "--g2")]
+              for what in ("missing", "directory", "binary")]
+
+
+@pytest.mark.parametrize("command,arg,what", READ_CASES,
+                         ids=[f"{c}{a}-{w}" for c, a, w in READ_CASES])
+def test_cli_rejects_unreadable_file(tmp_path, command, arg, what):
+    # an input file that is missing, a directory or not text is invalid
+    # input: exit code 2 and one error line naming it, never a traceback
+    g = random_triangulation(12, 4)
+    fs = planar_freeset(g)
+    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
+    good = {"graph": serialize_graph(g), "freeset": serialize_freeset(fs),
+            "points": serialize_points(pts)}
+    p = {}
+    for name, text in good.items():
+        p[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    bad = tmp_path / "bad"
+    if what == "directory":
+        bad.mkdir()
+    elif what == "binary":
+        bad.write_bytes(b"V 4\n\xff\xfe\x00\n")
+    out = str(tmp_path / "out")
+    args = {"freeset": ["--graph", str(bad)],
+            "realize": ["--graph", p["graph"], "--freeset", p["freeset"],
+                        "--points", p["points"]],
+            "untangle": ["--graph", p["graph"], "--positions", str(bad)],
+            "verify": ["--graph", p["graph"], arg, str(bad)],
+            "svg": ["--graph", p["graph"], "--drawing", str(bad)],
+            "psge": ["--graphs", p["graph"], "--graphs", str(bad),
+                     "--outdir", out],
+            "sge-nomap": ["--g1", p["graph"], "--g2", str(bad),
+                          "--outdir", out]}[command]
+    if command == "realize":
+        args[args.index(arg) + 1] = str(bad)
+    r = CliRunner().invoke(main, [command, *args])
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    assert r.stderr == f"error: cannot read {bad}: " + {
+        "missing": "No such file or directory",
+        "directory": "Is a directory",
+        "binary": "not text"}[what] + "\n"
+    assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("method", ["outerplanar", "onebend", "dualcycle"])
+@pytest.mark.parametrize("target", ["999", "1,2"])
+def test_cli_rejects_target_for_methods_without_one(tmp_path, method, target):
+    # --target is honoured by planar and level only; the other methods
+    # refuse it instead of extracting from the whole graph
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(serialize_graph(random_triangulation(12, 5)))
+    r = CliRunner().invoke(main, ["freeset", "--graph", str(gpath),
+                                  "--method", method, "--target", target])
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    assert r.stderr == f"error: --method {method} takes no --target\n"
+    assert r.stdout == ""
+
+
 def test_svg_rejects_mutated_certificate(tmp_path):
     # the free set is validated when it is parsed, before anything renders
     g = random_triangulation(30, 1)

@@ -7,8 +7,10 @@ recorded when the half-plane systems became the plain integer Laplacian
 (unit chord weights change the realized bytes); the test ids leave the
 digests out, so a deliberate re-recording keeps the test names.  The
 outerplanar greedy, restricted extraction and ``freeset psge`` manifest
-hashes were recorded before the collar curve was built in one pass.  All
-must keep producing exactly the same bytes.
+hashes were recorded before the collar curve was built in one pass.  The
+drawings of the larger outerplanar, grid, stacked and triangulation inputs
+were recorded before the clearance got its coarse stage.  All must keep
+producing exactly the same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from click.testing import CliRunner
 from freeset.applications import psge_two, untangle
 from freeset.cli import main
 from freeset.extractors import outerplanar_greedy, planar_freeset
-from freeset.generators import grid, maximal_outerplanar, random_triangulation
+from freeset.generators import (
+    grid,
+    maximal_outerplanar,
+    random_triangulation,
+    stacked_3tree,
+)
 from freeset.realize import free_realize
 from freeset.textio import serialize_drawing, serialize_freeset
 
@@ -41,6 +48,7 @@ FAMILIES = {
     "outerplanar": maximal_outerplanar,
     "triangulation": random_triangulation,
     "thinned": thinned_triangulation,
+    "stacked": stacked_3tree,
 }
 
 EXTRACT_CASES = [
@@ -130,6 +138,28 @@ REALIZE_CASES = [
                               for n, g, p, style, _ in REALIZE_CASES])
 def test_free_realize_golden(n, gseed, pseed, style, digest):
     g = random_triangulation(n, gseed)
+    fs = planar_freeset(g)
+    pts = point_set(style, len(fs.order), random.Random(pseed))
+    d = free_realize(g, fs, pts)
+    assert d.verified
+    assert _digest(d) == digest
+
+
+FAMILY_REALIZE_CASES = [
+    # (family, arguments, point seed, style, digest)
+    ("outerplanar", (400, 3), 41, "general", "31c102758a898b3c"),
+    ("grid", (20, 20), 42, "coprime", "8b219b314c283371"),
+    ("stacked", (200, 2), 43, "repeated-x", "d0c47d76b58b15c0"),
+    ("triangulation", (400, 7), 44, "general", "8917c8703c1b1c8a"),
+]
+
+
+@pytest.mark.parametrize("family,args,pseed,style,digest",
+                         FAMILY_REALIZE_CASES,
+                         ids=[f"{f}{a}-p{p}-{s}"
+                              for f, a, p, s, _ in FAMILY_REALIZE_CASES])
+def test_free_realize_family_golden(family, args, pseed, style, digest):
+    g = FAMILIES[family](*args)
     fs = planar_freeset(g)
     pts = point_set(style, len(fs.order), random.Random(pseed))
     d = free_realize(g, fs, pts)

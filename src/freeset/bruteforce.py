@@ -263,7 +263,7 @@ def falsify_free_realize(g: EmbeddedGraph, fs, trials: int, seed: int,
             placed = {d.pos[v] for v in fs.order}
             if not d.verified or placed != set(pts):
                 failures.append((trial, pts, "targets missed"))
-        except (FreesetError, AssertionError) as exc:
+        except FreesetError as exc:
             failures.append((trial, pts, repr(exc)))
     return OracleReport(
         query=f"falsify free realization ({trials} trials, seed {seed})",

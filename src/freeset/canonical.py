@@ -3,11 +3,11 @@
 The ordering is computed by reverse deletion: repeatedly remove the smallest
 boundary vertex (never the two base vertices) that is not an endpoint of a
 chord of the current boundary cycle; chord counts and a heap of chord-free
-vertices replace boundary scans.  Each step records the neighbor fan along
-the previous boundary, whose first and last edges form the frame.  The frame
-is a planar st-graph, so its reachability is dominance in two depth-first
-orders (Kameda 1975); that partial order drives the chain/antichain
-dichotomy.
+vertices replace boundary scans.  Each step walks the neighbor fan along
+the previous boundary and adds its first and last edges to the frame.  The
+frame is a planar st-graph, so its reachability is dominance in two
+depth-first orders (Kameda 1975); that partial order drives the
+chain/antichain dichotomy.
 """
 
 from __future__ import annotations
@@ -24,10 +24,13 @@ from .errors import AntichainTooShort, NotTriangulation
 
 @dataclass(frozen=True)
 class CanonicalStructure:
+    """A canonical order and its frame: for each v_i, i > 2, an edge from
+    the first vertex of its fan in G_{i-1} to v_i and one from v_i to the
+    last.  The frame is kept as successor lists and the two depth-first
+    ranks that decide reachability; the fans are not kept."""
+
     graph: EmbeddedGraph
     order: tuple[int, ...]                 # v_1 .. v_n
-    attach: dict                           # v_i -> neighbor fan in G_{i-1}
-    frame_edges: frozenset                 # directed (a, b)
     succ: tuple = field(repr=False)        # v -> frame successors, by id
     left_rank: tuple = field(repr=False)   # v -> place in the left-first order
     right_rank: tuple = field(repr=False)  # v -> place in the right-first order
@@ -48,12 +51,6 @@ class CanonicalStructure:
         """True when the frame has a directed path from a to b."""
         return (self.left_rank[a] < self.left_rank[b]
                 and self.right_rank[a] < self.right_rank[b])
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.precedes(a, b) or self.precedes(b, a)
-
-    def frame_successors(self, v: int) -> list[int]:
-        return list(self.succ[v])
 
 
 def _fan(t: EmbeddedGraph, v: int, left: int, right: int, alive) -> list[int]:
@@ -119,7 +116,7 @@ def canonical_order(t: EmbeddedGraph) -> CanonicalStructure:
     free = [vn]  # chord-free inner boundary vertices; stale entries skipped
     order = [0] * n
     order[0], order[1], order[n - 1] = v1, v2, vn
-    attach: dict[int, tuple[int, ...]] = {}
+    frame: set[tuple[int, int]] = set()  # directed (a, b)
 
     for step in range(n, 2, -1):
         while free and not (alive[free[0]] and chords[free[0]] == 0):
@@ -131,7 +128,8 @@ def canonical_order(t: EmbeddedGraph) -> CanonicalStructure:
         left, right = prev[v], nxt[v]
         fan = _fan(t, v, left, right, alive)
         order[step - 1] = v
-        attach[v] = tuple(fan)
+        frame.add((left, v))
+        frame.add((v, right))
         alive[v] = False
 
         for a, b in zip(fan, fan[1:]):
@@ -157,11 +155,6 @@ def canonical_order(t: EmbeddedGraph) -> CanonicalStructure:
     if nxt[v1] != v2:
         raise NotTriangulation("boundary did not reduce to the base edge")
 
-    frame = set()
-    for v, fan in attach.items():
-        frame.add((fan[0], v))
-        frame.add((v, fan[-1]))
-
     # out-edges in rotation order after the in-edge block (after v2 at the
     # source, where the base edge closes the outer face)
     out: list[list[int]] = []
@@ -175,8 +168,6 @@ def canonical_order(t: EmbeddedGraph) -> CanonicalStructure:
     return CanonicalStructure(
         graph=t,
         order=tuple(order),
-        attach=attach,
-        frame_edges=frozenset(frame),
         succ=tuple(tuple(sorted(s)) for s in out),
         left_rank=tuple(_dfs_ranks(v1, out)),
         right_rank=tuple(_dfs_ranks(v1, [s[::-1] for s in out])),

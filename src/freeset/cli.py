@@ -22,6 +22,7 @@ from .errors import (
     MergeConflict,
     SingularSystem,
     UnreadableFile,
+    UnwritableFile,
 )
 from .extractors import (
     bfs_levels,
@@ -76,10 +77,16 @@ def _target(text: str | None) -> list[int] | None:
 
 
 def _write(out: str | None, text: str) -> None:
+    """Write text to stdout (no path, or "-") or to a file; UnwritableFile
+    when the file cannot be written."""
     if out is None or out == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {out}: "
+                             f"{exc.strerror or exc}") from None
 
 
 @click.group()
@@ -194,17 +201,21 @@ def untangle(graph_path, positions_path, fmt, out):
 
 def _write_bundle(outdir: str, res) -> None:
     d = Path(outdir)
-    d.mkdir(parents=True, exist_ok=True)
-    (d / "points.txt").write_text(textio.serialize_points(res.shared_points))
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableFile(f"cannot write {outdir}: "
+                             f"{exc.strerror or exc}") from None
+    _write(str(d / "points.txt"), textio.serialize_points(res.shared_points))
     for i, drawing in enumerate(res.drawings):
-        (d / f"drawing_{i}.txt").write_text(textio.serialize_drawing(drawing))
+        _write(str(d / f"drawing_{i}.txt"), textio.serialize_drawing(drawing))
     manifest = {
         "shared_vertices": list(res.shared_vertices)
         if res.shared_vertices is not None else None,
         "drawings": [f"drawing_{i}.txt" for i in range(len(res.drawings))],
         "bound_met": res.bound_met,
     }
-    (d / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write(str(d / "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 @main.command("sge-nomap")

@@ -82,9 +82,6 @@ class CurveCertificate:
     def crossed_edges(self) -> tuple[Edge, ...]:
         return tuple(it.edge for it in self.items if isinstance(it, CrossItem))
 
-    def along_edges(self) -> tuple[Edge, ...]:
-        return tuple(it.edge for it in self.items if isinstance(it, AlongItem))
-
     def rotated(self, k: int) -> "CurveCertificate":
         m = len(self.items)
         k %= m
@@ -101,12 +98,13 @@ class CurveCertificate:
 @dataclass(frozen=True)
 class SidePartition:
     """Vertices strictly inside the curve (X), on it in curve order (Y),
-    strictly outside (Z), and a per-edge classification."""
+    and strictly outside (Z).  An edge's class follows: along or crossed
+    as the certificate lists it, else inside or outside as its end off the
+    curve (properness leaves it one)."""
 
     X: frozenset[int]
     Y: tuple[int, ...]
     Z: frozenset[int]
-    edge_class: dict  # Edge -> "along" | "crossed" | "inside" | "outside"
 
 
 @dataclass(frozen=True)
@@ -145,17 +143,13 @@ class _FaceGeometry:
 
 
 def _chords_cross(a1: int, b1: int, a2: int, b2: int, size: int) -> bool:
-    if len({a1, b1} & {a2, b2}) > 0:
+    """True when chord (a2, b2) has one end strictly inside the arc from a1
+    to b1 and one strictly outside; chords sharing an end, and spikes
+    (a == b), never cross."""
+    if a1 in (a2, b2) or b1 in (a2, b2) or a1 == b1 or a2 == b2:
         return False
-    if a1 == b1 or a2 == b2:
-        return False
-
-    def inside(x, lo, hi):
-        return (x - lo) % size < (hi - lo) % size and x != lo
-
-    i2 = inside(a2, a1, b1)
-    j2 = inside(b2, a1, b1)
-    return i2 != j2
+    span = (b1 - a1) % size
+    return ((a2 - a1) % size < span) != ((b2 - a1) % size < span)
 
 
 class _Analysis:
@@ -239,17 +233,16 @@ def _structural_check(g: EmbeddedGraph, cert: CurveCertificate) -> None:
             raise _Bad("bad-along",
                        f"along edge {it.edge} must not carry face passages")
 
+    # a passage beside an along item was rejected above, so a passage is
+    # None exactly beside one; a cross item has a face on each side
     for i in range(m):
         joined = isinstance(items[i], AlongItem) or \
             isinstance(items[(i + 1) % m], AlongItem)
         if passages[i] is None and not joined:
             raise _Bad("missing-passage",
                        f"items {i} and {(i + 1) % m} need a shared face")
-        if passages[i] is not None:
-            if not 0 <= passages[i] < len(g.faces):
-                raise _Bad("unknown-element", f"face {passages[i]} not in graph")
-            if joined:
-                raise _Bad("bad-along", "passage across an along item")
+        if passages[i] is not None and not 0 <= passages[i] < len(g.faces):
+            raise _Bad("unknown-element", f"face {passages[i]} not in graph")
 
     if all(p is None for p in passages):
         raise _Bad("no-passage", "certificate needs at least one face passage")
@@ -267,8 +260,6 @@ def _item_slots(an: _Analysis, i: int, side: str) -> list[tuple[int, int | None]
     if fid is None:
         return [(-1, None)]
     geo = an.geometry(fid)
-    if isinstance(it, AlongItem):
-        raise _Bad("bad-along", "along item adjacent to a passage")
     if isinstance(it, CrossItem):
         u, v = it.edge
         out = []
@@ -303,18 +294,14 @@ def _assign_chords(an: _Analysis) -> None:
     entry_choices = [_item_slots(an, i, "entry") for i in range(m)]
     exit_choices = [_item_slots(an, i, "exit") for i in range(m)]
 
-    # cross items with two distinct side faces have forced, linked ends
+    # a crossing lies on both its passages' faces (``_item_slots``), so
+    # with two distinct side faces it must leave the one it entered
     for i, it in enumerate(cert.items):
         if isinstance(it, CrossItem):
             u, v = it.edge
-            f1, f2 = an.g.face_of(u, v), an.g.face_of(v, u)
             f_in = cert.passages[i - 1]
-            f_out = cert.passages[i]
-            if f_in not in (f1, f2) or f_out not in (f1, f2):
-                raise _Bad("off-face",
-                           f"crossing {it.edge} is not between faces "
-                           f"{f_in} and {f_out}")
-            if f1 != f2 and f_in == f_out:
+            if an.g.face_of(u, v) != an.g.face_of(v, u) and \
+                    f_in == cert.passages[i]:
                 raise _Bad("inconsistent-sides",
                            f"crossing {it.edge} re-enters face {f_in}")
 
@@ -465,7 +452,6 @@ def _side_partition_of(an: _Analysis) -> SidePartition:
     y_order = cert.vertex_order()
     y = set(y_order)
     crossed = set(norm_edge(*e) for e in cert.crossed_edges())
-    along = set(norm_edge(*e) for e in cert.along_edges())
 
     side: dict[int, str] = {}
     for i, it in enumerate(items):
@@ -500,25 +486,10 @@ def _side_partition_of(an: _Analysis) -> SidePartition:
                 side[v] = _OTHER_SIDE[side[u]] if flip else side[u]
                 pending.append(v)
 
-    edge_class: dict[Edge, str] = {}
-    for e in g.edges:
-        u, v = e
-        if e in along:
-            edge_class[e] = "along"
-        elif e in crossed:
-            edge_class[e] = "crossed"
-        elif u not in y:
-            edge_class[e] = "inside" if side[u] == "X" else "outside"
-        elif v not in y:
-            edge_class[e] = "inside" if side[v] == "X" else "outside"
-        else:  # pragma: no cover - forbidden by properness
-            raise InvalidCurve(f"edge {e} joins curve vertices")
-
     return SidePartition(
         X=frozenset(v for v, s in side.items() if s == "X"),
         Y=y_order,
         Z=frozenset(v for v, s in side.items() if s == "Z"),
-        edge_class=edge_class,
     )
 
 

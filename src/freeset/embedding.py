@@ -408,28 +408,24 @@ def insert_chords(rot: Sequence[Sequence[int]],
 
 def _chord_positions(walk_vertices: list[int], edges: set[Edge],
                      ) -> tuple[int, int] | None:
-    """Pick two walk positions to join by a new edge inside the face.
+    """The first ear of a face: walk positions (i, i + 2) whose vertices
+    differ and are not adjacent yet, or None.
 
-    Ear positions (distance two along the walk) are preferred; any valid
-    pair is accepted otherwise.  A pair is valid when the vertices differ,
-    are not consecutive on the walk, and the edge does not exist yet.
+    A face of more than three darts in a simple connected plane graph has
+    one.  If w_{i+1} is a leaf, (w_{i+1}, w_{i+3}) is an ear: the leaf's
+    one neighbour is w_{i+2}.  Otherwise no ear joins a vertex to itself,
+    and since the walk uses each dart once, some w_i .. w_{i+3} are four
+    distinct vertices.  The ears at i and i + 1 have interleaved ends on
+    the face boundary, so if both were edges, each closed by its ear
+    through the face would make two closed curves crossing exactly once,
+    which the Jordan curve theorem forbids.
     """
     k = len(walk_vertices)
-
-    def valid(i: int, j: int) -> bool:
-        a, b = walk_vertices[i], walk_vertices[j]
-        return a != b and norm_edge(a, b) not in edges
-
     for i in range(k):
         j = (i + 2) % k
-        if k > 3 and valid(i, j):
+        a, b = walk_vertices[i], walk_vertices[j]
+        if a != b and norm_edge(a, b) not in edges:
             return (i, j)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if (i, j) == (0, k - 1):
-                continue
-            if valid(i, j):
-                return (i, j)
     return None
 
 
@@ -439,9 +435,9 @@ def triangulate(g: EmbeddedGraph) -> tuple[EmbeddedGraph, list[Edge]]:
     Output has exactly 3V-6 edges and stays simple; a triangulation is
     returned as it is.  Returns the triangulation and the added edges in
     insertion order; vertices and the input's edges keep their ids.  Each
-    face is split by :func:`insert_chords`, preferring ears, so the faces
-    are traced once (for the result) and a chord costs O(face length) plus
-    its search.
+    face is split by :func:`insert_chords` at its first ear
+    (``_chord_positions``, which proves one exists), so the faces are
+    traced once (for the result) and a chord costs O(face length).
     """
     if g.n < 3:
         raise TooSmall("triangulation needs at least 3 vertices")

@@ -143,6 +143,11 @@ class UnreadableFile(FreesetError):
     """An input file could not be read as text; the message names it."""
 
 
+class UnwritableFile(FreesetError):
+    """An output file or directory could not be written; the message names
+    it."""
+
+
 class BadSpec(FreesetError):
     pass
 

@@ -268,8 +268,6 @@ def outerplanar_greedy(og: EmbeddedGraph) -> OuterplanarResult:
     chords = {norm_edge(a, b) for a, b in chords}
     chosen_pos, degrees = _independent_greedy_on_chords(n, chords)
     # each pick has at most two living chords in an outerplane chord graph
-    if max(degrees) > 2:  # pragma: no cover
-        raise NotMaximalOuterplane("chord degree exceeded 2 in the greedy")
     s = {boundary[i] for i in chosen_pos}
     if 2 * len(s) < n + 2:
         raise NotMaximalOuterplane(
@@ -482,15 +480,15 @@ def planar_freeset(g: EmbeddedGraph, xs=None) -> OrderedFreeSet:
     xs = vertex_ids(g, range(g.n) if full else xs)
     if not xs:
         raise TooSmall("target set is empty")
-    if g.n <= 2:
-        # one or two vertices are trivially free (any drawing can be mapped
-        # onto the targets by a similarity); emit the direct certificate
-        if g.n == 1:
-            cert = CurveCertificate((VertexItem(0),), (0,))
-        else:
-            cert = CurveCertificate(
-                (VertexItem(0), AlongItem((0, 1)), VertexItem(1)),
-                (None, None, g.face_of(0, 1)))
+    if g.n == 1:
+        # the one face of a lone vertex has no corner for a curve to use
+        raise TooSmall("planar extraction needs at least 2 vertices, got 1")
+    if g.n == 2:
+        # two vertices are trivially free (any drawing can be mapped onto
+        # the targets by a similarity); emit the direct certificate
+        cert = CurveCertificate(
+            (VertexItem(0), AlongItem((0, 1)), VertexItem(1)),
+            (None, None, g.face_of(0, 1)))
         return OrderedFreeSet(graph=g, order=tuple(range(g.n)),
                               certificate=cert, provenance="trivial",
                               bound_met=f"|S|={g.n} (whole graph)")

@@ -745,16 +745,15 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
     dx = lcm(*(h.dx for h, _ in halves))
     dphi = lcm(*(h.dy for h, _ in halves))
     # a half's heights are ±φ; the apex goes to b = 4·span, over axis_den,
-    # and b goes into each half's column factor
+    # and b goes into each half's column factor.  Only axis vertices lie in
+    # both halves, and both put one at column x·dx/axis_den, height 0.
     b = 4 * (axis_x[-1] - axis_x[0])
     merged: dict[int, tuple[int, int]] = {}
     for h, rel in halves:
         cx, cy = dx // h.dx, b * (dphi // h.dy)
         for v, i in rel.items():
             x, y = h.pos[i]
-            p = (x * cx, y * cy)
-            if merged.setdefault(v, p) != p:
-                raise MergeConflict(f"vertex {v} differs between the halves")
+            merged[v] = (x * cx, y * cy)
 
     # inside vertices strictly below the axis, outside strictly above: the
     # halves then meet only on the axis, at curve vertices, so the exact

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from freeset import build_embedded, embedding, extractors
+from freeset.curves import AlongItem
+from freeset.embedding import norm_edge
 from freeset.generators import (
     fan,
     goldner_harary,
@@ -96,13 +98,63 @@ def point_set(style: str, k: int, rng: random.Random) -> list:
     return sorted(pts)
 
 
+def canonical_fans(cs):
+    """v_i -> its neighbour fan in G_{i-1}, for i > 2, from the order and
+    the rotations: the rotation of v_i restricted to earlier vertices,
+    starting after the arc of later ones (at v_1 for v_n, which has none)."""
+    pos = {v: i for i, v in enumerate(cs.order)}
+    fans = {}
+    for v in cs.order[2:]:
+        rot = cs.graph.rot[v]
+        early = [pos[u] < pos[v] for u in rot]
+        start = rot.index(cs.v1) if all(early) else next(
+            j for j in range(len(rot)) if early[j] and not early[j - 1])
+        fans[v] = tuple(u for u in rot[start:] + rot[:start]
+                        if pos[u] < pos[v])
+    return fans
+
+
+def frame_edges(cs):
+    """The frame as directed edges, from the ends of the fans."""
+    fans = canonical_fans(cs)
+    return {(fan[0], v) for v, fan in fans.items()} | \
+        {(v, fan[-1]) for v, fan in fans.items()}
+
+
+def comparable(cs, a, b):
+    return cs.precedes(a, b) or cs.precedes(b, a)
+
+
+def frame_successors(cs, v):
+    return list(cs.succ[v])
+
+
+def edge_classes(g, cert, sp):
+    """Edge -> "along" or "crossed" as the certificate lists it, else
+    "inside" or "outside" as its end off the curve."""
+    along = {norm_edge(*it.edge) for it in cert.items
+             if isinstance(it, AlongItem)}
+    crossed = {norm_edge(*e) for e in cert.crossed_edges()}
+    y = set(sp.Y)
+    out = {}
+    for e in g.edges:
+        if e in along:
+            out[e] = "along"
+        elif e in crossed:
+            out[e] = "crossed"
+        else:
+            w = e[0] if e[0] not in y else e[1]
+            assert w not in y, f"edge {e} joins curve vertices"
+            out[e] = "inside" if w in sp.X else "outside"
+    return out
+
+
 def prefix_boundaries(cs):
     """Step i -> boundary path of G_i (the first i canonical vertices) from
     v_1 to v_2, replayed forward: v_i replaces the interior of its fan."""
     boundary = [cs.v1, cs.v2]
     out = {2: tuple(boundary)}
-    for i, v in enumerate(cs.order[2:], 3):
-        fan = cs.attach[v]
+    for i, (v, fan) in enumerate(canonical_fans(cs).items(), 3):
         a = boundary.index(fan[0])
         boundary[a + 1:a + len(fan) - 1] = [v]
         out[i] = tuple(boundary)

@@ -471,6 +471,69 @@ def test_cli_rejects_unreadable_file(tmp_path, command, arg, what):
     assert "Traceback" not in r.output
 
 
+WRITE_CASES = ([(command, what)
+                for command in ("gen", "freeset", "realize", "untangle", "svg")
+                for what in ("missing directory", "directory")]
+               + [(command, what) for command in ("psge", "sge-nomap")
+                  for what in ("file", "below a file")])
+WRITE_ERRORS = {"missing directory": "No such file or directory",
+                "directory": "Is a directory", "file": "File exists",
+                "below a file": "Not a directory"}
+
+
+@pytest.mark.parametrize("command,what", WRITE_CASES,
+                         ids=[f"{c}-{w}" for c, w in WRITE_CASES])
+def test_cli_rejects_unwritable_output(tmp_path, command, what):
+    # an --out or --outdir that cannot be written is invalid input: exit
+    # code 2 and one error line naming it, never a traceback
+    g = random_triangulation(12, 4)
+    fs = planar_freeset(g)
+    pts = [(F(i), F(i % 3)) for i in range(len(fs.order))]
+    good = {"graph": serialize_graph(g), "freeset": serialize_freeset(fs),
+            "points": serialize_points(pts),
+            "drawing": serialize_drawing(free_realize(g, fs, pts)),
+            "positions": serialize_points(
+                [(F((7 * v) % 12), F((5 * v * v + v) % 11))
+                 for v in range(12)]),
+            "triangle": serialize_graph(cycle(3))}
+    p = {}
+    for name, text in good.items():
+        p[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = {"missing directory": str(tmp_path / "missing" / "x.txt"),
+           "directory": str(tmp_path), "file": p["points"],
+           "below a file": str(tmp_path / "points.txt" / "bundle")}[what]
+    args = {"gen": ["--family", "path", "--n", "4", "--out", out],
+            "freeset": ["--graph", p["graph"], "--out", out],
+            "realize": ["--graph", p["graph"], "--freeset", p["freeset"],
+                        "--points", p["points"], "--out", out],
+            "untangle": ["--graph", p["graph"], "--positions",
+                         p["positions"], "--out", out],
+            "svg": ["--graph", p["graph"], "--drawing", p["drawing"],
+                    "--out", out],
+            "psge": ["--graphs", p["graph"], "--graphs", p["graph"],
+                     "--outdir", out],
+            "sge-nomap": ["--g1", p["graph"], "--g2", p["triangle"],
+                          "--outdir", out]}[command]
+    r = CliRunner().invoke(main, [command, *args])
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    errors = [line for line in r.stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: cannot write {out}: {WRITE_ERRORS[what]}"]
+    assert r.stderr.endswith(errors[0] + "\n")
+    assert "Traceback" not in r.output
+
+
+def test_cli_rejects_one_vertex_graph(tmp_path):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("V 1\nR 0:\n")
+    r = CliRunner().invoke(main, ["freeset", "--graph", str(gpath)])
+    assert r.exit_code == 2, (r.output, r.exc_info)
+    assert r.stderr == \
+        "error: planar extraction needs at least 2 vertices, got 1\n"
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("method", ["outerplanar", "onebend", "dualcycle"])
 @pytest.mark.parametrize("target", ["999", "1,2"])
 def test_cli_rejects_target_for_methods_without_one(tmp_path, method, target):

@@ -12,6 +12,7 @@ grids compares them with the program.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -34,7 +35,7 @@ from freeset.embedding import norm_edge
 from freeset.errors import InconsistentSides
 from freeset.generators import cycle, grid, star
 
-from conftest import thinned_triangulation
+from conftest import edge_classes, thinned_triangulation
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,8 @@ def reference_side_partition(an, arc_side):
     g, cert = an.g, an.cert
     y = set(cert.vertex_order())
     crossed = set(cert.crossed_edges())
-    along = set(norm_edge(*e) for e in cert.along_edges())
+    along = {norm_edge(*it.edge) for it in cert.items
+             if isinstance(it, AlongItem)}
     side = {}
     conflicts = []
 
@@ -431,7 +433,8 @@ def test_sides_match_reference(seed):
         if not reached:
             stats["defaulted"] += 1
             continue
-        assert (set(sp.X), set(sp.Z), sp.edge_class) == (x, z, edge_class)
+        assert (set(sp.X), set(sp.Z), edge_classes(g, cert, sp)) == \
+            (x, z, edge_class)
         stats["along"] += any(isinstance(it, AlongItem) for it in cert.items)
         stats["spike"] += any(c is not None and c == an.exit_corner[i]
                               for i, c in enumerate(an.entry_corner))
@@ -439,3 +442,72 @@ def test_sides_match_reference(seed):
     # along edges and spikes, some where the reference guessed
     assert stats["valid"] >= 2000 and stats["invalid"] >= 500, stats
     assert min(stats["along"], stats["spike"], stats["defaulted"]) > 0, stats
+
+
+# ---------------------------------------------------------------------------
+# Mutated certificates
+# ---------------------------------------------------------------------------
+
+def mutate(g, cert, rng):
+    """One seeded edit of a certificate: a passage set or cleared, two items
+    swapped, an item replaced, dropped or repeated, an along step inserted
+    after a vertex item (its passages kept or cleared at random), or the
+    whole certificate rotated and reversed."""
+    items, passages = list(cert.items), list(cert.passages)
+    m = len(items)
+    i = rng.randrange(m)
+    op = rng.randrange(7)
+    if op == 0:
+        passages[i] = rng.choice((None, rng.randrange(len(g.faces))))
+    elif op == 1:
+        j = rng.randrange(m)
+        items[i], items[j] = items[j], items[i]
+    elif op == 2:
+        kind = rng.randrange(3)
+        if kind == 0:
+            items[i] = VertexItem(rng.randrange(g.n))
+        else:
+            e = rng.choice(sorted(g.edges))
+            items[i] = CrossItem(e) if kind == 1 else AlongItem(e)
+    elif op == 3 and m > 1:
+        del items[i], passages[i]
+    elif op == 4:
+        items.insert(i, items[i])
+        passages.insert(i, passages[i])
+    elif op == 5 and isinstance(items[i], VertexItem):
+        v = items[i].v
+        w = rng.choice(g.rot[v])
+        items[i + 1:i + 1] = [AlongItem(norm_edge(v, w)), VertexItem(w)]
+        p = passages[i]
+        passages[i:i + 1] = [rng.choice((None, p)), rng.choice((None, p)), p]
+    else:
+        return cert.rotated(rng.randrange(m)).reversed()
+    return CurveCertificate(tuple(items), tuple(passages))
+
+
+def test_mutated_certificates_digest():
+    """Verdicts, violation texts and sides of 6,000 seeded mutations of
+    random certificates; the digest was recorded before the checks that an
+    earlier check decides and the per-edge classes were deleted."""
+    rng = random.Random(2024)
+    certs = []
+    while len(certs) < 6000:
+        certs += corpus(rng.randrange(10 ** 6), 1)
+    h = hashlib.sha256()
+    kinds = Counter()
+    for g, cert in certs[:6000]:
+        for _ in range(1 + rng.randrange(2)):
+            cert = mutate(g, cert, rng)
+        bad = validate_curve(g, cert)
+        if bad is None:
+            sp = side_partition(g, cert)
+            line = f"ok {sorted(sp.X)} {sp.Y} {sorted(sp.Z)}"
+        else:
+            line = str(bad)
+        kinds[line.split(":")[0].split()[0]] += 1
+        h.update(line.encode() + b"\n")
+    # the edits reach the checks whose earlier twins were deleted
+    assert kinds["ok"] >= 2000, kinds
+    assert min(kinds["bad-along"], kinds["off-face"],
+               kinds["inconsistent-sides"]) >= 100, kinds
+    assert h.hexdigest()[:16] == "c6a81457c6493038"

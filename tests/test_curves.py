@@ -9,6 +9,7 @@ from freeset.curves import (
     CrossItem,
     CurveCertificate,
     VertexItem,
+    _chords_cross,
     analyze_curve,
     caressed_vertices,
     dual_cycle_certificate,
@@ -26,6 +27,8 @@ from freeset.errors import (
 )
 from freeset.extractors import OrderedFreeSet
 from freeset.generators import cycle, star
+
+from conftest import edge_classes
 
 
 def leaf_curve(g):
@@ -97,6 +100,41 @@ class TestValidate:
         cert = leaf_curve(g)
         assert validate_curve(g, cert.reversed()) is None
 
+    @pytest.mark.parametrize("items,passages,text", [
+        ((), (), "empty: certificate has no items"),
+        ((VertexItem(0), AlongItem((0, 1)), VertexItem(2)), (None, None, 0),
+         "bad-along: along edge (0, 1) not flanked by its endpoints"),
+        ((VertexItem(0), AlongItem((0, 1)), VertexItem(1)), (0, None, 0),
+         "bad-along: along edge (0, 1) must not carry face passages"),
+    ], ids=["empty", "not-flanked", "along-with-passage"])
+    def test_structural_violation_text(self, items, passages, text):
+        cert = CurveCertificate(items, passages)
+        assert str(validate_curve(cycle(4), cert)) == text
+
+
+def reference_chords_cross(a1, b1, a2, b2, size):
+    """The earlier ``_chords_cross``, with its closure and two sets."""
+    if len({a1, b1} & {a2, b2}) > 0:
+        return False
+    if a1 == b1 or a2 == b2:
+        return False
+
+    def inside(x, lo, hi):
+        return (x - lo) % size < (hi - lo) % size and x != lo
+
+    return inside(a2, a1, b1) != inside(b2, a1, b1)
+
+
+def test_chords_cross_matches_reference():
+    # every pair of chords on the boundary circle of a face of 1 to 6 darts
+    pairs = 0
+    for size in range(2, 13, 2):
+        for a1, b1, a2, b2 in itertools.product(range(size), repeat=4):
+            assert _chords_cross(a1, b1, a2, b2, size) == \
+                reference_chords_cross(a1, b1, a2, b2, size)
+            pairs += 1
+    assert pairs == 36400
+
 
 class TestSidePartition:
     def test_star_center_inside_or_outside(self):
@@ -132,8 +170,8 @@ class TestSidePartition:
             assert validate_curve(g, cert) is None
             sps.append(side_partition(g, cert))
         assert sps[1] == sps[0]
-        assert sps[1].edge_class[(0, 1)] == "crossed"
-        assert sps[1].edge_class[(2, 3)] == "crossed"
+        for u, v in ((0, 1), (2, 3)):  # each crossing separates its ends
+            assert (u in sps[1].X) != (v in sps[1].X)
 
     def test_k4_antichain_partition(self, k4):
         from freeset.canonical import canonical_order
@@ -152,7 +190,7 @@ class TestSidePartition:
                     if not octa.has_edge(*p))
         cert = reroute_caressed(octa, cyc, pair)
         sp = side_partition(octa, cert)
-        for e, cls in sp.edge_class.items():
+        for e, cls in edge_classes(octa, cert, sp).items():
             if cls in ("inside", "outside"):
                 for v in e:
                     if v not in set(sp.Y):

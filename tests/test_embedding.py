@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import sys
 
@@ -11,7 +12,13 @@ from freeset import (
     subdivide,
     triangulate,
 )
-from freeset.embedding import _trace_faces, norm_edge
+from freeset.bench import _random_tree
+from freeset.embedding import (
+    _chord_positions,
+    _trace_faces,
+    insert_chords,
+    norm_edge,
+)
 from freeset.errors import (
     Disconnected,
     FreesetError,
@@ -232,6 +239,89 @@ class TestTriangulateInPlace:
         assert trace_calls[0] <= 3  # the re-trace loop made 437 and 400
 
 
+def reference_chord_positions(walk_vertices, edges):
+    """The earlier chooser: an ear when one is valid, else any valid pair
+    of walk positions that are not consecutive."""
+    k = len(walk_vertices)
+
+    def valid(i, j):
+        a, b = walk_vertices[i], walk_vertices[j]
+        return a != b and norm_edge(a, b) not in edges
+
+    for i in range(k):
+        j = (i + 2) % k
+        if k > 3 and valid(i, j):
+            return (i, j)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if (i, j) == (0, k - 1):
+                continue
+            if valid(i, j):
+                return (i, j)
+    return None
+
+
+def spanning_subgraph(g, keep, rng):
+    """A random connected spanning subgraph of g in g's embedding: a random
+    spanning tree and each other edge with probability ``keep``."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    kept = set()
+    for u, v in rng.sample(sorted(g.edges), len(g.edges)):
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            kept.add((u, v))
+        elif rng.random() < keep:
+            kept.add((u, v))
+    return build_embedded(g.n, [[u for u in r if norm_edge(v, u) in kept]
+                                for v, r in enumerate(g.rot)])
+
+
+def sweep_graphs(seed, count):
+    """Seeded random connected plane graphs: spanning subgraphs of random
+    triangulations, maximal outerplanar graphs and stacked 3-trees keeping
+    0-60% of the non-tree edges, and random trees."""
+    rng = random.Random(seed)
+    makers = (random_triangulation, maximal_outerplanar, stacked_3tree)
+    for k in range(count):
+        n = rng.randint(4, 40)
+        if k % 4 == 3:
+            yield _random_tree(n, rng.randrange(10 ** 6))
+        else:
+            g = makers[k % 4](n, rng.randrange(10 ** 6))
+            yield spanning_subgraph(g, rng.choice((0, 0.2, 0.4, 0.6)), rng)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_offered_face_has_an_ear(seed):
+    # the earlier chooser's fallback past the ears is never needed, so
+    # triangulate, which keeps only the ear search, splits every face the
+    # same way
+    offered = 0
+    for g in sweep_graphs(seed, 250):
+        def choose(verts, edges):
+            nonlocal offered
+            offered += 1
+            pos = reference_chord_positions(verts, edges)
+            assert pos is not None and (pos[1] - pos[0]) % len(verts) == 2
+            assert _chord_positions(verts, edges) == pos
+            return pos
+
+        rot, added = insert_chords(
+            g.rot, (f.vertices for f in g.faces if f.size > 3), g.edges,
+            choose)
+        t, t_added = triangulate(g)
+        assert (t.rot, t_added) == (tuple(map(tuple, rot)), added)
+        assert t.is_triangulation()
+    assert offered > 5000
+
+
 def _cyclic_equal(a, b) -> bool:
     if len(a) != len(b):
         return False
@@ -408,6 +498,11 @@ class TestDerive:
     def test_subdivide_unknown_edge(self, k4):
         with pytest.raises(UnknownElement):
             subdivide(k4, [(0, 5)])
+
+    def test_subdivide_edge_listed_twice(self, k4):
+        with pytest.raises(UnknownElement, match=r"^edge \(0, 1\) listed "
+                           "twice$"):
+            subdivide(k4, [(0, 1), (1, 0)])
 
     def test_induce_triangle_from_k4(self, k4):
         h, relabel = induce(k4, [0, 3, 1])

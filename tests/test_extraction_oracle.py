@@ -53,7 +53,12 @@ from freeset.extractors import (
 )
 from freeset.generators import grid, maximal_outerplanar, random_triangulation
 
-from conftest import prefix_boundaries, thinned_triangulation
+from conftest import (
+    canonical_fans,
+    frame_edges,
+    prefix_boundaries,
+    thinned_triangulation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +227,7 @@ def reference_reach(cs):
     n = cs.graph.n
     succ = {v: [] for v in range(n)}
     indeg = [0] * n
-    for a, b in cs.frame_edges:
+    for a, b in frame_edges(cs):
         succ[a].append(b)
         indeg[b] += 1
     topo = [v for v in range(n) if indeg[v] == 0]
@@ -253,9 +258,10 @@ def reference_mirsky_layers(topo, precedes, xs):
 
 
 def reference_frame_path(cs, precedes, a, b):
+    edges = frame_edges(cs)
     path = [a]
     while a != b:
-        a = min(w for a0, w in cs.frame_edges
+        a = min(w for a0, w in edges
                 if a0 == a and (w == b or precedes(w, b)))
         path.append(a)
     return path
@@ -458,7 +464,7 @@ def test_canonical_order_matches_boundary_rescan(family, args):
     order, attach, boundary_after = reference_canonical_order(
         t, cs.v1, cs.v2, cs.vn)
     assert cs.order == order
-    assert cs.attach == attach
+    assert canonical_fans(cs) == attach
     assert prefix_boundaries(cs) == boundary_after
 
 
@@ -469,9 +475,9 @@ def test_precedes_matches_bitmasks(family, args):
     n = t.n
     assert [[cs.precedes(a, b) for b in range(n)] for a in range(n)] == \
         [[precedes(a, b) for b in range(n)] for a in range(n)]
+    edges = frame_edges(cs)
     for v in range(n):
-        assert cs.frame_successors(v) == \
-            sorted(b for a, b in cs.frame_edges if a == v)
+        assert list(cs.succ[v]) == sorted(b for a, b in edges if a == v)
 
 
 @pytest.mark.parametrize("family,args", CASES, ids=IDS)

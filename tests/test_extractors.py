@@ -43,7 +43,7 @@ from freeset.generators import (
 )
 from freeset.realize import free_realize
 
-from conftest import thinned_triangulation
+from conftest import comparable, thinned_triangulation
 
 
 class TestOuterplanar:
@@ -156,7 +156,7 @@ class TestChainAntichain:
         from freeset.canonical import chain_or_antichain
         cs = canonical_order(octa)
         pair = next((a, b) for a in range(6) for b in range(a + 1, 6)
-                    if not cs.comparable(a, b))
+                    if not comparable(cs, a, b))
         kind, data = chain_or_antichain(cs, pair)
         assert kind == "antichain"
         cert, order = antichain_freeset(octa, cs, data)
@@ -194,6 +194,12 @@ class TestPlanarFreeset:
     def test_k4(self, k4):
         fs = planar_freeset(k4)
         assert len(fs.order) == 2
+
+    def test_one_vertex_too_small(self):
+        # the one face has no corner, so no certificate carries the vertex
+        with pytest.raises(TooSmall, match="^planar extraction needs at "
+                           "least 2 vertices, got 1$"):
+            planar_freeset(build_embedded(1, [[]]))
 
     def test_icosahedron(self):
         fs = planar_freeset(icosahedron())

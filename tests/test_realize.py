@@ -23,6 +23,7 @@ from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import (
     DegenerateOutput,
     FreesetError,
+    InvalidCurve,
     SizeMismatch,
     YNotOnOuterFace,
 )
@@ -57,7 +58,7 @@ from freeset.realize import (
 )
 from freeset.textio import parse_freeset, serialize_freeset
 
-from conftest import point_set, segments, thinned_triangulation
+from conftest import edge_classes, point_set, segments, thinned_triangulation
 
 
 def draw_half(h, axis, xs, side="below") -> dict:
@@ -199,6 +200,13 @@ class TestTutte:
         with pytest.raises(SizeMismatch):
             tutte_solve(k4, cycle, positions)
         assert factored == []
+
+    @pytest.mark.parametrize("cycle,text", [
+        ([0, 1, 2, 3], "one position per boundary vertex"),
+        ([0, 1, 0], "boundary cycle repeats a vertex")])
+    def test_bad_boundary_rejected(self, k4, cycle, text):
+        with pytest.raises(SizeMismatch, match=f"^{text}$"):
+            tutte_solve(k4, cycle, [(0, 0), (4, 0), (0, 4)])
 
     def test_nonconvex_boundary_degenerates(self, octa):
         outer = [u for u, _ in octa.faces[octa.outer_face].walk]
@@ -408,12 +416,13 @@ def lifted_halves(g, cert) -> dict:
     m = len(y_order)
     item_of = {it.v: i for i, it in enumerate(lifted.items)
                if isinstance(it, VertexItem)}
+    classes = edge_classes(gp, lifted, sp)
     out = {}
     for which in ("inside", "outside"):
         keep_class = {"along", which}
 
         def keep_edge(u, v):
-            return sp.edge_class[norm_edge(u, v)] in keep_class
+            return classes[norm_edge(u, v)] in keep_class
 
         rot_map = {v: [u for u in gp.rot[v] if keep_edge(v, u)]
                    for v in sorted(sp.X if which == "inside" else sp.Z)}
@@ -639,6 +648,26 @@ class TestRealizeCollinear:
         with pytest.raises(SizeMismatch):
             realize_collinear(k4, fs, [0, 1, 2])
 
+    @pytest.mark.parametrize("xs", [[1, 0], [0, 0]])
+    def test_positions_not_increasing(self, k4, xs):
+        with pytest.raises(SizeMismatch, match="^x positions must be "
+                           "strictly increasing$"):
+            realize_collinear(k4, antichain_pair(k4), xs)
+
+    def test_free_set_of_another_graph(self, k4, octa):
+        with pytest.raises(SizeMismatch, match="^free set does not belong "
+                           "to this graph$"):
+            realize_collinear(octa, antichain_pair(k4), [0, 1])
+
+    def test_one_curve_vertex(self):
+        # valid on path(2): the curve spikes through the one corner of 0
+        g = path(2)
+        fs = OrderedFreeSet(g, (0,), CurveCertificate((VertexItem(0),), (0,)),
+                            "test", "-")
+        with pytest.raises(InvalidCurve, match="^collinear realization "
+                           "needs at least two curve vertices$"):
+            realize_collinear(g, fs, [0])
+
     def test_certificate_starting_after_an_along_item(self):
         # item 0 of the rotated certificate follows an along item, so its
         # last and first vertex items are joined by an along edge; the axis
@@ -668,6 +697,14 @@ class TestPerturbAndFree:
         d = realize_collinear(k4, fs, [0, 1])
         d2 = perturb_scale(d, fs.order, [0, 0])
         assert d2.pos == d.pos
+
+    @pytest.mark.parametrize("targets", [[1], [1, 2, 3]])
+    def test_target_count(self, k4, targets):
+        fs = antichain_pair(k4)
+        d = realize_collinear(k4, fs, [0, 1])
+        with pytest.raises(SizeMismatch, match="^one target height per "
+                           "free-set member$"):
+            perturb_scale(d, fs.order, targets)
 
     def test_k4_exact_targets(self, k4):
         fs = antichain_pair(k4)

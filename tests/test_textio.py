@@ -45,6 +45,11 @@ class TestGraphFormat:
         with pytest.raises(GraphFormatError):
             parse_graph("R 0: 1\nR 1: 0\n")
 
+    def test_unknown_directive(self):
+        with pytest.raises(GraphFormatError, match="^line 2: unknown "
+                           "directive 'Q'$"):
+            parse_graph("V 2\nQ 0: 1\nR 0: 1\nR 1: 0\n")
+
     def test_huge_vertex_count_rejected(self):
         # the count is checked against the rotation lines, nothing of size
         # 10^11 is built
@@ -67,6 +72,13 @@ class TestCertificateFormat:
     def test_double_passage_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_certificate("CV 0\nCF 1\nCF 2\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("CF 1\nCV 0\n", "line 1: face passage before any item"),
+        ("CV 0\nCZ 1\n", "line 2: unknown certificate directive 'CZ'")])
+    def test_bad_certificate_line(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_certificate(text)
 
 
 class TestDrawingFormat:

@@ -412,13 +412,14 @@ def _chord_positions(walk_vertices: list[int], edges: set[Edge],
     differ and are not adjacent yet, or None.
 
     A face of more than three darts in a simple connected plane graph has
-    one.  If w_{i+1} is a leaf, (w_{i+1}, w_{i+3}) is an ear: the leaf's
-    one neighbour is w_{i+2}.  Otherwise no ear joins a vertex to itself,
-    and since the walk uses each dart once, some w_i .. w_{i+3} are four
-    distinct vertices.  The ears at i and i + 1 have interleaved ends on
-    the face boundary, so if both were edges, each closed by its ear
-    through the face would make two closed curves crossing exactly once,
-    which the Jordan curve theorem forbids.
+    one.  w_i = w_{i+2} only when w_{i+1} is a leaf, and then
+    (w_{i+1}, w_{i+3}) is an ear: a leaf occurs once on the walk, and its
+    one neighbour is w_{i+2}.  Without a leaf, since the walk uses each
+    dart once, some w_i .. w_{i+3} are four distinct vertices.  The ears
+    at i and i + 1 have interleaved ends on the face boundary, so if both
+    were edges, each closed by its ear through the face would make two
+    closed curves crossing exactly once, which the Jordan curve theorem
+    forbids.
     """
     k = len(walk_vertices)
     for i in range(k):

@@ -138,18 +138,28 @@ def verify_drawing(g: EmbeddedGraph,
     """Exact crossing-free check: distinct vertices, no vertex on any piece
     of an edge other than as an endpoint of a piece of its own edge, no two
     pieces meeting outside a shared endpoint, and pieces of two different
-    edges sharing an endpoint only at a vertex of both.
+    edges sharing an endpoint only at a vertex of both.  ``d`` must be a
+    drawing of g (SizeMismatch otherwise).
 
     After the pre-checks (every vertex placed, no two vertices at one point,
     no zero-length piece) one Shamos-Hoey sweep (Shamos & Hoey 1976) runs
     over the integer grid of the drawing in lexicographic (x, y) order: a
     ``GridDrawing``'s own, or ``integer_grid`` of a ``PolyDrawing``.  The
     verdict is the same on any grid with positive axis scales, since the
-    sweep order and every orientation sign are.  The events are the vertices
-    and the endpoints of all pieces; the status is the list of pieces
-    crossing the sweep line, bottom to top, ordered by orientation.  Each
-    piece is kept as its left end and its direction, (x, y, dx, dy), and its
-    orientation tests are evaluated inline on those.
+    sweep order and every orientation sign are.
+
+    The points are numbered once: vertex v is point v, and a bend is the
+    point of an equal vertex or bend seen before, or the next new one.  So
+    each point is hashed once, no coordinate tuple is hashed per piece, and
+    two points coincide exactly when their ids are equal.  The events are
+    the point ids, sorted once by coordinate.  A piece is its left and
+    right end ids in sweep order, its edge, and its left end and direction,
+    (x, y, dx, dy), on which its orientation tests are evaluated inline;
+    the pieces starting and the piece ending at each point are lists
+    indexed by id.  The status is the list of pieces crossing the sweep
+    line, bottom to top, ordered by orientation.  Coordinates are read only
+    by the orientation tests and the slope key; the run walk, the vertex
+    test (an id below g.n) and the shared-end skip compare ids.
 
     At each event point the pieces through it form one run of the status.
     Until the first violation the status stays ordered and holds every
@@ -164,7 +174,10 @@ def verify_drawing(g: EmbeddedGraph,
     slopes there are an overlap.  The pieces that end or start at the point
     and those through it are compared locally (vertex on an edge, touches
     at a vertex of both edges, pieces leaving the point in one direction);
-    the only other test is for a proper crossing between pieces that become
+    the pieces at a vertex all belong to its edges, and those at a bend to
+    the bend's edge, unless some bend took the id of a point numbered
+    before, so only then are they compared with the point's vertex or edge.
+    The only other test is for a proper crossing between pieces that become
     neighbours in the status, skipped when the two share an endpoint.  So
     an event costs about two orientation tests and at most two crossing
     tests, O(m) orientation tests in all for m pieces, plus one bisection
@@ -176,45 +189,67 @@ def verify_drawing(g: EmbeddedGraph,
     wins, and at one event point a vertex on an edge comes before a
     crossing.
     """
+    if d.graph is not g and d.graph != g:
+        raise SizeMismatch("the drawing is of another graph")
     if isinstance(d, PolyDrawing):
         if set(d.pos) != set(range(g.n)):
             return DrawingViolation("missing-vertex",
                                     "not every vertex is placed")
         d = GridDrawing.from_drawing(d)
 
-    pos = d.pos
-    vertex_at = {p: v for v, p in enumerate(pos)}
-    if len(vertex_at) != len(pos):
+    pts = list(d.pos)  # point id -> point; vertex v is point v
+    n = len(pts)
+    ids = {p: v for v, p in enumerate(pts)}
+    if len(ids) != n:
         return DrawingViolation("coincident-vertices",
                                 "two vertices share a position")
 
-    pieces = []  # (left, right, edge), endpoints in sweep order
-    geo = []  # per piece: (x, y, dx, dy), its left end and its direction
-    starts: dict[tuple[int, int], list[int]] = {}
-    ends: dict[tuple[int, int], int] = {}  # one piece ending at each point
-    for e in sorted(d.graph.edges):
-        chain = [pos[e[0]], *d.bends.get(e, ()), pos[e[1]]]
-        for p, q in zip(chain, chain[1:]):
-            if p == q:
+    # per piece: its end ids in sweep order, its edge, and (x, y, dx, dy),
+    # its left end and its direction
+    left: list[int] = []
+    right: list[int] = []
+    edge: list[Edge] = []
+    geo = []
+    starts: list[list[int]] = [[] for _ in pts]  # per point
+    ends = [-1] * n  # per point: one piece ending there, or -1
+    shared = False  # whether a bend is at a point numbered before
+    bends = d.bends
+    for e in sorted(g.edges):
+        links = (e,)
+        if bends.get(e):
+            chain = [e[0]]
+            for p in bends[e]:
+                k = ids.setdefault(p, len(pts))
+                if k == len(pts):
+                    pts.append(p)
+                    starts.append([])
+                    ends.append(-1)
+                else:
+                    shared = True
+                chain.append(k)
+            chain.append(e[1])
+            links = zip(chain, chain[1:])
+        for a, b in links:
+            if a == b:
                 return DrawingViolation("degenerate-segment",
                                         f"edge {e} has a zero-length piece")
+            p, q = pts[a], pts[b]
             if q < p:
-                p, q = q, p
-            starts.setdefault(p, []).append(len(pieces))
-            ends[q] = len(pieces)
-            pieces.append((p, q, e))
+                a, b, p, q = b, a, q, p
+            starts[a].append(len(left))
+            ends[b] = len(left)
+            left.append(a)
+            right.append(b)
+            edge.append(e)
             geo.append((p[0], p[1], q[0] - p[0], q[1] - p[1]))
-    events = set(vertex_at)
-    events.update(ends)
-    events.update(starts)
 
     status: list[int] = []  # pieces crossing the sweep line, bottom to top
-    for point in sorted(events):
-        px, py = point
+    for k in sorted(range(len(pts)), key=pts.__getitem__):
+        px, py = pts[k]
         # status[:lo] passes strictly below the point, status[lo:hi] through
         # it: piece i is below when the point is left of its direction
-        k = ends.get(point)
-        if k is None:
+        lo = ends[k]
+        if lo < 0:
             lo, hi = 0, len(status)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -224,92 +259,88 @@ def verify_drawing(g: EmbeddedGraph,
                 else:
                     hi = mid
         else:
-            lo = status.index(k)
+            lo = status.index(lo)
             while lo:
                 i = status[lo - 1]
-                if pieces[i][1] != point:
+                if right[i] != k:
                     ax, ay, ux, uy = geo[i]
                     if ux * (py - ay) != uy * (px - ax):
                         break
                 lo -= 1
-        ending, inner = [], []
+        inner = []  # the pieces through the point that do not end there
         hi = lo
         while hi < len(status):
             i = status[hi]
-            if pieces[i][1] == point:
-                ending.append(i)
-            else:
+            if right[i] != k:
                 ax, ay, ux, uy = geo[i]
                 if ux * (py - ay) != uy * (px - ax):
                     break
                 inner.append(i)
             hi += 1
-        new = starts.get(point, [])
-        here = ending + new
-        v = vertex_at.get(point)
+        new = starts[k]
 
-        if inner:
-            t = pieces[inner[0]]
-            if v is not None:
-                return DrawingViolation(
-                    "vertex-on-edge", f"vertex {v} lies on edge {t[2]}")
-            others = here + inner[1:]
-            j = next((j for j in others
-                      if pieces[j][0] in t[:2] or pieces[j][1] in t[:2]),
-                     others[0])
-            return _crossing(pieces, inner[0], j, vertex_at)
-        if v is not None:
-            for i in here:
-                if v not in pieces[i][2]:
+        if inner or shared:
+            # only a point numbered twice has pieces of an edge that is not
+            # at a vertex there, or pieces of two edges at a bend
+            here = [i for i in status[lo:hi] if right[i] == k] + new
+            if inner:
+                t = inner[0]
+                if k < n:
                     return DrawingViolation(
                         "vertex-on-edge",
-                        f"vertex {v} lies on edge {pieces[i][2]}")
-        else:
-            for i in here:
-                if pieces[i][2] != pieces[here[0]][2]:
-                    return _crossing(pieces, here[0], i, vertex_at)
+                        f"vertex {k} lies on edge {edge[t]}")
+                others = here + inner[1:]
+                ends_t = (left[t], right[t])
+                j = next((j for j in others if left[j] in ends_t
+                          or right[j] in ends_t), others[0])
+                return _crossing(t, j, left, right, edge, geo, n)
+            if k < n:
+                for i in here:
+                    if k not in edge[i]:
+                        return DrawingViolation(
+                            "vertex-on-edge",
+                            f"vertex {k} lies on edge {edge[i]}")
+            else:
+                for i in here:
+                    if edge[i] != edge[here[0]]:
+                        return _crossing(here[0], i, left, right, edge, geo,
+                                         n)
 
         if len(new) > 1:
-            # bottom to top just after the point; the ties of the key sort
-            # go by piece index, as in a stable sort
-            keyed = sorted([(_slope_key(geo[i]), i) for i in new])
-            if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
-                def turn(i: int, j: int) -> int:
-                    """Negative when piece j leaves the point above i."""
-                    _, _, ux, uy = geo[i]
-                    _, _, wx, wy = geo[j]
-                    return uy * wx - ux * wy
+            # bottom to top just after the point, by the slope key
+            # floor(2^64·dy/dx), vertical pieces last, which never decreases
+            # as the slope grows; the ties of the key sort go by piece
+            # index, as in a stable sort
+            keyed = sorted([((0, (uy << 64) // ux) if ux else (1, 0), i)
+                            for i in new for _, _, ux, uy in (geo[i],)])
+            new = [i for _, i in keyed]
+            for (a, _), (b, _) in zip(keyed, keyed[1:]):
+                if a == b:  # sort again by exact orientation
+                    def turn(i: int, j: int) -> int:
+                        """Negative when piece j leaves the point above i."""
+                        _, _, ux, uy = geo[i]
+                        _, _, wx, wy = geo[j]
+                        return uy * wx - ux * wy
 
-                new = sorted(new, key=cmp_to_key(turn))
-                for i, j in zip(new, new[1:]):
-                    if turn(i, j) == 0:  # equal directions overlap
-                        return _crossing(pieces, i, j, vertex_at)
-            else:
-                new = [i for _, i in keyed]
+                    new = sorted(starts[k], key=cmp_to_key(turn))
+                    for i, j in zip(new, new[1:]):
+                        if turn(i, j) == 0:  # equal directions overlap
+                            return _crossing(i, j, left, right, edge, geo, n)
+                    break
 
         status[lo:hi] = new
+        # the pieces that become neighbours: at the bottom of the new run
+        # and at its top, or below and above the point where none starts
         top = lo + len(new)
-        down = status[lo - 1] if lo > 0 else None
-        up = status[top] if top < len(status) else None
-        pairs = [(down, new[0]), (new[-1], up)] if new else [(down, up)]
-        for i, j in pairs:
-            if i is None or j is None:
-                continue
-            p, q, _ = pieces[i]
-            if p in pieces[j][:2] or q in pieces[j][:2]:
-                continue
-            if _cross_properly(geo[i], geo[j]):
-                return _crossing(pieces, i, j, vertex_at)
+        for s in (lo, top) if new else (lo,):
+            if 0 < s < len(status):
+                i, j = status[s - 1], status[s]
+                a, b, c, e = left[i], right[i], left[j], right[j]
+                if a == c or a == e or b == c or b == e:
+                    continue
+                if _cross_properly(geo[i], geo[j]):
+                    return _crossing(i, j, left, right, edge, geo, n)
     return None
-
-
-def _slope_key(piece) -> tuple[int, int]:
-    """The sort key of a piece (x, y, dx, dy) leaving its left end (dx > 0,
-    or dx = 0 and dy > 0): floor(2^64·dy/dx), with the vertical pieces
-    after all others.  The key never decreases as the slope grows, so
-    pieces with distinct keys have distinct slopes."""
-    _, _, dx, dy = piece
-    return (1, 0) if dx == 0 else (0, (dy << 64) // dx)
 
 
 def _cross_properly(s, t) -> bool:
@@ -330,22 +361,24 @@ def _cross_properly(s, t) -> bool:
     return o3 < 0 < o4 or o4 < 0 < o3
 
 
-def _crossing(pieces: list, i: int, j: int, vertex_at: dict) -> DrawingViolation:
-    """The violation of two pieces known to meet where they may not.
+def _crossing(i: int, j: int, left: list, right: list, edge: list, geo: list,
+              n: int) -> DrawingViolation:
+    """The violation of pieces i and j, known to meet where they may not;
+    ``verify_drawing``'s pieces, on point ids of which the first n are
+    the vertices.
 
     Pieces sharing an endpoint meet elsewhere only by running on in one
     direction: a fold-back for one edge, an overlap for two edges at a
     vertex of both.  The piece that starts further right is named first.
     """
-    i, j = sorted((i, j), key=lambda k: (pieces[k][0][0], k), reverse=True)
-    (p, q, e), (pj, qj, f) = pieces[i], pieces[j]
-    for x in (p, q):
-        if x in (pj, qj):
+    i, j = sorted((i, j), key=lambda k: (geo[k][0], k), reverse=True)
+    e, f = edge[i], edge[j]
+    for x in (left[i], right[i]):
+        if x == left[j] or x == right[j]:
             if e == f:
                 return DrawingViolation(
                     "crossing", f"edge {e} folds back on itself")
-            w = vertex_at.get(x)
-            if w in e and w in f:
+            if x < n and x in e and x in f:
                 return DrawingViolation(
                     "crossing", f"edges {e} and {f} overlap")
     return DrawingViolation("crossing", f"edges {e} and {f} intersect")
@@ -952,7 +985,7 @@ def perturb_scale(d: PolyDrawing | GridDrawing, s_order,
     given in.  ``d`` need not be verified; all-zero targets check ``d``
     itself."""
     s_order = list(s_order)
-    ys = [F(y) for y in targets]
+    ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(s_order):
         raise SizeMismatch("one target height per free-set member")
     for v in s_order:
@@ -988,12 +1021,15 @@ def perturb_scale(d: PolyDrawing | GridDrawing, s_order,
 # ---------------------------------------------------------------------------
 
 def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
-    """Least integer t >= 0 after which the distinct points have distinct
-    x + t*y, with the points as integer keys over one common denominator.
-    Two points with equal y never collide, and two with distinct y collide
-    at one t only, so t is at most the number of point pairs."""
+    """Least integer t >= 0 after which the points have distinct x + t*y,
+    with the points as integer keys over one common denominator.  Two
+    points with equal y never collide, and two with distinct y collide at
+    one t only, so t is at most the number of point pairs.  Two equal
+    points raise SizeMismatch."""
     flat, den = common_denominator([c for p in points for c in p])
     keys = list(zip(flat[::2], flat[1::2]))
+    if len(set(keys)) != len(keys):
+        raise SizeMismatch("points must be distinct")
     t = 0
     while len({x + t * y for x, y in keys}) < len(keys):
         t += 1
@@ -1001,8 +1037,8 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
 
 
 def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
-    """Least integer t >= 0 after which the distinct points have distinct
-    x + t*y (``_shear_keys``), and the points so sheared."""
+    """Least integer t >= 0 after which the points have distinct x + t*y
+    (``_shear_keys``), and the points so sheared."""
     t = _shear_keys(points)[0]
     if t == 0:
         return 0, points
@@ -1026,11 +1062,10 @@ def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
 def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
     """The verified drawing ``free_realize`` returns, on its integer grid:
     the Fractions are not built yet."""
-    pts = [(F(x), F(y)) for x, y in points]
+    pts = [(x if type(x) is F else F(x), y if type(y) is F else F(y))
+           for x, y in points]
     if len(pts) != len(fs.order):
         raise SizeMismatch(f"need {len(fs.order)} points")
-    if len(set(pts)) != len(pts):
-        raise SizeMismatch("points must be distinct")
 
     t, keys, den = _shear_keys(pts)
     sheared = [x + t * y for x, y in keys]

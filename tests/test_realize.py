@@ -104,6 +104,21 @@ class TestVerify:
         v = verify_drawing(k4, PolyDrawing(graph=k4, pos=pos))
         assert v is not None and v.kind == "coincident-vertices"
 
+    def test_drawing_of_another_graph(self):
+        # the square drawn for the path 0-1-2-3 is crossing free, but the
+        # cycle's edge (0, 3) crosses its edge (1, 2)
+        sq = {0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(0), F(2)),
+              3: (F(2), F(2))}
+        g, h = cycle(4), path(4)
+        assert verify_drawing(h, PolyDrawing(graph=h, pos=sq)) is None
+        assert verify_drawing(g, PolyDrawing(graph=g, pos=sq)) is not None
+        for d in (PolyDrawing(graph=h, pos=sq),
+                  GridDrawing.from_drawing(PolyDrawing(graph=h, pos=sq))):
+            with pytest.raises(SizeMismatch):
+                verify_drawing(g, d)
+        # an equal graph built separately is the same graph
+        assert verify_drawing(path(4), PolyDrawing(graph=h, pos=sq)) is None
+
     def test_bent_edge_fold_back(self):
         g = path(2)
         d = PolyDrawing(graph=g, pos={0: (F(0), F(0)), 1: (F(1), F(0))},

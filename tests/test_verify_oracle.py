@@ -13,8 +13,11 @@ as possible:
   that point is the position of a vertex of both edges.
 
 ``reference_verify`` is the sweep as it was before events were located
-from a piece ending there and the pieces leaving a point were sorted by an
-integer slope key: every violation text must be the same as its text.
+from a piece ending there, the pieces leaving a point were sorted by an
+integer slope key and the points were numbered: every violation text must
+be the same as its text.  It keys pieces by their end points and names a
+crossing with its own ``_crossing``, so it shares no code with the sweep
+under test beyond ``_cross_properly`` and the grid of ``GridDrawing``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from freeset.realize import (
     GridDrawing,
     PolyDrawing,
     _cross_properly,
-    _crossing,
     free_realize,
     realize_collinear,
     verify_drawing,
@@ -112,6 +114,28 @@ def reference_ok(g, d: PolyDrawing) -> bool:
             if e != f and not any(d.pos[w] == m for w in set(e) & set(f)):
                 return False
     return True
+
+
+def _crossing(pieces: list, i: int, j: int, vertex_at: dict) -> DrawingViolation:
+    """The violation of two pieces (left, right, edge), keyed by their end
+    points, known to meet where they may not.
+
+    Pieces sharing an endpoint meet elsewhere only by running on in one
+    direction: a fold-back for one edge, an overlap for two edges at a
+    vertex of both.  The piece that starts further right is named first.
+    """
+    i, j = sorted((i, j), key=lambda k: (pieces[k][0][0], k), reverse=True)
+    (p, q, e), (pj, qj, f) = pieces[i], pieces[j]
+    for x in (p, q):
+        if x in (pj, qj):
+            if e == f:
+                return DrawingViolation(
+                    "crossing", f"edge {e} folds back on itself")
+            w = vertex_at.get(x)
+            if w in e and w in f:
+                return DrawingViolation(
+                    "crossing", f"edges {e} and {f} overlap")
+    return DrawingViolation("crossing", f"edges {e} and {f} intersect")
 
 
 def reference_verify(g, d) -> DrawingViolation | None:
@@ -523,6 +547,16 @@ _DEGENERATE = {
         {0: (-4, 0), 1: (4, 1), 2: (-4, 4), 3: (4, 5), 4: (-2, -4),
          5: (2, 4), 6: (100, 0)},
         {(0, 1): ((0, 0),), (2, 3): ((0, 0),)}, False),
+    # a bend that coincides with a vertex or another bend is the same point
+    "bend on a vertex not an end of its edge": (
+        path(3), {0: (0, 0), 1: (4, 0), 2: (2, 2)},
+        {(0, 1): ((2, 2),)}, False),
+    "bend on its own edge's end": (
+        path(3), {0: (0, 0), 1: (4, 0), 2: (2, 3)},
+        {(0, 1): ((2, 2), (4, 0))}, False),
+    "two consecutive equal bends of one edge": (
+        path(3), {0: (0, 0), 1: (4, 0), 2: (2, 3)},
+        {(0, 1): ((2, 1), (2, 1))}, False),
     # the upper of the two edges ending at vertex 0 is the later piece
     "foreign piece between two edges ending at a vertex": (
         _graph(5, [(0, 1), (0, 2), (2, 3), (3, 4)]),

@@ -248,8 +248,8 @@ def verify_drawing(g: EmbeddedGraph,
         px, py = pts[k]
         # status[:lo] passes strictly below the point, status[lo:hi] through
         # it: piece i is below when the point is left of its direction
-        lo = ends[k]
-        if lo < 0:
+        i = ends[k]
+        if i < 0:
             lo, hi = 0, len(status)
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -259,7 +259,7 @@ def verify_drawing(g: EmbeddedGraph,
                 else:
                     hi = mid
         else:
-            lo = status.index(lo)
+            lo = status.index(i)
             while lo:
                 i = status[lo - 1]
                 if right[i] != k:
@@ -280,8 +280,8 @@ def verify_drawing(g: EmbeddedGraph,
         new = starts[k]
 
         if inner or shared:
-            # only a point numbered twice has pieces of an edge that is not
-            # at a vertex there, or pieces of two edges at a bend
+            # unless a bend took the id of an earlier point, the pieces at a
+            # vertex are of its edges and those at a bend of the bend's edge
             here = [i for i in status[lo:hi] if right[i] == k] + new
             if inner:
                 t = inner[0]

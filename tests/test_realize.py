@@ -788,8 +788,9 @@ class TestPerturbAndFree:
         fs = antichain_pair(k4)
         with pytest.raises(SizeMismatch):
             free_realize(k4, fs, [(0, 0)])
-        with pytest.raises(SizeMismatch):
-            free_realize(k4, fs, [(0, 0), (0, 0)])
+        for pts in ([(0, 0), (0, 0)], [(1, F(1, 2)), (F(2, 2), F(2, 4))]):
+            with pytest.raises(SizeMismatch, match="^points must be distinct$"):
+                free_realize(k4, fs, pts)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_pointsets(self, seed):

@@ -88,13 +88,11 @@ class EmbeddedGraph:
     Construct through :func:`build_embedded`, which validates the rotation
     system; the constructor itself trusts its inputs: ``rot_index`` maps
     each vertex's neighbours to their rotation slots, and ``face_of`` each
-    dart to the id of the face on its left.  ``_plan`` is an opaque slot
-    in which realization keeps its clearance plan for this graph; the plan
-    goes when the graph does.
+    dart to the id of the face on its left.
     """
 
     __slots__ = ("n", "rot", "faces", "outer_face", "_edges", "_face_of",
-                 "_rot_index", "_hash", "_plan")
+                 "_rot_index", "_hash")
 
     def __init__(self, rot: tuple[tuple[int, ...], ...],
                  faces: tuple[Face, ...], outer_face: int,
@@ -109,7 +107,6 @@ class EmbeddedGraph:
         self._rot_index = tuple(rot_index)
         self._face_of = face_of
         self._hash = None
-        self._plan = None
 
     # -- basic accessors ----------------------------------------------------
 

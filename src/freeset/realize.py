@@ -15,15 +15,16 @@ argument of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every
 returned drawing has passed the exact crossing-free check, and each public
 entry point runs that check once, on the drawing it returns; intermediate
 drawings are not checked.  Each system is solved once and the lift is
-sized by an exact clearance, measured on a plan kept on the graph for its
-bend layout and free set, so nothing is retried: a drawing that fails its
+sized by the triangles of the two augmented halves, traced once per system:
+each one's orientation is affine in the lift, so the largest safe lift is
+read off them in one pass and nothing is retried.  A drawing that fails its
 check raises DegenerateOutput naming the stage and the violation.
 
 From the solve to the exact check a drawing is a ``GridDrawing``: integer
 numerators over one positive denominator per axis.  The solver returns
-numerators over one denominator, the halves are merged, the clearance
-measured, the heights scaled, the drawing sheared and checked on those
-integers, and Fractions are built once, for the drawing that is returned.
+numerators over one denominator, the halves are merged, the lift sized,
+the heights scaled, the drawing sheared and checked on those integers, and
+Fractions are built once, for the drawing that is returned.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .curves import (
     AlongItem,
@@ -44,6 +45,7 @@ from .embedding import (
     EmbeddedGraph,
     Edge,
     _rebuild,
+    _trace_faces,
     insert_chords,
     norm_edge,
 )
@@ -624,15 +626,6 @@ class _HalfPlane:
 # Collinear realization of curve certificates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _CollinearSystem:
-    mids: dict                    # crossed edge -> its midpoint, g.n + k
-    y_order: tuple[int, ...]      # curve vertices and midpoints, in order
-    halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
-    below: tuple[int, ...]        # vertices strictly inside the curve
-    above: tuple[int, ...]        # vertices strictly outside the curve
-
-
 def _axis_items(cert: CurveCertificate) -> list:
     """The vertex and cross items of ``cert`` with their indices, in axis
     order: from the first item, counting cyclically from item 0, that
@@ -697,10 +690,129 @@ def _half_embedding(an, sp, mids: dict, y_order, which: str):
     return h, rel
 
 
+@dataclass
+class _CollinearSystem:
+    mids: dict                    # crossed edge -> its midpoint, g.n + k
+    y_order: tuple[int, ...]      # curve vertices and midpoints, in order
+    halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
+    below: tuple[int, ...]        # vertices strictly inside the curve
+    above: tuple[int, ...]        # vertices strictly outside the curve
+    # point-id triples, each counter-clockwise in a plane drawing: the
+    # inside half's triangles, the outside half's, then the corners of the
+    # quadrilateral that bounds both
+    triples: list
+    parts: tuple                  # (end index in triples, what they are)
+
+
+def _point_name(i: int, n: int, mids: dict) -> str:
+    """A point id as error texts name it: a vertex by its id, a midpoint
+    by its edge, an apex by the side of the axis it lies on."""
+    if i < n:
+        return str(i)
+    if i < n + len(mids):
+        return f"m{list(mids)[i - n]}"
+    return "the lower apex" if i == n + len(mids) else "the upper apex"
+
+
+def _half_triangles(hp: _HalfPlane, points: list[int], which: str,
+                    name) -> list[tuple[int, int, int]]:
+    """The triangles of the augmented half ``hp``, as point ids
+    (``points[i]`` is the point of the half's vertex i, its apex last),
+    each ordered to turn counter-clockwise in a drawing with the apex
+    below the axis ("inside") or above it ("outside").
+
+    The faces are traced from ``hp.rot`` by the face-on-the-left rule, so
+    each dart lies on exactly one face, and the rotation system is checked
+    to be a triangulated disk bounded by apex + axis, trusting nothing of
+    how the chords were chosen:
+    - no vertex is its own neighbour or repeats one, and u is in rot[v]
+      exactly when v is in rot[u]; every vertex is reached from the apex
+    - one face is the cycle apex + axis, and every other face is a triangle
+      on three distinct vertices; so every inner edge lies on two
+      triangles, once in each direction, and every boundary edge on one
+    - V - E + F = 1, counting the triangles as F.
+    A connected oriented surface with one boundary cycle and Euler
+    characteristic 1 is a disk.  The one other shape allowed is a half
+    with nothing but its axis: its two faces are both apex + axis, and the
+    triangles are then a fan from the apex.  A face of any other shape
+    raises DegenerateOutput naming the half and the face.
+
+    The triangles turn against the boundary walk.  Walked from the first
+    axis vertex to the last and on to an apex above the axis, the boundary
+    turns counter-clockwise, so each triangle is put in clockwise order
+    then, and so on for the other three cases."""
+    rot, y, apex = hp.rot, hp.y, hp.apex
+
+    def bad(detail: str) -> DegenerateOutput:
+        return _degenerate("collinear", DrawingViolation(
+            "not-a-disk", f"the {which} half {detail}"))
+
+    index = []
+    for v, nbrs in enumerate(rot):
+        at = {u: i for i, u in enumerate(nbrs)}
+        if len(at) != len(nbrs) or v in at:
+            raise bad(f"repeats a neighbour of {name(points[v])}")
+        index.append(at)
+    if any(v not in index[u] for v in range(len(rot)) for u in rot[v]):
+        raise bad("has an edge in one rotation only")
+    seen, todo = {apex}, [apex]
+    while todo:
+        for u in rot[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    if len(seen) != len(rot):
+        raise bad("is not connected")
+
+    walks = _trace_faces(rot, index)[0]
+    forward, backward = y + [apex], y[::-1] + [apex]
+    tris, ends = [], []
+    for walk in walks:
+        verts = [u for u, _ in walk]
+        if apex in verts:
+            p = verts.index(apex)
+            run = verts[p + 1:] + verts[:p + 1]
+            if run == forward or run == backward:
+                ends.append(1 if run == forward else -1)
+                continue
+        if len(verts) != 3 or len(set(verts)) != 3:
+            raise bad("has the face " + ", ".join(name(points[u])
+                                                   for u in verts)
+                      + ", which is not a triangle")
+        tris.append(verts)
+    if len(ends) == 2 and not tris:
+        # nothing but the axis: a fan from the apex, whose triangles turn
+        # like those of a half walked from the last axis vertex
+        ends, tris = [-1], [[apex, a, b] for a, b in zip(y, y[1:])]
+    if len(ends) != 1:
+        raise bad("is not bounded by one cycle apex + axis")
+    edges = sum(map(len, rot)) // 2
+    if len(rot) - edges + len(walks) - 1 != 1:
+        raise bad("is not a disk: V - E + F is not 1")
+    side = -1 if which == "inside" else 1
+    if side * ends[0] > 0:
+        return [(points[a], points[c], points[b]) for a, b, c in tris]
+    return [(points[a], points[b], points[c]) for a, b, c in tris]
+
+
 def _collinear_system(an: _Analysis) -> _CollinearSystem:
     """The collinear system of an analyzed certificate, built on the first
     call and kept on the analysis, so every free set sharing the analysis
-    (a restriction shares it) reuses it, and it goes when they go."""
+    (a restriction shares it) reuses it, and it goes when they go.
+
+    With the halves it keeps the triples that every drawing it realizes is
+    checked on, as point ids: the vertices of g, then the midpoints, then
+    the lower apex L and the upper apex U.  They are each half's triangles
+    (``_half_triangles``, which checks that the half is a triangulated
+    disk), then the corners (P₀, L, P₋₁), (L, P₋₁, U), (P₋₁, U, P₀) and
+    (U, P₀, L) of the quadrilateral of the chain's ends (P is
+    ``y_order``) and the apexes.  The two halves share only the chain, and
+    glued along it they are one disk bounded by that quadrilateral: the
+    triangles of both, each in its counter-clockwise order, use every
+    chain edge once each way and the apexes' sides once, in the order
+    P₀ → L → P₋₁ → U → P₀.  Every edge of g must be an edge of a half, or
+    be split at its midpoint into two.  A system that breaks any of this
+    raises DegenerateOutput."""
     if an.collinear is not None:
         return an.collinear
     g, cert = an.g, an.cert
@@ -713,15 +825,57 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
     if len(y_order) < 2:
         raise InvalidCurve("collinear realization needs at least two "
                            "curve vertices")
-    halves = {}
-    for which in ("inside", "outside"):
+
+    def name(i: int) -> str:
+        return _point_name(i, g.n, mids)
+
+    halves, triples, parts = {}, [], []
+    edges = set()  # of both halves, on point ids
+    for which, apex in (("inside", g.n + len(mids)),
+                        ("outside", g.n + len(mids) + 1)):
         h, rel = _half_embedding(an, sp, mids, y_order, which)
         hp = _HalfPlane(h, [rel[y] for y in y_order])
         halves[which] = (hp, rel)
+        points = [0] * h.n + [apex]
+        for v, i in rel.items():
+            points[i] = v
+        triples += _half_triangles(hp, points, which, name)
+        parts.append((len(triples), f"the {which} half's triangle"))
+        edges.update(norm_edge(points[v], points[u])
+                     for v, nbrs in enumerate(hp.rot) for u in nbrs)
+    for e in sorted(g.edges):
+        mid = mids.get(e)
+        if e not in edges if mid is None else \
+                not {(e[0], mid), (e[1], mid)} <= edges:
+            raise _degenerate("collinear", DrawingViolation(
+                "not-a-disk", f"edge {e} is not drawn by the halves"))
+    first, last = y_order[0], y_order[-1]
+    lower, upper = g.n + len(mids), g.n + len(mids) + 1
+    darts = set()
+    for a, b, c in triples:
+        darts.update(((a, b), (b, c), (c, a)))
+    rim = {(u, v) for u, v in darts if (v, u) not in darts}
+    if len(darts) != 3 * len(triples) or rim != {
+            (first, lower), (lower, last), (last, upper), (upper, first)}:
+        raise _degenerate("collinear", DrawingViolation(
+            "not-a-disk", "the halves do not close up along the axis"))
+    triples += [(first, lower, last), (lower, last, upper),
+                (last, upper, first), (upper, first, lower)]
+    parts.append((len(triples), "the outer quadrilateral's corner"))
     an.collinear = _CollinearSystem(mids=mids, y_order=y_order,
                                     halves=halves, below=tuple(sorted(sp.X)),
-                                    above=tuple(sorted(sp.Z)))
+                                    above=tuple(sorted(sp.Z)),
+                                    triples=triples, parts=tuple(parts))
     return an.collinear
+
+
+def _system_of(g: EmbeddedGraph, fs: OrderedFreeSet) -> _CollinearSystem:
+    """The collinear system of a free set of g."""
+    if g != fs.graph:
+        raise SizeMismatch("free set does not belong to this graph")
+    if fs._analysis is None:  # a set built without its constructor
+        raise InvalidCurve("the free set's certificate was never validated")
+    return _collinear_system(fs._analysis)
 
 
 def _axis_positions(y_order, s_order, xs: list[int],
@@ -765,9 +919,7 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
         raise SizeMismatch(f"need {len(fs.order)} x positions")
     if any(a >= b for a, b in zip(xs, xs[1:])):
         raise SizeMismatch("x positions must be strictly increasing")
-    if fs._analysis is None:  # a set built without its constructor
-        raise InvalidCurve("the free set's certificate was never validated")
-    sysm = _collinear_system(fs._analysis)
+    sysm = _system_of(g, fs)
     members = set(fs.order)
     s_axis = [v for v in sysm.y_order if v in members]
     axis_x, axis_den = _axis_positions(sysm.y_order, s_axis, xs, den)
@@ -827,185 +979,148 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
-# bits a coordinate keeps in the coarse stage of ``_clearance_sq``
-_COARSE_BITS = 60
+def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
+               stage: str) -> tuple[GridDrawing, tuple[int, int]]:
+    """d, on a finer grid where needed, and the upper apex on that grid,
+    where ``_collinear_base`` puts it: above the middle of the chain's two
+    ends, four times their distance away.  The lower apex is its mirror
+    image in the axis.  On the grid of a collinear base the apex is a grid
+    point already, and d comes back as it is."""
+    _bends_are_midpoints(d, sysm, stage)
+    crossed = list(sysm.mids)
+    x0, x1 = (d.pos[p][0] if p < len(d.pos) else
+              d.bends[crossed[p - len(d.pos)]][0][0]
+              for p in (sysm.y_order[0], sysm.y_order[-1]))
+    # the apex height 4·(x1 - x0)/dx, over dy: integral once y is ky times
+    # finer; x is twice as fine when the middle is not on the grid
+    common = gcd(d.dx, 4 * (x1 - x0) * d.dy)
+    kx, ky = 1 + (x0 + x1) % 2, d.dx // common
+    apex = (kx * (x0 + x1) // 2, 4 * (x1 - x0) * d.dy // common)
+    if kx == ky == 1:
+        return d, apex
+    return replace(d, pos=[(x * kx, y * ky) for x, y in d.pos],
+                   bends={e: tuple((x * kx, y * ky) for x, y in b)
+                          for e, b in d.bends.items()},
+                   dx=d.dx * kx, dy=d.dy * ky), apex
 
 
-def _clearance_plan(g: EmbeddedGraph, layout: tuple, moving: frozenset
-                    ) -> tuple[tuple[int, int, tuple[int, ...], Edge], ...]:
-    """The tests ``_clearance_sq`` makes, as (a, b, points, edge): the
-    piece from point a to point b of edge, and the indices of the points to
-    measure against it.  Points are numbered as in ``_clearance_sq``: the
-    vertices, then the bends of the edges of ``layout``, (edge, bend count)
-    in edge order.
-
-    The faces at a moving vertex are visited by id, their edges in order,
-    and each piece is tested against the points of the face, all of them
-    when an end of the piece moves, else only the moving vertices.  A pair
-    is tested once: a piece on two such faces comes back only for the
-    points of the second face that the first did not have.  Otherwise the
-    order of a face-by-face scan is kept, so D² = 0 names the pair that
-    scan finds first.  The plan depends on the three arguments only, never
-    on positions, so ``_clearance_sq`` keeps it on g."""
-    counts = dict(layout)
-    chain = {}  # edge -> its point indices, end to end
-    k = g.n
-    for e in sorted(g.edges):
-        chain[e] = [e[0], *range(k, k + counts.get(e, 0)), e[1]]
-        k += counts.get(e, 0)
-    plan = []
-    # piece -> its ends and the points it was tested against so far
-    tested: dict[tuple[int, int], set[int]] = {}
-    for fid in sorted({f for v in moving for f in g.faces_at(v)}):
-        edges = sorted({norm_edge(u, v) for u, v in g.faces[fid].walk})
-        on = sorted({i for e in edges for i in chain[e]})
-        on_moving = [i for i in on if i in moving]
-        for e in edges:
-            for a, b in zip(chain[e], chain[e][1:]):
-                seen = tested.setdefault((a, b), {a, b})
-                points = tuple(i for i in (on if a in moving or b in moving
-                                           else on_moving) if i not in seen)
-                if points:
-                    seen.update(points)
-                    plan.append((a, b, points, e))
-    return tuple(plan)
+def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem,
+                         stage: str) -> None:
+    """DegenerateOutput unless d bends every crossed edge once and no
+    other edge."""
+    if len(d.bends) != len(sysm.mids) or any(
+            len(d.bends.get(e, ())) != 1 for e in sysm.mids):
+        raise _degenerate(stage, DrawingViolation(
+            "bends", "the bends are not one per crossed edge"))
 
 
-def _clearance_sq(d: GridDrawing, moving) -> Fraction | None:
-    """Exact D²: the least squared distance between a vertex or bend and a
-    piece it is not an end of, over the pairs in which the point or an end
-    of the piece is a moving vertex; None when there is no such pair.
-
-    Moving points continuously, a crossing-free drawing first fails where a
-    point reaches such a piece; just before, the two see each other, so they
-    share a face that touches a moving vertex.  Only those pairs are tested
-    (``_clearance_plan``), on d's grid brought to a single scale for both
-    axes.  D² = 0, a point on a piece of the base, raises DegenerateOutput
-    naming the first such pair of the plan.
-
-    The scan runs in two stages.  The coarse stage measures the plan's
-    pairs on the grid shifted right by sh, which leaves each coordinate at
-    most ``_COARSE_BITS`` bits.  Flooring moves each point by less than √2,
-    and each point of a piece by less than √2 too (it is a convex
-    combination of the piece's ends), so a pair's coarse distance c is
-    within 2√2 of its exact distance over 2^sh.  Let m be the least c.  A
-    pair with c > m + 6 > m + 4√2 is then exactly farther than the pair
-    that gave m: it is neither a nearest pair nor a pair at D = 0.  The
-    scan keeps an integer T above the least c so far plus 6 and drops a
-    pair with c > T, or whose point lies outside the piece's box grown by
-    T; T only falls, so each dropped pair has c > m + 6.  The exact stage
-    measures the pairs left with c <= T, in plan order, with the strict <
-    of a full exact scan, so it finds the same D² and, at D² = 0, names
-    the same first pair.
-
-    The plan is kept on the graph as one entry (bend layout, moving set,
-    plan), built again when the layout or the moving set differs.
-    """
-    g = d.graph
-    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()))
-    moving = frozenset(moving)
-    kept = g._plan
-    if kept is None or kept[:2] != (layout, moving):
-        kept = g._plan = (layout, moving, _clearance_plan(g, layout, moving))
+def _points(d: GridDrawing, sysm: _CollinearSystem,
+            apex: tuple[int, int]) -> list[tuple[int, int]]:
+    """The points of the triples on d's grid: the vertices, the midpoints
+    (the bends of the crossed edges), the lower apex and the upper."""
     pts = list(d.pos)
-    for e, _ in layout:
-        pts.extend(d.bends[e])
-    scale = lcm(d.dx, d.dy)
-    mx, my = scale // d.dx, scale // d.dy
-    grid = [(x * mx, y * my) for x, y in pts]
-    top = max(abs(c) for p in grid for c in p)
-    sh = max(0, top.bit_length() - _COARSE_BITS)
-    coarse = [(x >> sh, y >> sh) for x, y in grid]
-
-    # any two coarse points are within reach on each axis, so within t2
-    # squared; (bn, bd) = (1, 0) stands for no pair yet
-    reach = 2 * (top >> sh) + 2
-    t2 = 2 * reach * reach
-    bn, bd = 1, 0
-    near = []  # (num, den, point, a, b, edge): coarse D² = num / den <= T²
-    for a, b, points, e in kept[2]:
-        (ax, ay), (bx, by) = coarse[a], coarse[b]
-        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
-        y0, y1 = (ay, by) if ay < by else (by, ay)
-        x0, x1, y0, y1 = x0 - reach, x1 + reach, y0 - reach, y1 + reach
-        for i in points:
-            px, py = coarse[i]
-            if not (x0 <= px <= x1 and y0 <= py <= y1):
-                continue
-            num, den = _point_piece_sq(coarse[i], coarse[a], coarse[b])
-            if num > t2 * den:
-                continue
-            near.append((num, den, i, a, b, e))
-            if num * bd < bn * den:
-                bn, bd = num, den
-                reach = isqrt(num // den) + 7  # T > sqrt(num / den) + 6
-                t2 = reach * reach
-    best = None  # (num, den, point, edge): D² = num / den on the grid
-    for num, den, i, a, b, e in near:
-        if num > t2 * den:
-            continue
-        num, den = _point_piece_sq(grid[i], grid[a], grid[b])
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, i, e)
-    if best is not None and best[0] == 0:
-        i, e = best[2:]
-        owners = [f for f, nb in layout for _ in range(nb)]  # of the bends
-        point = f"vertex {i}" if i < g.n else \
-            f"a bend of edge {owners[i - g.n]}"
-        raise _degenerate("collinear", DrawingViolation(
-            "vertex-on-edge", f"{point} lies on edge {e}"))
-    return None if best is None else F(best[0], best[1] * scale * scale)
+    bends = d.bends
+    pts += [bends[e][0] for e in sysm.mids]
+    x, y = apex
+    pts += [(x, -y), (x, y)]
+    return pts
 
 
-def _point_piece_sq(p, a, b) -> tuple[int, int]:
-    """Squared distance from integer point p to the piece ab, as
-    (numerator, denominator)."""
-    (px, py), (ax, ay), (bx, by) = p, a, b
-    dx, dy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    dot = wx * dx + wy * dy
-    if dot <= 0:
-        return wx * wx + wy * wy, 1
-    if dot >= dx * dx + dy * dy:
-        return (px - bx) ** 2 + (py - by) ** 2, 1
-    return (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
+def _flipped(sysm: _CollinearSystem, pts: list, i: int,
+             stage: str) -> DegenerateOutput:
+    """The error for triple i, which does not turn counter-clockwise."""
+    n = len(pts) - len(sysm.mids) - 2
+    a, b, c = sysm.triples[i]
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    what = next(w for end, w in sysm.parts if i < end)
+    names = ", ".join(_point_name(p, n, sysm.mids) for p in (a, b, c))
+    return _degenerate(stage, DrawingViolation(
+        "flipped-triangle", f"{what} {names} is "
+        f"{'degenerate' if det == 0 else 'clockwise'}"))
 
 
-def perturb_scale(d: PolyDrawing | GridDrawing, s_order,
+def _pow2_below(num: int, den: int) -> int:
+    """The k with 2^k < num / den <= 2^(k + 1), for positive num and den."""
+    k = num.bit_length() - den.bit_length()
+    # now 2^(k - 1) < num / den < 2^(k + 1)
+    at = num << -k if k < 0 else num
+    if at <= (den << k if k > 0 else den):
+        k -= 1
+    return k
+
+
+def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: dict,
+                   dy: int, ymax: int) -> int:
+    """The k of epsilon = 2^k: the largest power of two below the bound
+    at which a triple first stops turning counter-clockwise.
+
+    Only free vertices move, and only vertically: vertex v goes up by
+    epsilon·heights[v]/ymax, or ``dy`` times that on the grid.  So each
+    triple's orientation is affine in epsilon, det₀ + epsilon·lin, where
+    det₀ is its orientation on the axis.  A det₀ <= 0 raises
+    DegenerateOutput for the stage "collinear", naming the triple; a lin
+    >= 0 sets no bound; every other triple turns until epsilon reaches
+    -det₀/lin.  With no bound at all, k is 0."""
+    bn, bd = 1, 0  # the least -det₀/lin so far; (1, 0) is none
+    for i, (a, b, c) in enumerate(sysm.triples):
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if det <= 0:
+            raise _flipped(sysm, pts, i, "collinear")
+        lin = 0
+        if a in heights:
+            lin += (cx - bx) * heights[a]
+        if b in heights:
+            lin -= (cx - ax) * heights[b]
+        if c in heights:
+            lin += (bx - ax) * heights[c]
+        if lin < 0 and det * bd < -lin * bn:
+            bn, bd = det, -lin
+    if bd == 0:
+        return 0
+    # epsilon·dy/ymax < det₀/-lin
+    return _pow2_below(bn * ymax, bd * dy)
+
+
+def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
                   targets) -> PolyDrawing | GridDrawing:
-    """Move the free set, on the axis in ``d``, to the target heights.
+    """Move the free set, on the axis in ``d``, to the target heights:
+    ``targets[i]`` for ``fs.order[i]``.  ``d`` is a drawing of the collinear
+    system kept on ``fs``'s analysis, as ``realize_collinear`` or
+    ``_collinear_base`` builds it; it need not be verified.
 
-    With epsilon the largest power of two with (2 epsilon)² < D² (1 without
-    a moving pair), the free set lifted to epsilon * y_i / ymax is crossing
-    free.  Every y of that drawing is then scaled by ymax / epsilon, which
-    keeps every orientation sign, so the drawing is built scaled: the free
-    vertices exactly at y_i, and every other height of the grid times one
-    integer, ymax / epsilon over the new y denominator.  That drawing, the
-    one returned, is checked once, and it comes back in the form ``d`` was
-    given in.  ``d`` need not be verified; all-zero targets check ``d``
-    itself."""
-    s_order = list(s_order)
+    The system's triples turn counter-clockwise in d (else
+    DegenerateOutput for the stage "collinear"), and with epsilon from
+    ``_lift_exponent`` they still do once the free set is lifted to
+    epsilon·y_i/ymax.  Every y of that drawing is then scaled by
+    ymax/epsilon, which keeps every orientation sign, so the drawing is
+    built scaled: the free vertices exactly at y_i, and every other height
+    of the grid times one integer, ymax/epsilon over the new y
+    denominator.  That drawing, the one returned, is checked once, and it
+    comes back in the form ``d`` was given in.  All-zero targets check
+    ``d`` itself."""
+    order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
-    if len(ys) != len(s_order):
+    if len(ys) != len(order):
         raise SizeMismatch("one target height per free-set member")
-    for v in s_order:
+    for v in order:
         if d.pos[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
+    sysm = _system_of(d.graph, fs)
     if all(y == 0 for y in ys):
         return _checked(d, "collinear")
     grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
-    d2 = _clearance_sq(grid, s_order)
-    # the first 2^k has D² < (2 * 2^k)² <= 8 D²: at most two halvings
-    eps = F(1) if d2 is None else F(2) ** (
-        (d2.numerator.bit_length() - d2.denominator.bit_length()) // 2)
-    while d2 is not None and 4 * eps * eps >= d2:
-        eps /= 2
-    # ymax / eps = scale / (tden * eps.numerator), over the new denominator
+    grid, apex = _apex_grid(grid, sysm, "collinear")
     ys, tden = common_denominator(ys)
-    scale = max(abs(y) for y in ys) * eps.denominator
-    lift = grid.dy * eps.numerator
+    ymax = max(abs(y) for y in ys)
+    k = _lift_exponent(_points(grid, sysm, apex), sysm,
+                       {v: y for v, y in zip(order, ys) if y}, grid.dy, ymax)
+    # ymax / eps = scale / (tden * eps numerator), over the new denominator
+    scale = ymax << max(0, -k)
+    lift = grid.dy << max(0, k)
     pos = [(x, y * scale) for x, y in grid.pos]
-    for v, y in zip(s_order, ys):
+    for v, y in zip(order, ys):
         pos[v] = (pos[v][0], y * lift)
     out = _checked(GridDrawing(
         graph=grid.graph, pos=pos,
@@ -1075,8 +1190,9 @@ def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
 
     base, s_axis = _collinear_base(g, fs, [x // common for x in xs],
                                    den // common)
-    d = _shear_drawing(perturb_scale(base, s_axis,
-                                     [pts[i][1] for i in order]), -t)
+    heights = dict(zip(s_axis, (pts[i][1] for i in order)))
+    d = _shear_drawing(perturb_scale(base, fs,
+                                     [heights[v] for v in fs.order]), -t)
     for v, i in zip(s_axis, order):
         (x, y), (px, py) = d.pos[v], pts[i]
         if x * px.denominator != px.numerator * d.dx or \

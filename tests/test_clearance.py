@@ -1,45 +1,49 @@
-"""The exact clearance that sizes the perturbation of a collinear base.
+"""The clearance that sizes the lift of a collinear base.
 
-``_clearance_sq`` measures only the pairs on a common face that touches a
-moving vertex, from a plan kept on the graph for one bend layout and
-moving set, first on a coarse grid and then exactly for the pairs near the
-least coarse distance.  Two references check it: ``exact_scan_sq`` scans
-the same plan exactly, pair by pair, and must give the same D² and the
-same DegenerateOutput text; ``all_pairs_sq`` measures every pair of a
-vertex or bend and a piece it is not an end of, in Fractions.  They must
-agree on a seeded corpus of collinear bases, degenerate ones included, on
-drawings that share a graph but not a plan, and on grids too coarse or too
-large for the coarse stage to decide.
+``perturb_scale`` moves the free set off the axis by epsilon·yᵢ/ymax and
+scales every height by ymax/epsilon.  Epsilon is the largest power of two
+below the least lift at which a triple of the collinear system stops
+turning counter-clockwise: a triangle of one of the augmented halves, or a
+corner of the quadrilateral of the chain's ends and the apexes
+(``_lift_exponent``).  Two
+references check it.  ``reference_bound`` finds that least lift in
+Fractions, from its own face trace of each half, with each triangle's sign
+read off the base and each orientation measured at two lift heights;
+``all_pairs_sq`` measures the clearance of the lifted drawing, the least
+squared distance between a vertex or bend and a piece it is not an end
+of.  They are checked on a seeded corpus of collinear bases, on bases
+scaled past 2^1100, on clustered and far-apart targets, and on broken
+bases, where the error must name the first triple that the reference
+finds flat or clockwise.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import isqrt, lcm
 
 import pytest
 
 from freeset import realize
-from freeset.embedding import norm_edge
+from freeset.embedding import _trace_faces, norm_edge
 from freeset.errors import DegenerateOutput
 from freeset.extractors import planar_freeset
 from freeset.generators import (
     cycle,
+    fan,
     grid,
     maximal_outerplanar,
+    octahedron,
     path,
     random_triangulation,
     stacked_3tree,
 )
 from freeset.rational import common_denominator
 from freeset.realize import (
-    DrawingViolation,
     GridDrawing,
     PolyDrawing,
-    _clearance_plan,
-    _clearance_sq,
     _collinear_base,
+    _collinear_system,
     _distinct_x_shear,
     free_realize,
     perturb_scale,
@@ -95,51 +99,105 @@ def all_pairs_sq(d: PolyDrawing | GridDrawing, moving) -> F | None:
     return best
 
 
-def exact_scan_sq(d: GridDrawing, moving) -> F | None:
-    """``_clearance_sq`` as one exact scan: the plan's pairs in order, each
-    measured in integer products on the single-scale grid, a point outside
-    the piece's box grown by the floor of the least D so far skipped, the
-    first pair at D² = 0 named in the same DegenerateOutput."""
-    g = d.graph
-    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()))
-    pieces = _clearance_plan(g, layout, frozenset(moving))
-    pts = list(d.pos)
-    for e, _ in layout:
-        pts.extend(d.bends[e])
-    scale = lcm(d.dx, d.dy)
-    mx, my = scale // d.dx, scale // d.dy
-    grid = [(x * mx, y * my) for x, y in pts]
-    reach = 2 * max(abs(c) for p in grid for c in p)  # at least D
-    best = None  # (num, den, point, edge): D² = num / den on the grid
-    for a, b, points, e in pieces:
-        (ax, ay), (bx, by) = grid[a], grid[b]
-        x0, x1 = (ax, bx) if ax < bx else (bx, ax)
-        y0, y1 = (ay, by) if ay < by else (by, ay)
-        x0, x1, y0, y1 = x0 - reach, x1 + reach, y0 - reach, y1 + reach
-        dx, dy = bx - ax, by - ay
-        for i in points:
-            px, py = grid[i]
-            if not (x0 <= px <= x1 and y0 <= py <= y1):
-                continue
-            wx, wy = px - ax, py - ay
-            dot = wx * dx + wy * dy
-            if dot <= 0:
-                num, den = wx * wx + wy * wy, 1
-            elif dot >= dx * dx + dy * dy:
-                num, den = (px - bx) ** 2 + (py - by) ** 2, 1
-            else:
-                num, den = (wx * dy - wy * dx) ** 2, dx * dx + dy * dy
-            if best is None or num * best[1] < best[0] * den:
-                best = (num, den, i, e)
-                reach = isqrt(num // den)
-    if best is not None and best[0] == 0:
-        i, e = best[2:]
-        owners = [f for f, nb in layout for _ in range(nb)]  # of the bends
-        point = f"vertex {i}" if i < g.n else \
-            f"a bend of edge {owners[i - g.n]}"
-        raise realize._degenerate("collinear", DrawingViolation(
-            "vertex-on-edge", f"{point} lies on edge {e}"))
-    return None if best is None else F(best[0], best[1] * scale * scale)
+def _orient(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def reference_triples(base: PolyDrawing | GridDrawing, fs) -> list:
+    """Every condition of the lift, as (name, points, sign): three point
+    ids of the system and the sign their orientation must keep.
+
+    Each half's faces are traced here again, and every face but the one
+    bounded by apex + axis is taken as a triangle, with the sign it has in
+    the base (which must be the same for the whole half); a half with no
+    other face is a fan from its apex.  The quadrilateral of the chain's
+    ends P₀, P₁ and the apexes L, U must stay convex: (P₀, L, P₁, U) turns
+    counter-clockwise at each corner.  The apexes sit at
+    ((x₀ + x₁)/2, ±4(x₁ - x₀)) for the chain ends' x's x₀ and x₁."""
+    if isinstance(base, GridDrawing):
+        base = base.drawing()
+    sysm = _collinear_system(fs._analysis)
+    pos = points_of(base, fs)
+    out = []
+    for which, (hp, rel) in sysm.halves.items():
+        point = {i: v for v, i in rel.items()}
+        point[hp.apex] = ("apex", which)
+        rim = set(hp.y) | {hp.apex}
+        faces = [[u for u, _ in walk] for walk in _trace_faces(hp.rot)[0]]
+        faces = [f for f in faces if set(f) != rim or len(f) != len(rim)]
+        signs = set()
+        for verts in faces or [[hp.apex, a, b] for a, b in zip(hp.y,
+                                                                hp.y[1:])]:
+            assert len(verts) == 3
+            ids = tuple(point[u] for u in verts)
+            sign = 1 if _orient(*(pos[p] for p in ids)) > 0 else -1
+            signs.add(sign)
+            out.append((f"the {which} half's triangle", ids, sign))
+        assert len(signs) <= 1
+    quad = [sysm.y_order[0], ("apex", "inside"), sysm.y_order[-1],
+            ("apex", "outside")]
+    for k in range(4):
+        out.append(("corner", tuple(quad[(k + i) % 4] for i in range(3)), 1))
+    return out
+
+
+def points_of(base: PolyDrawing, fs, lift=None) -> dict:
+    """The base's points by id, the apexes by ("apex", half), with each
+    free vertex v raised by ``lift[v]``."""
+    sysm = _collinear_system(fs._analysis)
+    pos = dict(base.pos)
+    for e, mid in sysm.mids.items():
+        (pos[mid],) = base.bends[e]
+    x0, x1 = pos[sysm.y_order[0]][0], pos[sysm.y_order[-1]][0]
+    pos[("apex", "inside")] = ((x0 + x1) / 2, -4 * (x1 - x0))
+    pos[("apex", "outside")] = ((x0 + x1) / 2, 4 * (x1 - x0))
+    for v, h in (lift or {}).items():
+        pos[v] = (pos[v][0], pos[v][1] + h)
+    return pos
+
+
+def reference_bounds(base, fs, targets) -> list:
+    """Per condition of ``reference_triples``, the least lift at which it
+    fails, or None: the orientation at lift 0 and at lift 1 give the line
+    it runs on."""
+    if isinstance(base, GridDrawing):
+        base = base.drawing()
+    ymax = max(abs(F(y)) for y in targets)
+    up = {v: F(y) / ymax for v, y in zip(fs.order, targets)}
+    at0, at1 = points_of(base, fs), points_of(base, fs, up)
+    out = []
+    for _, ids, sign in reference_triples(base, fs):
+        d0 = _orient(*(at0[p] for p in ids))
+        lin = _orient(*(at1[p] for p in ids)) - d0
+        assert sign * d0 > 0
+        out.append(-d0 / lin if sign * lin < 0 else None)
+    return out
+
+
+def reference_bound(base, fs, targets) -> F | None:
+    bounds = [b for b in reference_bounds(base, fs, targets) if b is not None]
+    return min(bounds) if bounds else None
+
+
+def pow2_below(q: F) -> F:
+    """The largest power of two strictly below q > 0."""
+    eps = F(2) ** (q.numerator.bit_length() - q.denominator.bit_length())
+    while eps >= q:
+        eps /= 2
+    while 2 * eps < q:
+        eps *= 2
+    return eps
+
+
+def epsilon_of(base, out, fs, targets) -> F:
+    """The epsilon ``perturb_scale`` used: a fixed vertex off the axis ends
+    at y·ymax/epsilon."""
+    base = base.drawing() if isinstance(base, GridDrawing) else base
+    out = out.drawing() if isinstance(out, GridDrawing) else out
+    ymax = max(abs(F(y)) for y in targets)
+    v = next(v for v in range(base.graph.n)
+             if base.pos[v][1] != 0 and v not in fs.order)
+    return base.pos[v][1] * ymax / out.pos[v][1]
 
 
 def _base_on(fs, style: str, rng_seed: int) -> GridDrawing:
@@ -148,31 +206,14 @@ def _base_on(fs, style: str, rng_seed: int) -> GridDrawing:
     return _collinear_base(fs.graph, fs, *common_denominator(xs))[0]
 
 
+def _targets(fs, style: str, rng_seed: int) -> list:
+    pts = point_set(style, len(fs.order), random.Random(rng_seed + 100))
+    return [y for _, y in pts]
+
+
 def _base(family: str, seed: int, style: str):
     fs = planar_freeset(FAMILIES[family](seed))
     return fs, _base_on(fs, style, seed)
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """The arguments of each ``_clearance_plan`` call, one per plan built."""
-    calls = []
-    build = realize._clearance_plan
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(realize, "_clearance_plan", counting)
-    return calls
-
-
-def outcome(clearance, d: GridDrawing, moving):
-    """D² by ``clearance``, or the text of the DegenerateOutput it raises."""
-    try:
-        return clearance(d, moving)
-    except DegenerateOutput as err:
-        return str(err)
 
 
 def _scaled(d: GridDrawing, k: int) -> GridDrawing:
@@ -183,174 +224,192 @@ def _scaled(d: GridDrawing, k: int) -> GridDrawing:
                        dx=d.dx, dy=d.dy)
 
 
+def lifted_exactly(base, fs, targets):
+    """``perturb_scale``'s drawing, after checking that it is plane, that
+    its free vertices are exactly at their targets, that its clearance is
+    positive and that its epsilon is the reference one."""
+    out = perturb_scale(base, fs, targets)
+    d = out.drawing() if isinstance(out, GridDrawing) else out
+    assert verify_drawing(d.graph, d) is None
+    assert [d.pos[v][1] for v in fs.order] == [F(y) for y in targets]
+    assert all_pairs_sq(d, fs.order) > 0
+    if not any(targets):
+        return d
+    bound = reference_bound(base, fs, targets)
+    assert epsilon_of(base, d, fs, targets) == \
+        (1 if bound is None else pow2_below(bound))
+    return d
+
+
 @pytest.mark.parametrize("family,seed,style", CASES)
 def test_face_local_matches_all_pairs(family, seed, style):
+    # the bound from each triangle on its own is the reference bound over
+    # all of them, and the lifted drawing keeps every pair apart
     fs, base = _base(family, seed, style)
-    d2 = _clearance_sq(base, fs.order)
-    assert d2 is not None and d2 > 0
-    assert d2 == exact_scan_sq(base, fs.order) == all_pairs_sq(base, fs.order)
+    lifted_exactly(base, fs, _targets(fs, style, seed))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_coordinates_beyond_2_to_1100(family):
-    # the coarse stage shifts away more than a thousand bits
+    # the bound scales with the grid, exactly
     fs, base = _base(family, 2, "coprime")
+    targets = _targets(fs, "coprime", 2)
     k = 3 ** 700 + 1
     big = _scaled(base, k)
     assert min(abs(c) for p in big.pos for c in p if c).bit_length() > 1100
-    d2 = _clearance_sq(big, fs.order)
-    assert d2 == exact_scan_sq(big, fs.order) == \
-        _clearance_sq(base, fs.order) * k * k
-    assert d2 == all_pairs_sq(big, fs.order)
+    assert reference_bound(big, fs, targets) == \
+        reference_bound(base, fs, targets) * k
+    lifted_exactly(big, fs, targets)
 
 
 def test_nearest_pair_below_the_coarse_grid():
-    # one vertex far out puts every other point within a unit or two of the
-    # origin on the coarse grid, so the nearest pair, less than 2^-W of the
-    # extent apart, and every pair near it are decided exactly
+    # one target 2^300 times the others: the other free vertices rise by
+    # less than 2^-300 of the bound, and still land exactly
     fs, base = _base("triangulation", 1, "general")
+    targets = [F(2 ** 300)] + [F((-1) ** i * (i + 1), 7)
+                               for i in range(1, len(fs.order))]
+    d = lifted_exactly(base, fs, targets)
+    assert d.pos[fs.order[1]][1] == F(-2, 7)
+
+
+def _broken(family: str, seed: int, count: int):
+    """A collinear base with ``count`` vertices off the axis moved onto
+    the middle of an unbent edge of a face at a free vertex, on a grid
+    past 2^200 (even, so the middles stay on it)."""
+    fs, base = _base(family, seed, "coprime")
+    base = _scaled(base, 2 ** 201 + 2)
     g = base.graph
-    far = max((v for v in range(g.n) if v not in fs.order),
-              key=lambda v: abs(base.pos[v][0]) + abs(base.pos[v][1]))
-    top = max(abs(c) for p in base.pos for c in p)
-    shift = realize._COARSE_BITS + 2 * top.bit_length()
     pos = list(base.pos)
-    pos[far] = (pos[far][0] << shift, pos[far][1] << shift)
-    d = GridDrawing(graph=g, pos=pos, bends=base.bends, dx=base.dx,
-                    dy=base.dy)
-    d2 = _clearance_sq(d, fs.order)
-    assert d2 == exact_scan_sq(d, fs.order) == all_pairs_sq(d, fs.order)
-    extent = max(abs(c) for p in d.drawing().pos.values() for c in p)
-    assert 0 < d2 * 2 ** (2 * realize._COARSE_BITS) < extent ** 2
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_vertex_on_piece_is_degenerate(family):
-    # a vertex put on a piece of its own face at a moving vertex
-    fs, grid = _base(family, 1, "general")
-    base = grid.drawing()
-    g = base.graph
-    v = fs.order[0]
-    walk = [u for u, _ in g.faces[g.faces_at(v)[0]].walk]
-    i = walk.index(v)
-    w = walk[(i + 1) % len(walk)]
-    u = next(u for u in walk if u not in (v, w))
-    a, b = base.pos[v], base.pos[w]
-    pos = {**base.pos, u: ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)}
-    broken = PolyDrawing(graph=g, pos=pos,
-                         bends={e: p for e, p in base.bends.items()
-                                if e != tuple(sorted((v, w)))})
-    assert all_pairs_sq(broken, fs.order) == 0
-    grid = GridDrawing.from_drawing(broken)
-    with pytest.raises(DegenerateOutput,
-                       match="collinear drawing failed verification: "
-                             "vertex-on-edge"):
-        _clearance_sq(grid, fs.order)
-    assert outcome(_clearance_sq, grid, fs.order) == \
-        outcome(exact_scan_sq, grid, fs.order)
-
-
-def _first_zero_pair(d: GridDrawing, moving) -> tuple[int, tuple]:
-    """The first (point, edge) of the plan at distance 0, in Fractions."""
-    layout = tuple(sorted((e, len(b)) for e, b in d.bends.items()))
-    pts = list(d.pos)
-    for e, _ in layout:
-        pts.extend(d.bends[e])
-    pts = [(F(x, d.dx), F(y, d.dy)) for x, y in pts]
-    for a, b, points, e in _clearance_plan(d.graph, layout, frozenset(moving)):
-        for i in points:
-            if _segment_sq(pts[i], pts[a], pts[b]) == 0:
-                return i, e
-    raise AssertionError("no pair at distance 0")
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_first_of_several_zero_pairs_is_named(family):
-    # fixed vertices put on the midpoints of unbent edges at moving
-    # vertices, on a grid past 2^200: the error names the plan's first pair
-    # at distance 0
-    fs, grid = _base(family, 3, "coprime")
-    grid = _scaled(grid, 2 ** 201 + 2)  # even: midpoints stay on the grid
-    g = grid.graph
-    pos = list(grid.pos)
     placed = set()
     for v in fs.order:
         for fid in g.faces_at(v):
             walk = [u for u, _ in g.faces[fid].walk]
             w = walk[(walk.index(v) + 1) % len(walk)]
             u = next((u for u in walk if u not in (v, w, *placed)
-                      and u not in fs.order), None)
-            if u is not None and norm_edge(v, w) not in grid.bends:
+                      and pos[u][1] != 0), None)
+            if u is not None and norm_edge(v, w) not in base.bends:
                 placed.add(u)
                 pos[u] = ((pos[v][0] + pos[w][0]) // 2,
                           (pos[v][1] + pos[w][1]) // 2)
                 break
-        if len(placed) == 3:
+        if len(placed) == count:
             break
-    assert len(placed) == 3
-    d = GridDrawing(graph=g, pos=pos, bends=grid.bends, dx=grid.dx,
-                    dy=grid.dy)
-    i, e = _first_zero_pair(d, fs.order)
-    text = outcome(_clearance_sq, d, fs.order)
-    assert text == outcome(exact_scan_sq, d, fs.order)
-    assert text.startswith("collinear drawing failed verification: ")
-    assert text.endswith(f"vertex {i} lies on edge {e}" if i < g.n else
-                         f"lies on edge {e}")
+    assert len(placed) == count
+    return fs, GridDrawing(graph=g, pos=pos, bends=base.bends, dx=base.dx,
+                           dy=base.dy)
+
+
+def first_broken(base, fs) -> tuple[str, tuple]:
+    """The first condition of the system, in the system's order, that the
+    base breaks, by the reference orientation in Fractions."""
+    sysm = _collinear_system(fs._analysis)
+    pos = points_of(base.drawing(), fs)
+    n, lower = base.graph.n, base.graph.n + len(sysm.mids)
+    for i, ids in enumerate(sysm.triples):
+        at = [pos[("apex", "inside") if p == lower else ("apex", "outside")
+                  if p == lower + 1 else p] for p in ids]
+        if _orient(*at) <= 0:
+            return next(w for end, w in sysm.parts if i < end), ids
+    raise AssertionError("no broken condition")
+
+
+def _named(fs, ids) -> str:
+    sysm = _collinear_system(fs._analysis)
+    n = fs.graph.n
+    crossed = list(sysm.mids)
+    return ", ".join(str(p) if p < n else f"m{crossed[p - n]}"
+                     if p < n + len(crossed) else
+                     ("the lower apex" if p == n + len(crossed)
+                      else "the upper apex") for p in ids)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_vertex_on_piece_is_degenerate(family):
+    # a vertex on a piece of its own face at a free vertex: some triangle
+    # is flat or clockwise in the base, and the lift raises before it moves
+    # anything
+    fs, broken = _broken(family, 1, 1)
+    with pytest.raises(DegenerateOutput,
+                       match="collinear drawing failed verification: "
+                             "flipped-triangle: the (inside|outside) half's "
+                             "triangle .* is (degenerate|clockwise)$"):
+        perturb_scale(broken, fs, _targets(fs, "general", 1))
+    assert verify_drawing(broken.graph, broken) is not None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_first_of_several_zero_pairs_is_named(family):
+    # three fixed vertices on the middles of unbent edges at free vertices:
+    # the error names the first condition, in the system's order, that the
+    # Fraction reference finds broken
+    fs, broken = _broken(family, 3, 3)
+    what, ids = first_broken(broken, fs)
+    with pytest.raises(DegenerateOutput) as err:
+        perturb_scale(broken, fs, _targets(fs, "general", 3))
+    assert str(err.value).startswith(
+        f"collinear drawing failed verification: flipped-triangle: {what} "
+        f"{_named(fs, ids)} is ")
 
 
 def test_pruning_keeps_the_nearest_pair():
-    # a path has one face, so the face-local D² is the all-pairs one; here
-    # halving the pruning reach would skip the nearest pair
-    pos = {0: (-10, 12), 1: (-6, -20), 2: (-8, 14), 3: (15, -6), 4: (5, 12)}
-    d = PolyDrawing(graph=path(5), pos={v: (F(x), F(y))
-                                        for v, (x, y) in pos.items()})
-    grid = GridDrawing.from_drawing(d)
-    assert _clearance_sq(grid, [0, 2]) == exact_scan_sq(grid, [0, 2]) == \
-        all_pairs_sq(d, [0, 2]) == F(648, 145)
+    # every condition is measured: the least bound is not the first one
+    fs, base = _base("thinned", 2, "general")
+    targets = _targets(fs, "general", 2)
+    bounds = reference_bounds(base, fs, targets)
+    found = [b for b in bounds if b is not None]
+    assert found[0] != min(found)
+    lifted_exactly(base, fs, targets)
 
 
 @pytest.mark.parametrize("m", [7, 1 << 100])
 @pytest.mark.parametrize("direction", [(1, 0), (1, 1), (-1, 1)])
 def test_pairs_as_far_apart_as_the_drawing_is_wide(m, direction):
-    # a path on a line through the origin: both pairs are as long as the
-    # drawing is wide, and the first one measured sets the bound
+    # three free vertices of a path on a line through the origin, as far
+    # apart as the drawing is wide; on the x-axis nothing is lifted
+    g = path(5)
+    fs = planar_freeset(g)
     ux, uy = direction
-    d = GridDrawing(graph=path(3), bends={}, dx=1, dy=1,
-                    pos=[(-m * ux, -m * uy), (0, 0), (m * ux, m * uy)])
-    d2 = (ux * ux + uy * uy) * m * m
-    assert _clearance_sq(d, [2]) == exact_scan_sq(d, [2]) == \
-        all_pairs_sq(d, [2]) == d2
+    pts = [(F(-m * ux), F(-m * uy)), (F(0), F(0)), (F(m * ux), F(m * uy))]
+    d = free_realize(g, fs, pts)
+    assert verify_drawing(g, d) is None
+    assert {d.pos[v] for v in fs.order} == set(pts)
+    base = _base_on(fs, "general", 1)
+    lifted_exactly(base, fs, [y for _, y in pts])
 
 
 def test_no_pair_means_no_bound():
-    # nothing moves: no pair, and no bound
-    _, base = _base("triangulation", 1, "general")
-    assert _clearance_sq(base, []) is None
-    assert exact_scan_sq(base, []) is None
+    # nothing moves: the base comes back checked, and no bound means
+    # epsilon 1
+    fs, base = _base("triangulation", 1, "general")
+    out = perturb_scale(base, fs, [0] * len(fs.order))
+    assert out.verified and (out.pos, out.bends) == (base.pos, base.bends)
+    sysm = _collinear_system(fs._analysis)
+    pts = realize._points(base, sysm, realize._apex_grid(
+        base, sysm, "collinear")[1])
+    assert realize._lift_exponent(pts, sysm, {}, base.dy, 1) == 0
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_clustered_at_the_floor_extremes(seed):
-    # a path or cycle on a few cells of the coarse grid, each point at the
-    # low or the high corner of its cell, so flooring moves it by nothing
-    # or by nearly (1, 1): coarse distances are off by up to about 2√2, in
-    # either direction, ties and points on pieces are common, and the
-    # exact stage must still find the nearest pair and the first zero one
+    # the free set of a path or a cycle on a few cells of a grid 2^sh wide,
+    # each point at the low or the high corner of its cell: targets tie or
+    # differ by one part in 2^sh, and the lift must still be exact
     rng = random.Random(seed)
-    n = rng.randint(3, 7)
+    n = rng.randint(5, 9)
     g = (path if seed % 2 else cycle)(n)
+    fs = planar_freeset(g)
     sh = rng.choice((0, 20, 1000))
     low = (1 << sh) - 1
-    top = 1 << (realize._COARSE_BITS - 1)  # keeps the shift at sh
-    cells = rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)], n)
-    pos = [((top + x) << sh | rng.choice((0, low)),
-            (top + y) << sh | rng.choice((0, low))) for x, y in cells]
-    d = GridDrawing(graph=g, pos=pos, bends={}, dx=1, dy=1)
-    moving = rng.sample(range(n), rng.randint(1, n))
-    got = outcome(_clearance_sq, d, moving)
-    assert got == outcome(exact_scan_sq, d, moving)
-    if not isinstance(got, str):
-        assert got == all_pairs_sq(d, moving)
+    top = 1 << 59
+    cells = rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)],
+                       len(fs.order))
+    pts = [(F((top + x) << sh | rng.choice((0, low))),
+            F((top + y) << sh | rng.choice((0, low)))) for x, y in cells]
+    d = free_realize(g, fs, pts)
+    assert verify_drawing(g, d) is None
+    assert sorted(d.pos[v] for v in fs.order) == sorted(pts)
+    base = _base_on(fs, "general", seed)
+    lifted_exactly(base, fs, [y for _, y in pts])
 
 
 @pytest.mark.parametrize("family,style", [("outerplanar", "general"),
@@ -359,63 +418,72 @@ def test_epsilon_is_largest_power_of_two(family, style):
     # the lift is epsilon * y / ymax: a fixed vertex ends at y * ymax / eps
     fs, grid = _base(family, 2, style)
     targets = [F(3 * i - 7, i + 1) for i in range(len(fs.order))]
-    d = perturb_scale(grid, fs.order, targets).drawing()
-    base = grid.drawing()
-    ymax = max(abs(y) for y in targets)
-    v = next(v for v in range(base.graph.n) if base.pos[v][1] != 0)
-    eps = base.pos[v][1] * ymax / d.pos[v][1]
+    d = perturb_scale(grid, fs, targets).drawing()
+    eps = epsilon_of(grid, d, fs, targets)
     assert eps == F(2) ** (eps.numerator.bit_length() -
                            eps.denominator.bit_length())
-    d2 = _clearance_sq(grid, fs.order)
-    assert (2 * eps) ** 2 < d2 <= (4 * eps) ** 2
+    bound = reference_bound(grid, fs, targets)
+    assert eps < bound <= 2 * eps
 
 
 def test_plan_follows_bend_layout_and_moving_set():
-    # one graph, three plans: the base, the base with one bend fewer, and a
-    # smaller moving set; a plan reused across them would misnumber the
-    # bends or test the wrong pairs, and the three values differ
+    # the bound follows the moving set and the targets; a base without the
+    # bend of a crossed edge is not a drawing of the system
     fs, base = _base("thinned", 2, "general")
-    g = base.graph
+    targets = _targets(fs, "general", 2)
+    last = fs.restricted(fs.order[-1:])
+    cases = [(fs, targets), (last, targets[-1:]),
+             (fs, [y * (i % 3) for i, y in enumerate(targets)])]
+    bounds = [reference_bound(base, s, t) for s, t in cases]
+    assert len(set(bounds)) == 3
+    for s, t in cases:
+        lifted_exactly(base, s, t)
+    fewer = GridDrawing(graph=base.graph, pos=base.pos, dx=base.dx,
+                        dy=base.dy, bends=dict(list(base.bends.items())[1:]))
+    with pytest.raises(DegenerateOutput, match="collinear drawing failed "
+                       "verification: bends: the bends are not one per "
+                       "crossed edge$"):
+        perturb_scale(fewer, fs, targets)
 
-    def without(e):
-        return GridDrawing(graph=g, pos=base.pos,
-                           bends={f: b for f, b in base.bends.items()
-                                  if f != e}, dx=base.dx, dy=base.dy)
 
-    e = next(e for e in sorted(base.bends)
-             if verify_drawing(g, without(e)) is None)
-    cases = [(base, fs.order), (without(e), fs.order),
-             (base, fs.order[-1:])]
-    values = [_clearance_sq(d, moving) for d, moving in cases]
-    assert values == [all_pairs_sq(d, moving) for d, moving in cases]
-    assert len(set(values)) == 3
+@pytest.fixture
+def traces(monkeypatch):
+    """The number of face traces made by realization: ``traces[0]``."""
+    calls = [0]
+    trace = realize._trace_faces
+
+    def counting(*args):
+        calls[0] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(realize, "_trace_faces", counting)
+    return calls
 
 
-def test_plan_is_reused_across_positions(builds):
-    # the same graph, free set and bends at two sets of x positions, then
-    # realized on a third point set: one plan
+def test_plan_is_reused_across_positions(traces):
+    # the same free set at two sets of x positions, then realized on a
+    # third point set: the system's triangles are traced once per half
     fs = planar_freeset(FAMILIES["triangulation"](3))
     for rng_seed in (1, 7):
         base = _base_on(fs, "coprime", rng_seed)
-        assert _clearance_sq(base, fs.order) == all_pairs_sq(base, fs.order)
+        lifted_exactly(base, fs, _targets(fs, "coprime", rng_seed))
     pts = point_set("general", len(fs.order), random.Random(3))
     assert free_realize(fs.graph, fs, pts).verified
-    assert len(builds) == 1
+    assert traces[0] == 2
 
 
-def test_plan_is_rebuilt_for_a_new_layout_or_moving_set(builds):
-    # the graph keeps one plan: a new bend layout or moving set replaces it
+def test_plan_is_rebuilt_for_a_new_layout_or_moving_set(traces):
+    # a restriction shares its set's system: a new moving set traces
+    # nothing again
     fs, base = _base("thinned", 2, "general")
-    e = min(base.bends)
-    fewer = GridDrawing(graph=base.graph, pos=base.pos,
-                        bends={f: b for f, b in base.bends.items() if f != e},
-                        dx=base.dx, dy=base.dy)
-    for d, moving in [(base, fs.order), (base, fs.order), (fewer, fs.order),
-                      (base, fs.order[-1:]), (base, fs.order[-1:])]:
-        _clearance_sq(d, moving)
-    assert [(dict(layout).get(e), len(moving))
-            for _, layout, moving in builds] == \
-        [(1, len(fs.order)), (None, len(fs.order)), (1, 1)]
+    assert traces[0] == 2
+    targets = _targets(fs, "general", 2)
+    for s, t in [(fs, targets), (fs.restricted(fs.order[:2]), targets[:2]),
+                 (fs.restricted(fs.order[-1:]), targets[-1:])]:
+        lifted_exactly(base, s, t)
+        pts = point_set("general", len(s.order), random.Random(4))
+        assert free_realize(s.graph, s, pts).verified
+    assert traces[0] == 2
 
 
 def test_perturb_checks_the_returned_drawing(monkeypatch):
@@ -429,7 +497,23 @@ def test_perturb_checks_the_returned_drawing(monkeypatch):
 
     monkeypatch.setattr(realize, "verify_drawing", spy)
     targets = [F(2 * i - 5, i + 2) for i in range(len(fs.order))]
-    d = perturb_scale(base, fs.order, targets)
+    d = perturb_scale(base, fs, targets)
     assert d.verified and len(checked) == 1
     assert (checked[0].pos, checked[0].bends) == (d.pos, d.bends)
     assert [d.drawing().pos[v][1] for v in fs.order] == targets
+
+
+EVERY_FAMILY = [
+    (path, (6,)), (cycle, (7,)), (fan, (8,)), (octahedron, ()),
+    (grid, (4, 7)), (maximal_outerplanar, (50, 4)),
+    (random_triangulation, (60, 5)), (stacked_3tree, (50, 6)),
+    (thinned_triangulation, (50, 7)),
+]
+
+
+@pytest.mark.parametrize("make,args", EVERY_FAMILY,
+                         ids=[f"{m.__name__}{a}" for m, a in EVERY_FAMILY])
+@pytest.mark.parametrize("style", STYLES)
+def test_epsilon_matches_reference_on_every_family(make, args, style):
+    fs = planar_freeset(make(*args))
+    lifted_exactly(_base_on(fs, style, 9), fs, _targets(fs, style, 9))

@@ -710,7 +710,7 @@ class TestPerturbAndFree:
     def test_zero_targets_identity(self, k4):
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
-        d2 = perturb_scale(d, fs.order, [0, 0])
+        d2 = perturb_scale(d, fs, [0, 0])
         assert d2.pos == d.pos
 
     @pytest.mark.parametrize("targets", [[1], [1, 2, 3]])
@@ -719,12 +719,12 @@ class TestPerturbAndFree:
         d = realize_collinear(k4, fs, [0, 1])
         with pytest.raises(SizeMismatch, match="^one target height per "
                            "free-set member$"):
-            perturb_scale(d, fs.order, targets)
+            perturb_scale(d, fs, targets)
 
     def test_k4_exact_targets(self, k4):
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
-        d2 = perturb_scale(d, fs.order, [3, -2])
+        d2 = perturb_scale(d, fs, [3, -2])
         assert d2.pos[3] == (F(0), F(3))
         assert d2.pos[2] == (F(1), F(-2))
         assert d2.verified
@@ -732,18 +732,18 @@ class TestPerturbAndFree:
     def test_extreme_target_hits_exactly(self, k4):
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
-        d2 = perturb_scale(d, fs.order, [F(22, 7), F(-1, 3)])
+        d2 = perturb_scale(d, fs, [F(22, 7), F(-1, 3)])
         assert d2.pos[3] == (F(0), F(22, 7))
         assert d2.pos[2] == (F(1), F(-1, 3))
 
     def test_free_set_off_axis_rejected(self, k4):
-        # the clearance bound assumes the free set starts on the axis
+        # the lift's bound assumes the free set starts on the axis
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
         lifted = replace(d, pos={**d.pos, 3: (F(0), F(1, 2))})
         for targets in ([3, -2], [0, 0]):
             with pytest.raises(SizeMismatch, match="vertex 3 is not on"):
-                perturb_scale(lifted, fs.order, targets)
+                perturb_scale(lifted, fs, targets)
 
     def test_free_realize_duplicate_x(self, k4):
         fs = antichain_pair(k4)
@@ -945,17 +945,18 @@ class TestVerifyOnce:
         assert calls == []
 
     def test_unverified_broken_base_is_not_halved(self, k4, calls):
-        # a vertex on a piece of the base: the exact clearance is zero, so
-        # perturbation raises before any check
+        # a vertex on another in the base: a triangle of the inside half
+        # turns clockwise, so perturbation raises before any check
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
         broken = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
                              bends=d.bends)
         calls.clear()
         with pytest.raises(DegenerateOutput,
-                           match="collinear .*vertex-on-edge: vertex 1 "
-                                 r"lies on edge \(0, 3\)"):
-            perturb_scale(broken, fs.order, [3, -2])
+                           match="^collinear drawing failed verification: "
+                                 "flipped-triangle: the inside half's "
+                                 "triangle 0, 2, 3 is clockwise$"):
+            perturb_scale(broken, fs, [3, -2])
         assert calls == []
 
 

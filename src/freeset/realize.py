@@ -969,10 +969,12 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     0, that follows a face passage.  Every extracted certificate starts
     there, so the axis order is the set's own order; for another
     certificate it is a rotation of it.  The merged drawing is checked
-    once, after the side condition; a failure of either raises
-    DegenerateOutput."""
+    once, on the halves' triangles (``_checked_halves``), after the side
+    condition; a failure of either raises DegenerateOutput."""
     base, _ = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
-    return _checked(base, "collinear").drawing()
+    sysm = _system_of(g, fs)
+    return _checked_halves(*_apex_grid(base, sysm, "collinear"), sysm,
+                           "collinear").drawing()
 
 
 # ---------------------------------------------------------------------------
@@ -1040,6 +1042,40 @@ def _flipped(sysm: _CollinearSystem, pts: list, i: int,
         f"{'degenerate' if det == 0 else 'clockwise'}"))
 
 
+def _checked_halves(d: GridDrawing, apex: tuple[int, int],
+                    sysm: _CollinearSystem, stage: str) -> GridDrawing:
+    """d, verified on the halves of its collinear system, with the upper
+    apex at ``apex`` on d's grid and the lower at its mirror image in the
+    axis; a failure raises DegenerateOutput naming the stage and the first
+    condition broken.
+
+    When the system was built, its two halves were checked to be
+    triangulated disks that, glued along the axis chain, form one disk
+    bounded by the quadrilateral P₀, L, P₋₁, U of the chain's ends and the
+    apexes, and every edge of g to be an edge of that disk or split at its
+    midpoint into two.  d is then plane when
+    - its bends are exactly the midpoints, one per crossed edge
+    - every triple turns counter-clockwise: each triangle of either half,
+      and each corner of the quadrilateral, which is then convex.
+    A piecewise-linear map of a triangulated disk that keeps the
+    orientation of every triangle and takes the boundary to a simple
+    polygon is injective (Lipman, "Bijective mappings of meshes with
+    boundary and the degree in mesh processing", SIAM J. Imaging Sci.
+    2014; Floater 2003 for a convex boundary): a point inside the polygon
+    is covered by as many triangles as the boundary winds around it, once.
+    So the disk is drawn without a crossing, and so is g.  The apexes are
+    part of the certificate: any two points for which the conditions hold
+    would do.  That is one orientation sign per triple: no sort and no
+    sweep."""
+    _bends_are_midpoints(d, sysm, stage)
+    pts = _points(d, sysm, apex)
+    for i, (a, b, c) in enumerate(sysm.triples):
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        if (bx - ax) * (cy - ay) <= (by - ay) * (cx - ax):
+            raise _flipped(sysm, pts, i, stage)
+    return replace(d, verified=True)
+
+
 def _pow2_below(num: int, den: int) -> int:
     """The k with 2^k < num / den <= 2^(k + 1), for positive num and den."""
     k = num.bit_length() - den.bit_length()
@@ -1050,37 +1086,37 @@ def _pow2_below(num: int, den: int) -> int:
     return k
 
 
-def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: dict,
+def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: list,
                    dy: int, ymax: int) -> int:
-    """The k of epsilon = 2^k: the largest power of two below the bound
-    at which a triple first stops turning counter-clockwise.
+    """The k of epsilon = 2^k: the largest power of two below the lift at
+    which a triple first stops turning counter-clockwise.
 
-    Only free vertices move, and only vertically: vertex v goes up by
-    epsilon·heights[v]/ymax, or ``dy`` times that on the grid.  So each
+    Only free vertices move, and only vertically: point p goes up by
+    epsilon·heights[p]/ymax, or ``dy`` times that on the grid.  So each
     triple's orientation is affine in epsilon, det₀ + epsilon·lin, where
     det₀ is its orientation on the axis.  A det₀ <= 0 raises
     DegenerateOutput for the stage "collinear", naming the triple; a lin
     >= 0 sets no bound; every other triple turns until epsilon reaches
-    -det₀/lin.  With no bound at all, k is 0."""
-    bn, bd = 1, 0  # the least -det₀/lin so far; (1, 0) is none
+    -det₀/lin, or (det₀·ymax)/(-lin·dy) in units of the lift, and k is the
+    least of their exponents.  With no bound at all, k is 0.  A triple's
+    exponent is within two of its bit lengths' difference, so it is
+    computed only where that could make it the least."""
+    k = None
+    off = ymax.bit_length() - dy.bit_length()
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
         if det <= 0:
             raise _flipped(sysm, pts, i, "collinear")
-        lin = 0
-        if a in heights:
-            lin += (cx - bx) * heights[a]
-        if b in heights:
-            lin -= (cx - ax) * heights[b]
-        if c in heights:
-            lin += (bx - ax) * heights[c]
-        if lin < 0 and det * bd < -lin * bn:
-            bn, bd = det, -lin
-    if bd == 0:
-        return 0
-    # epsilon·dy/ymax < det₀/-lin
-    return _pow2_below(bn * ymax, bd * dy)
+        ha, hb, hc = heights[a], heights[b], heights[c]
+        if ha or hb or hc:
+            lin = (cx - bx) * ha - (cx - ax) * hb + (bx - ax) * hc
+            if lin < 0 and (k is None or det.bit_length() -
+                            (-lin).bit_length() + off - 2 < k):
+                at = _pow2_below(det * ymax, -lin * dy)
+                if k is None or at < k:
+                    k = at
+    return 0 if k is None else k
 
 
 def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
@@ -1097,9 +1133,10 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     ymax/epsilon, which keeps every orientation sign, so the drawing is
     built scaled: the free vertices exactly at y_i, and every other height
     of the grid times one integer, ymax/epsilon over the new y
-    denominator.  That drawing, the one returned, is checked once, and it
+    denominator, the apexes included.  That drawing, the one returned, is
+    checked once on the halves' triangles (``_checked_halves``), and it
     comes back in the form ``d`` was given in.  All-zero targets check
-    ``d`` itself."""
+    ``d`` itself (none if it is verified already)."""
     order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(order):
@@ -1108,27 +1145,34 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
         if d.pos[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     sysm = _system_of(d.graph, fs)
-    if all(y == 0 for y in ys):
-        return _checked(d, "collinear")
+    if all(y == 0 for y in ys) and d.verified:
+        return d
     grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
     grid, apex = _apex_grid(grid, sysm, "collinear")
+    if all(y == 0 for y in ys):
+        _checked_halves(grid, apex, sysm, "collinear")
+        return replace(d, verified=True)
     ys, tden = common_denominator(ys)
     ymax = max(abs(y) for y in ys)
-    k = _lift_exponent(_points(grid, sysm, apex), sysm,
-                       {v: y for v, y in zip(order, ys) if y}, grid.dy, ymax)
+    pts = _points(grid, sysm, apex)
+    heights = [0] * len(pts)
+    for v, y in zip(order, ys):
+        heights[v] = y
+    k = _lift_exponent(pts, sysm, heights, grid.dy, ymax)
     # ymax / eps = scale / (tden * eps numerator), over the new denominator
     scale = ymax << max(0, -k)
     lift = grid.dy << max(0, k)
     pos = [(x, y * scale) for x, y in grid.pos]
     for v, y in zip(order, ys):
         pos[v] = (pos[v][0], y * lift)
-    out = _checked(GridDrawing(
+    out = _checked_halves(GridDrawing(
         graph=grid.graph, pos=pos,
         bends={e: tuple((x, y * scale) for x, y in pts)
                for e, pts in grid.bends.items()},
         dx=grid.dx, dy=lift * tden,
-        provenance=grid.provenance + "+perturbed"), "perturb")
-    return out if d is grid else out.drawing()
+        provenance=grid.provenance + "+perturbed"),
+        (apex[0], apex[1] * scale), sysm, "perturb")
+    return out if isinstance(d, GridDrawing) else out.drawing()
 
 
 # ---------------------------------------------------------------------------
@@ -1212,8 +1256,11 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     half-plane systems are solved exactly over the rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
-    unchecked (only the side condition is tested) and the perturbed drawing
-    is checked once.  A failure of either raises DegenerateOutput.  Both
-    stay on the integer grid; the Fractions of the result are built once.
+    unchecked (only the side condition is tested), the lift raises on a
+    triangle of the base that is flat or turns the wrong way, and the
+    perturbed drawing is checked once, on the halves' triangles
+    (``_checked_halves``).  A failure of any raises DegenerateOutput.
+    Everything stays on the integer grid; the Fractions of the result are
+    built once.
     """
     return _free_grid(g, fs, points).drawing()

@@ -140,19 +140,26 @@ class TestSgeNomap:
         assert len(res.shared_points) == 50
 
     def test_one_check_per_drawing(self, monkeypatch):
+        # the sweep for the Tutte drawing of G2, the triangle check for the
+        # realized G1
         import freeset.realize as realize
-        real = realize.verify_drawing
+        sweep, triangles = realize.verify_drawing, realize._checked_halves
         calls = []
 
-        def counting(g, d):
-            calls.append(d.provenance)
-            return real(g, d)
+        def counting_sweep(g, d):
+            calls.append(("sweep", d.provenance))
+            return sweep(g, d)
 
-        monkeypatch.setattr(realize, "verify_drawing", counting)
+        def counting_triangles(d, *args):
+            calls.append(("triangles", d.provenance))
+            return triangles(d, *args)
+
+        monkeypatch.setattr(realize, "verify_drawing", counting_sweep)
+        monkeypatch.setattr(realize, "_checked_halves", counting_triangles)
         res = sge_nomap(random_triangulation(30, 3),
                         random_triangulation(5, 4))
         assert all(d.verified for d in res.drawings)
-        assert len(calls) == 2
+        assert [c for c, _ in calls] == ["sweep", "triangles"]
 
     def test_too_large(self, k4):
         g2 = random_triangulation(6, 1)

@@ -386,7 +386,7 @@ def test_no_pair_means_no_bound():
     sysm = _collinear_system(fs._analysis)
     pts = realize._points(base, sysm, realize._apex_grid(
         base, sysm, "collinear")[1])
-    assert realize._lift_exponent(pts, sysm, {}, base.dy, 1) == 0
+    assert realize._lift_exponent(pts, sysm, [0] * len(pts), base.dy, 1) == 0
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -487,20 +487,27 @@ def test_plan_is_rebuilt_for_a_new_layout_or_moving_set(traces):
 
 
 def test_perturb_checks_the_returned_drawing(monkeypatch):
+    # one triangle check, on the drawing returned, and no sweep
     fs, base = _base("stacked", 1, "general")
-    checked = []
-    real = realize.verify_drawing
+    checked, swept = [], []
+    triangles, sweep = realize._checked_halves, realize.verify_drawing
 
-    def spy(g, d):
+    def spy(d, *args):
         checked.append(d)
-        return real(g, d)
+        return triangles(d, *args)
 
-    monkeypatch.setattr(realize, "verify_drawing", spy)
+    def sweep_spy(g, d):
+        swept.append(d)
+        return sweep(g, d)
+
+    monkeypatch.setattr(realize, "_checked_halves", spy)
+    monkeypatch.setattr(realize, "verify_drawing", sweep_spy)
     targets = [F(2 * i - 5, i + 2) for i in range(len(fs.order))]
     d = perturb_scale(base, fs, targets)
-    assert d.verified and len(checked) == 1
+    assert d.verified and len(checked) == 1 and swept == []
     assert (checked[0].pos, checked[0].bends) == (d.pos, d.bends)
     assert [d.drawing().pos[v][1] for v in fs.order] == targets
+    assert sweep(d.graph, d) is None
 
 
 EVERY_FAMILY = [

@@ -376,13 +376,18 @@ class TestScale:
             pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                      F(rng.randint(-400, 400), rng.randint(1, 9))))
         calls = []
-        verify = realize.verify_drawing
+        verify, triangles = realize.verify_drawing, realize._checked_halves
 
-        def counting(*args):
-            calls.append(1)
-            return verify(*args)
+        def counting(name, check):
+            def wrapper(*args):
+                calls.append(name)
+                return check(*args)
+            return wrapper
 
-        monkeypatch.setattr(realize, "verify_drawing", counting)
+        monkeypatch.setattr(realize, "verify_drawing",
+                            counting("sweep", verify))
+        monkeypatch.setattr(realize, "_checked_halves",
+                            counting("triangles", triangles))
         d = free_realize(g, fs, sorted(pts))
-        assert d.verified and len(calls) == 1
+        assert d.verified and calls == ["triangles"]
         assert verify(g, d) is None

@@ -826,49 +826,66 @@ class TestPerturbAndFree:
 
 
 class TestVerifyOnce:
-    """Each public entry point runs the exact check once on success."""
+    """Each public entry point runs one exact check on success: the
+    halves' triangle check (``_checked_halves``) on the realization path,
+    the sweep (``verify_drawing``) on the drawings of ``tutte_solve`` and
+    of a lone half-plane."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import freeset.realize as realize
         seen = []
-        real = realize.verify_drawing
+        sweep, triangles = realize.verify_drawing, realize._checked_halves
 
-        def counting(g, d):
-            seen.append(d.provenance)
-            return real(g, d)
+        def counting_sweep(g, d):
+            seen.append(("sweep", d.provenance))
+            return sweep(g, d)
 
-        monkeypatch.setattr(realize, "verify_drawing", counting)
+        def counting_triangles(d, *args):
+            seen.append(("triangles", d.provenance))
+            return triangles(d, *args)
+
+        monkeypatch.setattr(realize, "verify_drawing", counting_sweep)
+        monkeypatch.setattr(realize, "_checked_halves", counting_triangles)
         return seen
 
     @pytest.fixture
     def failing(self, monkeypatch):
-        """A verifier that rejects the first ``budget[0]`` drawings."""
+        """Checks that reject the first ``budget[0]`` drawings."""
         import freeset.realize as realize
         budget = [0]
         seen = []
-        real = realize.verify_drawing
+        sweep, triangles = realize.verify_drawing, realize._checked_halves
 
-        def fake(g, d):
+        def fake_sweep(g, d):
             seen.append(d.provenance)
             if len(seen) <= budget[0]:
                 return DrawingViolation("crossing", "injected")
-            return real(g, d)
+            return sweep(g, d)
 
-        monkeypatch.setattr(realize, "verify_drawing", fake)
+        def fake_triangles(d, apex, sysm, stage):
+            seen.append(d.provenance)
+            if len(seen) <= budget[0]:
+                raise realize._degenerate(stage, DrawingViolation(
+                    "crossing", "injected"))
+            return triangles(d, apex, sysm, stage)
+
+        monkeypatch.setattr(realize, "verify_drawing", fake_sweep)
+        monkeypatch.setattr(realize, "_checked_halves", fake_triangles)
         return budget, seen
 
     def test_free_realize_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 3), (1, -2)])
-        assert d.verified and calls == ["collinear[antichain]+perturbed"]
+        assert d.verified and \
+            calls == [("triangles", "collinear[antichain]+perturbed")]
 
     def test_free_realize_once_larger(self, calls):
         g = random_triangulation(60, 5)
         fs = planar_freeset(g)
         pts = [(F(i), F((-1) ** i * (i + 1))) for i in range(len(fs.order))]
         d = free_realize(g, fs, pts)
-        assert d.verified and len(calls) == 1
+        assert d.verified and [c for c, _ in calls] == ["triangles"]
 
     @pytest.mark.parametrize("make,n", [(maximal_outerplanar, 150),
                                         (random_triangulation, 1200)],
@@ -880,25 +897,25 @@ class TestVerifyOnce:
         fs = planar_freeset(g)
         pts = point_set("general", len(fs.order), random.Random(5))
         d = free_realize(g, fs, pts)
-        assert d.verified and len(calls) == 1
+        assert d.verified and [c for c, _ in calls] == ["triangles"]
         assert {d.pos[v] for v in fs.order} == set(pts)
 
     def test_zero_targets_check_base_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 0), (1, 0)])
-        assert d.verified and len(calls) == 1
+        assert d.verified and calls == [("triangles", "collinear[antichain]")]
 
     def test_realize_collinear_once(self, k4, calls):
         realize_collinear(k4, antichain_pair(k4), [0, 1])
-        assert len(calls) == 1
+        assert calls == [("triangles", "collinear[antichain]")]
 
     def test_halfplane_draw_once(self, calls):
         draw_half(path(4), [0, 1, 2, 3], [0, 1, 2, 3], side="below")
-        assert calls == ["halfplane"]
+        assert calls == [("sweep", "halfplane")]
 
     def test_base_checked_after_rejected_candidate(self, k4, failing):
-        # epsilon comes from the exact clearance: a rejected candidate
-        # raises at once, and the base is not checked after it
+        # epsilon comes from the triangles: a rejected candidate raises at
+        # once, and the base is not checked after it
         budget, seen = failing
         budget[0] = 1
         with pytest.raises(DegenerateOutput,

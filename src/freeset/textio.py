@@ -165,21 +165,55 @@ def parse_freeset(text: str, g: EmbeddedGraph) -> OrderedFreeSet:
 # Drawings and point sets
 # ---------------------------------------------------------------------------
 
+# CPython refuses to convert an int of more than sys.get_int_max_str_digits()
+# decimal digits (4,300 by default, 640 at the least) to or from a string,
+# so longer integers are converted in pieces of at most this many digits,
+# and the limit itself is left as it is
+_DIGITS = 600
+_BITS = 1993  # 2^1993 < 10^600: an int of this many bits has <= 600 digits
+
+
+def _integer(s: str) -> int:
+    """``int(s)``, also for an optionally signed run of ASCII digits
+    longer than ``_DIGITS``, which is converted in halves."""
+    body = s[1:] if s[:1] in ("+", "-") else s
+    if len(body) <= _DIGITS or not (body.isascii() and body.isdigit()):
+        return int(s)
+    k = len(body) // 2
+    value = _integer(body[:-k]) * 10 ** k + _integer(body[-k:])
+    return -value if s[0] == "-" else value
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size: past ``_BITS`` bits it is split
+    at a power of ten into two halves, converted apart."""
+    if n.bit_length() <= _BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 15 // 100  # about half of its digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _frac(s: str, no: int) -> Fraction:
     if "/" in s:
         a, b = s.split("/", 1)
         try:
-            return Fraction(int(a), int(b))
+            return Fraction(_integer(a), _integer(b))
         except (ValueError, ZeroDivisionError):
             _fail(no, f"bad rational {s!r}")
     try:
-        return Fraction(int(s))
+        return Fraction(_integer(s))
     except ValueError:
         _fail(no, f"bad rational {s!r}")
 
 
 def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    p, q = x.numerator, x.denominator
+    if p.bit_length() <= _BITS and q.bit_length() <= _BITS:
+        return f"{p}/{q}"
+    return f"{_decimal(p)}/{_decimal(q)}"
 
 
 def serialize_drawing(d: PolyDrawing) -> str:

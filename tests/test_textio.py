@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 from freeset.canonical import canonical_order
+from freeset.cli import main
 from freeset.errors import GraphFormatError, Unverified
 from freeset.extractors import antichain_freeset, planar_freeset
 from freeset.realize import PolyDrawing, free_realize
@@ -119,6 +122,65 @@ class TestDrawingFormat:
     def test_bad_point_line(self):
         with pytest.raises(GraphFormatError):
             parse_points("1/2\n")
+
+
+def long_drawing(k4, digits: int) -> PolyDrawing:
+    """K4 with one vertex inside the triangle of the others and a bend
+    below edge 0-1, on coordinates whose numerators have about ``digits``
+    decimal digits."""
+    n = 10 ** digits + 12345
+    return PolyDrawing(graph=k4, pos={0: (F(0), F(0)), 1: (F(n, 3), F(0)),
+                                      2: (F(0), F(n, 7)),
+                                      3: (F(n, 31), F(n + 2, 37))},
+                       bends={(0, 1): ((F(n, 6), F(-n, 11)),)})
+
+
+class TestLongIntegers:
+    """Numbers past CPython's int/str conversion limit (4,300 digits by
+    default) are written and read in pieces, and the limit is left as it
+    is."""
+
+    @pytest.mark.parametrize("digits", [5000, 20000])
+    def test_drawing_roundtrip(self, k4, digits):
+        limit = sys.get_int_max_str_digits()
+        d = long_drawing(k4, digits)
+        text = serialize_drawing(d)
+        assert max(len(t) for t in text.split()) > digits
+        back = parse_drawing(text, k4)
+        assert back.verified
+        assert (back.pos, back.bends) == (d.pos, d.bends)
+        assert serialize_drawing(back) == text
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("digits", [5000, 20000])
+    def test_cli_verify(self, k4, digits, tmp_path):
+        gpath, dpath = tmp_path / "k4.txt", tmp_path / "k4.drawing"
+        gpath.write_text(serialize_graph(k4))
+        dpath.write_text(serialize_drawing(long_drawing(k4, digits)))
+        r = CliRunner().invoke(main, ["verify", "--graph", str(gpath),
+                                      "--drawing", str(dpath)])
+        assert r.exit_code == 0 and r.output == "drawing: ok\n"
+
+    def test_same_text_as_str(self):
+        # the pieces join to exactly what str() writes, and read back
+        for n in (10 ** 600, 10 ** 600 - 1, -(2 ** 1993), 2 ** 1994 + 1,
+                  -(10 ** 4300 + 7), 3 ** 20000):
+            x = F(n, 7)
+            with_limit_lifted = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                want = f"{x.numerator}/{x.denominator}"
+            finally:
+                sys.set_int_max_str_digits(with_limit_lifted)
+            assert serialize_points([(x, F(0))]) == want + " 0/1\n"
+            assert parse_points(want + " 0/1\n") == [(x, F(0))]
+
+    @pytest.mark.parametrize("text", ["1_" + "0" * 5000,
+                                      "\u0661" * 5000 + "/1",
+                                      "1/" + "0" * 5000])
+    def test_long_malformed_numbers_still_rejected(self, text):
+        with pytest.raises(GraphFormatError, match="bad rational"):
+            parse_points(f"{text} 0\n")
 
 
 class TestSvg:

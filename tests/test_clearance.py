@@ -31,12 +31,15 @@ from freeset.extractors import planar_freeset
 from freeset.generators import (
     cycle,
     fan,
+    goldner_harary,
     grid,
+    icosahedron,
     maximal_outerplanar,
     octahedron,
     path,
     random_triangulation,
     stacked_3tree,
+    star,
 )
 from freeset.rational import common_denominator
 from freeset.realize import (
@@ -511,7 +514,8 @@ def test_perturb_checks_the_returned_drawing(monkeypatch):
 
 
 EVERY_FAMILY = [
-    (path, (6,)), (cycle, (7,)), (fan, (8,)), (octahedron, ()),
+    (path, (6,)), (cycle, (7,)), (star, (7,)), (fan, (8,)), (octahedron, ()),
+    (icosahedron, ()), (goldner_harary, ()),
     (grid, (4, 7)), (maximal_outerplanar, (50, 4)),
     (random_triangulation, (60, 5)), (stacked_3tree, (50, 6)),
     (thinned_triangulation, (50, 7)),

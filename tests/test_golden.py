@@ -10,7 +10,9 @@ outerplanar greedy, restricted extraction and ``freeset psge`` manifest
 hashes were recorded before the collar curve was built in one pass.  The
 realized drawings (``free_realize``, ``untangle``, ``psge_two``) were
 recorded when the lift's epsilon came to be taken from the triangles of
-the augmented halves.  All must keep producing exactly the same bytes.
+the augmented halves.  All must keep producing exactly the same bytes, and
+every realized drawing, checked on its halves' triangles, must pass the
+sweep as well.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from freeset.generators import (
     random_triangulation,
     stacked_3tree,
 )
-from freeset.realize import free_realize
+from freeset.realize import free_realize, verify_drawing
 from freeset.textio import serialize_drawing, serialize_freeset
 
 from conftest import point_set, thinned_triangulation
@@ -141,7 +143,7 @@ def test_free_realize_golden(n, gseed, pseed, style, digest):
     fs = planar_freeset(g)
     pts = point_set(style, len(fs.order), random.Random(pseed))
     d = free_realize(g, fs, pts)
-    assert d.verified
+    assert d.verified and verify_drawing(g, d) is None
     assert _digest(d) == digest
 
 
@@ -163,7 +165,7 @@ def test_free_realize_family_golden(family, args, pseed, style, digest):
     fs = planar_freeset(g)
     pts = point_set(style, len(fs.order), random.Random(pseed))
     d = free_realize(g, fs, pts)
-    assert d.verified
+    assert d.verified and verify_drawing(g, d) is None
     assert _digest(d) == digest
 
 
@@ -178,7 +180,7 @@ def test_untangle_golden(n, seed, digest):
     cells = rng.sample([(x, y) for x in range(-n // 4, n // 4)
                         for y in range(-n, n)], n)
     res = untangle(g, dict(enumerate(cells)))
-    assert res.drawing.verified
+    assert res.drawing.verified and verify_drawing(g, res.drawing) is None
     assert _digest(res.drawing) == digest
 
 
@@ -189,5 +191,6 @@ def test_untangle_golden(n, seed, digest):
 def test_psge_two_golden(n, seed, digest):
     res = psge_two(random_triangulation(n, seed),
                    random_triangulation(n, seed + 1000))
-    assert all(d.verified for d in res.drawings)
+    assert all(d.verified and verify_drawing(d.graph, d) is None
+               for d in res.drawings)
     assert _digest(*res.drawings) == digest

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeset import build_embedded, curves, embedding, realize
-from freeset.applications import untangle
+from freeset import applications, build_embedded, curves, embedding, realize
+from freeset.applications import psge_two, untangle
 from freeset.canonical import canonical_order
 from freeset.curves import (
     CrossItem,
@@ -808,7 +808,8 @@ class TestPerturbAndFree:
     @pytest.mark.parametrize("n", range(6, 41, 2))
     def test_thinned_end_to_end(self, n):
         """planar_freeset's own certificate realizes on every thinned
-        triangulation: 90 graphs per n, one general point set each."""
+        triangulation: 90 graphs per n, one general point set each.  Each
+        drawing, checked on its halves' triangles, passes the sweep too."""
         failed = []
         for s in range(1, 31):
             for keep in (0.3, 0.45, 0.6):
@@ -820,7 +821,7 @@ class TestPerturbAndFree:
                 except FreesetError as exc:
                     failed.append((s, keep, type(exc).__name__))
                     continue
-                assert d.verified
+                assert d.verified and verify_drawing(g, d) is None
                 assert [d.pos[v] for v in fs.order] == pts
         assert failed == []
 
@@ -1013,6 +1014,71 @@ class TestLiftsPerRealization:
     def test_tutte_solve_two_lifts(self, k4, lifts):
         tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
         assert len(lifts) == 2
+
+
+class TestChecksPerRealization:
+    """Sweeps, face traces and disk checks per entry point.
+
+    The sweep runs only on drawings the program did not build, so untangle
+    sweeps its input once and realization sweeps nothing.  Each half's
+    faces are traced, and checked to be a triangulated disk, once, when
+    the collinear system is built: twice for a cold realization, never for
+    a warm one."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"sweep": 0, "trace": 0, "disk": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sweep = counting("sweep", realize.verify_drawing)
+        monkeypatch.setattr(realize, "verify_drawing", sweep)
+        monkeypatch.setattr(applications, "verify_drawing", sweep)
+        monkeypatch.setattr(realize, "_trace_faces",
+                            counting("trace", realize._trace_faces))
+        monkeypatch.setattr(realize, "_half_triangles",
+                            counting("disk", realize._half_triangles))
+        return seen
+
+    def test_free_realize(self, counts):
+        g = random_triangulation(60, 8)
+        fs = planar_freeset(g)
+        rng = random.Random(8)
+        for style, cost in (("general", 2), ("repeated-x", 0),
+                            ("coprime", 0)):
+            for k in counts:
+                counts[k] = 0
+            d = free_realize(g, fs, point_set(style, len(fs.order), rng))
+            assert d.verified
+            assert counts == {"sweep": 0, "trace": cost, "disk": cost}
+
+    def test_realize_collinear(self, counts):
+        g = random_triangulation(40, 9)
+        fs = planar_freeset(g)
+        for cost in (2, 0):
+            for k in counts:
+                counts[k] = 0
+            assert realize_collinear(g, fs, range(len(fs.order))).verified
+            assert counts == {"sweep": 0, "trace": cost, "disk": cost}
+
+    def test_psge_two(self, counts):
+        res = psge_two(random_triangulation(30, 10),
+                       random_triangulation(30, 11))
+        assert all(d.verified for d in res.drawings)
+        assert counts == {"sweep": 0, "trace": 4, "disk": 4}
+
+    def test_untangle(self, counts):
+        g = random_triangulation(40, 12)
+        rng = random.Random(12)
+        pos = {v: (F(rng.randint(-99, 99)), F(rng.randint(-99, 99)))
+               for v in range(g.n)}
+        res = untangle(g, pos)
+        assert res.drawing.verified and len(res.fixed) < g.n
+        assert counts == {"sweep": 1, "trace": 2, "disk": 2}
 
 
 class TestOneAnalysis:

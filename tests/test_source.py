@@ -239,3 +239,87 @@ def test_perfbench_hooks_resolve(layer, name):
         obj = getattr(obj, attr, None)
         assert obj is not None, f"freeset.{layer}.{name} is gone"
     assert callable(obj)
+
+
+GONE = ("clearance", "_COARSE_BITS", "_plan")
+
+
+def gone_names(tree: ast.AST) -> list[str]:
+    """The identifiers, and the string constants that name an attribute or
+    slot, that still carry a name of the removed clearance: any name with
+    "clearance" in it, and ``_COARSE_BITS`` and ``_plan`` exactly."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname or node.name]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            names = [node.value]
+        else:
+            continue
+        found += [n for n in names if "clearance" in n.lower()
+                  or n in GONE[1:]]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_clearance_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert gone_names(tree) == [], f"clearance names in {path.name}"
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def _clearance_sq(d):\n    pass\n", ["_clearance_sq"]),
+    ("x = g._plan\n", ["_plan"]), ("__slots__ = ('n', '_plan')\n", ["_plan"]),
+    ("_COARSE_BITS = 60\n", ["_COARSE_BITS"]),
+    ("from .realize import _clearance_plan as cp\n", ["_clearance_plan"]),
+    ("plane = g._planar\n# no clearance here\n", []),
+])
+def test_clearance_name_detected(source, found):
+    assert sorted(set(gone_names(ast.parse(source)))) == found
+
+
+# the realization path: none of these may reach the sweep
+REALIZATION_PATH = ("perturb_scale", "_free_grid", "_collinear_base",
+                    "realize_collinear")
+
+
+def sweeping_functions(tree: ast.Module) -> set[str]:
+    """The module-level functions that name ``verify_drawing``, directly
+    or through another module-level function that does."""
+    refs = {node.name: {n.id for n in ast.walk(node)
+                        if isinstance(n, ast.Name)}
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sweeping = {"verify_drawing"}
+    while True:
+        more = {f for f, names in refs.items() if names & sweeping}
+        if more <= sweeping:
+            return sweeping - {"verify_drawing"}
+        sweeping |= more
+
+
+def test_realization_path_runs_no_sweep():
+    path = next(p for p in SOURCES if p.name == "realize.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(REALIZATION_PATH) <= defined
+    sweeping = sweeping_functions(tree)
+    assert "_checked" in sweeping and "tutte_solve" in sweeping
+    assert sweeping.isdisjoint(REALIZATION_PATH)
+
+
+def test_sweeping_function_detected():
+    tree = ast.parse("def a():\n    verify_drawing(g, d)\n"
+                     "def b():\n    return a()\n"
+                     "def c():\n    f = verify_drawing\n"
+                     "def d():\n    return 1\n")
+    assert sweeping_functions(tree) == {"a", "b", "c"}

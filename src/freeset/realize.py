@@ -12,13 +12,17 @@ exactly by a sparse LDLᵀ factor modulo a prime and p-adic lifting), then
 lift the free vertices off the axis and scale every height, in one step,
 so that they land exactly on arbitrary targets (the collinear-is-free
 argument of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every
-returned drawing has passed the exact crossing-free check, and each public
+returned drawing has passed an exact crossing-free check, and each public
 entry point runs that check once, on the drawing it returns; intermediate
-drawings are not checked.  Each system is solved once and the lift is
-sized by the triangles of the two augmented halves, traced once per system:
-each one's orientation is affine in the lift, so the largest safe lift is
-read off them in one pass and nothing is retried.  A drawing that fails its
-check raises DegenerateOutput naming the stage and the violation.
+drawings are not checked.  A realized drawing is checked on the triangles
+of its two augmented halves, traced once per system and checked there to
+form one disk (``_checked_halves``: one orientation sign per triangle); the
+sweep (``verify_drawing``) checks drawings the program did not build, and
+those of ``tutte_solve``.  Each system is solved once and the lift is sized
+by the same triangles: each one's orientation is affine in the lift, so the
+largest safe lift is read off them in one pass and nothing is retried.  A
+drawing that fails its check raises DegenerateOutput naming the stage and
+the violation.
 
 From the solve to the exact check a drawing is a ``GridDrawing``: integer
 numerators over one positive denominator per axis.  The solver returns
@@ -524,10 +528,13 @@ class _HalfPlane:
     besides, every face that touches a free vertex is a triangle, the
     barycentric drawing with any positive edge weights is an embedding
     (Tutte 1963; Floater 2003 for a weakly convex boundary).  The chords
-    make those faces triangles on every input tested, every outer axis of
-    small thinned triangulations among them.  So the system is the plain
-    integer Laplacian, and the one exact check of the drawing confirms the
-    embedding.  The interior system is factored once (sparse LDLᵀ modulo a
+    make every inner face a triangle on every input tested, every outer
+    axis of small thinned triangulations among them; it is not proved, so
+    it is checked once per collinear system, when ``_half_triangles``
+    traces the augmented faces, and a half that breaks it raises
+    DegenerateOutput there.  So the system is the plain integer Laplacian,
+    and the triangles that the check traced are the ones every realized
+    drawing is checked on.  The interior system is factored once (sparse LDLᵀ modulo a
     prime, in minimum-degree order), so a solve for new axis positions is
     only p-adic lifting with that factor.
 
@@ -539,8 +546,8 @@ class _HalfPlane:
     returns the drawing on the integer grid with the apex at height ±1.
     That drawing is the one with the apex at ±b scaled by 1/b along y,
     which keeps every orientation sign, so the caller applies b when it
-    next scales the heights.  ``solve`` only solves; the caller verifies
-    the drawing it assembles.
+    next scales the heights.  ``solve`` only solves; the caller checks the
+    drawing it assembles.
     """
 
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
@@ -1020,12 +1027,8 @@ def _points(d: GridDrawing, sysm: _CollinearSystem,
             apex: tuple[int, int]) -> list[tuple[int, int]]:
     """The points of the triples on d's grid: the vertices, the midpoints
     (the bends of the crossed edges), the lower apex and the upper."""
-    pts = list(d.pos)
-    bends = d.bends
-    pts += [bends[e][0] for e in sysm.mids]
     x, y = apex
-    pts += [(x, -y), (x, y)]
-    return pts
+    return [*d.pos, *(d.bends[e][0] for e in sysm.mids), (x, -y), (x, y)]
 
 
 def _flipped(sysm: _CollinearSystem, pts: list, i: int,

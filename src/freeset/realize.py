@@ -732,8 +732,9 @@ def _half_triangles(hp: _HalfPlane, points: list[int], which: str,
     each dart lies on exactly one face, and the rotation system is checked
     to be a triangulated disk bounded by apex + axis, trusting nothing of
     how the chords were chosen:
-    - no vertex is its own neighbour or repeats one, and u is in rot[v]
-      exactly when v is in rot[u]; every vertex is reached from the apex
+    - no vertex is its own neighbour or repeats one, every vertex is
+      reached from the apex, and u is in rot[v] exactly when v is in
+      rot[u] (else the trace meets a dart it cannot follow)
     - one face is the cycle apex + axis, and every other face is a triangle
       on three distinct vertices; so every inner edge lies on two
       triangles, once in each direction, and every boundary edge on one
@@ -760,8 +761,6 @@ def _half_triangles(hp: _HalfPlane, points: list[int], which: str,
         if len(at) != len(nbrs) or v in at:
             raise bad(f"repeats a neighbour of {name(points[v])}")
         index.append(at)
-    if any(v not in index[u] for v in range(len(rot)) for u in rot[v]):
-        raise bad("has an edge in one rotation only")
     seen, todo = {apex}, [apex]
     while todo:
         for u in rot[todo.pop()]:
@@ -771,12 +770,15 @@ def _half_triangles(hp: _HalfPlane, points: list[int], which: str,
     if len(seen) != len(rot):
         raise bad("is not connected")
 
-    walks = _trace_faces(rot, index)[0]
+    try:
+        walks = _trace_faces(rot, index)[0]
+    except KeyError:  # the trace met a dart (v, u) with v not in rot[u]
+        raise bad("has an edge in one rotation only") from None
     forward, backward = y + [apex], y[::-1] + [apex]
     tris, ends = [], []
     for walk in walks:
         verts = [u for u, _ in walk]
-        if apex in verts:
+        if len(verts) == len(forward) and apex in verts:
             p = verts.index(apex)
             run = verts[p + 1:] + verts[:p + 1]
             if run == forward or run == backward:
@@ -837,7 +839,6 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
         return _point_name(i, g.n, mids)
 
     halves, triples, parts = {}, [], []
-    edges = set()  # of both halves, on point ids
     for which, apex in (("inside", g.n + len(mids)),
                         ("outside", g.n + len(mids) + 1)):
         h, rel = _half_embedding(an, sp, mids, y_order, which)
@@ -848,17 +849,9 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
             points[i] = v
         triples += _half_triangles(hp, points, which, name)
         parts.append((len(triples), f"the {which} half's triangle"))
-        edges.update(norm_edge(points[v], points[u])
-                     for v, nbrs in enumerate(hp.rot) for u in nbrs)
-    for e in sorted(g.edges):
-        mid = mids.get(e)
-        if e not in edges if mid is None else \
-                not {(e[0], mid), (e[1], mid)} <= edges:
-            raise _degenerate("collinear", DrawingViolation(
-                "not-a-disk", f"edge {e} is not drawn by the halves"))
     first, last = y_order[0], y_order[-1]
     lower, upper = g.n + len(mids), g.n + len(mids) + 1
-    darts = set()
+    darts = set()  # every edge of a half lies on one of its triangles
     for a, b, c in triples:
         darts.update(((a, b), (b, c), (c, a)))
     rim = {(u, v) for u, v in darts if (v, u) not in darts}
@@ -866,6 +859,13 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
             (first, lower), (lower, last), (last, upper), (upper, first)}:
         raise _degenerate("collinear", DrawingViolation(
             "not-a-disk", "the halves do not close up along the axis"))
+    for e in sorted(g.edges):
+        mid = mids.get(e)
+        if (e not in darts and e[::-1] not in darts) if mid is None else \
+                not ({(e[0], mid), (mid, e[0])} & darts
+                     and {(e[1], mid), (mid, e[1])} & darts):
+            raise _degenerate("collinear", DrawingViolation(
+                "not-a-disk", f"edge {e} is not drawn by the halves"))
     triples += [(first, lower, last), (lower, last, upper),
                 (last, upper, first), (upper, first, lower)]
     parts.append((len(triples), "the outer quadrilateral's corner"))

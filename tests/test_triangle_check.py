@@ -140,18 +140,42 @@ def test_mutants_rejected_by_the_sweep_are_rejected(family, args, pseed):
     assert rejected > 0
 
 
+QUAD_PTS = {0: (0, 0), 1: (4, 0), 2: (1, -2), 3: (3, -2), 4: (2, -8)}
+
+
 def test_quadrilateral_face_is_refused():
     # axis 0-1, apex 4 below it; 2 and 3 hang between them, and the face
     # 0, 2, 3, 1 has four vertices: a disk, but not triangulated
-    pts = {0: (0, 0), 1: (4, 0), 2: (1, -2), 3: (3, -2), 4: (2, -8)}
     adj = {0: [1, 2, 4], 1: [0, 3, 4], 2: [0, 3, 4], 3: [1, 2, 4],
            4: [0, 1, 2, 3]}
     # each rotation counter-clockwise, by angle
-    rot = [sorted(adj[v], key=lambda u, v=v: atan2(pts[u][1] - pts[v][1],
-                                                    pts[u][0] - pts[v][0]))
-           for v in range(5)]
+    rot = [sorted(adj[v], key=lambda u, v=v: atan2(
+        QUAD_PTS[u][1] - QUAD_PTS[v][1], QUAD_PTS[u][0] - QUAD_PTS[v][0]))
+        for v in range(5)]
     hp = SimpleNamespace(rot=rot, y=[0, 1], apex=4)
     with pytest.raises(DegenerateOutput, match="^collinear drawing failed "
                        "verification: not-a-disk: the inside half has the "
                        "face 0, 2, 3, 1, which is not a triangle$"):
         realize._half_triangles(hp, list(range(5)), "inside", str)
+
+
+@pytest.mark.parametrize("change,detail", [
+    (lambda rot: rot[0].remove(2), "has an edge in one rotation only"),
+    (lambda rot: rot[0].append(2), "repeats a neighbour of 0"),
+    (lambda rot: rot.append([]), "is not connected"),
+], ids=["one-sided", "repeated", "disconnected"])
+def test_broken_rotation_is_refused(change, detail):
+    # the triangulated half: 0-1 the axis, 4 the apex below, and the face
+    # 0, 2, 3, 1 split by the chord 0-3
+    adj = {0: [1, 2, 3, 4], 1: [0, 3, 4], 2: [0, 3, 4], 3: [0, 1, 2, 4],
+           4: [0, 1, 2, 3]}
+    rot = [sorted(adj[v], key=lambda u, v=v: atan2(
+        QUAD_PTS[u][1] - QUAD_PTS[v][1], QUAD_PTS[u][0] - QUAD_PTS[v][0]))
+        for v in range(5)]
+    hp = SimpleNamespace(rot=rot, y=[0, 1], apex=4)
+    assert len(realize._half_triangles(hp, list(range(5)), "inside",
+                                       str)) == 5
+    change(rot)
+    with pytest.raises(DegenerateOutput, match="^collinear drawing failed "
+                       f"verification: not-a-disk: the inside half {detail}$"):
+        realize._half_triangles(hp, list(range(len(rot))), "inside", str)

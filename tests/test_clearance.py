@@ -528,3 +528,33 @@ EVERY_FAMILY = [
 def test_epsilon_matches_reference_on_every_family(make, args, style):
     fs = planar_freeset(make(*args))
     lifted_exactly(_base_on(fs, style, 9), fs, _targets(fs, style, 9))
+
+
+LIFT_CASES = [(FAMILIES[f](1), [F(3 * k + 1, 2) for k in range(40)])
+              for f in sorted(FAMILIES)] + [
+    # the apex's x is not on the least grid, or its height is not
+    (path(2), [F(0), F(1)]), (path(2), [F(0), F(1, 8)]),
+    (path(2), [F(1, 3), F(8, 3)])]
+
+
+@pytest.mark.parametrize("g,xs", LIFT_CASES,
+                         ids=[f"{f}" for f in sorted(FAMILIES)] +
+                         ["path2-odd-middle", "path2-half-height",
+                          "path2-thirds"])
+def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
+    # realize_collinear's drawing, put on its least grid again, may need a
+    # finer one for the apexes to be grid points; the lift must come out
+    # the same as on the collinear base's own grid
+    fs = planar_freeset(g)
+    xs = xs[:len(fs.order)]
+    targets = _targets(fs, "coprime", 1)
+    poly = realize.realize_collinear(g, fs, xs)
+    base = _collinear_base(g, fs, *common_denominator(xs))[0]
+    out = perturb_scale(poly, fs, targets)
+    assert out.verified and verify_drawing(g, out) is None
+    want = perturb_scale(base, fs, targets).drawing()
+    assert (out.pos, out.bends) == (want.pos, want.bends)
+    least = GridDrawing.from_drawing(poly)
+    sysm = _collinear_system(fs._analysis)
+    refined = realize._apex_grid(least, sysm, "collinear")[0]
+    assert (refined is least) == (g.n > 2)

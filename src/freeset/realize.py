@@ -534,9 +534,9 @@ class _HalfPlane:
     traces the augmented faces, and a half that breaks it raises
     DegenerateOutput there.  So the system is the plain integer Laplacian,
     and the triangles that the check traced are the ones every realized
-    drawing is checked on.  The interior system is factored once (sparse LDLᵀ modulo a
-    prime, in minimum-degree order), so a solve for new axis positions is
-    only p-adic lifting with that factor.
+    drawing is checked on.  The interior system is factored once (sparse
+    LDLᵀ modulo a prime, in minimum-degree order), so a solve for new axis
+    positions is only p-adic lifting with that factor.
 
     The heights do not depend on the axis positions.  The axis is at
     height 0 and the apex at b, so the interior heights are b·φ, where φ

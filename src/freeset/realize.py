@@ -22,7 +22,9 @@ those of ``tutte_solve``.  Each system is solved once and the lift is sized
 by the same triangles: each one's orientation is affine in the lift, so the
 largest safe lift is read off them in one pass and nothing is retried.  A
 drawing that fails its check raises DegenerateOutput naming the stage and
-the violation.
+the violation.  Nothing that the validated certificate or the triangle
+check decides is checked again, and a drawing's ``verified`` flag is output
+only: no check is skipped because a drawing given in is marked verified.
 
 From the solve to the exact check a drawing is a ``GridDrawing``: integer
 numerators over one positive denominator per axis.  The solver returns
@@ -396,10 +398,8 @@ def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
 
 def _checked(d: PolyDrawing | GridDrawing,
              stage: str) -> PolyDrawing | GridDrawing:
-    """``d`` after one exact check (none if it is verified already); a
-    failure raises DegenerateOutput naming the stage."""
-    if d.verified:
-        return d
+    """``d`` after one exact check; a failure raises DegenerateOutput
+    naming the stage."""
     violation = verify_drawing(d.graph, d)
     if violation is not None:
         raise _degenerate(stage, violation)
@@ -523,8 +523,14 @@ class _HalfPlane:
 
     Lemma.  The augmented outer face is exactly axis + apex, a weakly convex
     polygon once the axis is on a line and the apex off it.  No other edge
-    joins two fixed vertices: an edge between axis vertices that are not
-    consecutive is refused, and no chord joins two fixed vertices.  When,
+    joins two fixed vertices.  The premise comes from the proper
+    certificate the axis is read off (``_collinear_system``), and is not
+    checked again here: the axis has at least two vertices, all distinct
+    (no curve vertex twice, and the midpoints are new ids); the curve runs
+    along every edge between two curve vertices, so h joins axis vertices
+    only where they are consecutive, and never the two ends, since the
+    axis starts after a face passage (``_axis_items``).  No chord joins two
+    fixed vertices.  When,
     besides, every face that touches a free vertex is a triangle, the
     barycentric drawing with any positive edge weights is an embedding
     (Tutte 1963; Floater 2003 for a weakly convex boundary).  The chords
@@ -553,16 +559,6 @@ class _HalfPlane:
     def __init__(self, h: EmbeddedGraph, y_order: list[int]):
         self.h = h
         self.y = list(y_order)
-        if len(self.y) < 2:
-            raise SizeMismatch("the axis needs at least two vertices")
-        if len(set(self.y)) != len(self.y):
-            raise SizeMismatch("axis repeats a vertex")
-        at = {v: i for i, v in enumerate(self.y)}
-        for i, v in enumerate(self.y):
-            for u in h.rot[v]:
-                if u in at and abs(at[u] - i) != 1:
-                    raise SizeMismatch(f"edge {v}-{u} joins axis vertices "
-                                       f"that are not consecutive")
         self.apex = h.n
         self.rot, self.helper_edges = self._fill_content_faces(
             *_with_apex(h, self.y))
@@ -614,8 +610,6 @@ class _HalfPlane:
         """Unverified drawing of the original half graph with the axis
         vertices at x = xs[i] / den, increasing, and the apex at height -1
         (``side`` "below") or 1: heights are ±φ."""
-        if len(xs) != len(self.y):
-            raise SizeMismatch("one x position per axis vertex")
         fixed = {v: 2 * x for v, x in zip(self.y, xs)}
         fixed[self.apex] = xs[0] + xs[-1]  # the midpoint, over 2·den
         inner, dx = self._base.solve(fixed, 2 * den)
@@ -702,8 +696,6 @@ class _CollinearSystem:
     mids: dict                    # crossed edge -> its midpoint, g.n + k
     y_order: tuple[int, ...]      # curve vertices and midpoints, in order
     halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
-    below: tuple[int, ...]        # vertices strictly inside the curve
-    above: tuple[int, ...]        # vertices strictly outside the curve
     # point-id triples, each counter-clockwise in a plane drawing: the
     # inside half's triangles, the outside half's, then the corners of the
     # quadrilateral that bounds both
@@ -870,9 +862,8 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
                 (last, upper, first), (upper, first, lower)]
     parts.append((len(triples), "the outer quadrilateral's corner"))
     an.collinear = _CollinearSystem(mids=mids, y_order=y_order,
-                                    halves=halves, below=tuple(sorted(sp.X)),
-                                    above=tuple(sorted(sp.Z)),
-                                    triples=triples, parts=tuple(parts))
+                                    halves=halves, triples=triples,
+                                    parts=tuple(parts))
     return an.collinear
 
 
@@ -916,10 +907,9 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
     """Unverified collinear drawing with the free set at x = xs[i] / den
     in axis order, and the free set in that order: both halves of the
     collinear system kept on the free set's analysis solved and merged on
-    integer columns, the crossed edges bent at their midpoints, the side
-    condition checked."""
-    if g != fs.graph:
-        raise SizeMismatch("free set does not belong to this graph")
+    integer columns, the crossed edges bent at their midpoints.  The side
+    of the axis each vertex lands on is not checked here: the triangle
+    check decides it (``realize_collinear``)."""
     if not fs.order:
         raise SizeMismatch("the free set is empty")
     if len(xs) != len(fs.order):
@@ -946,19 +936,6 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
         for v, i in rel.items():
             x, y = h.pos[i]
             merged[v] = (x * cx, y * cy)
-
-    # inside vertices strictly below the axis, outside strictly above: the
-    # halves then meet only on the axis, at curve vertices, so the exact
-    # check of the merged drawing covers what checking each half did
-    for v in sysm.below:
-        if merged[v][1] >= 0:
-            raise _degenerate("collinear", DrawingViolation(
-                "wrong-side", f"inside vertex {v} is not below the axis"))
-    for v in sysm.above:
-        if merged[v][1] <= 0:
-            raise _degenerate("collinear", DrawingViolation(
-                "wrong-side", f"outside vertex {v} is not above the axis"))
-
     return GridDrawing(graph=g, pos=[merged[v] for v in range(g.n)],
                        bends={e: (merged[mid],)
                               for e, mid in sysm.mids.items()},
@@ -975,13 +952,16 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     The axis runs along the curve from its first item, counting from item
     0, that follows a face passage.  Every extracted certificate starts
     there, so the axis order is the set's own order; for another
-    certificate it is a rotation of it.  The merged drawing is checked
-    once, on the halves' triangles (``_checked_halves``), after the side
-    condition; a failure of either raises DegenerateOutput."""
+    certificate it is a rotation of it.  The merged drawing goes through
+    the zero lift (``perturb_scale`` with every target 0), so it is checked
+    once, on the halves' triangles (``_checked_halves``); a failure raises
+    DegenerateOutput.  That check also decides the sides: glued along the
+    axis, the halves are one disk, embedded inside the quadrilateral
+    P₀, L, P₋₁, U of the chain's ends and the apexes, and the inside half is
+    the part of it bounded by the chain and L, so its vertices off the
+    chain lie strictly inside the triangle P₀, L, P₋₁, below the axis."""
     base, _ = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
-    sysm = _system_of(g, fs)
-    return _checked_halves(*_apex_grid(base, sysm, "collinear"), sysm,
-                           "collinear").drawing()
+    return perturb_scale(base, fs, [0] * len(fs.order)).drawing()
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +1107,7 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     """Move the free set, on the axis in ``d``, to the target heights:
     ``targets[i]`` for ``fs.order[i]``.  ``d`` is a drawing of the collinear
     system kept on ``fs``'s analysis, as ``realize_collinear`` or
-    ``_collinear_base`` builds it; it need not be verified.
+    ``_collinear_base`` builds it; its ``verified`` flag is not read.
 
     The system's triples turn counter-clockwise in d (else
     DegenerateOutput for the stage "collinear"), and with epsilon from
@@ -1139,7 +1119,7 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     denominator, the apexes included.  That drawing, the one returned, is
     checked once on the halves' triangles (``_checked_halves``), and it
     comes back in the form ``d`` was given in.  All-zero targets check
-    ``d`` itself (none if it is verified already)."""
+    ``d`` itself, the same way, and return it marked verified."""
     order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(order):
@@ -1148,8 +1128,6 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
         if d.pos[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     sysm = _system_of(d.graph, fs)
-    if all(y == 0 for y in ys) and d.verified:
-        return d
     grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
     grid, apex = _apex_grid(grid, sysm, "collinear")
     if all(y == 0 for y in ys):
@@ -1259,10 +1237,11 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
     half-plane systems are solved exactly over the rationals at every size.
 
     Only the returned drawing is verified: the collinear base is built
-    unchecked (only the side condition is tested), the lift raises on a
-    triangle of the base that is flat or turns the wrong way, and the
-    perturbed drawing is checked once, on the halves' triangles
-    (``_checked_halves``).  A failure of any raises DegenerateOutput.
+    unchecked, the lift raises on a triangle of the base that is flat or
+    turns the wrong way (a vertex on the wrong side of the axis among
+    them), and the perturbed drawing is checked once, on the halves'
+    triangles (``_checked_halves``).  A failure of either raises
+    DegenerateOutput.
     Everything stays on the integer grid; the Fractions of the result are
     built once.
     """

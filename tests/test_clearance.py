@@ -1,4 +1,4 @@
-"""The clearance that sizes the lift of a collinear base.
+"""The lift of a collinear base, sized by the triangles of its system.
 
 ``perturb_scale`` moves the free set off the axis by epsilon·yᵢ/ymax and
 scales every height by ymax/epsilon.  Epsilon is the largest power of two
@@ -265,7 +265,7 @@ def test_coordinates_beyond_2_to_1100(family):
     lifted_exactly(big, fs, targets)
 
 
-def test_nearest_pair_below_the_coarse_grid():
+def test_targets_2_to_300_apart_land_exactly():
     # one target 2^300 times the others: the other free vertices rise by
     # less than 2^-300 of the bound, and still land exactly
     fs, base = _base("triangulation", 1, "general")
@@ -354,7 +354,7 @@ def test_first_of_several_zero_pairs_is_named(family):
         f"{_named(fs, ids)} is ")
 
 
-def test_pruning_keeps_the_nearest_pair():
+def test_least_bound_is_not_the_first():
     # every condition is measured: the least bound is not the first one
     fs, base = _base("thinned", 2, "general")
     targets = _targets(fs, "general", 2)
@@ -429,7 +429,7 @@ def test_epsilon_is_largest_power_of_two(family, style):
     assert eps < bound <= 2 * eps
 
 
-def test_plan_follows_bend_layout_and_moving_set():
+def test_bound_follows_moving_set_and_bends_are_checked():
     # the bound follows the moving set and the targets; a base without the
     # bend of a crossed edge is not a drawing of the system
     fs, base = _base("thinned", 2, "general")
@@ -463,7 +463,7 @@ def traces(monkeypatch):
     return calls
 
 
-def test_plan_is_reused_across_positions(traces):
+def test_triangles_traced_once_across_positions(traces):
     # the same free set at two sets of x positions, then realized on a
     # third point set: the system's triangles are traced once per half
     fs = planar_freeset(FAMILIES["triangulation"](3))
@@ -475,7 +475,7 @@ def test_plan_is_reused_across_positions(traces):
     assert traces[0] == 2
 
 
-def test_plan_is_rebuilt_for_a_new_layout_or_moving_set(traces):
+def test_restriction_traces_nothing_again(traces):
     # a restriction shares its set's system: a new moving set traces
     # nothing again
     fs, base = _base("thinned", 2, "general")

@@ -262,22 +262,6 @@ class TestHalfplane:
             draw_half(g, axis, [0, 1], side="below")
         assert built == []
 
-    @pytest.mark.parametrize("g,axis,xs,side", [
-        (path(3), [], [], "below"),
-        (path(3), [0], [0], "below"),
-        (cycle(4), [0, 1, 2, 3, 0], [0, 1, 2, 3, 4], "below"),
-        (fan(3), [0, 1, 2], [0, 1, 2], "below"),
-    ], ids=["empty", "one-vertex", "repeated-vertex", "edge-on-axis"])
-    def test_malformed_axis_rejected_before_building(
-            self, g, axis, xs, side, monkeypatch):
-        built = []
-        monkeypatch.setattr(realize, "insert_chords",
-                            lambda *args: built.append(args))
-        monkeypatch.setattr(realize, "FractionFreeSolver", built.append)
-        with pytest.raises(SizeMismatch):
-            draw_half(g, axis, xs, side=side)
-        assert built == []
-
 
 def cyclic_form(walk):
     """A face walk (vertex sequence) up to where it starts."""
@@ -529,6 +513,35 @@ class TestHalvesOnG:
         assert len(crossing) >= 10
         for g in crossing:
             self.assert_sides(g)
+
+
+def assert_axis_premise(g):
+    """The premise of the ``_HalfPlane`` lemma, which the proper
+    certificate gives and nothing checks at run time: on both halves of
+    g's free set the axis has at least two vertices, all distinct, and
+    every edge of the half between two axis vertices joins consecutive
+    ones."""
+    for hp in halfplanes(g):
+        at = {v: i for i, v in enumerate(hp.y)}
+        assert len(hp.y) >= 2 and len(at) == len(hp.y)
+        for u, v in hp.h.edges:
+            if u in at and v in at:
+                assert abs(at[u] - at[v]) == 1, (u, v, hp.y)
+
+
+class TestAxisPremise:
+    @pytest.mark.parametrize(
+        "make,args", HALFPLANE_CORPUS,
+        ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
+    def test_corpus(self, make, args):
+        assert_axis_premise(make(*args))
+
+    @pytest.mark.parametrize("n", range(6, 41, 2))
+    def test_thinned_sweep(self, n):
+        """The 90 graphs of ``TestHalvesOnG.test_thinned_sweep``."""
+        for s in range(1, 31):
+            for keep in (0.3, 0.45, 0.6):
+                assert_axis_premise(thinned_triangulation(n, s, keep))
 
 
 def locked(rot, yset, apex):
@@ -946,8 +959,10 @@ class TestVerifyOnce:
                 call()
             assert len(seen) == 1
 
-    def test_wrong_side_raises_unchecked(self, k4, calls, monkeypatch):
-        # the inside half drawn above the axis: no exact check, no re-solve
+    def test_wrong_side_is_a_flipped_triangle(self, k4, calls, monkeypatch):
+        # the inside half drawn above the axis: its triangles turn
+        # clockwise, which the lift finds before any check, and the zero
+        # lift's one check finds; nothing is solved again
         real = _HalfPlane.solve
 
         def upside_down(hp, xs, den, side):
@@ -955,12 +970,31 @@ class TestVerifyOnce:
 
         monkeypatch.setattr(_HalfPlane, "solve", upside_down)
         fs = antichain_pair(k4)
-        for call in (lambda: free_realize(k4, fs, [(0, 3), (1, -2)]),
-                     lambda: realize_collinear(k4, fs, [0, 1])):
+        for call, checks in (
+                (lambda: free_realize(k4, fs, [(0, 3), (1, -2)]), 0),
+                (lambda: realize_collinear(k4, fs, [0, 1]), 1)):
+            calls.clear()
             with pytest.raises(DegenerateOutput,
-                               match="collinear .*wrong-side: inside vertex 0"):
+                               match="^collinear drawing failed verification: "
+                                     "flipped-triangle: the inside half's "
+                                     "triangle "):
                 call()
-        assert calls == []
+            assert calls == [("triangles", "collinear[antichain]")] * checks
+
+    def test_forged_verified_flag_is_checked(self, k4):
+        # a drawing marked verified with vertex 0 on vertex 1: the flag is
+        # not read, and zero targets check it as any others do
+        fs = antichain_pair(k4)
+        d = realize_collinear(k4, fs, [0, 1])
+        forged = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
+                             bends=d.bends, verified=True)
+        assert verify_drawing(k4, forged).kind == "coincident-vertices"
+        for targets in ([0, 0], [3, -2]):
+            with pytest.raises(DegenerateOutput,
+                               match="^collinear drawing failed verification: "
+                                     "flipped-triangle: the inside half's "
+                                     "triangle 0, 2, 3 is clockwise$"):
+                perturb_scale(forged, fs, targets)
 
     def test_unverified_broken_base_is_not_halved(self, k4, calls):
         # a vertex on another in the base: a triangle of the inside half

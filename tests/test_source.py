@@ -6,8 +6,9 @@ arithmetic in the exact modules ``realize`` and ``rational``, no
 ``functools`` cache (it would outlive the calls that fill it, keeping their
 graphs alive), and no module-level import that the module never uses
 (``__init__`` re-exports exactly what it imports, and each exported name
-resolves), and every function the benchmark's layer trace wraps still
-exists."""
+resolves), every function the benchmark's layer trace wraps still
+exists, and no branch of ``realize`` reads a drawing's ``verified`` flag
+(it is output only, so no check may be skipped on it)."""
 
 from __future__ import annotations
 
@@ -323,3 +324,38 @@ def test_sweeping_function_detected():
                      "def c():\n    f = verify_drawing\n"
                      "def d():\n    return 1\n")
     assert sweeping_functions(tree) == {"a", "b", "c"}
+
+
+def flag_reads(tree: ast.AST) -> list[int]:
+    """Lines where the test of an ``if``, ``while``, conditional expression
+    or comprehension, or an operand of ``and``/``or``, reads an attribute
+    named ``verified``."""
+    tests = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            tests.append(node.test)
+        elif isinstance(node, ast.BoolOp):
+            tests += node.values
+        elif isinstance(node, ast.comprehension):
+            tests += node.ifs
+    return sorted({n.lineno for t in tests for n in ast.walk(t)
+                   if isinstance(n, ast.Attribute) and n.attr == "verified"})
+
+
+def test_realize_never_branches_on_the_verified_flag():
+    path = next(p for p in SOURCES if p.name == "realize.py")
+    assert flag_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("if d.verified:\n    pass\n", [1]),
+    ("while not d.verified:\n    d = f(d)\n", [1]),
+    ("x = d if d.verified else f(d)\n", [1]),
+    ("x = all(y == 0 for y in ys) and d.verified\n", [1]),
+    ("x = [d for d in ds if d.verified]\n", [1]),
+    ("d = replace(d, verified=True)\n", []),
+    ("d = PolyDrawing(g, pos, verified=d.verified)\n", []),
+    ("if d.checked:\n    pass\n", []),
+])
+def test_flag_read_detected(source, found):
+    assert flag_reads(ast.parse(source)) == found

@@ -961,8 +961,8 @@ class TestVerifyOnce:
 
     def test_wrong_side_is_a_flipped_triangle(self, k4, calls, monkeypatch):
         # the inside half drawn above the axis: its triangles turn
-        # clockwise, which the lift finds before any check, and the zero
-        # lift's one check finds; nothing is solved again
+        # clockwise; free_realize's lift finds that before any check, and
+        # realize_collinear's zero lift in its one check
         real = _HalfPlane.solve
 
         def upside_down(hp, xs, den, side):

@@ -35,6 +35,7 @@ __all__ = [
     "onebend_freeset",
     "dualcycle_freeset",
     "PolyDrawing",
+    "GridDrawing",
     "verify_drawing",
     "tutte_solve",
     "realize_collinear",
@@ -62,6 +63,7 @@ from .extractors import (  # noqa: E402
     planar_freeset,
 )
 from .realize import (  # noqa: E402
+    GridDrawing,
     PolyDrawing,
     free_realize,
     perturb_scale,

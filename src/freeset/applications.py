@@ -1,7 +1,8 @@
 """Applications of free sets: untangling, simultaneous embeddings.
 
-All results carry exactly-verified drawings; shared vertices are placed at
-bit-identical rational coordinates across drawings.
+All results carry exactly-verified drawings, on their integer grids where
+they are realized; shared vertices are placed at bit-identical rational
+coordinates across drawings.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .errors import MergeConflict, TooLarge, VertexSetMismatch
 from .extractors import planar_freeset
 from .rational import Point
 from .realize import (
+    GridDrawing,
     PolyDrawing,
     _distinct_x_shear,
-    _free_grid,
     _shear_drawing,
     free_realize,
     tutte_solve,
@@ -29,7 +30,7 @@ F = Fraction
 
 @dataclass(frozen=True)
 class UntangleResult:
-    drawing: PolyDrawing
+    drawing: GridDrawing
     fixed: tuple[int, ...]
     free_set_size: int
 
@@ -42,7 +43,7 @@ class UntangleResult:
 class SimultaneousResult:
     """Drawings agreeing on a shared vertex set (with map) or point set."""
 
-    drawings: tuple[PolyDrawing, ...]
+    drawings: tuple[PolyDrawing | GridDrawing, ...]
     shared_vertices: tuple[int, ...] | None
     shared_points: tuple[Point, ...]
     bound_met: str
@@ -75,12 +76,12 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     """Crossing-free redrawing keeping at least ceil(sqrt(k)) vertices of a
     size-k free set bit-exactly at their input positions.
 
-    An input drawing that is already crossing-free is returned unchanged
-    with every vertex fixed.  Otherwise the positions are sheared by the
-    least integer t that makes (x + t*y) distinct, the monotone subsequence
-    of the free set is taken in that frame, and the realized drawing is
-    sheared back by -t on its integer grid, which is exact, before its
-    Fractions are built.
+    The drawing is returned on its integer grid.  An input drawing that is
+    already crossing-free is returned as it is, with every vertex fixed.
+    Otherwise the positions are sheared by the least integer t that makes
+    (x + t*y) distinct, the monotone subsequence of the free set is taken
+    in that frame, and the realized drawing is sheared back by -t on its
+    grid, which is exact.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
     if pos.keys() != set(range(g.n)):
@@ -89,7 +90,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     if len(set(pos.values())) != g.n:
         raise VertexSetMismatch("need one distinct position per vertex")
 
-    given = PolyDrawing(graph=g, pos=pos, provenance="input")
+    given = GridDrawing.from_drawing(
+        PolyDrawing(graph=g, pos=pos, provenance="input"))
     if verify_drawing(g, given) is None:
         return UntangleResult(drawing=replace(given, verified=True),
                               fixed=tuple(range(g.n)),
@@ -107,10 +109,10 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     chosen = [fs.order[i] for i in idx]
     sub = fs.restricted(chosen)
 
-    d = _shear_drawing(_free_grid(g, sub, [sheared[v] for v in sub.order]),
-                       -t).drawing()
+    d = _shear_drawing(free_realize(g, sub, [sheared[v] for v in sub.order]),
+                       -t)
     for v in chosen:
-        if d.pos[v] != pos[v]:
+        if not d.places(v, pos[v]):
             raise MergeConflict(f"fixed vertex {v} left its position")
     return UntangleResult(drawing=replace(d, provenance="untangled"),
                           fixed=tuple(sub.order),
@@ -144,7 +146,7 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     d2 = _plain_drawing(g2)
     targets = [d2.pos[v] for v in range(g2.n)]
     sub = fs.restricted(fs.order[:g2.n])
-    d1 = free_realize(g1, sub, targets)
+    d1 = free_realize(g1, sub, targets).drawing()
     points = tuple(sorted(d1.pos[v] for v in range(g1.n)))
     if not set(targets) <= set(points):
         raise MergeConflict("G2's points are not all among G1's")
@@ -156,12 +158,12 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     )
 
 
-def _rot90(d: PolyDrawing) -> PolyDrawing:
-    # a rational rotation is an orientation-preserving isometry; the exact
-    # predicates are invariant, so the verified flag carries over
-    pos = {v: (-y, x) for v, (x, y) in d.pos.items()}
-    bends = {e: tuple((-y, x) for x, y in b) for e, b in d.bends.items()}
-    return replace(d, pos=pos, bends=bends)
+def _rot90(d: GridDrawing) -> GridDrawing:
+    # (x, y) -> (-y, x) keeps every orientation sign, so the verified flag
+    # carries over; on the grid the axes swap their denominators
+    return replace(d, pos=[(-y, x) for x, y in d.pos],
+                   bends={e: tuple((-y, x) for x, y in b)
+                          for e, b in d.bends.items()}, dx=d.dy, dy=d.dx)
 
 
 def psge_two(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
@@ -228,7 +230,7 @@ def psge_many(graphs) -> SimultaneousResult:
                                             fs.restricted(ordered), pre)))
     for d in drawings:
         for v in shared:
-            if d.pos[v] != target[v]:
+            if not d.places(v, target[v]):
                 raise MergeConflict(f"shared vertex {v} mismatch")
 
     bound = 1

@@ -130,7 +130,7 @@ def check_realization(results, pointsets_per_graph: int = 20,
             pts = _random_points(rng, len(fs.order))
             total += 1
             try:
-                d = free_realize(g, fs, pts)
+                d = free_realize(g, fs, pts).drawing()
             except DegenerateOutput:
                 degenerate += 1
                 continue
@@ -229,7 +229,7 @@ def check_untangling(count: int = 100, lo: int = 10, hi: int = 60,
                    math.ceil((n / 2) ** 0.25))
         good = (res.drawing.verified
                 and len(res.fixed) >= want
-                and all(res.drawing.pos[v] == pos[v] for v in res.fixed))
+                and all(res.drawing.places(v, pos[v]) for v in res.fixed))
         ok += bool(good)
     return [_record("untangling fix bound",
                     f"fixed >= ceil(sqrt(k)) and ceil((n/2)^(1/4)), {count}x",
@@ -312,6 +312,13 @@ def check_goldner_harary(runs: int = 100) -> list[dict]:
     ]
 
 
+def _shared_exact(res) -> bool:
+    """Whether verified drawings share two or more vertices, exactly."""
+    return len(res.shared_vertices) >= 2 and all(
+        d.verified and d.places(v, p) for d in res.drawings
+        for v, p in zip(res.shared_vertices, res.shared_points))
+
+
 def check_psge(pairs: int = 5, triples: int = 3, seed: int = 31) -> list[dict]:
     """Criterion 8: shared positions identical and the size bounds."""
     rng = random.Random(seed)
@@ -319,23 +326,11 @@ def check_psge(pairs: int = 5, triples: int = 3, seed: int = 31) -> list[dict]:
     for _ in range(pairs):
         g1 = random_triangulation(32, rng.randrange(1 << 30))
         g2 = random_triangulation(32, rng.randrange(1 << 30))
-        res = psge_two(g1, g2)
-        good = len(res.shared_vertices) >= 2 and all(d.verified
-                                                     for d in res.drawings)
-        for i, v in enumerate(res.shared_vertices):
-            good &= all(d.pos[v] == res.shared_points[i]
-                        for d in res.drawings)
-        ok_pairs += bool(good)
+        ok_pairs += _shared_exact(psge_two(g1, g2))
     ok_triples = 0
     for _ in range(triples):
         gs = [_random_tree(16, rng.randrange(1 << 30)) for _ in range(3)]
-        res = psge_many(gs)
-        good = len(res.shared_vertices) >= 2 and all(d.verified
-                                                     for d in res.drawings)
-        for i, v in enumerate(res.shared_vertices):
-            good &= all(d.pos[v] == res.shared_points[i]
-                        for d in res.drawings)
-        ok_triples += bool(good)
+        ok_triples += _shared_exact(psge_many(gs))
     return [
         _record("psge pairs (n=32)", f"|V'| >= 2, shared exact, {pairs}x",
                 f"{ok_pairs}/{pairs}", ok_pairs == pairs),
@@ -395,7 +390,7 @@ def check_structural(seed: int = 5150, target: int = 10_000) -> list[dict]:
             expect(parsed.certificate == fs.certificate)
             if g.n <= 40 and done % 9 == 0:
                 pts = _random_points(rng, len(fs.order))
-                d = free_realize(g, fs, pts)
+                d = free_realize(g, fs, pts).drawing()
                 expect(d.verified)
                 rt = parse_drawing(serialize_drawing(d), g, verify=False)
                 expect(rt.pos == d.pos and rt.bends == d.bends)

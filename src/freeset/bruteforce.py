@@ -259,7 +259,7 @@ def falsify_free_realize(g: EmbeddedGraph, fs, trials: int, seed: int,
             pts.add(p)
         pts = sorted(pts)
         try:
-            d = free_realize(g, fs, pts)
+            d = free_realize(g, fs, pts).drawing()
             placed = {d.pos[v] for v in fs.order}
             if not d.verified or placed != set(pts):
                 failures.append((trial, pts, "targets missed"))

@@ -26,11 +26,10 @@ the violation.  Nothing that the validated certificate or the triangle
 check decides is checked again, and a drawing's ``verified`` flag is output
 only: no check is skipped because a drawing given in is marked verified.
 
-From the solve to the exact check a drawing is a ``GridDrawing``: integer
-numerators over one positive denominator per axis.  The solver returns
-numerators over one denominator, the halves are merged, the lift sized,
-the heights scaled, the drawing sheared and checked on those integers, and
-Fractions are built once, for the drawing that is returned.
+From the solve to the printed text a drawing is a ``GridDrawing``: integer
+numerators over one positive denominator per axis, on which it is merged,
+lifted, scaled, sheared, checked and returned.  ``serialize_drawing``
+prints it from them; only ``GridDrawing.drawing`` builds its Fractions.
 """
 
 from __future__ import annotations
@@ -92,8 +91,6 @@ class PolyDrawing:
     provenance: str = ""
     verified: bool = False
 
-    def bend_count(self) -> int:
-        return sum(len(b) for b in self.bends.values())
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ class GridDrawing:
 
     ``pos[v]`` is vertex v's point and ``bends`` maps an edge to its bend
     points, as in ``PolyDrawing``; the edges without bends are left out.
-    ``drawing`` builds the Fractions once."""
+    ``drawing`` builds the Fractions, and nothing else does."""
 
     graph: EmbeddedGraph
     pos: list
@@ -120,11 +117,8 @@ class GridDrawing:
         edges = [e for e in sorted(d.graph.edges) if d.bends.get(e)]
         pts, dx, dy = integer_grid([d.pos[v] for v in range(n)] +
                                    [p for e in edges for p in d.bends[e]])
-        bends = {}
-        k = n
-        for e in edges:
-            bends[e] = tuple(pts[k:k + len(d.bends[e])])
-            k += len(bends[e])
+        rest = iter(pts[n:])
+        bends = {e: tuple([next(rest) for _ in d.bends[e]]) for e in edges}
         return cls(graph=d.graph, pos=pts[:n], bends=bends, dx=dx, dy=dy,
                    provenance=d.provenance, verified=d.verified)
 
@@ -137,8 +131,11 @@ class GridDrawing:
                    for e, b in self.bends.items()},
             provenance=self.provenance, verified=self.verified)
 
-    def bend_count(self) -> int:
-        return sum(len(b) for b in self.bends.values())
+    def places(self, v: int, point) -> bool:
+        """Whether vertex v is exactly at the rational ``point``."""
+        (x, y), (px, py) = self.pos[v], point
+        return x * px.denominator == px.numerator * self.dx and \
+            y * py.denominator == py.numerator * self.dy
 
 
 def verify_drawing(g: EmbeddedGraph,
@@ -944,7 +941,7 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
 
 
 def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
-                      xs) -> PolyDrawing:
+                      xs) -> GridDrawing:
     """Straight-line drawing (bends only on curve-crossed edges) with the
     free set exactly at (x_i, 0) in axis order, everything inside the curve
     strictly below the axis and everything outside strictly above.
@@ -961,7 +958,7 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     the part of it bounded by the chain and L, so its vertices off the
     chain lie strictly inside the triangle P₀, L, P₋₁, below the axis."""
     base, _ = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
-    return perturb_scale(base, fs, [0] * len(fs.order)).drawing()
+    return perturb_scale(base, fs, [0] * len(fs.order))
 
 
 # ---------------------------------------------------------------------------
@@ -1103,7 +1100,7 @@ def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: list,
 
 
 def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
-                  targets) -> PolyDrawing | GridDrawing:
+                  targets) -> GridDrawing:
     """Move the free set, on the axis in ``d``, to the target heights:
     ``targets[i]`` for ``fs.order[i]``.  ``d`` is a drawing of the collinear
     system kept on ``fs``'s analysis, as ``realize_collinear`` or
@@ -1116,10 +1113,10 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     ymax/epsilon, which keeps every orientation sign, so the drawing is
     built scaled: the free vertices exactly at y_i, and every other height
     of the grid times one integer, ymax/epsilon over the new y
-    denominator, the apexes included.  That drawing, the one returned, is
-    checked once on the halves' triangles (``_checked_halves``), and it
-    comes back in the form ``d`` was given in.  All-zero targets check
-    ``d`` itself, the same way, and return it marked verified."""
+    denominator, the apexes included.  That drawing, the one returned on its
+    integer grid, is checked once on the halves' triangles
+    (``_checked_halves``).  All-zero targets check ``d`` itself, the same
+    way, and return its grid marked verified."""
     order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(order):
@@ -1131,8 +1128,7 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
     grid, apex = _apex_grid(grid, sysm, "collinear")
     if all(y == 0 for y in ys):
-        _checked_halves(grid, apex, sysm, "collinear")
-        return replace(d, verified=True)
+        return _checked_halves(grid, apex, sysm, "collinear")
     ys, tden = common_denominator(ys)
     ymax = max(abs(y) for y in ys)
     pts = _points(grid, sysm, apex)
@@ -1146,14 +1142,11 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
     pos = [(x, y * scale) for x, y in grid.pos]
     for v, y in zip(order, ys):
         pos[v] = (pos[v][0], y * lift)
-    out = _checked_halves(GridDrawing(
-        graph=grid.graph, pos=pos,
-        bends={e: tuple((x, y * scale) for x, y in pts)
-               for e, pts in grid.bends.items()},
-        dx=grid.dx, dy=lift * tden,
-        provenance=grid.provenance + "+perturbed"),
+    return _checked_halves(replace(
+        grid, pos=pos, bends={e: tuple((x, y * scale) for x, y in pts)
+                              for e, pts in grid.bends.items()},
+        dy=lift * tden, provenance=grid.provenance + "+perturbed"),
         (apex[0], apex[1] * scale), sysm, "perturb")
-    return out if isinstance(d, GridDrawing) else out.drawing()
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1192,21 @@ def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
                           for e, b in d.bends.items()}, dx=dx)
 
 
-def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
-    """The verified drawing ``free_realize`` returns, on its integer grid:
-    the Fractions are not built yet."""
+def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
+    """Drawing on its integer grid with the free set exactly at the points.
+
+    Point sets with repeated x-coordinates are sheared by the least integer
+    t that makes (x + t*y) distinct before realization, and by -t
+    afterwards.  The free vertices take the points in axis order
+    (``realize_collinear``; for an extracted set, the set's own order): the
+    k-th of them goes to the point with the k-th least x + t*y.
+
+    Only the returned drawing is verified: the collinear base is built
+    unchecked, the lift raises on a triangle of the base that is flat or
+    turns the wrong way (a vertex on the wrong side of the axis among
+    them), and the perturbed drawing is checked once, on the halves'
+    triangles (``_checked_halves``); a failure raises DegenerateOutput.
+    """
     pts = [(x if type(x) is F else F(x), y if type(y) is F else F(y))
            for x, y in points]
     if len(pts) != len(fs.order):
@@ -1219,30 +1224,6 @@ def _free_grid(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
     d = _shear_drawing(perturb_scale(base, fs,
                                      [heights[v] for v in fs.order]), -t)
     for v, i in zip(s_axis, order):
-        (x, y), (px, py) = d.pos[v], pts[i]
-        if x * px.denominator != px.numerator * d.dx or \
-                y * py.denominator != py.numerator * d.dy:  # pragma: no cover
+        if not d.places(v, pts[i]):  # pragma: no cover
             raise MergeConflict(f"vertex {v} missed its target point")
     return replace(d, provenance=f"free[{fs.provenance}]")
-
-
-def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> PolyDrawing:
-    """Drawing with the free set exactly at the given points.
-
-    Point sets with repeated x-coordinates are sheared by the least integer
-    t that makes (x + t*y) distinct before realization, and by -t
-    afterwards.  The free vertices take the points in axis order
-    (``realize_collinear``; for an extracted set, the set's own order): the
-    k-th of them goes to the point with the k-th least x + t*y.  The
-    half-plane systems are solved exactly over the rationals at every size.
-
-    Only the returned drawing is verified: the collinear base is built
-    unchecked, the lift raises on a triangle of the base that is flat or
-    turns the wrong way (a vertex on the wrong side of the axis among
-    them), and the perturbed drawing is checked once, on the halves'
-    triangles (``_checked_halves``).  A failure of either raises
-    DegenerateOutput.
-    Everything stays on the integer grid; the Fractions of the result are
-    built once.
-    """
-    return _free_grid(g, fs, points).drawing()

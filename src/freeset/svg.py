@@ -8,19 +8,22 @@ from __future__ import annotations
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
 from .errors import Unverified
-from .realize import PolyDrawing
+from .realize import GridDrawing, PolyDrawing
 
 _STYLE = ("fill:none;stroke:#334;stroke-width:{w}",
           "fill:#d33;stroke:none",
           "fill:none;stroke:#d33;stroke-width:{w};stroke-dasharray:{d}")
 
 
-def export_svg(d: PolyDrawing, certificate: CurveCertificate | None = None,
-               highlight=(), precision: int = 4, size: int = 640) -> str:
+def export_svg(d: PolyDrawing | GridDrawing,
+               certificate: CurveCertificate | None = None, highlight=(),
+               precision: int = 4, size: int = 640) -> str:
     """Render a verified drawing; optionally overlay the curve through its
     item anchor points and highlight the free-set vertices."""
     if not d.verified:
         raise Unverified("refusing to render an unverified drawing")
+    if isinstance(d, GridDrawing):
+        d = d.drawing()
 
     pts = list(d.pos.values()) + [p for b in d.bends.values() for p in b]
     xs = [float(x) for x, _ in pts]

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
 from .embedding import EmbeddedGraph, build_embedded, norm_edge
 from .errors import GraphFormatError, Unverified
 from .extractors import OrderedFreeSet
-from .realize import PolyDrawing, verify_drawing
+from .realize import GridDrawing, PolyDrawing, verify_drawing
 
 
 def _lines(text: str):
@@ -209,21 +210,38 @@ def _frac(s: str, no: int) -> Fraction:
         _fail(no, f"bad rational {s!r}")
 
 
-def _fmt(x: Fraction) -> str:
-    p, q = x.numerator, x.denominator
+def _fmt(p: int, q: int) -> str:
+    """p / q, for q > 0, as ``p/q`` in lowest terms."""
+    k = gcd(p, q)
+    if k != 1:
+        p, q = p // k, q // k
     if p.bit_length() <= _BITS and q.bit_length() <= _BITS:
         return f"{p}/{q}"
     return f"{_decimal(p)}/{_decimal(q)}"
 
 
-def serialize_drawing(d: PolyDrawing) -> str:
-    out = []
-    for v in sorted(d.pos):
-        x, y = d.pos[v]
-        out.append(f"P {v} {_fmt(x)} {_fmt(y)}")
+def _point(p) -> str:
+    """A point of two rationals, Fractions or ints, as ``x y``."""
+    x, y = p
+    return (f"{_fmt(x.numerator, x.denominator)} "
+            f"{_fmt(y.numerator, y.denominator)}")
+
+
+def serialize_drawing(d: PolyDrawing | GridDrawing) -> str:
+    """``P v x y`` per vertex, then ``B u v x y`` per bend, in lowest terms:
+    a grid from its integers, one ``gcd`` each against ``dx`` or ``dy``."""
+    if isinstance(d, GridDrawing):
+        dx, dy = d.dx, d.dy
+
+        def text(p) -> str:
+            return f"{_fmt(p[0], dx)} {_fmt(p[1], dy)}"
+
+        points = enumerate(d.pos)
+    else:
+        text, points = _point, ((v, d.pos[v]) for v in sorted(d.pos))
+    out = [f"P {v} {text(p)}" for v, p in points]
     for e in sorted(d.bends):
-        for (x, y) in d.bends[e]:
-            out.append(f"B {e[0]} {e[1]} {_fmt(x)} {_fmt(y)}")
+        out += [f"B {e[0]} {e[1]} {text(p)}" for p in d.bends[e]]
     return "\n".join(out) + "\n"
 
 
@@ -271,8 +289,7 @@ def parse_drawing(text: str, g: EmbeddedGraph, verify: bool = True,
 
 
 def serialize_points(points) -> str:
-    return "\n".join(f"{_fmt(Fraction(x))} {_fmt(Fraction(y))}"
-                     for x, y in points) + "\n"
+    return "\n".join(_point(map(Fraction, p)) for p in points) + "\n"
 
 
 def parse_points(text: str) -> list:

@@ -50,8 +50,8 @@ class TestUntangle:
         pos = tutte_solve(g, outer, [(0, 0), (64, 0), (0, 64)])
         res = untangle(g, pos)
         assert len(res.fixed) == 12
-        assert res.drawing.pos == {v: (F(x), F(y))
-                                   for v, (x, y) in pos.items()}
+        assert res.drawing.drawing().pos == {v: (F(x), F(y))
+                                             for v, (x, y) in pos.items()}
 
     def test_tangled_path(self):
         g = path(4)
@@ -61,7 +61,7 @@ class TestUntangle:
         assert len(res.fixed) >= 2
         for v in res.fixed:
             x, y = tangled[v]
-            assert res.drawing.pos[v] == (F(x), F(y))
+            assert res.drawing.drawing().pos[v] == (F(x), F(y))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bounds(self, seed):
@@ -81,7 +81,7 @@ class TestUntangle:
         assert len(res.fixed) >= math.isqrt(max(k - 1, 0)) + 1
         assert len(res.fixed) >= math.ceil((n / 2) ** 0.25)
         for v in res.fixed:
-            assert res.drawing.pos[v] == pos[v]
+            assert res.drawing.drawing().pos[v] == pos[v]
         assert res.moved + len(res.fixed) == n
 
     def test_duplicate_x_rotation_path(self):
@@ -97,7 +97,7 @@ class TestUntangle:
         assert any(pos[v][1] != 0 for v in res.fixed)
         for v in res.fixed:
             x, y = pos[v]
-            assert res.drawing.pos[v] == (F(x), F(y))
+            assert res.drawing.drawing().pos[v] == (F(x), F(y))
 
     def test_dropped_results_leave_no_graph_alive(self):
         # realization keeps its state on the graph and the free set, so
@@ -174,8 +174,8 @@ class TestPsge:
         res = psge_two(g1, g2)
         assert len(res.shared_vertices) >= 2
         for i, v in enumerate(res.shared_vertices):
-            assert res.drawings[0].pos[v] == res.shared_points[i]
-            assert res.drawings[1].pos[v] == res.shared_points[i]
+            assert res.drawings[0].drawing().pos[v] == res.shared_points[i]
+            assert res.drawings[1].drawing().pos[v] == res.shared_points[i]
 
     def test_same_graph_pair(self):
         g = random_triangulation(24, 9)
@@ -194,7 +194,7 @@ class TestPsge:
         assert len(res.drawings) == 3
         for i, v in enumerate(res.shared_vertices):
             for d in res.drawings:
-                assert d.pos[v] == res.shared_points[i]
+                assert d.drawing().pos[v] == res.shared_points[i]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_two_is_many_of_two(self, seed):
@@ -218,7 +218,7 @@ class TestTypedErrors:
 
     def test_untangle_fixed_vertex_moved(self, monkeypatch):
         import freeset.applications as apps
-        real = apps._free_grid
+        real = apps.free_realize
 
         def shifted(g, fs, points):
             d = real(g, fs, points)
@@ -227,7 +227,7 @@ class TestTypedErrors:
             pos[fs.order[0]] = (x + d.dx, y)
             return replace(d, pos=pos)
 
-        monkeypatch.setattr(apps, "_free_grid", shifted)
+        monkeypatch.setattr(apps, "free_realize", shifted)
         g = path(4)
         with pytest.raises(MergeConflict, match="left its position"):
             untangle(g, {0: (0, 0), 1: (2, 0), 2: (1, 0), 3: (3, 0)})
@@ -238,8 +238,7 @@ class TestTypedErrors:
 
         def shifted(g, fs, points):
             d = real(g, fs, points)
-            return replace(d, pos={v: (x + 1, y)
-                                   for v, (x, y) in d.pos.items()})
+            return replace(d, pos=[(x + d.dx, y) for x, y in d.pos])
 
         monkeypatch.setattr(apps, "free_realize", shifted)
         with pytest.raises(MergeConflict):

@@ -375,7 +375,7 @@ def test_pairs_as_far_apart_as_the_drawing_is_wide(m, direction):
     pts = [(F(-m * ux), F(-m * uy)), (F(0), F(0)), (F(m * ux), F(m * uy))]
     d = free_realize(g, fs, pts)
     assert verify_drawing(g, d) is None
-    assert {d.pos[v] for v in fs.order} == set(pts)
+    assert {d.drawing().pos[v] for v in fs.order} == set(pts)
     base = _base_on(fs, "general", 1)
     lifted_exactly(base, fs, [y for _, y in pts])
 
@@ -410,7 +410,7 @@ def test_clustered_at_the_floor_extremes(seed):
             F((top + y) << sh | rng.choice((0, low)))) for x, y in cells]
     d = free_realize(g, fs, pts)
     assert verify_drawing(g, d) is None
-    assert sorted(d.pos[v] for v in fs.order) == sorted(pts)
+    assert sorted(d.drawing().pos[v] for v in fs.order) == sorted(pts)
     base = _base_on(fs, "general", seed)
     lifted_exactly(base, fs, [y for _, y in pts])
 
@@ -548,12 +548,12 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
     fs = planar_freeset(g)
     xs = xs[:len(fs.order)]
     targets = _targets(fs, "coprime", 1)
-    poly = realize.realize_collinear(g, fs, xs)
+    poly = realize.realize_collinear(g, fs, xs).drawing()
     base = _collinear_base(g, fs, *common_denominator(xs))[0]
     out = perturb_scale(poly, fs, targets)
     assert out.verified and verify_drawing(g, out) is None
     want = perturb_scale(base, fs, targets).drawing()
-    assert (out.pos, out.bends) == (want.pos, want.bends)
+    assert (out.drawing().pos, out.drawing().bends) == (want.pos, want.bends)
     least = GridDrawing.from_drawing(poly)
     sysm = _collinear_system(fs._analysis)
     refined = realize._apex_grid(least, sysm, "collinear")[0]

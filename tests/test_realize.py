@@ -56,7 +56,7 @@ from freeset.realize import (
     tutte_solve,
     verify_drawing,
 )
-from freeset.textio import parse_freeset, serialize_freeset
+from freeset.textio import parse_freeset, serialize_drawing, serialize_freeset
 
 from conftest import edge_classes, point_set, segments, thinned_triangulation
 
@@ -636,13 +636,13 @@ class TestRealizeCollinear:
     def test_single_edge(self):
         g = path(2)
         fs = planar_freeset(g)
-        d = realize_collinear(g, fs, [0, 1])
+        d = realize_collinear(g, fs, [0, 1]).drawing()
         assert d.verified
         assert sorted(d.pos.values()) == [(F(0), F(0)), (F(1), F(0))]
 
     def test_k4_antichain(self, k4):
         fs = antichain_pair(k4)
-        d = realize_collinear(k4, fs, [0, 1])
+        d = realize_collinear(k4, fs, [0, 1]).drawing()
         assert d.pos[3] == (F(0), F(0))
         assert d.pos[2] == (F(1), F(0))
         assert list(d.bends) == [(0, 1)]
@@ -654,7 +654,7 @@ class TestRealizeCollinear:
         g = random_triangulation(30, 21)
         fs = planar_freeset(g)
         xs = list(range(len(fs.order)))
-        d = realize_collinear(g, fs, xs)
+        d = realize_collinear(g, fs, xs).drawing()
         axis = sorted(p for p in d.pos.values() if p[1] == 0)
         assert len(set(axis)) == len(axis)
 
@@ -716,7 +716,7 @@ class TestRealizeCollinear:
         pts = [(F(k, 3), F(rng.randint(-90, 90), 7)) for k in range(len(axis))]
         d = free_realize(g, rotated, pts)
         assert d.verified and verify_drawing(g, d) is None
-        assert [d.pos[v] for v in axis] == pts
+        assert [d.drawing().pos[v] for v in axis] == pts
 
 
 class TestPerturbAndFree:
@@ -737,7 +737,7 @@ class TestPerturbAndFree:
     def test_k4_exact_targets(self, k4):
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
-        d2 = perturb_scale(d, fs, [3, -2])
+        d2 = perturb_scale(d, fs, [3, -2]).drawing()
         assert d2.pos[3] == (F(0), F(3))
         assert d2.pos[2] == (F(1), F(-2))
         assert d2.verified
@@ -745,14 +745,14 @@ class TestPerturbAndFree:
     def test_extreme_target_hits_exactly(self, k4):
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1])
-        d2 = perturb_scale(d, fs, [F(22, 7), F(-1, 3)])
+        d2 = perturb_scale(d, fs, [F(22, 7), F(-1, 3)]).drawing()
         assert d2.pos[3] == (F(0), F(22, 7))
         assert d2.pos[2] == (F(1), F(-1, 3))
 
     def test_free_set_off_axis_rejected(self, k4):
         # the lift's bound assumes the free set starts on the axis
         fs = antichain_pair(k4)
-        d = realize_collinear(k4, fs, [0, 1])
+        d = realize_collinear(k4, fs, [0, 1]).drawing()
         lifted = replace(d, pos={**d.pos, 3: (F(0), F(1, 2))})
         for targets in ([3, -2], [0, 0]):
             with pytest.raises(SizeMismatch, match="vertex 3 is not on"):
@@ -760,7 +760,7 @@ class TestPerturbAndFree:
 
     def test_free_realize_duplicate_x(self, k4):
         fs = antichain_pair(k4)
-        d = free_realize(k4, fs, [(0, 0), (0, 1)])
+        d = free_realize(k4, fs, [(0, 0), (0, 1)]).drawing()
         assert {d.pos[3], d.pos[2]} == {(F(0), F(0)), (F(0), F(1))}
 
     def test_shear_is_least_t(self):
@@ -816,7 +816,7 @@ class TestPerturbAndFree:
                      F(rng.randint(-60, 60), rng.randint(1, 9))))
         d = free_realize(g, fs, sorted(pts))
         assert d.verified
-        assert {d.pos[v] for v in fs.order} == pts
+        assert {d.drawing().pos[v] for v in fs.order} == pts
 
     @pytest.mark.parametrize("n", range(6, 41, 2))
     def test_thinned_end_to_end(self, n):
@@ -835,7 +835,8 @@ class TestPerturbAndFree:
                     failed.append((s, keep, type(exc).__name__))
                     continue
                 assert d.verified and verify_drawing(g, d) is None
-                assert [d.pos[v] for v in fs.order] == pts
+                drawn = d.drawing()
+                assert [drawn.pos[v] for v in fs.order] == pts
         assert failed == []
 
 
@@ -912,7 +913,7 @@ class TestVerifyOnce:
         pts = point_set("general", len(fs.order), random.Random(5))
         d = free_realize(g, fs, pts)
         assert d.verified and [c for c, _ in calls] == ["triangles"]
-        assert {d.pos[v] for v in fs.order} == set(pts)
+        assert {d.drawing().pos[v] for v in fs.order} == set(pts)
 
     def test_zero_targets_check_base_once(self, k4, calls):
         fs = antichain_pair(k4)
@@ -985,7 +986,7 @@ class TestVerifyOnce:
         # a drawing marked verified with vertex 0 on vertex 1: the flag is
         # not read, and zero targets check it as any others do
         fs = antichain_pair(k4)
-        d = realize_collinear(k4, fs, [0, 1])
+        d = realize_collinear(k4, fs, [0, 1]).drawing()
         forged = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
                              bends=d.bends, verified=True)
         assert verify_drawing(k4, forged).kind == "coincident-vertices"
@@ -1000,7 +1001,7 @@ class TestVerifyOnce:
         # a vertex on another in the base: a triangle of the inside half
         # turns clockwise, so perturbation raises before any check
         fs = antichain_pair(k4)
-        d = realize_collinear(k4, fs, [0, 1])
+        d = realize_collinear(k4, fs, [0, 1]).drawing()
         broken = PolyDrawing(graph=k4, pos={**d.pos, 0: d.pos[1]},
                              bends=d.bends)
         calls.clear()
@@ -1113,6 +1114,65 @@ class TestChecksPerRealization:
         res = untangle(g, pos)
         assert res.drawing.verified and len(res.fixed) < g.n
         assert counts == {"sweep": 1, "trace": 2, "disk": 2}
+
+
+class TestNoFractionsPerRealization:
+    """A realized drawing stays on its integer grid up to the printed text.
+
+    ``GridDrawing.drawing`` is the only place that builds Fractions of a
+    realized drawing, and printing a drawing does not call it: a
+    realization followed by ``serialize_drawing`` builds none, and checks
+    each realized drawing once, on the triangles of its halves."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = {"drawing": 0, "triangles": 0, "sweep": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GridDrawing, "drawing",
+                            counting("drawing", GridDrawing.drawing))
+        monkeypatch.setattr(realize, "_checked_halves",
+                            counting("triangles", realize._checked_halves))
+        sweep = counting("sweep", realize.verify_drawing)
+        monkeypatch.setattr(realize, "verify_drawing", sweep)
+        monkeypatch.setattr(applications, "verify_drawing", sweep)
+        return seen
+
+    def test_free_realize_then_print(self, counts):
+        g = random_triangulation(60, 8)
+        fs = planar_freeset(g)
+        rng = random.Random(8)
+        for style in ("general", "collinear", "repeated-x", "coprime"):
+            for k in counts:
+                counts[k] = 0
+            d = free_realize(g, fs, point_set(style, len(fs.order), rng))
+            assert isinstance(d, GridDrawing) and d.verified
+            assert serialize_drawing(d).startswith("P 0 ")
+            assert counts == {"drawing": 0, "triangles": 1, "sweep": 0}
+
+    def test_untangle_then_print(self, counts):
+        g = random_triangulation(40, 12)
+        rng = random.Random(12)
+        pos = {v: (F(rng.randint(-99, 99)), F(rng.randint(-99, 99)))
+               for v in range(g.n)}
+        res = untangle(g, pos)
+        assert isinstance(res.drawing, GridDrawing) and len(res.fixed) < g.n
+        serialize_drawing(res.drawing)
+        # the sweep is of the input drawing
+        assert counts == {"drawing": 0, "triangles": 1, "sweep": 1}
+
+    def test_psge_two_then_print(self, counts):
+        res = psge_two(random_triangulation(30, 10),
+                       random_triangulation(30, 11))
+        for d in res.drawings:
+            assert isinstance(d, GridDrawing)
+            serialize_drawing(d)
+        assert counts == {"drawing": 0, "triangles": 2, "sweep": 0}
 
 
 class TestOneAnalysis:

@@ -289,7 +289,7 @@ def test_clearance_name_detected(source, found):
 
 
 # the realization path: none of these may reach the sweep
-REALIZATION_PATH = ("perturb_scale", "_free_grid", "_collinear_base",
+REALIZATION_PATH = ("perturb_scale", "free_realize", "_collinear_base",
                     "realize_collinear")
 
 

@@ -91,8 +91,8 @@ class TestDrawingFormat:
         text = serialize_drawing(d)
         assert "22/7" in text
         back = parse_drawing(text, k4)
-        assert back.pos == d.pos
-        assert back.bends == d.bends
+        assert back.pos == d.drawing().pos
+        assert back.bends == d.drawing().bends
         assert serialize_drawing(back) == text
 
     def test_reversed_bend_key_is_checked(self, k4):

@@ -291,10 +291,11 @@ def _perturbed_realizations(rng: random.Random, sizes=(6, 14), graphs=6,
         pts = sorted({(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
                       for _ in range(len(fs.order) * 3)})
         pts = rng.sample(pts, len(fs.order))
-        d = free_realize(g, fs, pts)
+        d = free_realize(g, fs, pts).drawing()
         out.append(d)
         if with_base:
-            out.append(realize_collinear(g, fs, range(len(fs.order))))
+            out.append(realize_collinear(g, fs,
+                                         range(len(fs.order))).drawing())
         feats = [p for p in d.pos.values()]
         feats += [p for b in d.bends.values() for p in b]
         feats += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
@@ -351,9 +352,9 @@ def _grid_corpus() -> list[PolyDrawing]:
                                   F(rng.randint(-9, 9), rng.randint(1, 4)))
                                  for _ in range(len(fs.order) * 3)}),
                          len(fs.order))
-        out.append(free_realize(g, fs, pts))
+        out.append(free_realize(g, fs, pts).drawing())
         out.append(realize_collinear(g, fs, [F(x, 3) for x in
-                                             range(len(fs.order))]))
+                                             range(len(fs.order))]).drawing())
     return out
 
 
@@ -691,7 +692,7 @@ def test_products_per_piece(n, monkeypatch):
     while len(pts) < len(fs.order):
         pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                  F(rng.randint(-400, 400), rng.randint(1, 9))))
-    d = free_realize(g, fs, sorted(pts))
+    d = free_realize(g, fs, sorted(pts)).drawing()
     grid = GridDrawing.from_drawing(d)
 
     def counted(p):

@@ -76,12 +76,11 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     """Crossing-free redrawing keeping at least ceil(sqrt(k)) vertices of a
     size-k free set bit-exactly at their input positions.
 
-    The drawing is returned on its integer grid.  An input drawing that is
-    already crossing-free is returned as it is, with every vertex fixed.
-    Otherwise the positions are sheared by the least integer t that makes
-    (x + t*y) distinct, the monotone subsequence of the free set is taken
-    in that frame, and the realized drawing is sheared back by -t on its
-    grid, which is exact.
+    The drawing comes back on its integer grid: as given, with every vertex
+    fixed, when it is crossing-free already.  Otherwise the positions are
+    sheared by the least integer t that makes (x + t*y) distinct, the
+    monotone subsequence of the free set is taken in that frame, and the
+    realized drawing is sheared back by -t on its grid, which is exact.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
     if pos.keys() != set(range(g.n)):

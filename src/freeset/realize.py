@@ -91,6 +91,8 @@ class PolyDrawing:
     provenance: str = ""
     verified: bool = False
 
+    def bend_count(self) -> int:
+        return sum(len(b) for b in self.bends.values())
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,9 @@ class GridDrawing:
             bends={e: tuple((F(x, dx), F(y, dy)) for x, y in b)
                    for e, b in self.bends.items()},
             provenance=self.provenance, verified=self.verified)
+
+    def bend_count(self) -> int:
+        return sum(len(b) for b in self.bends.values())
 
     def places(self, v: int, point) -> bool:
         """Whether vertex v is exactly at the rational ``point``."""
@@ -1201,11 +1206,10 @@ def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:
     (``realize_collinear``; for an extracted set, the set's own order): the
     k-th of them goes to the point with the k-th least x + t*y.
 
-    Only the returned drawing is verified: the collinear base is built
-    unchecked, the lift raises on a triangle of the base that is flat or
-    turns the wrong way (a vertex on the wrong side of the axis among
-    them), and the perturbed drawing is checked once, on the halves'
-    triangles (``_checked_halves``); a failure raises DegenerateOutput.
+    Only the returned drawing is checked, once, on the halves' triangles
+    (``_checked_halves``); the lift raises first on a triangle of the
+    unchecked base that is flat or clockwise.  Either raises
+    DegenerateOutput.
     """
     pts = [(x if type(x) is F else F(x), y if type(y) is F else F(y))
            for x, y in points]

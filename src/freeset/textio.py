@@ -231,11 +231,8 @@ def serialize_drawing(d: PolyDrawing | GridDrawing) -> str:
     """``P v x y`` per vertex, then ``B u v x y`` per bend, in lowest terms:
     a grid from its integers, one ``gcd`` each against ``dx`` or ``dy``."""
     if isinstance(d, GridDrawing):
-        dx, dy = d.dx, d.dy
-
-        def text(p) -> str:
+        def text(p, dx=d.dx, dy=d.dy) -> str:
             return f"{_fmt(p[0], dx)} {_fmt(p[1], dy)}"
-
         points = enumerate(d.pos)
     else:
         text, points = _point, ((v, d.pos[v]) for v in sorted(d.pos))

@@ -10,9 +10,10 @@ outerplanar greedy, restricted extraction and ``freeset psge`` manifest
 hashes were recorded before the collar curve was built in one pass.  The
 realized drawings (``free_realize``, ``untangle``, ``psge_two``) were
 recorded when the lift's epsilon came to be taken from the triangles of
-the augmented halves.  All must keep producing exactly the same bytes, and
-every realized drawing, checked on its halves' triangles, must pass the
-sweep as well.
+the augmented halves, and the ``sge-nomap`` bundle before ``sge_nomap``
+returned its drawings on their integer grids.  All must keep producing
+exactly the same bytes, and every realized drawing, checked on its halves'
+triangles, must pass the sweep as well.
 """
 
 from __future__ import annotations
@@ -122,6 +123,28 @@ def test_psge_manifest_golden(tmp_path):
     r = runner.invoke(main, ["psge", *paths, "--outdir", str(out)])
     assert r.exit_code == 0
     assert _sha((out / "manifest.json").read_bytes()) == "46d87d9d27cfea19"
+
+
+def test_sge_nomap_bundle_golden(tmp_path):
+    # every file of the bundle: G2's Tutte drawing, G1 realized on its
+    # points, the point set and the manifest
+    runner = CliRunner()
+    for name, n, seed in (("g1", 40, 41), ("g2", 6, 42)):
+        r = runner.invoke(main, ["gen", "--family", "random-triangulation",
+                                 "--n", str(n), "--seed", str(seed),
+                                 "--out", str(tmp_path / f"{name}.txt")])
+        assert r.exit_code == 0
+    out = tmp_path / "bundle"
+    r = runner.invoke(main, ["sge-nomap", "--g1", str(tmp_path / "g1.txt"),
+                             "--g2", str(tmp_path / "g2.txt"),
+                             "--outdir", str(out)])
+    assert r.exit_code == 0
+    assert {p.name: _sha(p.read_bytes()) for p in out.iterdir()} == {
+        "drawing_0.txt": "c282ce65e1a2d7d5",
+        "drawing_1.txt": "dddb0d93de2ef9a8",
+        "manifest.json": "fa3cbfa601e63e8b",
+        "points.txt": "f9a16dac3074078a",
+    }
 
 
 REALIZE_CASES = [

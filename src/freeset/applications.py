@@ -1,8 +1,8 @@
 """Applications of free sets: untangling, simultaneous embeddings.
 
-All results carry exactly-verified drawings, on their integer grids where
-they are realized; shared vertices are placed at bit-identical rational
-coordinates across drawings.
+All results carry exactly-verified drawings on their integer grids;
+shared vertices are placed at bit-identical rational coordinates across
+drawings.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from .canonical import chain_by_layers, patience_layers
 from .embedding import EmbeddedGraph, triangulate
 from .errors import MergeConflict, TooLarge, VertexSetMismatch
 from .extractors import planar_freeset
-from .rational import Point
+from .rational import Point, integer_grid
 from .realize import (
     GridDrawing,
-    PolyDrawing,
-    _distinct_x_shear,
     _shear_drawing,
+    _shear_keys,
     free_realize,
     tutte_solve,
     verify_drawing,
@@ -43,7 +42,7 @@ class UntangleResult:
 class SimultaneousResult:
     """Drawings agreeing on a shared vertex set (with map) or point set."""
 
-    drawings: tuple[PolyDrawing | GridDrawing, ...]
+    drawings: tuple[GridDrawing, ...]
     shared_vertices: tuple[int, ...] | None
     shared_points: tuple[Point, ...]
     bound_met: str
@@ -89,14 +88,17 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     if len(set(pos.values())) != g.n:
         raise VertexSetMismatch("need one distinct position per vertex")
 
-    given = GridDrawing.from_drawing(
-        PolyDrawing(graph=g, pos=pos, provenance="input"))
+    points = [pos[v] for v in range(g.n)]
+    pts, dx, dy = integer_grid(points)
+    given = GridDrawing(graph=g, pos=pts, bends={}, dx=dx, dy=dy,
+                        provenance="input")
     if verify_drawing(g, given) is None:
         return UntangleResult(drawing=replace(given, verified=True),
                               fixed=tuple(range(g.n)),
                               free_set_size=g.n)
 
-    t, sheared = _distinct_x_shear([pos[v] for v in range(g.n)])
+    t, keys, den = _shear_keys(points)
+    sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
 
     fs = planar_freeset(g)
     xs = [sheared[v][0] for v in fs.order]
@@ -118,7 +120,7 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
                           free_set_size=len(fs.order))
 
 
-def _plain_drawing(g: EmbeddedGraph) -> PolyDrawing:
+def _plain_drawing(g: EmbeddedGraph) -> GridDrawing:
     """Any verified straight-line drawing: Tutte on a triangulated copy,
     its outer triangle at (0, 0), (4096, 0) and (0, 4096).
 
@@ -126,9 +128,8 @@ def _plain_drawing(g: EmbeddedGraph) -> PolyDrawing:
     so the drawing of g is crossing-free too."""
     t, _ = triangulate(g)
     outer = [u for u, _ in t.faces[t.outer_face].walk]
-    pos = tutte_solve(t, outer, [(0, 0), (4096, 0), (0, 4096)])
-    return PolyDrawing(graph=g, pos=pos, provenance="tutte-base",
-                       verified=True)
+    return replace(tutte_solve(t, outer, [(0, 0), (4096, 0), (0, 4096)]),
+                   graph=g, provenance="tutte-base")
 
 
 def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
@@ -136,17 +137,18 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     hosting crossing-free drawings of both graphs.
 
     G2 is drawn first; a free set of G1 is then realized onto G2's points,
-    so G2's point set is a subset of G1's.
+    so G2's point set is a subset of G1's.  Both drawings are returned on
+    their integer grids.
     """
     fs = planar_freeset(g1)
     if g2.n > len(fs.order):
         raise TooLarge(f"G2 has {g2.n} vertices but the free set found in "
                        f"G1 has size {len(fs.order)}")
     d2 = _plain_drawing(g2)
-    targets = [d2.pos[v] for v in range(g2.n)]
+    targets = list(d2.drawing().pos.values())
     sub = fs.restricted(fs.order[:g2.n])
-    d1 = free_realize(g1, sub, targets).drawing()
-    points = tuple(sorted(d1.pos[v] for v in range(g1.n)))
+    d1 = free_realize(g1, sub, targets)
+    points = tuple(sorted(d1.drawing().pos.values()))
     if not set(targets) <= set(points):
         raise MergeConflict("G2's points are not all among G1's")
     return SimultaneousResult(

@@ -15,7 +15,13 @@ import time
 from fractions import Fraction
 
 from .applications import psge_many, psge_two, untangle
-from .bruteforce import brute_cycles, exhaustive_curve_search, max_proper_good_size
+from .bruteforce import (
+    brute_cycles,
+    exhaustive_curve_search,
+    falsify_free_realize,
+    max_proper_good_size,
+    random_points,
+)
 from .canonical import antichain_bound
 from .embedding import EmbeddedGraph, build_embedded
 from .errors import DegenerateOutput, InvalidCurve
@@ -61,26 +67,6 @@ def _record(name: str, bound: str, observed: str, passed: bool) -> dict:
             "passed": bool(passed)}
 
 
-def _random_points(rng: random.Random, k: int) -> list:
-    pts: set = set()
-    styles = rng.randrange(4)
-    scale = F(10) ** rng.randint(-2, 2)
-    while len(pts) < k:
-        if styles == 0:
-            pts.add((scale * F(rng.randint(-400, 400), rng.randint(1, 9)),
-                     scale * F(rng.randint(-400, 400), rng.randint(1, 9))))
-        elif styles == 1:  # collinear cluster
-            t = F(rng.randint(-200, 200), rng.randint(1, 5))
-            pts.add((scale * t, scale * (3 * t - 2)))
-        elif styles == 2:  # repeated x-coordinates
-            pts.add((scale * F(rng.randint(-4, 4)),
-                     scale * F(rng.randint(-400, 400), rng.randint(1, 9))))
-        else:
-            pts.add((scale * F(rng.randint(-10 ** 6, 10 ** 6), 997),
-                     scale * F(rng.randint(-10 ** 6, 10 ** 6), 991)))
-    return sorted(pts)
-
-
 def _suite_graphs(count: int, lo: int, hi: int, seed: int):
     rng = random.Random(seed)
     out = []
@@ -120,22 +106,15 @@ def check_freeset_lower_bound(count: int = 100, lo: int = 10, hi: int = 200,
 
 def check_realization(results, pointsets_per_graph: int = 20,
                       seed: int = 77) -> list[dict]:
-    """Criterion 2: exact realization on random rational point sets."""
-    rng = random.Random(seed)
-    total = 0
-    good = 0
-    degenerate = 0
-    for g, fs in results:
-        for _ in range(pointsets_per_graph):
-            pts = _random_points(rng, len(fs.order))
-            total += 1
-            try:
-                d = free_realize(g, fs, pts).drawing()
-            except DegenerateOutput:
-                degenerate += 1
-                continue
-            if d.verified and {d.pos[v] for v in fs.order} == set(pts):
-                good += 1
+    """Criterion 2: exact realization on random rational point sets, the
+    i-th graph's by ``falsify_free_realize`` with the seed seed + i."""
+    failures = [f for i, (g, fs) in enumerate(results) for f in
+                falsify_free_realize(g, fs, pointsets_per_graph,
+                                     seed + i).result]
+    total = len(results) * pointsets_per_graph
+    good = total - len(failures)
+    degenerate = sum(why.startswith(f"{DegenerateOutput.__name__}(")
+                     for _, _, why in failures)
     return [
         _record("free realization soundness",
                 f"verified with S bit-exact, {total}x",
@@ -180,8 +159,8 @@ def check_level(seed: int = 11, trees: int = 20) -> list[dict]:
     """Criterion 4: level bounds, exact on the paths/grids/stars examples."""
     records = []
     exact = [
-        ("path P5", path(5), bfs_levels(path(5), 0), 3),
-        ("star K1,5", star(6), bfs_levels(star(6), 0), 5),
+        ("path P5", path(5), bfs_levels(path(5)), 3),
+        ("star K1,5", star(6), bfs_levels(star(6)), 5),
         ("grid 3x3", grid(3, 3),
          LevelAssignment(levels={v: v // 3 for v in range(9)}, span=1,
                          order={r: tuple(range(3 * r, 3 * r + 3))
@@ -197,7 +176,7 @@ def check_level(seed: int = 11, trees: int = 20) -> list[dict]:
     for _ in range(trees):
         n = rng.randint(4, 40)
         t = _random_tree(n, rng.randrange(1 << 30))
-        fs = level_freeset(t, bfs_levels(t, 0))
+        fs = level_freeset(t, bfs_levels(t))
         if len(fs.order) >= -(-n // 2):
             ok += 1
     records.append(_record("tree level bound", f"|S| >= ceil(n/2), {trees}x",
@@ -320,7 +299,10 @@ def _shared_exact(res) -> bool:
 
 
 def check_psge(pairs: int = 5, triples: int = 3, seed: int = 31) -> list[dict]:
-    """Criterion 8: shared positions identical and the size bounds."""
+    """Criterion 8: shared positions identical and the size bounds.  For
+    three graphs the common free set S comes from the same iterated
+    restriction of ``planar_freeset`` as in ``psge_many``, and the shared
+    set must reach ceil(sqrt(|S|)), its bound for r = 3."""
     rng = random.Random(seed)
     ok_pairs = 0
     for _ in range(pairs):
@@ -330,7 +312,13 @@ def check_psge(pairs: int = 5, triples: int = 3, seed: int = 31) -> list[dict]:
     ok_triples = 0
     for _ in range(triples):
         gs = [_random_tree(16, rng.randrange(1 << 30)) for _ in range(3)]
-        ok_triples += _shared_exact(psge_many(gs))
+        common = None
+        for g in gs:
+            common = planar_freeset(g, common).order
+        res = psge_many(gs)
+        # |V'| >= ceil(sqrt(|S|)) exactly when |V'|^2 >= |S|
+        ok_triples += _shared_exact(res) and \
+            len(res.shared_vertices) ** 2 >= len(common)
     return [
         _record("psge pairs (n=32)", f"|V'| >= 2, shared exact, {pairs}x",
                 f"{ok_pairs}/{pairs}", ok_pairs == pairs),
@@ -389,7 +377,7 @@ def check_structural(seed: int = 5150, target: int = 10_000) -> list[dict]:
             expect(parsed.order == fs.order)
             expect(parsed.certificate == fs.certificate)
             if g.n <= 40 and done % 9 == 0:
-                pts = _random_points(rng, len(fs.order))
+                pts = random_points(rng, len(fs.order))
                 d = free_realize(g, fs, pts).drawing()
                 expect(d.verified)
                 rt = parse_drawing(serialize_drawing(d), g, verify=False)

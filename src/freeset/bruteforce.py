@@ -8,8 +8,10 @@ truncating when an input exceeds the declared bounds.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .curves import (
     AlongItem,
@@ -20,6 +22,9 @@ from .curves import (
 )
 from .embedding import EmbeddedGraph, norm_edge, vertex_ids
 from .errors import FreesetError, TooLarge
+from .realize import free_realize
+
+F = Fraction
 
 _MAX_EDGES = 14
 _MAX_VERTICES = 20
@@ -228,36 +233,41 @@ def brute_independent_set(g: EmbeddedGraph, ground) -> OracleReport:
                         nodes, time.time() - t0)
 
 
+def random_points(rng: random.Random, k: int) -> list:
+    """k distinct rational points, sorted, in one of four styles drawn from
+    ``rng``: general, a collinear cluster, repeated x-coordinates, or
+    denominators 997 and 991; every point is scaled by one power of ten
+    from 10^-2 to 10^2."""
+    pts: set = set()
+    styles = rng.randrange(4)
+    scale = F(10) ** rng.randint(-2, 2)
+    while len(pts) < k:
+        if styles == 0:
+            pts.add((scale * F(rng.randint(-400, 400), rng.randint(1, 9)),
+                     scale * F(rng.randint(-400, 400), rng.randint(1, 9))))
+        elif styles == 1:  # collinear cluster
+            t = F(rng.randint(-200, 200), rng.randint(1, 5))
+            pts.add((scale * t, scale * (3 * t - 2)))
+        elif styles == 2:  # repeated x-coordinates
+            pts.add((scale * F(rng.randint(-4, 4)),
+                     scale * F(rng.randint(-400, 400), rng.randint(1, 9))))
+        else:
+            pts.add((scale * F(rng.randint(-10 ** 6, 10 ** 6), 997),
+                     scale * F(rng.randint(-10 ** 6, 10 ** 6), 991)))
+    return sorted(pts)
+
+
 def falsify_free_realize(g: EmbeddedGraph, fs, trials: int, seed: int,
                          ) -> OracleReport:
-    """Sampled falsification of the free-set property: random rational
-    point sets with mixed scales, collinear clusters and repeated
-    x-coordinates; returns every failing trial (expected empty)."""
-    import random
-    from fractions import Fraction
-
-    from .realize import free_realize
-
+    """Sampled falsification of the free-set property: trial i realizes
+    ``fs`` on ``random_points`` drawn with the seed (seed << 20) ^ i.
+    Returns every failing trial (expected empty) as (trial, points, why),
+    where why is "targets missed" or the repr of the FreesetError raised."""
     t0 = time.time()
     failures = []
-    k = len(fs.order)
     for trial in range(trials):
-        rng = random.Random((seed << 20) ^ trial)
-        style = rng.randrange(3)
-        pts: set = set()
-        scale = Fraction(10) ** rng.randint(-2, 2)
-        while len(pts) < k:
-            if style == 0:
-                p = (scale * Fraction(rng.randint(-60, 60), rng.randint(1, 9)),
-                     scale * Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
-            elif style == 1:  # collinear cluster
-                t = Fraction(rng.randint(-40, 40), rng.randint(1, 5))
-                p = (scale * t, scale * (2 * t + 1))
-            else:             # repeated x-coordinates
-                p = (scale * Fraction(rng.randint(-3, 3)),
-                     scale * Fraction(rng.randint(-60, 60), rng.randint(1, 9)))
-            pts.add(p)
-        pts = sorted(pts)
+        pts = random_points(random.Random((seed << 20) ^ trial),
+                            len(fs.order))
         try:
             d = free_realize(g, fs, pts).drawing()
             placed = {d.pos[v] for v in fs.order}

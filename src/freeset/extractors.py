@@ -604,14 +604,15 @@ class LevelAssignment:
                     f"(span {self.span} allows {self.span + 1})")
 
 
-def bfs_levels(g: EmbeddedGraph, root: int = 0) -> LevelAssignment:
-    """Breadth-first leveling of a tree, rows ordered by the embedding."""
+def bfs_levels(g: EmbeddedGraph) -> LevelAssignment:
+    """Breadth-first leveling of a tree from vertex 0, rows ordered by the
+    embedding."""
     if len(g.edges) != g.n - 1:
         raise BadLevelAssignment("automatic leveling is for trees only")
-    levels = {root: 0}
-    rows: dict[int, list[int]] = {0: [root]}
+    levels = {0: 0}
+    rows: dict[int, list[int]] = {0: [0]}
     # depth-first in rotation order keeps each row in planar order
-    stack = [(root, None)]
+    stack = [(0, None)]
     while stack:
         v, parent = stack.pop()
         children = [u for u in g.rot[v] if u != parent]

@@ -42,8 +42,8 @@ def integer_grid(points: list[Point],
 class FractionFreeSolver:
     """Exact solver for a sparse symmetric positive definite integer matrix.
 
-    ``rows[i]`` maps each column j to the entry (i, j), or lists the row
-    densely, and ``len(rows)`` is the dimension.  The constructor factors
+    ``rows[i]`` maps each column j to the entry (i, j), and ``len(rows)``
+    is the dimension.  The constructor factors
     A = L D Lᵀ modulo a prime p, eliminating in greedy minimum-degree order,
     so the Laplacians of planar graphs fill little (George & Liu 1981);
     ``off_diagonal`` counts the entries of L below the diagonal.  A positive
@@ -63,11 +63,9 @@ class FractionFreeSolver:
     never give a wrong answer.
     """
 
-    def __init__(self, rows: list):
+    def __init__(self, rows: list[dict[int, int]]):
         n = len(rows)
-        entries = [{j: int(a) for j, a in
-                    (r.items() if isinstance(r, dict) else enumerate(r)) if a}
-                   for r in rows]
+        entries = [{j: int(a) for j, a in r.items() if a} for r in rows]
         for i, r in enumerate(entries):
             for j, a in r.items():
                 if not 0 <= j < n or entries[j].get(i) != a:

@@ -83,7 +83,9 @@ class DrawingViolation:
 
 @dataclass(frozen=True)
 class PolyDrawing:
-    """Vertex positions plus at most one bend per edge, all rational."""
+    """Vertex positions and bend points, all rational: what
+    ``textio.parse_drawing`` reads, and ``GridDrawing.drawing`` gives.  The
+    builders all return a ``GridDrawing``."""
 
     graph: EmbeddedGraph
     pos: dict
@@ -398,8 +400,7 @@ def _degenerate(stage: str, violation: DrawingViolation) -> DegenerateOutput:
     return DegenerateOutput(f"{stage} drawing failed verification: {violation}")
 
 
-def _checked(d: PolyDrawing | GridDrawing,
-             stage: str) -> PolyDrawing | GridDrawing:
+def _checked(d: GridDrawing, stage: str) -> GridDrawing:
     """``d`` after one exact check; a failure raises DegenerateOutput
     naming the stage."""
     violation = verify_drawing(d.graph, d)
@@ -449,8 +450,10 @@ class _Barycentric:
                                   for fx in self.fixed_nbrs], den)
 
 
-def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
-    """Barycentric drawing with a fixed boundary polygon.
+def tutte_solve(h: EmbeddedGraph, boundary_cycle,
+                boundary_positions) -> GridDrawing:
+    """Barycentric drawing with a fixed boundary polygon, on its integer
+    grid and marked verified.
 
     The system is the plain integer Laplacian (``_Barycentric``), solved
     once exactly over the rationals and checked once by the exact
@@ -480,7 +483,7 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle, boundary_positions) -> dict:
     (xs, dx), (ys, dy) = axes
     grid = GridDrawing(graph=h, pos=list(zip(xs, ys)), bends={}, dx=dx,
                        dy=dy, provenance="tutte")
-    return _checked(grid, "tutte").drawing().pos
+    return _checked(grid, "tutte")
 
 
 # ---------------------------------------------------------------------------
@@ -971,13 +974,13 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # ---------------------------------------------------------------------------
 
 def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
-               stage: str) -> tuple[GridDrawing, tuple[int, int]]:
+               ) -> tuple[GridDrawing, tuple[int, int]]:
     """d, on a finer grid where needed, and the upper apex on that grid,
     where ``_collinear_base`` puts it: above the middle of the chain's two
     ends, four times their distance away.  The lower apex is its mirror
     image in the axis.  On the grid of a collinear base the apex is a grid
-    point already, and d comes back as it is."""
-    _bends_are_midpoints(d, sysm, stage)
+    point already, and d comes back as it is.  d bends every crossed edge
+    once (``_bends_are_midpoints``)."""
     crossed = list(sysm.mids)
     x0, x1 = (d.pos[p][0] if p < len(d.pos) else
               d.bends[crossed[p - len(d.pos)]][0][0]
@@ -995,13 +998,12 @@ def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
                    dx=d.dx * kx, dy=d.dy * ky), apex
 
 
-def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem,
-                         stage: str) -> None:
-    """DegenerateOutput unless d bends every crossed edge once and no
-    other edge."""
+def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem) -> None:
+    """DegenerateOutput for the stage "collinear" unless d bends every
+    crossed edge once and no other edge."""
     if len(d.bends) != len(sysm.mids) or any(
             len(d.bends.get(e, ())) != 1 for e in sysm.mids):
-        raise _degenerate(stage, DrawingViolation(
+        raise _degenerate("collinear", DrawingViolation(
             "bends", "the bends are not one per crossed edge"))
 
 
@@ -1038,13 +1040,13 @@ def _checked_halves(d: GridDrawing, apex: tuple[int, int],
     triangulated disks that, glued along the axis chain, form one disk
     bounded by the quadrilateral P₀, L, P₋₁, U of the chain's ends and the
     apexes, and every edge of g to be an edge of that disk or split at its
-    midpoint into two.  d is then plane when
-    - its bends are exactly the midpoints, one per crossed edge
-    - every triple turns counter-clockwise: each triangle of either half,
-      and each corner of the quadrilateral, which is then convex.
-    A piecewise-linear map of a triangulated disk that keeps the
-    orientation of every triangle and takes the boundary to a simple
-    polygon is injective (Lipman, "Bijective mappings of meshes with
+    midpoint into two.  d bends each crossed edge once, at the point of its
+    midpoint, and no other edge (``perturb_scale`` checks that once, with
+    ``_bends_are_midpoints``).  d is then plane when every triple turns
+    counter-clockwise: each triangle of either half, and each corner of the
+    quadrilateral, which is then convex.  A piecewise-linear map of a
+    triangulated disk that keeps the orientation of every triangle and
+    takes the boundary to a simple polygon is injective (Lipman, "Bijective mappings of meshes with
     boundary and the degree in mesh processing", SIAM J. Imaging Sci.
     2014; Floater 2003 for a convex boundary): a point inside the polygon
     is covered by as many triangles as the boundary winds around it, once.
@@ -1052,7 +1054,6 @@ def _checked_halves(d: GridDrawing, apex: tuple[int, int],
     part of the certificate: any two points for which the conditions hold
     would do.  That is one orientation sign per triple: no sort and no
     sweep."""
-    _bends_are_midpoints(d, sysm, stage)
     pts = _points(d, sysm, apex)
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
@@ -1104,12 +1105,15 @@ def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: list,
     return 0 if k is None else k
 
 
-def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
+def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
                   targets) -> GridDrawing:
     """Move the free set, on the axis in ``d``, to the target heights:
     ``targets[i]`` for ``fs.order[i]``.  ``d`` is a drawing of the collinear
-    system kept on ``fs``'s analysis, as ``realize_collinear`` or
-    ``_collinear_base`` builds it; its ``verified`` flag is not read.
+    system kept on ``fs``'s analysis, on its integer grid, as
+    ``realize_collinear`` or ``_collinear_base`` builds it
+    (``GridDrawing.from_drawing`` puts a ``PolyDrawing`` on one); its
+    ``verified`` flag is not read.  It must bend every crossed edge once and
+    no other edge (else DegenerateOutput for the stage "collinear").
 
     The system's triples turn counter-clockwise in d (else
     DegenerateOutput for the stage "collinear"), and with epsilon from
@@ -1130,8 +1134,8 @@ def perturb_scale(d: PolyDrawing | GridDrawing, fs: OrderedFreeSet,
         if d.pos[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     sysm = _system_of(d.graph, fs)
-    grid = d if isinstance(d, GridDrawing) else GridDrawing.from_drawing(d)
-    grid, apex = _apex_grid(grid, sysm, "collinear")
+    _bends_are_midpoints(d, sysm)
+    grid, apex = _apex_grid(d, sysm)
     if all(y == 0 for y in ys):
         return _checked_halves(grid, apex, sysm, "collinear")
     ys, tden = common_denominator(ys)
@@ -1172,15 +1176,6 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     while len({x + t * y for x, y in keys}) < len(keys):
         t += 1
     return t, keys, den
-
-
-def _distinct_x_shear(points: list[Point]) -> tuple[int, list[Point]]:
-    """Least integer t >= 0 after which the points have distinct x + t*y
-    (``_shear_keys``), and the points so sheared."""
-    t = _shear_keys(points)[0]
-    if t == 0:
-        return 0, points
-    return t, [(x + t * y, y) for x, y in points]
 
 
 def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:

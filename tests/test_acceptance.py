@@ -6,6 +6,11 @@ freeset.bench so the CLI ``bench`` subcommand runs the same code.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import pytest
+
+from freeset import bench
 from freeset.bench import (
     check_freeset_lower_bound,
     check_goldner_harary,
@@ -17,6 +22,7 @@ from freeset.bench import (
     check_structural,
     check_untangling,
 )
+from freeset.generators import path
 
 _extraction_cache = {}
 
@@ -74,3 +80,24 @@ def test_criterion_8_psge():
 
 def test_criterion_9_structural_invariants():
     _report(check_structural(seed=5150, target=10_000))
+
+
+@pytest.mark.parametrize("kept,passed", [(None, True), (2, False)],
+                         ids=["all-shared", "two-shared"])
+def test_psge_triples_record_checks_the_root_bound(monkeypatch, kept,
+                                                   passed):
+    # three 16-vertex paths have a common free set of 13, so r = 3 needs
+    # ceil(sqrt(13)) = 4 shared vertices: two, still placed exactly, meet
+    # "|V'| >= 2" but not the iterated-root bound
+    real = bench.psge_many
+
+    def truncated(graphs):
+        res = real(graphs)
+        return replace(res, shared_vertices=res.shared_vertices[:kept],
+                       shared_points=res.shared_points[:kept])
+
+    monkeypatch.setattr(bench, "_random_tree", lambda n, seed: path(n))
+    monkeypatch.setattr(bench, "psge_many", truncated)
+    record = check_psge(pairs=0, triples=1)[1]
+    assert record["name"] == "psge tree triples (n=16)"
+    assert record["passed"] is passed

@@ -20,7 +20,7 @@ from freeset.embedding import EmbeddedGraph
 from freeset.errors import MergeConflict, TooLarge, VertexSetMismatch
 from freeset.extractors import planar_freeset
 from freeset.generators import path, random_triangulation
-from freeset.realize import _distinct_x_shear, tutte_solve
+from freeset.realize import _shear_keys, tutte_solve
 
 
 class TestLisLds:
@@ -47,7 +47,7 @@ class TestUntangle:
     def test_planar_input_unchanged(self):
         g = random_triangulation(12, 1)
         outer = [u for u, _ in g.faces[g.outer_face].walk]
-        pos = tutte_solve(g, outer, [(0, 0), (64, 0), (0, 64)])
+        pos = tutte_solve(g, outer, [(0, 0), (64, 0), (0, 64)]).drawing().pos
         res = untangle(g, pos)
         assert len(res.fixed) == 12
         assert res.drawing.drawing().pos == {v: (F(x), F(y))
@@ -89,7 +89,7 @@ class TestUntangle:
         # realization runs in a sheared frame and is sheared back
         g = path(5)
         pos = {0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0), 4: (1, 3)}
-        t, _ = _distinct_x_shear([(F(x), F(y)) for x, y in pos.values()])
+        t = _shear_keys([(F(x), F(y)) for x, y in pos.values()])[0]
         assert t >= 1
         res = untangle(g, pos)
         assert res.drawing.verified
@@ -134,8 +134,8 @@ class TestSgeNomap:
         g2 = build_embedded(3, [[1, 2], [2, 0], [0, 1]])
         res = sge_nomap(g1, g2)
         assert all(d.verified for d in res.drawings)
-        p2 = {res.drawings[1].pos[v] for v in range(3)}
-        p1 = {res.drawings[0].pos[v] for v in range(50)}
+        p2 = {res.drawings[1].drawing().pos[v] for v in range(3)}
+        p1 = {res.drawings[0].drawing().pos[v] for v in range(50)}
         assert p2 <= p1
         assert len(res.shared_points) == 50
 

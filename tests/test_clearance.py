@@ -47,7 +47,7 @@ from freeset.realize import (
     PolyDrawing,
     _collinear_base,
     _collinear_system,
-    _distinct_x_shear,
+    _shear_keys,
     free_realize,
     perturb_scale,
     verify_drawing,
@@ -205,7 +205,8 @@ def epsilon_of(base, out, fs, targets) -> F:
 
 def _base_on(fs, style: str, rng_seed: int) -> GridDrawing:
     pts = point_set(style, len(fs.order), random.Random(rng_seed))
-    xs = sorted(x for x, _ in _distinct_x_shear(pts)[1])
+    t, keys, den = _shear_keys(pts)
+    xs = sorted(F(x + t * y, den) for x, y in keys)
     return _collinear_base(fs.graph, fs, *common_denominator(xs))[0]
 
 
@@ -387,8 +388,7 @@ def test_no_pair_means_no_bound():
     out = perturb_scale(base, fs, [0] * len(fs.order))
     assert out.verified and (out.pos, out.bends) == (base.pos, base.bends)
     sysm = _collinear_system(fs._analysis)
-    pts = realize._points(base, sysm, realize._apex_grid(
-        base, sysm, "collinear")[1])
+    pts = realize._points(base, sysm, realize._apex_grid(base, sysm)[1])
     assert realize._lift_exponent(pts, sysm, [0] * len(pts), base.dy, 1) == 0
 
 
@@ -550,11 +550,11 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
     targets = _targets(fs, "coprime", 1)
     poly = realize.realize_collinear(g, fs, xs).drawing()
     base = _collinear_base(g, fs, *common_denominator(xs))[0]
-    out = perturb_scale(poly, fs, targets)
+    least = GridDrawing.from_drawing(poly)
+    out = perturb_scale(least, fs, targets)
     assert out.verified and verify_drawing(g, out) is None
     want = perturb_scale(base, fs, targets).drawing()
     assert (out.drawing().pos, out.drawing().bends) == (want.pos, want.bends)
-    least = GridDrawing.from_drawing(poly)
     sysm = _collinear_system(fs._analysis)
-    refined = realize._apex_grid(least, sysm, "collinear")[0]
+    refined = realize._apex_grid(least, sysm)[0]
     assert (refined is least) == (g.n > 2)

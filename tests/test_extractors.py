@@ -290,11 +290,11 @@ def test_unknown_target_rejected(extract, bad):
 
 class TestLevel:
     def test_path5(self):
-        fs = level_freeset(path(5), bfs_levels(path(5), 0))
+        fs = level_freeset(path(5), bfs_levels(path(5)))
         assert fs.order == (0, 2, 4)
 
     def test_star(self):
-        fs = level_freeset(star(6), bfs_levels(star(6), 0))
+        fs = level_freeset(star(6), bfs_levels(star(6)))
         assert len(fs.order) == 5
 
     def test_grid_rows(self):
@@ -316,7 +316,7 @@ class TestLevel:
         from freeset.bench import _random_tree
         t = _random_tree(30, 3)
         xs = list(range(0, 30, 2))
-        fs = level_freeset(t, bfs_levels(t, 0), xs)
+        fs = level_freeset(t, bfs_levels(t), xs)
         assert set(fs.order) <= set(xs)
         assert 2 * len(fs.order) >= len(xs)
 

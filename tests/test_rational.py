@@ -331,11 +331,11 @@ class TestHalfPlaneHeights:
 class TestFailures:
     def test_singular(self):
         with pytest.raises(SingularSystem):
-            FractionFreeSolver([[1, -1], [-1, 1]])
+            FractionFreeSolver([{0: 1, 1: -1}, {0: -1, 1: 1}])
 
     def test_not_symmetric(self):
         with pytest.raises(ValueError):
-            FractionFreeSolver([[2, 1], [0, 2]])
+            FractionFreeSolver([{0: 2, 1: 1}, {1: 2}])
 
     @pytest.mark.parametrize("entry", ["pivot", "off-diagonal"])
     def test_corrupted_factor_raises(self, entry, monkeypatch):

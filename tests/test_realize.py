@@ -47,9 +47,9 @@ from freeset.realize import (
     PolyDrawing,
     _checked,
     _collinear_system,
-    _distinct_x_shear,
     _HalfPlane,
     _shear_drawing,
+    _shear_keys,
     free_realize,
     perturb_scale,
     realize_collinear,
@@ -170,13 +170,14 @@ class TestVerify:
 
 class TestTutte:
     def test_k4_center_at_barycenter(self, k4):
-        pos = tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
+        d = tutte_solve(k4, [0, 1, 2], [(0, 0), (4, 0), (0, 4)])
+        pos = d.drawing().pos
         assert pos[3] == (F(4, 3), F(4, 3))
 
     def test_interior_barycentric_identity(self):
         g = octahedron()
         outer = [u for u, _ in g.faces[g.outer_face].walk]
-        pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)])
+        pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)]).drawing().pos
         d = PolyDrawing(graph=g, pos=pos)
         assert verify_drawing(g, d) is None
         # interior vertices satisfy the barycentric identity exactly
@@ -200,7 +201,7 @@ class TestTutte:
         g = embed_from_faces(3 * layers, faces, outer=(0, 2, 1))
         outer = [u for u, _ in g.faces[g.outer_face].walk]
         assert sorted(outer) == [0, 1, 2]
-        pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)])
+        pos = tutte_solve(g, outer, [(0, 0), (8, 0), (0, 8)]).drawing().pos
         assert verify_drawing(g, PolyDrawing(graph=g, pos=pos)) is None
         for v in range(3, g.n):
             nbrs = g.rot[v]
@@ -753,7 +754,8 @@ class TestPerturbAndFree:
         # the lift's bound assumes the free set starts on the axis
         fs = antichain_pair(k4)
         d = realize_collinear(k4, fs, [0, 1]).drawing()
-        lifted = replace(d, pos={**d.pos, 3: (F(0), F(1, 2))})
+        lifted = GridDrawing.from_drawing(
+            replace(d, pos={**d.pos, 3: (F(0), F(1, 2))}))
         for targets in ([3, -2], [0, 0]):
             with pytest.raises(SizeMismatch, match="vertex 3 is not on"):
                 perturb_scale(lifted, fs, targets)
@@ -766,8 +768,9 @@ class TestPerturbAndFree:
     def test_shear_is_least_t(self):
         # t = 0 repeats x = 0 and x = 1; t = 1 sends (0, 1) and (1, 0) to 1
         pts = [(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(2))]
-        t, sheared = _distinct_x_shear(pts)
+        t, keys, den = _shear_keys(pts)
         assert t == 2
+        sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
         assert sheared == [(F(0), F(0)), (F(2), F(1)), (F(1), F(0)),
                            (F(5), F(2))]
         assert [(x - t * y, y) for x, y in sheared] == pts
@@ -790,7 +793,8 @@ class TestPerturbAndFree:
                     min_size=1, max_size=12, unique=True))
     def test_shear_property(self, pts):
         # few x values force repeats; the least t is at most the pair count
-        t, sheared = _distinct_x_shear(pts)
+        t, keys, den = _shear_keys(pts)
+        sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
         assert 0 <= t <= len(pts) * (len(pts) - 1) // 2
         assert len({x for x, _ in sheared}) == len(pts)
         assert [(x - t * y, y) for x, y in sheared] == pts
@@ -995,7 +999,7 @@ class TestVerifyOnce:
                                match="^collinear drawing failed verification: "
                                      "flipped-triangle: the inside half's "
                                      "triangle 0, 2, 3 is clockwise$"):
-                perturb_scale(forged, fs, targets)
+                perturb_scale(GridDrawing.from_drawing(forged), fs, targets)
 
     def test_unverified_broken_base_is_not_halved(self, k4, calls):
         # a vertex on another in the base: a triangle of the inside half
@@ -1009,7 +1013,7 @@ class TestVerifyOnce:
                            match="^collinear drawing failed verification: "
                                  "flipped-triangle: the inside half's "
                                  "triangle 0, 2, 3 is clockwise$"):
-            perturb_scale(broken, fs, [3, -2])
+            perturb_scale(GridDrawing.from_drawing(broken), fs, [3, -2])
         assert calls == []
 
 

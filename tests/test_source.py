@@ -7,8 +7,10 @@ arithmetic in the exact modules ``realize`` and ``rational``, no
 graphs alive), and no module-level import that the module never uses
 (``__init__`` re-exports exactly what it imports, and each exported name
 resolves), every function the benchmark's layer trace wraps still
-exists, and no branch of ``realize`` reads a drawing's ``verified`` flag
-(it is output only, so no check may be skipped on it)."""
+exists, no branch of ``realize`` reads a drawing's ``verified`` flag
+(it is output only, so no check may be skipped on it), and a
+``PolyDrawing`` is built only by ``textio.parse_drawing`` and
+``GridDrawing.drawing``."""
 
 from __future__ import annotations
 
@@ -359,3 +361,55 @@ def test_realize_never_branches_on_the_verified_flag():
 ])
 def test_flag_read_detected(source, found):
     assert flag_reads(ast.parse(source)) == found
+
+
+# the only places a ``PolyDrawing`` is built: every builder returns a
+# ``GridDrawing``, and a parsed drawing is the one rational input
+POLY_BUILDERS = {("textio.py", "parse_drawing"),
+                 ("realize.py", "GridDrawing.drawing")}
+
+
+def poly_builds(tree: ast.AST) -> list[str]:
+    """The scope of each ``PolyDrawing(...)`` call, as a dotted path of the
+    enclosing classes and functions ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id == "PolyDrawing" or \
+                        isinstance(f, ast.Attribute) and \
+                        f.attr == "PolyDrawing":
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_poly_drawing_built_only_by_the_parser_and_the_grid():
+    built = {(p.name, scope) for p in SOURCES
+             for scope in poly_builds(ast.parse(p.read_text(),
+                                                filename=str(p)))}
+    assert built == POLY_BUILDERS
+
+
+@pytest.mark.parametrize("source,found", [
+    ("d = PolyDrawing(graph=g, pos=pos)\n", [""]),
+    ("def f(g):\n    return PolyDrawing(graph=g, pos={})\n", ["f"]),
+    ("class G:\n    def drawing(self):\n"
+     "        return realize.PolyDrawing(graph=self.graph, pos={})\n",
+     ["G.drawing"]),
+    ("def f():\n    def g():\n        return [PolyDrawing(h, p)]\n",
+     ["f.g"]),
+    ("def f(d: PolyDrawing) -> PolyDrawing:\n"
+     "    return isinstance(d, PolyDrawing)\n", []),
+    ("d = replace(grid.drawing(), provenance='x')\n", []),
+])
+def test_poly_build_detected(source, found):
+    assert poly_builds(ast.parse(source)) == found

@@ -378,10 +378,11 @@ def check_structural(seed: int = 5150, target: int = 10_000) -> list[dict]:
             expect(parsed.certificate == fs.certificate)
             if g.n <= 40 and done % 9 == 0:
                 pts = random_points(rng, len(fs.order))
-                d = free_realize(g, fs, pts).drawing()
+                d = free_realize(g, fs, pts)
                 expect(d.verified)
                 rt = parse_drawing(serialize_drawing(d), g, verify=False)
-                expect(rt.pos == d.pos and rt.bends == d.bends)
+                drawn = d.drawing()
+                expect(rt.pos == drawn.pos and rt.bends == drawn.bends)
                 expect(verify_drawing(g, rt) is None)
     return [_record("structural invariant suite",
                     f">= {target} property checks",

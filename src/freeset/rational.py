@@ -43,13 +43,13 @@ class FractionFreeSolver:
     """Exact solver for a sparse symmetric positive definite integer matrix.
 
     ``rows[i]`` maps each column j to the entry (i, j), and ``len(rows)``
-    is the dimension.  The constructor factors
-    A = L D Lᵀ modulo a prime p, eliminating in greedy minimum-degree order,
-    so the Laplacians of planar graphs fill little (George & Liu 1981);
-    ``off_diagonal`` counts the entries of L below the diagonal.  A positive
-    definite matrix needs no pivoting over Q: a pivot that vanishes mod p
-    only means that p divides a leading minor, and the next prime is tried.
-    A zero pivot under every prime raises SingularSystem.
+    is the dimension.  The constructor factors A = L D Lᵀ modulo a prime p,
+    eliminating in greedy minimum-degree order, so the Laplacians of planar
+    graphs fill little (George & Liu 1981); ``off_diagonal`` counts the
+    entries of L below the diagonal.  A positive definite matrix needs no
+    pivoting over Q: a pivot that vanishes mod p only means that p divides
+    a leading minor, and the next prime is tried.  A zero pivot under every
+    prime raises SingularSystem.
 
     ``solve`` takes an integer right-hand side over one denominator and
     lifts the solution p-adically (Dixon 1982): each step solves

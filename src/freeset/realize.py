@@ -1046,14 +1046,14 @@ def _checked_halves(d: GridDrawing, apex: tuple[int, int],
     counter-clockwise: each triangle of either half, and each corner of the
     quadrilateral, which is then convex.  A piecewise-linear map of a
     triangulated disk that keeps the orientation of every triangle and
-    takes the boundary to a simple polygon is injective (Lipman, "Bijective mappings of meshes with
-    boundary and the degree in mesh processing", SIAM J. Imaging Sci.
-    2014; Floater 2003 for a convex boundary): a point inside the polygon
-    is covered by as many triangles as the boundary winds around it, once.
-    So the disk is drawn without a crossing, and so is g.  The apexes are
-    part of the certificate: any two points for which the conditions hold
-    would do.  That is one orientation sign per triple: no sort and no
-    sweep."""
+    takes the boundary to a simple polygon is injective (Lipman, "Bijective
+    mappings of meshes with boundary and the degree in mesh processing",
+    SIAM J. Imaging Sci. 2014; Floater 2003 for a convex boundary): a point
+    inside the polygon is covered by as many triangles as the boundary
+    winds around it, once.  So the disk is drawn without a crossing, and so
+    is g.  The apexes are part of the certificate: any two points for which
+    the conditions hold would do.  That is one orientation sign per triple:
+    no sort and no sweep."""
     pts = _points(d, sysm, apex)
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]

@@ -15,9 +15,9 @@
 #
 # Covered: gen; freeset (planar, level, outerplanar, with --target);
 # realize in text and svg on general and repeated-x point sets; verify of
-# one realized drawing and svg of the other; untangle in text and svg, on random
-# positions with repeated x and on a crossing-free grid; psge of two and of
-# three graphs; two sge-nomap bundles; oracle --mode falsify and
+# one realized drawing and svg of the other; untangle in text and svg, on
+# random positions with repeated x and on a crossing-free grid; psge of two
+# and of three graphs; two sge-nomap bundles; oracle --mode falsify and
 # bench --quick, with their timings blanked.  Point files are written by
 # the standard-library helper below, not by the code under test.
 # Takes about 20 s on two cores; not part of the test suite.

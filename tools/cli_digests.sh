@@ -14,7 +14,9 @@
 #   cmp /tmp/old/SHA256SUMS /tmp/new/SHA256SUMS
 #
 # Covered: gen; freeset (planar, level, outerplanar, with --target);
-# realize in text and svg on general and repeated-x point sets; verify of
+# realize in text and svg on general and repeated-x point sets, and in text
+# of the planar sets of a path, a cycle and a fan, the level set of a star
+# and the outerplanar set of an outerplanar graph; verify of
 # one realized drawing and svg of the other; untangle in text and svg, on
 # random positions with repeated x and on a crossing-free grid; psge of two
 # and of three graphs; two sge-nomap bundles; oracle --mode falsify and
@@ -105,6 +107,25 @@ fs freeset --graph star9.txt --method level --out star9.level.fs
 fs freeset --graph mop80.txt --method outerplanar --out mop80.outer.fs
 fs freeset --graph rt200.txt --target 0,3,5,8,13,21,34,55,89,144 \
     --out rt200.target.fs
+
+# halves with bridges and faces that repeat a vertex: the planar sets of a
+# path, a cycle and a fan, the level set of the star and the outerplanar set
+# of mop80, each realized as text on general points
+fs gen --family path --n 12 --out path12.txt
+fs gen --family cycle --n 15 --out cycle15.txt
+fs gen --family fan --n 12 --out fan12.txt
+for g in path12 cycle15 fan12; do
+    fs freeset --graph "$g.txt" --out "$g.fs"
+done
+for pair in "path12 path12" "cycle15 cycle15" "fan12 fan12" \
+            "star9 star9.level" "mop80 mop80.outer"; do
+    set -- $pair
+    k=$(members "$2.fs")
+    seed=$((seed + 1))
+    points general "$k" "$seed" > "$2.general.pts"
+    fs realize --graph "$1.txt" --freeset "$2.fs" \
+        --points "$2.general.pts" --out "$2.general.txt"
+done
 
 # a crossing-free input comes back as given, every vertex fixed
 python3 -c 'print("\n".join(f"{v % 7} {-(v // 7)}" for v in range(42)))' \

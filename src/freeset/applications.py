@@ -17,6 +17,7 @@ from .extractors import planar_freeset
 from .rational import Point, integer_grid
 from .realize import (
     GridDrawing,
+    _checked,
     _shear_drawing,
     _shear_keys,
     free_realize,
@@ -121,11 +122,16 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
 
 
 def _plain_drawing(g: EmbeddedGraph) -> GridDrawing:
-    """Any verified straight-line drawing: Tutte on a triangulated copy,
-    its outer triangle at (0, 0), (4096, 0) and (0, 4096).
+    """Any verified straight-line drawing: one or two vertices on (0, 0)
+    and (4096, 0), checked once; else Tutte on a triangulated copy, its
+    outer triangle at (0, 0), (4096, 0) and (0, 4096).
 
     ``tutte_solve`` verified these positions with a superset of g's edges,
     so the drawing of g is crossing-free too."""
+    if g.n <= 2:  # too small to triangulate
+        return _checked(GridDrawing(graph=g, pos=[(0, 0), (4096, 0)][:g.n],
+                                    bends={}, dx=1, dy=1,
+                                    provenance="plain-base"), "plain")
     t, _ = triangulate(g)
     outer = [u for u, _ in t.faces[t.outer_face].walk]
     return replace(tutte_solve(t, outer, [(0, 0), (4096, 0), (0, 4096)]),

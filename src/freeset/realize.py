@@ -3,23 +3,23 @@
 The pipeline follows the constructive side of the proper-good/free
 equivalence: read the analysis of the certificate on its own graph g that
 the free set carries (made once, when the free set was made), and split g
-along the curve into two half graphs built from g's rotations, with one
-midpoint per crossed edge (no subdivided copy of g is built and nothing is
-validated again); draw each side in a half-plane with the curve vertices
+along the curve into two halves, rotation lists read off g's with one
+midpoint per crossed edge (no graph is built, and each half is checked
+once, as a disk); draw each side in a half-plane with the curve vertices
 and midpoints on the x-axis (a Tutte system on the side joined to an apex
 and filled with chords, built in one pass with no face trace, solved
 exactly by a sparse LDLᵀ factor modulo a prime and p-adic lifting), then
-lift the free vertices off the axis and scale every height, in one step,
-so that they land exactly on arbitrary targets (the collinear-is-free
-argument of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every
-returned drawing has passed an exact crossing-free check, and each public
-entry point runs that check once, on the drawing it returns; intermediate
-drawings are not checked.  A realized drawing is checked on the triangles
-of its two augmented halves, traced once per system and checked there to
-form one disk (``_checked_halves``: one orientation sign per triangle); the
-sweep (``verify_drawing``) checks drawings the program did not build, and
-those of ``tutte_solve``.  Each system is solved once and the lift is sized
-by the same triangles: each one's orientation is affine in the lift, so the
+lift the free vertices off the axis and scale every height, in one step, so
+that they land exactly on arbitrary targets (the collinear-is-free argument
+of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every returned drawing
+has passed an exact crossing-free check, and each public entry point runs
+that check once, on the drawing it returns; intermediate drawings are not
+checked.  A realized drawing is checked on the triangles of its two
+augmented halves, traced once per system and checked there to form one disk
+(``_checked_halves``: one orientation sign per triangle); the sweep
+(``verify_drawing``) checks drawings the program did not build, and those
+of ``tutte_solve``.  Each system is solved once and the lift is sized by
+the same triangles: each one's orientation is affine in the lift, so the
 largest safe lift is read off them in one pass and nothing is retried.  A
 drawing that fails its check raises DegenerateOutput naming the stage and
 the violation.  Nothing that the validated certificate or the triangle
@@ -49,7 +49,6 @@ from .curves import (
 from .embedding import (
     EmbeddedGraph,
     Edge,
-    _rebuild,
     _trace_faces,
     insert_chords,
     norm_edge,
@@ -490,17 +489,17 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle,
 # Half-plane drawings
 # ---------------------------------------------------------------------------
 
-def _with_apex(h: EmbeddedGraph, y: list[int]):
-    """Rotation lists, face walks (vertex lists) and edges of h plus an
-    apex, vertex h.n, joined to both ends of the axis y.
+def _with_apex(rot, walks, outer: int, y: list[int]):
+    """Rotation lists, face walks (vertex lists) and edges of a half plus
+    an apex, vertex len(rot), joined to both ends of the axis y.
 
-    The axis is found as a run of consecutive vertices of h's outer walk,
+    The axis is found as a run of consecutive vertices of ``walks[outer]``,
     in either direction (the first match in walk order); YNotOnOuterFace
     if it is none.  The apex goes into the corner where the walk enters
     the run and the corner where it leaves it, which cuts the walk into
     the faces [apex] + run and [apex] + the rest of the walk; the other
     faces stay as they are, so nothing is traced."""
-    walk = [u for u, _ in h.faces[h.outer_face].walk]
+    walk = [u for u, _ in walks[outer]]
     k, m = len(walk), len(y)
     runs = (y, y[::-1])
     i = next((i for i in range(k) for run in runs
@@ -508,65 +507,68 @@ def _with_apex(h: EmbeddedGraph, y: list[int]):
     if i is None:
         raise YNotOnOuterFace(f"axis {y} is not a run of the outer walk")
     walk = walk[i:] + walk[:i]  # the run first
-    apex = h.n
-    rot = [list(r) for r in h.rot] + [[y[0], y[-1]]]
+    apex = len(rot)
+    rot = [list(r) for r in rot] + [[y[0], y[-1]]]
     # the walk enters v from u through the corner just before u in rot[v]
     for u, v in ((walk[-1], walk[0]), (walk[m - 2], walk[m - 1])):
         rot[v].insert(rot[v].index(u), apex)
-    faces = [f.vertices for f in h.faces if f.id != h.outer_face]
+    faces = [[u for u, _ in w] for i, w in enumerate(walks) if i != outer]
     faces += [[apex] + walk[:m], [apex] + walk[m - 1:] + walk[:1]]
-    return rot, faces, h.edges | {(y[0], apex), (y[-1], apex)}
+    edges = {norm_edge(u, v) for w in walks for u, v in w}
+    return rot, faces, edges | {(y[0], apex), (y[-1], apex)}
 
 
 class _HalfPlane:
     """Augmented barycentric system for one side of a collinear drawing.
 
-    The augmentation cuts an apex into h's outer walk where it runs along
-    the axis (``_with_apex``) and fills every face with chords, chords from
-    the fixed vertices (the axis and the apex) first.  It is built in one
-    pass: ``insert_chords`` splits the faces in place, so no face is traced.
+    The half is its rotation lists, face walks and outer walk's index
+    (``_half_embedding``).  The augmentation cuts an apex into the outer
+    walk where it runs along the axis (``_with_apex``) and fills every face
+    with chords, chords from the fixed vertices (the axis and the apex)
+    first.  It is built in one pass: ``insert_chords`` splits the faces in
+    place, so no face is traced.
 
     Lemma.  The augmented outer face is exactly axis + apex, a weakly convex
     polygon once the axis is on a line and the apex off it.  No other edge
-    joins two fixed vertices.  The premise comes from the proper
-    certificate the axis is read off (``_collinear_system``), and is not
-    checked again here: the axis has at least two vertices, all distinct
-    (no curve vertex twice, and the midpoints are new ids); the curve runs
-    along every edge between two curve vertices, so h joins axis vertices
-    only where they are consecutive, and never the two ends, since the
-    axis starts after a face passage (``_axis_items``).  No chord joins two
-    fixed vertices.  When,
-    besides, every face that touches a free vertex is a triangle, the
-    barycentric drawing with any positive edge weights is an embedding
-    (Tutte 1963; Floater 2003 for a weakly convex boundary).  The chords
-    make every inner face a triangle on every input tested, every outer
-    axis of small thinned triangulations among them; it is not proved, so
-    it is checked once per collinear system, when ``_half_triangles``
-    traces the augmented faces, and a half that breaks it raises
-    DegenerateOutput there.  So the system is the plain integer Laplacian,
-    and the triangles that the check traced are the ones every realized
-    drawing is checked on.  The interior system is factored once (sparse
-    LDLᵀ modulo a prime, in minimum-degree order), so a solve for new axis
-    positions is only p-adic lifting with that factor.
+    joins two fixed vertices.  The premise comes from the validated
+    certificate the half is read off (``_collinear_system``), and is not
+    checked again here: the rotation lists are symmetric and simple, as g's
+    are, with a midpoint for each crossed neighbour, the other side's left
+    out and the axis neighbours added; the axis has at least two vertices,
+    all distinct (no curve vertex twice, and the midpoints are new ids); the
+    curve runs along every edge between two curve vertices, so the half
+    joins axis vertices only where they are consecutive, and never the two
+    ends, since the axis starts after a face passage (``_axis_items``).  No
+    chord joins two fixed vertices.  When, besides, every face that touches
+    a free vertex is a triangle, the barycentric drawing with any positive
+    edge weights is an embedding (Tutte 1963; Floater 2003 for a weakly
+    convex boundary).  The chords make every inner face a triangle on every
+    input tested, every outer axis of small thinned triangulations among
+    them; it is not proved, so it is checked once per collinear system, when
+    ``_half_triangles`` traces the augmented faces, and a half that breaks
+    it raises DegenerateOutput there.  So the system is the plain integer
+    Laplacian, and the triangles that the check traced are the ones every
+    realized drawing is checked on.  The interior system is factored once
+    (sparse LDLᵀ modulo a prime, in minimum-degree order), so a solve for
+    new axis positions is only p-adic lifting with that factor.
 
     The heights do not depend on the axis positions.  The axis is at
     height 0 and the apex at b, so the interior heights are b·φ, where φ
     solves the system with the apex at 1: the system is linear and its
     solution unique.  φ is lifted once, here, and kept as integer
     numerators over one denominator; ``solve`` lifts only the x's and
-    returns the drawing on the integer grid with the apex at height ±1.
-    That drawing is the one with the apex at ±b scaled by 1/b along y,
-    which keeps every orientation sign, so the caller applies b when it
-    next scales the heights.  ``solve`` only solves; the caller checks the
+    returns the half's integer points with the apex at height ±1.  That
+    drawing is the one with the apex at ±b scaled by 1/b along y, which
+    keeps every orientation sign, so the caller applies b when it next
+    scales the heights.  ``solve`` only solves; the caller checks the
     drawing it assembles.
     """
 
-    def __init__(self, h: EmbeddedGraph, y_order: list[int]):
-        self.h = h
+    def __init__(self, rot, walks, outer: int, y_order: list[int]):
         self.y = list(y_order)
-        self.apex = h.n
+        self.apex = len(rot)
         self.rot, self.helper_edges = self._fill_content_faces(
-            *_with_apex(h, self.y))
+            *_with_apex(rot, walks, outer, self.y))
         self._base = _Barycentric(self.rot, set(self.y) | {self.apex})
         heights = dict.fromkeys(self.y, 0)
         heights[self.apex] = 1
@@ -611,21 +613,20 @@ class _HalfPlane:
 
         return insert_chords(rot, faces, edges, choose)
 
-    def solve(self, xs: list[int], den: int, side: str) -> GridDrawing:
-        """Unverified drawing of the original half graph with the axis
-        vertices at x = xs[i] / den, increasing, and the apex at height -1
-        (``side`` "below") or 1: heights are ±φ."""
+    def solve(self, xs: list[int], den: int, side: str) -> tuple:
+        """(pos, dx, dy): unverified integer points of the half's vertices
+        but the apex, over x and y denominators, with the axis at
+        x = xs[i] / den, increasing, and heights -φ ("below") or φ."""
         fixed = {v: 2 * x for v, x in zip(self.y, xs)}
         fixed[self.apex] = xs[0] + xs[-1]  # the midpoint, over 2·den
         inner, dx = self._base.solve(fixed, 2 * den)
         sign = -1 if side == "below" else 1
-        pos = [None] * self.h.n
+        pos = [None] * self.apex
         for v, x in zip(self.y, xs):
             pos[v] = (x * (dx // den), 0)
         for v, x, phi in zip(self._base.interior, inner, self._phi):
             pos[v] = (x, sign * phi)
-        return GridDrawing(graph=self.h, pos=pos, bends={}, dx=dx,
-                           dy=self._phi_den, provenance="halfplane")
+        return pos, dx, self._phi_den
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +645,10 @@ def _axis_items(cert: CurveCertificate) -> list:
 
 
 def _half_embedding(an, sp, mids: dict, y_order, which: str):
-    """Embedded half graph (side content, axis vertices, axis edges), read
-    off g's rotations and the analysis of the certificate on g.
+    """One half (side content, axis vertices, axis edges), read off g's
+    rotations and the analysis of the certificate on g: the arguments of
+    ``_HalfPlane`` (rotation lists, their walks from one trace, the outer
+    walk's index, the axis) and each vertex's point id (``keep``).
 
     The k-th crossed edge (u, w), u < w, in sorted order becomes the
     midpoint g.n + k with rotation [u, w]; its corner on a face is the half
@@ -690,17 +693,18 @@ def _half_embedding(an, sp, mids: dict, y_order, which: str):
     keep = sorted(rot_map)
     rel = {v: i for i, v in enumerate(keep)}
     rot = [[rel[u] for u in rot_map[v]] for v in keep]
+    walks, face_of = _trace_faces(rot)
     # the outer face is the curve's complement side at the first axis edge
     y0r, y1r = rel[y_order[0]], rel[y_order[1]]
-    h = _rebuild(rot, (y1r, y0r) if which == "inside" else (y0r, y1r))
-    return h, rel
+    outer = face_of[(y1r, y0r) if which == "inside" else (y0r, y1r)]
+    return (rot, walks, outer, [rel[y] for y in y_order]), keep
 
 
 @dataclass
 class _CollinearSystem:
     mids: dict                    # crossed edge -> its midpoint, g.n + k
     y_order: tuple[int, ...]      # curve vertices and midpoints, in order
-    halves: dict                  # "inside"/"outside" -> (_HalfPlane, to_rel)
+    halves: dict                  # "inside"/"outside" -> (_HalfPlane, keep)
     # point-id triples, each counter-clockwise in a plane drawing: the
     # inside half's triangles, the outside half's, then the corners of the
     # quadrilateral that bounds both
@@ -838,13 +842,10 @@ def _collinear_system(an: _Analysis) -> _CollinearSystem:
     halves, triples, parts = {}, [], []
     for which, apex in (("inside", g.n + len(mids)),
                         ("outside", g.n + len(mids) + 1)):
-        h, rel = _half_embedding(an, sp, mids, y_order, which)
-        hp = _HalfPlane(h, [rel[y] for y in y_order])
-        halves[which] = (hp, rel)
-        points = [0] * h.n + [apex]
-        for v, i in rel.items():
-            points[i] = v
-        triples += _half_triangles(hp, points, which, name)
+        half, keep = _half_embedding(an, sp, mids, y_order, which)
+        hp = _HalfPlane(*half)
+        halves[which] = (hp, keep)
+        triples += _half_triangles(hp, keep + [apex], which, name)
         parts.append((len(triples), f"the {which} half's triangle"))
     first, last = y_order[0], y_order[-1]
     lower, upper = g.n + len(mids), g.n + len(mids) + 1
@@ -926,20 +927,19 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
     s_axis = [v for v in sysm.y_order if v in members]
     axis_x, axis_den = _axis_positions(sysm.y_order, s_axis, xs, den)
 
-    halves = [(hp.solve(axis_x, axis_den, side), rel) for (hp, rel), side in
-              ((sysm.halves["inside"], "below"),
-               (sysm.halves["outside"], "above"))]
-    dx = lcm(*(h.dx for h, _ in halves))
-    dphi = lcm(*(h.dy for h, _ in halves))
+    halves = [(*hp.solve(axis_x, axis_den, side), keep)
+              for (hp, keep), side in ((sysm.halves["inside"], "below"),
+                                       (sysm.halves["outside"], "above"))]
+    dx = lcm(*(hdx for _, hdx, _, _ in halves))
+    dphi = lcm(*(hdy for _, _, hdy, _ in halves))
     # a half's heights are ±φ; the apex goes to b = 4·span, over axis_den,
     # and b goes into each half's column factor.  Only axis vertices lie in
     # both halves, and both put one at column x·dx/axis_den, height 0.
     b = 4 * (axis_x[-1] - axis_x[0])
     merged: dict[int, tuple[int, int]] = {}
-    for h, rel in halves:
-        cx, cy = dx // h.dx, b * (dphi // h.dy)
-        for v, i in rel.items():
-            x, y = h.pos[i]
+    for pos, hdx, hdy, keep in halves:
+        cx, cy = dx // hdx, b * (dphi // hdy)
+        for v, (x, y) in zip(keep, pos):
             merged[v] = (x * cx, y * cy)
     return GridDrawing(graph=g, pos=[merged[v] for v in range(g.n)],
                        bends={e: (merged[mid],)

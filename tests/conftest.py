@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from freeset import build_embedded, embedding, extractors
+from freeset import build_embedded, embedding, extractors, realize
 from freeset.curves import AlongItem
 from freeset.embedding import norm_edge
 from freeset.generators import (
@@ -184,7 +184,7 @@ def gh_fixture():
 @pytest.fixture(name="trace_calls")
 def trace_calls_fixture(monkeypatch):
     """Count face traces: ``calls[0]`` is the number of ``_trace_faces``
-    calls made through the embedding and extractor modules."""
+    calls made through the embedding, extractor and realize modules."""
     calls = [0]
     trace = embedding._trace_faces
 
@@ -192,6 +192,6 @@ def trace_calls_fixture(monkeypatch):
         calls[0] += 1
         return trace(*args)
 
-    for mod in (embedding, extractors):
+    for mod in (embedding, extractors, realize):
         monkeypatch.setattr(mod, "_trace_faces", counting)
     return calls

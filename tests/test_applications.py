@@ -161,6 +161,19 @@ class TestSgeNomap:
         assert all(d.verified for d in res.drawings)
         assert [c for c, _ in calls] == ["sweep", "triangles"]
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_vertices(self, n):
+        # too small to triangulate: G2 goes on (0, 0) and (4096, 0)
+        from freeset import build_embedded
+        g2 = build_embedded(1, [[]]) if n == 1 else path(2)
+        res = sge_nomap(random_triangulation(30, 3), g2)
+        d1, d2 = res.drawings
+        assert d1.verified and d2.verified
+        p2 = [d2.drawing().pos[v] for v in range(n)]
+        assert p2 == [(F(0), F(0)), (F(4096), F(0))][:n]
+        assert set(p2) <= set(res.shared_points)
+        assert len(res.shared_points) == 30
+
     def test_too_large(self, k4):
         g2 = random_triangulation(6, 1)
         with pytest.raises(TooLarge):

@@ -122,8 +122,8 @@ def reference_triples(base: PolyDrawing | GridDrawing, fs) -> list:
     sysm = _collinear_system(fs._analysis)
     pos = points_of(base, fs)
     out = []
-    for which, (hp, rel) in sysm.halves.items():
-        point = {i: v for v, i in rel.items()}
+    for which, (hp, keep) in sysm.halves.items():
+        point = dict(enumerate(keep))
         point[hp.apex] = ("apex", which)
         rim = set(hp.y) | {hp.apex}
         faces = [[u for u, _ in walk] for walk in _trace_faces(hp.rot)[0]]
@@ -465,28 +465,29 @@ def traces(monkeypatch):
 
 def test_triangles_traced_once_across_positions(traces):
     # the same free set at two sets of x positions, then realized on a
-    # third point set: the system's triangles are traced once per half
+    # third point set: the system's faces are traced twice per half, once
+    # before the augmentation and once after, and never again
     fs = planar_freeset(FAMILIES["triangulation"](3))
     for rng_seed in (1, 7):
         base = _base_on(fs, "coprime", rng_seed)
         lifted_exactly(base, fs, _targets(fs, "coprime", rng_seed))
     pts = point_set("general", len(fs.order), random.Random(3))
     assert free_realize(fs.graph, fs, pts).verified
-    assert traces[0] == 2
+    assert traces[0] == 4
 
 
 def test_restriction_traces_nothing_again(traces):
     # a restriction shares its set's system: a new moving set traces
     # nothing again
     fs, base = _base("thinned", 2, "general")
-    assert traces[0] == 2
+    assert traces[0] == 4  # two per half
     targets = _targets(fs, "general", 2)
     for s, t in [(fs, targets), (fs.restricted(fs.order[:2]), targets[:2]),
                  (fs.restricted(fs.order[-1:]), targets[-1:])]:
         lifted_exactly(base, s, t)
         pts = point_set("general", len(s.order), random.Random(4))
         assert free_realize(s.graph, s, pts).verified
-    assert traces[0] == 2
+    assert traces[0] == 4
 
 
 def test_perturb_checks_the_returned_drawing(monkeypatch):

@@ -11,6 +11,7 @@ from freeset.extractors import planar_freeset
 from freeset.generators import cycle, random_triangulation
 from freeset.realize import free_realize
 from freeset.textio import (
+    parse_drawing,
     parse_freeset,
     parse_graph,
     serialize_drawing,
@@ -234,6 +235,21 @@ def test_sge_nomap_bundle(tmp_path):
     assert r.exit_code == 0
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["shared_vertices"] is None
+
+
+def test_sge_nomap_two_vertex_g2(tmp_path):
+    g1 = tmp_path / "g1.txt"
+    g2 = tmp_path / "g2.txt"
+    outdir = tmp_path / "bundle"
+    invoke("gen", "--family", "random-triangulation", "--n", "20",
+           "--seed", "1", "--out", str(g1))
+    invoke("gen", "--family", "path", "--n", "2", "--out", str(g2))
+    r = invoke("sge-nomap", "--g1", str(g1), "--g2", str(g2),
+               "--outdir", str(outdir))
+    assert r.exit_code == 0, r.output
+    drawing = parse_drawing((outdir / "drawing_1.txt").read_text(),
+                            parse_graph(g2.read_text()), verify=True)
+    assert drawing.pos == {0: (F(0), F(0)), 1: (F(4096), F(0))}
 
 
 def test_freeset_dualcycle(tmp_path):

@@ -286,7 +286,7 @@ def reference_halfplane_solve(hp, xs: list[F], side: str) -> dict:
                 for c in (0, 1))
     pos = dict(fixed)
     pos.update(zip(base.interior, zip(xs_, ys_)))
-    out = {v: pos[v] for v in range(hp.h.n)}
+    out = {v: pos[v] for v in range(hp.apex)}
     if side == "below":
         out = {v: (x, -y) for v, (x, y) in out.items()}
     return out
@@ -322,7 +322,9 @@ class TestHalfPlaneHeights:
                 nums, den = common_denominator(xs)
                 b = 4 * (xs[-1] - xs[0])
                 for side in ("below", "above"):
-                    got = hp.solve(nums, den, side).drawing().pos
+                    pts, dx, dy = hp.solve(nums, den, side)
+                    got = {v: (F(x, dx), F(y, dy))
+                           for v, (x, y) in enumerate(pts)}
                     want = reference_halfplane_solve(hp, xs, side)
                     assert list(got.items()) == \
                         [(v, (x, y / b)) for v, (x, y) in want.items()]

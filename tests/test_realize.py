@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeset import applications, build_embedded, curves, embedding, realize
+from freeset.bench import _random_tree
 from freeset.applications import psge_two, untangle
 from freeset.canonical import canonical_order
 from freeset.curves import (
@@ -40,6 +41,7 @@ from freeset.generators import (
     octahedron,
     path,
     random_triangulation,
+    star,
 )
 from freeset.realize import (
     DrawingViolation,
@@ -56,16 +58,34 @@ from freeset.realize import (
     tutte_solve,
     verify_drawing,
 )
-from freeset.textio import parse_freeset, serialize_drawing, serialize_freeset
+from freeset.textio import (
+    parse_drawing,
+    parse_freeset,
+    serialize_drawing,
+    serialize_freeset,
+)
 
 from conftest import edge_classes, point_set, segments, thinned_triangulation
+
+
+def half_plane(h, axis) -> _HalfPlane:
+    """The half-plane system of the embedded graph h on the axis."""
+    return _HalfPlane(h.rot, [f.walk for f in h.faces], h.outer_face,
+                      list(axis))
+
+
+def half_drawing(h, hp, xs, side) -> GridDrawing:
+    """h drawn by its half-plane system hp with the axis at the integers
+    xs and the rest on one side, after the one exact check."""
+    pos, dx, dy = hp.solve(list(xs), 1, side)
+    return _checked(GridDrawing(graph=h, pos=pos, bends={}, dx=dx, dy=dy,
+                                provenance="halfplane"), "halfplane")
 
 
 def draw_half(h, axis, xs, side="below") -> dict:
     """h drawn by ``_HalfPlane`` with the axis at the integers xs and the
     rest on one side, after the one exact check."""
-    d = _HalfPlane(h, list(axis)).solve(list(xs), 1, side)
-    return _checked(d, "halfplane").drawing().pos
+    return half_drawing(h, half_plane(h, axis), xs, side).drawing().pos
 
 
 def antichain_pair(k4):
@@ -333,6 +353,17 @@ def halfplanes(g):
     return [sysm.halves[w][0] for w in ("inside", "outside")]
 
 
+def half_inputs(g) -> list:
+    """Both halves of the collinear system of g's free set, inside first,
+    as ``_half_embedding`` builds them: ((rot, walks, outer, axis),
+    keep)."""
+    an = planar_freeset(g)._analysis
+    sysm = _collinear_system(an)
+    sp = _side_partition_of(an)
+    return [realize._half_embedding(an, sp, sysm.mids, sysm.y_order, w)
+            for w in ("inside", "outside")]
+
+
 HALFPLANE_CORPUS = [
     (grid, (4, 5)), (grid, (7, 7)), (maximal_outerplanar, (30, 1)),
     (maximal_outerplanar, (80, 2)), (random_triangulation, (40, 3)),
@@ -346,19 +377,20 @@ class TestFillContentFaces:
         "make,args", HALFPLANE_CORPUS,
         ids=[f"{m.__name__}{a}" for m, a in HALFPLANE_CORPUS])
     def test_matches_retrace_loop(self, make, args, monkeypatch):
-        built = halfplanes(make(*args))
+        g = make(*args)
+        built, halves = halfplanes(g), half_inputs(g)
         monkeypatch.setattr(_HalfPlane, "_fill_content_faces",
                             reference_fill_content_faces)
-        for hp in built:
-            ref = _HalfPlane(hp.h, hp.y)
+        for hp, (half, _) in zip(built, halves):
+            ref = _HalfPlane(*half)
             assert hp.helper_edges == ref.helper_edges
             assert hp.rot == ref.rot
 
     def test_traces_and_builds_nothing(self, trace_calls, monkeypatch):
-        hp = halfplanes(thinned_triangulation(120, 7))[0]
+        half, _ = half_inputs(thinned_triangulation(120, 7))[0]
         builds = graph_builds(monkeypatch)
         before = trace_calls[0]
-        again = _HalfPlane(hp.h, hp.y)
+        again = _HalfPlane(*half)
         assert len(again.helper_edges) > 10
         # the apex re-validation and the final rebuild made 2 traces
         assert trace_calls[0] - before == 0
@@ -375,13 +407,14 @@ def test_half_embedding_builds_each_half_once(make, args, trace_calls,
     builds = graph_builds(monkeypatch)
     for which in ("inside", "outside"):
         before = trace_calls[0], builds[0]
-        h, rel = realize._half_embedding(an, sp, sysm.mids, sysm.y_order,
-                                         which)
-        assert (trace_calls[0], builds[0]) == (before[0] + 1, before[1] + 1)
+        (rot, walks, outer, axis), keep = realize._half_embedding(
+            an, sp, sysm.mids, sysm.y_order, which)
+        # one trace, and no graph built
+        assert (trace_calls[0], builds[0]) == (before[0] + 1, before[1])
+        assert axis == [keep.index(y) for y in sysm.y_order]
         # the outer face is the complement side at the first axis edge
-        y0, y1 = rel[sysm.y_order[0]], rel[sysm.y_order[1]]
-        dart = (y1, y0) if which == "inside" else (y0, y1)
-        assert h.face_of(*dart) == h.outer_face
+        dart = (axis[1], axis[0]) if which == "inside" else tuple(axis[:2])
+        assert dart in walks[outer]
 
 
 def crosses_bridge(g, cert) -> bool:
@@ -466,9 +499,16 @@ class TestHalvesOnG:
             return False
         sysm = _collinear_system(fs._analysis)
         ref = lifted_halves(g, cert)
-        for which in ("inside", "outside"):
-            hp, rel = sysm.halves[which]
-            assert (hp.h, rel) == ref[which]
+        for which, ((rot, walks, outer, axis), keep) in zip(
+                ("inside", "outside"), half_inputs(g)):
+            h, rel = ref[which]
+            assert (tuple(map(tuple, rot)), outer) == (h.rot, h.outer_face)
+            assert list(map(tuple, walks)) == [f.walk for f in h.faces]
+            assert {v: i for i, v in enumerate(keep)} == rel
+            assert axis == [rel[y] for y in sysm.y_order]
+            hp, kept = sysm.halves[which]
+            assert kept == keep
+            assert hp.rot == half_plane(h, axis).rot
         return True
 
     @staticmethod
@@ -518,16 +558,20 @@ class TestHalvesOnG:
 
 def assert_axis_premise(g):
     """The premise of the ``_HalfPlane`` lemma, which the proper
-    certificate gives and nothing checks at run time: on both halves of
-    g's free set the axis has at least two vertices, all distinct, and
-    every edge of the half between two axis vertices joins consecutive
-    ones."""
-    for hp in halfplanes(g):
-        at = {v: i for i, v in enumerate(hp.y)}
-        assert len(hp.y) >= 2 and len(at) == len(hp.y)
-        for u, v in hp.h.edges:
-            if u in at and v in at:
-                assert abs(at[u] - at[v]) == 1, (u, v, hp.y)
+    certificate gives and nothing checks before the augmented halves are
+    traced: on both halves of g's free set the rotation lists are
+    symmetric and simple, the axis has at least two vertices, all
+    distinct, and every edge of the half between two axis vertices joins
+    consecutive ones."""
+    for (rot, _, _, axis), _ in half_inputs(g):
+        at = {v: i for i, v in enumerate(axis)}
+        assert len(axis) >= 2 and len(at) == len(axis)
+        for v, nbrs in enumerate(rot):
+            assert v not in nbrs and len(set(nbrs)) == len(nbrs)
+            assert all(v in rot[u] for u in nbrs)
+            for u in nbrs:
+                if u in at and v in at:
+                    assert abs(at[u] - at[v]) == 1, (u, v, axis)
 
 
 class TestAxisPremise:
@@ -624,8 +668,8 @@ class TestAugmentationInvariant:
                              + [f"thinned{a}" for a in THINNED_GRAPHS])
     def test_every_outer_axis(self, g):
         for axis in outer_paths(g):
-            hp = _HalfPlane(g, list(axis))
-            _checked(hp.solve(list(range(len(axis))), 1, "below"), "halfplane")
+            hp = half_plane(g, axis)
+            half_drawing(g, hp, range(len(axis)), "below")
             self.assert_pulled(hp)
 
     def test_locked_detected(self):
@@ -844,6 +888,44 @@ class TestPerturbAndFree:
         assert failed == []
 
 
+# family -> (least n, graph of n vertices from a seed)
+ROUND_TRIP_FAMILIES = {
+    "path": (2, lambda n, seed: path(n)),
+    "cycle": (3, lambda n, seed: cycle(n)),
+    "star": (2, lambda n, seed: star(n)),
+    "fan": (3, lambda n, seed: fan(n)),
+    "tree": (2, _random_tree),
+    "outerplanar": (3, maximal_outerplanar),
+    "triangulation": (3, random_triangulation),
+}
+
+
+@st.composite
+def realization_inputs(draw):
+    """A graph of one of the families with at most 30 vertices, its
+    extracted free set and distinct rational points, one per member."""
+    low, make = ROUND_TRIP_FAMILIES[draw(st.sampled_from(
+        sorted(ROUND_TRIP_FAMILIES)))]
+    g = make(draw(st.integers(low, 30)), draw(st.integers(0, 999)))
+    fs = planar_freeset(g)
+    coord = st.fractions(-50, 50, max_denominator=9)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=len(fs.order),
+                        max_size=len(fs.order), unique=True))
+    return g, fs, pts
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(realization_inputs())
+def test_realized_drawing_round_trips(inputs):
+    # extract, realize on the points, print, and parse with the sweep
+    g, fs, pts = inputs
+    d = free_realize(g, fs, pts)
+    drawn = d.drawing()
+    back = parse_drawing(serialize_drawing(d), g, verify=True)
+    assert back.pos == drawn.pos and back.bends == drawn.bends
+    assert {back.pos[v] for v in fs.order} == set(pts)
+
+
 class TestVerifyOnce:
     """Each public entry point runs one exact check on success: the
     halves' triangle check (``_checked_halves``) on the realization path,
@@ -1060,9 +1142,10 @@ class TestChecksPerRealization:
 
     The sweep runs only on drawings the program did not build, so untangle
     sweeps its input once and realization sweeps nothing.  Each half's
-    faces are traced, and checked to be a triangulated disk, once, when
-    the collinear system is built: twice for a cold realization, never for
-    a warm one."""
+    faces are traced twice when the collinear system is built, once before
+    the augmentation (``_half_embedding``) and once after, when they are
+    checked to be a triangulated disk: four traces and two disk checks for
+    a cold realization, none for a warm one."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1093,7 +1176,7 @@ class TestChecksPerRealization:
                 counts[k] = 0
             d = free_realize(g, fs, point_set(style, len(fs.order), rng))
             assert d.verified
-            assert counts == {"sweep": 0, "trace": cost, "disk": cost}
+            assert counts == {"sweep": 0, "trace": 2 * cost, "disk": cost}
 
     def test_realize_collinear(self, counts):
         g = random_triangulation(40, 9)
@@ -1102,13 +1185,13 @@ class TestChecksPerRealization:
             for k in counts:
                 counts[k] = 0
             assert realize_collinear(g, fs, range(len(fs.order))).verified
-            assert counts == {"sweep": 0, "trace": cost, "disk": cost}
+            assert counts == {"sweep": 0, "trace": 2 * cost, "disk": cost}
 
     def test_psge_two(self, counts):
         res = psge_two(random_triangulation(30, 10),
                        random_triangulation(30, 11))
         assert all(d.verified for d in res.drawings)
-        assert counts == {"sweep": 0, "trace": 4, "disk": 4}
+        assert counts == {"sweep": 0, "trace": 8, "disk": 4}
 
     def test_untangle(self, counts):
         g = random_triangulation(40, 12)
@@ -1117,7 +1200,7 @@ class TestChecksPerRealization:
                for v in range(g.n)}
         res = untangle(g, pos)
         assert res.drawing.verified and len(res.fixed) < g.n
-        assert counts == {"sweep": 1, "trace": 2, "disk": 2}
+        assert counts == {"sweep": 1, "trace": 4, "disk": 2}
 
 
 class TestNoFractionsPerRealization:

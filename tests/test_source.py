@@ -8,9 +8,10 @@ graphs alive), and no module-level import that the module never uses
 (``__init__`` re-exports exactly what it imports, and each exported name
 resolves), every function the benchmark's layer trace wraps still
 exists, no branch of ``realize`` reads a drawing's ``verified`` flag
-(it is output only, so no check may be skipped on it), and a
+(it is output only, so no check may be skipped on it), a
 ``PolyDrawing`` is built only by ``textio.parse_drawing`` and
-``GridDrawing.drawing``."""
+``GridDrawing.drawing``, and building a collinear system builds and
+validates no graph."""
 
 from __future__ import annotations
 
@@ -413,3 +414,70 @@ def test_poly_drawing_built_only_by_the_parser_and_the_grid():
 ])
 def test_poly_build_detected(source, found):
     assert poly_builds(ast.parse(source)) == found
+
+
+# a collinear half is its rotation lists and face walks, checked once by the
+# disk check: building a collinear system builds and validates no graph
+GRAPH_BUILDERS = ("_rebuild", "build_embedded", "_checked_rotation")
+
+
+def graph_builds(trees: dict[str, ast.Module],
+                 start: tuple[str, str]) -> list[str]:
+    """The module-level functions and classes reachable from ``start``, a
+    (module, name) pair, that name a graph builder or call
+    ``EmbeddedGraph``, as "module.name".  A function or class reaches each
+    module-level function or class of its module that it names, and each
+    that it imports by name from a package module (``from .m import n``)."""
+    defs, imported = {}, {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    imported[mod, a.asname or a.name] = (node.module, a.name)
+    found, seen, todo = set(), {start}, [start]
+    while todo:
+        mod, name = todo.pop()
+        for node in ast.walk(defs[mod, name]):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == \
+                        "EmbeddedGraph":
+                    found.add(f"{mod}.{name}")
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                ident = getattr(node, "id", getattr(node, "attr", None))
+                if ident in GRAPH_BUILDERS:
+                    found.add(f"{mod}.{name}")
+                ref = imported.get((mod, ident), (mod, ident))
+                if isinstance(node, ast.Name) and ref in defs and \
+                        ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+    return sorted(found)
+
+
+def test_collinear_system_builds_no_graph():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES}
+    assert graph_builds(trees, ("realize", "_collinear_system")) == []
+    # the same walk finds the builds of a function that makes a graph
+    assert graph_builds(trees, ("embedding", "subdivide")) == \
+        ["embedding._rebuild", "embedding.subdivide"]
+
+
+@pytest.mark.parametrize("sources,found", [
+    ({"a": "from .b import f\ndef start():\n    return f()\n",
+      "b": "def f():\n    return _rebuild(rot, (0, 1))\n"}, ["b.f"]),
+    ({"a": "def start():\n    return H(1)\n\n"
+           "class H:\n    def __init__(self, g):\n"
+           "        self.g = embedding.EmbeddedGraph(*g)\n"}, ["a.H"]),
+    ({"a": "def start():\n    return choose(_checked_rotation)\n"},
+     ["a.start"]),
+    ({"a": "def start(g: EmbeddedGraph) -> EmbeddedGraph:\n"
+           "    return helper(g)\n\ndef helper(g):\n    return g.rot\n\n"
+           "def unreached():\n    return build_embedded(3, rot)\n"}, []),
+])
+def test_graph_build_detected(sources, found):
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    assert graph_builds(trees, ("a", "start")) == found

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeset import applications, build_embedded, curves, embedding, realize
-from freeset.bench import _random_tree
 from freeset.applications import psge_two, untangle
+from freeset.bench import _random_tree
 from freeset.canonical import canonical_order
 from freeset.curves import (
     CrossItem,

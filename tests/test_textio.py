@@ -115,6 +115,22 @@ class TestDrawingFormat:
         with pytest.raises(GraphFormatError, match=message):
             parse_drawing(text, k4)
 
+    def test_missing_vertex_fails_verification(self, k4):
+        text = "P 0 0 0\nP 1 4 0\nP 2 0 4\n"
+        with pytest.raises(Unverified, match="^drawing fails verification: "
+                           "missing-vertex: not every vertex is placed$"):
+            parse_drawing(text, k4)
+
+    def test_cli_verify_reports_missing_vertex(self, k4, tmp_path):
+        gpath, dpath = tmp_path / "k4.txt", tmp_path / "k4.drawing"
+        gpath.write_text(serialize_graph(k4))
+        dpath.write_text("P 0 0 0\nP 1 4 0\nP 3 1 1\n")
+        r = CliRunner().invoke(main, ["verify", "--graph", str(gpath),
+                                      "--drawing", str(dpath)])
+        assert r.exit_code == 1
+        assert r.output == ("drawing: missing-vertex: not every vertex is "
+                            "placed\n")
+
     def test_points_roundtrip(self):
         pts = [(F(1, 3), F(-2, 5)), (F(4), F(0))]
         assert parse_points(serialize_points(pts)) == pts

@@ -16,12 +16,14 @@
 # Covered: gen; freeset (planar, level, outerplanar, with --target);
 # realize in text and svg on general and repeated-x point sets, and in text
 # of the planar sets of a path, a cycle and a fan, the level set of a star
-# and the outerplanar set of an outerplanar graph; verify of
-# one realized drawing and svg of the other; untangle in text and svg, on
-# random positions with repeated x and on a crossing-free grid; psge of two
-# and of three graphs; two sge-nomap bundles; oracle --mode falsify and
-# bench --quick, with their timings blanked.  Point files are written by
-# the standard-library helper below, not by the code under test.
+# and the outerplanar set of an outerplanar graph; verify of one realized
+# drawing and svg of the other; verify and svg of hand-written drawings
+# (tokens not in lowest terms, bad tokens, duplicate and missing lines) and
+# of a realized one rewritten as 6p/6q; untangle in text and svg, on random
+# positions with repeated x and on a crossing-free grid; psge of two and of
+# three graphs; two sge-nomap bundles; oracle --mode falsify and bench
+# --quick, with their timings blanked.  Point files are written by the
+# standard-library helper below, not by the code under test.
 # Takes about 20 s on two cores; not part of the test suite.
 
 set -eu
@@ -151,6 +153,69 @@ fs oracle --graph rt60.txt --mode falsify --trials 20 --seed 7 \
     | sed 's/, [0-9.]*s\]$/]/' > rt60.falsify
 fs bench --quick | sed 's/"observed": "[0-9.]* s"/"observed": "-"/' \
     > bench-quick.jsonl
+
+# hand-written drawings, read by verify and svg: tokens not in lowest
+# terms, negative denominators, + signs, numerators past 4,300 digits,
+# comments and blank lines, bends naming their edge either way round,
+# duplicate lines and bad tokens; and a realized drawing rewritten with
+# every coordinate as 6p/6q.  Each run's stdout, stderr and exit code are
+# kept; a failing svg run writes no svg.
+printf 'V 4\nR 0: 1 3 2\nR 1: 2 3 0\nR 2: 0 3 1\nR 3: 2 0 1\nOUTER: 0 1 2\n' \
+    > k4.txt
+long=$(python3 -c 'print("1" + "0" * 5000 + "7")')
+k4='P 0 0 0\nP 1 4 0\nP 2 0 4\nP 3 1 1\n'
+mkdir hand
+hand() { printf '%b' "$2" > "hand/$1.txt"; }
+hand lowest "$k4"
+hand not-reduced 'P 0 0/5 0/9\nP 1 8/2 0/7\nP 2 0/3 12/3\nP 3 2/2 3/3\n'
+hand negative-den 'P 0 0/-1 0\nP 1 -4/-1 0/-5\nP 2 0 4/1\nP 3 1/-3 -1/-3\n'
+hand plus-signs 'P 0 +0 -0\nP 1 +4/+1 +0/-2\nP 2 0 +8/2\nP 3 +1/+3 1/+3\n'
+head="P 0 0 0\nP 1 $long/3 0\nP 2 0 $long/7\n"
+hand long-num "${head}P 3 $long/31 $long/37\nB 0 1 $long/6 -$long/11\n"
+hand long-den "P 0 0 0\nP 1 4 0\nP 2 0 4\nP 3 1/$long 1/$long\n"
+head='# a drawing\n\nP 0 0 0 # origin\n   \nP 1 4 0\n'
+hand comments "${head}#P 4 1 1\nP 2 0 4\n\tP 3 1 1\n"
+hand bend-low-first "${k4}B 0 1 2 -1\n"
+hand bend-high-first "${k4}B 1 0 2/2 -3/3\n"
+hand bends-both-ways "${k4}B 1 0 1 -1\nB 0 1 3 -1\n"
+hand bend-on-vertex "${k4}B 1 0 0 4\n"
+hand duplicate-bend "${k4}B 0 1 2 -1\nB 0 1 2 -1\n"
+hand duplicate-vertex "${k4}P 2 0 4\n"
+hand coincident 'P 0 0 0\nP 1 4 0\nP 2 0 4\nP 3 0/2 0/3\n'
+hand crossing 'P 0 0 0\nP 1 4 0\nP 2 0 4\nP 3 10 10\n'
+hand missing-vertex 'P 0 0 0\nP 1 4 0\nP 3 1 1\n'
+hand zero-den 'P 0 0 0\nP 1 4/0 0\n'
+hand empty-num 'P 0 /2 0\n'
+hand two-slashes 'P 0 1/2/3 0\n'
+hand decimal 'P 0 0.5 0\n'
+hand underscores 'P 0 1_0/2_0 0\nP 1 4 0\nP 2 0 4\nP 3 1 1\n'
+hand long-bad "P 0 1/${long}x 0\n"
+hand unknown 'P 0 0 0\nQ 0 1 2\n'
+hand bad-id 'P x 1 2\n'
+hand not-an-edge 'P 0 0 0\nP 1 4 0\nB 0 9 1 1\n'
+python3 -c '
+import sys
+for line in open(sys.argv[1]):
+    *head, x, y = line.split()
+    print(*head, *("/".join(str(6 * int(t)) for t in c.split("/"))
+                   for c in (x, y)))
+' rt60.general.txt > hand/rt60-times-6.txt
+for f in hand/*.txt; do
+    b=${f%.txt}
+    g=k4.txt
+    case $b in hand/rt60*) g=rt60.txt ;; esac
+    code=0
+    fs verify --graph "$g" --drawing "$f" > "$b.verify" 2> "$b.verify.err" \
+        || code=$?
+    echo "$code" > "$b.verify.code"
+    # long-num's points overflow a float, and export_svg raises
+    # OverflowError on them: its traceback names the checkout's paths
+    [ "$b" = hand/long-num ] && continue
+    code=0
+    fs svg --graph "$g" --drawing "$f" --out "$b.svg" 2> "$b.svg.err" \
+        || code=$?
+    echo "$code" > "$b.svg.code"
+done
 
 find . -type f ! -name SHA256SUMS | LC_ALL=C sort | xargs sha256sum \
     > SHA256SUMS

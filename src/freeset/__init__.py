@@ -34,7 +34,6 @@ __all__ = [
     "level_freeset",
     "onebend_freeset",
     "dualcycle_freeset",
-    "PolyDrawing",
     "GridDrawing",
     "verify_drawing",
     "tutte_solve",
@@ -64,7 +63,6 @@ from .extractors import (  # noqa: E402
 )
 from .realize import (  # noqa: E402
     GridDrawing,
-    PolyDrawing,
     free_realize,
     perturb_scale,
     realize_collinear,

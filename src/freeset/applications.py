@@ -14,7 +14,7 @@ from .canonical import chain_by_layers, patience_layers
 from .embedding import EmbeddedGraph, triangulate
 from .errors import MergeConflict, TooLarge, VertexSetMismatch
 from .extractors import planar_freeset
-from .rational import Point, integer_grid
+from .rational import Point
 from .realize import (
     GridDrawing,
     _checked,
@@ -83,22 +83,15 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     realized drawing is sheared back by -t on its grid, which is exact.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
-    if pos.keys() != set(range(g.n)):
-        raise VertexSetMismatch(f"positions must be keyed by the vertices "
-                                f"0..{g.n - 1}")
-    if len(set(pos.values())) != g.n:
+    given = GridDrawing.from_points(g, pos, provenance="input")
+    if len(set(given.xy)) != g.n:
         raise VertexSetMismatch("need one distinct position per vertex")
-
-    points = [pos[v] for v in range(g.n)]
-    pts, dx, dy = integer_grid(points)
-    given = GridDrawing(graph=g, pos=pts, bends={}, dx=dx, dy=dy,
-                        provenance="input")
     if verify_drawing(g, given) is None:
         return UntangleResult(drawing=replace(given, verified=True),
                               fixed=tuple(range(g.n)),
                               free_set_size=g.n)
 
-    t, keys, den = _shear_keys(points)
+    t, keys, den = _shear_keys([pos[v] for v in range(g.n)])
     sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
 
     fs = planar_freeset(g)
@@ -129,8 +122,8 @@ def _plain_drawing(g: EmbeddedGraph) -> GridDrawing:
     ``tutte_solve`` verified these positions with a superset of g's edges,
     so the drawing of g is crossing-free too."""
     if g.n <= 2:  # too small to triangulate
-        return _checked(GridDrawing(graph=g, pos=[(0, 0), (4096, 0)][:g.n],
-                                    bends={}, dx=1, dy=1,
+        return _checked(GridDrawing(graph=g, xy=[(0, 0), (4096, 0)][:g.n],
+                                    bend_xy={}, dx=1, dy=1,
                                     provenance="plain-base"), "plain")
     t, _ = triangulate(g)
     outer = [u for u, _ in t.faces[t.outer_face].walk]
@@ -151,10 +144,10 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
         raise TooLarge(f"G2 has {g2.n} vertices but the free set found in "
                        f"G1 has size {len(fs.order)}")
     d2 = _plain_drawing(g2)
-    targets = list(d2.drawing().pos.values())
+    targets = list(d2.pos.values())
     sub = fs.restricted(fs.order[:g2.n])
     d1 = free_realize(g1, sub, targets)
-    points = tuple(sorted(d1.drawing().pos.values()))
+    points = tuple(sorted(d1.pos.values()))
     if not set(targets) <= set(points):
         raise MergeConflict("G2's points are not all among G1's")
     return SimultaneousResult(
@@ -168,9 +161,9 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
 def _rot90(d: GridDrawing) -> GridDrawing:
     # (x, y) -> (-y, x) keeps every orientation sign, so the verified flag
     # carries over; on the grid the axes swap their denominators
-    return replace(d, pos=[(-y, x) for x, y in d.pos],
-                   bends={e: tuple((-y, x) for x, y in b)
-                          for e, b in d.bends.items()}, dx=d.dy, dy=d.dx)
+    return replace(d, xy=[(-y, x) for x, y in d.xy],
+                   bend_xy={e: tuple((-y, x) for x, y in b)
+                            for e, b in d.bend_xy.items()}, dx=d.dy, dy=d.dx)
 
 
 def psge_two(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:

@@ -380,9 +380,9 @@ def check_structural(seed: int = 5150, target: int = 10_000) -> list[dict]:
                 pts = random_points(rng, len(fs.order))
                 d = free_realize(g, fs, pts)
                 expect(d.verified)
-                rt = parse_drawing(serialize_drawing(d), g, verify=False)
-                drawn = d.drawing()
-                expect(rt.pos == drawn.pos and rt.bends == drawn.bends)
+                text = serialize_drawing(d)
+                rt = parse_drawing(text, g, verify=False)
+                expect(rt.pos == d.pos and serialize_drawing(rt) == text)
                 expect(verify_drawing(g, rt) is None)
     return [_record("structural invariant suite",
                     f">= {target} property checks",

@@ -269,7 +269,7 @@ def falsify_free_realize(g: EmbeddedGraph, fs, trials: int, seed: int,
         pts = random_points(random.Random((seed << 20) ^ trial),
                             len(fs.order))
         try:
-            d = free_realize(g, fs, pts).drawing()
+            d = free_realize(g, fs, pts)
             placed = {d.pos[v] for v in fs.order}
             if not d.verified or placed != set(pts):
                 failures.append((trial, pts, "targets missed"))

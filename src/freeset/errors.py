@@ -153,4 +153,8 @@ class BadSpec(FreesetError):
 
 
 class Unverified(FreesetError):
-    pass
+    """``violation``: the DrawingViolation found, if a check ran."""
+
+    def __init__(self, message: str, violation=None):
+        super().__init__(message)
+        self.violation = violation

@@ -26,17 +26,17 @@ the violation.  Nothing that the validated certificate or the triangle
 check decides is checked again, and a drawing's ``verified`` flag is output
 only: no check is skipped because a drawing given in is marked verified.
 
-From the solve to the printed text a drawing is a ``GridDrawing``: integer
-numerators over one positive denominator per axis, on which it is merged,
-lifted, scaled, sheared, checked and returned.  ``serialize_drawing``
-prints it from them; only ``GridDrawing.drawing`` builds its Fractions.
+Every drawing is a ``GridDrawing``: integer numerators over one positive
+denominator per axis, on which it is merged, lifted, scaled, sheared,
+checked, printed and parsed; ``from_points`` reads rational points onto it,
+and only ``GridDrawing.pos`` builds its Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd, lcm
 
 from .curves import (
@@ -58,6 +58,7 @@ from .errors import (
     InvalidCurve,
     MergeConflict,
     SizeMismatch,
+    VertexSetMismatch,
     YNotOnOuterFace,
 )
 from .extractors import OrderedFreeSet
@@ -81,81 +82,68 @@ class DrawingViolation:
 
 
 @dataclass(frozen=True)
-class PolyDrawing:
-    """Vertex positions and bend points, all rational: what
-    ``textio.parse_drawing`` reads, and ``GridDrawing.drawing`` gives.  The
-    builders all return a ``GridDrawing``."""
-
-    graph: EmbeddedGraph
-    pos: dict
-    bends: dict = field(default_factory=dict)
-    provenance: str = ""
-    verified: bool = False
-
-    def bend_count(self) -> int:
-        return sum(len(b) for b in self.bends.values())
-
-
-@dataclass(frozen=True)
 class GridDrawing:
     """A drawing on one integer grid: the integer point (x, y) stands for
     (x / dx, y / dy), with dx and dy positive.
 
-    ``pos[v]`` is vertex v's point and ``bends`` maps an edge to its bend
-    points, as in ``PolyDrawing``; the edges without bends are left out.
-    ``drawing`` builds the Fractions, and nothing else does."""
+    ``xy[v]`` is vertex v's point and ``bend_xy`` maps an edge to its bend
+    points, in order from its smaller end; the edges without bends are left
+    out.  ``pos`` is the rational view, built on first use, and the one
+    place that builds Fractions of a drawing."""
 
     graph: EmbeddedGraph
-    pos: list
-    bends: dict
+    xy: list
+    bend_xy: dict
     dx: int
     dy: int
     provenance: str = ""
     verified: bool = False
 
     @classmethod
-    def from_drawing(cls, d: PolyDrawing) -> GridDrawing:
-        """``d`` over the least common denominator of each axis."""
-        n = d.graph.n
-        edges = [e for e in sorted(d.graph.edges) if d.bends.get(e)]
-        pts, dx, dy = integer_grid([d.pos[v] for v in range(n)] +
-                                   [p for e in edges for p in d.bends[e]])
+    def from_points(cls, graph: EmbeddedGraph, pos, bends=None,
+                    provenance: str = "") -> GridDrawing:
+        """Vertex v at the rational ``pos[v]``, for v in 0..n-1 and no other
+        key (else VertexSetMismatch), and the normal edge e bent at
+        ``bends[e]``, over each axis's least common denominator."""
+        n = graph.n
+        if pos.keys() != set(range(n)):
+            raise VertexSetMismatch(f"positions must be keyed by the "
+                                    f"vertices 0..{n - 1}")
+        edges = [e for e in sorted(bends or ()) if bends[e]]
+        pts, dx, dy = integer_grid([pos[v] for v in range(n)] +
+                                   [p for e in edges for p in bends[e]])
         rest = iter(pts[n:])
-        bends = {e: tuple([next(rest) for _ in d.bends[e]]) for e in edges}
-        return cls(graph=d.graph, pos=pts[:n], bends=bends, dx=dx, dy=dy,
-                   provenance=d.provenance, verified=d.verified)
+        return cls(graph=graph, xy=pts[:n], dx=dx, dy=dy,
+                   bend_xy={e: tuple([next(rest) for _ in bends[e]])
+                            for e in edges}, provenance=provenance)
 
-    def drawing(self) -> PolyDrawing:
+    @cached_property
+    def pos(self) -> dict:
+        """Vertex v's point as two Fractions, per vertex."""
         dx, dy = self.dx, self.dy
-        return PolyDrawing(
-            graph=self.graph,
-            pos={v: (F(x, dx), F(y, dy)) for v, (x, y) in enumerate(self.pos)},
-            bends={e: tuple((F(x, dx), F(y, dy)) for x, y in b)
-                   for e, b in self.bends.items()},
-            provenance=self.provenance, verified=self.verified)
+        return {v: (F(x, dx), F(y, dy)) for v, (x, y) in enumerate(self.xy)}
 
     def bend_count(self) -> int:
-        return sum(len(b) for b in self.bends.values())
+        return sum(len(b) for b in self.bend_xy.values())
 
     def places(self, v: int, point) -> bool:
         """Whether vertex v is exactly at the rational ``point``."""
-        (x, y), (px, py) = self.pos[v], point
+        (x, y), (px, py) = self.xy[v], point
         return x * px.denominator == px.numerator * self.dx and \
             y * py.denominator == py.numerator * self.dy
 
 
-def verify_drawing(g: EmbeddedGraph,
-                   d: PolyDrawing | GridDrawing) -> DrawingViolation | None:
+def verify_drawing(g: EmbeddedGraph, d: GridDrawing,
+                   ) -> DrawingViolation | None:
     """Exact crossing-free check: distinct vertices, no vertex on any piece
     of an edge other than as an endpoint of a piece of its own edge, no two
     pieces meeting outside a shared endpoint, and pieces of two different
     edges sharing an endpoint only at a vertex of both.  ``d`` must be a
     drawing of g (SizeMismatch otherwise).
 
-    After the pre-checks (every vertex placed, no two vertices at one point,
-    no zero-length piece) one Shamos-Hoey sweep (Shamos & Hoey 1976) runs
-    over the integer grid of the drawing in lexicographic (x, y) order: a
-    ``GridDrawing``'s own, or ``integer_grid`` of a ``PolyDrawing``.  The
+    After the pre-checks (no two vertices at one point, no zero-length
+    piece) one Shamos-Hoey sweep (Shamos & Hoey 1976) runs
+    over the integer grid of the drawing in lexicographic (x, y) order.  The
     verdict is the same on any grid with positive axis scales, since the
     sweep order and every orientation sign are.
 
@@ -202,13 +190,8 @@ def verify_drawing(g: EmbeddedGraph,
     """
     if d.graph is not g and d.graph != g:
         raise SizeMismatch("the drawing is of another graph")
-    if isinstance(d, PolyDrawing):
-        if set(d.pos) != set(range(g.n)):
-            return DrawingViolation("missing-vertex",
-                                    "not every vertex is placed")
-        d = GridDrawing.from_drawing(d)
 
-    pts = list(d.pos)  # point id -> point; vertex v is point v
+    pts = list(d.xy)  # point id -> point; vertex v is point v
     n = len(pts)
     ids = {p: v for v, p in enumerate(pts)}
     if len(ids) != n:
@@ -224,7 +207,7 @@ def verify_drawing(g: EmbeddedGraph,
     starts: list[list[int]] = [[] for _ in pts]  # per point
     ends = [-1] * n  # per point: one piece ending there, or -1
     shared = False  # whether a bend is at a point numbered before
-    bends = d.bends
+    bends = d.bend_xy
     for e in sorted(g.edges):
         links = (e,)
         if bends.get(e):
@@ -480,7 +463,7 @@ def tutte_solve(h: EmbeddedGraph, boundary_cycle,
             col[v] = a
         axes.append((col, d))
     (xs, dx), (ys, dy) = axes
-    grid = GridDrawing(graph=h, pos=list(zip(xs, ys)), bends={}, dx=dx,
+    grid = GridDrawing(graph=h, xy=list(zip(xs, ys)), bend_xy={}, dx=dx,
                        dy=dy, provenance="tutte")
     return _checked(grid, "tutte")
 
@@ -941,9 +924,9 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
         cx, cy = dx // hdx, b * (dphi // hdy)
         for v, (x, y) in zip(keep, pos):
             merged[v] = (x * cx, y * cy)
-    return GridDrawing(graph=g, pos=[merged[v] for v in range(g.n)],
-                       bends={e: (merged[mid],)
-                              for e, mid in sysm.mids.items()},
+    return GridDrawing(graph=g, xy=[merged[v] for v in range(g.n)],
+                       bend_xy={e: (merged[mid],)
+                                for e, mid in sysm.mids.items()},
                        dx=dx, dy=axis_den * dphi,
                        provenance=f"collinear[{fs.provenance}]"), s_axis
 
@@ -982,8 +965,8 @@ def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
     point already, and d comes back as it is.  d bends every crossed edge
     once (``_bends_are_midpoints``)."""
     crossed = list(sysm.mids)
-    x0, x1 = (d.pos[p][0] if p < len(d.pos) else
-              d.bends[crossed[p - len(d.pos)]][0][0]
+    x0, x1 = (d.xy[p][0] if p < len(d.xy) else
+              d.bend_xy[crossed[p - len(d.xy)]][0][0]
               for p in (sysm.y_order[0], sysm.y_order[-1]))
     # the apex height 4·(x1 - x0)/dx, over dy: integral once y is ky times
     # finer; x is twice as fine when the middle is not on the grid
@@ -992,17 +975,17 @@ def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
     apex = (kx * (x0 + x1) // 2, 4 * (x1 - x0) * d.dy // common)
     if kx == ky == 1:
         return d, apex
-    return replace(d, pos=[(x * kx, y * ky) for x, y in d.pos],
-                   bends={e: tuple((x * kx, y * ky) for x, y in b)
-                          for e, b in d.bends.items()},
+    return replace(d, xy=[(x * kx, y * ky) for x, y in d.xy],
+                   bend_xy={e: tuple((x * kx, y * ky) for x, y in b)
+                            for e, b in d.bend_xy.items()},
                    dx=d.dx * kx, dy=d.dy * ky), apex
 
 
 def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem) -> None:
     """DegenerateOutput for the stage "collinear" unless d bends every
     crossed edge once and no other edge."""
-    if len(d.bends) != len(sysm.mids) or any(
-            len(d.bends.get(e, ())) != 1 for e in sysm.mids):
+    if len(d.bend_xy) != len(sysm.mids) or any(
+            len(d.bend_xy.get(e, ())) != 1 for e in sysm.mids):
         raise _degenerate("collinear", DrawingViolation(
             "bends", "the bends are not one per crossed edge"))
 
@@ -1012,7 +995,7 @@ def _points(d: GridDrawing, sysm: _CollinearSystem,
     """The points of the triples on d's grid: the vertices, the midpoints
     (the bends of the crossed edges), the lower apex and the upper."""
     x, y = apex
-    return [*d.pos, *(d.bends[e][0] for e in sysm.mids), (x, -y), (x, y)]
+    return [*d.xy, *(d.bend_xy[e][0] for e in sysm.mids), (x, -y), (x, y)]
 
 
 def _flipped(sysm: _CollinearSystem, pts: list, i: int,
@@ -1111,7 +1094,7 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     ``targets[i]`` for ``fs.order[i]``.  ``d`` is a drawing of the collinear
     system kept on ``fs``'s analysis, on its integer grid, as
     ``realize_collinear`` or ``_collinear_base`` builds it
-    (``GridDrawing.from_drawing`` puts a ``PolyDrawing`` on one); its
+    (``GridDrawing.from_points`` puts a rational drawing on one); its
     ``verified`` flag is not read.  It must bend every crossed edge once and
     no other edge (else DegenerateOutput for the stage "collinear").
 
@@ -1131,7 +1114,7 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     if len(ys) != len(order):
         raise SizeMismatch("one target height per free-set member")
     for v in order:
-        if d.pos[v][1] != 0:
+        if d.xy[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     sysm = _system_of(d.graph, fs)
     _bends_are_midpoints(d, sysm)
@@ -1148,12 +1131,12 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     # ymax / eps = scale / (tden * eps numerator), over the new denominator
     scale = ymax << max(0, -k)
     lift = grid.dy << max(0, k)
-    pos = [(x, y * scale) for x, y in grid.pos]
+    pos = [(x, y * scale) for x, y in grid.xy]
     for v, y in zip(order, ys):
         pos[v] = (pos[v][0], y * lift)
     return _checked_halves(replace(
-        grid, pos=pos, bends={e: tuple((x, y * scale) for x, y in pts)
-                              for e, pts in grid.bends.items()},
+        grid, xy=pos, bend_xy={e: tuple((x, y * scale) for x, y in pts)
+                               for e, pts in grid.bend_xy.items()},
         dy=lift * tden, provenance=grid.provenance + "+perturbed"),
         (apex[0], apex[1] * scale), sysm, "perturb")
 
@@ -1187,9 +1170,9 @@ def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
         return d
     dx = lcm(d.dx, d.dy)
     mx, my = dx // d.dx, t * (dx // d.dy)
-    return replace(d, pos=[(x * mx + y * my, y) for x, y in d.pos],
-                   bends={e: tuple((x * mx + y * my, y) for x, y in b)
-                          for e, b in d.bends.items()}, dx=dx)
+    return replace(d, xy=[(x * mx + y * my, y) for x, y in d.xy],
+                   bend_xy={e: tuple((x * mx + y * my, y) for x, y in b)
+                            for e, b in d.bend_xy.items()}, dx=dx)
 
 
 def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:

@@ -1,14 +1,15 @@
 """SVG rendering of verified drawings.
 
-Coordinates are rendered at a fixed display precision; the text formats
-remain the exact source of truth.
+Coordinates are rendered at a fixed display precision, from the floats of
+the grid's quotients (an int quotient rounds as the float of the Fraction
+does); the text formats remain the exact source of truth.
 """
 
 from __future__ import annotations
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
 from .errors import Unverified
-from .realize import GridDrawing, PolyDrawing
+from .realize import GridDrawing
 
 _PRECISION = 4  # decimals per rendered coordinate
 _SIZE = 640  # the longer side of the view box
@@ -17,19 +18,19 @@ _STYLE = ("fill:none;stroke:#334;stroke-width:{w}",
           "fill:none;stroke:#d33;stroke-width:{w};stroke-dasharray:{d}")
 
 
-def export_svg(d: PolyDrawing | GridDrawing,
+def export_svg(d: GridDrawing,
                certificate: CurveCertificate | None = None,
                highlight=()) -> str:
     """Render a verified drawing; optionally overlay the curve through its
     item anchor points and highlight the free-set vertices."""
     if not d.verified:
         raise Unverified("refusing to render an unverified drawing")
-    if isinstance(d, GridDrawing):
-        d = d.drawing()
+    dx, dy = d.dx, d.dy
+    pos = [(x / dx, y / dy) for x, y in d.xy]
+    bends = {e: [(x / dx, y / dy) for x, y in b]
+             for e, b in d.bend_xy.items()}
 
-    pts = list(d.pos.values()) + [p for b in d.bends.values() for p in b]
-    xs = [float(x) for x, _ in pts]
-    ys = [float(y) for _, y in pts]
+    xs, ys = zip(*pos, *(p for b in bends.values() for p in b))
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-9)
@@ -38,8 +39,8 @@ def export_svg(d: PolyDrawing | GridDrawing,
     r = max(2.5, 0.008 * _SIZE)
 
     def at(p):
-        x = (float(p[0]) - x0 + pad) * scale
-        y = (y1 - float(p[1]) + pad) * scale
+        x = (p[0] - x0 + pad) * scale
+        y = (y1 - p[1] + pad) * scale
         return f"{x:.{_PRECISION}f},{y:.{_PRECISION}f}"
 
     w = (x1 - x0 + 2 * pad) * scale
@@ -49,7 +50,7 @@ def export_svg(d: PolyDrawing | GridDrawing,
     stroke = _STYLE[0].format(w=max(1.0, 0.003 * _SIZE))
     for e in sorted(d.graph.edges):
         u, v = e
-        chain = [d.pos[u], *d.bends.get(e, ()), d.pos[v]]
+        chain = [pos[u], *bends.get(e, ()), pos[v]]
         path = " ".join(at(p) for p in chain)
         out.append(f'<polyline points="{path}" style="{stroke}"/>')
 
@@ -57,23 +58,23 @@ def export_svg(d: PolyDrawing | GridDrawing,
         anchors = []
         for it in certificate.items:
             if isinstance(it, VertexItem):
-                anchors.append(d.pos[it.v])
+                anchors.append(pos[it.v])
             elif isinstance(it, (CrossItem, AlongItem)):
-                bend = d.bends.get(it.edge)
+                bend = bends.get(it.edge)
                 if bend:
                     anchors.append(bend[0])
                 else:
-                    u, v = it.edge
-                    anchors.append(((d.pos[u][0] + d.pos[v][0]) / 2,
-                                    (d.pos[u][1] + d.pos[v][1]) / 2))
+                    (ux, uy), (vx, vy) = (d.xy[u] for u in it.edge)
+                    anchors.append(((ux + vx) / (2 * dx),
+                                    (uy + vy) / (2 * dy)))
         path = " ".join(at(p) for p in anchors + anchors[:1])
         overlay = _STYLE[2].format(w=max(1.0, 0.002 * _SIZE), d="6,4")
         out.append(f'<polyline points="{path}" style="{overlay}"/>')
 
     hl = set(highlight)
-    for v in sorted(d.pos):
+    for v, p in enumerate(pos):
         fill = "#d33" if v in hl else "#334"
-        cx, cy = at(d.pos[v]).split(",")
+        cx, cy = at(p).split(",")
         out.append(f'<circle cx="{cx}" cy="{cy}" r="{r:.1f}" '
                    f'fill="{fill}"/>')
         out.append(f'<text x="{cx}" y="{cy}" dx="{r + 1:.0f}" dy="-2" '

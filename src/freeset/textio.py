@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
 from .embedding import EmbeddedGraph, build_embedded, norm_edge
 from .errors import GraphFormatError, Unverified
 from .extractors import OrderedFreeSet
-from .realize import GridDrawing, PolyDrawing, verify_drawing
+from .realize import DrawingViolation, GridDrawing, verify_drawing
 
 
 def _lines(text: str):
@@ -197,17 +197,17 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def _frac(s: str, no: int) -> Fraction:
-    if "/" in s:
-        a, b = s.split("/", 1)
-        try:
-            return Fraction(_integer(a), _integer(b))
-        except (ValueError, ZeroDivisionError):
-            _fail(no, f"bad rational {s!r}")
+def _ratio(s: str, no: int) -> tuple[int, int]:
+    """The rational token s, ``p/q`` or ``p``, as (p, q) with q != 0, not
+    reduced; a bad token fails line ``no``."""
+    a, slash, b = s.partition("/")
     try:
-        return Fraction(_integer(s))
+        p, q = _integer(a), _integer(b) if slash else 1
     except ValueError:
         _fail(no, f"bad rational {s!r}")
+    if q == 0:
+        _fail(no, f"bad rational {s!r}")
+    return p, q
 
 
 def _fmt(p: int, q: int) -> str:
@@ -220,36 +220,41 @@ def _fmt(p: int, q: int) -> str:
     return f"{_decimal(p)}/{_decimal(q)}"
 
 
-def _point(p) -> str:
-    """A point of two rationals, Fractions or ints, as ``x y``."""
-    x, y = p
-    return (f"{_fmt(x.numerator, x.denominator)} "
-            f"{_fmt(y.numerator, y.denominator)}")
-
-
-def serialize_drawing(d: PolyDrawing | GridDrawing) -> str:
+def serialize_drawing(d: GridDrawing) -> str:
     """``P v x y`` per vertex, then ``B u v x y`` per bend, in lowest terms:
-    a grid from its integers, one ``gcd`` each against ``dx`` or ``dy``."""
-    if isinstance(d, GridDrawing):
-        def text(p, dx=d.dx, dy=d.dy) -> str:
-            return f"{_fmt(p[0], dx)} {_fmt(p[1], dy)}"
-        points = enumerate(d.pos)
-    else:
-        text, points = _point, ((v, d.pos[v]) for v in sorted(d.pos))
-    out = [f"P {v} {text(p)}" for v, p in points]
-    for e in sorted(d.bends):
-        out += [f"B {e[0]} {e[1]} {text(p)}" for p in d.bends[e]]
+    from the grid's integers, one ``gcd`` each against ``dx`` or ``dy``."""
+    dx, dy = d.dx, d.dy
+    out = [f"P {v} {_fmt(x, dx)} {_fmt(y, dy)}" for v, (x, y) in
+           enumerate(d.xy)]
+    for e in sorted(d.bend_xy):
+        out += [f"B {e[0]} {e[1]} {_fmt(x, dx)} {_fmt(y, dy)}"
+                for x, y in d.bend_xy[e]]
     return "\n".join(out) + "\n"
 
 
+def _axis(coords: list) -> tuple[list[int], int]:
+    """Rationals given as (p, q), q != 0, as integer numerators over their
+    least common denominator (``lcm`` is positive, so each scale den // q
+    carries the sign of q)."""
+    qs = {q for _, q in coords}
+    den = lcm(*qs)
+    scale = {q: den // q for q in qs}
+    nums = [p * scale[q] for p, q in coords]
+    k = gcd(den, *nums)
+    return ([p // k for p in nums] if k > 1 else nums), den // k
+
+
 def parse_drawing(text: str, g: EmbeddedGraph, verify: bool = True,
-                  ) -> PolyDrawing:
+                  ) -> GridDrawing:
     """A drawing of g: one ``P v x y`` line per vertex, and ``B u v x y``
     lines for the bends of edge u-v in order from its smaller end.  A bend
     may name its edge either way round; it is stored under the edge's
-    normal key, so the exact check sees it."""
-    pos = {}
-    bends: dict = {}
+    normal key, so the exact check sees it.  The points are read onto the
+    grid of each axis's least common denominator.  A missing ``P`` line, or
+    a failed check when verified, raises Unverified with the violation."""
+    at: dict[int, int] = {}  # vertex -> its index in the points
+    bends: dict = {}  # edge -> the indices of its bends
+    coords: list = []  # per point: (p, q) of x and (p, q) of y
     for no, line in _lines(text):
         parts = line.split()
         kind = parts[0]
@@ -261,32 +266,44 @@ def parse_drawing(text: str, g: EmbeddedGraph, verify: bool = True,
             ids = [int(t) for t in parts[1:-2]]
         except ValueError:
             _fail(no, f"{kind} expects integer vertex ids")
-        point = (_frac(parts[-2], no), _frac(parts[-1], no))
+        point = (_ratio(parts[-2], no), _ratio(parts[-1], no))
         if kind == "P":
             v = ids[0]
             if not 0 <= v < g.n:
                 _fail(no, f"vertex {v} is not in the graph")
-            if v in pos:
+            if v in at:
                 _fail(no, f"duplicate position for vertex {v}")
-            pos[v] = point
+            at[v] = len(coords)
         else:
             e = norm_edge(*ids)
             if e not in g.edges:
                 _fail(no, f"bend on {e}, which is not an edge of the graph")
-            bends.setdefault(e, []).append(point)
-    d = PolyDrawing(graph=g, pos=pos,
-                    bends={e: tuple(b) for e, b in bends.items()},
-                    provenance="parsed")
-    if verify:
-        violation = verify_drawing(g, d)
-        if violation is not None:
-            raise Unverified(f"drawing fails verification: {violation}")
-        d = replace(d, verified=True)
-    return d
+            bends.setdefault(e, []).append(len(coords))
+        coords.append(point)
+    violation = None
+    if len(at) != g.n:
+        violation = DrawingViolation("missing-vertex",
+                                     "not every vertex is placed")
+    else:
+        xs, dx = _axis([x for x, _ in coords])
+        ys, dy = _axis([y for _, y in coords])
+        pts = list(zip(xs, ys))
+        d = GridDrawing(graph=g, xy=[pts[at[v]] for v in range(g.n)],
+                        bend_xy={e: tuple([pts[i] for i in b])
+                                 for e, b in bends.items()},
+                        dx=dx, dy=dy, provenance="parsed")
+        if verify:
+            violation = verify_drawing(g, d)
+    if violation is not None:
+        raise Unverified(f"drawing fails verification: {violation}",
+                         violation)
+    return replace(d, verified=True) if verify else d
 
 
 def serialize_points(points) -> str:
-    return "\n".join(_point(map(Fraction, p)) for p in points) + "\n"
+    return "\n".join(" ".join(_fmt(c.numerator, c.denominator)
+                              for c in map(Fraction, p))
+                     for p in points) + "\n"
 
 
 def parse_points(text: str) -> list:
@@ -295,5 +312,5 @@ def parse_points(text: str) -> list:
         parts = line.split()
         if len(parts) != 2:
             _fail(no, "point lines carry exactly two rationals")
-        out.append((_frac(parts[0], no), _frac(parts[1], no)))
+        out.append(tuple(Fraction(*_ratio(t, no)) for t in parts))
     return out

@@ -36,12 +36,20 @@ def induce(g, vertices, outer_face_hint=None):
     return build_embedded(len(keep), rot, outer_face_hint=hint), relabel
 
 
+def bend_points(d):
+    """The bends of a ``GridDrawing`` as Fractions, per bent edge: the
+    rational view of ``bend_xy``, as ``pos`` is of ``xy``."""
+    return {e: tuple((F(x, d.dx), F(y, d.dy)) for x, y in b)
+            for e, b in d.bend_xy.items()}
+
+
 def segments(d):
-    """The pieces (a, b, edge) of a ``PolyDrawing``, edge by edge in sorted
-    order, each edge from its first end through its bends."""
+    """The pieces (a, b, edge) of a drawing as Fractions, edge by edge in
+    sorted order, each edge from its first end through its bends."""
     out = []
+    bends = bend_points(d)
     for e in sorted(d.graph.edges):
-        chain = [d.pos[e[0]], *d.bends.get(e, ()), d.pos[e[1]]]
+        chain = [d.pos[e[0]], *bends.get(e, ()), d.pos[e[1]]]
         out.extend((a, b, e) for a, b in zip(chain, chain[1:]))
     return out
 

@@ -47,11 +47,11 @@ class TestUntangle:
     def test_planar_input_unchanged(self):
         g = random_triangulation(12, 1)
         outer = [u for u, _ in g.faces[g.outer_face].walk]
-        pos = tutte_solve(g, outer, [(0, 0), (64, 0), (0, 64)]).drawing().pos
+        pos = tutte_solve(g, outer, [(0, 0), (64, 0), (0, 64)]).pos
         res = untangle(g, pos)
         assert len(res.fixed) == 12
-        assert res.drawing.drawing().pos == {v: (F(x), F(y))
-                                             for v, (x, y) in pos.items()}
+        assert res.drawing.pos == {v: (F(x), F(y))
+                                   for v, (x, y) in pos.items()}
 
     def test_tangled_path(self):
         g = path(4)
@@ -61,7 +61,7 @@ class TestUntangle:
         assert len(res.fixed) >= 2
         for v in res.fixed:
             x, y = tangled[v]
-            assert res.drawing.drawing().pos[v] == (F(x), F(y))
+            assert res.drawing.pos[v] == (F(x), F(y))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bounds(self, seed):
@@ -81,7 +81,7 @@ class TestUntangle:
         assert len(res.fixed) >= math.isqrt(max(k - 1, 0)) + 1
         assert len(res.fixed) >= math.ceil((n / 2) ** 0.25)
         for v in res.fixed:
-            assert res.drawing.drawing().pos[v] == pos[v]
+            assert res.drawing.pos[v] == pos[v]
         assert res.moved + len(res.fixed) == n
 
     def test_duplicate_x_rotation_path(self):
@@ -97,7 +97,7 @@ class TestUntangle:
         assert any(pos[v][1] != 0 for v in res.fixed)
         for v in res.fixed:
             x, y = pos[v]
-            assert res.drawing.drawing().pos[v] == (F(x), F(y))
+            assert res.drawing.pos[v] == (F(x), F(y))
 
     def test_dropped_results_leave_no_graph_alive(self):
         # realization keeps its state on the graph and the free set, so
@@ -134,8 +134,8 @@ class TestSgeNomap:
         g2 = build_embedded(3, [[1, 2], [2, 0], [0, 1]])
         res = sge_nomap(g1, g2)
         assert all(d.verified for d in res.drawings)
-        p2 = {res.drawings[1].drawing().pos[v] for v in range(3)}
-        p1 = {res.drawings[0].drawing().pos[v] for v in range(50)}
+        p2 = {res.drawings[1].pos[v] for v in range(3)}
+        p1 = {res.drawings[0].pos[v] for v in range(50)}
         assert p2 <= p1
         assert len(res.shared_points) == 50
 
@@ -169,7 +169,7 @@ class TestSgeNomap:
         res = sge_nomap(random_triangulation(30, 3), g2)
         d1, d2 = res.drawings
         assert d1.verified and d2.verified
-        p2 = [d2.drawing().pos[v] for v in range(n)]
+        p2 = [d2.pos[v] for v in range(n)]
         assert p2 == [(F(0), F(0)), (F(4096), F(0))][:n]
         assert set(p2) <= set(res.shared_points)
         assert len(res.shared_points) == 30
@@ -187,8 +187,8 @@ class TestPsge:
         res = psge_two(g1, g2)
         assert len(res.shared_vertices) >= 2
         for i, v in enumerate(res.shared_vertices):
-            assert res.drawings[0].drawing().pos[v] == res.shared_points[i]
-            assert res.drawings[1].drawing().pos[v] == res.shared_points[i]
+            assert res.drawings[0].pos[v] == res.shared_points[i]
+            assert res.drawings[1].pos[v] == res.shared_points[i]
 
     def test_same_graph_pair(self):
         g = random_triangulation(24, 9)
@@ -207,7 +207,7 @@ class TestPsge:
         assert len(res.drawings) == 3
         for i, v in enumerate(res.shared_vertices):
             for d in res.drawings:
-                assert d.drawing().pos[v] == res.shared_points[i]
+                assert d.pos[v] == res.shared_points[i]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_two_is_many_of_two(self, seed):
@@ -235,10 +235,10 @@ class TestTypedErrors:
 
         def shifted(g, fs, points):
             d = real(g, fs, points)
-            pos = list(d.pos)
-            x, y = pos[fs.order[0]]
-            pos[fs.order[0]] = (x + d.dx, y)
-            return replace(d, pos=pos)
+            xy = list(d.xy)
+            x, y = xy[fs.order[0]]
+            xy[fs.order[0]] = (x + d.dx, y)
+            return replace(d, xy=xy)
 
         monkeypatch.setattr(apps, "free_realize", shifted)
         g = path(4)
@@ -251,7 +251,7 @@ class TestTypedErrors:
 
         def shifted(g, fs, points):
             d = real(g, fs, points)
-            return replace(d, pos=[(x + d.dx, y) for x, y in d.pos])
+            return replace(d, xy=[(x + d.dx, y) for x, y in d.xy])
 
         monkeypatch.setattr(apps, "free_realize", shifted)
         with pytest.raises(MergeConflict):

@@ -44,7 +44,6 @@ from freeset.generators import (
 from freeset.rational import common_denominator
 from freeset.realize import (
     GridDrawing,
-    PolyDrawing,
     _collinear_base,
     _collinear_system,
     _shear_keys,
@@ -53,7 +52,7 @@ from freeset.realize import (
     verify_drawing,
 )
 
-from conftest import point_set, thinned_triangulation
+from conftest import bend_points, point_set, thinned_triangulation
 
 STYLES = ("general", "collinear", "repeated-x", "coprime")
 FAMILIES = {
@@ -77,17 +76,16 @@ def _segment_sq(p, a, b) -> F:
     return (p[0] - qx) ** 2 + (p[1] - qy) ** 2
 
 
-def all_pairs_sq(d: PolyDrawing | GridDrawing, moving) -> F | None:
+def all_pairs_sq(d: GridDrawing, moving) -> F | None:
     """Least squared distance between a vertex or bend and a piece it is
     not an end of, over every pair in which the point or an end of the
     piece is a moving vertex."""
-    if isinstance(d, GridDrawing):
-        d = d.drawing()
     moving = {("v", v) for v in moving}
     points = {("v", v): p for v, p in d.pos.items()}
     pieces = []
+    bent = bend_points(d)
     for e in sorted(d.graph.edges):
-        bends = {("b", e, j): p for j, p in enumerate(d.bends.get(e, ()))}
+        bends = {("b", e, j): p for j, p in enumerate(bent.get(e, ()))}
         points.update(bends)
         chain = [("v", e[0]), *bends, ("v", e[1])]
         pieces.extend(zip(chain, chain[1:]))
@@ -106,7 +104,7 @@ def _orient(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def reference_triples(base: PolyDrawing | GridDrawing, fs) -> list:
+def reference_triples(base: GridDrawing, fs) -> list:
     """Every condition of the lift, as (name, points, sign): three point
     ids of the system and the sign their orientation must keep.
 
@@ -117,8 +115,6 @@ def reference_triples(base: PolyDrawing | GridDrawing, fs) -> list:
     ends P₀, P₁ and the apexes L, U must stay convex: (P₀, L, P₁, U) turns
     counter-clockwise at each corner.  The apexes sit at
     ((x₀ + x₁)/2, ±4(x₁ - x₀)) for the chain ends' x's x₀ and x₁."""
-    if isinstance(base, GridDrawing):
-        base = base.drawing()
     sysm = _collinear_system(fs._analysis)
     pos = points_of(base, fs)
     out = []
@@ -144,13 +140,14 @@ def reference_triples(base: PolyDrawing | GridDrawing, fs) -> list:
     return out
 
 
-def points_of(base: PolyDrawing, fs, lift=None) -> dict:
+def points_of(base: GridDrawing, fs, lift=None) -> dict:
     """The base's points by id, the apexes by ("apex", half), with each
     free vertex v raised by ``lift[v]``."""
     sysm = _collinear_system(fs._analysis)
     pos = dict(base.pos)
+    bends = bend_points(base)
     for e, mid in sysm.mids.items():
-        (pos[mid],) = base.bends[e]
+        (pos[mid],) = bends[e]
     x0, x1 = pos[sysm.y_order[0]][0], pos[sysm.y_order[-1]][0]
     pos[("apex", "inside")] = ((x0 + x1) / 2, -4 * (x1 - x0))
     pos[("apex", "outside")] = ((x0 + x1) / 2, 4 * (x1 - x0))
@@ -163,8 +160,6 @@ def reference_bounds(base, fs, targets) -> list:
     """Per condition of ``reference_triples``, the least lift at which it
     fails, or None: the orientation at lift 0 and at lift 1 give the line
     it runs on."""
-    if isinstance(base, GridDrawing):
-        base = base.drawing()
     ymax = max(abs(F(y)) for y in targets)
     up = {v: F(y) / ymax for v, y in zip(fs.order, targets)}
     at0, at1 = points_of(base, fs), points_of(base, fs, up)
@@ -195,8 +190,6 @@ def pow2_below(q: F) -> F:
 def epsilon_of(base, out, fs, targets) -> F:
     """The epsilon ``perturb_scale`` used: a fixed vertex off the axis ends
     at y·ymax/epsilon."""
-    base = base.drawing() if isinstance(base, GridDrawing) else base
-    out = out.drawing() if isinstance(out, GridDrawing) else out
     ymax = max(abs(F(y)) for y in targets)
     v = next(v for v in range(base.graph.n)
              if base.pos[v][1] != 0 and v not in fs.order)
@@ -222,9 +215,9 @@ def _base(family: str, seed: int, style: str):
 
 def _scaled(d: GridDrawing, k: int) -> GridDrawing:
     """d with every numerator times k."""
-    return GridDrawing(graph=d.graph, pos=[(x * k, y * k) for x, y in d.pos],
-                       bends={e: tuple((x * k, y * k) for x, y in b)
-                              for e, b in d.bends.items()},
+    return GridDrawing(graph=d.graph, xy=[(x * k, y * k) for x, y in d.xy],
+                       bend_xy={e: tuple((x * k, y * k) for x, y in b)
+                                for e, b in d.bend_xy.items()},
                        dx=d.dx, dy=d.dy)
 
 
@@ -232,8 +225,7 @@ def lifted_exactly(base, fs, targets):
     """``perturb_scale``'s drawing, after checking that it is plane, that
     its free vertices are exactly at their targets, that its clearance is
     positive and that its epsilon is the reference one."""
-    out = perturb_scale(base, fs, targets)
-    d = out.drawing() if isinstance(out, GridDrawing) else out
+    d = perturb_scale(base, fs, targets)
     assert verify_drawing(d.graph, d) is None
     assert [d.pos[v][1] for v in fs.order] == [F(y) for y in targets]
     assert all_pairs_sq(d, fs.order) > 0
@@ -260,7 +252,7 @@ def test_coordinates_beyond_2_to_1100(family):
     targets = _targets(fs, "coprime", 2)
     k = 3 ** 700 + 1
     big = _scaled(base, k)
-    assert min(abs(c) for p in big.pos for c in p if c).bit_length() > 1100
+    assert min(abs(c) for p in big.xy for c in p if c).bit_length() > 1100
     assert reference_bound(big, fs, targets) == \
         reference_bound(base, fs, targets) * k
     lifted_exactly(big, fs, targets)
@@ -283,7 +275,7 @@ def _broken(family: str, seed: int, count: int):
     fs, base = _base(family, seed, "coprime")
     base = _scaled(base, 2 ** 201 + 2)
     g = base.graph
-    pos = list(base.pos)
+    pos = list(base.xy)
     placed = set()
     for v in fs.order:
         for fid in g.faces_at(v):
@@ -291,7 +283,7 @@ def _broken(family: str, seed: int, count: int):
             w = walk[(walk.index(v) + 1) % len(walk)]
             u = next((u for u in walk if u not in (v, w, *placed)
                       and pos[u][1] != 0), None)
-            if u is not None and norm_edge(v, w) not in base.bends:
+            if u is not None and norm_edge(v, w) not in base.bend_xy:
                 placed.add(u)
                 pos[u] = ((pos[v][0] + pos[w][0]) // 2,
                           (pos[v][1] + pos[w][1]) // 2)
@@ -299,7 +291,7 @@ def _broken(family: str, seed: int, count: int):
         if len(placed) == count:
             break
     assert len(placed) == count
-    return fs, GridDrawing(graph=g, pos=pos, bends=base.bends, dx=base.dx,
+    return fs, GridDrawing(graph=g, xy=pos, bend_xy=base.bend_xy, dx=base.dx,
                            dy=base.dy)
 
 
@@ -307,7 +299,7 @@ def first_broken(base, fs) -> tuple[str, tuple]:
     """The first condition of the system, in the system's order, that the
     base breaks, by the reference orientation in Fractions."""
     sysm = _collinear_system(fs._analysis)
-    pos = points_of(base.drawing(), fs)
+    pos = points_of(base, fs)
     n, lower = base.graph.n, base.graph.n + len(sysm.mids)
     for i, ids in enumerate(sysm.triples):
         at = [pos[("apex", "inside") if p == lower else ("apex", "outside")
@@ -376,7 +368,7 @@ def test_pairs_as_far_apart_as_the_drawing_is_wide(m, direction):
     pts = [(F(-m * ux), F(-m * uy)), (F(0), F(0)), (F(m * ux), F(m * uy))]
     d = free_realize(g, fs, pts)
     assert verify_drawing(g, d) is None
-    assert {d.drawing().pos[v] for v in fs.order} == set(pts)
+    assert {d.pos[v] for v in fs.order} == set(pts)
     base = _base_on(fs, "general", 1)
     lifted_exactly(base, fs, [y for _, y in pts])
 
@@ -386,7 +378,7 @@ def test_no_pair_means_no_bound():
     # epsilon 1
     fs, base = _base("triangulation", 1, "general")
     out = perturb_scale(base, fs, [0] * len(fs.order))
-    assert out.verified and (out.pos, out.bends) == (base.pos, base.bends)
+    assert out.verified and (out.xy, out.bend_xy) == (base.xy, base.bend_xy)
     sysm = _collinear_system(fs._analysis)
     pts = realize._points(base, sysm, realize._apex_grid(base, sysm)[1])
     assert realize._lift_exponent(pts, sysm, [0] * len(pts), base.dy, 1) == 0
@@ -410,7 +402,7 @@ def test_clustered_at_the_floor_extremes(seed):
             F((top + y) << sh | rng.choice((0, low)))) for x, y in cells]
     d = free_realize(g, fs, pts)
     assert verify_drawing(g, d) is None
-    assert sorted(d.drawing().pos[v] for v in fs.order) == sorted(pts)
+    assert sorted(d.pos[v] for v in fs.order) == sorted(pts)
     base = _base_on(fs, "general", seed)
     lifted_exactly(base, fs, [y for _, y in pts])
 
@@ -421,7 +413,7 @@ def test_epsilon_is_largest_power_of_two(family, style):
     # the lift is epsilon * y / ymax: a fixed vertex ends at y * ymax / eps
     fs, grid = _base(family, 2, style)
     targets = [F(3 * i - 7, i + 1) for i in range(len(fs.order))]
-    d = perturb_scale(grid, fs, targets).drawing()
+    d = perturb_scale(grid, fs, targets)
     eps = epsilon_of(grid, d, fs, targets)
     assert eps == F(2) ** (eps.numerator.bit_length() -
                            eps.denominator.bit_length())
@@ -441,8 +433,8 @@ def test_bound_follows_moving_set_and_bends_are_checked():
     assert len(set(bounds)) == 3
     for s, t in cases:
         lifted_exactly(base, s, t)
-    fewer = GridDrawing(graph=base.graph, pos=base.pos, dx=base.dx,
-                        dy=base.dy, bends=dict(list(base.bends.items())[1:]))
+    fewer = GridDrawing(graph=base.graph, xy=base.xy, dx=base.dx, dy=base.dy,
+                        bend_xy=dict(list(base.bend_xy.items())[1:]))
     with pytest.raises(DegenerateOutput, match="collinear drawing failed "
                        "verification: bends: the bends are not one per "
                        "crossed edge$"):
@@ -509,8 +501,8 @@ def test_perturb_checks_the_returned_drawing(monkeypatch):
     targets = [F(2 * i - 5, i + 2) for i in range(len(fs.order))]
     d = perturb_scale(base, fs, targets)
     assert d.verified and len(checked) == 1 and swept == []
-    assert (checked[0].pos, checked[0].bends) == (d.pos, d.bends)
-    assert [d.drawing().pos[v][1] for v in fs.order] == targets
+    assert (checked[0].xy, checked[0].bend_xy) == (d.xy, d.bend_xy)
+    assert [d.pos[v][1] for v in fs.order] == targets
     assert sweep(d.graph, d) is None
 
 
@@ -549,13 +541,13 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
     fs = planar_freeset(g)
     xs = xs[:len(fs.order)]
     targets = _targets(fs, "coprime", 1)
-    poly = realize.realize_collinear(g, fs, xs).drawing()
+    poly = realize.realize_collinear(g, fs, xs)
     base = _collinear_base(g, fs, *common_denominator(xs))[0]
-    least = GridDrawing.from_drawing(poly)
+    least = GridDrawing.from_points(g, poly.pos, bends=bend_points(poly))
     out = perturb_scale(least, fs, targets)
     assert out.verified and verify_drawing(g, out) is None
-    want = perturb_scale(base, fs, targets).drawing()
-    assert (out.drawing().pos, out.drawing().bends) == (want.pos, want.bends)
+    want = perturb_scale(base, fs, targets)
+    assert (out.pos, bend_points(out)) == (want.pos, bend_points(want))
     sysm = _collinear_system(fs._analysis)
     refined = realize._apex_grid(least, sysm)[0]
     assert (refined is least) == (g.n > 2)

@@ -268,7 +268,7 @@ class TestPlanarFreeset:
             assert fs.order == (v,)
             assert validate_curve(g, fs.certificate) is None
             d = free_realize(g, fs, [(F(3), F(-2))])
-            assert d.verified and d.drawing().pos[v] == (3, -2)
+            assert d.verified and d.pos[v] == (3, -2)
 
     def test_order_is_certificate_subsequence(self):
         g = random_triangulation(30, 13)

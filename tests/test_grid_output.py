@@ -1,10 +1,9 @@
-"""Realized drawings are printed straight from their integer grid.
+"""Drawings are printed straight from their integer grid.
 
 ``serialize_drawing`` prints a ``GridDrawing`` from its numerators, one
-``gcd`` per coordinate against ``dx`` or ``dy``, and a ``PolyDrawing`` from
-the numerator and denominator of each coordinate.  Its text must be the
-text of the Fraction printer it replaced, kept here as the oracle, on the
-grid's Fractions (``GridDrawing.drawing``).
+``gcd`` per coordinate against ``dx`` or ``dy``.  Its text must be the text
+of the Fraction printer it replaced, kept here as the oracle, on the grid's
+Fractions (``GridDrawing.pos`` and ``bend_points``).
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from hypothesis import strategies as st
 from freeset.applications import psge_two, untangle
 from freeset.extractors import planar_freeset
 from freeset.generators import path, random_triangulation
-from freeset.realize import GridDrawing, PolyDrawing, free_realize
+from freeset.realize import GridDrawing, free_realize
 from freeset.svg import export_svg
 from freeset.textio import _BITS, _decimal, parse_drawing, serialize_drawing
 
-from conftest import point_set
+from conftest import bend_points, point_set
 from test_golden import FAMILIES, FAMILY_REALIZE_CASES, REALIZE_CASES
 
 
@@ -34,21 +33,22 @@ def _fraction_text(x) -> str:
     return f"{_decimal(p)}/{_decimal(q)}"
 
 
-def fraction_printer(d: PolyDrawing) -> str:
+def fraction_printer(d: GridDrawing) -> str:
     """``serialize_drawing`` as it was when it printed from Fractions."""
     out = []
     for v in sorted(d.pos):
         x, y = d.pos[v]
         out.append(f"P {v} {_fraction_text(x)} {_fraction_text(y)}")
-    for e in sorted(d.bends):
-        for (x, y) in d.bends[e]:
+    bends = bend_points(d)
+    for e in sorted(bends):
+        for (x, y) in bends[e]:
             out.append(f"B {e[0]} {e[1]} {_fraction_text(x)} "
                        f"{_fraction_text(y)}")
     return "\n".join(out) + "\n"
 
 
 def assert_prints_as_fractions(grid: GridDrawing) -> None:
-    assert serialize_drawing(grid) == fraction_printer(grid.drawing())
+    assert serialize_drawing(grid) == fraction_printer(grid)
 
 
 GOLDEN = [(FAMILIES["triangulation"], (n, gseed), pseed, style)
@@ -87,7 +87,7 @@ def test_golden_psge_two(n, seed):
 
 
 def _grid(pos, bends, dx, dy) -> GridDrawing:
-    return GridDrawing(graph=path(len(pos)), pos=pos, bends=bends, dx=dx,
+    return GridDrawing(graph=path(len(pos)), xy=pos, bend_xy=bends, dx=dx,
                        dy=dy)
 
 
@@ -124,9 +124,9 @@ def test_random_grids(pos, dx, dy, k):
 
 
 def test_poly_drawing_with_int_coordinates():
-    d = PolyDrawing(graph=path(3),
-                    pos={2: (4, -1), 0: (0, 0), 1: (F(-3, 6), 7)},
-                    bends={(1, 2): ((-2, F(10, 4)),)})
+    d = GridDrawing.from_points(
+        path(3), {2: (4, -1), 0: (0, 0), 1: (F(-3, 6), 7)},
+        bends={(1, 2): ((-2, F(10, 4)),)})
     assert serialize_drawing(d) == fraction_printer(d) == (
         "P 0 0/1 0/1\nP 1 -1/2 7/1\nP 2 4/1 -1/1\nB 1 2 -2/1 5/2\n")
 
@@ -140,15 +140,24 @@ def test_parsed_drawing_without_verification():
 
 
 def test_svg_of_a_grid_is_the_svg_of_its_fractions():
-    # a grid keeps its vertices in a list; rendered as it is, its points
-    # would be sorted and numbered wrongly
+    # the svg is drawn from x / dx, which rounds as float(Fraction(x, dx))
+    # does, so a drawing renders alike on any grid: here its own, finer
+    # than the least one its parsed text is read onto
     g = random_triangulation(30, 3)
     fs = planar_freeset(g)
     d = free_realize(g, fs, point_set("general", len(fs.order),
                                       random.Random(3)))
+    least = parse_drawing(serialize_drawing(d), g)
+    assert (least.dx, least.dy) != (d.dx, d.dy)
     assert export_svg(d, certificate=fs.certificate, highlight=fs.order) \
-        == export_svg(d.drawing(), certificate=fs.certificate,
-                      highlight=fs.order)
+        == export_svg(least, certificate=fs.certificate, highlight=fs.order)
     res = untangle(g, {v: (v % 7, v // 7) for v in range(g.n)})
-    assert export_svg(res.drawing, highlight=res.fixed) == \
-        export_svg(res.drawing.drawing(), highlight=res.fixed)
+    assert export_svg(res.drawing, highlight=res.fixed) == export_svg(
+        parse_drawing(serialize_drawing(res.drawing), g),
+        highlight=res.fixed)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(-10 ** 300, 10 ** 300), st.integers(1, 10 ** 400))
+def test_int_quotient_rounds_as_the_fraction(x, dx):
+    assert x / dx == float(F(x, dx))

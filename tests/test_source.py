@@ -8,10 +8,10 @@ graphs alive), and no module-level import that the module never uses
 (``__init__`` re-exports exactly what it imports, and each exported name
 resolves), every function the benchmark's layer trace wraps still
 exists, no branch of ``realize`` reads a drawing's ``verified`` flag
-(it is output only, so no check may be skipped on it), a
-``PolyDrawing`` is built only by ``textio.parse_drawing`` and
-``GridDrawing.drawing``, and building a collinear system builds and
-validates no graph."""
+(it is output only, so no check may be skipped on it), no Fraction is
+named by ``parse_drawing``, ``verify_drawing``, ``serialize_drawing`` or
+``export_svg``, and building a collinear system builds and validates no
+graph."""
 
 from __future__ import annotations
 
@@ -364,56 +364,43 @@ def test_flag_read_detected(source, found):
     assert flag_reads(ast.parse(source)) == found
 
 
-# the only places a ``PolyDrawing`` is built: every builder returns a
-# ``GridDrawing``, and a parsed drawing is the one rational input
-POLY_BUILDERS = {("textio.py", "parse_drawing"),
-                 ("realize.py", "GridDrawing.drawing")}
+# the text and svg path of a drawing reads, checks and prints it on its
+# integer grid: none of these functions names a Fraction or reads the
+# rational view ``GridDrawing.pos``
+GRID_ONLY = {("textio.py", "parse_drawing"), ("realize.py", "verify_drawing"),
+             ("textio.py", "serialize_drawing"), ("svg.py", "export_svg")}
 
 
-def poly_builds(tree: ast.AST) -> list[str]:
-    """The scope of each ``PolyDrawing(...)`` call, as a dotted path of the
-    enclosing classes and functions ("" at module level)."""
-    found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                if isinstance(f, ast.Name) and f.id == "PolyDrawing" or \
-                        isinstance(f, ast.Attribute) and \
-                        f.attr == "PolyDrawing":
-                    found.append(scope)
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
+def fraction_names(tree: ast.AST, name: str) -> list[int]:
+    """Lines where the top-level function ``name`` names ``Fraction`` or
+    ``F``, as a name or an attribute, or reads an attribute ``pos``."""
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == name)
+    return sorted({node.lineno for node in ast.walk(fn)
+                   if isinstance(node, ast.Name) and
+                   node.id in ("Fraction", "F") or
+                   isinstance(node, ast.Attribute) and
+                   node.attr in ("Fraction", "F", "pos")})
 
 
-def test_poly_drawing_built_only_by_the_parser_and_the_grid():
-    built = {(p.name, scope) for p in SOURCES
-             for scope in poly_builds(ast.parse(p.read_text(),
-                                                filename=str(p)))}
-    assert built == POLY_BUILDERS
+@pytest.mark.parametrize("module,name", sorted(GRID_ONLY))
+def test_grid_path_names_no_fraction(module, name):
+    path = next(p for p in SOURCES if p.name == module)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert fraction_names(tree, name) == []
 
 
 @pytest.mark.parametrize("source,found", [
-    ("d = PolyDrawing(graph=g, pos=pos)\n", [""]),
-    ("def f(g):\n    return PolyDrawing(graph=g, pos={})\n", ["f"]),
-    ("class G:\n    def drawing(self):\n"
-     "        return realize.PolyDrawing(graph=self.graph, pos={})\n",
-     ["G.drawing"]),
-    ("def f():\n    def g():\n        return [PolyDrawing(h, p)]\n",
-     ["f.g"]),
-    ("def f(d: PolyDrawing) -> PolyDrawing:\n"
-     "    return isinstance(d, PolyDrawing)\n", []),
-    ("d = replace(grid.drawing(), provenance='x')\n", []),
+    ("def f(s):\n    return Fraction(s)\n", [2]),
+    ("def f(d):\n    return {v: F(x, d.dx) for v, x in d.xy}\n", [2]),
+    ("def f(s):\n    return fractions.Fraction(s)\n", [2]),
+    ("def f(p: Fraction) -> int:\n    return p.numerator\n", [1]),
+    ("def f(d):\n    return d.pos[0]\n", [2]),
+    ("def f(d):\n    pos = d.xy\n    return pos\n", []),
+    ("def g():\n    return F(1)\ndef f():\n    return 'F'\n", []),
 ])
-def test_poly_build_detected(source, found):
-    assert poly_builds(ast.parse(source)) == found
+def test_fraction_name_detected(source, found):
+    assert fraction_names(ast.parse(source), "f") == found
 
 
 # a collinear half is its rotation lists and face walks, checked once by the

@@ -10,7 +10,7 @@ from freeset.canonical import canonical_order
 from freeset.cli import main
 from freeset.errors import GraphFormatError, Unverified
 from freeset.extractors import antichain_freeset, planar_freeset
-from freeset.realize import PolyDrawing, free_realize
+from freeset.realize import GridDrawing, free_realize
 from freeset.svg import export_svg
 from freeset.textio import (
     parse_certificate,
@@ -24,6 +24,8 @@ from freeset.textio import (
     serialize_graph,
     serialize_points,
 )
+
+from conftest import bend_points
 
 
 class TestGraphFormat:
@@ -91,8 +93,8 @@ class TestDrawingFormat:
         text = serialize_drawing(d)
         assert "22/7" in text
         back = parse_drawing(text, k4)
-        assert back.pos == d.drawing().pos
-        assert back.bends == d.drawing().bends
+        assert back.pos == d.pos
+        assert bend_points(back) == bend_points(d)
         assert serialize_drawing(back) == text
 
     def test_reversed_bend_key_is_checked(self, k4):
@@ -102,7 +104,7 @@ class TestDrawingFormat:
         text = "".join(f"P {v} {x} {y}\n" for v, (x, y) in
                        enumerate([(0, 0), (4, 0), (0, 4), (1, 1)]))
         d = parse_drawing(text + "B 1 0 0 4\n", k4, verify=False)
-        assert d.bends == {(0, 1): ((F(0), F(4)),)}
+        assert bend_points(d) == {(0, 1): ((F(0), F(4)),)}
         with pytest.raises(Unverified, match="edges .* overlap"):
             parse_drawing(text + "B 1 0 0 4\n", k4)
 
@@ -140,15 +142,15 @@ class TestDrawingFormat:
             parse_points("1/2\n")
 
 
-def long_drawing(k4, digits: int) -> PolyDrawing:
+def long_drawing(k4, digits: int) -> GridDrawing:
     """K4 with one vertex inside the triangle of the others and a bend
     below edge 0-1, on coordinates whose numerators have about ``digits``
     decimal digits."""
     n = 10 ** digits + 12345
-    return PolyDrawing(graph=k4, pos={0: (F(0), F(0)), 1: (F(n, 3), F(0)),
-                                      2: (F(0), F(n, 7)),
-                                      3: (F(n, 31), F(n + 2, 37))},
-                       bends={(0, 1): ((F(n, 6), F(-n, 11)),)})
+    return GridDrawing.from_points(
+        k4, {0: (F(0), F(0)), 1: (F(n, 3), F(0)), 2: (F(0), F(n, 7)),
+             3: (F(n, 31), F(n + 2, 37))},
+        bends={(0, 1): ((F(n, 6), F(-n, 11)),)})
 
 
 class TestLongIntegers:
@@ -164,7 +166,7 @@ class TestLongIntegers:
         assert max(len(t) for t in text.split()) > digits
         back = parse_drawing(text, k4)
         assert back.verified
-        assert (back.pos, back.bends) == (d.pos, d.bends)
+        assert (back.pos, bend_points(back)) == (d.pos, bend_points(d))
         assert serialize_drawing(back) == text
         assert sys.get_int_max_str_digits() == limit
 
@@ -209,6 +211,6 @@ class TestSvg:
         assert doc.count("<polyline") >= 6
 
     def test_unverified_rejected(self, k4):
-        d = PolyDrawing(graph=k4, pos={v: (F(v), F(0)) for v in range(4)})
+        d = GridDrawing.from_points(k4, {v: (F(v), F(0)) for v in range(4)})
         with pytest.raises(Unverified):
             export_svg(d)

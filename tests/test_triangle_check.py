@@ -59,9 +59,9 @@ def checked_drawings(family, args, pseed):
 
 def doubled(d: GridDrawing) -> GridDrawing:
     """d on a grid twice as fine, so the middle of a piece is a point."""
-    return GridDrawing(graph=d.graph, pos=[(2 * x, 2 * y) for x, y in d.pos],
-                       bends={e: tuple((2 * x, 2 * y) for x, y in b)
-                              for e, b in d.bends.items()},
+    return GridDrawing(graph=d.graph, xy=[(2 * x, 2 * y) for x, y in d.xy],
+                       bend_xy={e: tuple((2 * x, 2 * y) for x, y in b)
+                                for e, b in d.bend_xy.items()},
                        dx=2 * d.dx, dy=2 * d.dy)
 
 
@@ -70,30 +70,30 @@ def mutants(d: GridDrawing, rng: random.Random, count: int):
     was done to it."""
     d = doubled(d)
     g = d.graph
-    bent = sorted(d.bends)
+    bent = sorted(d.bend_xy)
     edges = sorted(g.edges)
 
     def piece_ends(e):
-        chain = [d.pos[e[0]], *d.bends.get(e, ()), d.pos[e[1]]]
+        chain = [d.xy[e[0]], *d.bend_xy.get(e, ()), d.xy[e[1]]]
         k = rng.randrange(len(chain) - 1)
         return chain[k], chain[k + 1]
 
     def moved(target, point):
         """d with a vertex (an int) or the bend of an edge moved."""
         if isinstance(target, int):
-            pos = list(d.pos)
+            pos = list(d.xy)
             pos[target] = point
-            return GridDrawing(graph=g, pos=pos, bends=d.bends, dx=d.dx,
+            return GridDrawing(graph=g, xy=pos, bend_xy=d.bend_xy, dx=d.dx,
                                dy=d.dy)
-        return GridDrawing(graph=g, pos=d.pos, dx=d.dx, dy=d.dy,
-                           bends={**d.bends, target: (point,)})
+        return GridDrawing(graph=g, xy=d.xy, dx=d.dx, dy=d.dy,
+                           bend_xy={**d.bend_xy, target: (point,)})
 
     for _ in range(count):
         kind = rng.choice(("onto-point", "onto-middle", "across", "swap"))
         target = rng.randrange(g.n) if not bent or rng.random() < 0.7 \
             else rng.choice(bent)
         if kind == "onto-point":
-            point = rng.choice(list(d.pos) + [b[0] for b in d.bends.values()])
+            point = rng.choice(list(d.xy) + [b[0] for b in d.bend_xy.values()])
         elif kind == "onto-middle":
             (ax, ay), (bx, by) = piece_ends(rng.choice(edges))
             point = ((ax + bx) // 2, (ay + by) // 2)
@@ -102,16 +102,17 @@ def mutants(d: GridDrawing, rng: random.Random, count: int):
             v = target if isinstance(target, int) else target[0]
             u, w = rng.sample(g.rot[v], 2) if len(g.rot[v]) > 1 else \
                 (g.rot[v][0], g.rot[g.rot[v][0]][0])
-            (ux, uy), (wx, wy) = d.pos[u], d.pos[w]
-            x, y = d.pos[target] if isinstance(target, int) else \
-                d.bends[target][0]
+            (ux, uy), (wx, wy) = d.xy[u], d.xy[w]
+            x, y = d.xy[target] if isinstance(target, int) else \
+                d.bend_xy[target][0]
             point = (ux + wx - x, uy + wy - y)
         else:
             v, u = rng.sample(range(g.n), 2)
-            pos = list(d.pos)
+            pos = list(d.xy)
             pos[v], pos[u] = pos[u], pos[v]
-            yield f"swap {v} {u}", GridDrawing(graph=g, pos=pos, bends=d.bends,
-                                               dx=d.dx, dy=d.dy)
+            yield f"swap {v} {u}", GridDrawing(graph=g, xy=pos,
+                                               bend_xy=d.bend_xy, dx=d.dx,
+                                               dy=d.dy)
             continue
         yield f"{kind} {target}", moved(target, point)
 

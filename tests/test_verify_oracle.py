@@ -4,8 +4,8 @@ The reference works on the rational coordinates directly (no integer grid,
 no sweep, no shortcuts) and states the crossing-free condition as plainly
 as possible:
 
-* every vertex is placed, no two vertices share a position and no piece of
-  an edge has length zero;
+* no two vertices share a position and no piece of an edge has length
+  zero;
 * a vertex lies on a piece of an edge only as an endpoint of that piece,
   and only if it is an endpoint of the edge;
 * two pieces of one edge meet at most in one common endpoint;
@@ -38,14 +38,20 @@ from freeset.generators import cycle, path, random_triangulation, star
 from freeset.realize import (
     DrawingViolation,
     GridDrawing,
-    PolyDrawing,
     _cross_properly,
     free_realize,
     realize_collinear,
     verify_drawing,
 )
 
-from conftest import segments
+from conftest import bend_points, segments
+
+
+def moved_to(d: GridDrawing, pos: dict, bends=None) -> GridDrawing:
+    """d with its vertices at the rational points of ``pos``, and its bends
+    at those of ``bends`` (its own by default), on the least grid."""
+    return GridDrawing.from_points(
+        d.graph, pos, bends=bend_points(d) if bends is None else bends)
 
 
 def _cross(o, a, b):
@@ -87,14 +93,13 @@ def _meet(a, b, c, d):
     return (a[0] + lo * ab[0], a[1] + lo * ab[1])
 
 
-def reference_ok(g, d: PolyDrawing) -> bool:
-    if set(d.pos) != set(range(g.n)):
-        return False
+def reference_ok(g, d: GridDrawing) -> bool:
     if len(set(d.pos.values())) != g.n:
         return False
     pieces = []  # (a, b, edge)
+    bends = bend_points(d)
     for e in sorted(g.edges):
-        chain = [d.pos[e[0]], *d.bends.get(e, ()), d.pos[e[1]]]
+        chain = [d.pos[e[0]], *bends.get(e, ()), d.pos[e[1]]]
         for a, b in zip(chain, chain[1:]):
             if a == b:
                 return False
@@ -142,13 +147,7 @@ def reference_verify(g, d) -> DrawingViolation | None:
     """The sweep that ``verify_drawing`` replaced: the status is bisected at
     every event and the pieces leaving a point are sorted by a comparator
     on exact orientation.  Verdict and violation text must match."""
-    if isinstance(d, PolyDrawing):
-        if set(d.pos) != set(range(g.n)):
-            return DrawingViolation("missing-vertex",
-                                    "not every vertex is placed")
-        d = GridDrawing.from_drawing(d)
-
-    pos = d.pos
+    pos = d.xy
     vertex_at = {p: v for v, p in enumerate(pos)}
     if len(vertex_at) != len(pos):
         return DrawingViolation("coincident-vertices",
@@ -158,7 +157,7 @@ def reference_verify(g, d) -> DrawingViolation | None:
     geo = []  # per piece: (x, y, dx, dy), its left end and its direction
     starts: dict[tuple[int, int], list[int]] = {}
     for e in sorted(d.graph.edges):
-        chain = [pos[e[0]], *d.bends.get(e, ()), pos[e[1]]]
+        chain = [pos[e[0]], *d.bend_xy.get(e, ()), pos[e[1]]]
         for p, q in zip(chain, chain[1:]):
             if p == q:
                 return DrawingViolation("degenerate-segment",
@@ -247,17 +246,17 @@ def reference_verify(g, d) -> DrawingViolation | None:
     return None
 
 
-def _checked(d: PolyDrawing) -> DrawingViolation | None:
+def _checked(d: GridDrawing) -> DrawingViolation | None:
     """``verify_drawing``'s violation, after checking its verdict against
     ``reference_ok`` and its text against ``reference_verify``."""
     got = verify_drawing(d.graph, d)
-    assert str(got) == str(reference_verify(d.graph, d)), (d.pos, d.bends)
-    assert (got is None) == reference_ok(d.graph, d), (d.pos, d.bends)
+    assert str(got) == str(reference_verify(d.graph, d)), (d.xy, d.bend_xy)
+    assert (got is None) == reference_ok(d.graph, d), (d.xy, d.bend_xy)
     return got
 
 
 def _random_drawing(g, rng: random.Random, grid: int,
-                    bend_rate: float) -> PolyDrawing:
+                    bend_rate: float) -> GridDrawing:
     def point():
         return (F(rng.randint(0, 2 * grid), 2), F(rng.randint(0, 2 * grid), 2))
 
@@ -269,7 +268,7 @@ def _random_drawing(g, rng: random.Random, grid: int,
     for e in sorted(g.edges):
         if rng.random() < bend_rate:
             bends[e] = tuple(point() for _ in range(rng.choice((1, 1, 2))))
-    return PolyDrawing(graph=g, pos=pos, bends=bends)
+    return GridDrawing.from_points(g, pos, bends=bends)
 
 
 def _small_graphs():
@@ -291,26 +290,25 @@ def _perturbed_realizations(rng: random.Random, sizes=(6, 14), graphs=6,
         pts = sorted({(F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
                       for _ in range(len(fs.order) * 3)})
         pts = rng.sample(pts, len(fs.order))
-        d = free_realize(g, fs, pts).drawing()
+        d = free_realize(g, fs, pts)
         out.append(d)
         if with_base:
-            out.append(realize_collinear(g, fs,
-                                         range(len(fs.order))).drawing())
+            out.append(realize_collinear(g, fs, range(len(fs.order))))
         feats = [p for p in d.pos.values()]
-        feats += [p for b in d.bends.values() for p in b]
+        feats += [p for b in bend_points(d).values() for p in b]
         feats += [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
                   for a, b, _ in segments(d)]
         for _ in range(12):
             target = rng.choice(feats)
-            if d.bends and rng.random() < 0.3:
-                e = rng.choice(sorted(d.bends))
-                bends = dict(d.bends)
+            if d.bend_xy and rng.random() < 0.3:
+                e = rng.choice(sorted(d.bend_xy))
+                bends = bend_points(d)
                 bends[e] = (target,)
-                out.append(PolyDrawing(graph=g, pos=d.pos, bends=bends))
+                out.append(moved_to(d, d.pos, bends))
             else:
                 pos = dict(d.pos)
                 pos[rng.randrange(g.n)] = target
-                out.append(PolyDrawing(graph=g, pos=pos, bends=d.bends))
+                out.append(moved_to(d, pos))
     return out
 
 
@@ -340,7 +338,7 @@ def test_oracle_larger_realizations():
 
 
 @lru_cache(maxsize=1)
-def _grid_corpus() -> list[PolyDrawing]:
+def _grid_corpus() -> list[GridDrawing]:
     """Verified drawings: realizations and collinear bases of small
     triangulations, on the points of four seeds."""
     out = []
@@ -352,9 +350,9 @@ def _grid_corpus() -> list[PolyDrawing]:
                                   F(rng.randint(-9, 9), rng.randint(1, 4)))
                                  for _ in range(len(fs.order) * 3)}),
                          len(fs.order))
-        out.append(free_realize(g, fs, pts).drawing())
+        out.append(free_realize(g, fs, pts))
         out.append(realize_collinear(g, fs, [F(x, 3) for x in
-                                             range(len(fs.order))]).drawing())
+                                             range(len(fs.order))]))
     return out
 
 
@@ -374,21 +372,21 @@ def test_sweep_invariant_under_axis_scales(which, broken, pick, a, b):
     x, y = d.pos[v]
     if broken == "onto-edge":
         p, q, _ = segments(d)[pick % len(segments(d))]
-        d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
-                                         (p[1] + q[1]) / 2)})
+        d = moved_to(d, {**d.pos, v: ((p[0] + q[0]) / 2,
+                                      (p[1] + q[1]) / 2)})
     elif broken == "onto-vertex":
-        d = replace(d, pos={**d.pos, v: d.pos[(v + 1 + pick) % g.n]})
+        d = moved_to(d, {**d.pos, v: d.pos[(v + 1 + pick) % g.n]})
     elif broken == "shifted":
-        d = replace(d, pos={**d.pos, v: (x + F(pick % 7 - 3, 5),
-                                         y + F(pick % 5 - 2, 3))})
-    grid = GridDrawing.from_drawing(d)
+        d = moved_to(d, {**d.pos, v: (x + F(pick % 7 - 3, 5),
+                                      y + F(pick % 5 - 2, 3))})
+    grid = moved_to(d, d.pos)  # the least common grid
 
     def scaled(p):
         return (a * p[0], b * p[1])
 
-    stretched = replace(grid, pos=[scaled(p) for p in grid.pos],
-                        bends={e: tuple(map(scaled, ps))
-                               for e, ps in grid.bends.items()},
+    stretched = replace(grid, xy=[scaled(p) for p in grid.xy],
+                        bend_xy={e: tuple(map(scaled, ps))
+                                 for e, ps in grid.bend_xy.items()},
                         dx=a * grid.dx, dy=b * grid.dy)
     want = _checked(d)
     assert str(verify_drawing(g, stretched)) == str(want)
@@ -396,9 +394,10 @@ def test_sweep_invariant_under_axis_scales(which, broken, pick, a, b):
 
 
 def _violation(g, pos, bends=None):
-    d = PolyDrawing(graph=g, pos={v: (F(x), F(y)) for v, (x, y) in pos.items()},
-                    bends={norm_edge(*e): tuple((F(x), F(y)) for x, y in b)
-                           for e, b in (bends or {}).items()})
+    d = GridDrawing.from_points(
+        g, {v: (F(x), F(y)) for v, (x, y) in pos.items()},
+        bends={norm_edge(*e): tuple((F(x), F(y)) for x, y in b)
+               for e, b in (bends or {}).items()})
     return _checked(d)
 
 
@@ -632,19 +631,19 @@ def test_coordinates_above_2_to_1100(broken):
         x, y = d.pos[v]
         if broken == "onto-edge":
             p, q, _ = rng.choice(segments(d))
-            d = replace(d, pos={**d.pos, v: ((p[0] + q[0]) / 2,
-                                             (p[1] + q[1]) / 2)})
+            d = moved_to(d, {**d.pos, v: ((p[0] + q[0]) / 2,
+                                          (p[1] + q[1]) / 2)})
         elif broken == "onto-vertex":
-            d = replace(d, pos={**d.pos, v: d.pos[(v + 1) % g.n]})
+            d = moved_to(d, {**d.pos, v: d.pos[(v + 1) % g.n]})
         elif broken == "shifted":
-            d = replace(d, pos={**d.pos, v: (x + F(1, 3), y - F(1, 2))})
+            d = moved_to(d, {**d.pos, v: (x + F(1, 3), y - F(1, 2))})
 
         def moved(p):
             return (p[0] * big + 3 * big, p[1] * (big + 1) - big)
 
-        far = replace(d, pos={u: moved(p) for u, p in d.pos.items()},
-                      bends={e: tuple(map(moved, ps))
-                             for e, ps in d.bends.items()})
+        far = moved_to(d, {u: moved(p) for u, p in d.pos.items()},
+                       {e: tuple(map(moved, ps))
+                        for e, ps in bend_points(d).items()})
         want = _checked(d)
         assert str(verify_drawing(g, far)) == str(want)
         assert str(reference_verify(g, far)) == str(want)
@@ -692,15 +691,14 @@ def test_products_per_piece(n, monkeypatch):
     while len(pts) < len(fs.order):
         pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                  F(rng.randint(-400, 400), rng.randint(1, 9))))
-    d = free_realize(g, fs, sorted(pts)).drawing()
-    grid = GridDrawing.from_drawing(d)
+    d = free_realize(g, fs, sorted(pts))
 
     def counted(p):
         return (_Counted(p[0]), _Counted(p[1]))
 
-    counting = replace(grid, pos=[counted(p) for p in grid.pos],
-                       bends={e: tuple(map(counted, b))
-                              for e, b in grid.bends.items()})
+    counting = replace(d, xy=[counted(p) for p in d.xy],
+                       bend_xy={e: tuple(map(counted, b))
+                                for e, b in d.bend_xy.items()})
     monkeypatch.setattr(_Counted, "products", 0)
     assert verify_drawing(g, counting) is None
     assert 0 < _Counted.products <= 6 * len(segments(d))

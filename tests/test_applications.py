@@ -18,9 +18,15 @@ from freeset.applications import (
 from freeset.bench import _random_tree
 from freeset.embedding import EmbeddedGraph
 from freeset.errors import MergeConflict, TooLarge, VertexSetMismatch
-from freeset.extractors import planar_freeset
+from freeset.extractors import OrderedFreeSet, planar_freeset
 from freeset.generators import path, random_triangulation
-from freeset.realize import _shear_keys, tutte_solve
+from freeset.realize import (
+    _shear_drawing,
+    _shear_keys,
+    free_realize,
+    tutte_solve,
+)
+from freeset.textio import serialize_drawing
 
 
 class TestLisLds:
@@ -256,3 +262,103 @@ class TestTypedErrors:
         monkeypatch.setattr(apps, "free_realize", shifted)
         with pytest.raises(MergeConflict):
             sge_nomap(random_triangulation(40, 3), path(3))
+
+
+# ---------------------------------------------------------------------------
+# Orientation: the same drawings as a pipeline that reverses the certificate
+# ---------------------------------------------------------------------------
+
+def _reversed(fs: OrderedFreeSet) -> OrderedFreeSet:
+    """fs in the opposite order, witnessed by its reversed certificate (a
+    second validation)."""
+    return OrderedFreeSet(fs.graph, fs.order[::-1],
+                          fs.certificate.reversed(), fs.provenance,
+                          fs.bound_met)
+
+
+def _untangle_input(seed: int):
+    """A random triangulation with 20-40 vertices at distinct points of a
+    12 x 12 grid, so that x repeats and the input is sheared."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 40)
+    pts = rng.sample([(F(x), F(y)) for x in range(-6, 6)
+                      for y in range(-6, 6)], n)
+    return random_triangulation(n, seed + 300), dict(enumerate(pts))
+
+
+def _reference_untangle(g, pos):
+    """untangle's text, fixed vertices and direction, realizing a
+    decreasing subsequence on its reversed certificate."""
+    t, keys, den = _shear_keys([pos[v] for v in range(g.n)])
+    sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
+    fs = planar_freeset(g)
+    idx, direction = lis_lds([sheared[v][0] for v in fs.order])
+    if direction == "decreasing":
+        fs = _reversed(fs)
+        idx = sorted(len(fs.order) - 1 - i for i in idx)
+    sub = fs.restricted([fs.order[i] for i in idx])
+    d = _shear_drawing(free_realize(g, sub, [sheared[v] for v in sub.order]),
+                       -t)
+    return serialize_drawing(d), sub.order, direction
+
+
+def _reference_psge(graphs):
+    """psge_many's texts and how many free sets it reversed, realizing a
+    falling shared order on its reversed certificate."""
+    free_sets, xs = [], None
+    for g in graphs:
+        free_sets.append(planar_freeset(g, xs))
+        xs = free_sets[-1].order
+    common = set(free_sets[-1].order)
+    shared = [v for v in free_sets[1].order if v in common]
+    for fs in free_sets[2:]:
+        at = {v: j for j, v in enumerate(fs.order)}
+        idx, _ = lis_lds([at[v] for v in shared])
+        shared = [shared[j] for j in idx]
+    rank = {v: j for j, v in enumerate(shared)}
+    ord1 = [v for v in free_sets[0].order if v in rank]
+    target = {v: (F(i + 1), F(rank[v] + 1)) for i, v in enumerate(ord1)}
+    drawings = [free_realize(graphs[0], free_sets[0].restricted(ord1),
+                             [target[v] for v in ord1])]
+    reversals = 0
+    for g, fs in zip(graphs[1:], free_sets[1:]):
+        ordered = [v for v in fs.order if v in rank]
+        seq = [rank[v] for v in ordered]
+        if any(a > b for a, b in zip(seq, seq[1:])):
+            fs, ordered = _reversed(fs), ordered[::-1]
+            reversals += 1
+        d = free_realize(g, fs.restricted(ordered),
+                         [(target[v][1], -target[v][0]) for v in ordered])
+        # (x, y) -> (-y, x), the axis denominators swapped
+        drawings.append(replace(
+            d, xy=[(-y, x) for x, y in d.xy],
+            bend_xy={e: tuple((-y, x) for x, y in b)
+                     for e, b in d.bend_xy.items()}, dx=d.dy, dy=d.dx))
+    return [serialize_drawing(d) for d in drawings], reversals
+
+
+def _psge_input(r: int, seed: int):
+    return [random_triangulation(24, 1000 * r + 10 * seed + i)
+            for i in range(r)]
+
+
+class TestOrientation:
+    @pytest.mark.parametrize("seed, direction",
+                             [(0, "decreasing"), (5, "decreasing"),
+                              (11, "decreasing"), (1, "increasing")])
+    def test_untangle_as_reversed_certificate(self, seed, direction):
+        g, pos = _untangle_input(seed)
+        text, fixed, got = _reference_untangle(g, pos)
+        assert got == direction
+        res = untangle(g, pos)
+        assert serialize_drawing(res.drawing) == text
+        assert res.fixed == fixed
+
+    @pytest.mark.parametrize("r, seed, reversals",
+                             [(3, 5, 1), (4, 6, 1), (4, 7, 2), (3, 0, 0)])
+    def test_psge_many_as_reversed_certificate(self, r, seed, reversals):
+        graphs = _psge_input(r, seed)
+        texts, got = _reference_psge(graphs)
+        assert got == reversals
+        res = psge_many(graphs)
+        assert [serialize_drawing(d) for d in res.drawings] == texts

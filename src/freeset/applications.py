@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 
 from .canonical import chain_by_layers, patience_layers
 from .embedding import EmbeddedGraph, triangulate
@@ -18,6 +19,7 @@ from .rational import Point
 from .realize import (
     GridDrawing,
     _checked,
+    _grid_map,
     _shear_drawing,
     _shear_keys,
     free_realize,
@@ -81,6 +83,8 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     sheared by the least integer t that makes (x + t*y) distinct, the
     monotone subsequence of the free set is taken in that frame, and the
     realized drawing is sheared back by -t on its grid, which is exact.
+    A decreasing subsequence is realized on the half-turned points and
+    turned back; the fixed vertices are listed by increasing x + t*y.
     """
     pos = {v: (F(x), F(y)) for v, (x, y) in dict(positions).items()}
     given = GridDrawing.from_points(g, pos, provenance="input")
@@ -95,22 +99,17 @@ def untangle(g: EmbeddedGraph, positions) -> UntangleResult:
     sheared = [(F(x + t * y, den), F(y, den)) for x, y in keys]
 
     fs = planar_freeset(g)
-    xs = [sheared[v][0] for v in fs.order]
-    idx, direction = lis_lds(xs)
-    if direction == "decreasing":
-        fs = fs.reversed()
-        m = len(fs.order)
-        idx = sorted(m - 1 - i for i in idx)
+    idx, direction = lis_lds([sheared[v][0] for v in fs.order])
     chosen = [fs.order[i] for i in idx]
-    sub = fs.restricted(chosen)
-
-    d = _shear_drawing(free_realize(g, sub, [sheared[v] for v in sub.order]),
-                       -t)
+    k = 2 if direction == "decreasing" else 0
+    d = free_realize(g, fs.restricted(chosen),
+                     [_turned_point(sheared[v], k) for v in chosen])
+    d = _shear_drawing(_turned(d, -k), -t)
     for v in chosen:
         if not d.places(v, pos[v]):
             raise MergeConflict(f"fixed vertex {v} left its position")
     return UntangleResult(drawing=replace(d, provenance="untangled"),
-                          fixed=tuple(sub.order),
+                          fixed=tuple(chosen[::-1] if k else chosen),
                           free_set_size=len(fs.order))
 
 
@@ -158,12 +157,24 @@ def sge_nomap(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
     )
 
 
-def _rot90(d: GridDrawing) -> GridDrawing:
-    # (x, y) -> (-y, x) keeps every orientation sign, so the verified flag
-    # carries over; on the grid the axes swap their denominators
-    return replace(d, xy=[(-y, x) for x, y in d.xy],
-                   bend_xy={e: tuple((-y, x) for x, y in b)
-                            for e, b in d.bend_xy.items()}, dx=d.dy, dy=d.dx)
+# (x, y) -> (a*x + b*y, c*x + e*y) as (a, b, c, e), per quarter turn
+_TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
+
+
+def _turned_point(p, k: int):
+    """The point p turned by k quarter turns counter-clockwise."""
+    (a, b, c, e), (x, y) = _TURNS[k % 4], p
+    return (a * x + b * y, c * x + e * y)
+
+
+def _turned(d: GridDrawing, k: int) -> GridDrawing:
+    """d turned by k quarter turns counter-clockwise, on its grid; an odd k
+    swaps the axis denominators.  A turn keeps every orientation sign, so
+    the verified flag carries over."""
+    if k % 4 == 0:
+        return d
+    dx, dy = (d.dy, d.dx) if k % 2 else (d.dx, d.dy)
+    return _grid_map(d, *_TURNS[k % 4], dx, dy)
 
 
 def psge_two(g1: EmbeddedGraph, g2: EmbeddedGraph) -> SimultaneousResult:
@@ -180,6 +191,10 @@ def psge_many(graphs) -> SimultaneousResult:
     A common free set is found by iterated restriction, then refined by
     monotone subsequences against each further graph's order; the achieved
     size is at least |S|^(1/2^(r-2)) for the common set S found.
+
+    Each free set is realized in its own order on the targets turned so
+    that x rises along it, then turned back: by no quarter turn for G1, by
+    three for a later graph whose shared order rises along it, else by one.
     """
     graphs = list(graphs)
     r = len(graphs)
@@ -189,53 +204,41 @@ def psge_many(graphs) -> SimultaneousResult:
     if any(g.n != n for g in graphs):
         raise VertexSetMismatch("graphs must share their vertex set")
 
-    free_sets = []
-    xs = None
+    free_sets, xs = [], None
     for g in graphs:
-        fs = planar_freeset(g, xs)
-        free_sets.append(fs)
-        xs = fs.order
-    common = list(free_sets[-1].order)
-    s_size = len(common)
+        free_sets.append(planar_freeset(g, xs))
+        xs = free_sets[-1].order
+    s_size = len(xs)
 
     # refine so the shared order is monotone for every graph beyond the two
     # realized directly
-    in_common = set(common)
-    order2 = [v for v in free_sets[1].order if v in in_common]
-    current = order2
-    for i in range(2, r):
-        pos_i = {v: j for j, v in enumerate(free_sets[i].order)}
-        idx, _ = lis_lds([pos_i[v] for v in current])
-        current = [current[j] for j in idx]
-    shared = current
+    common = set(xs)
+    shared = [v for v in free_sets[1].order if v in common]
+    for fs in free_sets[2:]:
+        at = {v: j for j, v in enumerate(fs.order)}
+        idx, _ = lis_lds([at[v] for v in shared])
+        shared = [shared[j] for j in idx]
 
     # the shared set at (rank in G1's order, rank in the shared order)
-    in_shared = set(shared)
-    ord1 = [v for v in free_sets[0].order if v in in_shared]
-    rank1 = {v: i + 1 for i, v in enumerate(ord1)}
-    target = {v: (F(rank1[v]), F(i + 1)) for i, v in enumerate(shared)}
-    drawings = [free_realize(graphs[0], free_sets[0].restricted(ord1),
-                             [target[v] for v in ord1])]
     rank = {v: j for j, v in enumerate(shared)}
-    for i in range(1, r):
-        fs = free_sets[i]
-        ordered = [v for v in fs.order if v in in_shared]
-        seq = [rank[v] for v in ordered]
-        if any(a > b for a, b in zip(seq, seq[1:])):
-            fs = fs.reversed()
-            ordered = ordered[::-1]
-        # swap the axis roles, then rotate back
-        pre = [(target[v][1], -target[v][0]) for v in ordered]
-        drawings.append(_rot90(free_realize(graphs[i],
-                                            fs.restricted(ordered), pre)))
+    ord1 = [v for v in free_sets[0].order if v in rank]
+    target = {v: (F(i + 1), F(rank[v] + 1)) for i, v in enumerate(ord1)}
+    drawings = []
+    for i, (g, fs) in enumerate(zip(graphs, free_sets)):
+        ordered = [v for v in fs.order if v in rank]
+        k = 0
+        if i:
+            seq = [rank[v] for v in ordered]
+            k = 1 if any(a > b for a, b in zip(seq, seq[1:])) else 3
+        d = free_realize(g, fs.restricted(ordered),
+                         [_turned_point(target[v], k) for v in ordered])
+        drawings.append(_turned(d, -k))
     for d in drawings:
         for v in shared:
             if not d.places(v, target[v]):
                 raise MergeConflict(f"shared vertex {v} mismatch")
 
-    bound = 1
-    if shared:
-        bound = max(1, _iroot_ceiling(s_size, 2 ** (r - 2)))
+    bound = max(1, _iroot_ceiling(s_size, r - 2)) if shared else 1
     return SimultaneousResult(
         drawings=tuple(drawings),
         shared_vertices=tuple(shared),
@@ -245,13 +248,11 @@ def psge_many(graphs) -> SimultaneousResult:
     )
 
 
-def _iroot_ceiling(value: int, power: int) -> int:
-    """Smallest k with k**power >= value."""
-    if value <= 1:
-        return value
-    k = max(1, round(value ** (1.0 / power)))
-    while k ** power >= value:
-        k -= 1
-    while k ** power < value:
-        k += 1
-    return k
+def _iroot_ceiling(value: int, roots: int) -> int:
+    """Smallest k >= 0 with k**(2**roots) >= value, by ``roots`` integer
+    ceiling square roots: ceil(sqrt(ceil(sqrt(x)))) = ceil(x**(1/4))."""
+    for _ in range(roots):
+        if value <= 2:
+            break
+        value = isqrt(value - 1) + 1
+    return value

@@ -3,7 +3,7 @@
 Each extractor returns an OrderedFreeSet: an ordered vertex list together
 with a curve certificate witnessing it, the extractor name, and the size
 bound actually met.  The certificate is validated once, when the free set
-is made; the extractors themselves check nothing.
+is made; the extractors themselves check nothing, and no set is reversed.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ class OrderedFreeSet:
     set is always a subsequence of the certificate's vertex items.  Making a
     free set checks that and validates the certificate (``analyze_curve``,
     InvalidCurve on failure), its one check; the analysis stays on the set
-    for realization.  A restriction shares it, a reversal makes its own.
+    for realization, and a restriction shares it.  A set is realized in
+    the order it was made: a caller that needs the other direction turns
+    the points instead (``applications.untangle``, ``psge_many``).
     """
 
     graph: EmbeddedGraph
@@ -92,15 +94,6 @@ class OrderedFreeSet:
             provenance=self.provenance,
             bound_met="restriction: no bound asserted",
             _analysis=self._analysis,
-        )
-
-    def reversed(self) -> "OrderedFreeSet":
-        return OrderedFreeSet(
-            graph=self.graph,
-            order=tuple(reversed(self.order)),
-            certificate=self.certificate.reversed(),
-            provenance=self.provenance,
-            bound_met=self.bound_met,
         )
 
 

@@ -975,10 +975,7 @@ def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
     apex = (kx * (x0 + x1) // 2, 4 * (x1 - x0) * d.dy // common)
     if kx == ky == 1:
         return d, apex
-    return replace(d, xy=[(x * kx, y * ky) for x, y in d.xy],
-                   bend_xy={e: tuple((x * kx, y * ky) for x, y in b)
-                            for e, b in d.bend_xy.items()},
-                   dx=d.dx * kx, dy=d.dy * ky), apex
+    return _grid_map(d, kx, 0, 0, ky, d.dx * kx, d.dy * ky), apex
 
 
 def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem) -> None:
@@ -1161,6 +1158,16 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     return t, keys, den
 
 
+def _grid_map(d: GridDrawing, a: int, b: int, c: int, e: int, dx: int,
+              dy: int) -> GridDrawing:
+    """``d`` with every vertex and bend point (x, y) of its grid sent to
+    (a*x + b*y, c*x + e*y), over the denominators dx and dy."""
+    return replace(d, xy=[(a * x + b * y, c * x + e * y) for x, y in d.xy],
+                   bend_xy={k: tuple([(a * x + b * y, c * x + e * y)
+                                      for x, y in pts])
+                            for k, pts in d.bend_xy.items()}, dx=dx, dy=dy)
+
+
 def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
     """``d`` sheared by (x, y) -> (x + t*y, y).
 
@@ -1169,10 +1176,7 @@ def _shear_drawing(d: GridDrawing, t: int) -> GridDrawing:
     if t == 0:
         return d
     dx = lcm(d.dx, d.dy)
-    mx, my = dx // d.dx, t * (dx // d.dy)
-    return replace(d, xy=[(x * mx + y * my, y) for x, y in d.xy],
-                   bend_xy={e: tuple((x * mx + y * my, y) for x, y in b)
-                            for e, b in d.bend_xy.items()}, dx=dx)
+    return _grid_map(d, dx // d.dx, t * (dx // d.dy), 0, 1, dx, d.dy)
 
 
 def free_realize(g: EmbeddedGraph, fs: OrderedFreeSet, points) -> GridDrawing:

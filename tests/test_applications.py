@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from freeset.applications import (
+    _iroot_ceiling,
     lis_lds,
     psge_many,
     psge_two,
@@ -362,3 +363,46 @@ class TestOrientation:
         assert got == reversals
         res = psge_many(graphs)
         assert [serialize_drawing(d) for d in res.drawings] == texts
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_untangle_validates_one_certificate(self, seed, monkeypatch):
+        # the subsequence decreases (above), yet only the extracted
+        # certificate is analysed
+        calls = _counted_analyses(monkeypatch)
+        untangle(*_untangle_input(seed))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("r, seed", [(3, 5), (4, 6), (4, 7)])
+    def test_psge_many_validates_one_certificate_per_graph(self, r, seed,
+                                                          monkeypatch):
+        calls = _counted_analyses(monkeypatch)
+        psge_many(_psge_input(r, seed))
+        assert len(calls) == r
+
+
+def _counted_analyses(monkeypatch) -> list:
+    """The graphs of every ``analyze_curve`` call made from now on."""
+    import freeset.extractors as extractors
+    real, calls = extractors.analyze_curve, []
+
+    def counting(g, cert):
+        calls.append(g)
+        return real(g, cert)
+
+    monkeypatch.setattr(extractors, "analyze_curve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("roots", range(7))
+def test_iroot_ceiling_matches_brute_force(roots):
+    # psge_many of r graphs takes r - 2 roots: r <= 8 here
+    for value in range(301):
+        want = next(k for k in range(value + 1)
+                    if k ** (2 ** roots) >= value)
+        assert _iroot_ceiling(value, roots) == want
+
+
+def test_iroot_ceiling_of_forty_graphs():
+    # 2**(2**38) is never built: 38 square roots bring any value to 2
+    assert _iroot_ceiling(10 ** 100, 38) == 2
+    assert _iroot_ceiling(2, 38) == 2 and _iroot_ceiling(1, 38) == 1

@@ -226,10 +226,9 @@ def psge_many(graphs) -> SimultaneousResult:
     drawings = []
     for i, (g, fs) in enumerate(zip(graphs, free_sets)):
         ordered = [v for v in fs.order if v in rank]
-        k = 0
-        if i:
-            seq = [rank[v] for v in ordered]
-            k = 1 if any(a > b for a, b in zip(seq, seq[1:])) else 3
+        seq = [rank[v] for v in ordered]
+        falls = any(a > b for a, b in zip(seq, seq[1:]))
+        k = (1 if falls else 3) if i else 0
         d = free_realize(g, fs.restricted(ordered),
                          [_turned_point(target[v], k) for v in ordered])
         drawings.append(_turned(d, -k))

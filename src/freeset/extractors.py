@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .canonical import (
     CanonicalStructure,
@@ -59,9 +59,7 @@ class OrderedFreeSet:
     set is always a subsequence of the certificate's vertex items.  Making a
     free set checks that and validates the certificate (``analyze_curve``,
     InvalidCurve on failure), its one check; the analysis stays on the set
-    for realization, and a restriction shares it.  A set is realized in
-    the order it was made: a caller that needs the other direction turns
-    the points instead (``applications.untangle``, ``psge_many``).
+    for realization.  A restriction shares it; nothing reverses a set.
     """
 
     graph: EmbeddedGraph
@@ -87,14 +85,8 @@ class OrderedFreeSet:
     def restricted(self, keep) -> "OrderedFreeSet":
         """Subsequence of the set (any subsequence stays free)."""
         keep = set(keep)
-        return OrderedFreeSet(
-            graph=self.graph,
-            order=tuple(v for v in self.order if v in keep),
-            certificate=self.certificate,
-            provenance=self.provenance,
-            bound_met="restriction: no bound asserted",
-            _analysis=self._analysis,
-        )
+        return replace(self, order=tuple(v for v in self.order if v in keep),
+                       bound_met="restriction: no bound asserted")
 
 
 def _rotate_to_vertex_start(cert: CurveCertificate) -> CurveCertificate:

@@ -1158,8 +1158,7 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     return t, keys, den
 
 
-def _grid_map(d: GridDrawing, a: int, b: int, c: int, e: int, dx: int,
-              dy: int) -> GridDrawing:
+def _grid_map(d: GridDrawing, a, b, c, e, dx, dy) -> GridDrawing:
     """``d`` with every vertex and bend point (x, y) of its grid sent to
     (a*x + b*y, c*x + e*y), over the denominators dx and dy."""
     return replace(d, xy=[(a * x + b * y, c * x + e * y) for x, y in d.xy],

@@ -7,8 +7,10 @@ does); the text formats remain the exact source of truth.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .curves import AlongItem, CrossItem, CurveCertificate, VertexItem
-from .errors import Unverified
+from .errors import TooLarge, Unverified
 from .realize import GridDrawing
 
 _PRECISION = 4  # decimals per rendered coordinate
@@ -22,19 +24,25 @@ def export_svg(d: GridDrawing,
                certificate: CurveCertificate | None = None,
                highlight=()) -> str:
     """Render a verified drawing; optionally overlay the curve through its
-    item anchor points and highlight the free-set vertices."""
+    item anchor points and highlight the free-set vertices.  TooLarge when
+    a float cannot hold a point of the drawing or its extent."""
     if not d.verified:
         raise Unverified("refusing to render an unverified drawing")
     dx, dy = d.dx, d.dy
-    pos = [(x / dx, y / dy) for x, y in d.xy]
-    bends = {e: [(x / dx, y / dy) for x, y in b]
-             for e, b in d.bend_xy.items()}
+    try:
+        pos = [(x / dx, y / dy) for x, y in d.xy]
+        bends = {e: [(x / dx, y / dy) for x, y in b]
+                 for e, b in d.bend_xy.items()}
+    except OverflowError:
+        raise TooLarge("a coordinate is beyond the float range") from None
 
     xs, ys = zip(*pos, *(p for b in bends.values() for p in b))
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-9)
     pad = 0.05 * span
+    if not isfinite(span + 2 * pad):
+        raise TooLarge("the drawing's extent is beyond the float range")
     scale = _SIZE / (span + 2 * pad)
     r = max(2.5, 0.008 * _SIZE)
 

@@ -582,3 +582,30 @@ def test_svg_rejects_mutated_certificate(tmp_path):
     assert r.exit_code == 2, r.exc_info
     assert r.stderr.startswith("error:") and "off-face" in r.stderr
     assert "Traceback" not in r.output and "<svg" not in r.output
+
+
+_K4 = "V 4\nR 0: 1 3 2\nR 1: 2 3 0\nR 2: 0 3 1\nR 3: 2 0 1\nOUTER: 0 1 2\n"
+_LONG = "1" + "0" * 5000 + "7"
+
+
+@pytest.mark.parametrize("drawing", [
+    # a point beyond the float range
+    f"P 0 0 0\nP 1 {_LONG}/3 0\nP 2 0 {_LONG}/7\n"
+    f"P 3 {_LONG}/31 {_LONG}/37\nB 0 1 {_LONG}/6 -{_LONG}/11\n",
+    # points inside it, an extent beyond it
+    f"P 0 -{10 ** 308} 0\nP 1 {10 ** 308} 0\nP 2 0 {10 ** 308}\nP 3 0 1\n",
+], ids=["long-num", "wide"])
+def test_svg_beyond_float_range_is_too_large(tmp_path, drawing):
+    gpath, dpath, spath = (tmp_path / name
+                           for name in ("k4.txt", "d.txt", "d.svg"))
+    gpath.write_text(_K4)
+    dpath.write_text(drawing)
+    assert invoke("verify", "--graph", str(gpath),
+                  "--drawing", str(dpath)).exit_code == 0
+    r = CliRunner().invoke(main, ["svg", "--graph", str(gpath),
+                                  "--drawing", str(dpath),
+                                  "--out", str(spath)])
+    assert r.exit_code == 2, r.exc_info
+    assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1
+    assert "float range" in r.stderr and "Traceback" not in r.output
+    assert not spath.exists()

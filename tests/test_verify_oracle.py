@@ -702,3 +702,66 @@ def test_products_per_piece(n, monkeypatch):
     monkeypatch.setattr(_Counted, "products", 0)
     assert verify_drawing(g, counting) is None
     assert 0 < _Counted.products <= 6 * len(segments(d))
+
+
+# ---------------------------------------------------------------------------
+# Differential property: near-degenerate drawings on lopsided grids
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _near_degenerate(draw):
+    """A small graph drawn on the points of a 5 x 5 lattice, so that pieces
+    share endpoints and run along one line; edges bent at lattice points,
+    at vertices other than their own ends or at the middle of an edge;
+    maybe one vertex moved to the middle of an edge.  The stretch (a, b)
+    has one scale 2^100 to 2^1100 times the other, so that slope keys of
+    the sweep tie."""
+    g = draw(st.sampled_from(_small_graphs()))
+    lattice = [(F(x), F(y)) for x in range(5) for y in range(5)]
+    cells = draw(st.lists(st.sampled_from(lattice), min_size=g.n,
+                          max_size=g.n, unique=True))
+    pos = dict(enumerate(cells))
+    edges = sorted(g.edges)
+
+    def middle(e):
+        (ax, ay), (bx, by) = pos[e[0]], pos[e[1]]
+        return ((ax + bx) / 2, (ay + by) / 2)
+
+    if draw(st.booleans()):
+        pos[draw(st.integers(0, g.n - 1))] = middle(draw(st.sampled_from(
+            edges)))
+    def bend(e, kind):
+        others = [pos[w] for w in range(g.n) if w not in e]
+        if kind == "vertex" and others:
+            return draw(st.sampled_from(others))
+        if kind == "middle":
+            return middle(draw(st.sampled_from(edges)))
+        return draw(st.sampled_from(lattice))
+
+    bends = {}
+    for e in edges:
+        kinds = draw(st.sampled_from([(), (), (), ("lattice",), ("vertex",),
+                                      ("middle",), ("lattice", "vertex")]))
+        bends[e] = tuple(bend(e, kind) for kind in kinds)
+    bits = draw(st.integers(100, 1100))
+    small = draw(st.integers(1, 9))
+    big = (1 << bits) + draw(st.integers(0, 2 ** 16))
+    a, b = (big, small) if draw(st.booleans()) else (small, big)
+    return GridDrawing.from_points(g, pos, bends=bends), a, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_near_degenerate())
+def test_matches_reference_on_lopsided_grids(case):
+    """``verify_drawing`` against both references on near-degenerate
+    drawings stretched by (a, b), and its text against the unstretched
+    drawing's."""
+    d, a, b = case
+
+    def stretched(p):
+        return (a * p[0], b * p[1])
+
+    far = replace(d, xy=[stretched(p) for p in d.xy],
+                  bend_xy={e: tuple(map(stretched, ps))
+                           for e, ps in d.bend_xy.items()})
+    assert str(_checked(far)) == str(verify_drawing(d.graph, d))

@@ -163,8 +163,10 @@ _TURNS = ((1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0))
 
 def _turned_point(p, k: int):
     """The point p turned by k quarter turns counter-clockwise."""
-    (a, b, c, e), (x, y) = _TURNS[k % 4], p
-    return (a * x + b * y, c * x + e * y)
+    x, y = p
+    for _ in range(k % 4):
+        x, y = -y, x
+    return x, y
 
 
 def _turned(d: GridDrawing, k: int) -> GridDrawing:

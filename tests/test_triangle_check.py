@@ -7,17 +7,24 @@ that realization checks this way are captured here, with their apexes,
 and broken in seeded ways: a vertex or bend moved onto another point, onto
 the middle of a piece, or across the far edge of a triangle at it, and two
 vertices swapped.  Whenever ``verify_drawing`` rejects a mutant, the
-triangle check must reject it too.  A hand-built half with a face of four
+triangle check must reject it too.  A derandomized property moves the
+non-free points of small realized drawings by small steps on a finer
+grid: whenever the triangle check accepts one, the sweep must too.  A
+hand-built half with a face of four
 vertices must be refused when the system is built.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from functools import lru_cache
 from math import atan2
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeset import realize
 from freeset.errors import DegenerateOutput
@@ -180,3 +187,68 @@ def test_broken_rotation_is_refused(change, detail):
     with pytest.raises(DegenerateOutput, match="^collinear drawing failed "
                        f"verification: not-a-disk: the inside half {detail}$"):
         realize._half_triangles(hp, list(range(len(rot))), "inside", str)
+
+
+# ---------------------------------------------------------------------------
+# Differential property: realized drawings with their non-free points moved
+# ---------------------------------------------------------------------------
+
+SMALL = ([("thinned", (n, s, 0.45), 5 + s) for n in (12, 24) for s in (1, 2)]
+         + [("triangulation", (n, g), p) for n, g, p, _, _ in REALIZE_CASES
+            if n <= 45])
+
+
+@lru_cache(maxsize=None)
+def _small_checked(i: int):
+    """The last drawing that ``_checked_halves`` accepted while realizing
+    ``SMALL[i]``, with its apex, its system, its non-free vertices and the
+    point ids of each: vertex v is v, the bend of the k-th crossed edge is
+    n + k."""
+    family, args, pseed = SMALL[i]
+    d, apex, sysm = checked_drawings(family, args, pseed)[-1]
+    make = thinned_triangulation if family == "thinned" else FAMILIES[family]
+    free = set(planar_freeset(make(*args)).order)
+    fixed = [v for v in range(d.graph.n) if v not in free]
+    return d, apex, sysm, fixed
+
+
+def _triple_neighbours(sysm, p: int) -> list[int]:
+    """The points that share a triple of the system with point p."""
+    return sorted({q for t in sysm.triples if p in t for q in t} - {p})
+
+
+@st.composite
+def _moved_realization(draw):
+    """A small realized drawing on a grid 2^s times finer, with one to three
+    of its non-free points (vertices off the free set, and bends) each moved
+    by k/2^s of the way to a point it shares a triple with, |k| <= 2^s;
+    the apex, scaled to the finer grid, as realization put it."""
+    d, apex, sysm, fixed = _small_checked(draw(st.integers(0, len(SMALL) - 1)))
+    n, crossed = d.graph.n, list(sysm.mids)
+    s = draw(st.integers(1, 12))
+    f = 1 << s
+    pts = [(x * f, y * f) for x, y in realize._points(d, sysm, apex)]
+    movable = fixed + [n + k for k in range(len(crossed))]
+    for p in draw(st.lists(st.sampled_from(movable), min_size=1, max_size=3,
+                           unique=True)):
+        q = draw(st.sampled_from(_triple_neighbours(sysm, p)))
+        k = draw(st.integers(-f, f))
+        (px, py), (qx, qy) = pts[p], pts[q]
+        pts[p] = (px + k * (qx - px) // f, py + k * (qy - py) // f)
+    moved = replace(d, xy=pts[:n], dx=d.dx * f, dy=d.dy * f,
+                    bend_xy={e: (pts[n + k],) for k, e in enumerate(crossed)})
+    return moved, (apex[0] * f, apex[1] * f), sysm
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_moved_realization())
+def test_triangle_check_accepts_only_plane_drawings(case):
+    """Whenever the triangle check accepts a moved realization, the sweep
+    accepts it too.  Only that direction holds: a helper triangle (one at
+    an apex, or of a chord) may flip without any edge of g crossing."""
+    d, apex, sysm = case
+    try:
+        realize._checked_halves(d, apex, sysm, "perturb")
+    except DegenerateOutput:
+        return
+    assert verify_drawing(d.graph, d) is None

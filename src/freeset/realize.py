@@ -13,22 +13,26 @@ lift the free vertices off the axis and scale every height, in one step, so
 that they land exactly on arbitrary targets (the collinear-is-free argument
 of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every returned drawing
 has passed an exact crossing-free check, and each public entry point runs
-that check once, on the drawing it returns; intermediate drawings are not
-checked.  A realized drawing is checked on the triangles of its two
-augmented halves, traced once per system and checked there to form one disk
-(``_checked_halves``: one orientation sign per triangle); the sweep
-(``verify_drawing``) checks drawings the program did not build, and those
-of ``tutte_solve``.  Each system is solved once and the lift is sized by
-the same triangles: each one's orientation is affine in the lift, so the
-largest safe lift is read off them in one pass and nothing is retried.  A
+that check once, on the drawing it returns; intermediate drawings are only
+read by the passes that size the lift and the rounding.  A realized drawing
+is checked on the triangles of its two augmented halves, traced once per
+system and checked there to form one disk (``_checked_halves``: one
+orientation sign per triangle); the sweep (``verify_drawing``) checks
+drawings the program did not build, and those of ``tutte_solve``.  Each
+system is solved once and the lift is sized by the same triangles: each
+one's orientation is affine in the lift, so the largest safe lift is read
+off them in one pass and nothing is retried.  Every point but the free
+vertices is then rounded to the coarsest power-of-two grid on which the
+triangles certifiably keep their signs, read off them in one more pass, so
+a realized drawing carries few bits and its free vertices stay exact.  A
 drawing that fails its check raises DegenerateOutput naming the stage and
 the violation.  Nothing that the validated certificate or the triangle
 check decides is checked again, and a drawing's ``verified`` flag is output
 only: no check is skipped because a drawing given in is marked verified.
 
 Every drawing is a ``GridDrawing``: integer numerators over one positive
-denominator per axis, on which it is merged, lifted, scaled, sheared,
-checked, printed and parsed; ``from_points`` reads rational points onto it,
+denominator per axis, on which it is merged, lifted, scaled, rounded,
+sheared, checked, printed and parsed; ``from_points`` reads rational points onto it,
 and only ``GridDrawing.pos`` builds its Fractions.
 """
 
@@ -941,8 +945,10 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     0, that follows a face passage.  Every extracted certificate starts
     there, so the axis order is the set's own order; for another
     certificate it is a rotation of it.  The merged drawing goes through
-    the zero lift (``perturb_scale`` with every target 0), so it is checked
-    once, on the halves' triangles (``_checked_halves``); a failure raises
+    the zero lift (``perturb_scale`` with every target 0): every point but
+    the free set is rounded toward zero to the coarsest power-of-two grid
+    that the halves' triangles certify, and the rounded drawing is checked
+    once, on those triangles (``_checked_halves``); a failure raises
     DegenerateOutput.  That check also decides the sides: glued along the
     axis, the halves are one disk, embedded inside the quadrilateral
     P₀, L, P₋₁, U of the chain's ends and the apexes, and the inside half is
@@ -1032,8 +1038,10 @@ def _checked_halves(d: GridDrawing, apex: tuple[int, int],
     inside the polygon is covered by as many triangles as the boundary
     winds around it, once.  So the disk is drawn without a crossing, and so
     is g.  The apexes are part of the certificate: any two points for which
-    the conditions hold would do.  That is one orientation sign per triple:
-    no sort and no sweep."""
+    the conditions hold would do, and so would any other points off the
+    free set: realization checks its drawing after rounding them
+    (``_rounded``).  That is one orientation sign per triple: no sort and
+    no sweep."""
     pts = _points(d, sysm, apex)
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
@@ -1085,6 +1093,97 @@ def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: list,
     return 0 if k is None else k
 
 
+def _fits(det: int, t: int, dxdy: int, j: int) -> bool:
+    """Whether det > 2·delta·t + 8·delta²·dxdy for delta = 2^-j: the
+    condition of ``_snap_exponent``, times 4^j, or 4^-j times that."""
+    if j >= 0:
+        return det << 2 * j > (t << j + 1) + (dxdy << 3)
+    return det > (t << 1 - j) + (dxdy << 3 - 2 * j)
+
+
+def _snap_exponent(pts: list, sysm: _CollinearSystem, dx: int, dy: int,
+                   stage: str) -> int:
+    """The j of delta = 2^-j: the largest power of two such that every
+    triple still turns counter-clockwise when any of its points moves by
+    less than delta along each axis.  ``pts`` are on a grid with the
+    denominators dx and dy.
+
+    Take a triple (a, b, c) with u = b - a, w = c - a and doubled area D.
+    Moving the points changes u and w by less than 2·delta per axis, so D
+    changes by less than 2·delta·(|u|₁ + |w|₁) + 8·delta²; D > that bound
+    keeps the sign.  On the grid this is det > 2·delta·t + 8·delta²·dx·dy,
+    with det the orientation of the numerators and
+    t = dy·(|ux| + |wx|) + dx·(|uy| + |wy|).  A det <= 0 raises
+    DegenerateOutput for ``stage``, naming the triple, as
+    ``_checked_halves`` does.  The bit lengths of det, t and dx·dy bound a
+    triple's least j to a range four wide, so t is formed and the exact
+    condition tested only where that range reaches above the greatest j so
+    far."""
+    dxdy = dx * dy
+    bdx, bdy, bxy = dx.bit_length(), dy.bit_length(), dxdy.bit_length()
+    j = None
+    for i, (a, b, c) in enumerate(sysm.triples):
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+        det = ux * wy - uy * wx
+        if det <= 0:
+            raise _flipped(sysm, pts, i, stage)
+        sx, sy = abs(ux) + abs(wx), abs(uy) + abs(wy)
+        # 2^(bt - 2) <= t < 2^(bt + 1); det > 0, so neither sum is 0
+        bt = sx.bit_length() + bdy
+        if sy.bit_length() + bdx > bt:
+            bt = sy.bit_length() + bdx
+        bd = det.bit_length()
+        if j is None or bt - bd + 4 > j or (6 + bxy - bd) // 2 > j:
+            t = dy * sx + dx * sy
+            k = max(bt - bd, (4 + bxy - bd) // 2)
+            if j is not None and k < j:
+                k = j
+            while not _fits(det, t, dxdy, k):
+                k += 1
+            j = k
+    return j
+
+
+def _rounded(d: GridDrawing, apex: tuple[int, int], sysm: _CollinearSystem,
+             free, stage: str) -> GridDrawing:
+    """d with every coordinate of every point but the free vertices rounded
+    toward zero to a multiple of delta = 2^-j (``_snap_exponent``), the
+    upper apex included, checked once on the halves' triangles
+    (``_checked_halves``).  A failure raises DegenerateOutput for ``stage``.
+
+    Each coordinate is rounded from its value, not from its numerator, so
+    the drawing comes out the same from any grid of the same points, and
+    the free vertices keep their values exactly.  Rounding toward zero
+    moves a coordinate by less than delta and commutes with negation, so
+    the lower apex is still the mirror image of the upper one, and a
+    drawing realized on turned points and turned back (``untangle``,
+    ``psge_many``) is the one realized on the points themselves.  The new
+    grid of each axis is the least common multiple of 2^j and the free
+    vertices' least denominator on that axis."""
+    j = _snap_exponent(_points(d, sysm, apex), sysm, d.dx, d.dy, stage)
+    dx = lcm(d.dx // gcd(d.dx, *(d.xy[v][0] for v in free)), 1 << max(0, j))
+    dy = lcm(d.dy // gcd(d.dy, *(d.xy[v][1] for v in free)), 1 << max(0, j))
+    # c / den / delta rounded toward zero, times delta over new: |c| << sh
+    # divided by den << m, times new >> j, or times new << m when j = -m < 0
+    sh, m = max(0, j), max(0, -j)
+    ex, fx, ey, fy = d.dx << m, (dx >> sh) << m, d.dy << m, (dy >> sh) << m
+
+    def snapped(p):
+        x, y = p
+        return ((x << sh) // ex * fx if x >= 0 else -((-x << sh) // ex * fx),
+                (y << sh) // ey * fy if y >= 0 else -((-y << sh) // ey * fy))
+
+    xy = list(map(snapped, d.xy))
+    for v in free:
+        x, y = d.xy[v]
+        xy[v] = (x * dx // d.dx, y * dy // d.dy)
+    return _checked_halves(replace(
+        d, xy=xy, dx=dx, dy=dy,
+        bend_xy={e: tuple(map(snapped, pts)) for e, pts in d.bend_xy.items()}),
+        snapped(apex), sysm, stage)
+
+
 def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
                   targets) -> GridDrawing:
     """Move the free set, on the axis in ``d``, to the target heights:
@@ -1102,10 +1201,17 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     ymax/epsilon, which keeps every orientation sign, so the drawing is
     built scaled: the free vertices exactly at y_i, and every other height
     of the grid times one integer, ymax/epsilon over the new y
-    denominator, the apexes included.  That drawing, the one returned on its
-    integer grid, is checked once on the halves' triangles
-    (``_checked_halves``).  All-zero targets check ``d`` itself, the same
-    way, and return its grid marked verified."""
+    denominator, the apexes included.  All-zero targets take d as it is.
+
+    Only the free vertices must land where they are put; any other point
+    may move as long as every triple keeps turning counter-clockwise.  So
+    every vertex off the free set, every bend and the apexes are rounded
+    toward zero to the coarsest power-of-two grid that the triples of the
+    lifted drawing certify, in one pass over them that also raises on a
+    triple that does not turn, and the free vertices stay exact
+    (``_rounded``).  The rounded drawing, the one returned, is checked
+    once on the halves' triangles (``_checked_halves``), on its small
+    integers."""
     order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(order):
@@ -1117,7 +1223,7 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     _bends_are_midpoints(d, sysm)
     grid, apex = _apex_grid(d, sysm)
     if all(y == 0 for y in ys):
-        return _checked_halves(grid, apex, sysm, "collinear")
+        return _rounded(grid, apex, sysm, order, "collinear")
     ys, tden = common_denominator(ys)
     ymax = max(abs(y) for y in ys)
     pts = _points(grid, sysm, apex)
@@ -1131,11 +1237,11 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     pos = [(x, y * scale) for x, y in grid.xy]
     for v, y in zip(order, ys):
         pos[v] = (pos[v][0], y * lift)
-    return _checked_halves(replace(
+    return _rounded(replace(
         grid, xy=pos, bend_xy={e: tuple((x, y * scale) for x, y in pts)
                                for e, pts in grid.bend_xy.items()},
         dy=lift * tden, provenance=grid.provenance + "+perturbed"),
-        (apex[0], apex[1] * scale), sysm, "perturb")
+        (apex[0], apex[1] * scale), sysm, order, "perturb")
 
 
 # ---------------------------------------------------------------------------

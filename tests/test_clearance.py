@@ -14,7 +14,14 @@ squared distance between a vertex or bend and a piece it is not an end
 of.  They are checked on a seeded corpus of collinear bases, on bases
 scaled past 2^1100, on clustered and far-apart targets, and on broken
 bases, where the error must name the first triple that the reference
-finds flat or clockwise.
+finds flat or clockwise.  Epsilon is read off the lift before rounding,
+which ``realize._rounded`` is given.
+
+The lifted drawing is then rounded: every point but the free vertices goes
+toward zero to a multiple of delta, the largest power of two for which
+each triple keeps D > 2·delta·(|u|₁ + |w|₁) + 8·delta².
+``reference_delta`` finds that delta in Fractions, and the golden
+realizations are checked against it, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ from freeset.realize import (
 )
 
 from conftest import bend_points, point_set, thinned_triangulation
+from test_golden import FAMILIES as GOLDEN_FAMILIES
+from test_golden import FAMILY_REALIZE_CASES, REALIZE_CASES
 
 STYLES = ("general", "collinear", "repeated-x", "coprime")
 FAMILIES = {
@@ -187,9 +196,39 @@ def pow2_below(q: F) -> F:
     return eps
 
 
+def reference_delta(d: GridDrawing, apex, sysm) -> F:
+    """The largest power of two delta for which every triple of the system
+    has D > 2·delta·(|u|₁ + |w|₁) + 8·delta², in Fractions: D the doubled
+    area of the triple (a, b, c) on the points of d, u = b - a and
+    w = c - a; the upper apex at ``apex`` on d's grid, the lower its mirror
+    image."""
+    pts = [*d.pos.values(), *(bend_points(d)[e][0] for e in sysm.mids)]
+    ax, ay = F(apex[0], d.dx), F(apex[1], d.dy)
+    pts += [(ax, -ay), (ax, ay)]
+    best = None
+    for a, b, c in sysm.triples:
+        (px, py), (qx, qy), (rx, ry) = pts[a], pts[b], pts[c]
+        u, w = (qx - px, qy - py), (rx - px, ry - py)
+        area = u[0] * w[1] - u[1] * w[0]
+        spread = abs(u[0]) + abs(u[1]) + abs(w[0]) + abs(w[1])
+        assert area > 0
+        delta = pow2_below(area / (2 * spread))
+        while area <= 2 * delta * spread + 8 * delta * delta:
+            delta /= 2
+        if best is None or delta < best:
+            best = delta
+    return best
+
+
+def toward_zero(value: F, delta: F) -> F:
+    """value rounded toward zero to a multiple of delta."""
+    k = abs(value) // delta
+    return k * delta if value >= 0 else -k * delta
+
+
 def epsilon_of(base, out, fs, targets) -> F:
     """The epsilon ``perturb_scale`` used: a fixed vertex off the axis ends
-    at y·ymax/epsilon."""
+    at y·ymax/epsilon in the lift before rounding, ``out``."""
     ymax = max(abs(F(y)) for y in targets)
     v = next(v for v in range(base.graph.n)
              if base.pos[v][1] != 0 and v not in fs.order)
@@ -221,18 +260,44 @@ def _scaled(d: GridDrawing, k: int) -> GridDrawing:
                        dx=d.dx, dy=d.dy)
 
 
+def rounding_of(call):
+    """What ``call()`` returned, and each drawing that ``realize._rounded``
+    was given while it ran, with its apex and system and the exponent j of
+    the delta = 2^-j that ``realize._snap_exponent`` chose for it."""
+    seen = []
+    rounded, snap = realize._rounded, realize._snap_exponent
+
+    def spy(d, apex, sysm, free, stage):
+        seen.append([d, apex, sysm])
+        return rounded(d, apex, sysm, free, stage)
+
+    def snap_spy(*args):
+        j = snap(*args)
+        seen[-1].append(j)
+        return j
+
+    realize._rounded, realize._snap_exponent = spy, snap_spy
+    try:
+        return call(), seen
+    finally:
+        realize._rounded, realize._snap_exponent = rounded, snap
+
+
 def lifted_exactly(base, fs, targets):
     """``perturb_scale``'s drawing, after checking that it is plane, that
     its free vertices are exactly at their targets, that its clearance is
-    positive and that its epsilon is the reference one."""
-    d = perturb_scale(base, fs, targets)
+    positive and that the epsilon of its lift, before rounding, is the
+    reference one."""
+    d, [(lift, _, _, _)] = rounding_of(lambda: perturb_scale(base, fs,
+                                                             targets))
     assert verify_drawing(d.graph, d) is None
     assert [d.pos[v][1] for v in fs.order] == [F(y) for y in targets]
+    assert [d.pos[v] for v in fs.order] == [lift.pos[v] for v in fs.order]
     assert all_pairs_sq(d, fs.order) > 0
     if not any(targets):
         return d
     bound = reference_bound(base, fs, targets)
-    assert epsilon_of(base, d, fs, targets) == \
+    assert epsilon_of(base, lift, fs, targets) == \
         (1 if bound is None else pow2_below(bound))
     return d
 
@@ -374,11 +439,12 @@ def test_pairs_as_far_apart_as_the_drawing_is_wide(m, direction):
 
 
 def test_no_pair_means_no_bound():
-    # nothing moves: the base comes back checked, and no bound means
-    # epsilon 1
+    # nothing moves: the base itself is rounded and checked, and no bound
+    # means epsilon 1
     fs, base = _base("triangulation", 1, "general")
-    out = perturb_scale(base, fs, [0] * len(fs.order))
-    assert out.verified and (out.xy, out.bend_xy) == (base.xy, base.bend_xy)
+    out, [(d, _, _, _)] = rounding_of(
+        lambda: perturb_scale(base, fs, [0] * len(fs.order)))
+    assert out.verified and (d.xy, d.bend_xy) == (base.xy, base.bend_xy)
     sysm = _collinear_system(fs._analysis)
     pts = realize._points(base, sysm, realize._apex_grid(base, sysm)[1])
     assert realize._lift_exponent(pts, sysm, [0] * len(pts), base.dy, 1) == 0
@@ -413,8 +479,9 @@ def test_epsilon_is_largest_power_of_two(family, style):
     # the lift is epsilon * y / ymax: a fixed vertex ends at y * ymax / eps
     fs, grid = _base(family, 2, style)
     targets = [F(3 * i - 7, i + 1) for i in range(len(fs.order))]
-    d = perturb_scale(grid, fs, targets)
-    eps = epsilon_of(grid, d, fs, targets)
+    _, [(lift, _, _, _)] = rounding_of(lambda: perturb_scale(grid, fs,
+                                                             targets))
+    eps = epsilon_of(grid, lift, fs, targets)
     assert eps == F(2) ** (eps.numerator.bit_length() -
                            eps.denominator.bit_length())
     bound = reference_bound(grid, fs, targets)
@@ -535,19 +602,69 @@ LIFT_CASES = [(FAMILIES[f](1), [F(3 * k + 1, 2) for k in range(40)])
                          ["path2-odd-middle", "path2-half-height",
                           "path2-thirds"])
 def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
-    # realize_collinear's drawing, put on its least grid again, may need a
-    # finer one for the apexes to be grid points; the lift must come out
-    # the same as on the collinear base's own grid
+    # the collinear base, put on its least grid, may need a finer one for
+    # the apexes to be grid points; the lift, and the drawing rounded from
+    # it, must come out the same as on the base's own grid, and so must
+    # the zero lift, which is realize_collinear's drawing
     fs = planar_freeset(g)
     xs = xs[:len(fs.order)]
     targets = _targets(fs, "coprime", 1)
-    poly = realize.realize_collinear(g, fs, xs)
     base = _collinear_base(g, fs, *common_denominator(xs))[0]
-    least = GridDrawing.from_points(g, poly.pos, bends=bend_points(poly))
-    out = perturb_scale(least, fs, targets)
-    assert out.verified and verify_drawing(g, out) is None
-    want = perturb_scale(base, fs, targets)
-    assert (out.pos, bend_points(out)) == (want.pos, bend_points(want))
+    least = GridDrawing.from_points(g, base.pos, bends=bend_points(base))
+    assert (least.dx, least.dy) != (base.dx, base.dy)
+    zeros = [0] * len(fs.order)
+    for ys in (targets, zeros):
+        out, [(lift, _, _, _)] = rounding_of(
+            lambda: perturb_scale(least, fs, ys))
+        assert out.verified and verify_drawing(g, out) is None
+        want, [(want_lift, _, _, _)] = rounding_of(
+            lambda: perturb_scale(base, fs, ys))
+        assert (lift.pos, bend_points(lift)) == \
+            (want_lift.pos, bend_points(want_lift))
+        assert (out.xy, out.bend_xy, out.dx, out.dy) == \
+            (want.xy, want.bend_xy, want.dx, want.dy)
+    poly = realize.realize_collinear(g, fs, xs)
+    assert (poly.pos, bend_points(poly)) == (out.pos, bend_points(out))
     sysm = _collinear_system(fs._analysis)
     refined = realize._apex_grid(least, sysm)[0]
     assert (refined is least) == (g.n > 2)
+
+
+ROUNDED_CASES = (
+    [("triangulation", (n, g), p, style) for n, g, p, style, _ in REALIZE_CASES]
+    + [(f, a, p, style) for f, a, p, style, _ in FAMILY_REALIZE_CASES])
+
+
+@pytest.mark.parametrize("family,args,pseed,style", ROUNDED_CASES,
+                         ids=[f"{f}{a}-p{p}-{s}"
+                              for f, a, p, s in ROUNDED_CASES])
+def test_rounding_matches_the_delta_reference(family, args, pseed, style):
+    # the golden realizations, lifted and zero-lifted: delta is the largest
+    # power of two that the reference bound allows; every coordinate off
+    # the free set is its unrounded value rounded toward zero to a multiple
+    # of delta, so within [0, delta) of it; free vertices are bit-exact
+    g = GOLDEN_FAMILIES[family](*args)
+    fs = planar_freeset(g)
+    pts = point_set(style, len(fs.order), random.Random(pseed))
+    d, lifted = rounding_of(lambda: free_realize(g, fs, pts))
+    assert d.verified and verify_drawing(g, d) is None
+    flat, collinear = rounding_of(lambda: realize.realize_collinear(
+        g, fs, list(range(len(fs.order)))))
+    assert flat.verified
+    free = set(fs.order)
+    for lift, apex, sysm, j in lifted + collinear:
+        delta = reference_delta(lift, apex, sysm)
+        assert delta == F(2) ** -j
+        rounded = realize._rounded(lift, apex, sysm, fs.order, "perturb")
+        for v in range(g.n):
+            if v in free:
+                assert rounded.pos[v] == lift.pos[v]
+            else:
+                assert rounded.pos[v] == tuple(toward_zero(c, delta)
+                                               for c in lift.pos[v])
+        bends, at = bend_points(lift), bend_points(rounded)
+        assert at.keys() == bends.keys()
+        for e, (p,) in bends.items():
+            assert at[e] == (tuple(toward_zero(c, delta) for c in p),)
+    # the zero lift returns the drawing rounded last
+    assert (flat.xy, flat.bend_xy) == (rounded.xy, rounded.bend_xy)

@@ -9,6 +9,7 @@ Fractions (``GridDrawing.pos`` and ``bend_points``).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -141,12 +142,17 @@ def test_parsed_drawing_without_verification():
 
 def test_svg_of_a_grid_is_the_svg_of_its_fractions():
     # the svg is drawn from x / dx, which rounds as float(Fraction(x, dx))
-    # does, so a drawing renders alike on any grid: here its own, finer
-    # than the least one its parsed text is read onto
+    # does, so a drawing renders alike on any grid: here a realized one on
+    # a grid 3 x 5 times finer than its own, and on the least one its
+    # parsed text is read onto
     g = random_triangulation(30, 3)
     fs = planar_freeset(g)
     d = free_realize(g, fs, point_set("general", len(fs.order),
                                       random.Random(3)))
+    d = replace(d, xy=[(3 * x, 5 * y) for x, y in d.xy],
+                bend_xy={e: tuple((3 * x, 5 * y) for x, y in b)
+                         for e, b in d.bend_xy.items()},
+                dx=3 * d.dx, dy=5 * d.dy)
     least = parse_drawing(serialize_drawing(d), g)
     assert (least.dx, least.dy) != (d.dx, d.dy)
     assert export_svg(d, certificate=fs.certificate, highlight=fs.order) \

@@ -8,12 +8,12 @@ recorded when the half-plane systems became the plain integer Laplacian
 digests out, so a deliberate re-recording keeps the test names.  The
 outerplanar greedy, restricted extraction and ``freeset psge`` manifest
 hashes were recorded before the collar curve was built in one pass.  The
-realized drawings (``free_realize``, ``untangle``, ``psge_two``) were
-recorded when the lift's epsilon came to be taken from the triangles of
-the augmented halves, and the ``sge-nomap`` bundle before ``sge_nomap``
-returned its drawings on their integer grids.  All must keep producing
-exactly the same bytes, and every realized drawing, checked on its halves'
-triangles, must pass the sweep as well.
+realized drawings (``free_realize``, ``untangle``, ``psge_two``, and G1's
+drawing and point set in the ``sge-nomap`` bundle) were recorded when
+every point off the free set came to be rounded to a power-of-two grid
+certified by the triangles of the augmented halves.  All must keep
+producing exactly the same bytes, and every realized drawing, checked on
+its halves' triangles, must pass the sweep as well.
 """
 
 from __future__ import annotations
@@ -140,21 +140,21 @@ def test_sge_nomap_bundle_golden(tmp_path):
                              "--outdir", str(out)])
     assert r.exit_code == 0
     assert {p.name: _sha(p.read_bytes()) for p in out.iterdir()} == {
-        "drawing_0.txt": "c282ce65e1a2d7d5",
+        "drawing_0.txt": "74cc3c0a1023dcf3",
         "drawing_1.txt": "dddb0d93de2ef9a8",
         "manifest.json": "fa3cbfa601e63e8b",
-        "points.txt": "f9a16dac3074078a",
+        "points.txt": "05f8d3baa5bc70cc",
     }
 
 
 REALIZE_CASES = [
     # (n, graph seed, point seed, style, digest)
-    (20, 1, 11, "general", "3166d5fa1242c835"),
-    (45, 2, 12, "collinear", "09c98311956d6154"),
-    (45, 3, 13, "repeated-x", "d3dc237d1b3195b3"),
-    (80, 4, 14, "coprime", "a482069f126e3e3e"),
-    (120, 5, 15, "general", "ab200c912af9b2ee"),
-    (200, 6, 16, "repeated-x", "65053a51484ea6d9"),
+    (20, 1, 11, "general", "621ef2fb06535224"),
+    (45, 2, 12, "collinear", "5d3608b6dfaaed93"),
+    (45, 3, 13, "repeated-x", "3801d5e118fbaf43"),
+    (80, 4, 14, "coprime", "fdf28b26c355fefe"),
+    (120, 5, 15, "general", "9abf91bc6048f2cb"),
+    (200, 6, 16, "repeated-x", "858b192eede66e52"),
 ]
 
 
@@ -172,10 +172,10 @@ def test_free_realize_golden(n, gseed, pseed, style, digest):
 
 FAMILY_REALIZE_CASES = [
     # (family, arguments, point seed, style, digest)
-    ("outerplanar", (400, 3), 41, "general", "e0eb3dfe49f657f4"),
-    ("grid", (20, 20), 42, "coprime", "ef87684156ec61ef"),
-    ("stacked", (200, 2), 43, "repeated-x", "64f13cb045718b03"),
-    ("triangulation", (400, 7), 44, "general", "76569231f5509c9e"),
+    ("outerplanar", (400, 3), 41, "general", "3b04555ba6f70eba"),
+    ("grid", (20, 20), 42, "coprime", "efb78e33d885c14f"),
+    ("stacked", (200, 2), 43, "repeated-x", "42c45ecbdcbde68d"),
+    ("triangulation", (400, 7), 44, "general", "2d7207a290f28593"),
 ]
 
 
@@ -193,8 +193,8 @@ def test_free_realize_family_golden(family, args, pseed, style, digest):
 
 
 @pytest.mark.parametrize("n,seed,digest", [
-    (40, 21, "9c3a7258ff241582"),
-    (70, 22, "fa0ba177fc07b04a"),
+    (40, 21, "fc5f7438eeb32bdd"),
+    (70, 22, "378ec07a0acd2fa9"),
 ], ids=["n40-s21", "n70-s22"])
 def test_untangle_golden(n, seed, digest):
     # a small coordinate range forces repeated x, hence the shear path
@@ -208,8 +208,8 @@ def test_untangle_golden(n, seed, digest):
 
 
 @pytest.mark.parametrize("n,seed,digest", [
-    (30, 31, "5343f9e363e50e3c"),
-    (60, 32, "89a41f31f5688a0c"),
+    (30, 31, "ad0da8d67eb5f1b4"),
+    (60, 32, "2b64b96c2a73efa0"),
 ], ids=["n30-s31", "n60-s32"])
 def test_psge_two_golden(n, seed, digest):
     res = psge_two(random_triangulation(n, seed),

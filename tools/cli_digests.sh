@@ -14,7 +14,8 @@
 #   cmp /tmp/old/SHA256SUMS /tmp/new/SHA256SUMS
 #
 # Covered: gen; freeset (planar, level, outerplanar, with --target);
-# realize in text and svg on general and repeated-x point sets, and in text
+# realize in text and svg on general and repeated-x point sets, and on
+# points all on y = 0 (every target height 0: the zero lift), and in text
 # of the planar sets of a path, a cycle and a fan, the level set of a star
 # and the outerplanar set of an outerplanar graph; verify of one realized
 # drawing and svg of the other; verify and svg of hand-written drawings
@@ -49,6 +50,7 @@ fs() { PYTHONPATH="$SRC/src" python3 -m freeset.cli "$@"; }
 
 # points KIND COUNT SEED: COUNT distinct rational points, one "x y" per line.
 # general: (a/b, c/d) with |a|, |c| <= 400; repeated-x: x in -4..4;
+# axis: (a/b, 0) with |a| <= 400;
 # cells: integer points with x in [-COUNT/4, COUNT/4) and y in [-COUNT, COUNT).
 points() {
     python3 - "$@" <<'EOF'
@@ -66,7 +68,8 @@ else:
     while len(seen) < k:
         x = F(rng.randint(-4, 4)) if kind == "repeated-x" else \
             F(rng.randint(-400, 400), rng.randint(1, 9))
-        seen.add((x, F(rng.randint(-400, 400), rng.randint(1, 9))))
+        seen.add((x, F(0) if kind == "axis" else
+                  F(rng.randint(-400, 400), rng.randint(1, 9))))
     pts = sorted(seen)
 print("\n".join(f"{x} {y}" for x, y in pts))
 EOF
@@ -131,6 +134,16 @@ for pair in "path12 path12" "cycle15 cycle15" "fan12 fan12" \
     points general "$k" "$seed" > "$2.general.pts"
     fs realize --graph "$1.txt" --freeset "$2.fs" \
         --points "$2.general.pts" --out "$2.general.txt"
+done
+
+# every point on y = 0: the zero lift of rt60's and path12's sets, in text
+# and svg (a fixed seed, so the runs above keep theirs)
+for g in rt60 path12; do
+    points axis "$(members "$g.fs")" 500 > "$g.axis.pts"
+    fs realize --graph "$g.txt" --freeset "$g.fs" --points "$g.axis.pts" \
+        --out "$g.axis.txt"
+    fs realize --graph "$g.txt" --freeset "$g.fs" --points "$g.axis.pts" \
+        --format svg --out "$g.axis.svg"
 done
 
 # a crossing-free input comes back as given, every vertex fixed

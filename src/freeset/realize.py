@@ -1094,8 +1094,9 @@ def _lift_exponent(pts: list, sysm: _CollinearSystem, heights: list,
 
 
 def _fits(det: int, t: int, dxdy: int, j: int) -> bool:
-    """Whether det > 2·delta·t + 8·delta²·dxdy for delta = 2^-j: the
-    condition of ``_snap_exponent``, times 4^j, or 4^-j times that."""
+    """Whether det > 2·delta·t + 8·delta²·dxdy for delta = 2^-j, in
+    integers: both sides times 4^j when j >= 0, and as they are when
+    j < 0."""
     if j >= 0:
         return det << 2 * j > (t << j + 1) + (dxdy << 3)
     return det > (t << 1 - j) + (dxdy << 3 - 2 * j)
@@ -1115,33 +1116,39 @@ def _snap_exponent(pts: list, sysm: _CollinearSystem, dx: int, dy: int,
     with det the orientation of the numerators and
     t = dy·(|ux| + |wx|) + dx·(|uy| + |wy|).  A det <= 0 raises
     DegenerateOutput for ``stage``, naming the triple, as
-    ``_checked_halves`` does.  The bit lengths of det, t and dx·dy bound a
-    triple's least j to a range four wide, so t is formed and the exact
-    condition tested only where that range reaches above the greatest j so
-    far."""
+    ``_checked_halves`` does.
+
+    A triple's least j is at least bt - bd and at most bt - bd + 4, where
+    bd is the bit length of det and 2^(bt - 2) <= t < 2^(bt + 1): at that j,
+    each term of the bound is below D/2.  For the second term this follows
+    from D <= (|u|₁ + |w|₁)²/4.  The bit lengths of u and w bound bt, so t
+    is formed and the exact condition tested only where a triple's j could
+    exceed the greatest so far."""
     dxdy = dx * dy
-    bdx, bdy, bxy = dx.bit_length(), dy.bit_length(), dxdy.bit_length()
-    j = None
+    bdx, bdy = dx.bit_length(), dy.bit_length()
+    j = -(1 << 64)  # below any triple's j: the first triple sets it
+    kx, ky = j - 5 - bdy, j - 5 - bdx
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
-        ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+        ux = bx - ax
+        uy = by - ay
+        wx = cx - ax
+        wy = cy - ay
         det = ux * wy - uy * wx
         if det <= 0:
             raise _flipped(sysm, pts, i, stage)
-        sx, sy = abs(ux) + abs(wx), abs(uy) + abs(wy)
-        # 2^(bt - 2) <= t < 2^(bt + 1); det > 0, so neither sum is 0
-        bt = sx.bit_length() + bdy
-        if sy.bit_length() + bdx > bt:
-            bt = sy.bit_length() + bdx
         bd = det.bit_length()
-        if j is None or bt - bd + 4 > j or (6 + bxy - bd) // 2 > j:
+        if ux.bit_length() > bd + kx or wx.bit_length() > bd + kx or \
+                uy.bit_length() > bd + ky or wy.bit_length() > bd + ky:
+            sx, sy = abs(ux) + abs(wx), abs(uy) + abs(wy)
+            # 2^(bt - 2) <= t < 2^(bt + 1); det > 0, so neither sum is 0
+            bt = max(sx.bit_length() + bdy, sy.bit_length() + bdx)
             t = dy * sx + dx * sy
-            k = max(bt - bd, (4 + bxy - bd) // 2)
-            if j is not None and k < j:
-                k = j
+            k = max(bt - bd, j)
             while not _fits(det, t, dxdy, k):
                 k += 1
             j = k
+            kx, ky = j - 5 - bdy, j - 5 - bdx
     return j
 
 

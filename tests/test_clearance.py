@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freeset import realize
 from freeset.embedding import _trace_faces, norm_edge
@@ -204,9 +207,13 @@ def reference_delta(d: GridDrawing, apex, sysm) -> F:
     image."""
     pts = [*d.pos.values(), *(bend_points(d)[e][0] for e in sysm.mids)]
     ax, ay = F(apex[0], d.dx), F(apex[1], d.dy)
-    pts += [(ax, -ay), (ax, ay)]
+    return delta_of_triples(pts + [(ax, -ay), (ax, ay)], sysm.triples)
+
+
+def delta_of_triples(pts, triples) -> F:
+    """``reference_delta`` on the rational points ``pts``."""
     best = None
-    for a, b, c in sysm.triples:
+    for a, b, c in triples:
         (px, py), (qx, qy), (rx, ry) = pts[a], pts[b], pts[c]
         u, w = (qx - px, qy - py), (rx - px, ry - py)
         area = u[0] * w[1] - u[1] * w[0]
@@ -668,3 +675,37 @@ def test_rounding_matches_the_delta_reference(family, args, pseed, style):
             assert at[e] == (tuple(toward_zero(c, delta) for c in p),)
     # the zero lift returns the drawing rounded last
     assert (flat.xy, flat.bend_xy) == (rounded.xy, rounded.bend_xy)
+
+
+@st.composite
+def _triangles(draw):
+    """A few counter-clockwise triangles on an integer grid with the
+    denominators dx and dy, their coordinates and the denominators each of
+    0 to 300 bits, so that delta ranges far above and below 1."""
+    dx = draw(st.integers(1, 2 ** draw(st.integers(0, 300))))
+    dy = draw(st.integers(1, 2 ** draw(st.integers(0, 300))))
+    pts, triples = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = draw(st.integers(0, 300))
+        coord = st.integers(-2 ** bits, 2 ** bits)
+        tri = [(draw(coord), draw(coord)) for _ in range(3)]
+        (ax, ay), (bx, by), (cx, cy) = tri
+        det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        assume(det != 0)
+        if det < 0:
+            tri[1], tri[2] = tri[2], tri[1]
+        triples.append(tuple(range(len(pts), len(pts) + 3)))
+        pts += tri
+    return pts, triples, dx, dy
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_triangles())
+def test_snap_exponent_matches_the_reference(case):
+    # the bit-length bounds and the exact test against the Fraction
+    # reference, where delta may be a large power of two or a tiny one
+    pts, triples, dx, dy = case
+    j = realize._snap_exponent(pts, SimpleNamespace(triples=triples), dx, dy,
+                               "perturb")
+    values = [(F(x, dx), F(y, dy)) for x, y in pts]
+    assert F(2) ** -j == delta_of_triples(values, triples)

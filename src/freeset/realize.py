@@ -32,8 +32,8 @@ only: no check is skipped because a drawing given in is marked verified.
 
 Every drawing is a ``GridDrawing``: integer numerators over one positive
 denominator per axis, on which it is merged, lifted, scaled, rounded,
-sheared, checked, printed and parsed; ``from_points`` reads rational points onto it,
-and only ``GridDrawing.pos`` builds its Fractions.
+sheared, checked, printed and parsed; ``from_points`` reads rational points
+onto it, and only ``GridDrawing.pos`` builds its Fractions.
 """
 
 from __future__ import annotations
@@ -1038,10 +1038,10 @@ def _checked_halves(d: GridDrawing, apex: tuple[int, int],
     inside the polygon is covered by as many triangles as the boundary
     winds around it, once.  So the disk is drawn without a crossing, and so
     is g.  The apexes are part of the certificate: any two points for which
-    the conditions hold would do, and so would any other points off the
-    free set: realization checks its drawing after rounding them
-    (``_rounded``).  That is one orientation sign per triple: no sort and
-    no sweep."""
+    the conditions hold would do.  The points off the free set may move too
+    while the conditions hold, which lets realization round them before
+    its one check (``_rounded``).  That is one orientation sign per triple:
+    no sort and no sweep."""
     pts = _points(d, sysm, apex)
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]

@@ -638,7 +638,8 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
 
 
 ROUNDED_CASES = (
-    [("triangulation", (n, g), p, style) for n, g, p, style, _ in REALIZE_CASES]
+    [("triangulation", (n, g), p, style)
+     for n, g, p, style, _ in REALIZE_CASES]
     + [(f, a, p, style) for f, a, p, style, _ in FAMILY_REALIZE_CASES])
 
 

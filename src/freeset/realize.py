@@ -1259,14 +1259,27 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     """Least integer t >= 0 after which the points have distinct x + t*y,
     with the points as integer keys over one common denominator.  Two
     points with equal y never collide, and two with distinct y collide at
-    one t only, so t is at most the number of point pairs.  Two equal
+    one t only, (x_q - x_p)/(y_p - y_q), so t is at most the number of
+    point pairs.  The first k tries, for k points, are made one by one; past
+    them t is read off the pairs, in O(k²) however large t is.  Two equal
     points raise SizeMismatch."""
     flat, den = common_denominator([c for p in points for c in p])
     keys = list(zip(flat[::2], flat[1::2]))
-    if len(set(keys)) != len(keys):
+    k = len(keys)
+    if len(set(keys)) != k:
         raise SizeMismatch("points must be distinct")
-    t = 0
-    while len({x + t * y for x, y in keys}) < len(keys):
+    for t in range(k):
+        if len({x + t * y for x, y in keys}) == k:
+            return t, keys, den
+    hits = set()
+    for i, (xp, yp) in enumerate(keys):
+        for xq, yq in keys[i + 1:]:
+            if yp != yq:
+                t, r = divmod(xq - xp, yp - yq)
+                if not r and t >= k:
+                    hits.add(t)
+    t = k
+    while t in hits:
         t += 1
     return t, keys, den
 

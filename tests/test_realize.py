@@ -769,6 +769,22 @@ class TestRealizeCollinear:
         assert [d.pos[v] for v in axis] == pts
 
 
+def least_shear(pts) -> int:
+    """The least t >= 0 with distinct x + t*y over the points, by trying
+    t = 0, 1, 2, ... in turn: the reference for ``_shear_keys``."""
+    t = 0
+    while len({x + t * y for x, y in pts}) < len(pts):
+        t += 1
+    return t
+
+
+def two_rows(k: int, y=1) -> list:
+    """(ik, 0) and (-j, y) for i, j < k: for y = 1 every t below k² sends
+    two of them to one x + t*y."""
+    return [(F(i * k), F(0)) for i in range(k)] + \
+        [(F(-j), F(y)) for j in range(k)]
+
+
 class TestPerturbAndFree:
     def test_zero_targets_identity(self, k4):
         fs = antichain_pair(k4)
@@ -849,6 +865,35 @@ class TestPerturbAndFree:
         assert [(x - t * y, y) for x, y in sheared] == pts
         for s in range(t):
             assert len({x + s * y for x, y in pts}) < len(pts)
+
+    def test_shear_of_dense_rows_matches_the_loop(self):
+        # two rows of x's dense near 0, y = 0 and y = 1, so that x + t*y
+        # collides for most small t, and a stray point or two off them
+        past = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            a, b = rng.randint(1, 8), rng.randint(1, 8)
+            pts = {(F(x), F(0)) for x in
+                   {0, *rng.sample(range(1, 2 * a), a - 1)}}
+            pts |= {(F(-x), F(1)) for x in
+                    {0, *rng.sample(range(1, 2 * b), b - 1)}}
+            pts |= {(F(rng.randint(-9, 9)), F(rng.randint(-3, 3), 2))
+                    for _ in range(rng.randint(0, 2))}
+            t = least_shear(pts)
+            assert _shear_keys(sorted(pts))[0] == t
+            past += t >= len(pts)
+        assert past > 0  # some sets need more tries than they have points
+
+    @pytest.mark.parametrize("y", [1, 2, -3, F(1, 2), F(4, 3)])
+    def test_shear_of_two_rows_matches_the_loop(self, y):
+        for k in range(1, 9):
+            pts = two_rows(k, y)
+            assert _shear_keys(pts)[0] == least_shear(pts)
+
+    def test_shear_of_two_rows_of_200(self):
+        # t = 200² = 40,000; the loop alone would build that many sets of
+        # 400 keys
+        assert _shear_keys(two_rows(200))[0] == 200 ** 2
 
     def test_free_realize_mismatch(self, k4):
         fs = antichain_pair(k4)

@@ -21,7 +21,9 @@
 # drawing and svg of the other; verify and svg of hand-written drawings
 # (tokens not in lowest terms, bad tokens, duplicate and missing lines) and
 # of a realized one rewritten as 6p/6q; untangle in text and svg, on random
-# positions with repeated x and on a crossing-free grid; psge of two and of
+# positions with repeated x, on a crossing-free grid and on rt60 put on two
+# rows, (30i, 0) and (-j, 1) for i, j < 30, which the least shear t that
+# makes x + t*y distinct separates only at t = 900; psge of two and of
 # three graphs; two sge-nomap bundles; oracle --mode falsify and bench
 # --quick, with their timings blanked.  Point files are written by the
 # standard-library helper below, not by the code under test.
@@ -153,6 +155,15 @@ fs untangle --graph grid6x7.txt --positions grid6x7.plane.pos \
     --out grid6x7.plane.txt 2> grid6x7.plane.err
 fs untangle --graph grid6x7.txt --positions grid6x7.plane.pos --format svg \
     --out grid6x7.plane.svg 2> /dev/null
+
+# two rows that every shear t < 30² folds onto each other: the least t is
+# past the 60 tries made one by one
+python3 -c 'print("\n".join(f"{30 * v} 0" if v < 30 else f"{30 - v} 1"
+                             for v in range(60)))' > rt60.rows.pos
+fs untangle --graph rt60.txt --positions rt60.rows.pos \
+    --out rt60.rows.txt 2> rt60.rows.err
+fs untangle --graph rt60.txt --positions rt60.rows.pos --format svg \
+    --out rt60.rows.svg 2> /dev/null
 
 for s in 31 32 33; do
     fs gen --family random-triangulation --n 30 --seed "$s" --out "p$s.txt"

@@ -13,13 +13,14 @@ lift the free vertices off the axis and scale every height, in one step, so
 that they land exactly on arbitrary targets (the collinear-is-free argument
 of Dujmović, Frati, Gonçalves, Morin & Rote 2020).  Every returned drawing
 has passed an exact crossing-free check, and each public entry point runs
-that check once, on the drawing it returns; intermediate drawings are only
-read by the passes that size the lift and the rounding.  A realized drawing
-is checked on the triangles of its two augmented halves, traced once per
-system and checked there to form one disk (``_checked_halves``: one
-orientation sign per triangle); the sweep (``verify_drawing``) checks
-drawings the program did not build, and those of ``tutte_solve``.  Each
-system is solved once and the lift is sized by the same triangles: each
+that check once, on the drawing it returns.  A realized drawing is checked
+on the triangles of its two augmented halves, traced once per system and
+checked there to form one disk (``_checked_halves``: one orientation sign
+per triangle); the sweep (``verify_drawing``) checks drawings the program
+did not build, and those of ``tutte_solve``.  The lift, the rounding and
+the check work on one list of the triangles' points, and a realized drawing
+is built from it only once it has passed.  Each system is solved once and
+the lift is sized by the same triangles: each
 one's orientation is affine in the lift, so the largest safe lift is read
 off them in one pass and nothing is retried.  Every point but the free
 vertices is then rounded to the coarsest power-of-two grid on which the
@@ -895,6 +896,12 @@ def _axis_positions(y_order, s_order, xs: list[int],
     return out, den * m
 
 
+def _apex_rise(x0: int, x1: int) -> int:
+    """How far the apexes stand off the axis, over the middle of the chain's
+    ends x0 < x1: four times their distance, over the same denominator."""
+    return 4 * (x1 - x0)
+
+
 def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
                     den: int) -> tuple[GridDrawing, list[int]]:
     """Unverified collinear drawing with the free set at x = xs[i] / den
@@ -919,10 +926,10 @@ def _collinear_base(g: EmbeddedGraph, fs: OrderedFreeSet, xs: list[int],
                                        (sysm.halves["outside"], "above"))]
     dx = lcm(*(hdx for _, hdx, _, _ in halves))
     dphi = lcm(*(hdy for _, _, hdy, _ in halves))
-    # a half's heights are ±φ; the apex goes to b = 4·span, over axis_den,
-    # and b goes into each half's column factor.  Only axis vertices lie in
-    # both halves, and both put one at column x·dx/axis_den, height 0.
-    b = 4 * (axis_x[-1] - axis_x[0])
+    # a half's heights are ±φ; the apex goes to b, over axis_den, and b
+    # goes into each half's column factor.  Only axis vertices lie in both
+    # halves, and both put one at column x·dx/axis_den, height 0.
+    b = _apex_rise(axis_x[0], axis_x[-1])
     merged: dict[int, tuple[int, int]] = {}
     for pos, hdx, hdy, keep in halves:
         cx, cy = dx // hdx, b * (dphi // hdy)
@@ -962,43 +969,28 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
 # Perturb and scale
 # ---------------------------------------------------------------------------
 
-def _apex_grid(d: GridDrawing, sysm: _CollinearSystem,
-               ) -> tuple[GridDrawing, tuple[int, int]]:
-    """d, on a finer grid where needed, and the upper apex on that grid,
-    where ``_collinear_base`` puts it: above the middle of the chain's two
-    ends, four times their distance away.  The lower apex is its mirror
-    image in the axis.  On the grid of a collinear base the apex is a grid
-    point already, and d comes back as it is.  d bends every crossed edge
-    once (``_bends_are_midpoints``)."""
-    crossed = list(sysm.mids)
-    x0, x1 = (d.xy[p][0] if p < len(d.xy) else
-              d.bend_xy[crossed[p - len(d.xy)]][0][0]
-              for p in (sysm.y_order[0], sysm.y_order[-1]))
-    # the apex height 4·(x1 - x0)/dx, over dy: integral once y is ky times
-    # finer; x is twice as fine when the middle is not on the grid
-    common = gcd(d.dx, 4 * (x1 - x0) * d.dy)
-    kx, ky = 1 + (x0 + x1) % 2, d.dx // common
-    apex = (kx * (x0 + x1) // 2, 4 * (x1 - x0) * d.dy // common)
-    if kx == ky == 1:
-        return d, apex
-    return _grid_map(d, kx, 0, 0, ky, d.dx * kx, d.dy * ky), apex
-
-
-def _bends_are_midpoints(d: GridDrawing, sysm: _CollinearSystem) -> None:
-    """DegenerateOutput for the stage "collinear" unless d bends every
-    crossed edge once and no other edge."""
+def _apex_points(d: GridDrawing, sysm: _CollinearSystem) -> tuple:
+    """(pts, dx, dy): a new list of the triples' points on d's grid, or one
+    finer where the apexes need it: the vertices, the midpoints (the bends
+    of the crossed edges), the lower apex and the upper, where
+    ``_collinear_base`` puts them (``_apex_rise``), on whose grid they are
+    grid points already.  DegenerateOutput for the stage "collinear" unless
+    d bends every crossed edge once and no other edge."""
     if len(d.bend_xy) != len(sysm.mids) or any(
             len(d.bend_xy.get(e, ())) != 1 for e in sysm.mids):
         raise _degenerate("collinear", DrawingViolation(
             "bends", "the bends are not one per crossed edge"))
-
-
-def _points(d: GridDrawing, sysm: _CollinearSystem,
-            apex: tuple[int, int]) -> list[tuple[int, int]]:
-    """The points of the triples on d's grid: the vertices, the midpoints
-    (the bends of the crossed edges), the lower apex and the upper."""
-    x, y = apex
-    return [*d.xy, *(d.bend_xy[e][0] for e in sysm.mids), (x, -y), (x, y)]
+    pts = [*d.xy, *(d.bend_xy[e][0] for e in sysm.mids)]
+    x0, x1 = pts[sysm.y_order[0]][0], pts[sysm.y_order[-1]][0]
+    # the rise over dx, times dy: integral once y is ky times finer; x is
+    # twice as fine when the middle is not on the grid
+    rise = _apex_rise(x0, x1) * d.dy
+    common = gcd(d.dx, rise)
+    kx, ky = 1 + (x0 + x1) % 2, d.dx // common
+    if kx != 1 or ky != 1:
+        pts = [(kx * x, ky * y) for x, y in pts]
+    x, y = kx * (x0 + x1) // 2, rise // common
+    return pts + [(x, -y), (x, y)], d.dx * kx, d.dy * ky
 
 
 def _flipped(sysm: _CollinearSystem, pts: list, i: int,
@@ -1015,39 +1007,35 @@ def _flipped(sysm: _CollinearSystem, pts: list, i: int,
         f"{'degenerate' if det == 0 else 'clockwise'}"))
 
 
-def _checked_halves(d: GridDrawing, apex: tuple[int, int],
-                    sysm: _CollinearSystem, stage: str) -> GridDrawing:
-    """d, verified on the halves of its collinear system, with the upper
-    apex at ``apex`` on d's grid and the lower at its mirror image in the
-    axis; a failure raises DegenerateOutput naming the stage and the first
-    condition broken.
+def _checked_halves(pts: list, sysm: _CollinearSystem, stage: str) -> None:
+    """Check the points of a drawing of the collinear system, as
+    ``_apex_points`` lists them, on the system's halves: a failure raises
+    DegenerateOutput naming the stage and the first condition broken.
 
     When the system was built, its two halves were checked to be
     triangulated disks that, glued along the axis chain, form one disk
     bounded by the quadrilateral P₀, L, P₋₁, U of the chain's ends and the
     apexes, and every edge of g to be an edge of that disk or split at its
-    midpoint into two.  d bends each crossed edge once, at the point of its
-    midpoint, and no other edge (``perturb_scale`` checks that once, with
-    ``_bends_are_midpoints``).  d is then plane when every triple turns
-    counter-clockwise: each triangle of either half, and each corner of the
-    quadrilateral, which is then convex.  A piecewise-linear map of a
-    triangulated disk that keeps the orientation of every triangle and
-    takes the boundary to a simple polygon is injective (Lipman, "Bijective
-    mappings of meshes with boundary and the degree in mesh processing",
-    SIAM J. Imaging Sci. 2014; Floater 2003 for a convex boundary): a point
-    inside the polygon is covered by as many triangles as the boundary
-    winds around it, once.  So the disk is drawn without a crossing, and so
-    is g.  The apexes are part of the certificate: any two points for which
-    the conditions hold would do.  The points off the free set may move too
-    while the conditions hold, which lets realization round them before
-    its one check (``_rounded``).  That is one orientation sign per triple:
-    no sort and no sweep."""
-    pts = _points(d, sysm, apex)
+    midpoint into two.  The drawing bends each crossed edge once, at the
+    point of its midpoint, and no other edge (``_apex_points`` checks that
+    once).  It is then plane when every triple turns counter-clockwise:
+    each triangle of either half, and each corner of the quadrilateral,
+    which is then convex.  A piecewise-linear map of a triangulated disk
+    that keeps the orientation of every triangle and takes the boundary to
+    a simple polygon is injective (Lipman, "Bijective mappings of meshes
+    with boundary and the degree in mesh processing", SIAM J. Imaging Sci.
+    2014; Floater 2003 for a convex boundary): a point inside the polygon
+    is covered by as many triangles as the boundary winds around it, once.
+    So the disk is drawn without a crossing, and so is g.  The apexes are
+    part of the certificate: any two points for which the conditions hold
+    would do.  The points off the free set may move too while the
+    conditions hold, which lets realization round them before its one
+    check (``_rounded``).  That is one orientation sign per triple, on the
+    grid's numerators: no sort and no sweep."""
     for i, (a, b, c) in enumerate(sysm.triples):
         (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
         if (bx - ax) * (cy - ay) <= (by - ay) * (cx - ax):
             raise _flipped(sysm, pts, i, stage)
-    return replace(d, verified=True)
 
 
 def _pow2_below(num: int, den: int) -> int:
@@ -1152,43 +1140,37 @@ def _snap_exponent(pts: list, sysm: _CollinearSystem, dx: int, dy: int,
     return j
 
 
-def _rounded(d: GridDrawing, apex: tuple[int, int], sysm: _CollinearSystem,
-             free, stage: str) -> GridDrawing:
-    """d with every coordinate of every point but the free vertices rounded
-    toward zero to a multiple of delta = 2^-j (``_snap_exponent``), the
-    upper apex included, checked once on the halves' triangles
-    (``_checked_halves``).  A failure raises DegenerateOutput for ``stage``.
+def _rounded(pts: list, sysm: _CollinearSystem, free, dx: int, dy: int,
+             stage: str) -> tuple[list, int, int]:
+    """(pts, dx, dy): the triples' points on the grid dx, dy, each
+    coordinate of each point but the free vertices rounded in place toward
+    zero to a multiple of delta = 2^-j (``_snap_exponent``), on a new grid.
+    A triple that does not turn counter-clockwise raises DegenerateOutput
+    for ``stage``.
 
     Each coordinate is rounded from its value, not from its numerator, so
-    the drawing comes out the same from any grid of the same points, and
-    the free vertices keep their values exactly.  Rounding toward zero
-    moves a coordinate by less than delta and commutes with negation, so
-    the lower apex is still the mirror image of the upper one, and a
-    drawing realized on turned points and turned back (``untangle``,
-    ``psge_many``) is the one realized on the points themselves.  The new
-    grid of each axis is the least common multiple of 2^j and the free
-    vertices' least denominator on that axis."""
-    j = _snap_exponent(_points(d, sysm, apex), sysm, d.dx, d.dy, stage)
-    dx = lcm(d.dx // gcd(d.dx, *(d.xy[v][0] for v in free)), 1 << max(0, j))
-    dy = lcm(d.dy // gcd(d.dy, *(d.xy[v][1] for v in free)), 1 << max(0, j))
+    the points come out the same from any grid of them, and the free
+    vertices keep their values exactly.  Rounding toward zero moves a
+    coordinate by less than delta and commutes with negation, so the lower
+    apex is still the mirror image of the upper one, and a drawing realized
+    on turned points and turned back (``untangle``, ``psge_many``) is the
+    one realized on the points themselves.  The new grid of each axis is
+    the least common multiple of 2^j and the free vertices' least
+    denominator on that axis."""
+    j = _snap_exponent(pts, sysm, dx, dy, stage)
+    ndx = lcm(dx // gcd(dx, *(pts[v][0] for v in free)), 1 << max(0, j))
+    ndy = lcm(dy // gcd(dy, *(pts[v][1] for v in free)), 1 << max(0, j))
+    exact = [(v, pts[v][0] * ndx // dx, pts[v][1] * ndy // dy) for v in free]
     # c / den / delta rounded toward zero, times delta over new: |c| << sh
     # divided by den << m, times new >> j, or times new << m when j = -m < 0
     sh, m = max(0, j), max(0, -j)
-    ex, fx, ey, fy = d.dx << m, (dx >> sh) << m, d.dy << m, (dy >> sh) << m
-
-    def snapped(p):
-        x, y = p
-        return ((x << sh) // ex * fx if x >= 0 else -((-x << sh) // ex * fx),
-                (y << sh) // ey * fy if y >= 0 else -((-y << sh) // ey * fy))
-
-    xy = list(map(snapped, d.xy))
-    for v in free:
-        x, y = d.xy[v]
-        xy[v] = (x * dx // d.dx, y * dy // d.dy)
-    return _checked_halves(replace(
-        d, xy=xy, dx=dx, dy=dy,
-        bend_xy={e: tuple(map(snapped, pts)) for e, pts in d.bend_xy.items()}),
-        snapped(apex), sysm, stage)
+    ex, fx, ey, fy = dx << m, (ndx >> sh) << m, dy << m, (ndy >> sh) << m
+    for p, (x, y) in enumerate(pts):
+        pts[p] = ((x << sh) // ex * fx if x >= 0 else -((-x << sh) // ex * fx),
+                  (y << sh) // ey * fy if y >= 0 else -((-y << sh) // ey * fy))
+    for v, x, y in exact:
+        pts[v] = (x, y)
+    return pts, ndx, ndy
 
 
 def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
@@ -1201,24 +1183,25 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
     ``verified`` flag is not read.  It must bend every crossed edge once and
     no other edge (else DegenerateOutput for the stage "collinear").
 
-    The system's triples turn counter-clockwise in d (else
+    All of it works in place on one list of the triples' points
+    (``_apex_points``).  The triples turn counter-clockwise in d (else
     DegenerateOutput for the stage "collinear"), and with epsilon from
     ``_lift_exponent`` they still do once the free set is lifted to
-    epsilon·y_i/ymax.  Every y of that drawing is then scaled by
-    ymax/epsilon, which keeps every orientation sign, so the drawing is
-    built scaled: the free vertices exactly at y_i, and every other height
-    of the grid times one integer, ymax/epsilon over the new y
-    denominator, the apexes included.  All-zero targets take d as it is.
+    epsilon·y_i/ymax.  Every y is then scaled by ymax/epsilon, which keeps
+    every orientation sign, so the points are lifted scaled: the free
+    vertices exactly at y_i, and every other height times one integer,
+    ymax/epsilon over the new y denominator.  All-zero targets lift
+    nothing.
 
     Only the free vertices must land where they are put; any other point
     may move as long as every triple keeps turning counter-clockwise.  So
     every vertex off the free set, every bend and the apexes are rounded
     toward zero to the coarsest power-of-two grid that the triples of the
-    lifted drawing certify, in one pass over them that also raises on a
+    lifted points certify, in one pass over them that also raises on a
     triple that does not turn, and the free vertices stay exact
-    (``_rounded``).  The rounded drawing, the one returned, is checked
-    once on the halves' triangles (``_checked_halves``), on its small
-    integers."""
+    (``_rounded``).  The rounded points are checked once on the halves'
+    triangles (``_checked_halves``), for the stage "perturb" after a lift
+    and "collinear" without one, and only then is the drawing built."""
     order = list(fs.order)
     ys = [y if type(y) is F else F(y) for y in targets]
     if len(ys) != len(order):
@@ -1227,28 +1210,29 @@ def perturb_scale(d: GridDrawing, fs: OrderedFreeSet,
         if d.xy[v][1] != 0:
             raise SizeMismatch(f"free-set vertex {v} is not on the axis")
     sysm = _system_of(d.graph, fs)
-    _bends_are_midpoints(d, sysm)
-    grid, apex = _apex_grid(d, sysm)
-    if all(y == 0 for y in ys):
-        return _rounded(grid, apex, sysm, order, "collinear")
-    ys, tden = common_denominator(ys)
-    ymax = max(abs(y) for y in ys)
-    pts = _points(grid, sysm, apex)
-    heights = [0] * len(pts)
-    for v, y in zip(order, ys):
-        heights[v] = y
-    k = _lift_exponent(pts, sysm, heights, grid.dy, ymax)
-    # ymax / eps = scale / (tden * eps numerator), over the new denominator
-    scale = ymax << max(0, -k)
-    lift = grid.dy << max(0, k)
-    pos = [(x, y * scale) for x, y in grid.xy]
-    for v, y in zip(order, ys):
-        pos[v] = (pos[v][0], y * lift)
-    return _rounded(replace(
-        grid, xy=pos, bend_xy={e: tuple((x, y * scale) for x, y in pts)
-                               for e, pts in grid.bend_xy.items()},
-        dy=lift * tden, provenance=grid.provenance + "+perturbed"),
-        (apex[0], apex[1] * scale), sysm, order, "perturb")
+    pts, dx, dy = _apex_points(d, sysm)
+    stage, provenance = "collinear", d.provenance
+    if any(ys):
+        ys, tden = common_denominator(ys)
+        ymax = max(abs(y) for y in ys)
+        heights = [0] * len(pts)
+        for v, y in zip(order, ys):
+            heights[v] = y
+        k = _lift_exponent(pts, sysm, heights, dy, ymax)
+        # ymax / eps = scale / (tden * eps numerator), over the new denominator
+        scale = ymax << max(0, -k)
+        lift = dy << max(0, k)
+        for p, (x, y) in enumerate(pts):  # y or the height is 0
+            pts[p] = (x, y * scale + heights[p] * lift)
+        dy = lift * tden
+        stage, provenance = "perturb", provenance + "+perturbed"
+    pts, dx, dy = _rounded(pts, sysm, order, dx, dy, stage)
+    _checked_halves(pts, sysm, stage)
+    n = len(d.xy)
+    return GridDrawing(graph=d.graph, xy=pts[:n], dx=dx, dy=dy,
+                       bend_xy={e: (pts[n + k],)
+                                for k, e in enumerate(sysm.mids)},
+                       provenance=provenance, verified=True)
 
 
 # ---------------------------------------------------------------------------

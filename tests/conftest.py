@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 
@@ -14,6 +16,7 @@ from freeset.generators import (
     octahedron,
     random_triangulation,
 )
+from freeset.realize import GridDrawing
 
 
 def k4():
@@ -41,6 +44,65 @@ def bend_points(d):
     rational view of ``bend_xy``, as ``pos`` is of ``xy``."""
     return {e: tuple((F(x, d.dx), F(y, d.dy)) for x, y in b)
             for e, b in d.bend_xy.items()}
+
+
+def drawing_of(g, pts, sysm, dx=1, dy=1) -> GridDrawing:
+    """The drawing of g whose vertices and bends are the first points of
+    ``pts``, a point list of the collinear system ``sysm`` as
+    ``realize._apex_points`` lists it, on the grid dx, dy: vertex v is
+    point v, the bend of the k-th crossed edge is point g.n + k."""
+    n = g.n
+    return GridDrawing(graph=g, xy=pts[:n], dx=dx, dy=dy,
+                       bend_xy={e: (pts[n + k],)
+                                for k, e in enumerate(sysm.mids)})
+
+
+def point_list(d, sysm, apex):
+    """The point list of ``sysm`` for the drawing d, with the upper apex at
+    ``apex`` and the lower at its mirror image: the inverse of
+    ``drawing_of``."""
+    x, y = apex
+    return [*d.xy, *(d.bend_xy[e][0] for e in sysm.mids), (x, -y), (x, y)]
+
+
+class TriangleCheck(NamedTuple):
+    """A point list that ``realize._checked_halves`` accepted, for the
+    stage ``stage``: its vertices and bends as a drawing on the unit grid
+    (the sweep's verdict does not depend on the axis scales), its upper
+    apex and its system.  ``kind`` is "triangles", so a log that a spy on
+    the sweep shares with ``triangle_checks`` reads (kind, ...) first."""
+    kind: str
+    stage: str
+    drawing: GridDrawing
+    apex: tuple
+    sysm: object
+
+
+@contextmanager
+def triangle_checks(log=None):
+    """Yield ``log``, a new list when it is None, and append to it each
+    point list that ``realize._checked_halves`` accepts while the block
+    runs, as a TriangleCheck.  The drawing's graph is the one that the
+    collinear system was last looked up for (``realize._system_of``)."""
+    log = [] if log is None else log
+    check, system_of = realize._checked_halves, realize._system_of
+    graph = []
+
+    def looked_up(g, fs):
+        graph[:] = [g]
+        return system_of(g, fs)
+
+    def spy(pts, sysm, stage):
+        check(pts, sysm, stage)
+        log.append(TriangleCheck("triangles", stage,
+                                 drawing_of(graph[0], pts, sysm), pts[-1],
+                                 sysm))
+
+    realize._checked_halves, realize._system_of = spy, looked_up
+    try:
+        yield log
+    finally:
+        realize._checked_halves, realize._system_of = check, system_of
 
 
 def segments(d):

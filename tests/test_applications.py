@@ -29,6 +29,8 @@ from freeset.realize import (
 )
 from freeset.textio import serialize_drawing
 
+from conftest import triangle_checks
+
 
 class TestLisLds:
     def test_increasing(self):
@@ -150,23 +152,19 @@ class TestSgeNomap:
         # the sweep for the Tutte drawing of G2, the triangle check for the
         # realized G1
         import freeset.realize as realize
-        sweep, triangles = realize.verify_drawing, realize._checked_halves
+        sweep = realize.verify_drawing
         calls = []
 
         def counting_sweep(g, d):
             calls.append(("sweep", d.provenance))
             return sweep(g, d)
 
-        def counting_triangles(d, *args):
-            calls.append(("triangles", d.provenance))
-            return triangles(d, *args)
-
         monkeypatch.setattr(realize, "verify_drawing", counting_sweep)
-        monkeypatch.setattr(realize, "_checked_halves", counting_triangles)
-        res = sge_nomap(random_triangulation(30, 3),
-                        random_triangulation(5, 4))
+        with triangle_checks(calls):
+            res = sge_nomap(random_triangulation(30, 3),
+                            random_triangulation(5, 4))
         assert all(d.verified for d in res.drawings)
-        assert [c for c, _ in calls] == ["sweep", "triangles"]
+        assert [c[0] for c in calls] == ["sweep", "triangles"]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_or_two_vertices(self, n):

@@ -15,7 +15,7 @@ of.  They are checked on a seeded corpus of collinear bases, on bases
 scaled past 2^1100, on clustered and far-apart targets, and on broken
 bases, where the error must name the first triple that the reference
 finds flat or clockwise.  Epsilon is read off the lift before rounding,
-which ``realize._rounded`` is given.
+the points that ``realize._snap_exponent`` sizes the rounding on.
 
 The lifted drawing is then rounded: every point but the free vertices goes
 toward zero to a multiple of delta, the largest power of two for which
@@ -62,7 +62,14 @@ from freeset.realize import (
     verify_drawing,
 )
 
-from conftest import bend_points, point_set, thinned_triangulation
+from conftest import (
+    bend_points,
+    drawing_of,
+    point_list,
+    point_set,
+    thinned_triangulation,
+    triangle_checks,
+)
 from test_golden import FAMILIES as GOLDEN_FAMILIES
 from test_golden import FAMILY_REALIZE_CASES, REALIZE_CASES
 
@@ -267,27 +274,24 @@ def _scaled(d: GridDrawing, k: int) -> GridDrawing:
                        dx=d.dx, dy=d.dy)
 
 
-def rounding_of(call):
-    """What ``call()`` returned, and each drawing that ``realize._rounded``
-    was given while it ran, with its apex and system and the exponent j of
-    the delta = 2^-j that ``realize._snap_exponent`` chose for it."""
+def rounding_of(g, call):
+    """What ``call()`` returned, and each point list of g that
+    ``realize._rounded`` rounded while it ran, as it was before: as a
+    drawing on its grid, with its upper apex and system and the exponent j
+    of the delta = 2^-j that ``realize._snap_exponent`` chose for it."""
     seen = []
-    rounded, snap = realize._rounded, realize._snap_exponent
+    snap = realize._snap_exponent
 
-    def spy(d, apex, sysm, free, stage):
-        seen.append([d, apex, sysm])
-        return rounded(d, apex, sysm, free, stage)
-
-    def snap_spy(*args):
-        j = snap(*args)
-        seen[-1].append(j)
+    def spy(pts, sysm, dx, dy, stage):
+        j = snap(pts, sysm, dx, dy, stage)
+        seen.append((drawing_of(g, pts, sysm, dx, dy), pts[-1], sysm, j))
         return j
 
-    realize._rounded, realize._snap_exponent = spy, snap_spy
+    realize._snap_exponent = spy
     try:
         return call(), seen
     finally:
-        realize._rounded, realize._snap_exponent = rounded, snap
+        realize._snap_exponent = snap
 
 
 def lifted_exactly(base, fs, targets):
@@ -295,8 +299,8 @@ def lifted_exactly(base, fs, targets):
     its free vertices are exactly at their targets, that its clearance is
     positive and that the epsilon of its lift, before rounding, is the
     reference one."""
-    d, [(lift, _, _, _)] = rounding_of(lambda: perturb_scale(base, fs,
-                                                             targets))
+    d, [(lift, _, _, _)] = rounding_of(
+        base.graph, lambda: perturb_scale(base, fs, targets))
     assert verify_drawing(d.graph, d) is None
     assert [d.pos[v][1] for v in fs.order] == [F(y) for y in targets]
     assert [d.pos[v] for v in fs.order] == [lift.pos[v] for v in fs.order]
@@ -450,11 +454,11 @@ def test_no_pair_means_no_bound():
     # means epsilon 1
     fs, base = _base("triangulation", 1, "general")
     out, [(d, _, _, _)] = rounding_of(
-        lambda: perturb_scale(base, fs, [0] * len(fs.order)))
+        base.graph, lambda: perturb_scale(base, fs, [0] * len(fs.order)))
     assert out.verified and (d.xy, d.bend_xy) == (base.xy, base.bend_xy)
     sysm = _collinear_system(fs._analysis)
-    pts = realize._points(base, sysm, realize._apex_grid(base, sysm)[1])
-    assert realize._lift_exponent(pts, sysm, [0] * len(pts), base.dy, 1) == 0
+    pts, _, dy = realize._apex_points(base, sysm)
+    assert realize._lift_exponent(pts, sysm, [0] * len(pts), dy, 1) == 0
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -486,8 +490,8 @@ def test_epsilon_is_largest_power_of_two(family, style):
     # the lift is epsilon * y / ymax: a fixed vertex ends at y * ymax / eps
     fs, grid = _base(family, 2, style)
     targets = [F(3 * i - 7, i + 1) for i in range(len(fs.order))]
-    _, [(lift, _, _, _)] = rounding_of(lambda: perturb_scale(grid, fs,
-                                                             targets))
+    _, [(lift, _, _, _)] = rounding_of(
+        grid.graph, lambda: perturb_scale(grid, fs, targets))
     eps = epsilon_of(grid, lift, fs, targets)
     assert eps == F(2) ** (eps.numerator.bit_length() -
                            eps.denominator.bit_length())
@@ -559,23 +563,20 @@ def test_restriction_traces_nothing_again(traces):
 def test_perturb_checks_the_returned_drawing(monkeypatch):
     # one triangle check, on the drawing returned, and no sweep
     fs, base = _base("stacked", 1, "general")
-    checked, swept = [], []
-    triangles, sweep = realize._checked_halves, realize.verify_drawing
-
-    def spy(d, *args):
-        checked.append(d)
-        return triangles(d, *args)
+    swept = []
+    sweep = realize.verify_drawing
 
     def sweep_spy(g, d):
         swept.append(d)
         return sweep(g, d)
 
-    monkeypatch.setattr(realize, "_checked_halves", spy)
     monkeypatch.setattr(realize, "verify_drawing", sweep_spy)
     targets = [F(2 * i - 5, i + 2) for i in range(len(fs.order))]
-    d = perturb_scale(base, fs, targets)
+    with triangle_checks() as checked:
+        d = perturb_scale(base, fs, targets)
     assert d.verified and len(checked) == 1 and swept == []
-    assert (checked[0].xy, checked[0].bend_xy) == (d.xy, d.bend_xy)
+    drawn = checked[0].drawing
+    assert (drawn.xy, drawn.bend_xy) == (d.xy, d.bend_xy)
     assert [d.pos[v][1] for v in fs.order] == targets
     assert sweep(d.graph, d) is None
 
@@ -597,22 +598,24 @@ def test_epsilon_matches_reference_on_every_family(make, args, style):
     lifted_exactly(_base_on(fs, style, 9), fs, _targets(fs, style, 9))
 
 
-LIFT_CASES = [(FAMILIES[f](1), [F(3 * k + 1, 2) for k in range(40)])
+# each with the factors (kx, ky) by which its least grid is refined for
+# the apexes to be grid points
+LIFT_CASES = [(FAMILIES[f](1), [F(3 * k + 1, 2) for k in range(40)], (1, 1))
               for f in sorted(FAMILIES)] + [
-    # the apex's x is not on the least grid, or its height is not
-    (path(2), [F(0), F(1)]), (path(2), [F(0), F(1, 8)]),
-    (path(2), [F(1, 3), F(8, 3)])]
+    # the apex's x is not on the least grid, or its height is not, or both
+    (path(2), [F(0), F(1)], (2, 1)), (path(2), [F(0), F(1, 8)], (2, 2)),
+    (path(2), [F(1, 3), F(8, 3)], (2, 3)), (path(2), [F(0), F(2, 3)], (1, 3))]
 
 
-@pytest.mark.parametrize("g,xs", LIFT_CASES,
+@pytest.mark.parametrize("g,xs,refine", LIFT_CASES,
                          ids=[f"{f}" for f in sorted(FAMILIES)] +
                          ["path2-odd-middle", "path2-half-height",
-                          "path2-thirds"])
-def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
+                          "path2-thirds", "path2-y-only"])
+def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs, refine):
     # the collinear base, put on its least grid, may need a finer one for
-    # the apexes to be grid points; the lift, and the drawing rounded from
-    # it, must come out the same as on the base's own grid, and so must
-    # the zero lift, which is realize_collinear's drawing
+    # the apexes to be grid points, along x, y or both; the lift, and the
+    # drawing rounded from it, must come out the same as on the base's own
+    # grid, and so must the zero lift, which is realize_collinear's drawing
     fs = planar_freeset(g)
     xs = xs[:len(fs.order)]
     targets = _targets(fs, "coprime", 1)
@@ -622,10 +625,10 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
     zeros = [0] * len(fs.order)
     for ys in (targets, zeros):
         out, [(lift, _, _, _)] = rounding_of(
-            lambda: perturb_scale(least, fs, ys))
+            g, lambda: perturb_scale(least, fs, ys))
         assert out.verified and verify_drawing(g, out) is None
         want, [(want_lift, _, _, _)] = rounding_of(
-            lambda: perturb_scale(base, fs, ys))
+            g, lambda: perturb_scale(base, fs, ys))
         assert (lift.pos, bend_points(lift)) == \
             (want_lift.pos, bend_points(want_lift))
         assert (out.xy, out.bend_xy, out.dx, out.dy) == \
@@ -633,8 +636,8 @@ def test_lift_of_a_fraction_drawing_matches_its_grid(g, xs):
     poly = realize.realize_collinear(g, fs, xs)
     assert (poly.pos, bend_points(poly)) == (out.pos, bend_points(out))
     sysm = _collinear_system(fs._analysis)
-    refined = realize._apex_grid(least, sysm)[0]
-    assert (refined is least) == (g.n > 2)
+    _, dx, dy = realize._apex_points(least, sysm)
+    assert (dx, dy) == (least.dx * refine[0], least.dy * refine[1])
 
 
 ROUNDED_CASES = (
@@ -654,16 +657,18 @@ def test_rounding_matches_the_delta_reference(family, args, pseed, style):
     g = GOLDEN_FAMILIES[family](*args)
     fs = planar_freeset(g)
     pts = point_set(style, len(fs.order), random.Random(pseed))
-    d, lifted = rounding_of(lambda: free_realize(g, fs, pts))
+    d, lifted = rounding_of(g, lambda: free_realize(g, fs, pts))
     assert d.verified and verify_drawing(g, d) is None
-    flat, collinear = rounding_of(lambda: realize.realize_collinear(
+    flat, collinear = rounding_of(g, lambda: realize.realize_collinear(
         g, fs, list(range(len(fs.order)))))
     assert flat.verified
     free = set(fs.order)
     for lift, apex, sysm, j in lifted + collinear:
         delta = reference_delta(lift, apex, sysm)
         assert delta == F(2) ** -j
-        rounded = realize._rounded(lift, apex, sysm, fs.order, "perturb")
+        pts, dx, dy = realize._rounded(point_list(lift, sysm, apex), sysm,
+                                       fs.order, lift.dx, lift.dy, "perturb")
+        rounded = drawing_of(g, pts, sysm, dx, dy)
         for v in range(g.n):
             if v in free:
                 assert rounded.pos[v] == lift.pos[v]

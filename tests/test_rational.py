@@ -31,7 +31,7 @@ from freeset.realize import (
     free_realize,
 )
 
-from conftest import thinned_triangulation
+from conftest import thinned_triangulation, triangle_checks
 from test_realize import HALFPLANE_CORPUS, halfplanes
 
 
@@ -378,18 +378,14 @@ class TestScale:
             pts.add((F(rng.randint(-400, 400), rng.randint(1, 9)),
                      F(rng.randint(-400, 400), rng.randint(1, 9))))
         calls = []
-        verify, triangles = realize.verify_drawing, realize._checked_halves
+        verify = realize.verify_drawing
 
-        def counting(name, check):
-            def wrapper(*args):
-                calls.append(name)
-                return check(*args)
-            return wrapper
+        def counting(g, d):
+            calls.append(("sweep", d.provenance))
+            return verify(g, d)
 
-        monkeypatch.setattr(realize, "verify_drawing",
-                            counting("sweep", verify))
-        monkeypatch.setattr(realize, "_checked_halves",
-                            counting("triangles", triangles))
-        d = free_realize(g, fs, sorted(pts))
-        assert d.verified and calls == ["triangles"]
+        monkeypatch.setattr(realize, "verify_drawing", counting)
+        with triangle_checks(calls):
+            d = free_realize(g, fs, sorted(pts))
+        assert d.verified and [c[0] for c in calls] == ["triangles"]
         assert verify(g, d) is None

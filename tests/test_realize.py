@@ -73,6 +73,7 @@ from conftest import (
     point_set,
     segments,
     thinned_triangulation,
+    triangle_checks,
 )
 
 
@@ -989,21 +990,19 @@ class TestVerifyOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import freeset.realize as realize
+        """The checks that passed, in order: ("sweep", provenance) per
+        sweep, and per triangle check a ``TriangleCheck``, whose first two
+        fields are "triangles" and the stage."""
         seen = []
-        sweep, triangles = realize.verify_drawing, realize._checked_halves
+        sweep = realize.verify_drawing
 
         def counting_sweep(g, d):
             seen.append(("sweep", d.provenance))
             return sweep(g, d)
 
-        def counting_triangles(d, *args):
-            seen.append(("triangles", d.provenance))
-            return triangles(d, *args)
-
         monkeypatch.setattr(realize, "verify_drawing", counting_sweep)
-        monkeypatch.setattr(realize, "_checked_halves", counting_triangles)
-        return seen
+        with triangle_checks(seen):
+            yield seen
 
     @pytest.fixture
     def failing(self, monkeypatch):
@@ -1019,12 +1018,12 @@ class TestVerifyOnce:
                 return DrawingViolation("crossing", "injected")
             return sweep(g, d)
 
-        def fake_triangles(d, apex, sysm, stage):
-            seen.append(d.provenance)
+        def fake_triangles(pts, sysm, stage):
+            seen.append(stage)
             if len(seen) <= budget[0]:
                 raise realize._degenerate(stage, DrawingViolation(
                     "crossing", "injected"))
-            return triangles(d, apex, sysm, stage)
+            return triangles(pts, sysm, stage)
 
         monkeypatch.setattr(realize, "verify_drawing", fake_sweep)
         monkeypatch.setattr(realize, "_checked_halves", fake_triangles)
@@ -1033,15 +1032,16 @@ class TestVerifyOnce:
     def test_free_realize_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 3), (1, -2)])
-        assert d.verified and \
-            calls == [("triangles", "collinear[antichain]+perturbed")]
+        assert d.verified and [c[:2] for c in calls] == [("triangles",
+                                                          "perturb")]
+        assert calls[0].drawing.xy == d.xy
 
     def test_free_realize_once_larger(self, calls):
         g = random_triangulation(60, 5)
         fs = planar_freeset(g)
         pts = [(F(i), F((-1) ** i * (i + 1))) for i in range(len(fs.order))]
         d = free_realize(g, fs, pts)
-        assert d.verified and [c for c, _ in calls] == ["triangles"]
+        assert d.verified and [c[0] for c in calls] == ["triangles"]
 
     @pytest.mark.parametrize("make,n", [(maximal_outerplanar, 150),
                                         (random_triangulation, 1200)],
@@ -1053,17 +1053,19 @@ class TestVerifyOnce:
         fs = planar_freeset(g)
         pts = point_set("general", len(fs.order), random.Random(5))
         d = free_realize(g, fs, pts)
-        assert d.verified and [c for c, _ in calls] == ["triangles"]
+        assert d.verified and [c[0] for c in calls] == ["triangles"]
         assert {d.pos[v] for v in fs.order} == set(pts)
 
     def test_zero_targets_check_base_once(self, k4, calls):
         fs = antichain_pair(k4)
         d = free_realize(k4, fs, [(0, 0), (1, 0)])
-        assert d.verified and calls == [("triangles", "collinear[antichain]")]
+        assert d.verified and [c[:2] for c in calls] == [("triangles",
+                                                          "collinear")]
 
     def test_realize_collinear_once(self, k4, calls):
-        realize_collinear(k4, antichain_pair(k4), [0, 1])
-        assert calls == [("triangles", "collinear[antichain]")]
+        d = realize_collinear(k4, antichain_pair(k4), [0, 1])
+        assert [c[:2] for c in calls] == [("triangles", "collinear")]
+        assert d.provenance == "collinear[antichain]"
 
     def test_halfplane_draw_once(self, calls):
         draw_half(path(4), [0, 1, 2, 3], [0, 1, 2, 3], side="below")

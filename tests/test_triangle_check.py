@@ -31,7 +31,12 @@ from freeset.errors import DegenerateOutput
 from freeset.extractors import planar_freeset
 from freeset.realize import GridDrawing, free_realize, verify_drawing
 
-from conftest import point_set, thinned_triangulation
+from conftest import (
+    point_list,
+    point_set,
+    thinned_triangulation,
+    triangle_checks,
+)
 from test_golden import FAMILIES, FAMILY_REALIZE_CASES, REALIZE_CASES
 
 CORPUS = ([("thinned", (n, s, keep), 5) for n in (12, 24, 40)
@@ -42,26 +47,15 @@ CORPUS = ([("thinned", (n, s, keep), 5) for n in (12, 24, 40)
 
 def checked_drawings(family, args, pseed):
     """The drawings that ``_checked_halves`` accepted while realizing the
-    case, each with its apex and system."""
+    case, each with its apex and system, on the unit grid."""
     make = thinned_triangulation if family == "thinned" else FAMILIES[family]
     g = make(*args)
     fs = planar_freeset(g)
-    seen = []
-    real = realize._checked_halves
-
-    def spy(d, apex, sysm, stage):
-        out = real(d, apex, sysm, stage)
-        seen.append((d, apex, sysm))
-        return out
-
-    realize._checked_halves = spy
-    try:
+    with triangle_checks() as seen:
         pts = point_set("general", len(fs.order), random.Random(pseed))
         d = free_realize(g, fs, pts)
-    finally:
-        realize._checked_halves = real
     assert d.verified and verify_drawing(g, d) is None
-    return seen
+    return [(c.drawing, c.apex, c.sysm) for c in seen]
 
 
 def doubled(d: GridDrawing) -> GridDrawing:
@@ -126,8 +120,8 @@ def mutants(d: GridDrawing, rng: random.Random, count: int):
 
 def triangle_check_rejects(d, apex, sysm) -> bool:
     try:
-        realize._checked_halves(d, (2 * apex[0], 2 * apex[1]), sysm,
-                                "perturb")
+        realize._checked_halves(
+            point_list(d, sysm, (2 * apex[0], 2 * apex[1])), sysm, "perturb")
     except DegenerateOutput:
         return True
     return False
@@ -227,7 +221,7 @@ def _moved_realization(draw):
     n, crossed = d.graph.n, list(sysm.mids)
     s = draw(st.integers(1, 12))
     f = 1 << s
-    pts = [(x * f, y * f) for x, y in realize._points(d, sysm, apex)]
+    pts = [(x * f, y * f) for x, y in point_list(d, sysm, apex)]
     movable = fixed + [n + k for k in range(len(crossed))]
     for p in draw(st.lists(st.sampled_from(movable), min_size=1, max_size=3,
                            unique=True)):
@@ -248,7 +242,7 @@ def test_triangle_check_accepts_only_plane_drawings(case):
     an apex, or of a chord) may flip without any edge of g crossing."""
     d, apex, sysm = case
     try:
-        realize._checked_halves(d, apex, sysm, "perturb")
+        realize._checked_halves(point_list(d, sysm, apex), sysm, "perturb")
     except DegenerateOutput:
         return
     assert verify_drawing(d.graph, d) is None

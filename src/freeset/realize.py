@@ -954,13 +954,14 @@ def realize_collinear(g: EmbeddedGraph, fs: OrderedFreeSet,
     certificate it is a rotation of it.  The merged drawing goes through
     the zero lift (``perturb_scale`` with every target 0): every point but
     the free set is rounded toward zero to the coarsest power-of-two grid
-    that the halves' triangles certify, and the rounded drawing is checked
-    once, on those triangles (``_checked_halves``); a failure raises
-    DegenerateOutput.  That check also decides the sides: glued along the
-    axis, the halves are one disk, embedded inside the quadrilateral
-    P₀, L, P₋₁, U of the chain's ends and the apexes, and the inside half is
-    the part of it bounded by the chain and L, so its vertices off the
-    chain lie strictly inside the triangle P₀, L, P₋₁, below the axis."""
+    that the halves' triangles certify, and the rounded points are checked
+    once, on those triangles (``_checked_halves``), before the drawing is
+    built; a failure raises DegenerateOutput.  That check also decides the
+    sides: glued along the axis, the halves are one disk, embedded inside
+    the quadrilateral P₀, L, P₋₁, U of the chain's ends and the apexes, and
+    the inside half is the part of it bounded by the chain and L, so its
+    vertices off the chain lie strictly inside the triangle P₀, L, P₋₁,
+    below the axis."""
     base, _ = _collinear_base(g, fs, *common_denominator([F(x) for x in xs]))
     return perturb_scale(base, fs, [0] * len(fs.order))
 

@@ -1245,9 +1245,10 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     with the points as integer keys over one common denominator.  Two
     points with equal y never collide, and two with distinct y collide at
     one t only, (x_q - x_p)/(y_p - y_q), so t is at most the number of
-    point pairs.  The first k tries, for k points, are made one by one; past
-    them t is read off the pairs, in O(k²) however large t is.  Two equal
-    points raise SizeMismatch."""
+    point pairs.  The first k tries, for k points, are made one by one, in
+    O(k) each; past them t is read off the pairs, in O(k²) time and one
+    byte per pair however large t is.  Two equal points raise
+    SizeMismatch."""
     flat, den = common_denominator([c for p in points for c in p])
     keys = list(zip(flat[::2], flat[1::2]))
     k = len(keys)
@@ -1256,17 +1257,15 @@ def _shear_keys(points: list[Point]) -> tuple[int, list[tuple[int, int]], int]:
     for t in range(k):
         if len({x + t * y for x, y in keys}) == k:
             return t, keys, den
-    hits = set()
+    # the pairs take at most k(k-1)/2 values, so t - k is below that + 1
+    hit = bytearray(k * (k - 1) // 2 + 1)
     for i, (xp, yp) in enumerate(keys):
         for xq, yq in keys[i + 1:]:
             if yp != yq:
                 t, r = divmod(xq - xp, yp - yq)
-                if not r and t >= k:
-                    hits.add(t)
-    t = k
-    while t in hits:
-        t += 1
-    return t, keys, den
+                if not r and 0 <= t - k < len(hit):
+                    hit[t - k] = 1
+    return k + hit.index(0), keys, den
 
 
 def _grid_map(d: GridDrawing, a, b, c, e, dx, dy) -> GridDrawing:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -893,8 +894,17 @@ class TestPerturbAndFree:
 
     def test_shear_of_two_rows_of_200(self):
         # t = 200² = 40,000; the loop alone would build that many sets of
-        # 400 keys
-        assert _shear_keys(two_rows(200))[0] == 200 ** 2
+        # 400 keys, and a set of the pairs' values would hold 40,000 ints
+        # (3.3 MiB under tracemalloc)
+        pts = two_rows(200)
+        tracemalloc.start()
+        try:
+            t = _shear_keys(pts)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == 200 ** 2
+        assert peak < 2 ** 20  # one byte per pair: 79,800 bytes
 
     def test_free_realize_mismatch(self, k4):
         fs = antichain_pair(k4)
@@ -1055,6 +1065,19 @@ class TestVerifyOnce:
         d = free_realize(g, fs, pts)
         assert d.verified and [c[0] for c in calls] == ["triangles"]
         assert {d.pos[v] for v in fs.order} == set(pts)
+
+    @pytest.mark.parametrize("targets,stage,provenance", [
+        ([3, -2], "perturb", "collinear[antichain]+perturbed"),
+        ([0, 0], "collinear", "collinear[antichain]")], ids=["lift", "zero"])
+    def test_perturb_scale_once(self, k4, calls, targets, stage, provenance):
+        fs = antichain_pair(k4)
+        base = realize_collinear(k4, fs, [0, 1])
+        calls.clear()
+        d = perturb_scale(base, fs, targets)
+        assert d.verified and [c[:2] for c in calls] == [("triangles",
+                                                          stage)]
+        assert calls[0].drawing.xy == d.xy
+        assert d.provenance == provenance
 
     def test_zero_targets_check_base_once(self, k4, calls):
         fs = antichain_pair(k4)
